@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check api-snapshot api-check bench-obs bench-dataplane bench-dataplane-short bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-dataplane bench-dataplane-short bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -10,7 +10,9 @@ API_PKGS := \
 	repro/internal/head \
 	repro/internal/cluster \
 	repro/internal/jobs \
-	repro/internal/protocol
+	repro/internal/protocol \
+	repro/internal/core \
+	repro/internal/apps
 
 build:
 	$(GO) build ./...
@@ -47,6 +49,24 @@ api-check:
 # The CI gate: static checks, the API freeze, and the full suite under
 # the race detector.
 check: vet api-check race
+
+# The live loopback benchmark (bench/README.md): RUNS fresh processes of
+# WORKLOAD (one of the six names, or all), records written to OUT for
+# bench-compare. `make bench-compare A=parent.json B=change.json` prints
+# quartiles and deltas against the bounds and exits 1 on a regression.
+WORKLOAD ?= all
+RUNS ?= 1
+OUT ?= bench.json
+bench:
+	$(GO) run ./bench -workload $(WORKLOAD) -runs $(RUNS) -out $(OUT)
+
+bench-compare:
+	$(GO) run ./bench compare $(A) $(B)
+
+# CI smoke: all six workloads at -scale tiny, every result checked, under
+# the race detector. Numbers are not gated on shared runners.
+bench-smoke:
+	$(GO) test -race -count=1 -run TestTinyWorkloads ./bench
 
 # Guard the near-free-when-disabled observability promise. The automated
 # gate (TestObsOverheadGate) asserts the disabled-Obs alloc overhead on the

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -422,27 +423,103 @@ func TestPageRankSecondIteration(t *testing.T) {
 	}
 }
 
+// TestPageRankCodecRoundTrip: the reduction object travels zero-suppressed
+// and comes back bit for bit, whatever the mix of zeros, -0, NaN and Inf.
 func TestPageRankCodecRoundTrip(t *testing.T) {
-	p := PageRankParams{Nodes: 5, Damping: 0.85}
-	r, _ := NewPageRankReducer(p)
+	negZero := math.Copysign(0, -1)
+	vectors := map[string][]float64{
+		"identity":   make([]float64, 13),
+		"one-stored": {0, 0, 0, 0.125, 0},
+		"all-stored": {1, 2, 3, 4, 5, 6, 7, 8},
+		"specials":   {0, negZero, math.NaN(), 0, math.Inf(1), math.Inf(-1), 0, 0, 0, 1e-300, 0},
+	}
+	for name, in := range vectors {
+		r, err := NewPageRankReducer(PageRankParams{Nodes: len(in), Damping: 0.85})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := r.Encode(&PageRankObject{Incoming: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := r.Decode(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := back.(*PageRankObject).Incoming
+		if len(got) != len(in) {
+			t.Fatalf("%s: decoded %d entries, want %d", name, len(got), len(in))
+		}
+		for i := range in {
+			if math.Float64bits(got[i]) != math.Float64bits(in[i]) {
+				t.Errorf("%s: entry %d = %x, want %x", name, i, math.Float64bits(got[i]), math.Float64bits(in[i]))
+			}
+		}
+		// A decoded object merges like the original: it is a real vector,
+		// not a view of the wire bytes.
+		if err := r.GlobalReduce(back, r.NewObject()); err != nil {
+			t.Errorf("%s: merging into decoded object: %v", name, err)
+		}
+	}
+}
+
+// TestPageRankObjectRejectsHostileInput: a reduction object whose declared
+// length is not this query's Nodes, or that is cut short or padded, is
+// refused with core.ErrBadPayload.
+func TestPageRankObjectRejectsHostileInput(t *testing.T) {
+	r, _ := NewPageRankReducer(PageRankParams{Nodes: 10, Damping: 0.85})
 	obj := r.NewObject().(*PageRankObject)
-	obj.Incoming[3] = 0.125
-	enc, err := r.Encode(obj)
-	if err != nil {
-		t.Fatal(err)
+	obj.Incoming[3], obj.Incoming[9] = 0.125, 0.5
+	enc, _ := r.Encode(obj)
+	other, _ := NewPageRankReducer(PageRankParams{Nodes: 11, Damping: 0.85})
+	cases := map[string]struct {
+		r    *PageRankReducer
+		data []byte
+	}{
+		"empty":            {r, nil},
+		"truncated":        {r, enc[:len(enc)-1]},
+		"header-only":      {r, enc[:10]},
+		"trailing":         {r, append(append([]byte(nil), enc...), 0)},
+		"other-node-count": {other, enc},
+		"old-dense-layout": {r, make([]byte, 80)},
 	}
-	if len(enc) != 40 {
-		t.Errorf("encoded size = %d, want 40", len(enc))
+	for name, c := range cases {
+		if _, err := c.r.Decode(c.data); !errors.Is(err, core.ErrBadPayload) {
+			t.Errorf("%s: err = %v, want core.ErrBadPayload", name, err)
+		}
 	}
-	back, err := r.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestPageRankSyncBytes gates the traffic the codec exists to cut, as
+// deterministic byte counts on a seeded graph shaped like the benchmark's
+// (two edges per node, uniform destinations): a cluster that folded half
+// the edges has touched about 63 % of the nodes, and after a full round
+// about 13 % of the ranks are still the base value.
+func TestPageRankSyncBytes(t *testing.T) {
+	const nodes = 1 << 14
+	gen := &workload.PowerLawGraph{Seed: 5, Nodes: nodes, Edges: 2 * nodes}
+	p := PageRankParams{Nodes: nodes, Damping: 0.85}
+	r, _ := NewPageRankReducer(p)
+	fold := func(obj core.Object, first, count int64) {
+		t.Helper()
+		buf := make([]byte, count*workload.EdgeUnitSize)
+		gen.Fill(first, buf)
+		if err := r.LocalReduceGroup(obj, buf, workload.EdgeUnitSize); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if back.(*PageRankObject).Incoming[3] != 0.125 {
-		t.Errorf("round trip = %+v", back)
+	half := r.NewObject()
+	fold(half, 0, nodes)
+	enc, _ := r.Encode(half)
+	if dense := 8 * nodes; float64(len(enc)) > 0.70*float64(dense) {
+		t.Errorf("half-fold object is %d bytes, %.2f of the dense %d; want at most 0.70", len(enc), float64(len(enc))/float64(dense), dense)
 	}
-	if _, err := r.Decode(enc[:16]); err == nil {
-		t.Error("truncated object accepted")
+
+	fold(half, nodes, nodes) // the other cluster's share: now the global object
+	p.Ranks = NextRanks(half.(*PageRankObject), p.Damping)
+	params, _ := EncodePageRankParams(p)
+	if dense := 8 * nodes; float64(len(params)) > 0.90*float64(dense) {
+		t.Errorf("next round's params are %d bytes, %.2f of the dense ranks (%d); want at most 0.90", len(params), float64(len(params))/float64(dense), dense)
 	}
 }
 

@@ -126,13 +126,22 @@ var (
 // HistogramReducerName is the registry name of the histogram application.
 const HistogramReducerName = "histogram"
 
-// EncodeHistogramParams serializes p for a JobSpec.
-func EncodeHistogramParams(p HistogramParams) ([]byte, error) { return encodeParams(p) }
+// EncodeHistogramParams serializes p for a JobSpec: Bins, Dim (see
+// params.go).
+func EncodeHistogramParams(p HistogramParams) ([]byte, error) {
+	return appendInt(appendInt(nil, p.Bins), p.Dim), nil
+}
+
+func decodeHistogramParams(data []byte) (HistogramParams, error) {
+	r := paramReader{data: data}
+	p := HistogramParams{Bins: r.int(), Dim: r.int()}
+	return p, r.done()
+}
 
 func init() {
 	core.Register(HistogramReducerName, func(params []byte) (core.Reducer, error) {
-		var p HistogramParams
-		if err := decodeParams(params, &p); err != nil {
+		p, err := decodeHistogramParams(params)
+		if err != nil {
 			return nil, fmt.Errorf("apps: histogram params: %w", err)
 		}
 		return NewHistogramReducer(p)

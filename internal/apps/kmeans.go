@@ -276,13 +276,33 @@ func KMeansIterate(ix *chunk.Index, src chunk.Source, p KMeansParams, workers, i
 // KMeansReducerName is the registry name of the k-means application.
 const KMeansReducerName = "kmeans"
 
-// EncodeKMeansParams serializes p for a JobSpec.
-func EncodeKMeansParams(p KMeansParams) ([]byte, error) { return encodeParams(p) }
+// EncodeKMeansParams serializes p for a JobSpec: K, Dim, the number of
+// centers, then each center as a count-prefixed run (see params.go).
+func EncodeKMeansParams(p KMeansParams) ([]byte, error) {
+	b := appendInt(appendInt(nil, p.K), p.Dim)
+	b = binary.AppendUvarint(b, uint64(len(p.Centers)))
+	for _, c := range p.Centers {
+		b = appendFloat64s(b, c)
+	}
+	return b, nil
+}
+
+func decodeKMeansParams(data []byte) (KMeansParams, error) {
+	r := paramReader{data: data}
+	p := KMeansParams{K: r.int(), Dim: r.int()}
+	if n := r.count(1); n > 0 { // a center is at least its one-byte count
+		p.Centers = make([][]float64, n)
+		for i := range p.Centers {
+			p.Centers[i] = r.float64s()
+		}
+	}
+	return p, r.done()
+}
 
 func init() {
 	core.Register(KMeansReducerName, func(params []byte) (core.Reducer, error) {
-		var p KMeansParams
-		if err := decodeParams(params, &p); err != nil {
+		p, err := decodeKMeansParams(params)
+		if err != nil {
 			return nil, fmt.Errorf("apps: kmeans params: %w", err)
 		}
 		return NewKMeansReducer(p)

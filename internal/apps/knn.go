@@ -15,9 +15,7 @@
 package apps
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -200,30 +198,25 @@ var (
 	_ core.GroupReducer = (*KNNReducer)(nil)
 )
 
-// encodeParams/decodeParams gob-encode application parameter structs for
-// transport inside protocol.JobSpec.Params.
-func encodeParams(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// EncodeKNNParams serializes p for a JobSpec: K, Dim, then the
+// count-prefixed Query (see params.go).
+func EncodeKNNParams(p KNNParams) ([]byte, error) {
+	return appendFloat64s(appendInt(appendInt(nil, p.K), p.Dim), p.Query), nil
 }
 
-func decodeParams(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+func decodeKNNParams(data []byte) (KNNParams, error) {
+	r := paramReader{data: data}
+	p := KNNParams{K: r.int(), Dim: r.int(), Query: r.float64s()}
+	return p, r.done()
 }
-
-// EncodeKNNParams serializes p for a JobSpec.
-func EncodeKNNParams(p KNNParams) ([]byte, error) { return encodeParams(p) }
 
 // KNNReducerName is the registry name of the kNN application.
 const KNNReducerName = "knn"
 
 func init() {
 	core.Register(KNNReducerName, func(params []byte) (core.Reducer, error) {
-		var p KNNParams
-		if err := decodeParams(params, &p); err != nil {
+		p, err := decodeKNNParams(params)
+		if err != nil {
 			return nil, fmt.Errorf("apps: knn params: %w", err)
 		}
 		return NewKNNReducer(p)

@@ -100,27 +100,22 @@ func (r *PageRankReducer) GlobalReduce(dst, src core.Object) error {
 	return core.SumFloat64s(dst.(*PageRankObject).Incoming, src.(*PageRankObject).Incoming)
 }
 
-// Encode implements core.Reducer: Nodes little-endian float64s. For the
-// paper's graph this is hundreds of megabytes — by design.
+// Encode implements core.Reducer with the zero-suppressed vector codec
+// (core.AppendFloat64Vector): a cluster folds only its share of the edges,
+// so a good part of its contribution vector is exact zeros, and the
+// inter-cluster exchange is link-bound. For the paper's graph this is
+// still hundreds of megabytes — by design.
 func (r *PageRankReducer) Encode(obj core.Object) ([]byte, error) {
-	o := obj.(*PageRankObject)
-	buf := make([]byte, 0, 8*len(o.Incoming))
-	for _, v := range o.Incoming {
-		buf = core.AppendFloat64(buf, v)
-	}
-	return buf, nil
+	return core.AppendFloat64Vector(nil, obj.(*PageRankObject).Incoming, 0), nil
 }
 
 // Decode implements core.Reducer.
 func (r *PageRankReducer) Decode(data []byte) (core.Object, error) {
-	if len(data) != 8*r.Params.Nodes {
-		return nil, fmt.Errorf("apps: pagerank object is %d bytes, want %d", len(data), 8*r.Params.Nodes)
+	in, err := core.DecodeFloat64Vector(data, r.Params.Nodes)
+	if err != nil {
+		return nil, fmt.Errorf("apps: pagerank object: %w", err)
 	}
-	o := &PageRankObject{Incoming: make([]float64, r.Params.Nodes)}
-	for i := range o.Incoming {
-		o.Incoming[i] = core.Float64At(data, 8*i)
-	}
-	return o, nil
+	return &PageRankObject{Incoming: in}, nil
 }
 
 var (
@@ -135,23 +130,52 @@ var (
 func NextRanks(obj *PageRankObject, damping float64) []float64 {
 	n := len(obj.Incoming)
 	ranks := make([]float64, n)
-	base := (1 - damping) / float64(n)
+	base := baseRank(damping, n)
 	for i, in := range obj.Incoming {
 		ranks[i] = base + damping*in
 	}
 	return ranks
 }
 
+// baseRank is the rank of a node nothing points at, (1-d)/N. NextRanks
+// writes it and EncodePageRankParams suppresses it; the two must agree to
+// the bit, hence one expression.
+func baseRank(damping float64, nodes int) float64 { return (1 - damping) / float64(nodes) }
+
 // PageRankReducerName is the registry name of the PageRank application.
 const PageRankReducerName = "pagerank"
 
-// EncodePageRankParams serializes p for a JobSpec.
-func EncodePageRankParams(p PageRankParams) ([]byte, error) { return encodeParams(p) }
+// EncodePageRankParams serializes p for a JobSpec: Nodes, Damping, a
+// has-ranks byte, then Ranks in the vector codec with the base rank
+// suppressed (see params.go for the primitives).
+func EncodePageRankParams(p PageRankParams) ([]byte, error) {
+	b := core.AppendFloat64(appendInt(nil, p.Nodes), p.Damping)
+	if p.Ranks == nil {
+		return append(b, 0), nil
+	}
+	return core.AppendFloat64Vector(append(b, 1), p.Ranks, baseRank(p.Damping, p.Nodes)), nil
+}
+
+func decodePageRankParams(data []byte) (PageRankParams, error) {
+	r := paramReader{data: data}
+	p := PageRankParams{Nodes: r.int(), Damping: r.float64()}
+	switch hasRanks := r.byte(); {
+	case r.err != nil || hasRanks == 0:
+		return p, r.done()
+	case hasRanks == 1:
+		var err error
+		p.Ranks, err = core.DecodeFloat64Vector(r.rest(), p.Nodes)
+		return p, err
+	default:
+		r.fail("bad has-ranks flag")
+		return p, r.err
+	}
+}
 
 func init() {
 	core.Register(PageRankReducerName, func(params []byte) (core.Reducer, error) {
-		var p PageRankParams
-		if err := decodeParams(params, &p); err != nil {
+		p, err := decodePageRankParams(params)
+		if err != nil {
 			return nil, fmt.Errorf("apps: pagerank params: %w", err)
 		}
 		return NewPageRankReducer(p)

@@ -373,7 +373,7 @@ func (h *Head) SubmitResult(res protocol.ReductionResult) ([]byte, error) {
 	res.Query = q.id
 	h.mu.Lock()
 	if q.finished {
-		enc, err := q.encoded, q.finishErr
+		enc, err := q.encodedLocked()
 		h.mu.Unlock()
 		return enc, err
 	}
@@ -398,7 +398,7 @@ func (h *Head) SubmitResult(res protocol.ReductionResult) ([]byte, error) {
 		<-ch
 		h.mu.Lock()
 	}
-	enc, err := q.encoded, q.finishErr
+	enc, err := q.encodedLocked()
 	h.mu.Unlock()
 	return enc, err
 }
@@ -534,7 +534,7 @@ func (h *Head) WaitResult(query int) ([]byte, error) {
 	<-q.done
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return q.encoded, q.finishErr
+	return q.encodedLocked()
 }
 
 // Result blocks until the legacy query completes and returns its final

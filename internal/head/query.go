@@ -282,11 +282,28 @@ func (q *Query) failLocked(err error) {
 	}
 }
 
-// finalizeLocked encodes the final object and releases everyone waiting on
+// encodedLocked returns the finished query's final object in wire form. It
+// encodes on first demand: Query.Wait hands out finalObj itself, so only a
+// master asking for the global result (WaitResult, legacy SubmitResult)
+// pays for — and holds h.mu across — the encode of a large object. Caller
+// holds h.mu.
+func (q *Query) encodedLocked() ([]byte, error) {
+	if q.finishErr != nil {
+		return nil, q.finishErr
+	}
+	if q.encoded == nil {
+		enc, err := q.reducer.Encode(q.finalObj)
+		if err != nil {
+			return nil, err
+		}
+		q.encoded = enc
+	}
+	return q.encoded, nil
+}
+
+// finalizeLocked seals the final object and releases everyone waiting on
 // the query. Caller holds h.mu.
 func (q *Query) finalizeLocked() {
-	enc, err := q.reducer.Encode(q.finalObj)
-	q.encoded, q.finishErr = enc, err
 	q.finished = true
 	for _, ch := range q.waiters {
 		close(ch)
@@ -541,11 +558,12 @@ func (h *Head) QuerySpec(site, query int) (protocol.JobSpec, error) {
 	}
 	h.mu.Lock()
 	q := h.queries[query]
+	canceled := q != nil && q.canceled
 	h.mu.Unlock()
 	if q == nil {
 		return protocol.JobSpec{}, opErr("spec", site, query, ErrUnknownQuery)
 	}
-	if q.canceled {
+	if canceled {
 		return protocol.JobSpec{}, opErr("spec", site, query, ErrQueryCanceled)
 	}
 	spec := q.spec

@@ -1,11 +1,16 @@
 package head
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chunk"
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/protocol"
 )
@@ -176,5 +181,117 @@ func TestWaitHonorsContext(t *testing.T) {
 	cancel()
 	if _, _, _, err := q.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
+	}
+}
+
+// countingReducer counts Encode calls on top of sumReducer.
+type countingReducer struct {
+	sumReducer
+	encodes *atomic.Int64
+}
+
+func (r countingReducer) Encode(obj core.Object) ([]byte, error) {
+	r.encodes.Add(1)
+	return r.sumReducer.Encode(obj)
+}
+
+// TestFinalObjectEncodedOnDemand: finishing a query must not encode the
+// final object under the head lock — Query.Wait hands out the object
+// itself. The encode happens once, for the first master that asks for the
+// global result over the wire (WaitResult).
+func TestFinalObjectEncodedOnDemand(t *testing.T) {
+	ix, err := chunk.Layout("lazy", 40, 4, 20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := multiHead(t, 1)
+	if _, err := h.RegisterSite(protocol.Hello{Site: 0, Cluster: "a", Proto: protocol.ProtoMulti}); err != nil {
+		t.Fatal(err)
+	}
+	pool, err := jobs.NewPool(ix, jobs.Placement{0, 0}, jobs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var encodes atomic.Int64
+	q, err := h.Admit(QueryConfig{Pool: pool, Reducer: countingReducer{encodes: &encodes},
+		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		rep, err := h.Poll(0, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Queries) == 0 {
+			break
+		}
+		for _, qj := range rep.Queries {
+			if _, err := h.CompleteQueryJobs(qj.Query, 0, qj.Jobs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Query: q.ID(), Object: encodeSum(7)}); err != nil {
+		t.Fatal(err)
+	}
+	obj, _, _, err := q.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obj.(*sumObj).total; got != 7 {
+		t.Fatalf("final object = %d, want 7", got)
+	}
+	if n := encodes.Load(); n != 0 {
+		t.Fatalf("finishing the query encoded the final object %d times, want 0", n)
+	}
+	for i := 0; i < 2; i++ {
+		enc, err := h.WaitResult(q.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, encodeSum(7)) {
+			t.Fatalf("WaitResult = %x, want %x", enc, encodeSum(7))
+		}
+	}
+	if n := encodes.Load(); n != 1 {
+		t.Errorf("two WaitResult calls encoded %d times, want 1", n)
+	}
+}
+
+// TestQuerySpecRacesCancel: a site fetching the spec while the client
+// cancels the query sees either the spec or ErrQueryCanceled, and (under
+// -race) the canceled flag is only ever read under the head lock.
+func TestQuerySpecRacesCancel(t *testing.T) {
+	ix, err := chunk.Layout("speccancel", 400, 4, 200, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := multiHead(t, 1)
+	if _, err := h.RegisterSite(protocol.Hello{Site: 0, Cluster: "a", Proto: protocol.ProtoMulti}); err != nil {
+		t.Fatal(err)
+	}
+	q := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
+	fetched := make(chan struct{})
+	result := make(chan error, 1)
+	go func() {
+		var once sync.Once
+		for {
+			spec, err := h.QuerySpec(0, q.ID())
+			if err != nil {
+				result <- err
+				return
+			}
+			if spec.App != "sum" {
+				result <- fmt.Errorf("spec.App = %q, want sum", spec.App)
+				return
+			}
+			once.Do(func() { close(fetched) })
+		}
+	}()
+	<-fetched
+	q.Cancel()
+	if err := <-result; !errors.Is(err, ErrQueryCanceled) {
+		t.Fatalf("QuerySpec racing Cancel ended with %v, want ErrQueryCanceled", err)
 	}
 }
