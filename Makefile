@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-dataplane bench-dataplane-short bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race flake check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-dataplane bench-dataplane-short bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -25,6 +25,14 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# Flake hunt over the packages whose tests race goroutines against the
+# head's locking: many plain repetitions, then fewer under the race
+# detector. Any failure here is a bug in a test or in the code; target 0.
+FLAKE_PKGS := ./internal/cluster ./internal/head ./internal/driver
+flake:
+	$(GO) test -count=20 $(FLAKE_PKGS)
+	$(GO) test -race -count=5 $(FLAKE_PKGS)
 
 # Regenerate the exported-API snapshots. Run after an intentional API
 # change and commit the diff alongside it.

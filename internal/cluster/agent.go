@@ -226,7 +226,11 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		req := protocol.PollRequest{Site: cfg.Site, N: cfg.RequestBatch}
+		// Nothing is in flight between batches, so the poll can park: the head
+		// holds an empty answer until it has grants or a notice for this site,
+		// for at most the waitPoll an idle agent would otherwise sleep.
+		req := protocol.PollRequest{Site: cfg.Site, N: cfg.RequestBatch, ParkNS: int64(waitPoll)}
+		polled := time.Now()
 		if a.traceOn {
 			req.Spans = a.takeSpans()
 			req.NowNS = int64(a.clk.Now())
@@ -290,15 +294,16 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		if rep.Shutdown {
 			return nil
 		}
-		if !worked {
-			// Idle: nothing granted and nothing to finish. New queries may be
-			// admitted at any time, so the agent never exits on an empty
-			// grant — it backs off and polls again (Wait only distinguishes
-			// how soon recovery work could appear).
+		if rest := waitPoll - time.Since(polled); !worked && rest > 0 {
+			// Idle, and the answer came back before the park ran out (a head
+			// that does not hold polls, or a notice for a query already gone):
+			// sit out the remainder so an empty answer can never make the loop
+			// spin. New queries may be admitted at any time, so the agent never
+			// exits on an empty grant.
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(waitPoll):
+			case <-time.After(rest):
 			}
 		}
 	}

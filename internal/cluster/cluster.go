@@ -59,6 +59,8 @@ type HeadClient interface {
 
 // waitPoll is how long the master sleeps before re-polling the head after an
 // empty-but-not-final job grant (stragglers or failures may requeue work).
+// The multi-query agent does not sleep it: it asks the head to hold its poll
+// for this long instead (PollRequest.ParkNS).
 const waitPoll = 20 * time.Millisecond
 
 // Config parameterizes one cluster worker process.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -170,10 +171,28 @@ func TestFencedMasterFailsFastAndRejoins(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryWithTwoClusters kills one of two clusters and lets lease
-// expiry hand its unfinished jobs to the survivor; the restarted cluster
-// then rejoins to contribute its (checkpointed) share and the final object
-// matches the failure-free answer.
+// killSignal closes fired the first time the injector under it refuses a
+// read — the moment the doomed cluster's data path died.
+type killSignal struct {
+	chunk.Source
+	once  sync.Once
+	fired chan struct{}
+}
+
+func (k *killSignal) ReadChunk(ref chunk.Ref) ([]byte, error) {
+	data, err := k.Source.ReadChunk(ref)
+	if errors.Is(err, fault.ErrInjected) {
+		k.once.Do(func() { close(k.fired) })
+	}
+	return data, err
+}
+
+// TestCrashRestartWithTwoClusters kills one of two clusters mid-run; the
+// restarted incarnation rejoins to contribute its (checkpointed) share while
+// the survivor works off the requeued jobs, and the final object matches the
+// failure-free answer. The survivor starts only once the kill has fired: the
+// injector counts the doomed site's reads, and a survivor racing it for jobs
+// could steal enough of them that the eighth read never happens.
 func TestCrashRestartWithTwoClusters(t *testing.T) {
 	ix, src, want := buildDataset(t, 8000, 1000, 100) // 8 files × 10 chunks
 	placement := jobs.SplitByFraction(len(ix.Files), 0.5, 0, 1)
@@ -181,9 +200,10 @@ func TestCrashRestartWithTwoClusters(t *testing.T) {
 	h := newFaultHead(t, ix, placement, 2, fault.NewMemStore(), 200*time.Millisecond)
 	sources := map[int]chunk.Source{0: src, 1: src}
 	inj := &fault.Injector{Source: src, KillAfter: 8}
+	killed := &killSignal{Source: inj, fired: make(chan struct{})}
 	doomed := Config{
 		Site: 0, Name: "doomed", Cores: 2,
-		Sources: map[int]chunk.Source{0: inj, 1: inj},
+		Sources: map[int]chunk.Source{0: killed, 1: killed},
 		Head:    InProc{Head: h},
 		Tuning:  config.Tuning{CheckpointEveryJobs: 4},
 		Retry:   Retry{Attempts: 2, Backoff: time.Millisecond},
@@ -196,6 +216,7 @@ func TestCrashRestartWithTwoClusters(t *testing.T) {
 
 	healthyDone := make(chan error, 1)
 	go func() {
+		<-killed.fired
 		_, err := Run(healthy)
 		healthyDone <- err
 	}()

@@ -152,9 +152,10 @@ func (s *Session) drainBurstWorker(site int, timeout time.Duration, since func()
 }
 
 // finishArbiter decommissions every remaining burst worker at session close:
-// each is drained (the head has shut down, so nothing is owed), and one that
-// fails to depart within the configured drain timeout (or finalDrainGrace)
-// is declared failed so session close cannot hang.
+// each is drained (the head has shut down, so nothing is owed) unless it has
+// already left on the shutdown notice, and one that does neither within the
+// configured drain timeout (or finalDrainGrace) is declared failed so session
+// close cannot hang.
 func (s *Session) finishArbiter(workers map[int]*cluster.Worker,
 	cfg elastic.ArbiterConfig, since func() time.Duration) {
 	grace := cfg.ScaleDownDrainTimeout
@@ -179,9 +180,15 @@ func (s *Session) finishArbiter(workers map[int]*cluster.Worker,
 		select {
 		case <-p.ch:
 			s.arb.WorkerStopped(since(), p.site)
+		case <-workers[p.site].Done():
+			// The head's Shutdown notice reached the worker (its poll is held
+			// at the head, so at once) before this drain order did: it has
+			// left and will never poll for the Drain reply.
+			s.arb.WorkerStopped(since(), p.site)
 		case <-s.ctx.Done():
 			return
 		case <-deadline.C:
+			deadline.Reset(0) // the grace is spent for every worker still pending
 			s.logf("driver: burst worker %d did not drain at session close; declaring it failed", p.site)
 			s.h.FailSite(p.site)
 			select {

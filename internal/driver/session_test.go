@@ -597,7 +597,28 @@ func TestLiveWatchdogFlagsSlowSite(t *testing.T) {
 		// wave, which the healthy site's polls straddle.
 		WatchdogMinSamples: 2,
 	}
-	obj, reports, err := d.RunOnce(step())
+	sess, err := NewSession(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	// Admit only once both masters sit in a held poll: the admission then
+	// wakes both, so the tarpit site is granted jobs however fast the healthy
+	// one runs — left to race from a cold start, the healthy site can finish
+	// all 30 jobs before the other has registered.
+	for _, cs := range d.Clusters {
+		parked := d.Obs.Registry.Counter("head_polls_parked_total", "site", strconv.Itoa(cs.Site))
+		for deadline := time.Now().Add(10 * time.Second); parked.Value() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("site %d never parked a poll", cs.Site)
+			}
+		}
+	}
+	q, err := sess.Submit(step())
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, reports, err := q.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,6 +159,9 @@ func (h *Head) checkLatencyStragglers() {
 		}
 	}
 	h.mu.Unlock()
+	if len(flags) == 0 {
+		return
+	}
 	for _, f := range flags {
 		spec := f.q.pool.SpeculateSite(f.site)
 		h.cfg.Obs.Metrics().Counter("head_straggler_flagged_total",
@@ -173,6 +176,9 @@ func (h *Head) checkLatencyStragglers() {
 			})
 		}
 	}
+	h.mu.Lock()
+	h.notifyLocked() // speculative copies are grantable to sites held in a poll
+	h.mu.Unlock()
 }
 
 // checkStragglers fires speculative re-execution, per query, when a query's
@@ -205,6 +211,7 @@ func (h *Head) checkStragglers(now time.Duration) {
 		spec := q.pool.SpeculateOutstanding()
 		q.speculated = true
 		if len(spec) > 0 {
+			h.notifyLocked()
 			h.cfg.Logf("head: speculating %d straggler jobs for query %d", len(spec), id)
 			if h.tr.Enabled() {
 				h.tr.Instant(0, 0, "fault", "speculate", obs.Args{"jobs": len(spec), "query": id})
@@ -312,6 +319,9 @@ func (h *Head) FailSite(site int) {
 	if _, ok := h.draining[site]; ok {
 		h.departLocked(site)
 	}
+	// Requeued and reissued jobs are grantable to sites held in a poll, and
+	// the failed site's own held poll must come back fenced.
+	h.notifyLocked()
 	h.mu.Unlock()
 }
 

@@ -1,7 +1,9 @@
 package head
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -468,4 +470,43 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 		t.Error("trace missing the watchdog's straggler instant")
 	}
 	_ = pool
+}
+
+// TestCommitRacingFailSiteIsReissued: a commit that passes the fence check
+// just before FailSite marks its site dead must not leave the job completed
+// on behalf of the dead incarnation — nothing that incarnation folded
+// survives (no checkpoint, no result), so after the failure every job it
+// committed has to be grantable again.
+func TestCommitRacingFailSiteIsReissued(t *testing.T) {
+	for i := 0; i < 400; i++ {
+		h, pool := testFaultHead(t, 1, faultOpts{LeaseTTL: time.Hour})
+		if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+			t.Fatal(err)
+		}
+		js, _, err := reqJobs(h, 0, 1000)
+		if err != nil || len(js) == 0 {
+			t.Fatalf("grant: %v, %v", js, err)
+		}
+		var committed atomic.Int32
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, j := range js {
+				if _, err := h.CompleteJobs(0, []jobs.Job{j}); err != nil {
+					return // fenced
+				}
+				committed.Add(1)
+			}
+		}()
+		for committed.Load() == 0 { // fail the site mid-stream
+			runtime.Gosched()
+		}
+		h.FailSite(0)
+		<-done
+		if got := pool.Remaining(); got != len(js) {
+			t.Fatalf("iteration %d: %d of %d jobs grantable after the site failed; the rest stay committed by an incarnation that is gone",
+				i, got, len(js))
+		}
+		h.Shutdown()
+	}
 }

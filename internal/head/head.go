@@ -105,6 +105,9 @@ type Head struct {
 	order     []int // admission order, for deterministic iteration
 	nextQuery int
 	shutdown  bool
+	// wake is closed and replaced (notifyLocked) whenever the answer to a
+	// held poll may have changed; PollFrom captures it before evaluating.
+	wake chan struct{}
 
 	fair   *jobs.FairShare
 	legacy *Query // query 0 when cfg.Pool was set
@@ -136,6 +139,10 @@ type Head struct {
 	mExhausted   *obs.Counter
 	mResults     *obs.Counter
 	hGlobalRed   *obs.Histogram
+	// hParkEvent and hParkExpiry time held polls by how they ended
+	// (head_poll_park_seconds{end}).
+	hParkEvent  *obs.Histogram
+	hParkExpiry *obs.Histogram
 
 	// nextSpan mints head-side span IDs for grant TraceContexts.
 	nextSpan atomic.Uint64
@@ -165,6 +172,7 @@ func New(cfg Config) (*Head, error) {
 		draining:     make(map[int]chan struct{}),
 		departed:     make(map[int]bool),
 		queries:      make(map[int]*Query),
+		wake:         make(chan struct{}),
 		fair:         jobs.NewFairShare(),
 		done:         make(chan struct{}),
 		clk:          cfg.Obs.ClockOrWall(),
@@ -174,6 +182,8 @@ func New(cfg Config) (*Head, error) {
 		mExhausted:   reg.Counter("head_pool_exhausted_total"),
 		mResults:     reg.Counter("head_results_total"),
 		hGlobalRed:   reg.Histogram("head_global_reduce_seconds", nil),
+		hParkEvent:   reg.Histogram("head_poll_park_seconds", nil, "end", "event"),
+		hParkExpiry:  reg.Histogram("head_poll_park_seconds", nil, "end", "expiry"),
 	}
 	h.tr.NameProcess(0, "head")
 	h.tr.NameThread(0, 0, "global-reduction")
@@ -198,6 +208,15 @@ func New(cfg Config) (*Head, error) {
 		h.legacy = q
 	}
 	return h, nil
+}
+
+// notifyLocked wakes every held poll to re-evaluate its answer. Call it
+// wherever a site's reply can stop being empty: new or requeued jobs, a
+// drained pool (Done falls due), a cancel, a drain order, shutdown. Caller
+// holds h.mu.
+func (h *Head) notifyLocked() {
+	close(h.wake)
+	h.wake = make(chan struct{})
 }
 
 // markDone closes the head's lifetime channel exactly once.
@@ -320,13 +339,18 @@ func (h *Head) Register(hello protocol.Hello) (protocol.JobSpec, error) {
 	return spec, nil
 }
 
+// errFenced is the refusal a dead-marked site's traffic gets.
+func errFenced(site int) error {
+	return fmt.Errorf("rejecting site %d: %w", site, fault.ErrFenced)
+}
+
 // fencedCheck rejects traffic from a site the head has declared failed. A
 // dead-marked site's lease is no longer tracked and its contributions were
 // handed out for recomputation, so granting it jobs or accepting its commits
 // would lose work or double-count it; the incarnation must re-register.
 func (h *Head) fencedCheck(site int) error {
 	if h.fs != nil && h.fs.leases.Dead(site) {
-		return fmt.Errorf("rejecting site %d: %w", site, fault.ErrFenced)
+		return errFenced(site)
 	}
 	// A drained site's departure is just as terminal: its lease is released
 	// and burst site IDs are never reused, so a zombie incarnation polling
@@ -482,6 +506,7 @@ func (h *Head) DrainSite(site int) (<-chan struct{}, error) {
 	}
 	ch := make(chan struct{})
 	h.draining[site] = ch
+	h.notifyLocked()
 	h.cfg.Logf("head: draining site %d", site)
 	if h.tr.Enabled() {
 		h.tr.Instant(0, 0, "elastic", fmt.Sprintf("drain site %d", site), obs.Args{"site": site})

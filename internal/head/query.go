@@ -199,6 +199,9 @@ func (h *Head) Admit(qc QueryConfig) (*Query, error) {
 		h.mu.Unlock()
 		return nil, opErr("admit", -1, id, err)
 	}
+	h.mu.Lock()
+	h.notifyLocked() // the new pool's jobs are grantable to sites held in a poll
+	h.mu.Unlock()
 	h.cfg.Logf("head: admitted query %d (app %q, weight %d, %d jobs)",
 		id, qc.Spec.App, qc.Weight, qc.Pool.Remaining())
 	if h.tr.Enabled() {
@@ -257,6 +260,7 @@ func (q *Query) Cancel() {
 	}
 	q.canceled = true
 	q.failLocked(opErr("cancel", -1, q.id, ErrQueryCanceled))
+	h.notifyLocked() // every site now owes a Dropped notice
 	h.mu.Unlock()
 	h.fair.Remove(q.id)
 	h.cfg.Logf("head: canceled query %d", q.id)
@@ -372,20 +376,90 @@ func (h *Head) Poll(site, n int) (protocol.PollReply, error) {
 // PollFrom is Poll taking the full wire request: shipped master-side spans
 // are merged into the head's trace (aligned by the clock offset NowNS
 // implies), each grant is stamped with its query's TraceContext and recorded
-// as a head-side grant span, and the latency watchdog runs once per poll so
-// an emerging straggler is flagged within one poll round.
+// as a head-side grant span, and the latency watchdog runs once per
+// evaluation so an emerging straggler is flagged within one poll round.
+//
+// A request with ParkNS set is HELD while its answer would be idle — no
+// grants, no Done or Dropped notice, no Shutdown or Drain — and answered the
+// moment an admission, a pool-draining commit, a cancel, a drain order, a
+// requeue or shutdown changes that, or with the idle reply once ParkNS has
+// passed. Spans are absorbed and head_pool_exhausted_total counted once per
+// request, however often it is re-evaluated.
 func (h *Head) PollFrom(req protocol.PollRequest) (protocol.PollReply, error) {
-	site, n := req.Site, req.N
+	site := req.Site
 	if err := h.fencedCheck(site); err != nil {
 		return protocol.PollReply{}, opErr("poll", site, -1, err)
 	}
 	h.Heartbeat(site)
 	h.absorbSpans(req)
+	rep, wake, err := h.pollOnce(site, req.N, true)
+	if err != nil || req.ParkNS <= 0 || !idleReply(rep) {
+		return rep, err
+	}
+	return h.holdPoll(req, rep, wake)
+}
+
+// holdPoll parks a request whose first evaluation came back idle: it waits
+// for a wake-up, re-evaluates, and returns as soon as the reply carries
+// anything — or returns the idle reply when the park runs out.
+func (h *Head) holdPoll(req protocol.PollRequest, rep protocol.PollReply, wake <-chan struct{}) (protocol.PollReply, error) {
+	site := req.Site
+	park := time.Duration(req.ParkNS)
+	if hb := h.cfg.Tuning.HeartbeatInterval(); hb > 0 && park > hb {
+		// A held poll occupies the session the site's heartbeats ride on;
+		// past one interval it could cost a healthy site its lease.
+		park = hb
+	}
+	if reg := h.cfg.Obs.Metrics(); reg != nil {
+		reg.Counter("head_polls_parked_total", "site", strconv.Itoa(site)).Inc()
+	}
+	start, ended := h.clk.Now(), h.hParkEvent
+	defer func() { ended.Observe(h.clk.Now() - start) }()
+	// The timer exists only from here on, once the reply is known to be idle:
+	// most polls carry grants, and a timer per poll shows in allocs per job.
+	timer := time.NewTimer(park)
+	defer timer.Stop()
+	for {
+		select {
+		case <-wake:
+			if err := h.fencedCheck(site); err != nil {
+				return protocol.PollReply{}, opErr("poll", site, -1, err)
+			}
+		case <-h.done:
+			// The head stopped: one last evaluation carries Shutdown.
+			rep, _, err := h.pollOnce(site, req.N, false)
+			return rep, err
+		case <-timer.C:
+			ended = h.hParkExpiry
+			return rep, nil
+		}
+		var err error
+		if rep, wake, err = h.pollOnce(site, req.N, false); err != nil || !idleReply(rep) {
+			return rep, err
+		}
+	}
+}
+
+// idleReply reports whether rep gives the master nothing to act on — the
+// only kind of reply PollFrom holds back for a parking request.
+func idleReply(rep protocol.PollReply) bool {
+	return len(rep.Queries) == 0 && len(rep.Done) == 0 && len(rep.Dropped) == 0 &&
+		!rep.Shutdown && !rep.Drain
+}
+
+// pollOnce evaluates one poll for site as of now. The wake channel it
+// returns was captured BEFORE anything was read, so an event that lands
+// after the evaluation looked has already closed it: a caller that waits on
+// it cannot miss a wake-up. first marks a request's first evaluation, the
+// one that counts an empty grant in head_pool_exhausted_total.
+func (h *Head) pollOnce(site, n int, first bool) (protocol.PollReply, <-chan struct{}, error) {
 	h.mu.Lock()
+	wake := h.wake
 	_, draining := h.draining[site]
 	h.mu.Unlock()
 	if draining {
-		return h.pollDraining(site)
+		rep, err := h.pollDraining(site)
+		return rep, wake, err
 	}
 	grantStart := h.clk.Now()
 	sp := h.tr.Begin(0, 0, "scheduling", "request-jobs")
@@ -470,14 +544,16 @@ func (h *Head) PollFrom(req protocol.PollRequest) (protocol.PollReply, error) {
 		h.mJobsGranted.Add(int64(len(tagged)))
 		h.cfg.Logf("head: granted %d jobs to site %d (%d queries)", len(tagged), site, len(rep.Queries))
 	} else {
-		h.mExhausted.Inc()
+		if first {
+			h.mExhausted.Inc()
+		}
 		// An empty grant is only final once every outstanding job has
 		// committed; with fault machinery on, a failure could still requeue
 		// work this site must be able to pick up.
 		rep.Wait = h.fs != nil && anyUndrained
 	}
 	h.checkLatencyStragglers()
-	return rep, nil
+	return rep, wake, nil
 }
 
 // pollDraining answers a poll from a site being decommissioned. No new jobs
@@ -623,11 +699,27 @@ func (h *Head) CompleteQueryJobs(query, site int, js []jobs.Job) ([]int, error) 
 			dups = append(dups, j.ID)
 			continue
 		}
+		if h.fs != nil && h.fs.leases.Dead(site) {
+			// FailSite fenced the site between the check above and this
+			// commit. If it has already collected sinceCkpt the job would stay
+			// completed on behalf of an incarnation whose folds are gone, so
+			// hand it back here (Reissue is idempotent if FailSite also does).
+			h.mu.Unlock()
+			q.pool.Reissue([]jobs.Job{j})
+			return dups, opErr("complete", site, query, errFenced(site))
+		}
 		q.contrib[site] = true
 		if h.fs != nil {
 			q.sinceCkpt[site] = append(q.sinceCkpt[site], j)
 		}
 		q.jobsDoneLocked(site).Inc()
+		h.mu.Unlock()
+	}
+	if q.pool.Drained() {
+		// This commit (a duplicate's released copy included) emptied the
+		// pool: the query's Done is now due at every site that owes a result.
+		h.mu.Lock()
+		h.notifyLocked()
 		h.mu.Unlock()
 	}
 	return dups, nil
@@ -763,6 +855,7 @@ func (h *Head) Shutdown() {
 		}
 		h.fair.Remove(id)
 	}
+	h.notifyLocked()
 	h.mu.Unlock()
 	h.markDone()
 	h.cfg.Logf("head: shutdown")

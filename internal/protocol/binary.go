@@ -53,6 +53,11 @@ import (
 // the policy trails the trace, a non-zero policy forces the trace fields onto
 // the wire too (zeros if untraced) so decoders can position both; zero-policy
 // frames stay bit-identical to the pre-policy format.
+//
+// PollRequest.ParkNS follows the same rule: one optional i64 AFTER the span
+// block (NowNS, span count, spans), emitted only when non-zero and forcing an
+// empty span block onto the wire ahead of it, so a request that does not park
+// is bit-identical to the pre-park format with and without spans.
 const (
 	tagHello byte = 1 + iota
 	tagJobSpec
@@ -292,7 +297,9 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		dst = append(dst, tagPollRequest)
 		dst = appendInt(dst, m.Site)
 		dst = appendInt(dst, m.N)
-		if m.NowNS != 0 || len(m.Spans) > 0 {
+		// ParkNS trails the span block, so a parking request puts the block
+		// on the wire even when it is empty (the policy-after-trace rule).
+		if m.NowNS != 0 || len(m.Spans) > 0 || m.ParkNS != 0 {
 			dst = appendI64(dst, m.NowNS)
 			dst = appendU32(dst, uint32(len(m.Spans)))
 			for _, s := range m.Spans {
@@ -305,6 +312,9 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 				dst = appendI64(dst, s.Start)
 				dst = appendI64(dst, s.Dur)
 			}
+		}
+		if m.ParkNS != 0 {
+			dst = appendI64(dst, m.ParkNS)
 		}
 	case PollReply:
 		dst = append(dst, tagPollReply)
@@ -945,6 +955,19 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 					if s.Dur, err = f.i64(); err != nil {
 						return nil, err
 					}
+				}
+			}
+			if f.n > 0 {
+				// Whatever follows the span block is exactly one ParkNS word,
+				// which the encoder only writes when it is non-zero.
+				if f.n != 8 {
+					return nil, fmt.Errorf("%w: %d bytes after poll spans, want an 8-byte park word", ErrCorruptFrame, f.n)
+				}
+				if m.ParkNS, err = f.i64(); err != nil {
+					return nil, err
+				}
+				if m.ParkNS == 0 {
+					return nil, fmt.Errorf("%w: explicit zero park word", ErrCorruptFrame)
 				}
 			}
 		}

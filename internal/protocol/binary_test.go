@@ -124,6 +124,14 @@ func sampleMessages() []Message {
 			Policy: ElasticPolicy{Deadline: 240e9, Budget: 0.12, MinWorkers: 2, MaxWorkers: 6}},
 		ResultRequest{Site: 2, Query: 6},
 		ResultRequest{},
+		// Parking polls: the optional park word after the (possibly empty)
+		// span block.
+		PollRequest{Site: 1, N: 4, ParkNS: 20e6},
+		PollRequest{Site: 1, N: 4, NowNS: 77, ParkNS: 20e6},
+		PollRequest{Site: 2, N: 8, NowNS: 123456789, ParkNS: 20e6, Spans: []WireSpan{
+			{Trace: TraceContext{TraceID: 1, SpanID: 2}, Name: "job 3", Cat: "job", TID: 1, Job: 3, Start: 10, Dur: 20},
+		}},
+		PollRequest{Site: 3, N: 1, ParkNS: -1}, // meaningless to the head, still round-trips
 	}
 }
 

@@ -24,6 +24,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			f.Add(frame[2:])            // desynced stream
 		}
 	}
+	for _, tc := range malformedParkFrames() {
+		f.Add(tc.frame)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{4, 0, 0, 0, 1, 0, 0, 0})

@@ -275,6 +275,11 @@ type PollRequest struct {
 	// Spans carries master-side spans completed since the last poll —
 	// trace shipping piggybacks on poll traffic rather than adding RPCs.
 	Spans []WireSpan
+	// ParkNS asks the head to hold a reply that would otherwise be empty —
+	// no grants, no Done or Dropped notice, no Shutdown or Drain — for up to
+	// this many nanoseconds, answering as soon as it has any of those to
+	// report. Zero (what the single-query master sends) is answered at once.
+	ParkNS int64
 }
 
 // QueryJobs is one query's slice of a poll grant.
