@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race flake check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-dataplane bench-dataplane-short bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race flake loc check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-dataplane bench-dataplane-short bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -28,11 +28,23 @@ race:
 
 # Flake hunt over the packages whose tests race goroutines against the
 # head's locking: many plain repetitions, then fewer under the race
-# detector. Any failure here is a bug in a test or in the code; target 0.
+# detector; then the daemon binaries' end-of-session ordering (Shutdown
+# notice → worker exit → Head.Close, and SIGTERM on a parked worker), three
+# times over real processes. Any failure here is a bug in a test or in the
+# code; target 0.
 FLAKE_PKGS := ./internal/cluster ./internal/head ./internal/driver
 flake:
 	$(GO) test -count=20 $(FLAKE_PKGS)
 	$(GO) test -race -count=5 $(FLAKE_PKGS)
+	$(GO) test -count=3 -run TestEndToEndDaemons .
+
+# The size of the tree, outside the benchmark: ROADMAP's "success is a
+# negative line count" as a number to quote in every PR.
+loc:
+	@printf 'non-test Go lines outside bench/: '; \
+		find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'test Go lines outside bench/:     '; \
+		find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 # Regenerate the exported-API snapshots. Run after an intentional API
 # change and commit the diff alongside it.

@@ -36,8 +36,7 @@ func main() {
 		indexPath  = flag.String("index", "", "path to the dataset index (required)")
 		localFiles = flag.Int("local-files", 0, "number of leading files hosted at site 0 (rest at site 1)")
 		clusters   = flag.Int("clusters", 2, "clusters expected to register")
-		app       = flag.String("app", "knn", "application: knn, kmeans, pagerank")
-		groupSize = flag.Int("group-size", 0, "jobs per master request (0 = master default)")
+		app        = flag.String("app", "knn", "application: knn, kmeans, pagerank")
 
 		knnK  = flag.Int("knn-k", 10, "knn: neighbors")
 		dim   = flag.Int("dim", 8, "knn/kmeans: point dimensionality")
@@ -110,15 +109,11 @@ func main() {
 		Params:     params,
 		UnitSize:   unitSize,
 		GroupBytes: gb,
-		GroupSize:  *groupSize,
 	}
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		fail("headnode: %v", err)
 	}
 	h, err := head.New(head.Config{
-		Pool:           pool,
-		Reducer:        reducer,
-		Spec:           spec,
 		ExpectClusters: *clusters,
 		Logf:           log.Printf,
 		Obs:            rt.Obs,
@@ -126,6 +121,10 @@ func main() {
 		DynamicSites:   ef.Elastic,
 		DefaultPolicy:  ef.SessionDefaultPolicy(log.Printf),
 	})
+	if err != nil {
+		fail("headnode: %v", err)
+	}
+	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: reducer, Spec: spec, ExpectAll: true})
 	if err != nil {
 		fail("headnode: %v", err)
 	}
@@ -144,37 +143,29 @@ func main() {
 		}
 	}()
 
-	type outcome struct {
-		reports []head.ClusterReport
-		grTime  time.Duration
-		err     error
-	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		_, reports, grTime, err := h.Result()
-		resCh <- outcome{reports, grTime, err}
-	}()
-	select {
-	case <-rt.Context().Done():
-		// SIGINT/SIGTERM: close the listener and in-flight connections,
-		// then flush trace/metrics before exiting.
+	// One query, then the session ends: Wait returns on completion, failure
+	// or SIGINT/SIGTERM; Shutdown tells the masters (parked at the head or
+	// mid-poll) to leave, and Close returns once they have hung up.
+	_, reports, grTime, err := q.Wait(rt.Context())
+	signaled := rt.Context().Err() != nil
+	h.Shutdown()
+	switch {
+	case signaled:
 		log.Printf("headnode: shutdown signal; closing listener")
-		_ = h.Close()
-		_ = rt.Close()
-		return
-	case out := <-resCh:
-		if out.err != nil {
-			_ = h.Close()
-			fail("headnode: run failed: %v", out.err)
-		}
-		fmt.Printf("run complete; global reduction took %v\n", out.grTime)
-		for _, r := range out.reports {
+	case err != nil:
+		log.Printf("headnode: run failed: %v", err)
+	default:
+		fmt.Printf("run complete; global reduction took %v\n", grTime)
+		for _, r := range reports {
 			fmt.Printf("  cluster %-8s site %d: %v  jobs local=%d stolen=%d\n",
 				r.Cluster, r.Site, r.Breakdown, r.Jobs.Local, r.Jobs.Stolen)
 		}
 	}
 	_ = h.Close()
 	_ = rt.Close()
+	if err != nil && !signaled {
+		os.Exit(1)
+	}
 }
 
 // runElasticAdvisor is the multi-process deployment's elasticity loop. The

@@ -16,8 +16,9 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 
@@ -65,11 +66,11 @@ func main() {
 
 	useGob := tn.UseGob()
 
-	hc, err := cluster.DialHead("tcp", *headAddr)
+	hc, err := cluster.DialAgent("tcp", *headAddr)
 	if err != nil {
 		fail("workernode: %v", err)
 	}
-	hc.UseGob = useGob
+	hc.SetUseGob(useGob)
 	defer hc.Close()
 
 	var osc *objstore.Client
@@ -84,18 +85,11 @@ func main() {
 
 	sourceLabels := map[int]string{0: "local", 1: "s3"}
 
-	// Graceful shutdown: cluster.Run has no cancellation hook, so a signal
-	// closes the head and object-store connections, which errors the run
-	// out promptly; the deferred runtime close still flushes trace/metrics.
-	go func() {
-		<-rt.Context().Done()
-		hc.Close()
-		if osc != nil {
-			osc.Close()
-		}
-	}()
-
-	report, err := cluster.Run(cluster.Config{
+	// The master serves every query the head admits until the head ends the
+	// session (Shutdown notice: clean exit) or a signal cancels the context —
+	// an idle master's poll is held at the head for at most 20 ms, so either
+	// is noticed promptly. Each finished query logs its "done:" line.
+	err = cluster.RunAgent(rt.Context(), cluster.AgentConfig{
 		Site:             *site,
 		Name:             *name,
 		Cores:            *cores,
@@ -124,13 +118,13 @@ func main() {
 		Logf:         log.Printf,
 		Obs:          rt.Obs,
 	})
-	if err != nil {
+	switch {
+	case err == nil:
+		log.Printf("workernode: head ended the session; exiting")
+	case errors.Is(err, context.Canceled):
+		log.Printf("workernode: shutdown signal; exiting")
+	default:
 		fail("workernode: %v", err)
-	}
-	fmt.Printf("cluster %s done: %v\n", report.Name, report.Breakdown)
-	fmt.Printf("  jobs: %d local + %d stolen\n", report.Jobs.Local, report.Jobs.Stolen)
-	for src, n := range report.Bytes {
-		fmt.Printf("  retrieved %.1f MiB from %s\n", float64(n)/(1<<20), src)
 	}
 	_ = rt.Close()
 }

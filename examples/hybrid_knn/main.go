@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -93,7 +94,11 @@ func main() {
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		log.Fatal(err)
 	}
-	h, err := head.New(head.Config{Pool: pool, Reducer: reducer, Spec: spec, ExpectClusters: 2})
+	h, err := head.New(head.Config{ExpectClusters: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: reducer, Spec: spec, ExpectAll: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,13 +110,14 @@ func main() {
 	defer h.Close()
 
 	// ---- two cluster workers over real sockets ----
-	runCluster := func(site int, name string) (*cluster.Report, error) {
-		hc, err := cluster.DialHead("tcp", headListener.Addr().String())
+	// Each master serves the head's queries until the head ends the session.
+	runCluster := func(site int, name string) error {
+		hc, err := cluster.DialAgent("tcp", headListener.Addr().String())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer hc.Close()
-		return cluster.Run(cluster.Config{
+		return cluster.RunAgent(context.Background(), cluster.AgentConfig{
 			Site:             site,
 			Name:             name,
 			Cores:            4,
@@ -128,37 +134,31 @@ func main() {
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
-	reports := make([]*cluster.Report, 2)
 	errs := make([]error, 2)
 	for i, name := range []string{"local", "cloud"} {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			reports[i], errs[i] = runCluster(i, name)
+			errs[i] = runCluster(i, name)
 		}(i, name)
 	}
+
+	// ---- results ----
+	obj, reports, grTime, err := q.Wait(context.Background())
+	elapsed := time.Since(start)
+	h.Shutdown() // the one query is in: tell the masters to leave
 	wg.Wait()
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, err := range errs {
 		if err != nil {
 			log.Fatalf("cluster %d: %v", i, err)
 		}
 	}
-
-	// ---- results ----
-	obj, hreports, grTime, err := h.Result()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nrun finished in %v (global reduction %v)\n", time.Since(start).Round(time.Millisecond), grTime.Round(time.Microsecond))
-	for _, r := range hreports {
-		fmt.Printf("  %-6s %v\n", r.Cluster, r.Breakdown)
-	}
+	fmt.Printf("\nrun finished in %v (global reduction %v)\n", elapsed.Round(time.Millisecond), grTime.Round(time.Microsecond))
 	for _, r := range reports {
-		fmt.Printf("  %-6s jobs: %d local + %d stolen;", r.Name, r.Jobs.Local, r.Jobs.Stolen)
-		for src, n := range r.Bytes {
-			fmt.Printf(" %s=%.1fMiB", src, float64(n)/(1<<20))
-		}
-		fmt.Println()
+		fmt.Printf("  %-6s %v; jobs: %d local + %d stolen\n", r.Cluster, r.Breakdown, r.Jobs.Local, r.Jobs.Stolen)
 	}
 	best := obj.(*apps.KNNObject).Best
 	fmt.Printf("\n%d nearest neighbors of the center point:\n", len(best))

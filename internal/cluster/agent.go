@@ -1,3 +1,17 @@
+// Package cluster implements one cluster's runtime: a MASTER that keeps the
+// cluster fed by on-demand group requests to the head node, and SLAVE
+// workers that retrieve assigned chunks (with multiple retrieval threads)
+// and fold them through the Generalized Reduction engine. The master serves
+// every query the head admits over one registration and one session; when a
+// query's global pool is exhausted the cluster performs its local merge and
+// ships that query's reduction object to the head, which finishes the global
+// reduction.
+//
+// With fault tolerance enabled on the head, the runtime additionally renews
+// its liveness lease with heartbeats, commits every job to the head BEFORE
+// folding it (so the head can deduplicate speculative and recovered
+// re-executions), ships periodic reduction-object checkpoints, and resumes
+// from the checkpoint the head hands back after a crash-restart.
 package cluster
 
 import (
@@ -20,8 +34,14 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/stagecache"
 	"repro/internal/stats"
 )
+
+// waitPoll bounds how long an idle master waits for the head's next event:
+// it asks the head to hold its poll for this long (PollRequest.ParkNS) and
+// sits out the remainder itself when an empty answer comes back early.
+const waitPoll = 20 * time.Millisecond
 
 // AgentConfig parameterizes a long-lived multi-query cluster agent: one
 // registration and one head session serving every query the head admits,
@@ -46,6 +66,14 @@ type AgentConfig struct {
 	SourceBuilder func(ix *chunk.Index) (map[int]chunk.Source, error)
 	// SourceLabels names sources for byte accounting; optional.
 	SourceLabels map[int]string
+	// Cache, when non-nil, interposes the burst-side partition cache on
+	// every remote-site source: reads go memory tier → replica → origin,
+	// fresh origin reads spill asynchronously to the replica, and the
+	// master pre-stages each granted remote chunk in grant order. Reads of
+	// the cluster's own site bypass the cache; nil disables it entirely.
+	// Entries are keyed by (site, file, chunk), so every query served
+	// through one Cache must read the same dataset.
+	Cache *stagecache.Cache
 	// Head connects to the head node. Required.
 	Head QueryClient
 	// RequestBatch is the job-group size per poll; defaults to max(Cores, 4).
@@ -54,7 +82,11 @@ type AgentConfig struct {
 	Retry Retry
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
-	// Obs, when non-nil, collects agent-side metrics.
+	// Obs, when non-nil, collects agent-side metrics (job counters,
+	// per-source retrieval latency histograms, in-flight gauge). Per-job
+	// retrieve/process spans and each query's local-merge span go to the
+	// head's merged trace when the head collects one, and otherwise to this
+	// Obs's tracer when it is enabled — pid Site+1 either way.
 	Obs *obs.Obs
 }
 
@@ -93,9 +125,20 @@ type agentQuery struct {
 	engine    *core.Engine
 	sources   map[int]chunk.Source
 	collector *stats.Collector
+	// fetched tallies, per source label, the chunk bytes of every batch this
+	// query worked, for its "done" line; only the poll loop touches it.
+	// (Tallied here rather than read back from the collector: see "Code
+	// placement" in docs/PERFORMANCE.md.)
+	fetched map[string]int64
+	// raw holds the sources as configured, before the cache and the checksum
+	// verifier wrapped them: the pre-stager must not loop through the cache it
+	// feeds. Nil without a cache.
+	raw map[int]chunk.Source
 
-	// Checkpoint state, mirroring cluster.Run's: folds hold ckptMu.RLock, a
-	// checkpoint holds the write lock while it quiesces the engine.
+	// Checkpoint state: folds hold ckptMu.RLock, a checkpoint holds the write
+	// lock while it quiesces the engine. resumeObj is the object recovered
+	// from the head after a crash-restart; it is never mutated — each
+	// checkpoint and the final merge fold it into a fresh engine snapshot.
 	ckptMu    sync.RWMutex
 	idsMu     sync.Mutex
 	folded    []int
@@ -110,14 +153,19 @@ type agentQuery struct {
 
 // agentRun carries the per-RunAgent state shared across queries.
 type agentRun struct {
-	cfg      *AgentConfig
-	clk      obs.Clock
-	queries  map[int]*agentQuery
-	mLocal   *obs.Counter
-	mStolen  *obs.Counter
-	mDups    *obs.Counter
-	mCkpts   *obs.Counter
-	mRetries *obs.Counter
+	cfg       *AgentConfig
+	clk       obs.Clock
+	tr        *obs.Tracer
+	queries   map[int]*agentQuery
+	mLocal    *obs.Counter
+	mStolen   *obs.Counter
+	mDups     *obs.Counter
+	mCkpts    *obs.Counter
+	mRetries  *obs.Counter
+	gInflight *obs.Gauge
+	// bySite is resolved once per source site (in ensure, on the poll loop's
+	// goroutine; the retrieval lanes only read it), never per job.
+	bySite map[int]siteObs
 
 	// Distributed-trace state. traceOn flips when the head's SiteSpec
 	// confirms the Hello's trace advert; only then do spans accumulate and
@@ -129,6 +177,13 @@ type agentRun struct {
 	spans    []protocol.WireSpan
 }
 
+// siteObs is what the agent keeps per source site: the byte-accounting
+// label and the cluster_retrieval_seconds_<label> histogram.
+type siteObs struct {
+	label string
+	hRetr *obs.Histogram
+}
+
 // Agent-side trace thread IDs within the site's merged-trace process
 // (pid site+1 at the head): job processing and chunk retrieval.
 const (
@@ -136,10 +191,32 @@ const (
 	agentTIDRetr = 2
 )
 
-// addSpan buffers one completed span for shipment on the next poll.
-func (a *agentRun) addSpan(s protocol.WireSpan) {
+// shipping reports whether q's spans travel to the head's merged trace.
+func (a *agentRun) shipping(q *agentQuery) bool {
+	return a.traceOn && !q.spec.Trace.Zero()
+}
+
+// tracing reports whether spans for q have anywhere to go.
+func (a *agentRun) tracing(q *agentQuery) bool {
+	return a.shipping(q) || a.tr.Enabled()
+}
+
+// addSpan records one completed span of q: buffered for shipment on the next
+// poll when the head merges this session's spans into its trace, written to
+// the agent's own tracer otherwise. One sink, so an in-process deployment
+// sharing one tracer with its head never sees a span twice.
+func (a *agentRun) addSpan(q *agentQuery, name, cat string, tid, job int, start, end time.Duration) {
+	tc := a.queryTrace(q)
+	if tc.Zero() {
+		a.tr.Complete(a.cfg.Site+1, tid, cat, name, start, end,
+			obs.Args{"query": q.id, "job": job, "site": a.cfg.Site})
+		return
+	}
 	a.spanMu.Lock()
-	a.spans = append(a.spans, s)
+	a.spans = append(a.spans, protocol.WireSpan{
+		Trace: tc, Name: name, Cat: cat, TID: tid,
+		Query: q.id, Job: job, Start: int64(start), Dur: int64(end - start),
+	})
 	a.spanMu.Unlock()
 }
 
@@ -156,7 +233,7 @@ func (a *agentRun) takeSpans() []protocol.WireSpan {
 // the query's confirmed TraceID with a fresh agent-local span ID, or zero
 // when the session is untraced.
 func (a *agentRun) queryTrace(q *agentQuery) protocol.TraceContext {
-	if !a.traceOn || q.spec.Trace.Zero() {
+	if !a.shipping(q) {
 		return protocol.TraceContext{}
 	}
 	return protocol.TraceContext{TraceID: q.spec.Trace.TraceID, SpanID: a.nextSpan.Add(1)}
@@ -176,14 +253,17 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	}
 	reg := cfg.Obs.Metrics()
 	a := &agentRun{
-		cfg:      &cfg,
-		clk:      cfg.Obs.ClockOrWall(),
-		queries:  make(map[int]*agentQuery),
-		mLocal:   reg.Counter("cluster_jobs_local_total"),
-		mStolen:  reg.Counter("cluster_jobs_stolen_total"),
-		mDups:    reg.Counter("cluster_dup_jobs_total"),
-		mCkpts:   reg.Counter("cluster_checkpoints_total"),
-		mRetries: reg.Counter("cluster_retrieval_retries_total"),
+		cfg:       &cfg,
+		clk:       cfg.Obs.ClockOrWall(),
+		tr:        cfg.Obs.Trace(),
+		queries:   make(map[int]*agentQuery),
+		mLocal:    reg.Counter("cluster_jobs_local_total"),
+		mStolen:   reg.Counter("cluster_jobs_stolen_total"),
+		mDups:     reg.Counter("cluster_dup_jobs_total"),
+		mCkpts:    reg.Counter("cluster_checkpoints_total"),
+		mRetries:  reg.Counter("cluster_retrieval_retries_total"),
+		gInflight: reg.Gauge("cluster_retrievals_inflight"),
+		bySite:    make(map[int]siteObs),
 	}
 	bufpool.Register(reg)
 
@@ -197,9 +277,15 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		return fmt.Errorf("cluster %s: register: %w", cfg.Name, err)
 	}
 	a.traceOn = !siteSpec.Trace.Zero()
+	if !a.traceOn {
+		// Spans stay in this process: lay its lanes out as the head would.
+		pid := cfg.Site + 1
+		a.tr.NameProcess(pid, fmt.Sprintf("site %d (%s)", cfg.Site, cfg.Name))
+		a.tr.NameThread(pid, agentTIDJobs, "jobs")
+		a.tr.NameThread(pid, agentTIDRetr, "retrieval")
+	}
 
-	// Heartbeats renew the agent's lease for the whole session; unlike the
-	// single-query master there is no terminal blocking submit to stop for.
+	// Heartbeats renew the agent's lease for the whole session.
 	stopHB := make(chan struct{})
 	var hbWG sync.WaitGroup
 	defer hbWG.Wait()
@@ -263,6 +349,7 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 				}
 				return err
 			}
+			a.prestage(q, qj.Jobs)
 			if err := a.process(ctx, q, qj.Jobs); err != nil {
 				if fault.IsFenced(err) {
 					if err := a.reregister(); err != nil {
@@ -349,6 +436,28 @@ func (a *agentRun) ensure(id int) (*agentQuery, error) {
 			return nil, fmt.Errorf("cluster %s: building sources for query %d: %w", cfg.Name, id, err)
 		}
 	}
+	for site := range sources {
+		if _, ok := a.bySite[site]; !ok {
+			label := sourceLabelFor(cfg.SourceLabels, cfg.Site, site)
+			a.bySite[site] = siteObs{label: label,
+				hRetr: cfg.Obs.Metrics().Histogram("cluster_retrieval_seconds_"+label, nil)}
+		}
+	}
+	// The cache wraps only remote-site reads; checksum verification stays
+	// outermost, so replica-served bytes are verified exactly like origin
+	// bytes.
+	var raw map[int]chunk.Source
+	if cfg.Cache != nil {
+		raw = sources
+		cached := make(map[int]chunk.Source, len(sources))
+		for site, src := range sources {
+			if site != cfg.Site {
+				src = cfg.Cache.Wrap(site, src)
+			}
+			cached[site] = src
+		}
+		sources = cached
+	}
 	if ix.HasChecksums() {
 		verified := make(map[int]chunk.Source, len(sources))
 		for site, src := range sources {
@@ -360,29 +469,15 @@ func (a *agentRun) ensure(id int) (*agentQuery, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster %s: query %d: %w", cfg.Name, id, err)
 	}
-	groupBytes := spec.GroupBytes
-	if cfg.Tuning.GroupBytes > 0 {
-		groupBytes = cfg.Tuning.GroupBytes
-	}
 	collector := &stats.Collector{}
-	engine, err := core.NewEngine(core.EngineConfig{
-		Reducer:    reducer,
-		Workers:    cfg.Cores,
-		UnitSize:   spec.UnitSize,
-		GroupBytes: groupBytes,
-		QueueDepth: cfg.RetrievalThreads,
-		Collector:  collector,
-		Release:    bufpool.Put,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cluster %s: query %d: %w", cfg.Name, id, err)
-	}
 	q := &agentQuery{
-		id: id, spec: spec, reducer: reducer, engine: engine,
-		sources: sources, collector: collector,
+		id: id, spec: spec, reducer: reducer,
+		sources: sources, raw: raw, collector: collector, fetched: make(map[string]int64),
 		mFolded: cfg.Obs.Metrics().Counter("cluster_jobs_folded_total",
 			"query", strconv.Itoa(id), "site", strconv.Itoa(cfg.Site)),
 	}
+	// The checkpoint is decoded before the engine exists: NewEngine starts
+	// the worker goroutines, and a garbled checkpoint must not strand them.
 	if len(spec.Checkpoint) > 0 {
 		ck, err := fault.DecodeCheckpoint(spec.Checkpoint)
 		if err != nil {
@@ -396,9 +491,53 @@ func (a *agentRun) ensure(id int) (*agentQuery, error) {
 		cfg.Logf("cluster %s: query %d resumes from checkpoint seq %d (%d jobs covered)",
 			cfg.Name, id, ck.Seq, len(ck.Completed))
 	}
+	groupBytes := spec.GroupBytes
+	if cfg.Tuning.GroupBytes > 0 {
+		groupBytes = cfg.Tuning.GroupBytes
+	}
+	// RetrievalThreads is the in-flight depth on both sides of the hand-off:
+	// that many lanes fetch, and the engine queue takes that many chunks, so a
+	// burst of completions never blocks the lanes needlessly.
+	q.engine, err = core.NewEngine(core.EngineConfig{
+		Reducer:    reducer,
+		Workers:    cfg.Cores,
+		UnitSize:   spec.UnitSize,
+		GroupBytes: groupBytes,
+		QueueDepth: cfg.RetrievalThreads,
+		Collector:  collector,
+		// Chunk buffers come from bufpool (sources and the objstore client
+		// read into pooled buffers); the engine is the last owner and
+		// returns each one after its units are folded.
+		Release: bufpool.Put,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster %s: query %d: %w", cfg.Name, id, err)
+	}
 	a.queries[id] = q
 	cfg.Logf("cluster %s: serving query %d (app %q)", cfg.Name, id, spec.App)
 	return q, nil
+}
+
+// prestage pushes one grant batch's remote chunks toward the cache's replica
+// in grant order; the stager skips anything a read-through already cached,
+// so the overlap with the retrieval lanes is cheap. A no-op without a cache.
+func (a *agentRun) prestage(q *agentQuery, js []jobs.Job) {
+	if a.cfg.Cache == nil {
+		return
+	}
+	var bySite map[int][]chunk.Ref
+	for _, j := range js {
+		if j.Site == a.cfg.Site {
+			continue
+		}
+		if bySite == nil {
+			bySite = make(map[int][]chunk.Ref)
+		}
+		bySite[j.Site] = append(bySite[j.Site], j.Ref)
+	}
+	for site, refs := range bySite {
+		a.cfg.Cache.Prestage(site, q.raw[site], refs)
+	}
 }
 
 // process works one query's grant batch: retrieve, commit-before-fold, and
@@ -446,39 +585,36 @@ func (a *agentRun) process(ctx context.Context, q *agentQuery, js []jobs.Job) er
 	}
 	close(jobCh)
 	wg.Wait()
+	if firstErr == nil {
+		for _, j := range js {
+			q.fetched[a.bySite[j.Site].label] += j.Ref.Size
+		}
+	}
 	return firstErr
 }
 
-// oneJob retrieves, commits and folds a single job for q. On a traced
-// session the job's retrieval and whole-job processing are buffered as wire
-// spans carrying the query's TraceID, shipped on the next poll.
+// oneJob retrieves, commits and folds a single job for q, recording the
+// job's retrieval and whole-job processing as spans (see addSpan).
 func (a *agentRun) oneJob(q *agentQuery, j jobs.Job) error {
 	cfg := a.cfg
 	src, ok := q.sources[j.Site]
 	if !ok {
 		return fmt.Errorf("cluster %s: no source for site %d", cfg.Name, j.Site)
 	}
-	label := sourceLabelFor(cfg.SourceLabels, cfg.Site, j.Site)
+	so := a.bySite[j.Site]
+	a.gInflight.Add(1)
 	start := a.clk.Now()
-	data, err := retrieveWithRetry(&Config{Name: cfg.Name, Retry: cfg.Retry, Logf: cfg.Logf}, src, j, a.mRetries)
+	data, err := retrieveWithRetry(cfg.Name, cfg.Retry, cfg.Logf, src, j, a.mRetries)
 	elapsed := a.clk.Now() - start
+	a.gInflight.Add(-1)
 	if err != nil {
 		return fmt.Errorf("cluster %s: retrieving %v: %w", cfg.Name, j.Ref, err)
 	}
-	q.collector.AddRetrieval(label, elapsed, int64(len(data)))
-	if tc := a.queryTrace(q); !tc.Zero() {
-		a.addSpan(protocol.WireSpan{
-			Trace: tc, Name: "retrieve", Cat: "retrieval", TID: agentTIDRetr,
-			Query: q.id, Job: j.ID, Start: int64(start), Dur: int64(elapsed),
-		})
-		defer func() {
-			end := a.clk.Now()
-			a.addSpan(protocol.WireSpan{
-				Trace: protocol.TraceContext{TraceID: tc.TraceID, SpanID: a.nextSpan.Add(1)},
-				Name:  "process", Cat: "job", TID: agentTIDJobs,
-				Query: q.id, Job: j.ID, Start: int64(start), Dur: int64(end - start),
-			})
-		}()
+	q.collector.AddRetrieval(so.label, elapsed, int64(len(data)))
+	so.hRetr.Observe(elapsed)
+	if a.tracing(q) {
+		a.addSpan(q, "retrieve", "retrieval", agentTIDRetr, j.ID, start, start+elapsed)
+		defer func() { a.addSpan(q, "process", "job", agentTIDJobs, j.ID, start, a.clk.Now()) }()
 	}
 	// Commit BEFORE folding: exactly-once reduction per query (duplicate
 	// completions — speculative copies, recovered re-executions, or commits
@@ -580,6 +716,9 @@ func (a *agentRun) finalize(id int) error {
 		}
 	}
 	delete(a.queries, id)
+	// The local merge — engine drain, recovered-checkpoint merge, encode — is
+	// the cluster's sync component for this query.
+	start := a.clk.Now()
 	obj, err := q.engine.Finish()
 	if err != nil {
 		return fmt.Errorf("cluster %s: query %d local reduction: %w", cfg.Name, id, err)
@@ -592,6 +731,11 @@ func (a *agentRun) finalize(id int) error {
 	encoded, err := q.reducer.Encode(obj)
 	if err != nil {
 		return fmt.Errorf("cluster %s: query %d encoding reduction object: %w", cfg.Name, id, err)
+	}
+	end := a.clk.Now()
+	q.collector.AddSync(end - start)
+	if a.tracing(q) {
+		a.addSpan(q, "local-merge", "sync", agentTIDJobs, -1, start, end)
 	}
 	b := q.collector.Breakdown()
 	jacct := q.collector.Jobs()
@@ -612,7 +756,8 @@ func (a *agentRun) finalize(id int) error {
 		}
 		return fmt.Errorf("cluster %s: query %d submitting result: %w", cfg.Name, id, err)
 	}
-	cfg.Logf("cluster %s: query %d done (%v)", cfg.Name, id, b)
+	cfg.Logf("cluster %s: query %d done: %v; jobs %d local + %d stolen; bytes %v",
+		cfg.Name, id, b, jacct.Local, jacct.Stolen, q.fetched)
 	return nil
 }
 

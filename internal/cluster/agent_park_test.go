@@ -82,7 +82,7 @@ func parkedAgents(t *testing.T, src chunk.Source, sites int) (h *head.Head, o *o
 	t.Helper()
 	o = obs.New(nil)
 	o.Tracer.Enable()
-	h, err := head.New(head.Config{Reducer: sumReducer{}, ExpectClusters: sites, Logf: t.Logf, Obs: o})
+	h, err := head.New(head.Config{ExpectClusters: sites, Logf: t.Logf, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

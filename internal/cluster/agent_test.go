@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +22,6 @@ import (
 func multiTestHead(t *testing.T, clusters int, tn config.Tuning, store fault.Store) *head.Head {
 	t.Helper()
 	h, err := head.New(head.Config{
-		Reducer:        sumReducer{},
 		ExpectClusters: clusters,
 		Logf:           t.Logf,
 		Tuning:         tn,
@@ -43,11 +44,7 @@ func admitSum(t *testing.T, h *head.Head, ix *chunk.Index, site int) *head.Query
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := protocol.JobSpec{App: "cluster-test-sum", UnitSize: 4, GroupBytes: 1 << 10}
-	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
-		t.Fatal(err)
-	}
-	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: spec})
+	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: sumSpec(t, ix)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,4 +245,53 @@ func TestRemoteAgentOverTCP(t *testing.T) {
 	// master hangs up — so drop the agent's connection first.
 	_ = ra.Close()
 	_ = h.Close()
+}
+
+// corruptCheckpointHead is a QueryClient that grants one job of query 0 and
+// hands out a spec whose recovery checkpoint is the given bytes.
+type corruptCheckpointHead struct {
+	QueryClient // ensure fails before the agent calls anything else
+	spec        protocol.JobSpec
+}
+
+func (c corruptCheckpointHead) RegisterSite(protocol.Hello) (protocol.SiteSpec, error) {
+	return protocol.SiteSpec{}, nil
+}
+
+func (c corruptCheckpointHead) Poll(protocol.PollRequest) (protocol.PollReply, error) {
+	return protocol.PollReply{Queries: []protocol.QueryJobs{{Query: 0, Jobs: []jobs.Job{{ID: 0}}}}}, nil
+}
+
+func (c corruptCheckpointHead) QuerySpec(site, query int) (protocol.JobSpec, error) {
+	return c.spec, nil
+}
+
+// TestCorruptCheckpointLeaksNoEngine: a recovery checkpoint the agent cannot
+// use — garbled framing, or an object the reducer rejects — ends RunAgent
+// with an error naming the checkpoint, and leaves no engine worker behind:
+// the checkpoint is decoded before the engine's goroutines exist.
+func TestCorruptCheckpointLeaksNoEngine(t *testing.T) {
+	ix, src, _ := buildDataset(t, 100, 100, 10)
+	spec := sumSpec(t, ix)
+	for name, ckpt := range map[string][]byte{
+		"garbled framing": []byte("not a checkpoint, but long enough to parse"),
+		"rejected object": fault.Checkpoint{Seq: 1, Object: []byte("3 bytes")}.Encode(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec.Checkpoint = ckpt
+			before := runtime.NumGoroutine()
+			err := RunAgent(context.Background(), AgentConfig{
+				Site: 0, Name: "resumer", Cores: 4,
+				Sources: map[int]chunk.Source{0: src},
+				Head:    corruptCheckpointHead{spec: spec},
+			})
+			if err == nil || !strings.Contains(err.Error(), "checkpoint") {
+				t.Fatalf("RunAgent = %v, want a checkpoint error", err)
+			}
+			// RunAgent has returned: anything it still had running is a leak.
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines before RunAgent, %d after it failed", before, after)
+			}
+		})
+	}
 }

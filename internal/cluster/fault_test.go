@@ -46,28 +46,18 @@ func (deadSource) ReadChunk(chunk.Ref) ([]byte, error) {
 
 func TestRetryRecoversTransientFailures(t *testing.T) {
 	ix, src, want := buildDataset(t, 1000, 500, 100)
-	h := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
+	h, q := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
 	flaky := newFlaky(src, 2) // every chunk fails twice before succeeding
-	rep, err := Run(Config{
-		Site:    0,
-		Name:    "flaky",
-		Cores:   2,
+	s := runAgents(t, h, q, AgentConfig{
+		Site: 0, Name: "flaky", Cores: 2,
 		Sources: map[int]chunk.Source{0: flaky},
-		Head:    InProc{Head: h},
 		Retry:   Retry{Attempts: 4, Backoff: time.Millisecond},
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.(*sumObj).total; got != want {
+	if got := s.sum(t); got != want {
 		t.Errorf("sum = %d, want %d", got, want)
 	}
-	if rep.Jobs.Total() != ix.NumChunks() {
-		t.Errorf("jobs = %d, want %d", rep.Jobs.Total(), ix.NumChunks())
+	if local, stolen := s.jobs(); local+stolen != ix.NumChunks() {
+		t.Errorf("jobs = %d, want %d", local+stolen, ix.NumChunks())
 	}
 	// Every chunk needed exactly 3 calls (2 failures + 1 success).
 	if flaky.calls != 3*ix.NumChunks() {
@@ -77,20 +67,21 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 
 func TestRetryExhaustionFailsRun(t *testing.T) {
 	ix, _, _ := buildDataset(t, 500, 500, 100)
-	h := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
-	_, err := Run(Config{
-		Site:    0,
-		Name:    "dead",
-		Cores:   1,
+	h, q := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
+	s := runAgents(t, h, q, AgentConfig{
+		Site: 0, Name: "dead", Cores: 1,
 		Sources: map[int]chunk.Source{0: deadSource{}},
-		Head:    InProc{Head: h},
 		Retry:   Retry{Attempts: 2, Backoff: time.Millisecond},
 	})
+	err := s.agents[0]
 	if err == nil {
 		t.Fatal("run with a dead source succeeded")
 	}
 	if !strings.Contains(err.Error(), "after 2 attempts") {
 		t.Errorf("error = %q, want attempt count", err)
+	}
+	if s.err == nil {
+		t.Error("query completed without its only cluster")
 	}
 }
 
@@ -112,24 +103,13 @@ func TestRetryDefaults(t *testing.T) {
 // default policy must not surface to the caller at all.
 func TestRetrySingleFailureInvisible(t *testing.T) {
 	ix, src, want := buildDataset(t, 500, 500, 100)
-	h := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
-	flaky := newFlaky(src, 1)
-	_, err := Run(Config{
-		Site:    0,
-		Name:    "once",
-		Cores:   2,
-		Sources: map[int]chunk.Source{0: flaky},
-		Head:    InProc{Head: h},
+	h, q := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
+	s := runAgents(t, h, q, AgentConfig{
+		Site: 0, Name: "once", Cores: 2,
+		Sources: map[int]chunk.Source{0: newFlaky(src, 1)},
 		Retry:   Retry{Backoff: time.Millisecond},
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.(*sumObj).total; got != want {
+	if got := s.sum(t); got != want {
 		t.Errorf("sum = %d, want %d", got, want)
 	}
 }
@@ -157,31 +137,24 @@ func TestChecksummedRunDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Clean run with verification on: succeeds with the right answer.
-	h := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
-	if _, err := Run(Config{
+	h, q := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
+	s := runAgents(t, h, q, AgentConfig{
 		Site: 0, Name: "clean", Cores: 2,
 		Sources: map[int]chunk.Source{0: src},
-		Head:    InProc{Head: h},
-	}); err != nil {
-		t.Fatalf("clean checksummed run: %v", err)
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.(*sumObj).total; got != want {
+	})
+	if got := s.sum(t); got != want {
 		t.Errorf("sum = %d, want %d", got, want)
 	}
 
 	// Corrupted payload: the run must fail, not silently mis-reduce.
-	h2 := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
+	h2, q2 := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
 	bad := corruptingSource{inner: src, target: ix.Files[0].Chunks[1]}
-	if _, err := Run(Config{
+	s = runAgents(t, h2, q2, AgentConfig{
 		Site: 0, Name: "corrupt", Cores: 2,
 		Sources: map[int]chunk.Source{0: bad},
-		Head:    InProc{Head: h2},
 		Retry:   Retry{Attempts: 2, Backoff: time.Millisecond},
-	}); err == nil {
+	})
+	if err := s.agents[0]; err == nil {
 		t.Fatal("corrupted run succeeded")
 	} else if !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Errorf("error = %q, want checksum mismatch", err)

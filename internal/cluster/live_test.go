@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,33 +39,24 @@ func TestLiveShapedRetrieval(t *testing.T) {
 
 	// Everything in "S3" (site 1); single cluster at site 0 must pull it
 	// all across the shaped link.
-	h := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 0, 0, 1), 1)
+	h, q := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 0, 0, 1), 1)
+	var s3Bytes atomic.Int64
 	start := time.Now()
-	rep, err := Run(Config{
-		Site:             0,
-		Name:             "burster",
-		Cores:            2,
-		RetrievalThreads: 4,
+	s := runAgents(t, h, q, AgentConfig{
+		Site: 0, Name: "burster", Cores: 2, RetrievalThreads: 4,
 		Sources: map[int]chunk.Source{
-			1: &objstore.Source{Client: osc, Index: ix, Threads: 2},
+			1: countingSource{&objstore.Source{Client: osc, Index: ix, Threads: 2}, &s3Bytes},
 		},
 		SourceLabels: map[int]string{1: "s3"},
-		Head:         InProc{Head: h},
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 	elapsed := time.Since(start)
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.(*sumObj).total; got != want {
+	if got := s.sum(t); got != want {
 		t.Errorf("sum = %d, want %d", got, want)
 	}
-	if rep.Bytes["s3"] != ix.TotalBytes() {
-		t.Errorf("s3 bytes = %d, want %d", rep.Bytes["s3"], ix.TotalBytes())
+	if got := s3Bytes.Load(); got != ix.TotalBytes() {
+		t.Errorf("s3 bytes = %d, want %d", got, ix.TotalBytes())
 	}
+	rep := s.reports[0]
 	if rep.Jobs.Stolen != ix.NumChunks() {
 		t.Errorf("stolen = %d, want all %d (no local data)", rep.Jobs.Stolen, ix.NumChunks())
 	}

@@ -3,14 +3,12 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"sync"
 	"testing"
 
 	"repro/internal/chunk"
 	"repro/internal/head"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/protocol"
 )
 
 // TestLiveObservability runs a two-cluster hybrid job in-process with one
@@ -24,62 +22,20 @@ func TestLiveObservability(t *testing.T) {
 	o := obs.New(nil)
 	o.Tracer.Enable()
 
-	pool, err := jobs.NewPool(ix, placement, jobs.Options{Metrics: o.Registry})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := protocol.JobSpec{App: "cluster-test-sum", UnitSize: 4, GroupBytes: 1 << 10}
-	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
-		t.Fatal(err)
-	}
-	h, err := head.New(head.Config{
-		Pool:           pool,
-		Reducer:        sumReducer{},
-		Spec:           spec,
-		ExpectClusters: 2,
-		Logf:           t.Logf,
-		Obs:            o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	h, q := admitHead(t, head.Config{ExpectClusters: 2, Obs: o}, ix, placement, jobs.Options{Metrics: o.Registry})
 	sources := map[int]chunk.Source{0: src, 1: src}
-	var wg sync.WaitGroup
-	reports := make([]*Report, 2)
-	errs := make([]error, 2)
-	for i, cfg := range []Config{
-		{Site: 0, Name: "local", Cores: 2, Sources: sources, Head: InProc{Head: h}, Obs: o},
-		{Site: 1, Name: "cloud", Cores: 2, Sources: sources, Head: InProc{Head: h}, Obs: o},
-	} {
-		wg.Add(1)
-		go func(i int, cfg Config) {
-			defer wg.Done()
-			reports[i], errs[i] = Run(cfg)
-		}(i, cfg)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("cluster %d: %v", i, err)
-		}
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.(*sumObj).total; got != want {
+	s := runAgents(t, h, q,
+		AgentConfig{Site: 0, Name: "local", Cores: 2, Sources: sources, Obs: o},
+		AgentConfig{Site: 1, Name: "cloud", Cores: 2, Sources: sources, Obs: o})
+	if got := s.sum(t); got != want {
 		t.Errorf("final sum = %d, want %d", got, want)
 	}
 
 	// Metrics agree with the run's ground truth on every layer.
 	reg := o.Registry
 	nJobs := int64(ix.NumChunks())
-	var local, stolen int64
-	for _, r := range reports {
-		local += int64(r.Jobs.Local)
-		stolen += int64(r.Jobs.Stolen)
-	}
+	l, st := s.jobs()
+	local, stolen := int64(l), int64(st)
 	checks := []struct {
 		name string
 		got  int64
@@ -108,9 +64,19 @@ func TestLiveObservability(t *testing.T) {
 		t.Errorf("retrieval histogram observations = %d, want %d", hists, nJobs)
 	}
 
-	// Trace: one retrieval span per job, merge + global-reduction-wait spans
-	// per cluster, and the whole thing exports as valid Chrome trace JSON.
-	var retrSpans, mergeSpans, waitSpans, grants int
+	// Every cluster's Sync component is its timed local merge, never zero.
+	for _, r := range s.reports {
+		if r.Breakdown.Sync <= 0 {
+			t.Errorf("site %d reported Sync = %v, want the local merge's duration", r.Site, r.Breakdown.Sync)
+		}
+	}
+
+	// Trace: the masters' spans ride their polls into the head's trace — one
+	// retrieval and one process span per job, one local-merge span per
+	// cluster, on the site's own lanes and exactly once although head and
+	// masters share the tracer — and the whole thing exports as valid Chrome
+	// trace JSON.
+	var retrSpans, jobSpans, mergeSpans, grants int
 	for _, ev := range o.Tracer.Events() {
 		if ev.Phase != 'X' {
 			continue
@@ -118,19 +84,22 @@ func TestLiveObservability(t *testing.T) {
 		switch {
 		case ev.Cat == "retrieval":
 			retrSpans++
+			if ev.PID != 1 && ev.PID != 2 {
+				t.Errorf("retrieval span on pid %d, want a site lane (1 or 2)", ev.PID)
+			}
+		case ev.Cat == "job" && ev.Name == "process":
+			jobSpans++
 		case ev.Cat == "sync" && ev.Name == "local-merge":
 			mergeSpans++
-		case ev.Cat == "sync" && ev.Name == "global-reduction-wait":
-			waitSpans++
 		case ev.Cat == "scheduling" && ev.Name == "request-jobs":
 			grants++
 		}
 	}
-	if retrSpans != int(nJobs) {
-		t.Errorf("retrieval spans = %d, want %d", retrSpans, nJobs)
+	if retrSpans != int(nJobs) || jobSpans != int(nJobs) {
+		t.Errorf("retrieval spans = %d, process spans = %d, want %d each", retrSpans, jobSpans, nJobs)
 	}
-	if mergeSpans != 2 || waitSpans != 2 {
-		t.Errorf("merge spans = %d, wait spans = %d, want 2 each", mergeSpans, waitSpans)
+	if mergeSpans != 2 {
+		t.Errorf("merge spans = %d, want 2", mergeSpans)
 	}
 	if grants == 0 {
 		t.Error("no request-jobs spans on the head track")

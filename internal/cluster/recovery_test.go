@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,29 +19,13 @@ import (
 
 // newFaultHead is newHead plus a fault configuration: a checkpoint store and
 // the lease TTL (zero disables expiry-driven failure detection).
-func newFaultHead(t *testing.T, ix *chunk.Index, placement jobs.Placement, clusters int, store fault.Store, ttl time.Duration) *head.Head {
+func newFaultHead(t *testing.T, ix *chunk.Index, placement jobs.Placement, clusters int, store fault.Store, ttl time.Duration) (*head.Head, *head.Query) {
 	t.Helper()
-	pool, err := jobs.NewPool(ix, placement, jobs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := protocol.JobSpec{App: "cluster-test-sum", UnitSize: 4, GroupBytes: 1 << 10}
-	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
-		t.Fatal(err)
-	}
-	h, err := head.New(head.Config{
-		Pool:           pool,
-		Reducer:        sumReducer{},
-		Spec:           spec,
+	return admitHead(t, head.Config{
 		ExpectClusters: clusters,
-		Logf:           t.Logf,
 		Tuning:         config.Tuning{LeaseTTL: ttl},
 		Fault:          head.FaultConfig{Store: store},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+	}, ix, placement, jobs.Options{})
 }
 
 // TestWorkerCrashRecoveryByteIdentical is the live-mode end-to-end recovery
@@ -50,54 +36,51 @@ func newFaultHead(t *testing.T, ix *chunk.Index, placement jobs.Placement, clust
 func TestWorkerCrashRecoveryByteIdentical(t *testing.T) {
 	ix, src, want := buildDataset(t, 4000, 1000, 100) // 4 files × 10 chunks = 40 jobs
 	placement := jobs.SplitByFraction(len(ix.Files), 1, 0, 1)
-
-	// Reference: failure-free run.
-	refHead := newHead(t, ix, placement, 1)
-	refRep, err := Run(Config{
-		Site: 0, Name: "ref", Cores: 2,
-		Sources: map[int]chunk.Source{0: src},
-		Head:    InProc{Head: refHead},
-	})
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
+	encoded := func(s session) []byte {
+		t.Helper()
+		if got := s.sum(t); got != want {
+			t.Errorf("sum = %d, want %d", got, want)
+		}
+		enc, err := sumReducer{}.Encode(s.obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
 	}
 
+	// Reference: failure-free run.
+	refHead, refQuery := newHead(t, ix, placement, 1)
+	ref := encoded(runAgents(t, refHead, refQuery, AgentConfig{
+		Site: 0, Name: "ref", Cores: 2,
+		Sources: map[int]chunk.Source{0: src},
+	}))
+
 	// Faulty run: the data path dies after 12 successful chunk reads.
-	h := newFaultHead(t, ix, placement, 1, fault.NewMemStore(), 0)
+	h, q := newFaultHead(t, ix, placement, 1, fault.NewMemStore(), 0)
 	inj := &fault.Injector{Source: src, KillAfter: 12}
-	cfg := Config{
+	cfg := AgentConfig{
 		Site: 0, Name: "doomed", Cores: 2,
 		Sources: map[int]chunk.Source{0: inj},
-		Head:    InProc{Head: h},
+		Head:    InProcAgent{Head: h},
 		Tuning:  config.Tuning{CheckpointEveryJobs: 5},
 		Retry:   Retry{Attempts: 2, Backoff: time.Millisecond},
 		Logf:    t.Logf,
 	}
-	if _, err := Run(cfg); err == nil {
+	if err := RunAgent(context.Background(), cfg); err == nil {
 		t.Fatal("killed worker's run succeeded")
 	}
 
 	// The replacement worker: fresh data path, same site. Registration hands
 	// it the last checkpoint; it must not re-fold covered jobs.
 	inj.Arm()
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("restarted run: %v", err)
-	}
-	if !bytes.Equal(rep.Final, refRep.Final) {
-		t.Errorf("final object differs after recovery: %x vs %x", rep.Final, refRep.Final)
+	s := runAgents(t, h, q, cfg)
+	if got := encoded(s); !bytes.Equal(got, ref) {
+		t.Errorf("final object differs after recovery: %x vs %x", got, ref)
 	}
 	// At least two checkpoints (after folds 5 and 10) were shipped before
 	// the crash, so the replacement processes at most 30 of the 40 jobs.
-	if rep.Jobs.Total() > 30 {
-		t.Errorf("replacement processed %d jobs; checkpoint resume should cap it at 30", rep.Jobs.Total())
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.(*sumObj).total; got != want {
-		t.Errorf("recovered sum = %d, want %d", got, want)
+	if local, stolen := s.jobs(); local+stolen > 30 {
+		t.Errorf("replacement processed %d jobs; checkpoint resume should cap it at 30", local+stolen)
 	}
 }
 
@@ -121,53 +104,49 @@ func (f *fencingSource) ReadChunk(ref chunk.Ref) ([]byte, error) {
 	return f.Source.ReadChunk(ref)
 }
 
+// registrations counts RegisterSite calls on the way to the head.
+type registrations struct {
+	QueryClient
+	n atomic.Int32
+}
+
+func (r *registrations) RegisterSite(hello protocol.Hello) (protocol.SiteSpec, error) {
+	r.n.Add(1)
+	return r.QueryClient.RegisterSite(hello)
+}
+
 // TestFencedMasterFailsFastAndRejoins declares a site failed while its
-// master is alive and mid-run. The fenced incarnation must abort with a
-// fencing error instead of hanging on wait=true polls or silently
-// double-counting, and a restarted incarnation must re-register and produce
-// the exact failure-free result.
+// master is alive and mid-run. The fenced master must notice at once —
+// neither hang on wait=true polls nor silently double-count — drop what the
+// head no longer credits it with, re-register on the same session, resume
+// from its last accepted checkpoint and produce the exact failure-free
+// result.
 func TestFencedMasterFailsFastAndRejoins(t *testing.T) {
 	ix, src, want := buildDataset(t, 4000, 1000, 100) // 40 jobs
 	placement := jobs.SplitByFraction(len(ix.Files), 1, 0, 1)
 	// Expiry never fires on its own (1h TTL); the test fences explicitly.
-	h := newFaultHead(t, ix, placement, 1, fault.NewMemStore(), time.Hour)
+	h, q := newFaultHead(t, ix, placement, 1, fault.NewMemStore(), time.Hour)
 	fsrc := &fencingSource{Source: src, after: 12, fence: func() { h.FailSite(0) }}
-	cfg := Config{
-		Site: 0, Name: "straggler", Cores: 2,
-		Sources: map[int]chunk.Source{0: fsrc},
-		Head:    InProc{Head: h},
-		Tuning:  config.Tuning{CheckpointEveryJobs: 5},
-		Logf:    t.Logf,
-	}
-	done := make(chan error, 1)
+	client := &registrations{QueryClient: InProcAgent{Head: h}}
+	done := make(chan session, 1)
 	go func() {
-		_, err := Run(cfg)
-		done <- err
+		done <- runAgents(t, h, q, AgentConfig{
+			Site: 0, Name: "straggler", Cores: 2,
+			Sources: map[int]chunk.Source{0: fsrc},
+			Head:    client,
+			Tuning:  config.Tuning{CheckpointEveryJobs: 5},
+		})
 	}()
 	select {
-	case err := <-done:
-		if !fault.IsFenced(err) {
-			t.Fatalf("fenced master returned %v, want a fencing error", err)
+	case s := <-done:
+		if got := s.sum(t); got != want {
+			t.Errorf("sum after fencing = %d, want %d", got, want)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("fenced master hung instead of failing fast")
+		t.Fatal("fenced master hung instead of rejoining")
 	}
-
-	// The replacement re-registers, resumes from the last accepted
-	// checkpoint, and finishes the run with the failure-free answer.
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("rejoined run: %v", err)
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.(*sumObj).total; got != want {
-		t.Errorf("sum after fencing = %d, want %d", got, want)
-	}
-	if bytes.Equal(rep.Final, nil) {
-		t.Error("no final object returned")
+	if got := client.n.Load(); got != 2 {
+		t.Errorf("master registered %d times, want 2 (once, and once after the fence)", got)
 	}
 }
 
@@ -197,46 +176,37 @@ func TestCrashRestartWithTwoClusters(t *testing.T) {
 	ix, src, want := buildDataset(t, 8000, 1000, 100) // 8 files × 10 chunks
 	placement := jobs.SplitByFraction(len(ix.Files), 0.5, 0, 1)
 
-	h := newFaultHead(t, ix, placement, 2, fault.NewMemStore(), 200*time.Millisecond)
-	sources := map[int]chunk.Source{0: src, 1: src}
+	h, q := newFaultHead(t, ix, placement, 2, fault.NewMemStore(), 200*time.Millisecond)
 	inj := &fault.Injector{Source: src, KillAfter: 8}
 	killed := &killSignal{Source: inj, fired: make(chan struct{})}
-	doomed := Config{
+	doomed := AgentConfig{
 		Site: 0, Name: "doomed", Cores: 2,
 		Sources: map[int]chunk.Source{0: killed, 1: killed},
-		Head:    InProc{Head: h},
+		Head:    InProcAgent{Head: h},
 		Tuning:  config.Tuning{CheckpointEveryJobs: 4},
 		Retry:   Retry{Attempts: 2, Backoff: time.Millisecond},
-	}
-	healthy := Config{
-		Site: 1, Name: "healthy", Cores: 2,
-		Sources: sources,
-		Head:    InProc{Head: h},
 	}
 
 	healthyDone := make(chan error, 1)
 	go func() {
 		<-killed.fired
-		_, err := Run(healthy)
-		healthyDone <- err
+		healthyDone <- RunAgent(context.Background(), AgentConfig{
+			Site: 1, Name: "healthy", Cores: 2,
+			Sources: map[int]chunk.Source{0: src, 1: src},
+			Head:    InProcAgent{Head: h},
+		})
 	}()
 
 	// First incarnation dies, replacement resumes from its checkpoint.
-	if _, err := Run(doomed); err == nil {
+	if err := RunAgent(context.Background(), doomed); err == nil {
 		t.Fatal("killed cluster's run succeeded")
 	}
 	inj.Arm()
-	if _, err := Run(doomed); err != nil {
-		t.Fatalf("restarted cluster: %v", err)
-	}
+	s := runAgents(t, h, q, doomed)
 	if err := <-healthyDone; err != nil {
 		t.Fatalf("healthy cluster: %v", err)
 	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.(*sumObj).total; got != want {
+	if got := s.sum(t); got != want {
 		t.Errorf("sum = %d, want %d", got, want)
 	}
 }

@@ -1,13 +1,13 @@
 // Package config defines the shared tuning knobs that used to be
-// re-declared on driver.Deployment, cluster.Config and head.Config. Each
-// knob lives here exactly once and is plumbed outward: the driver hands the
+// re-declared on the driver, the cluster runtime and the head. Each knob
+// lives here exactly once and is plumbed outward: the driver hands the
 // same Tuning to the head and to every cluster runtime it spawns, and the
 // daemons build one from the shared flag set.
 //
 // Precedence (documented in docs/API.md): an explicit field on Tuning wins;
 // a zero field falls back to the component default that applied before the
-// knob was centralized (binary wire codec, prefetch = retrieval threads,
-// heartbeat = LeaseTTL/3, fault machinery off).
+// knob was centralized (binary wire codec, heartbeat = LeaseTTL/3, fault
+// machinery off).
 package config
 
 import (
@@ -34,9 +34,6 @@ type Tuning struct {
 	// explicit opt-in on both ends — a binary-default head answers a gob
 	// advert with a refusal naming this knob.
 	WireCodec string
-	// PrefetchDepth is the retrieval pipeline depth: chunks kept in flight
-	// (being fetched or queued) ahead of processing. 0 = retrieval threads.
-	PrefetchDepth int
 	// GroupBytes is the cache-sized unit-group budget per reduction batch;
 	// 0 keeps the job spec's value.
 	GroupBytes int
@@ -120,8 +117,6 @@ func (t Tuning) HeartbeatInterval() time.Duration {
 func (t *Tuning) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&t.WireCodec, "wire-codec", CodecBinary,
 		"wire codec: binary, or gob to opt in to the compat codec for peers predating binary (both sides must opt in; heads refuse gob sessions otherwise)")
-	fs.IntVar(&t.PrefetchDepth, "prefetch", 0,
-		"retrieval pipeline depth: chunks kept in flight ahead of processing (0 = retrieval threads)")
 	fs.IntVar(&t.GroupBytes, "group-bytes", 0,
 		"unit-group (cache) budget per reduction batch (0 = job-spec value)")
 	fs.DurationVar(&t.LeaseTTL, "lease-ttl", 0,

@@ -51,7 +51,7 @@ type Deployment struct {
 	Placement jobs.Placement
 	Clusters  []ClusterSpec
 	PoolOpts  jobs.Options
-	// Tuning carries the shared knobs (GroupBytes, PrefetchDepth,
+	// Tuning carries the shared knobs (GroupBytes,
 	// CheckpointEveryJobs, lease/heartbeat cadence, …) applied to both the
 	// session's head and its cluster agents. See config.Tuning.
 	Tuning config.Tuning

@@ -77,7 +77,7 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	h, err := New(Config{
-		Reducer: sumReducer{}, ExpectClusters: 1, DynamicSites: true,
+		ExpectClusters: 1, DynamicSites: true,
 		Tuning: config.Tuning{LeaseTTL: time.Hour},
 		Logf:   func(string, ...any) {},
 	})

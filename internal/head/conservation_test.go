@@ -53,7 +53,7 @@ func runConservation(t *testing.T, ix *chunk.Index, expect uint64, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	h, err := New(Config{
-		Reducer: sumReducer{}, ExpectClusters: 1, DynamicSites: true,
+		ExpectClusters: 1, DynamicSites: true,
 		// A long lease keeps the fault machinery (FailSite's requeue +
 		// reissue) on without spontaneous expiry racing the test.
 		Tuning: config.Tuning{LeaseTTL: time.Hour},

@@ -12,7 +12,7 @@ import (
 // registered static site 0 plus burst site 1000.
 func drainHead(t *testing.T) (*Head, *Query) {
 	t.Helper()
-	h, err := New(Config{Reducer: sumReducer{}, ExpectClusters: 1,
+	h, err := New(Config{ExpectClusters: 1,
 		DynamicSites: true, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package head
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -26,6 +27,8 @@ type faultOpts struct {
 	Obs                *obs.Obs
 }
 
+// testFaultHead returns a fault-tolerant head with one all-masters-rule
+// query (ID 0) admitted over a 10-job pool.
 func testFaultHead(t *testing.T, clusters int, fo faultOpts) (*Head, *jobs.Pool) {
 	t.Helper()
 	ix, err := chunk.Layout("h", 100, 4, 50, 10)
@@ -41,7 +44,6 @@ func testFaultHead(t *testing.T, clusters int, fo faultOpts) (*Head, *jobs.Pool)
 		t.Fatal(err)
 	}
 	h, err := New(Config{
-		Pool: pool, Reducer: sumReducer{}, Spec: spec,
 		ExpectClusters: clusters, Logf: t.Logf,
 		Tuning: config.Tuning{LeaseTTL: fo.LeaseTTL, SpeculateAfter: fo.SpeculateAfter,
 			StragglerFactor: fo.StragglerFactor, WatchdogMinSamples: fo.WatchdogMinSamples},
@@ -51,7 +53,15 @@ func testFaultHead(t *testing.T, clusters int, fo faultOpts) (*Head, *jobs.Pool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := h.Admit(QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: spec, ExpectAll: true}); err != nil {
+		t.Fatal(err)
+	}
 	return h, pool
+}
+
+// complete commits js for testFaultHead's query.
+func complete(h *Head, site int, js []jobs.Job) ([]int, error) {
+	return h.CompleteQueryJobs(0, site, js)
 }
 
 // waitFor polls cond for up to 2s.
@@ -69,12 +79,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestLeaseExpiryRequeuesInFlight(t *testing.T) {
 	h, pool := testFaultHead(t, 2, faultOpts{LeaseTTL: 40 * time.Millisecond})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
-		t.Fatal(err)
-	}
+	register(t, h, 0, 1)
 	js, _, _ := reqJobs(h, 0, 3)
 	if len(js) != 3 {
 		t.Fatalf("granted %d", len(js))
@@ -104,9 +109,7 @@ func TestLeaseExpiryRequeuesInFlight(t *testing.T) {
 
 func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	h, pool := testFaultHead(t, 1, faultOpts{LeaseTTL: 60 * time.Millisecond})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
-		t.Fatal(err)
-	}
+	register(t, h, 0)
 	js, _, _ := reqJobs(h, 0, 2)
 	if len(js) != 2 {
 		t.Fatalf("granted %d", len(js))
@@ -123,14 +126,12 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 func TestCheckpointSaveAndPrune(t *testing.T) {
 	store := fault.NewMemStore()
 	h, pool := testFaultHead(t, 1, faultOpts{Store: store})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
-		t.Fatal(err)
-	}
+	register(t, h, 0)
 	js, _, _ := reqJobs(h, 0, 4)
 	if len(js) != 4 {
 		t.Fatalf("granted %d", len(js))
 	}
-	if _, err := h.CompleteJobs(0, js); err != nil {
+	if _, err := complete(h, 0, js); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,11 +175,9 @@ func TestCheckpointWithoutStoreRejected(t *testing.T) {
 func TestReregistrationRecoversFromCheckpoint(t *testing.T) {
 	store := fault.NewMemStore()
 	h, pool := testFaultHead(t, 1, faultOpts{Store: store, LeaseTTL: time.Hour})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
-		t.Fatal(err)
-	}
+	register(t, h, 0)
 	js, _, _ := reqJobs(h, 0, 4)
-	if _, err := h.CompleteJobs(0, js); err != nil {
+	if _, err := complete(h, 0, js); err != nil {
 		t.Fatal(err)
 	}
 	ids := make([]int, len(js))
@@ -195,9 +194,12 @@ func TestReregistrationRecoversFromCheckpoint(t *testing.T) {
 	if len(more) != 2 {
 		t.Fatalf("granted %d", len(more))
 	}
-	spec, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"})
-	if err != nil {
+	if _, err := h.RegisterSite(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
 		t.Fatalf("re-registration rejected: %v", err)
+	}
+	spec, err := h.QuerySpec(0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if string(spec.Checkpoint) != string(data) {
 		t.Errorf("recovered checkpoint = %d bytes, want %d", len(spec.Checkpoint), len(data))
@@ -214,11 +216,9 @@ func TestReregistrationRecoversFromCheckpoint(t *testing.T) {
 
 func TestFreshRegistrationStillLimited(t *testing.T) {
 	h, _ := testFaultHead(t, 1, faultOpts{LeaseTTL: time.Hour})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
-		t.Fatal(err)
-	}
+	register(t, h, 0)
 	// A different site over capacity is still rejected even with faults on.
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err == nil {
+	if _, err := h.RegisterSite(protocol.Hello{Site: 1, Cluster: "b"}); err == nil {
 		t.Error("over-registration accepted with fault tolerance enabled")
 	}
 }
@@ -233,17 +233,12 @@ func TestFreshRegistrationStillLimited(t *testing.T) {
 func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 	store := fault.NewMemStore()
 	h, pool := testFaultHead(t, 2, faultOpts{Store: store, LeaseTTL: time.Hour})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
-		t.Fatal(err)
-	}
+	register(t, h, 0, 1)
 	js, _, _ := reqJobs(h, 0, 4)
 	if len(js) != 4 {
 		t.Fatalf("granted %d", len(js))
 	}
-	if _, err := h.CompleteJobs(0, js); err != nil {
+	if _, err := complete(h, 0, js); err != nil {
 		t.Fatal(err)
 	}
 	// Failure detector fires while site 0 is in fact still alive: its 4
@@ -253,7 +248,7 @@ func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 	if _, _, err := reqJobs(h, 0, 4); !fault.IsFenced(err) {
 		t.Errorf("RequestJobs from fenced site: err = %v, want fenced", err)
 	}
-	if _, err := h.CompleteJobs(0, js); !fault.IsFenced(err) {
+	if _, err := complete(h, 0, js); !fault.IsFenced(err) {
 		t.Errorf("CompleteJobs from fenced site: err = %v, want fenced", err)
 	}
 	ck := fault.Checkpoint{Site: 0, Seq: 1, Object: encodeSum(7), Completed: []int{js[0].ID}}
@@ -281,7 +276,7 @@ func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 			}
 			break
 		}
-		if _, err := h.CompleteJobs(1, got); err != nil {
+		if _, err := complete(h, 1, got); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,37 +284,33 @@ func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 		t.Fatal("pool not drained by survivor")
 	}
 
-	survivor := make(chan error, 1)
-	go func() {
-		_, err := h.SubmitResult(protocol.ReductionResult{Site: 1, Object: encodeSum(42)})
-		survivor <- err
-	}()
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 1, Object: encodeSum(42)}); err != nil {
+		t.Fatal(err)
+	}
 	// The fenced incarnation's object holds the very folds the survivor
 	// recomputed; merging it would double-count them.
-	if _, err := h.SubmitResult(protocol.ReductionResult{Site: 0, Object: encodeSum(999)}); !fault.IsFenced(err) {
-		t.Fatalf("SubmitResult from fenced site: err = %v, want fenced", err)
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Object: encodeSum(999)}); !fault.IsFenced(err) {
+		t.Fatalf("SubmitQueryResult from fenced site: err = %v, want fenced", err)
 	}
+	q := h.queries[0]
 	select {
-	case err := <-survivor:
-		t.Fatalf("survivor released by fenced submit (err=%v)", err)
-	case <-time.After(20 * time.Millisecond):
+	case <-q.Done():
+		t.Fatal("query sealed by a fenced submit")
+	default:
 	}
 
 	// Re-registration revives the site; with no checkpoint it contributes
 	// nothing it hasn't re-earned — here, the identity object.
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+	if _, err := h.RegisterSite(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
 		t.Fatalf("re-registration: %v", err)
 	}
 	if _, wait, err := reqJobs(h, 0, 4); err != nil || wait {
 		t.Fatalf("revived RequestJobs: wait=%v err=%v", wait, err)
 	}
-	if _, err := h.SubmitResult(protocol.ReductionResult{Site: 0, Object: encodeSum(0)}); err != nil {
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Object: encodeSum(0)}); err != nil {
 		t.Fatalf("revived submit: %v", err)
 	}
-	if err := <-survivor; err != nil {
-		t.Fatal(err)
-	}
-	obj, _, _, err := h.Result()
+	obj, _, _, err := q.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,18 +321,13 @@ func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 
 func TestSpeculationDuplicatesStragglers(t *testing.T) {
 	h, pool := testFaultHead(t, 2, faultOpts{SpeculateAfter: 30 * time.Millisecond})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
-		t.Fatal(err)
-	}
+	register(t, h, 0, 1)
 	// Site 0 takes the entire pool and then stalls on its last 2 jobs.
 	js, _, _ := reqJobs(h, 0, 10)
 	if len(js) != 10 {
 		t.Fatalf("granted %d", len(js))
 	}
-	if dups, err := h.CompleteJobs(0, js[:8]); err != nil || len(dups) != 0 {
+	if dups, err := complete(h, 0, js[:8]); err != nil || len(dups) != 0 {
 		t.Fatalf("completing head of pool: dups=%v err=%v", dups, err)
 	}
 	// An empty grant while stragglers are outstanding must say "poll again".
@@ -355,10 +341,10 @@ func TestSpeculationDuplicatesStragglers(t *testing.T) {
 		return len(spec) == 2
 	})
 	// Site 1's copies land first; the original site's commits become dups.
-	if dups, err := h.CompleteJobs(1, spec); err != nil || len(dups) != 0 {
+	if dups, err := complete(h, 1, spec); err != nil || len(dups) != 0 {
 		t.Fatalf("speculative commit: dups=%v err=%v", dups, err)
 	}
-	dups, err := h.CompleteJobs(0, js[8:])
+	dups, err := complete(h, 0, js[8:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,12 +373,7 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 		WatchdogMinSamples: 2,
 		Obs:                o,
 	})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
-		t.Fatal(err)
-	}
+	register(t, h, 0, 1)
 
 	// The healthy site establishes the cluster median with quick commits.
 	for i := 0; i < 2; i++ {
@@ -400,7 +381,7 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 		if err != nil || len(js) == 0 {
 			t.Fatalf("healthy grant: %d jobs, err=%v", len(js), err)
 		}
-		if _, err := h.CompleteJobs(1, js); err != nil {
+		if _, err := complete(h, 1, js); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -412,7 +393,7 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 		t.Fatalf("slow grant: %d jobs, err=%v", len(slow), err)
 	}
 	time.Sleep(30 * time.Millisecond)
-	if _, err := h.CompleteJobs(0, slow[:2]); err != nil {
+	if _, err := complete(h, 0, slow[:2]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -449,10 +430,10 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 	}
 
 	// Flagged once: further slow commits and polls must not re-flag.
-	if _, err := h.CompleteJobs(0, slow[2:]); err != nil {
+	if _, err := complete(h, 0, slow[2:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.CompleteJobs(1, copies); err != nil {
+	if _, err := complete(h, 1, copies); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := reqJobs(h, 1, 1); err != nil {
@@ -480,9 +461,7 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 func TestCommitRacingFailSiteIsReissued(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		h, pool := testFaultHead(t, 1, faultOpts{LeaseTTL: time.Hour})
-		if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
-			t.Fatal(err)
-		}
+		register(t, h, 0)
 		js, _, err := reqJobs(h, 0, 1000)
 		if err != nil || len(js) == 0 {
 			t.Fatalf("grant: %v, %v", js, err)
@@ -492,7 +471,7 @@ func TestCommitRacingFailSiteIsReissued(t *testing.T) {
 		go func() {
 			defer close(done)
 			for _, j := range js {
-				if _, err := h.CompleteJobs(0, []jobs.Job{j}); err != nil {
+				if _, err := complete(h, 0, []jobs.Job{j}); err != nil {
 					return // fenced
 				}
 				committed.Add(1)

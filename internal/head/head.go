@@ -7,25 +7,20 @@
 // that query's reduction objects into its final result.
 //
 // Masters register once and hold one wire session while interleaving jobs
-// from many queries. The original single-query surface (Config.Pool +
-// Register/SubmitResult/Result) remains as a thin layer over an
-// auto-admitted query 0.
+// from many queries; a single-query run is a session with one Admit.
 package head
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/elastic"
 	"repro/internal/fault"
 	"repro/internal/jobs"
@@ -48,18 +43,9 @@ type ClusterReport struct {
 
 // Config parameterizes a head node.
 type Config struct {
-	// Pool, when set, auto-admits the legacy single query (query 0) with
-	// this pool, Reducer and Spec; the Register/SubmitResult/Result surface
-	// then behaves exactly as before the multi-query head. Leave nil for a
-	// pure multi-query head fed through Admit.
-	Pool *jobs.Pool
-	// Reducer for the legacy query. Required when Pool is set.
-	Reducer core.Reducer
-	// Spec for the legacy query, pushed to each master after registration.
-	Spec protocol.JobSpec
-	// ExpectClusters is how many masters may register; legacy-rule queries
-	// (QueryConfig.ExpectAll) also wait for this many reduction results.
-	// Required.
+	// ExpectClusters is how many masters may register; all-masters-rule
+	// queries (QueryConfig.ExpectAll) also wait for this many reduction
+	// results. Required.
 	ExpectClusters int
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
@@ -78,7 +64,7 @@ type Config struct {
 	Fault FaultConfig
 	// DynamicSites lifts the ExpectClusters registration cap so elastically
 	// provisioned burst workers can join a live session. ExpectClusters then
-	// only sizes legacy ExpectAll completion; dynamic sites must be admitted
+	// only sizes ExpectAll completion; dynamic sites must be admitted
 	// into queries' contributor sets by doing work (committing jobs), and are
 	// removed with DrainSite.
 	DynamicSites bool
@@ -92,8 +78,8 @@ type Config struct {
 
 // Head schedules admitted queries over registered masters. Create with New,
 // expose it to masters either over sockets (Serve) or in-process (the
-// RegisterSite/Poll/... methods), admit queries with Admit (or implicitly
-// via Config.Pool), then wait on each Query.
+// RegisterSite/Poll/... methods), admit queries with Admit, then wait on
+// each Query.
 type Head struct {
 	cfg Config
 
@@ -109,17 +95,15 @@ type Head struct {
 	// held poll may have changed; PollFrom captures it before evaluating.
 	wake chan struct{}
 
-	fair   *jobs.FairShare
-	legacy *Query // query 0 when cfg.Pool was set
+	fair *jobs.FairShare
 
 	// defaultPolicy seeds QueryConfig.Policy for queries admitted without
 	// one: Config.DefaultPolicy, or the first Hello.Policy seen when the
 	// config left it nil. Guarded by mu.
 	defaultPolicy *elastic.Policy
 
-	// done closes when the head stops serving: legacy mode when query 0
-	// ends, multi mode on Shutdown or a fatal failure. It stops Serve and
-	// the failure monitor.
+	// done closes when the head stops serving: on Shutdown or a fatal
+	// failure. It stops Serve and the failure monitor.
 	done     chan struct{}
 	doneOnce sync.Once
 
@@ -153,9 +137,6 @@ func (h *Head) nextSpanID() uint64 { return h.nextSpan.Add(1) }
 
 // New validates cfg and returns a head node ready to serve masters.
 func New(cfg Config) (*Head, error) {
-	if cfg.Pool != nil && cfg.Reducer == nil {
-		return nil, errors.New("head: Config.Reducer is required with Config.Pool")
-	}
 	if cfg.ExpectClusters <= 0 {
 		return nil, fmt.Errorf("head: ExpectClusters must be positive, got %d", cfg.ExpectClusters)
 	}
@@ -194,18 +175,6 @@ func New(cfg Config) (*Head, error) {
 		}
 		p := *cfg.DefaultPolicy
 		h.defaultPolicy = &p
-	}
-	if cfg.Pool != nil {
-		q, err := h.Admit(QueryConfig{
-			Pool:      cfg.Pool,
-			Reducer:   cfg.Reducer,
-			Spec:      cfg.Spec,
-			ExpectAll: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		h.legacy = q
 	}
 	return h, nil
 }
@@ -317,28 +286,6 @@ func (h *Head) RegisterSite(hello protocol.Hello) (protocol.SiteSpec, error) {
 	return spec, nil
 }
 
-// Register records a master's Hello for a legacy single-query session and
-// returns the legacy query's job specification. With fault tolerance
-// enabled, a re-registering site gets its last persisted checkpoint to
-// resume from.
-func (h *Head) Register(hello protocol.Hello) (protocol.JobSpec, error) {
-	if h.legacy == nil {
-		return protocol.JobSpec{}, opErr("register", hello.Site, -1,
-			errors.New("no single-query config; use RegisterSite/Admit"))
-	}
-	known, err := h.registerSite(hello)
-	if err != nil {
-		return protocol.JobSpec{}, err
-	}
-	spec := h.legacy.spec
-	spec.HeartbeatEvery = int64(h.cfg.Tuning.HeartbeatInterval())
-	if known {
-		spec.Checkpoint = h.recoverSpec(h.legacy.id, hello.Site)
-		h.cfg.Logf("head: site %d resumes with %d checkpoint bytes", hello.Site, len(spec.Checkpoint))
-	}
-	return spec, nil
-}
-
 // errFenced is the refusal a dead-marked site's traffic gets.
 func errFenced(site int) error {
 	return fmt.Errorf("rejecting site %d: %w", site, fault.ErrFenced)
@@ -362,69 +309,6 @@ func (h *Head) fencedCheck(site int) error {
 		return fmt.Errorf("rejecting site %d: departed after drain", site)
 	}
 	return nil
-}
-
-// CompleteJobs commits finished jobs for the legacy query. It returns the
-// IDs of duplicate completions — jobs whose contribution another copy
-// already supplied; the caller must not fold those chunks.
-func (h *Head) CompleteJobs(site int, js []jobs.Job) ([]int, error) {
-	if h.legacy == nil {
-		return nil, opErr("complete", site, -1, errors.New("no single-query config"))
-	}
-	return h.CompleteQueryJobs(h.legacy.id, site, js)
-}
-
-// SubmitResult accepts one cluster's encoded reduction object for the
-// legacy query, merges it into the global result, and blocks until every
-// expected cluster has reported; it then returns the final encoded object.
-// The caller's blocked time here is exactly the cluster's end-of-run sync
-// time. Any merge failure aborts the whole run, preserving the original
-// single-query fail-fast contract.
-func (h *Head) SubmitResult(res protocol.ReductionResult) ([]byte, error) {
-	if h.legacy == nil {
-		return nil, opErr("submit", res.Site, -1, errors.New("no single-query config"))
-	}
-	if err := h.fencedCheck(res.Site); err != nil {
-		return nil, opErr("submit", res.Site, h.legacy.id, err)
-	}
-	q := h.legacy
-	if h.fs != nil {
-		// The submitted object carries every contribution this site made,
-		// so from here on its failure is harmless: release the lease (the
-		// site goes silent during the global-reduction wait).
-		h.fs.leases.Release(res.Site)
-	}
-	res.Query = q.id
-	h.mu.Lock()
-	if q.finished {
-		enc, err := q.encodedLocked()
-		h.mu.Unlock()
-		return enc, err
-	}
-	h.mu.Unlock()
-	if err := h.submit(q, res); err != nil {
-		h.fail(err)
-		return nil, err
-	}
-	// A draining legacy master never polls again after this blocking submit,
-	// so its submitted result completes the departure here rather than on a
-	// PollReply.Drain it would never see.
-	h.mu.Lock()
-	if _, ok := h.draining[res.Site]; ok {
-		h.departLocked(res.Site)
-	}
-	h.mu.Unlock()
-	h.mu.Lock()
-	if !q.finished {
-		ch := make(chan struct{})
-		q.waiters = append(q.waiters, ch)
-		h.mu.Unlock()
-		<-ch
-		h.mu.Lock()
-	}
-	enc, err := q.encodedLocked()
-	h.mu.Unlock()
-	return enc, err
 }
 
 // SiteLost reports that a master's session ended unexpectedly. With fault
@@ -545,33 +429,6 @@ func (h *Head) fail(err error) {
 	h.markDone()
 }
 
-// WaitResult blocks until the given query completes and returns its final
-// encoded reduction object. It backs the wire ResultRequest — the reply a
-// master waits on after submitting its own reduction object when it wants
-// the query's global result.
-func (h *Head) WaitResult(query int) ([]byte, error) {
-	h.mu.Lock()
-	q := h.queries[query]
-	h.mu.Unlock()
-	if q == nil {
-		return nil, opErr("result", -1, query, ErrUnknownQuery)
-	}
-	<-q.done
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return q.encodedLocked()
-}
-
-// Result blocks until the legacy query completes and returns its final
-// reduction object, the per-cluster reports, and the head's own
-// global-reduction time.
-func (h *Head) Result() (core.Object, []ClusterReport, time.Duration, error) {
-	if h.legacy == nil {
-		return nil, nil, 0, errors.New("head: no single-query config; use Admit and Query.Wait")
-	}
-	return h.legacy.Wait(context.Background())
-}
-
 // ---------------------------------------------------------------------------
 // Socket service.
 
@@ -626,12 +483,9 @@ func (h *Head) Close() error {
 // HandleConn speaks the master protocol on one connection: Hello →
 // SiteSpec, then PollRequest/QuerySpecRequest/JobsDone/CheckpointSave
 // interleaved across queries, with each ReductionResult acknowledged by a
-// ResultAck so the master keeps serving its remaining queries; a master
-// that wants a query's global result sends ResultRequest and blocks for
-// the Finished reply. Only ProtoMulti sessions are accepted — the
-// ProtoSingle wire dialect (JobRequest/JobGrant, blocking ReductionResult)
-// was removed after its deprecation window; old masters are answered with
-// an ErrorReply naming the upgrade. Sessions default to the binary codec: a
+// ResultAck so the master keeps serving its remaining queries. Only
+// ProtoMulti sessions are accepted — a Hello with an older Proto is answered
+// with an ErrorReply naming the upgrade. Sessions default to the binary codec: a
 // gob Hello is refused unless this head was started with -wire-codec=gob.
 // Exported so in-process deployments can drive a head over transport.Pipe.
 func (h *Head) HandleConn(c *transport.Conn) {
@@ -738,24 +592,6 @@ func (h *Head) HandleConn(c *transport.Conn) {
 			if err := c.Send(ack); err != nil {
 				return
 			}
-		case protocol.ResultRequest:
-			final, err := h.WaitResult(m.Query)
-			if err != nil {
-				_ = c.Send(protocol.ErrorReply{Err: err.Error(), Code: ErrCode(err)})
-				continue
-			}
-			if err := c.Send(protocol.Finished{Object: final}); err != nil {
-				return
-			}
-			// A single-query master asking for the final object has no
-			// further obligations: if it was draining, the Finished reply is
-			// its last exchange, so complete the departure here rather than
-			// on a poll it will never make.
-			h.mu.Lock()
-			if _, ok := h.draining[m.Site]; ok {
-				h.departLocked(m.Site)
-			}
-			h.mu.Unlock()
 		default:
 			_ = c.Send(protocol.ErrorReply{Err: fmt.Sprintf("head: unexpected message %T", msg)})
 			return

@@ -1,6 +1,7 @@
 package head
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -43,7 +44,9 @@ func (sumReducer) Decode(data []byte) (core.Object, error) {
 
 func encodeSum(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 
-func testHead(t *testing.T, clusters int) *Head {
+// testHead returns a head expecting the given number of clusters with one
+// all-masters-rule query (ID 0) admitted over a 10-job pool.
+func testHead(t *testing.T, clusters int) (*Head, *Query) {
 	t.Helper()
 	ix, err := chunk.Layout("h", 100, 4, 50, 10)
 	if err != nil {
@@ -60,16 +63,30 @@ func testHead(t *testing.T, clusters int) *Head {
 	// The pipe- and TCP-based protocol tests speak gob (the transport
 	// default), which is opt-in since the binary codec became the default:
 	// the test head opts in explicitly.
-	h, err := New(Config{Pool: pool, Reducer: sumReducer{}, Spec: spec, ExpectClusters: clusters,
+	h, err := New(Config{ExpectClusters: clusters,
 		Tuning: config.Tuning{WireCodec: config.CodecGob}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h
+	q, err := h.Admit(QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: spec, ExpectAll: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, q
 }
 
-// reqJobs adapts the typed Poll reply back to the old (jobs, wait, err)
-// triple the single-query tests were written against.
+// register opens a session for each site, failing the test on error.
+func register(t *testing.T, h *Head, sites ...int) {
+	t.Helper()
+	for _, site := range sites {
+		if _, err := h.RegisterSite(protocol.Hello{Site: site, Cluster: fmt.Sprint("c", site), Proto: protocol.ProtoMulti}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// reqJobs flattens a Poll reply into the (jobs, wait, err) triple most
+// single-query tests want.
 func reqJobs(h *Head, site, n int) ([]jobs.Job, bool, error) {
 	rep, err := h.Poll(site, n)
 	if err != nil {
@@ -85,64 +102,60 @@ func reqJobs(h *Head, site, n int) ([]jobs.Job, bool, error) {
 func TestNewValidation(t *testing.T) {
 	ix, _ := chunk.Layout("h", 10, 4, 10, 5)
 	pool, _ := jobs.NewPool(ix, jobs.Placement{0}, jobs.Options{})
-	// A head without a pool is a valid multi-query head awaiting Admit.
-	if _, err := New(Config{Reducer: sumReducer{}, ExpectClusters: 1, Logf: func(string, ...any) {}}); err != nil {
-		t.Errorf("pool-less multi-query head rejected: %v", err)
+	h, err := New(Config{ExpectClusters: 1, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatalf("head awaiting Admit rejected: %v", err)
 	}
-	if _, err := New(Config{Pool: pool, ExpectClusters: 1}); err == nil {
+	if _, err := h.Admit(QueryConfig{Pool: pool}); err == nil {
 		t.Error("nil reducer accepted")
 	}
-	if _, err := New(Config{Pool: pool, Reducer: sumReducer{}}); err == nil {
+	if _, err := h.Admit(QueryConfig{Reducer: sumReducer{}}); err == nil {
+		t.Error("nil pool accepted")
+	}
+	if _, err := New(Config{}); err == nil {
 		t.Error("zero ExpectClusters accepted")
 	}
 }
 
 func TestRegisterSpecAndLimit(t *testing.T) {
-	h := testHead(t, 1)
-	spec, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"})
+	h, q := testHead(t, 1)
+	register(t, h, 0)
+	spec, err := h.QuerySpec(0, q.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.App != "sum" || len(spec.Index) == 0 {
 		t.Errorf("spec = %+v", spec)
 	}
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err == nil {
+	if _, err := h.RegisterSite(protocol.Hello{Site: 1, Cluster: "b", Proto: protocol.ProtoMulti}); err == nil {
 		t.Error("over-registration accepted")
 	}
 }
 
+// TestSubmitResultBlocksUntilAll: under the all-masters rule the query's
+// result stays blocked — Wait does not return — until every expected cluster
+// has submitted, however early the first object arrives; the submits
+// themselves return at once.
 func TestSubmitResultBlocksUntilAll(t *testing.T) {
-	h := testHead(t, 2)
-	h.Register(protocol.Hello{Site: 0, Cluster: "a"})
-	h.Register(protocol.Hello{Site: 1, Cluster: "b"})
-
-	first := make(chan []byte, 1)
-	go func() {
-		final, err := h.SubmitResult(protocol.ReductionResult{Site: 0, Object: encodeSum(40)})
-		if err != nil {
-			t.Errorf("first submit: %v", err)
-		}
-		first <- final
-	}()
-	select {
-	case <-first:
-		t.Fatal("first submitter returned before second cluster reported")
-	case <-time.After(20 * time.Millisecond):
+	h, q := testHead(t, 2)
+	register(t, h, 0, 1)
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Object: encodeSum(40)}); err != nil {
+		t.Fatalf("first submit: %v", err)
 	}
-	final2, err := h.SubmitResult(protocol.ReductionResult{Site: 1, Object: encodeSum(2)})
-	if err != nil {
+	select {
+	case <-q.Done():
+		t.Fatal("query finished before the second cluster reported")
+	default:
+	}
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 1, Object: encodeSum(2)}); err != nil {
 		t.Fatal(err)
 	}
-	final1 := <-first
-	obj, reports, grTime, err := h.Result()
+	obj, reports, grTime, err := q.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := obj.(*sumObj).total; got != 42 {
 		t.Errorf("final = %d, want 42", got)
-	}
-	if string(final1) != string(final2) || string(final1) != string(encodeSum(42)) {
-		t.Errorf("encoded finals differ: %v vs %v", final1, final2)
 	}
 	if len(reports) != 2 {
 		t.Errorf("reports = %d", len(reports))
@@ -153,28 +166,21 @@ func TestSubmitResultBlocksUntilAll(t *testing.T) {
 }
 
 func TestSubmitResultDecodeErrorFailsRun(t *testing.T) {
-	h := testHead(t, 2)
-	h.Register(protocol.Hello{Site: 0, Cluster: "a"})
-	h.Register(protocol.Hello{Site: 1, Cluster: "b"})
-	done := make(chan error, 1)
-	go func() {
-		_, err := h.SubmitResult(protocol.ReductionResult{Site: 0, Object: encodeSum(1)})
-		done <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	if _, err := h.SubmitResult(protocol.ReductionResult{Site: 1, Object: []byte("bad")}); err == nil {
+	h, q := testHead(t, 2)
+	register(t, h, 0, 1)
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Object: encodeSum(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 1, Object: []byte("bad")}); err == nil {
 		t.Error("bad object accepted")
 	}
-	if err := <-done; err == nil {
-		t.Error("waiter not released with error")
-	}
-	if _, _, _, err := h.Result(); err == nil {
-		t.Error("Result did not surface failure")
+	if _, _, _, err := q.Wait(context.Background()); err == nil {
+		t.Error("Wait did not surface failure")
 	}
 }
 
 func TestRequestAndCompleteJobs(t *testing.T) {
-	h := testHead(t, 1)
+	h, q := testHead(t, 1)
 	js, wait, _ := reqJobs(h, 0, 3)
 	if len(js) != 3 {
 		t.Fatalf("granted %d", len(js))
@@ -182,7 +188,7 @@ func TestRequestAndCompleteJobs(t *testing.T) {
 	if wait {
 		t.Error("wait = true on a non-empty grant")
 	}
-	dups, err := h.CompleteJobs(0, js)
+	dups, err := h.CompleteQueryJobs(q.ID(), 0, js)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +197,7 @@ func TestRequestAndCompleteJobs(t *testing.T) {
 	}
 	// A second completion of the same jobs is deduplicated, not an error:
 	// that is how speculative copies are absorbed.
-	dups, err = h.CompleteJobs(0, js)
+	dups, err = h.CompleteQueryJobs(q.ID(), 0, js)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +208,10 @@ func TestRequestAndCompleteJobs(t *testing.T) {
 
 // TestHandleConnProtocol drives a full master session over an in-process
 // pipe: Hello → SiteSpec, QuerySpecRequest → JobSpec, PollRequest/JobsDone
-// until the query appears in Done, then ReductionResult → ResultAck and
-// ResultRequest → Finished.
+// until the query appears in Done, then ReductionResult → ResultAck; the
+// final object is read at the head.
 func TestHandleConnProtocol(t *testing.T) {
-	h := testHead(t, 1)
+	h, q := testHead(t, 1)
 	a, b := transport.Pipe()
 	go h.HandleConn(b)
 	defer a.Close()
@@ -284,21 +290,7 @@ func TestHandleConnProtocol(t *testing.T) {
 	if ack, ok := reply.(protocol.ResultAck); !ok || ack.Err != "" {
 		t.Fatalf("ReductionResult reply = %#v", reply)
 	}
-	if err := a.Send(protocol.ResultRequest{Site: 0, Query: 0}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err = a.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin, ok := reply.(protocol.Finished)
-	if !ok {
-		t.Fatalf("reply = %T", reply)
-	}
-	if string(fin.Object) != string(encodeSum(7)) {
-		t.Errorf("final = %v", fin.Object)
-	}
-	obj, _, _, err := h.Result()
+	obj, _, _, err := q.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +300,10 @@ func TestHandleConnProtocol(t *testing.T) {
 }
 
 // TestHandleConnRejectsProtoSingle pins the deprecation window's close: a
-// ProtoSingle Hello on the wire is answered with an ErrorReply naming the
-// required upgrade, not a JobSpec.
+// Hello from a single-query master (no Proto field, so Proto 0) is answered
+// with an ErrorReply naming the required upgrade, not a SiteSpec.
 func TestHandleConnRejectsProtoSingle(t *testing.T) {
-	h := testHead(t, 1)
+	h, _ := testHead(t, 1)
 	a, b := transport.Pipe()
 	done := make(chan struct{})
 	go func() { h.HandleConn(b); close(done) }()
@@ -351,9 +343,12 @@ func TestHandleConnGobOptIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(Config{Pool: pool, Reducer: sumReducer{}, Spec: protocol.JobSpec{App: "sum", UnitSize: 4},
-		ExpectClusters: 1, Logf: t.Logf}) // default tuning: binary
+	h, err := New(Config{ExpectClusters: 1, Logf: t.Logf}) // default tuning: binary
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Admit(QueryConfig{Pool: pool, Reducer: sumReducer{},
+		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}, ExpectAll: true}); err != nil {
 		t.Fatal(err)
 	}
 	defer h.Shutdown()
@@ -378,7 +373,7 @@ func TestHandleConnGobOptIn(t *testing.T) {
 	<-done
 
 	// Opted-in head: the same Hello gets a SiteSpec with no codec upgrade.
-	h2 := testHead(t, 2)
+	h2, _ := testHead(t, 2)
 	defer h2.Shutdown()
 	a2, b2 := transport.Pipe()
 	go h2.HandleConn(b2)
@@ -421,7 +416,7 @@ func TestHandleConnGobOptIn(t *testing.T) {
 }
 
 func TestHandleConnUnexpectedMessage(t *testing.T) {
-	h := testHead(t, 1)
+	h, _ := testHead(t, 1)
 	a, b := transport.Pipe()
 	done := make(chan struct{})
 	go func() { h.HandleConn(b); close(done) }()
@@ -440,7 +435,7 @@ func TestHandleConnUnexpectedMessage(t *testing.T) {
 }
 
 func TestLostMasterFailsRun(t *testing.T) {
-	h := testHead(t, 2)
+	h, q := testHead(t, 2)
 	a, b := transport.Pipe()
 	go h.HandleConn(b)
 	if err := a.Send(protocol.Hello{Site: 0, Cluster: "doomed", Proto: protocol.ProtoMulti}); err != nil {
@@ -450,13 +445,13 @@ func TestLostMasterFailsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Close() // master dies mid-run
-	if _, _, _, err := h.Result(); err == nil {
+	if _, _, _, err := q.Wait(context.Background()); err == nil {
 		t.Error("run did not fail after losing a registered master")
 	}
 }
 
 func TestServeOverTCP(t *testing.T) {
-	h := testHead(t, 2)
+	h, q := testHead(t, 2)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -523,20 +518,9 @@ func TestServeOverTCP(t *testing.T) {
 		if ack, ok := reply.(protocol.ResultAck); !ok || ack.Err != "" {
 			return fmt.Errorf("ReductionResult reply = %#v", reply)
 		}
-		if err := c.Send(protocol.ResultRequest{Site: site, Query: 0}); err != nil {
-			return err
-		}
-		reply, err = c.Recv()
-		if err != nil {
-			return err
-		}
-		fin, ok := reply.(protocol.Finished)
-		if !ok {
-			return fmt.Errorf("ResultRequest reply = %T", reply)
-		}
-		if string(fin.Object) != string(encodeSum(30)) {
-			return fmt.Errorf("final object = %v", fin.Object)
-		}
+		// Hold the session until the query is sealed: a fail-fast head takes
+		// a master hanging up mid-query for a lost site.
+		<-q.Done()
 		return nil
 	}
 	var wg sync.WaitGroup
@@ -554,7 +538,7 @@ func TestServeOverTCP(t *testing.T) {
 			t.Fatalf("master %d: %v", i, err)
 		}
 	}
-	obj, _, _, err := h.Result()
+	obj, _, _, err := q.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ const forever = int64(time.Hour)
 func parkHead(t *testing.T, sites int, cfg Config) (*Head, *obs.Obs) {
 	t.Helper()
 	o := obs.New(nil)
-	cfg.Reducer, cfg.ExpectClusters, cfg.Logf, cfg.Obs = sumReducer{}, sites, t.Logf, o
+	cfg.ExpectClusters, cfg.Logf, cfg.Obs = sites, t.Logf, o
 	h, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +385,7 @@ func TestParkNoLostWakeup(t *testing.T) {
 func TestStopReleasesParkedSessions(t *testing.T) {
 	before := runtime.NumGoroutine()
 	o := obs.New(nil)
-	h, err := New(Config{Reducer: sumReducer{}, ExpectClusters: 2, Logf: t.Logf, Obs: o})
+	h, err := New(Config{ExpectClusters: 2, Logf: t.Logf, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

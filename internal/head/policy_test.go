@@ -27,7 +27,7 @@ func admitPool(t *testing.T) *jobs.Pool {
 // at admission; a valid one is copied onto the query and stamped into the
 // spec masters fetch.
 func TestAdmitPolicyValidationAndStamp(t *testing.T) {
-	h, err := New(Config{Reducer: sumReducer{}, ExpectClusters: 1, Logf: t.Logf})
+	h, err := New(Config{ExpectClusters: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestAdmitPolicyValidationAndStamp(t *testing.T) {
 // Config.DefaultPolicy; an explicit policy overrides it.
 func TestAdmitInheritsDefaultPolicy(t *testing.T) {
 	def := &elastic.Policy{Deadline: 2 * time.Minute, Budget: 0.5}
-	h, err := New(Config{Reducer: sumReducer{}, ExpectClusters: 1, DefaultPolicy: def, Logf: t.Logf})
+	h, err := New(Config{ExpectClusters: 1, DefaultPolicy: def, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestAdmitInheritsDefaultPolicy(t *testing.T) {
 // later policy-free admissions — the wire path for masters started with
 // -deadline/-budget.
 func TestHelloPolicyAdoptedAsSessionDefault(t *testing.T) {
-	h, err := New(Config{Reducer: sumReducer{}, ExpectClusters: 2, Logf: t.Logf})
+	h, err := New(Config{ExpectClusters: 2, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestHelloPolicyAdoptedAsSessionDefault(t *testing.T) {
 // TestQueryLoadsSnapshot: QueryLoads reports only queries with work left,
 // with their weights and policies, keyed the way the arbiter consumes them.
 func TestQueryLoadsSnapshot(t *testing.T) {
-	h, err := New(Config{Reducer: sumReducer{}, ExpectClusters: 1, Logf: t.Logf})
+	h, err := New(Config{ExpectClusters: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,8 @@ type QueryConfig struct {
 	// contention, job grants converge to the weight ratios.
 	Weight int
 	// ExpectAll, when set, requires a reduction result from every one of
-	// the head's ExpectClusters masters (the legacy completion rule). When
-	// unset, only sites that actually contributed folds to the query must
+	// the head's ExpectClusters masters (the all-masters completion rule).
+	// When unset, only sites that actually contributed folds to the query must
 	// report, so a query whose placement confines it to some sites
 	// completes without involving the others.
 	ExpectAll bool
@@ -72,8 +72,6 @@ type Query struct {
 	finalObj  core.Object
 	grTime    time.Duration
 	collected int
-	encoded   []byte
-	waiters   []chan struct{}
 	finishErr error
 	finished  bool
 	canceled  bool
@@ -276,47 +274,14 @@ func (q *Query) failLocked(err error) {
 	}
 	q.finished = true
 	q.finishErr = err
-	for _, ch := range q.waiters {
-		close(ch)
-	}
-	q.waiters = nil
 	close(q.done)
-	if q == q.h.legacy {
-		q.h.markDone()
-	}
-}
-
-// encodedLocked returns the finished query's final object in wire form. It
-// encodes on first demand: Query.Wait hands out finalObj itself, so only a
-// master asking for the global result (WaitResult, legacy SubmitResult)
-// pays for — and holds h.mu across — the encode of a large object. Caller
-// holds h.mu.
-func (q *Query) encodedLocked() ([]byte, error) {
-	if q.finishErr != nil {
-		return nil, q.finishErr
-	}
-	if q.encoded == nil {
-		enc, err := q.reducer.Encode(q.finalObj)
-		if err != nil {
-			return nil, err
-		}
-		q.encoded = enc
-	}
-	return q.encoded, nil
 }
 
 // finalizeLocked seals the final object and releases everyone waiting on
 // the query. Caller holds h.mu.
 func (q *Query) finalizeLocked() {
 	q.finished = true
-	for _, ch := range q.waiters {
-		close(ch)
-	}
-	q.waiters = nil
 	close(q.done)
-	if q == q.h.legacy {
-		q.h.markDone()
-	}
 	q.h.cfg.Logf("head: query %d complete (%d cluster results)", q.id, q.collected)
 }
 
@@ -358,17 +323,12 @@ func (q *Query) completeLocked() bool {
 // ---------------------------------------------------------------------------
 // Site-facing scheduling surface.
 
-// Poll is the typed replacement for the old RequestJobs (js, wait, err)
-// triple: it assigns up to n jobs runnable at site, drawn from every
-// admitted query by weighted fair share, and reports the per-query lifecycle
+// Poll assigns up to n jobs runnable at site, drawn from every admitted
+// query by weighted fair share, and reports the per-query lifecycle
 // transitions the site must act on — queries now expecting its reduction
 // result (Done), canceled queries to discard (Dropped), whether an empty
 // grant is final or worth polling again (Wait), and head shutdown. A fenced
 // site gets an *OpError wrapping fault.ErrFenced and must re-register.
-//
-// A ProtoSingle session may use Poll only on a head whose sole query is the
-// legacy query 0; grants for other queries would be stranded (committed by
-// nobody) until lease recovery reclaimed them.
 func (h *Head) Poll(site, n int) (protocol.PollReply, error) {
 	return h.PollFrom(protocol.PollRequest{Site: site, N: n})
 }
@@ -594,9 +554,8 @@ func (h *Head) pollDraining(site int) (protocol.PollReply, error) {
 		rep.Drain = true
 		h.departLocked(site)
 	} else {
-		// Wait only while held jobs are still committing. Once they are in,
-		// an empty non-Wait grant is the submit signal for a legacy master
-		// (which ignores Done), while a multi-query agent acts on Done.
+		// Wait only while held jobs are still committing; once they are in,
+		// the master acts on Done.
 		rep.Wait = outstanding > 0
 	}
 	return rep, nil
@@ -754,9 +713,9 @@ func (q *Query) jobsDoneLocked(site int) *obs.Counter {
 }
 
 // SubmitQueryResult accepts one cluster's encoded reduction object for one
-// query and merges it into that query's global result. Unlike the legacy
-// SubmitResult it does not block for the rest of the query: the master
-// keeps polling and serving other queries. Submissions for canceled or
+// query and merges it into that query's global result. It does not block
+// for the rest of the query: the master keeps polling and serving other
+// queries, and the final object is read with Query.Wait. Submissions for canceled or
 // already-finished queries are refused with typed errors the master treats
 // as "discard and move on".
 func (h *Head) SubmitQueryResult(res protocol.ReductionResult) error {

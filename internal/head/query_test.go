@@ -1,7 +1,6 @@
 package head
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -18,7 +17,7 @@ import (
 // multiHead builds a long-lived head with no legacy query, ready for Admit.
 func multiHead(t *testing.T, clusters int) *Head {
 	t.Helper()
-	h, err := New(Config{Reducer: sumReducer{}, ExpectClusters: clusters, Logf: t.Logf})
+	h, err := New(Config{ExpectClusters: clusters, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +194,10 @@ func (r countingReducer) Encode(obj core.Object) ([]byte, error) {
 	return r.sumReducer.Encode(obj)
 }
 
-// TestFinalObjectEncodedOnDemand: finishing a query must not encode the
-// final object under the head lock — Query.Wait hands out the object
-// itself. The encode happens once, for the first master that asks for the
-// global result over the wire (WaitResult).
-func TestFinalObjectEncodedOnDemand(t *testing.T) {
+// TestFinalObjectNeverEncodedAtHead: finishing a query must not encode the
+// final object (least of all under the head lock) — Query.Wait hands out the
+// object itself, and no wire message carries it back to the masters.
+func TestFinalObjectNeverEncodedAtHead(t *testing.T) {
 	ix, err := chunk.Layout("lazy", 40, 4, 20, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -244,18 +242,6 @@ func TestFinalObjectEncodedOnDemand(t *testing.T) {
 	}
 	if n := encodes.Load(); n != 0 {
 		t.Fatalf("finishing the query encoded the final object %d times, want 0", n)
-	}
-	for i := 0; i < 2; i++ {
-		enc, err := h.WaitResult(q.ID())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc, encodeSum(7)) {
-			t.Fatalf("WaitResult = %x, want %x", enc, encodeSum(7))
-		}
-	}
-	if n := encodes.Load(); n != 1 {
-		t.Errorf("two WaitResult calls encoded %d times, want 1", n)
 	}
 }
 

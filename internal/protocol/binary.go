@@ -26,7 +26,7 @@ import (
 //	bool → u8
 //
 // Messages that carry a bulk payload (PutReq.Data, GetResp.Data,
-// ReductionResult.Object, Finished.Object, CheckpointSave.Data) place it
+// ReductionResult.Object, CheckpointSave.Data) place it
 // LAST with no length prefix — its length is whatever remains of the frame —
 // so encoders write the payload bytes directly after the fixed meta and
 // decoders read them straight into a caller-supplied (pooled) buffer. No
@@ -61,15 +61,15 @@ import (
 const (
 	tagHello byte = 1 + iota
 	tagJobSpec
-	tagJobRequest
-	tagJobGrant
+	_ // 3: retired JobRequest (single-query dialect)
+	_ // 4: retired JobGrant
 	tagJobsDone
 	tagJobsDoneAck
 	tagHeartbeat
 	tagCheckpointSave
 	tagCheckpointAck
 	tagReductionResult
-	tagFinished
+	_ // 11: retired Finished (blocking result broadcast)
 	tagErrorReply
 	tagPutReq
 	tagPutResp
@@ -85,10 +85,12 @@ const (
 	tagQuerySpecRequest
 	tagResultAck
 	// Traced variants of the tail-payload messages (see the trace-propagation
-	// note above). New tags MUST be appended here, never inserted.
+	// note above). New tags MUST be appended here, never inserted, and a
+	// retired message keeps its number as a blank: a frame carrying it
+	// decodes to ErrUnknownType, and every surviving tag stays put.
 	tagCheckpointSaveTraced
 	tagReductionResultTraced
-	tagResultRequest
+	_ // 28: retired ResultRequest
 )
 
 // traceWire is the fixed encoded size of one TraceContext (two u64 words);
@@ -214,18 +216,6 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		dst = appendInt(dst, m.Codec)
 		dst = appendInt(dst, m.Query)
 		dst = appendTracePolicy(dst, m.Trace, m.Policy)
-	case JobRequest:
-		dst = append(dst, tagJobRequest)
-		dst = appendInt(dst, m.Site)
-		dst = appendInt(dst, m.N)
-	case JobGrant:
-		dst = append(dst, tagJobGrant)
-		if m.Wait {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendJobs(dst, m.Jobs)
 	case JobsDone:
 		dst = append(dst, tagJobsDone)
 		dst = appendInt(dst, m.Site)
@@ -278,9 +268,6 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		if !m.Trace.Zero() {
 			dst = appendTrace(dst, m.Trace)
 		}
-		return dst, m.Object, nil
-	case Finished:
-		dst = append(dst, tagFinished)
 		return dst, m.Object, nil
 	case ErrorReply:
 		dst = append(dst, tagErrorReply)
@@ -368,10 +355,6 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		dst = append(dst, tagResultAck)
 		dst = appendStr(dst, m.Err)
 		dst = appendU32(dst, uint32(m.Code))
-	case ResultRequest:
-		dst = append(dst, tagResultRequest)
-		dst = appendInt(dst, m.Site)
-		dst = appendInt(dst, m.Query)
 	case PutReq:
 		dst = append(dst, tagPutReq)
 		dst = appendStr(dst, m.Key)
@@ -740,27 +723,6 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 			return nil, err
 		}
 		return m, nil
-	case tagJobRequest:
-		var m JobRequest
-		var err error
-		if m.Site, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.N, err = f.int(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagJobGrant:
-		var m JobGrant
-		w, err := f.u8()
-		if err != nil {
-			return nil, err
-		}
-		m.Wait = w != 0
-		if m.Jobs, err = f.jobs(); err != nil {
-			return nil, err
-		}
-		return m, nil
 	case tagJobsDone:
 		var m JobsDone
 		var err error
@@ -870,13 +832,6 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 				return nil, err
 			}
 		}
-		if m.Object, err = f.tail(alloc); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagFinished:
-		var m Finished
-		var err error
 		if m.Object, err = f.tail(alloc); err != nil {
 			return nil, err
 		}
@@ -1048,16 +1003,6 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 			return nil, err
 		}
 		m.Code = int(int32(code))
-		return m, nil
-	case tagResultRequest:
-		var m ResultRequest
-		var err error
-		if m.Site, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Query, err = f.int(); err != nil {
-			return nil, err
-		}
 		return m, nil
 	case tagPutReq:
 		var m PutReq

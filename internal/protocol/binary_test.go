@@ -39,9 +39,6 @@ func sampleMessages() []Message {
 			Index: bytes.Repeat([]byte{0xAB}, 100), GroupSize: 8,
 			Checkpoint: []byte("ckpt"), HeartbeatEvery: 5e8, Codec: WireBinary},
 		JobSpec{App: "kmeans"},
-		JobRequest{Site: 1, N: 32},
-		JobGrant{Jobs: sampleJobs(5), Wait: true},
-		JobGrant{},
 		JobsDone{Site: 2, Jobs: sampleJobs(3)},
 		JobsDoneAck{Dup: []int{4, 9, 11}, Err: "partial"},
 		JobsDoneAck{},
@@ -54,8 +51,6 @@ func sampleMessages() []Message {
 		CheckpointAck{Err: "stale seq", Code: CodeStale},
 		ReductionResult{Site: 2, Object: []byte{9, 8, 7}, Processing: 123, Retrieval: 456,
 			Sync: 789, LocalJobs: 10, StolenJobs: 3},
-		Finished{Object: bytes.Repeat([]byte{0xCD}, 50)},
-		Finished{},
 		ErrorReply{Err: "boom"},
 		PutReq{Key: "points0000.dat", Data: bytes.Repeat([]byte{1}, 1000)},
 		PutResp{Err: "disk full", Code: CodeTransient},
@@ -111,7 +106,7 @@ func sampleMessages() []Message {
 			{Query: 2}, // untraced grant alongside a traced one
 		}, Wait: true},
 		// Per-query elastic policies: optional trailing block after the
-		// (possibly zero) trace context, plus the result-fetch message.
+		// (possibly zero) trace context.
 		Hello{Site: 5, Cluster: "client", Cores: 4, Proto: ProtoMulti,
 			Policy: ElasticPolicy{Deadline: 120e9, Budget: 0.10, MaxWorkers: 8}},
 		Hello{Site: 6, Cluster: "client", Cores: 4, Proto: ProtoMulti,
@@ -122,8 +117,6 @@ func sampleMessages() []Message {
 		JobSpec{App: "kmeans", Query: 4, Codec: WireBinary,
 			Trace:  TraceContext{TraceID: 5},
 			Policy: ElasticPolicy{Deadline: 240e9, Budget: 0.12, MinWorkers: 2, MaxWorkers: 6}},
-		ResultRequest{Site: 2, Query: 6},
-		ResultRequest{},
 		// Parking polls: the optional park word after the (possibly empty)
 		// span block.
 		PollRequest{Site: 1, N: 4, ParkNS: 20e6},
@@ -132,6 +125,31 @@ func sampleMessages() []Message {
 			{Trace: TraceContext{TraceID: 1, SpanID: 2}, Name: "job 3", Cat: "job", TID: 1, Job: 3, Start: 10, Dur: 20},
 		}},
 		PollRequest{Site: 3, N: 1, ParkNS: -1}, // meaningless to the head, still round-trips
+	}
+}
+
+// retiredFrames hand-builds well-formed frames of the four retired message
+// tags, in the layouts their encoders used to write. The tag numbers stay
+// reserved, so each must decode to ErrUnknownType whatever its body says.
+func retiredFrames() []struct {
+	name  string
+	frame []byte
+} {
+	frame := func(tag byte, body []byte) []byte {
+		f := appendU32(nil, uint32(1+len(body)))
+		return append(append(f, tag), body...)
+	}
+	return []struct {
+		name  string
+		frame []byte
+	}{
+		{"retired tag 3 (JobRequest)", frame(3, appendInt(appendInt(nil, 1), 32))},
+		{"retired tag 4 (JobGrant)", frame(4, appendJobs([]byte{1}, sampleJobs(5)))},
+		{"retired tag 4 (empty JobGrant)", frame(4, appendJobs([]byte{0}, nil))},
+		{"retired tag 11 (Finished)", frame(11, bytes.Repeat([]byte{0xCD}, 50))},
+		{"retired tag 11 (empty Finished)", frame(11, nil)},
+		{"retired tag 28 (ResultRequest)", frame(28, appendInt(appendInt(nil, 2), 6))},
+		{"retired tag 28 (zero ResultRequest)", frame(28, make([]byte, 16))},
 	}
 }
 
@@ -181,7 +199,7 @@ func TestBinaryRoundTripConcatenated(t *testing.T) {
 }
 
 func TestDecodeFrameMalformed(t *testing.T) {
-	valid, err := AppendFrame(nil, JobGrant{Jobs: sampleJobs(2), Wait: true})
+	valid, err := AppendFrame(nil, JobsDoneAck{Dup: []int{4, 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +236,9 @@ func TestDecodeFrameMalformed(t *testing.T) {
 			}(), ErrCorruptFrame},
 		{"job count exceeding frame",
 			func() []byte {
-				// JobGrant with Wait byte then a count claiming 1M jobs in a
-				// tiny frame: must be rejected before allocating.
-				body := []byte{byte(tagJobGrant), 0}
+				// JobsDone with site and query, then a count claiming 1M jobs
+				// in a tiny frame: must be rejected before allocating.
+				body := appendInt(appendInt([]byte{byte(tagJobsDone)}, 0), 0)
 				body = appendU32(body, 1<<20)
 				return append(frameLen(uint32(len(body))), body...)
 			}(), ErrCorruptFrame},
@@ -239,6 +257,13 @@ func TestDecodeFrameMalformed(t *testing.T) {
 				return append(frameLen(uint32(len(body))), body...)
 			}(), ErrCorruptFrame},
 		{"payload frame truncated mid-meta", validPayload[:6], ErrTruncatedFrame},
+	}
+	for _, rf := range retiredFrames() {
+		cases = append(cases, struct {
+			name string
+			data []byte
+			want error
+		}{rf.name, rf.frame, ErrUnknownType})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,7 +294,7 @@ func TestCodecConstants(t *testing.T) {
 // must not allocate; decoding must stay within a small constant.
 
 func TestEncodeAllocs(t *testing.T) {
-	grant := JobGrant{Jobs: sampleJobs(64)}
+	grant := PollReply{Queries: []QueryJobs{{Query: 1, Jobs: sampleJobs(64)}}}
 	done := JobsDone{Site: 1, Jobs: sampleJobs(64)}
 	chunkMsg := GetResp{Data: bytes.Repeat([]byte{3}, 64<<10)}
 	buf := make([]byte, 0, 1<<20)
@@ -277,7 +302,7 @@ func TestEncodeAllocs(t *testing.T) {
 		name string
 		m    Message
 	}{
-		{"JobGrant", grant},
+		{"PollReply", grant},
 		{"JobsDone", done},
 		{"GetResp chunk", chunkMsg},
 	}
@@ -300,7 +325,7 @@ func TestEncodeAllocs(t *testing.T) {
 }
 
 func TestDecodeAllocs(t *testing.T) {
-	grant, err := AppendFrame(nil, JobGrant{Jobs: sampleJobs(64)})
+	grant, err := AppendFrame(nil, PollReply{Queries: []QueryJobs{{Query: 1, Jobs: sampleJobs(64)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +347,9 @@ func TestDecodeAllocs(t *testing.T) {
 		max   float64
 	}{
 		// One allocation for the job slice, plus the bytes.Reader, the
-		// frameReader, and boxing the result into the Message interface.
-		{"JobGrant", grant, nil, 4},
+		// frameReader, and boxing the result into the Message interface; a
+		// poll grant adds its per-query slice.
+		{"PollReply", grant, nil, 5},
 		{"JobsDone", done, nil, 4},
 		// The chunk payload lands in the pooled buffer: reader + frameReader
 		// + interface boxing only.

@@ -13,16 +13,22 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with every valid message type plus the malformed shapes from the
 	// table test so the fuzzer starts at the interesting boundaries.
-	for _, m := range sampleMessages() {
-		frame, err := AppendFrame(nil, m)
-		if err != nil {
-			f.Fatal(err)
-		}
+	seed := func(frame []byte) {
 		f.Add(frame)
 		if len(frame) > 5 {
 			f.Add(frame[:len(frame)-3]) // truncated body
 			f.Add(frame[2:])            // desynced stream
 		}
+	}
+	for _, m := range sampleMessages() {
+		frame, err := AppendFrame(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed(frame)
+	}
+	for _, rf := range retiredFrames() {
+		seed(rf.frame)
 	}
 	for _, tc := range malformedParkFrames() {
 		f.Add(tc.frame)

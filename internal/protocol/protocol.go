@@ -6,7 +6,7 @@
 // in binary.go (the data-plane default — no reflection, no intermediate
 // copies) or the original gob envelope, now explicitly opt-in
 // (-wire-codec=gob on BOTH peers) and negotiated per session via
-// Hello.Codec/JobSpec.Codec.
+// Hello.Codec/SiteSpec.Codec.
 package protocol
 
 import (
@@ -79,16 +79,13 @@ const (
 	WireBinary = 1 // length-prefixed fixed-layout binary codec (binary.go)
 )
 
-// Session protocol versions carried in Hello.Proto. A multi-query master
-// registers once and interleaves jobs from every admitted query over the
-// same connection. ProtoSingle — one query bound per session — completed
-// its deprecation window: the head now rejects ProtoSingle Hellos with a
-// typed ErrorReply, and the identifier remains only so old peers get a
-// clear error instead of a hang.
-const (
-	ProtoSingle = 0 // retired: rejected by current heads with an ErrorReply
-	ProtoMulti  = 1 // shared session; head replies with SiteSpec, specs fetched per query
-)
+// ProtoMulti is the session protocol version carried in Hello.Proto: the
+// master registers once and interleaves jobs from every admitted query over
+// the same connection; the head replies with SiteSpec and specs are fetched
+// per query. Version 0 — one query bound per session — is retired: a Hello
+// carrying it (or no Proto field at all) is answered with an ErrorReply
+// naming the upgrade instead of a hang.
+const ProtoMulti = 1
 
 // Hello registers a master with the head node.
 type Hello struct {
@@ -96,11 +93,11 @@ type Hello struct {
 	Cluster string // human-readable cluster name ("local", "cloud", …)
 	Cores   int    // processing threads the cluster contributes
 	// Codec is the best wire codec the master supports (WireGob/WireBinary).
-	// The head confirms the session codec in JobSpec.Codec (ProtoSingle) or
-	// SiteSpec.Codec (ProtoMulti); both sides upgrade after that exchange.
+	// The head confirms the session codec in SiteSpec.Codec; both sides
+	// upgrade after that exchange.
 	Codec int
-	// Proto selects the session shape (ProtoSingle/ProtoMulti). Old masters
-	// send no field and read as ProtoSingle.
+	// Proto is the session protocol version (ProtoMulti). Masters predating
+	// it send no field, read as 0, and are refused.
 	Proto int
 	// Trace advertises trace propagation: a master that can record and ship
 	// spans sends a non-zero SpanID (its session span). The head confirms
@@ -115,15 +112,15 @@ type Hello struct {
 	Policy ElasticPolicy
 }
 
-// JobSpec is the head's response to Hello: everything a cluster needs to
-// start processing.
+// JobSpec is the head's response to QuerySpecRequest: everything a cluster
+// needs to start processing one query.
 type JobSpec struct {
 	App        string // registered reducer name
 	Params     []byte // application parameters for the reducer factory
 	UnitSize   int    // dataset unit size in bytes
 	GroupBytes int    // cache-sized unit-group budget
 	Index      []byte // serialized chunk.Index
-	GroupSize  int    // jobs per master request (0 = master's choice)
+	GroupSize  int    // unused: masters size their own requests (kept so frames do not change)
 	// Checkpoint, when non-empty, is the encoded fault.Checkpoint a
 	// re-registering cluster resumes from (its last persisted reduction
 	// object plus the job IDs that object covers).
@@ -131,12 +128,10 @@ type JobSpec struct {
 	// Fault carries the head's recovery parameters so the cluster runtime
 	// can enable heartbeats and checkpointing without local configuration.
 	HeartbeatEvery int64 // nanoseconds between heartbeats; 0 disables
-	// Codec is the wire codec the head selected for the rest of the session:
-	// min(head's best, Hello.Codec). The JobSpec itself still travels in the
-	// codec the Hello arrived in; everything after is in the selected codec.
+	// Codec is unused: the session codec is confirmed in SiteSpec.Codec (kept
+	// so frames do not change).
 	Codec int
-	// Query identifies which admitted query this spec belongs to. Single-query
-	// sessions always see query 0.
+	// Query identifies which admitted query this spec belongs to.
 	Query int
 	// Trace is the query's trace context (TraceID assigned at admission),
 	// non-zero only when the head's tracer is live and the master advertised
@@ -148,33 +143,11 @@ type JobSpec struct {
 	Policy ElasticPolicy
 }
 
-// JobRequest asks the head for up to N more jobs for the requesting cluster.
-//
-// Deprecated: part of the retired ProtoSingle session shape; current heads
-// no longer serve it. The type remains for codec compatibility tests and so
-// old frames still decode. Use PollRequest.
-type JobRequest struct {
-	Site int
-	N    int
-}
-
-// JobGrant carries a group of jobs. An empty Jobs slice with Wait false
-// means the global pool is exhausted and the cluster should finish its
-// local reduction; Wait true means the pool is momentarily empty but
-// recovery or speculation may still produce work — poll again.
-//
-// Deprecated: part of the retired ProtoSingle session shape; current heads
-// no longer send it. Use PollReply.
-type JobGrant struct {
-	Jobs []jobs.Job
-	Wait bool
-}
-
 // JobsDone reports completed jobs back to the head so it can maintain the
 // per-file contention counters that drive the stealing heuristic.
 type JobsDone struct {
 	Site  int
-	Query int // owning query (0 in single-query sessions)
+	Query int // owning query
 	Jobs  []jobs.Job
 	// Trace echoes the grant's trace context so the head can correlate the
 	// commit with the grant span. Zero on untraced sessions.
@@ -201,7 +174,7 @@ type Heartbeat struct {
 type CheckpointSave struct {
 	Site  int
 	Seq   int
-	Query int // owning query (0 in single-query sessions)
+	Query int // owning query
 	// Trace carries the owning query's trace context. In the binary codec a
 	// non-zero context selects the traced frame tag (the payload tail leaves
 	// no room for optional trailing fields); zero contexts encode with the
@@ -231,12 +204,6 @@ type ReductionResult struct {
 	// Trace carries the owning query's trace context (see CheckpointSave for
 	// the binary-codec encoding rule).
 	Trace TraceContext
-}
-
-// Finished is the head's broadcast after the final global reduction: the
-// run is complete. Masters measure their idle (sync) time up to this point.
-type Finished struct {
-	Object []byte // final encoded reduction object
 }
 
 // ErrorReply reports a failure for the preceding request. Code classifies
@@ -278,7 +245,7 @@ type PollRequest struct {
 	// ParkNS asks the head to hold a reply that would otherwise be empty —
 	// no grants, no Done or Dropped notice, no Shutdown or Drain — for up to
 	// this many nanoseconds, answering as soon as it has any of those to
-	// report. Zero (what the single-query master sends) is answered at once.
+	// report. Zero is answered at once.
 	ParkNS int64
 }
 
@@ -319,24 +286,12 @@ type QuerySpecRequest struct {
 	Query int
 }
 
-// ResultAck acknowledges a ReductionResult in a multi-query session. Unlike
-// the legacy Finished broadcast it does not block for the global reduction:
-// the master keeps serving other queries and learns nothing of the final
-// object (the submitting client reads it from the head).
+// ResultAck acknowledges a ReductionResult. It does not wait for the global
+// reduction: the master keeps serving other queries and learns nothing of
+// the final object (the submitting client reads it from the head).
 type ResultAck struct {
 	Err  string
 	Code int
-}
-
-// ResultRequest asks the head for one query's final global reduction
-// object. The head blocks the session until the query finishes, then
-// replies with Finished (or ErrorReply if the query failed or was
-// canceled). This is how a client that wants the final object waits for it
-// over the wire now that ProtoSingle's blocking ReductionResult→Finished
-// exchange is retired.
-type ResultRequest struct {
-	Site  int
-	Query int
 }
 
 // ---------------------------------------------------------------------------
@@ -415,22 +370,18 @@ type ListResp struct {
 
 func (Hello) protoMsg()            {}
 func (JobSpec) protoMsg()          {}
-func (JobRequest) protoMsg()       {}
-func (JobGrant) protoMsg()         {}
 func (JobsDone) protoMsg()         {}
 func (JobsDoneAck) protoMsg()      {}
 func (Heartbeat) protoMsg()        {}
 func (CheckpointSave) protoMsg()   {}
 func (CheckpointAck) protoMsg()    {}
 func (ReductionResult) protoMsg()  {}
-func (Finished) protoMsg()         {}
 func (ErrorReply) protoMsg()       {}
 func (SiteSpec) protoMsg()         {}
 func (PollRequest) protoMsg()      {}
 func (PollReply) protoMsg()        {}
 func (QuerySpecRequest) protoMsg() {}
 func (ResultAck) protoMsg()        {}
-func (ResultRequest) protoMsg()    {}
 func (PutReq) protoMsg()           {}
 func (PutResp) protoMsg()          {}
 func (GetReq) protoMsg()           {}
@@ -443,22 +394,18 @@ func (ListResp) protoMsg()         {}
 func init() {
 	gob.Register(Hello{})
 	gob.Register(JobSpec{})
-	gob.Register(JobRequest{})
-	gob.Register(JobGrant{})
 	gob.Register(JobsDone{})
 	gob.Register(JobsDoneAck{})
 	gob.Register(Heartbeat{})
 	gob.Register(CheckpointSave{})
 	gob.Register(CheckpointAck{})
 	gob.Register(ReductionResult{})
-	gob.Register(Finished{})
 	gob.Register(ErrorReply{})
 	gob.Register(SiteSpec{})
 	gob.Register(PollRequest{})
 	gob.Register(PollReply{})
 	gob.Register(QuerySpecRequest{})
 	gob.Register(ResultAck{})
-	gob.Register(ResultRequest{})
 	gob.Register(PutReq{})
 	gob.Register(PutResp{})
 	gob.Register(GetReq{})

@@ -13,11 +13,10 @@ func allMessages() []Message {
 	return []Message{
 		Hello{Site: 1, Cluster: "cloud", Cores: 16},
 		JobSpec{App: "knn", Params: []byte{1}, UnitSize: 32, GroupBytes: 1 << 18, Index: []byte{2}, GroupSize: 8},
-		JobRequest{Site: 1, N: 4},
-		JobGrant{Jobs: []jobs.Job{{ID: 7, Site: 0}}},
+		PollRequest{Site: 1, N: 4},
+		PollReply{Queries: []QueryJobs{{Jobs: []jobs.Job{{ID: 7, Site: 0}}}}},
 		JobsDone{Site: 0, Jobs: []jobs.Job{{ID: 7}}},
 		ReductionResult{Site: 1, Object: []byte{3, 4}, Processing: 5, Retrieval: 6, Sync: 7, LocalJobs: 8, StolenJobs: 9},
-		Finished{Object: []byte{5}},
 		ErrorReply{Err: "boom"},
 		PutReq{Key: "k", Data: []byte("v")},
 		PutResp{Err: ""},
@@ -73,12 +72,13 @@ func TestMessageFieldFidelity(t *testing.T) {
 	}
 }
 
-func TestJobGrantCarriesRefs(t *testing.T) {
+func TestPollReplyCarriesRefs(t *testing.T) {
 	var buf bytes.Buffer
-	grant := JobGrant{Jobs: []jobs.Job{{ID: 1, Site: 1}, {ID: 2, Site: 0}}}
-	grant.Jobs[0].Ref.Offset = 4096
-	grant.Jobs[0].Ref.Size = 65536
-	grant.Jobs[0].Ref.Units = 16
+	js := []jobs.Job{{ID: 1, Site: 1}, {ID: 2, Site: 0}}
+	js[0].Ref.Offset = 4096
+	js[0].Ref.Size = 65536
+	js[0].Ref.Units = 16
+	grant := PollReply{Queries: []QueryJobs{{Query: 3, Jobs: js}}}
 	if err := gob.NewEncoder(&buf).Encode(envelope{M: grant}); err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,8 @@ func TestJobGrantCarriesRefs(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	g := out.M.(JobGrant)
-	if len(g.Jobs) != 2 || g.Jobs[0].Ref.Size != 65536 || g.Jobs[0].Ref.Units != 16 {
+	g := out.M.(PollReply).Queries[0]
+	if g.Query != 3 || len(g.Jobs) != 2 || g.Jobs[0].Ref.Size != 65536 || g.Jobs[0].Ref.Units != 16 {
 		t.Errorf("grant round trip: %+v", g)
 	}
 }

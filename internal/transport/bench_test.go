@@ -45,7 +45,7 @@ func benchRoundTrip(b *testing.B, req, expectEcho protocol.Message) {
 }
 
 func BenchmarkRoundTripControl(b *testing.B) {
-	benchRoundTrip(b, protocol.JobRequest{Site: 1, N: 8}, nil)
+	benchRoundTrip(b, protocol.PollRequest{Site: 1, N: 8}, nil)
 }
 
 func BenchmarkRoundTripChunkPayload(b *testing.B) {

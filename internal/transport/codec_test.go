@@ -12,7 +12,7 @@ import (
 func codecSampleMessages() []protocol.Message {
 	return []protocol.Message{
 		protocol.Hello{Site: 1, Cluster: "cloud", Cores: 8, Codec: protocol.WireBinary},
-		protocol.JobRequest{Site: 1, N: 16},
+		protocol.PollRequest{Site: 1, N: 16},
 		protocol.JobsDoneAck{Dup: []int{1, 2, 3}},
 		protocol.GetReq{Key: "points0000.dat", Off: 12800, Len: 12800},
 		protocol.GetResp{Data: []byte("chunk-bytes")},
@@ -140,11 +140,11 @@ func TestMidStreamUpgrade(t *testing.T) {
 			errc <- err
 			return
 		}
-		if _, ok := m.(protocol.JobRequest); !ok {
+		if _, ok := m.(protocol.PollRequest); !ok {
 			errc <- errors.New("bad post-upgrade request")
 			return
 		}
-		errc <- b.Send(protocol.JobGrant{Wait: true})
+		errc <- b.Send(protocol.PollReply{Wait: true})
 	}()
 
 	// "master" side.
@@ -160,14 +160,14 @@ func TestMidStreamUpgrade(t *testing.T) {
 	}
 	a.UpgradeSend(CodecBinary)
 	a.UpgradeRecv(CodecBinary)
-	if err := a.Send(protocol.JobRequest{Site: 1, N: 4}); err != nil {
+	if err := a.Send(protocol.PollRequest{Site: 1, N: 4}); err != nil {
 		t.Fatal(err)
 	}
 	m, err = a.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := m.(protocol.JobGrant); !g.Wait {
+	if g := m.(protocol.PollReply); !g.Wait {
 		t.Fatalf("post-upgrade grant corrupted: %#v", g)
 	}
 	if err := <-errc; err != nil {

@@ -15,10 +15,10 @@ func TestPipeRoundTrip(t *testing.T) {
 	defer b.Close()
 	msgs := []protocol.Message{
 		protocol.Hello{Site: 1, Cluster: "cloud", Cores: 16},
-		protocol.JobRequest{Site: 1, N: 8},
-		protocol.JobGrant{Jobs: []jobs.Job{{ID: 3, Site: 0}}},
+		protocol.PollRequest{Site: 1, N: 8},
+		protocol.PollReply{Queries: []protocol.QueryJobs{{Jobs: []jobs.Job{{ID: 3, Site: 0}}}}},
 		protocol.ReductionResult{Site: 0, Object: []byte{1, 2, 3}, Processing: 42},
-		protocol.Finished{Object: []byte{9}},
+		protocol.CheckpointSave{Site: 1, Seq: 2, Data: []byte{9}},
 		protocol.GetReq{Key: "k", Off: 10, Len: 20},
 		protocol.GetResp{Data: []byte("payload")},
 		protocol.ErrorReply{Err: "boom"},
@@ -43,8 +43,8 @@ func TestPipeRoundTrip(t *testing.T) {
 			if got.(protocol.Hello) != w {
 				t.Errorf("msg %d: %+v != %+v", i, got, w)
 			}
-		case protocol.JobGrant:
-			g := got.(protocol.JobGrant)
+		case protocol.PollReply:
+			g := got.(protocol.PollReply).Queries[0]
 			if len(g.Jobs) != 1 || g.Jobs[0].ID != 3 {
 				t.Errorf("msg %d: %+v", i, g)
 			}
@@ -111,7 +111,7 @@ func TestConcurrentSenders(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := a.Send(protocol.JobRequest{Site: i, N: 1}); err != nil {
+			if err := a.Send(protocol.PollRequest{Site: i, N: 1}); err != nil {
 				t.Errorf("send %d: %v", i, err)
 			}
 		}(i)
@@ -122,7 +122,7 @@ func TestConcurrentSenders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
-		seen[m.(protocol.JobRequest).Site] = true
+		seen[m.(protocol.PollRequest).Site] = true
 	}
 	wg.Wait()
 	if len(seen) != n {
@@ -157,7 +157,7 @@ func TestRecvAfterPeerClose(t *testing.T) {
 	if _, err := a.Recv(); err == nil {
 		t.Error("Recv on closed peer succeeded")
 	}
-	if err := a.Send(protocol.JobRequest{}); err == nil {
+	if err := a.Send(protocol.PollRequest{}); err == nil {
 		t.Error("Send on closed peer succeeded")
 	}
 }

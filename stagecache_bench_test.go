@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -100,19 +101,28 @@ func liveCacheRun(t *testing.T, ix *chunk.Index, src *chunk.MemSource, want uint
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		t.Fatal(err)
 	}
-	h, err := head.New(head.Config{Pool: pool, Reducer: cacheSumReducer{}, Spec: spec, ExpectClusters: 1})
+	h, err := head.New(head.Config{ExpectClusters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cluster.Run(cluster.Config{
-		Site: 0, Name: "local", Cores: 4,
-		Sources: map[int]chunk.Source{0: src},
-		Cache:   cache,
-		Head:    cluster.InProc{Head: h},
-	}); err != nil {
+	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: cacheSumReducer{}, Spec: spec, ExpectAll: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	obj, _, _, err := h.Result()
+	exit := make(chan error, 1)
+	go func() {
+		exit <- cluster.RunAgent(context.Background(), cluster.AgentConfig{
+			Site: 0, Name: "local", Cores: 4,
+			Sources: map[int]chunk.Source{0: src},
+			Cache:   cache,
+			Head:    cluster.InProcAgent{Head: h},
+		})
+	}()
+	obj, _, _, err := q.Wait(context.Background())
+	h.Shutdown()
+	if agentErr := <-exit; agentErr != nil {
+		t.Fatal(agentErr)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
