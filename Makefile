@@ -12,7 +12,8 @@ API_PKGS := \
 	repro/internal/jobs \
 	repro/internal/protocol \
 	repro/internal/core \
-	repro/internal/apps
+	repro/internal/apps \
+	repro/internal/elastic
 
 build:
 	$(GO) build ./...
@@ -108,7 +109,7 @@ bench-dataplane-short:
 	BENCH_DATAPLANE_OUT=BENCH_3.json $(GO) test -short -run TestEmitBenchDataplane -v .
 
 # Elasticity must be free when off: TestElasticOverheadGate asserts an inert
-# controller hook adds <2% heap allocations to the Fig 3 KNN workload. Then
+# arbiter hook adds <2% heap allocations to the Fig 3 KNN workload. Then
 # the deadline×budget sweep regenerates the cost-vs-makespan frontier on the
 # compute-bound app; the CSV lands at ELASTIC_SWEEP_OUT (default
 # elastic_sweep.csv) so CI can archive it when the frontier gates fail.

@@ -514,10 +514,10 @@ func TestObsOverheadGate(t *testing.T) {
 // TestElasticOverheadGate is the automated half of `make bench-elastic`: the
 // elasticity-must-be-free-when-off promise. It runs the Figure-3 KNN workload
 // through the multi-query engine twice — once with no elastic hook at all and
-// once with the hook attached but inert (a controller that never scales, so
-// only the engine-side plumbing runs: the virtual-clock tick and the per-site
+// once with the hook attached but inert (an arbiter that never scales, so
+// only the engine-side plumbing runs: the virtual-clock tick and the per-query
 // remaining-bytes snapshot handed to Decide) — and fails when the disabled
-// controller costs more than 2% extra heap allocations. As with
+// arbiter costs more than 2% extra heap allocations. As with
 // TestObsOverheadGate, allocations are the asserted quantity because they are
 // deterministic; wall-clock is logged for humans but never asserted. Opt-in
 // via BENCH_ELASTIC_GATE=1.
@@ -535,7 +535,7 @@ func TestElasticOverheadGate(t *testing.T) {
 			}
 			if hook {
 				mc.Elastic = &hybridsim.ElasticSim{Interval: 5 * time.Second,
-					Decide: func(time.Duration, map[int]int64, []int) hybridsim.ElasticDecision {
+					Decide: func(time.Duration, []hybridsim.ElasticLoad, []int) hybridsim.ElasticDecision {
 						return hybridsim.ElasticDecision{}
 					}}
 			}
@@ -568,9 +568,9 @@ func TestElasticOverheadGate(t *testing.T) {
 		offN, onN, pct(onN, offN), offB, onB, pct(onB, offB),
 		offT, onT, pct(uint64(onT), uint64(offT)))
 	if d := pct(onN, offN); d > 2 {
-		t.Errorf("disabled-controller alloc-count overhead %.2f%% exceeds the 2%% budget", d)
+		t.Errorf("disabled-arbiter alloc-count overhead %.2f%% exceeds the 2%% budget", d)
 	}
 	if d := pct(onB, offB); d > 2 {
-		t.Errorf("disabled-controller alloc-bytes overhead %.2f%% exceeds the 2%% budget", d)
+		t.Errorf("disabled-arbiter alloc-bytes overhead %.2f%% exceeds the 2%% budget", d)
 	}
 }

@@ -18,7 +18,7 @@
 //	cloudburst provision [-app knn]     cheapest configuration meeting a deadline
 //	cloudburst elastic [-app kmeans] [-stage] [-iterations n] [-launch-delay d]
 //	                                    deadline×budget sweep of the burst
-//	                                    controller vs static provisioning,
+//	                                    arbiter vs static provisioning,
 //	                                    optionally with burst-side pre-staging
 //	cloudburst elastic -query app=knn,deadline=120s,budget=0.10 -query app=kmeans
 //	                                    mixed-policy multi-query workload under
@@ -145,7 +145,7 @@ func main() {
 	stageFlag := fs.Bool("stage", false, "elastic: enable the burst-side partition cache (pre-staged replica at the cloud site)")
 	stageCapFlag := fs.Int64("stage-cap", 0, "elastic: stage cache capacity in MiB (0 = calibrated default, 16 GiB)")
 	itersFlag := fs.Int("iterations", 1, "elastic: dataset passes per query (>1 exercises the cache's warm iterations)")
-	launchFlag := fs.Duration("launch-delay", 0, "elastic: simulated worker boot time; the controller provisions ahead by the same lead time")
+	launchFlag := fs.Duration("launch-delay", 0, "elastic: simulated worker boot time; the arbiter provisions ahead by the same lead time")
 	var queryFlag queryFlags
 	fs.Var(&queryFlag, "query", "elastic: one query of a mixed-policy multi-query workload under the session arbiter, repeatable: -query app=knn,deadline=120s,budget=0.10 (keys: app, name, weight, deadline, budget, min, max)")
 	debugFlag := fs.String("debug-addr", "", "serve /debug/pprof/ on this address while the run executes (e.g. :6060)")
@@ -490,7 +490,7 @@ func runTraceMulti(outPrefix string) error {
 	return nil
 }
 
-// runElasticSweep runs the burst controller inside the simulator over a
+// runElasticSweep runs the burst arbiter inside the simulator over a
 // deadline × budget grid and prints the dynamic cost-vs-makespan frontier
 // next to the static provisioning baseline. Per-second billing
 // (DefaultPricingCurrent) so scale-down pays off within a run. With -stage
@@ -585,7 +585,7 @@ cache flags (elastic): -stage models the burst-side partition cache
 (pre-staged cloud replica; retrieval-bound apps become burst-worthy),
 -stage-cap caps the replica in MiB, -iterations re-scans the dataset so warm
 passes hit the cache, -launch-delay adds worker boot time plus the matching
-controller lead time.
+arbiter lead time.
 
 multi-query mode (elastic): each repeated -query admits one query with its
 own policy into ONE shared arbiter-sized fleet, e.g.

@@ -119,17 +119,17 @@ func main() {
 		Obs:            rt.Obs,
 		Tuning:         tn,
 		DynamicSites:   ef.Elastic,
-		DefaultPolicy:  ef.SessionDefaultPolicy(log.Printf),
 	})
 	if err != nil {
 		fail("headnode: %v", err)
 	}
-	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: reducer, Spec: spec, ExpectAll: true})
+	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: reducer, Spec: spec, ExpectAll: true,
+		Policy: ef.Policy()})
 	if err != nil {
 		fail("headnode: %v", err)
 	}
 	if ef.Elastic {
-		go runElasticAdvisor(rt.Context(), h, pool, ef, log.Printf)
+		go runElasticAdvisor(rt.Context(), h, ef.MaxWorkers, log.Printf)
 	}
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -168,74 +168,93 @@ func main() {
 	}
 }
 
-// runElasticAdvisor is the multi-process deployment's elasticity loop. The
-// headnode cannot launch worker processes itself, so scale-up decisions are
-// logged as advisories (an operator — or an external autoscaler tailing the
-// log — starts more workernode processes, which register as dynamic sites);
-// scale-down decisions are executed directly through the head's graceful
-// drain. The estimator is observed throughput (the analytic model needs a
-// calibrated topology the daemon does not have), so the controller runs on
-// the same Step code as the driver with a different est() source.
-func runElasticAdvisor(ctx context.Context, h *head.Head, pool *jobs.Pool,
-	ef daemon.ElasticFlags, logf func(string, ...any)) {
-	pol := elastic.Policy{
-		Deadline:   ef.Deadline,
-		Budget:     ef.Budget,
-		MaxWorkers: ef.MaxWorkers,
-	}
-	ctrl, err := elastic.New(pol, nil)
+// elasticAdvisor is the multi-process deployment's elasticity loop: the
+// session arbiter over the head's admitted queries (headnode admits one,
+// carrying the -deadline/-budget policy). The headnode cannot launch worker
+// processes itself, so scale-up decisions are logged as advisories (an
+// operator — or an external autoscaler tailing the log — starts more
+// workernode processes, which register as dynamic sites); scale-down
+// decisions are executed directly through the head's graceful drain. The
+// estimator is observed throughput (the analytic model needs a calibrated
+// topology the daemon does not have), so the arbiter runs the same Step code
+// as the driver with a different raw() source.
+type elasticAdvisor struct {
+	h     *head.Head
+	arb   *elastic.Arbiter
+	te    elastic.ThroughputEstimator
+	known map[int]bool // burst sites with an open billing episode
+	logf  func(string, ...any)
+}
+
+func newElasticAdvisor(h *head.Head, maxWorkers int, logf func(string, ...any)) (*elasticAdvisor, error) {
+	arb, err := elastic.NewArbiter(elastic.ArbiterConfig{MaxWorkers: maxWorkers}, nil)
 	if err != nil {
-		logf("headnode: elastic controller disabled: %v", err)
+		return nil, err
+	}
+	return &elasticAdvisor{h: h, arb: arb, known: make(map[int]bool), logf: logf}, nil
+}
+
+// runElasticAdvisor ticks an advisor over h on the arbiter's cadence until
+// ctx is cancelled.
+func runElasticAdvisor(ctx context.Context, h *head.Head, maxWorkers int, logf func(string, ...any)) {
+	a, err := newElasticAdvisor(h, maxWorkers, logf)
+	if err != nil {
+		logf("headnode: elastic advisor disabled: %v", err)
 		return
 	}
-	te := &elastic.ThroughputEstimator{}
-	known := make(map[int]bool)
 	start := time.Now()
-	t := time.NewTicker(pol.EffectiveInterval())
+	t := time.NewTicker(a.arb.Config().EffectiveInterval())
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
+			a.tick(time.Since(start))
 		}
-		now := time.Since(start)
-		// Reconcile billing episodes with dynamic registrations: sites at or
-		// above the burst base appear when an operator launches a worker and
-		// vanish when a drain completes.
-		current := make(map[int]bool)
-		for _, site := range h.Sites() {
-			if site >= elastic.DefaultWorkerSiteBase {
-				current[site] = true
-				if !known[site] {
-					known[site] = true
-					ctrl.WorkerLaunched(now, site)
-					logf("headnode: elastic worker registered at site %d", site)
-				}
+	}
+}
+
+// tick is one arbiter step at session time now.
+func (a *elasticAdvisor) tick(now time.Duration) {
+	// Reconcile billing episodes with dynamic registrations: sites at or
+	// above the burst base appear when an operator launches a worker and
+	// vanish when a drain completes.
+	current := make(map[int]bool)
+	for _, site := range a.h.Sites() {
+		if site >= elastic.DefaultWorkerSiteBase {
+			current[site] = true
+			if !a.known[site] {
+				a.known[site] = true
+				a.arb.WorkerLaunched(now, site)
+				a.logf("headnode: elastic worker registered at site %d", site)
 			}
 		}
-		for site := range known {
-			if !current[site] {
-				delete(known, site)
-				ctrl.WorkerStopped(now, site)
-			}
+	}
+	for site := range a.known {
+		if !current[site] {
+			delete(a.known, site)
+			a.arb.WorkerStopped(now, site)
 		}
-		var total int64
-		for _, b := range pool.RemainingBytesBySite() {
+	}
+	loads := a.h.QueryLoads()
+	var total int64
+	for _, l := range loads {
+		for _, b := range l.Remaining {
 			total += b
 		}
-		te.Observe(now, total, len(ctrl.ActiveSites()))
-		dec := ctrl.StepWith(now, te.Est(total))
-		switch dec.Action {
-		case elastic.ScaleUp:
-			logf("headnode: elastic advisory: launch %d more worker(s) — %s", dec.Delta, dec.Reason)
-		case elastic.ScaleDown:
-			for _, site := range dec.Sites {
-				if _, err := h.DrainSite(site); err != nil {
-					logf("headnode: elastic drain of site %d: %v", site, err)
-				} else {
-					logf("headnode: elastic scale-down: draining site %d — %s", site, dec.Reason)
-				}
+	}
+	a.te.Observe(now, total, len(a.arb.ActiveSites()))
+	dec := a.arb.StepWith(now, loads, a.te.Raw)
+	switch dec.Action {
+	case elastic.ScaleUp:
+		a.logf("headnode: elastic advisory: launch %d more worker(s) — %s", dec.Delta, dec.Reason)
+	case elastic.ScaleDown:
+		for _, site := range dec.Sites {
+			if _, err := a.h.DrainSite(site); err != nil {
+				a.logf("headnode: elastic drain of site %d: %v", site, err)
+			} else {
+				a.logf("headnode: elastic scale-down: draining site %d — %s", site, dec.Reason)
 			}
 		}
 	}

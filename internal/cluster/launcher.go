@@ -31,7 +31,7 @@ func (w *Worker) Err() error {
 	return w.err
 }
 
-// Launcher provisions cluster workers on demand — the elastic controller's
+// Launcher provisions cluster workers on demand — the elastic arbiter's
 // actuator. Launch must register the worker with the head at the given site
 // ID and start its agent loop; the worker departs when the head drains the
 // site (or ctx is canceled).

@@ -57,7 +57,7 @@ func DefaultPricing2011() Pricing {
 // $0.023/GB-month standard object storage. The headline difference from
 // DefaultPricing2011 for elastic scale-down is the billing quantum: with
 // per-second billing a drained worker stops costing money immediately, so
-// the controller decommissions far more aggressively than under whole-hour
+// the arbiter decommissions far more aggressively than under whole-hour
 // billing, where a worker's remaining paid-for hour is free to keep.
 func DefaultPricingCurrent() Pricing {
 	return Pricing{

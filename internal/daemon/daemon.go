@@ -40,16 +40,9 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 		"write a plain-text metrics snapshot here on exit")
 }
 
-// ElasticFlags holds the elastic-provisioning flags shared by head-side
-// daemons: turn the arbiter on, cap the fleet, and (deprecated) seed a
-// process-wide session-default deadline/budget.
-//
-// Deadline and Budget are per-QUERY concerns since the session-wide arbiter
-// redesign: queries carry their own policy (driver Step.Elastic, or the
-// admission RPC's policy payload over the wire). The -deadline/-budget flags
-// are kept for one release as session-default fallbacks — they become the
-// head's default policy, inherited only by queries that do not bring their
-// own — and will be removed next release.
+// ElasticFlags holds the elastic-provisioning flags of a head-side daemon
+// that admits one query: turn the arbiter on, cap the fleet, and give the
+// query its deadline and budget.
 type ElasticFlags struct {
 	Elastic    bool
 	Deadline   time.Duration
@@ -61,25 +54,21 @@ type ElasticFlags struct {
 // flags to fs.
 func (f *ElasticFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Elastic, "elastic", false,
-		"admit dynamically provisioned worker sites and run the elastic burst controller")
+		"admit dynamically provisioned worker sites and run the elastic burst arbiter")
 	fs.DurationVar(&f.Deadline, "deadline", 0,
-		"DEPRECATED session-default query deadline, inherited by queries without their own policy; prefer per-query policies (0 = none)")
+		"elastic: the query's deadline (0 = none)")
 	fs.Float64Var(&f.Budget, "budget", 0,
-		"DEPRECATED session-default query budget in dollars, inherited by queries without their own policy; prefer per-query policies (0 = unlimited)")
+		"elastic: the query's instance budget in dollars (0 = unlimited)")
 	fs.IntVar(&f.MaxWorkers, "elastic-max-workers", 8,
 		"elastic: maximum burst workers")
 }
 
-// SessionDefaultPolicy returns the deprecated process-wide fallback policy
-// the flags describe, or nil when neither -deadline nor -budget was set. The
-// caller seeds head.Config.DefaultPolicy with it so policy-free queries
-// inherit the old behavior during the deprecation window.
-func (f *ElasticFlags) SessionDefaultPolicy(logf func(format string, args ...any)) *elastic.Policy {
+// Policy returns the elastic policy the flags give the daemon's query, or
+// nil when neither -deadline nor -budget was set (the query then rides
+// unpolicied and never justifies fleet growth).
+func (f *ElasticFlags) Policy() *elastic.Policy {
 	if f.Deadline <= 0 && f.Budget <= 0 {
 		return nil
-	}
-	if logf != nil {
-		logf("warning: -deadline/-budget are deprecated process-wide fallbacks; they now seed the session-default policy, inherited only by queries without their own — supply per-query policies instead (removed next release)")
 	}
 	return &elastic.Policy{Deadline: f.Deadline, Budget: f.Budget, MaxWorkers: f.MaxWorkers}
 }

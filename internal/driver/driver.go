@@ -64,7 +64,7 @@ type Deployment struct {
 	// metrics and trace endpoints read the deployment's Obs bundle.
 	DebugAddr string
 	// Elastic, when non-nil, enables dynamic provisioning: queries submitted
-	// with Step.Elastic run under a burst controller that launches and drains
+	// with Step.Elastic run under a burst arbiter that launches and drains
 	// cloud workers mid-query. Sessions over an elastic deployment admit
 	// sites beyond the static cluster set (head.Config.DynamicSites).
 	Elastic *ElasticConfig

@@ -18,7 +18,9 @@ const DefaultArbiterMaxWorkers = 8
 // QueryLoad is one admitted query's view as the arbiter sees it each tick:
 // identity, fair-share weight, the query's elastic policy (nil for a query
 // that merely rides along on fair share), and its uncommitted bytes keyed by
-// hosting site. Callers include only queries with work remaining.
+// hosting site. Callers include a query while it has work remaining or a
+// further pass to run (Remaining is then empty); a query absent from a tick
+// is over, and its deadline anchor forgotten.
 type QueryLoad struct {
 	Query     int
 	Weight    int
@@ -34,10 +36,15 @@ type ArbiterConfig struct {
 	Interval time.Duration
 	// ScaleUpCooldown suppresses a second scale-up within the window.
 	ScaleUpCooldown time.Duration
-	// ScaleDownDrainTimeout bounds a graceful drain (executor configuration,
-	// carried here like Policy.ScaleDownDrainTimeout).
+	// ScaleDownDrainTimeout bounds a graceful drain; past it the executor
+	// falls back to declaring the site failed (requeue + reissue recover the
+	// work). The arbiter itself does not time drains — this is executor
+	// configuration carried with the cadence knobs.
 	ScaleDownDrainTimeout time.Duration
-	// LaunchLeadTime is the expected instance boot time.
+	// LaunchLeadTime is the expected instance boot time. Newly requested
+	// workers contribute nothing for this long, so the deadline test for a
+	// grown fleet is now + LaunchLeadTime + est(w'), and best-effort growth
+	// must beat the current estimate even after paying the boot.
 	LaunchLeadTime time.Duration
 	// MaxWorkers is the hard session fleet cap; it also stands in for any
 	// query policy with MaxWorkers 0. Default DefaultArbiterMaxWorkers.
@@ -54,9 +61,8 @@ func (c ArbiterConfig) EffectiveInterval() time.Duration {
 	return DefaultInterval
 }
 
-// ValidateQueryPolicy checks a per-query policy for admission. Unlike
-// Policy.Validate (the single-query controller's contract) it permits
-// MaxWorkers 0, which means "the arbiter's session cap".
+// ValidateQueryPolicy checks a per-query policy for admission. MaxWorkers 0
+// is valid: it means "the arbiter's session cap".
 func ValidateQueryPolicy(p Policy) error {
 	if p.Deadline < 0 || p.Budget < 0 {
 		return fmt.Errorf("elastic: negative deadline or budget")
@@ -73,24 +79,19 @@ func ValidateQueryPolicy(p Policy) error {
 	return nil
 }
 
-// arbQuery is the arbiter's per-query bookkeeping.
-type arbQuery struct {
-	start time.Duration // first-seen tick: the query's deadline anchor
-}
-
-// Arbiter is the session-wide replacement for the one-query Controller
-// loop: ONE fleet-sizing feedback loop serves every admitted query, each
-// carrying its own deadline/budget policy. Per tick it re-runs the analytic
+// Arbiter is the session's ONE fleet-sizing feedback loop: it serves every
+// admitted query, each carrying its own deadline/budget policy (a
+// single-query run is the N=1 case). Per tick it re-runs the analytic
 // estimator against the aggregate remaining work for the fleet estimate,
 // and against each query's fair-share-scaled remaining work
 // (estimate.ShareScaledRemaining — a query holding weight w of W total gets
 // w/W of the fleet's throughput) for the per-query deadline tests. It picks
 // one fleet size that satisfies every feasible deadline under the summed
-// budgets, scales up through the same smallest-sufficient-fleet search as
-// the Controller, and drains billing-quantum-aware exactly the same way.
+// budgets, scales up through a smallest-sufficient-fleet search, and drains
+// billing-quantum-aware.
 //
-// Like the Controller, the arbiter is pure policy: no goroutines, clocks or
-// I/O. Step is a pure function of its input stream — (now, loads) ticks plus
+// The arbiter is pure policy: no goroutines, clocks or I/O. Step is a pure
+// function of its input stream — (now, loads) ticks plus
 // WorkerLaunched/WorkerStopped events — so the same code drives
 // hybridsim.RunMulti (via SimElastic, virtual clock) and the live driver,
 // and a replayed input stream reproduces the decision log byte for byte.
@@ -101,8 +102,11 @@ type arbQuery struct {
 // budgets cap the aggregate projection. Either breach forces a drain.
 // Infeasible deadlines: a deadline no affordable fleet can meet (even at
 // the cap) stops constraining the fleet search — the arbiter sizes for the
-// tightest FEASIBLE deadline set and otherwise grows best-effort, exactly
-// like the Controller's best-effort branch.
+// tightest FEASIBLE deadline set and otherwise grows best-effort.
+//
+// Deadline anchor: a query's deadline runs from the tick BEFORE the one that
+// first sees it (0 before the first tick). The admission happened somewhere
+// in that window, so the arbiter never steers later than the policy allows.
 type Arbiter struct {
 	cfg ArbiterConfig
 	env *Env
@@ -112,22 +116,30 @@ type Arbiter struct {
 	lastUp    time.Duration
 	scaledUp  bool
 	decisions []Decision
-	queries   map[int]*arbQuery
+	anchor    map[int]time.Duration // active query → deadline anchor
 
 	// Per-query cost attribution: realized spend split by fair-share weight
 	// over the queries active at each tick.
 	attributed   map[int]float64
 	lastRealized float64
 
-	// Model-feedback calibration over the AGGREGATE drain rate (same EWMA
-	// as Controller.observe).
+	// Model-feedback calibration, maintained by observe: an EWMA of the ratio
+	// between the observed AGGREGATE drain rate and the rate the nominal model
+	// predicts. The environment model is built from pre-run calibration, so
+	// an unanticipated degradation (a slowed cluster, a failing disk array)
+	// would otherwise leave the arbiter over-optimistic; dividing every
+	// estimate by this ratio folds realized progress back into the model.
+	// lastAt doubles as the previous tick's time for deadline anchoring.
 	calib   float64
 	lastAt  time.Duration
 	lastRem int64
 	haveObs bool
 }
 
-// NewArbiter builds a session arbiter over env's worker model.
+// NewArbiter builds a session arbiter over env's worker model. env supplies
+// the model-based estimator used by Step; it may be nil when the caller only
+// uses StepWith (an observed-throughput estimator, as the headnode advisor
+// does).
 func NewArbiter(cfg ArbiterConfig, env *Env) (*Arbiter, error) {
 	if cfg.MaxWorkers < 0 {
 		return nil, fmt.Errorf("elastic: negative MaxWorkers")
@@ -146,7 +158,7 @@ func NewArbiter(cfg ArbiterConfig, env *Env) (*Arbiter, error) {
 	}
 	return &Arbiter{
 		cfg: cfg, env: env, calib: 1,
-		queries:    make(map[int]*arbQuery),
+		anchor:     make(map[int]time.Duration),
 		attributed: make(map[int]float64),
 	}, nil
 }
@@ -154,15 +166,17 @@ func NewArbiter(cfg ArbiterConfig, env *Env) (*Arbiter, error) {
 // Config returns the arbiter's (defaulted) configuration.
 func (a *Arbiter) Config() ArbiterConfig { return a.cfg }
 
-// WorkerLaunched records that a burst worker came up at the given site,
-// starting its billing episode.
+// WorkerLaunched records that a burst worker came up at the given site —
+// the executor calls it once the launch succeeded, starting the billing
+// clock for the worker's episode.
 func (a *Arbiter) WorkerLaunched(now time.Duration, site int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.episodes = append(a.episodes, episode{site: site, launched: now})
 }
 
-// WorkerStopped ends the billing episode of the worker at site.
+// WorkerStopped records that the worker at site fully drained (or was
+// forcefully failed) and its instance released, ending its billing episode.
 func (a *Arbiter) WorkerStopped(now time.Duration, site int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -201,7 +215,8 @@ func (a *Arbiter) Decisions() []Decision {
 	return append([]Decision(nil), a.decisions...)
 }
 
-// InstanceCost returns the realized instance spend so far.
+// InstanceCost returns the realized instance spend so far: every episode
+// billed from launch to its stop (or to now if still running).
 func (a *Arbiter) InstanceCost(now time.Duration) float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -235,10 +250,15 @@ func (a *Arbiter) episodeCost(d time.Duration) float64 {
 	return episodeCostFor(a.cfg.Pricing, a.instancesPerWorker(), d)
 }
 
+// realizedLocked prices all episodes with running ones billed through
+// horizon (draining ones through now — they are about to stop).
 func (a *Arbiter) realizedLocked(now, horizon time.Duration) float64 {
 	return realizedEpisodes(a.cfg.Pricing, a.instancesPerWorker(), a.episodes, now, horizon)
 }
 
+// projectedLocked is the budget projection: realized episodes plus the
+// current fleet billed through finish plus `add` new workers billed from
+// now to finish.
 func (a *Arbiter) projectedLocked(now, finish time.Duration, add int) float64 {
 	total := a.realizedLocked(now, finish)
 	if add > 0 && finish > now {
@@ -248,9 +268,9 @@ func (a *Arbiter) projectedLocked(now, finish time.Duration, add int) float64 {
 }
 
 // attributeLocked splits the spend accrued since the last tick over the
-// active queries by weight and rolls the queries map forward: first-seen
-// queries get their deadline anchor, vanished ones are dropped.
-func (a *Arbiter) attributeLocked(now time.Duration, loads []QueryLoad) {
+// active queries by weight and rolls the anchor map forward: first-seen
+// queries are anchored at prev (the previous tick), vanished ones dropped.
+func (a *Arbiter) attributeLocked(now, prev time.Duration, loads []QueryLoad) {
 	realized := a.realizedLocked(now, now)
 	delta := realized - a.lastRealized
 	totalWeight := 0
@@ -270,13 +290,13 @@ func (a *Arbiter) attributeLocked(now time.Duration, loads []QueryLoad) {
 	seen := make(map[int]bool, len(loads))
 	for _, l := range loads {
 		seen[l.Query] = true
-		if _, ok := a.queries[l.Query]; !ok {
-			a.queries[l.Query] = &arbQuery{start: now}
+		if _, ok := a.anchor[l.Query]; !ok {
+			a.anchor[l.Query] = prev
 		}
 	}
-	for q := range a.queries {
+	for q := range a.anchor {
 		if !seen[q] {
-			delete(a.queries, q)
+			delete(a.anchor, q)
 		}
 	}
 }
@@ -326,8 +346,8 @@ func (a *Arbiter) fleetBounds(loads []QueryLoad) (floor, cap int) {
 // Step runs one arbiter tick. loads carries every query with work left
 // (policied or not); the arbiter aggregates them for the fleet estimate and
 // tests each policied query's deadline against its fair-share-scaled
-// remaining work. The returned Decision is executed by the caller exactly
-// like a Controller decision (launch Delta workers / drain Sites).
+// remaining work. The caller executes the returned Decision (launch Delta
+// workers / drain Sites).
 func (a *Arbiter) Step(now time.Duration, loads []QueryLoad) Decision {
 	return a.StepWith(now, loads, func(rem map[int]int64, workers int) (time.Duration, bool) {
 		if a.env == nil {
@@ -342,8 +362,10 @@ func (a *Arbiter) Step(now time.Duration, loads []QueryLoad) Decision {
 }
 
 // StepWith is Step with the raw model estimator injected: raw answers "how
-// long would THIS remaining map take on a fleet of workers". Step passes
-// the estimate.MakespanRemaining model; tests pass synthetic curves.
+// long would THIS remaining map take on a fleet of workers" (ok=false when
+// no estimate is available, which holds the fleet). Step passes the
+// estimate.MakespanRemaining model; the headnode advisor passes observed
+// throughput (ThroughputEstimator.Raw); tests pass synthetic curves.
 func (a *Arbiter) StepWith(now time.Duration, loads []QueryLoad,
 	raw func(rem map[int]int64, workers int) (time.Duration, bool)) Decision {
 	aggregate := make(map[int]int64)
@@ -356,7 +378,7 @@ func (a *Arbiter) StepWith(now time.Duration, loads []QueryLoad,
 	}
 
 	rawAgg := func(workers int) (time.Duration, bool) { return raw(aggregate, workers) }
-	calib := a.observe(now, aggregate, rawAgg)
+	calib, prev := a.observe(now, aggregate, rawAgg)
 	estAgg := func(workers int) (time.Duration, bool) {
 		e, ok := rawAgg(workers)
 		if !ok {
@@ -378,7 +400,7 @@ func (a *Arbiter) StepWith(now time.Duration, loads []QueryLoad,
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.attributeLocked(now, loads)
+	a.attributeLocked(now, prev, loads)
 	w := len(a.activeSitesLocked())
 	d := Decision{At: now, Action: Hold, Workers: w}
 
@@ -428,11 +450,7 @@ func (a *Arbiter) StepWith(now time.Duration, loads []QueryLoad,
 		if l.Policy == nil || l.Policy.Deadline <= 0 {
 			continue
 		}
-		start := time.Duration(0)
-		if q := a.queries[l.Query]; q != nil {
-			start = q.start
-		}
-		dls = append(dls, dlq{load: l, target: start + targetDeadline(l.Policy.Deadline)})
+		dls = append(dls, dlq{load: l, target: a.anchor[l.Query] + targetDeadline(l.Policy.Deadline)})
 	}
 	sort.Slice(dls, func(i, j int) bool { return dls[i].load.Query < dls[j].load.Query })
 
@@ -467,7 +485,7 @@ func (a *Arbiter) StepWith(now time.Duration, loads []QueryLoad,
 // dlq pairs a deadline-carrying query with its margined absolute target.
 type dlq struct {
 	load   QueryLoad
-	target time.Duration // start + margined deadline
+	target time.Duration // anchor + margined deadline
 }
 
 // anyDeadlineAtRisk reports whether some policied query's share-scaled
@@ -572,6 +590,9 @@ func (a *Arbiter) scaleUpLocked(d *Decision, now, estNow time.Duration,
 		d.Reason = "deadline at risk but inside scale-up cooldown"
 		return
 	}
+	// New workers boot for LaunchLeadTime before contributing: a grown
+	// fleet's finish is pushed out by the boot, so the arbiter provisions
+	// ahead of need instead of discovering the boot cost after the deadline.
 	lead := a.cfg.LaunchLeadTime
 	meets := func(q dlq, ww int) bool {
 		e, ok := estQ(q.load, ww)
@@ -645,9 +666,11 @@ func (a *Arbiter) scaleUpLocked(d *Decision, now, estNow time.Duration,
 	a.scaledUp = true
 }
 
-// scaleDownLocked mirrors Controller.scaleDownLocked over the session
-// fleet: drain the soonest-renewal worker whose paid-for quantum does not
-// already cover the horizon, with hysteresis supplied by the caller
+// scaleDownLocked drains one worker when doing so is free of deadline risk
+// (or forced by a budget breach). Only workers whose paid-for quantum runs
+// out before the remaining horizon are candidates — a worker already paid
+// through the finish is free to keep. Among candidates the one with the
+// soonest renewal drains first. Hysteresis is supplied by the caller
 // (deadlinesSafe nil means forced — budget breaches drain regardless).
 func (a *Arbiter) scaleDownLocked(d *Decision, now, estNow time.Duration,
 	estAgg func(int) (time.Duration, bool), deadlinesSafe func(int) bool,
@@ -660,6 +683,9 @@ func (a *Arbiter) scaleDownLocked(d *Decision, now, estNow time.Duration,
 		return
 	}
 	if !forced && a.scaledUp && a.cfg.ScaleUpCooldown > 0 && now-a.lastUp < a.cfg.ScaleUpCooldown {
+		// Symmetric cooldown: a worker we just paid to launch is not drained
+		// on the next tick merely because the estimate swung back — the
+		// estimate calibration needs a few samples to settle.
 		d.Reason = "surplus capacity but inside scale-up cooldown"
 		return
 	}
@@ -682,6 +708,11 @@ func (a *Arbiter) scaleDownLocked(d *Decision, now, estNow time.Duration,
 		return
 	}
 	if !forced {
+		// Hysteresis: only drain when the smaller fleet would still finish in
+		// half the time left before every (margined) deadline. Estimate noise
+		// must not churn the fleet — each churn cycle bills a fresh quantum
+		// and loses ramp time — so unforced drains need an overwhelming
+		// surplus, which in practice means the tail of the run.
 		e, ok := estAgg(w - 1)
 		if !ok || (deadlinesSafe != nil && !deadlinesSafe(w-1)) {
 			d.Reason = "surplus renewal due but draining would risk a deadline"
@@ -705,10 +736,12 @@ func (a *Arbiter) scaleDownLocked(d *Decision, now, estNow time.Duration,
 	d.ProjectedCost = a.projectedLocked(now, now+d.Estimate, 0)
 }
 
-// observe folds one aggregate progress sample into the calibration (same
-// EWMA as Controller.observe).
+// observe folds one aggregate progress sample into the throughput
+// calibration and returns the current correction factor (< 1 means the
+// system is running slower than the nominal model predicts) together with
+// the previous tick's time (0 on the first tick).
 func (a *Arbiter) observe(now time.Duration, aggregate map[int]int64,
-	raw func(int) (time.Duration, bool)) float64 {
+	raw func(int) (time.Duration, bool)) (calib float64, prev time.Duration) {
 	var total int64
 	for _, b := range aggregate {
 		total += b
@@ -717,14 +750,14 @@ func (a *Arbiter) observe(now time.Duration, aggregate map[int]int64,
 	w := len(a.activeSitesLocked())
 	last, lastAt, have := a.lastRem, a.lastAt, a.haveObs
 	a.lastRem, a.lastAt, a.haveObs = total, now, true
-	calib := a.calib
+	calib = a.calib
 	a.mu.Unlock()
 	if !have || now <= lastAt || total <= 0 || last <= total {
-		return calib
+		return calib, lastAt // nothing drained this tick: leave the calibration be
 	}
 	modelEst, ok := raw(w)
 	if !ok || modelEst <= 0 {
-		return calib
+		return calib, lastAt
 	}
 	modelRate := float64(total) / modelEst.Seconds()
 	observedRate := float64(last-total) / (now - lastAt).Seconds()
@@ -735,11 +768,11 @@ func (a *Arbiter) observe(now time.Duration, aggregate map[int]int64,
 	a.mu.Lock()
 	a.calib = calib
 	a.mu.Unlock()
-	return calib
+	return calib, lastAt
 }
 
 // SimElastic binds the arbiter to a hybridsim multi-query run through the
-// per-query DecideMulti hook: the SAME Step code ticks on the virtual
+// per-query Decide hook: the SAME Step code ticks on the virtual
 // clock, fed each query's remaining work and weight, with policies looked
 // up by query index in the supplied map (nil entries — and absent ones —
 // ride along unpolicied). siteBase ≤ 0 uses DefaultWorkerSiteBase.
@@ -758,7 +791,7 @@ func (a *Arbiter) SimElastic(siteBase int, policies map[int]*Policy) *hybridsim.
 		Worker:         worker,
 		WorkerPaths:    paths,
 		WorkerSiteBase: siteBase,
-		DecideMulti: func(now time.Duration, sims []hybridsim.ElasticLoad, workers []int) hybridsim.ElasticDecision {
+		Decide: func(now time.Duration, sims []hybridsim.ElasticLoad, workers []int) hybridsim.ElasticDecision {
 			loads := make([]QueryLoad, 0, len(sims))
 			for _, l := range sims {
 				loads = append(loads, QueryLoad{

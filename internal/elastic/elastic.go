@@ -1,24 +1,25 @@
-// Package elastic implements the burst controller: a feedback loop that,
-// during a live (or simulated) run, re-estimates the remaining work and
-// decides — under a deadline and a dollar budget — when to provision extra
-// cloud workers and when to drain idle ones. This is the dynamic follow-up
-// the paper's authors outline ("Time and Cost Sensitive Data-Intensive
-// Computing on Hybrid Clouds"): the static reproduction froze the topology
-// at startup; the controller turns provisioning into a per-tick decision
-// priced with costmodel.Pricing.
+// Package elastic implements the burst arbiter: one feedback loop that,
+// during a live (or simulated) session, re-estimates the remaining work and
+// decides — under each admitted query's deadline and dollar budget — when to
+// provision extra cloud workers and when to drain idle ones. This is the
+// dynamic follow-up the paper's authors outline ("Time and Cost Sensitive
+// Data-Intensive Computing on Hybrid Clouds"): the static reproduction froze
+// the topology at startup; the arbiter turns provisioning into a per-tick
+// decision priced with costmodel.Pricing. A single-query run is a session
+// with one QueryLoad.
 //
-// The controller is deliberately pure policy: it owns no goroutines, no
-// clocks and no I/O. Callers (driver.Session live, hybridsim.ElasticSim in
-// simulation) tick it with (now, remaining work) snapshots and execute the
-// returned Decisions. Because the same Step code runs in both, simulated
-// and live scaling behave identically on identical inputs — the parity the
-// acceptance tests pin down.
+// The arbiter is deliberately pure policy: it owns no goroutines, no clocks
+// and no I/O. Callers (driver.Session and the headnode advisor live,
+// hybridsim.ElasticSim in simulation) tick it with (now, per-query remaining
+// work) snapshots and execute the returned Decisions. Because the same Step
+// code runs in both, simulated and live scaling behave identically on
+// identical inputs — the parity the acceptance tests pin down.
 //
 // Billing awareness: scale-down respects Pricing.BillingQuantum. A worker
 // whose current paid-for quantum already covers the remaining horizon is
 // free to keep, so it is never drained; only workers that would need a
 // renewal are candidates. Under 2011-style whole-hour billing this makes
-// the controller hold workers to the end of their hour; under
+// the arbiter hold workers to the end of their hour; under
 // current-generation per-second billing almost every worker is one second
 // from a renewal, so surplus capacity is drained aggressively.
 package elastic
@@ -29,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
-	"repro/internal/estimate"
 	"repro/internal/hybridsim"
 )
 
@@ -38,72 +38,31 @@ import (
 // and drain bookkeeping — so the base just needs to clear every static site.
 const DefaultWorkerSiteBase = 1000
 
-// DefaultInterval is the controller tick period when Policy.Interval is 0.
+// DefaultInterval is the arbiter tick period when ArbiterConfig.Interval is 0.
 const DefaultInterval = 2 * time.Second
 
-// Policy is the per-query elasticity contract.
+// Policy is the per-query elasticity contract — the four numbers that cross
+// the wire with a query (protocol.ElasticPolicy). Everything session-wide
+// (cadence, cooldown, boot lead time, pricing, the fleet cap) lives on
+// ArbiterConfig.
 type Policy struct {
 	// Deadline is the target completion time, measured from the query's
-	// start on the controller's clock. 0 = no deadline (the controller then
-	// only ever scales down, minimizing cost).
+	// admission on the arbiter's clock. 0 = no deadline (the query then never
+	// justifies fleet growth, only drains).
 	Deadline time.Duration
 	// Budget caps projected instance spending in dollars. 0 = unlimited.
-	// The cap is hard: when the projection exceeds it the controller drains
+	// The cap is hard: when the projection exceeds it the arbiter drains
 	// workers even if that forfeits the deadline.
 	Budget float64
 	// MinWorkers and MaxWorkers bound the burst fleet (static clusters are
-	// not counted). MaxWorkers must be ≥ 1; MinWorkers defaults to 0.
+	// not counted). MaxWorkers 0 means the arbiter's session cap; MinWorkers
+	// defaults to 0.
 	MinWorkers int
 	MaxWorkers int
-	// ScaleUpCooldown suppresses a second scale-up within the window, so
-	// freshly launched workers get a chance to move the estimate before the
-	// controller doubles down. 0 = no cooldown.
-	ScaleUpCooldown time.Duration
-	// ScaleDownDrainTimeout bounds a graceful drain; past it the executor
-	// falls back to declaring the site failed (requeue + reissue recover the
-	// work). The controller itself does not time drains — this is executor
-	// configuration carried with the policy.
-	ScaleDownDrainTimeout time.Duration
-	// LaunchLeadTime is the expected instance boot time. Newly requested
-	// workers contribute nothing for this long, so the deadline test for a
-	// grown fleet is now + LaunchLeadTime + est(w'), and best-effort growth
-	// must beat the current estimate even after paying the boot. 0 keeps the
-	// instant-boot behavior.
-	LaunchLeadTime time.Duration
-	// Interval is the controller tick period (DefaultInterval when 0).
-	Interval time.Duration
-	// Pricing prices instance time for budget projections and realized-cost
-	// accounting. Zero value = costmodel.DefaultPricingCurrent().
-	Pricing costmodel.Pricing
-}
-
-// EffectiveInterval returns the tick period with the default applied.
-func (p Policy) EffectiveInterval() time.Duration {
-	if p.Interval > 0 {
-		return p.Interval
-	}
-	return DefaultInterval
-}
-
-// Validate checks the policy.
-func (p Policy) Validate() error {
-	if p.MaxWorkers < 1 {
-		return fmt.Errorf("elastic: MaxWorkers must be ≥ 1, got %d", p.MaxWorkers)
-	}
-	if p.MinWorkers < 0 || p.MinWorkers > p.MaxWorkers {
-		return fmt.Errorf("elastic: MinWorkers %d outside [0, MaxWorkers=%d]", p.MinWorkers, p.MaxWorkers)
-	}
-	if p.Deadline < 0 || p.Budget < 0 {
-		return fmt.Errorf("elastic: negative deadline or budget")
-	}
-	if p.LaunchLeadTime < 0 {
-		return fmt.Errorf("elastic: negative LaunchLeadTime")
-	}
-	return nil
 }
 
 // Env describes what one more worker buys: the static topology plus the
-// cluster model and network paths of a burst worker. The controller's
+// cluster model and network paths of a burst worker. The arbiter's
 // model-based estimator evaluates est(w) by appending w copies of Worker to
 // Base and re-running the remaining-work makespan estimate.
 type Env struct {
@@ -140,7 +99,7 @@ func (e *Env) ConfigWith(workers int) hybridsim.Config {
 	return cfg
 }
 
-// Action is what one controller tick asks the executor to do.
+// Action is what one arbiter tick asks the executor to do.
 type Action int
 
 const (
@@ -164,8 +123,8 @@ func (a Action) String() string {
 // Decision is one tick's verdict. The executor launches Delta workers on
 // ScaleUp, or gracefully drains the sites listed in Sites on ScaleDown.
 type Decision struct {
-	// At is the controller-clock instant of the decision.
-	At time.Duration
+	// At is the arbiter-clock instant of the decision.
+	At     time.Duration
 	Action Action
 	// Delta is the number of workers to add (ScaleUp only).
 	Delta int
@@ -185,104 +144,11 @@ type Decision struct {
 
 // episode is one worker's lifetime for billing: launch → (drain →) stop.
 type episode struct {
-	site     int
-	launched time.Duration
-	draining bool
-	stopped  bool
+	site      int
+	launched  time.Duration
+	draining  bool
+	stopped   bool
 	stoppedAt time.Duration
-}
-
-// Controller drives one query's elasticity. Safe for concurrent use; all
-// methods take snapshots of time as time.Duration on whatever clock the
-// caller runs (wall time since query start live, the virtual clock in sim).
-type Controller struct {
-	policy Policy
-	env    *Env
-
-	mu        sync.Mutex
-	episodes  []episode
-	lastUp    time.Duration
-	scaledUp  bool
-	decisions []Decision
-
-	// Model-feedback calibration, maintained by Step: an EWMA of the ratio
-	// between the observed drain rate and the rate the nominal model
-	// predicts. The environment model is built from pre-run calibration, so
-	// an unanticipated degradation (a slowed cluster, a failing disk array)
-	// would otherwise leave the controller over-optimistic; dividing every
-	// estimate by this ratio folds realized progress back into the model.
-	calib   float64
-	lastAt  time.Duration
-	lastRem int64
-	haveObs bool
-}
-
-// New builds a controller. env supplies the model-based estimator used by
-// Step; it may be nil when the caller only uses StepWith (an observed-
-// throughput estimator, as the headnode advisor does).
-func New(policy Policy, env *Env) (*Controller, error) {
-	if err := policy.Validate(); err != nil {
-		return nil, err
-	}
-	if policy.Pricing == (costmodel.Pricing{}) {
-		policy.Pricing = costmodel.DefaultPricingCurrent()
-	}
-	if err := policy.Pricing.Validate(); err != nil {
-		return nil, err
-	}
-	return &Controller{policy: policy, env: env, calib: 1}, nil
-}
-
-// Policy returns the controller's (defaulted) policy.
-func (c *Controller) Policy() Policy { return c.policy }
-
-// WorkerLaunched records that a burst worker came up at the given site —
-// the executor calls it once the launch succeeded, starting the billing
-// clock for the worker's episode.
-func (c *Controller) WorkerLaunched(now time.Duration, site int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.episodes = append(c.episodes, episode{site: site, launched: now})
-}
-
-// WorkerStopped records that the worker at site fully drained (or was
-// forcefully failed) and its instance released, ending its billing episode.
-func (c *Controller) WorkerStopped(now time.Duration, site int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.episodes {
-		ep := &c.episodes[i]
-		if ep.site == site && !ep.stopped {
-			ep.stopped = true
-			ep.stoppedAt = now
-			return
-		}
-	}
-}
-
-// ActiveSites returns the sites of running, non-draining workers in launch
-// order.
-func (c *Controller) ActiveSites() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.activeSitesLocked()
-}
-
-func (c *Controller) activeSitesLocked() []int {
-	var out []int
-	for _, ep := range c.episodes {
-		if !ep.stopped && !ep.draining {
-			out = append(out, ep.site)
-		}
-	}
-	return out
-}
-
-// Decisions returns the full decision log, one entry per tick.
-func (c *Controller) Decisions() []Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Decision(nil), c.decisions...)
 }
 
 // instancesForWorker maps one worker of workerCores cores to billable
@@ -357,326 +223,12 @@ func renewalAt(pricing costmodel.Pricing, ep episode, now time.Duration) time.Du
 	return nr
 }
 
-// instancesPerWorker maps one worker to billable instances.
-func (c *Controller) instancesPerWorker() int {
-	cores := 0
-	if c.env != nil {
-		cores = c.env.Worker.Cores
-	}
-	return instancesForWorker(c.policy.Pricing, cores)
-}
-
-// episodeCost prices one episode of the given runtime.
-func (c *Controller) episodeCost(d time.Duration) float64 {
-	return episodeCostFor(c.policy.Pricing, c.instancesPerWorker(), d)
-}
-
-// InstanceCost returns the realized instance spend so far: every episode
-// billed from launch to its stop (or to now if still running).
-func (c *Controller) InstanceCost(now time.Duration) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.realizedLocked(now, now)
-}
-
-// realizedLocked prices all episodes with running ones billed through
-// horizon (draining ones through now — they are about to stop).
-func (c *Controller) realizedLocked(now, horizon time.Duration) float64 {
-	return realizedEpisodes(c.policy.Pricing, c.instancesPerWorker(), c.episodes, now, horizon)
-}
-
-// projectedLocked is the budget projection: realized episodes plus the
-// current fleet billed through finish plus `add` new workers billed from
-// now to finish.
-func (c *Controller) projectedLocked(now, finish time.Duration, add int) float64 {
-	total := c.realizedLocked(now, finish)
-	if add > 0 && finish > now {
-		total += float64(add) * c.episodeCost(finish-now)
-	}
-	return total
-}
-
-// nextRenewal returns when the episode's current paid-for quantum runs out:
-// keeping the worker past that instant costs another quantum.
-func (c *Controller) nextRenewal(ep episode, now time.Duration) time.Duration {
-	return renewalAt(c.policy.Pricing, ep, now)
-}
-
-// Step runs one controller tick with the model-based estimator: est(w) =
-// estimate.MakespanRemaining over Env extended with w workers, corrected by
-// the observed-vs-modelled throughput calibration. remaining is bytes left
-// to process keyed by hosting site (jobs.Pool.RemainingBytesBySite).
-func (c *Controller) Step(now time.Duration, remaining map[int]int64) Decision {
-	raw := func(workers int) (time.Duration, bool) {
-		if c.env == nil {
-			return 0, false
-		}
-		e, err := estimate.MakespanRemaining(c.env.ConfigWith(workers), remaining)
-		if err != nil {
-			return 0, false
-		}
-		return e.Total(), true
-	}
-	calib := c.observe(now, remaining, raw)
-	est := func(workers int) (time.Duration, bool) {
-		e, ok := raw(workers)
-		if !ok {
-			return 0, false
-		}
-		return time.Duration(float64(e) / calib), true
-	}
-	return c.StepWith(now, est)
-}
-
-// observe folds one progress sample into the throughput calibration and
-// returns the current correction factor (< 1 means the system is running
-// slower than the nominal model predicts).
-func (c *Controller) observe(now time.Duration, remaining map[int]int64,
-	raw func(int) (time.Duration, bool)) float64 {
-	var total int64
-	for _, b := range remaining {
-		total += b
-	}
-	c.mu.Lock()
-	w := len(c.activeSitesLocked())
-	last, lastAt, have := c.lastRem, c.lastAt, c.haveObs
-	c.lastRem, c.lastAt, c.haveObs = total, now, true
-	calib := c.calib
-	c.mu.Unlock()
-	if !have || now <= lastAt || total <= 0 || last <= total {
-		return calib // nothing drained this tick: leave the calibration be
-	}
-	modelEst, ok := raw(w)
-	if !ok || modelEst <= 0 {
-		return calib
-	}
-	modelRate := float64(total) / modelEst.Seconds()
-	observedRate := float64(last-total) / (now - lastAt).Seconds()
-	ratio := observedRate / modelRate
-	ratio = min(max(ratio, 1.0/16), 16)
-	calib = 0.5*calib + 0.5*ratio
-	calib = min(max(calib, 1.0/16), 16)
-	c.mu.Lock()
-	c.calib = calib
-	c.mu.Unlock()
-	return calib
-}
-
-// StepWith runs one controller tick with a caller-supplied estimator:
-// est(w) must return the predicted time to finish the remaining work with w
-// burst workers (ok=false when no estimate is available, which holds the
-// fleet). This is the throughput-estimator entry point for deployments that
-// cannot re-run the analytic model.
-func (c *Controller) StepWith(now time.Duration, est func(workers int) (time.Duration, bool)) Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := len(c.activeSitesLocked())
-	d := Decision{At: now, Action: Hold, Workers: w}
-
-	estNow, ok := est(w)
-	if !ok {
-		d.Reason = "no estimate available"
-		d.ProjectedCost = c.realizedLocked(now, now)
-		c.decisions = append(c.decisions, d)
-		return d
-	}
-	d.Estimate = estNow
-	finish := now + estNow
-	d.ProjectedCost = c.projectedLocked(now, finish, 0)
-	deadline := c.policy.Deadline
-
-	switch {
-	case c.policy.Budget > 0 && d.ProjectedCost > c.policy.Budget && w > c.policy.MinWorkers:
-		// Hard budget cap: shed a worker even if the deadline suffers.
-		c.scaleDownLocked(&d, now, estNow, est, true,
-			fmt.Sprintf("projected cost $%.4f exceeds budget $%.4f", d.ProjectedCost, c.policy.Budget))
-	case deadline > 0 && finish > targetDeadline(deadline):
-		c.scaleUpLocked(&d, now, estNow, est)
-	default:
-		c.scaleDownLocked(&d, now, estNow, est, false, "")
-	}
-	c.decisions = append(c.decisions, d)
-	return d
-}
-
-// targetDeadline is the deadline the controller actually aims at: 1/8th
+// targetDeadline is the deadline the arbiter actually aims at: 1/8th
 // inside the policy deadline. The analytic estimate is a fluid-model lower
 // bound — it has no request latencies, commit granularity, or end-of-run
 // stragglers — so steering at the raw deadline systematically overshoots.
 func targetDeadline(deadline time.Duration) time.Duration {
 	return deadline - deadline/8
-}
-
-// scaleUpLocked fills in d with the smallest affordable fleet that meets
-// the deadline, or a best-effort growth when none does.
-func (c *Controller) scaleUpLocked(d *Decision, now, estNow time.Duration, est func(int) (time.Duration, bool)) {
-	w := d.Workers
-	deadline := c.policy.Deadline
-	if w >= c.policy.MaxWorkers {
-		d.Reason = fmt.Sprintf("deadline at risk (est %v past deadline %v) but at MaxWorkers=%d",
-			(now + estNow).Round(time.Millisecond), deadline, c.policy.MaxWorkers)
-		return
-	}
-	if c.scaledUp && c.policy.ScaleUpCooldown > 0 && now-c.lastUp < c.policy.ScaleUpCooldown {
-		d.Reason = "deadline at risk but inside scale-up cooldown"
-		return
-	}
-	// New workers boot for LaunchLeadTime before contributing: a grown
-	// fleet's finish is pushed out by the boot, so the controller provisions
-	// ahead of need instead of discovering the boot cost after the deadline.
-	lead := c.policy.LaunchLeadTime
-	target, targetEst := -1, time.Duration(0)
-	for ww := w + 1; ww <= c.policy.MaxWorkers; ww++ {
-		e, ok := est(ww)
-		if !ok {
-			continue
-		}
-		if now+lead+e <= targetDeadline(deadline) && c.affordableLocked(now, now+lead+e, ww-w) {
-			target, targetEst = ww, e
-			break
-		}
-	}
-	reason := "meets deadline"
-	if target == -1 {
-		// No fleet meets the deadline: grow best-effort to the largest
-		// affordable size that still improves the estimate — net of the boot
-		// time the new workers spend contributing nothing.
-		for ww := c.policy.MaxWorkers; ww > w; ww-- {
-			e, ok := est(ww)
-			if !ok {
-				continue
-			}
-			if lead+e < estNow && c.affordableLocked(now, now+lead+e, ww-w) {
-				target, targetEst = ww, e
-				reason = "best effort (no affordable fleet meets deadline)"
-				break
-			}
-		}
-	}
-	if target == -1 {
-		d.Reason = "deadline at risk but no affordable scale-up improves it"
-		return
-	}
-	d.Action = ScaleUp
-	d.Delta = target - w
-	d.Workers = target
-	d.Estimate = lead + targetEst
-	d.ProjectedCost = c.projectedLocked(now, now+lead+targetEst, d.Delta)
-	d.Reason = fmt.Sprintf("scale %d→%d workers: est %v %s",
-		w, target, targetEst.Round(time.Millisecond), reason)
-	c.lastUp = now
-	c.scaledUp = true
-}
-
-// scaleDownLocked drains one worker when doing so is free of deadline risk
-// (or forced by the budget cap). Only workers whose paid-for quantum runs
-// out before the remaining horizon are candidates — a worker already paid
-// through the finish is free to keep. Among candidates the one with the
-// soonest renewal drains first.
-func (c *Controller) scaleDownLocked(d *Decision, now, estNow time.Duration,
-	est func(int) (time.Duration, bool), forced bool, forcedReason string) {
-	w := d.Workers
-	if w <= c.policy.MinWorkers {
-		if d.Reason == "" {
-			d.Reason = "deadline met, fleet at floor"
-		}
-		return
-	}
-	if !forced && c.scaledUp && c.policy.ScaleUpCooldown > 0 && now-c.lastUp < c.policy.ScaleUpCooldown {
-		// Symmetric cooldown: a worker we just paid to launch is not drained
-		// on the next tick merely because the estimate swung back — the
-		// estimate calibration needs a few samples to settle.
-		d.Reason = "surplus capacity but inside scale-up cooldown"
-		return
-	}
-	// Candidate: soonest-renewal active worker that is not already paid
-	// through the horizon (forced drains ignore the paid-through grace).
-	bestIdx, bestRenewal := -1, time.Duration(0)
-	for i := range c.episodes {
-		ep := &c.episodes[i]
-		if ep.stopped || ep.draining {
-			continue
-		}
-		nr := c.nextRenewal(*ep, now)
-		if !forced && nr-now >= estNow {
-			continue // its current quantum covers the horizon: free to keep
-		}
-		if bestIdx == -1 || nr < bestRenewal {
-			bestIdx, bestRenewal = i, nr
-		}
-	}
-	if bestIdx == -1 {
-		d.Reason = "deadline met; remaining workers are paid through the horizon"
-		return
-	}
-	if !forced {
-		// Hysteresis: only drain when the smaller fleet would still finish in
-		// half the time left before the (margined) deadline. Estimate noise
-		// must not churn the fleet — each churn cycle bills a fresh quantum
-		// and loses ramp time — so unforced drains need an overwhelming
-		// surplus, which in practice means the tail of the run.
-		e, ok := est(w - 1)
-		if !ok || (c.policy.Deadline > 0 && now+2*e > targetDeadline(c.policy.Deadline)) {
-			d.Reason = "surplus renewal due but draining would risk the deadline"
-			return
-		}
-		d.Estimate = e
-		d.Reason = fmt.Sprintf("drain site %d: renewal due at %v, deadline still met with %d workers",
-			c.episodes[bestIdx].site, bestRenewal.Round(time.Millisecond), w-1)
-	} else {
-		if e, ok := est(w - 1); ok {
-			d.Estimate = e
-		}
-		d.Reason = fmt.Sprintf("drain site %d: %s", c.episodes[bestIdx].site, forcedReason)
-	}
-	ep := &c.episodes[bestIdx]
-	ep.draining = true
-	d.Action = ScaleDown
-	d.Delta = -1
-	d.Sites = []int{ep.site}
-	d.Workers = w - 1
-	d.ProjectedCost = c.projectedLocked(now, now+d.Estimate, 0)
-}
-
-func (c *Controller) affordableLocked(now, finish time.Duration, add int) bool {
-	if c.policy.Budget <= 0 {
-		return true
-	}
-	return c.projectedLocked(now, finish, add) <= c.policy.Budget
-}
-
-// SimElastic binds the controller to a hybridsim multi-query run: the
-// returned ElasticSim ticks the SAME Step code on the virtual clock, so
-// simulated scaling decisions are the live controller's decisions on the
-// same inputs. siteBase ≤ 0 uses DefaultWorkerSiteBase.
-func (c *Controller) SimElastic(siteBase int) *hybridsim.ElasticSim {
-	if siteBase <= 0 {
-		siteBase = DefaultWorkerSiteBase
-	}
-	var worker hybridsim.ClusterModel
-	var paths map[int]hybridsim.PathModel
-	if c.env != nil {
-		worker = c.env.Worker
-		paths = c.env.WorkerPaths
-	}
-	return &hybridsim.ElasticSim{
-		Interval:       c.policy.EffectiveInterval(),
-		Worker:         worker,
-		WorkerPaths:    paths,
-		WorkerSiteBase: siteBase,
-		Decide: func(now time.Duration, remaining map[int]int64, workers []int) hybridsim.ElasticDecision {
-			d := c.Step(now, remaining)
-			switch d.Action {
-			case ScaleUp:
-				return hybridsim.ElasticDecision{Add: d.Delta}
-			case ScaleDown:
-				return hybridsim.ElasticDecision{Drain: append([]int(nil), d.Sites...)}
-			}
-			return hybridsim.ElasticDecision{}
-		},
-		OnLaunch:  c.WorkerLaunched,
-		OnDrained: c.WorkerStopped,
-	}
 }
 
 // FormatDecisions renders the non-Hold decisions, one per line — the
@@ -699,7 +251,7 @@ func FormatDecisions(ds []Decision) string {
 // Observed-throughput estimation, for deployments that cannot re-run the
 // analytic model (the headnode advisor).
 
-// ThroughputEstimator derives est(w) from observed progress: it watches the
+// ThroughputEstimator derives raw(rem, w) from observed progress: it watches the
 // total remaining bytes shrink between ticks, smooths the drain rate with
 // an EWMA, and assumes throughput scales linearly with the worker count
 // (each burst worker adds the marginal rate of one current worker-equivalent).
@@ -747,20 +299,22 @@ func (t *ThroughputEstimator) base() float64 {
 	return 1
 }
 
-// Est returns the estimator for StepWith: est(w) scales the observed drain
-// rate to w workers. ok=false until at least one positive rate sample.
-func (t *ThroughputEstimator) Est(remaining int64) func(workers int) (time.Duration, bool) {
-	return func(workers int) (time.Duration, bool) {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if t.rate <= 0 || t.rateUnits <= 0 {
-			return 0, false
-		}
-		rate := t.rate * (t.base() + float64(workers)) / t.rateUnits
-		if rate <= 0 {
-			return 0, false
-		}
-		secs := float64(remaining) / rate
-		return time.Duration(secs * float64(time.Second)), true
+// Raw is the estimator for Arbiter.StepWith: it scales the observed drain
+// rate to a fleet of `workers` and answers how long rem would take at that
+// rate. ok=false until at least one positive rate sample.
+func (t *ThroughputEstimator) Raw(rem map[int]int64, workers int) (time.Duration, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.rate <= 0 || t.rateUnits <= 0 {
+		return 0, false
 	}
+	rate := t.rate * (t.base() + float64(workers)) / t.rateUnits
+	if rate <= 0 {
+		return 0, false
+	}
+	var remaining int64
+	for _, b := range rem {
+		remaining += b
+	}
+	return time.Duration(float64(remaining) / rate * float64(time.Second)), true
 }

@@ -4,270 +4,22 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/costmodel"
 )
-
-// flatEst is an estimator whose prediction halves with each added
-// worker-equivalent: est(w) = base / (1 + w).
-func flatEst(base time.Duration) func(int) (time.Duration, bool) {
-	return func(workers int) (time.Duration, bool) {
-		return base / time.Duration(1+workers), true
-	}
-}
-
-func mustNew(t *testing.T, p Policy) *Controller {
-	t.Helper()
-	c, err := New(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func TestPolicyValidate(t *testing.T) {
-	bad := []Policy{
-		{},                                     // MaxWorkers 0
-		{MaxWorkers: 4, MinWorkers: 5},         // Min > Max
-		{MaxWorkers: 4, MinWorkers: -1},        // negative floor
-		{MaxWorkers: 4, Deadline: -time.Second}, // negative deadline
-		{MaxWorkers: 4, Budget: -1},            // negative budget
-	}
-	for i, p := range bad {
-		if _, err := New(p, nil); err == nil {
-			t.Errorf("policy %d accepted: %+v", i, p)
-		}
-	}
-	if _, err := New(Policy{MaxWorkers: 1}, nil); err != nil {
-		t.Errorf("minimal policy rejected: %v", err)
-	}
-}
-
-// TestBillingQuantumScaleDown is the satellite contract of
-// DefaultPricingCurrent: identical fleet, identical surplus, identical
-// deadline — the only difference is the billing quantum. Per-second billing
-// drains the surplus workers immediately (every one of them is a second away
-// from paying again); whole-hour billing holds them, because their current
-// paid-for hour already covers the short remaining horizon and draining buys
-// nothing.
-func TestBillingQuantumScaleDown(t *testing.T) {
-	cases := []struct {
-		name      string
-		pricing   costmodel.Pricing
-		wantDrain bool
-	}{
-		{"per-second billing drains aggressively", costmodel.DefaultPricingCurrent(), true},
-		{"whole-hour billing holds paid-through workers", costmodel.DefaultPricing2011(), false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ctrl := mustNew(t, Policy{
-				Deadline:   20 * time.Minute,
-				MaxWorkers: 4,
-				Pricing:    tc.pricing,
-			})
-			for site := 1000; site < 1003; site++ {
-				ctrl.WorkerLaunched(0, site)
-			}
-			// Two minutes in, one minute of work left at any fleet size:
-			// a huge surplus, no deadline risk whatsoever.
-			dec := ctrl.StepWith(2*time.Minute, func(int) (time.Duration, bool) {
-				return time.Minute, true
-			})
-			if got := dec.Action == ScaleDown; got != tc.wantDrain {
-				t.Fatalf("action = %v (%s), want drain=%v", dec.Action, dec.Reason, tc.wantDrain)
-			}
-			if tc.wantDrain {
-				if len(dec.Sites) != 1 || dec.Sites[0] != 1000 {
-					t.Errorf("drained sites = %v, want the soonest-renewal worker [1000]", dec.Sites)
-				}
-			} else if !strings.Contains(dec.Reason, "paid through") {
-				t.Errorf("hold reason = %q, want a paid-through-the-horizon explanation", dec.Reason)
-			}
-		})
-	}
-}
-
-func TestScaleUpPicksSmallestFleetMeetingDeadline(t *testing.T) {
-	ctrl := mustNew(t, Policy{Deadline: 100 * time.Second, MaxWorkers: 8})
-	// est(w) = 240s/(1+w): w=0 misses, w=2 gives 80s ≤ target 87.5s.
-	dec := ctrl.StepWith(0, flatEst(240*time.Second))
-	if dec.Action != ScaleUp || dec.Delta != 2 || dec.Workers != 2 {
-		t.Fatalf("decision = %+v, want scale-up to 2 workers", dec)
-	}
-}
-
-// TestLaunchLeadTimeProvisionsAhead: with est(w) = 240s/(1+w) and a 100s
-// deadline (target 87.5s), boot time shifts the fleet the controller must
-// buy — the deadline test charges every new worker its lead before it
-// contributes.
-func TestLaunchLeadTimeProvisionsAhead(t *testing.T) {
-	cases := []struct {
-		name       string
-		lead       time.Duration
-		estBase    time.Duration
-		wantAction Action
-		wantFleet  int
-	}{
-		// No lead: w=2 gives 80s ≤ 87.5s.
-		{"instant boot picks 2", 0, 240 * time.Second, ScaleUp, 2},
-		// 10s lead: w=2 gives 10+80 = 90s > 87.5s; w=3 gives 10+60 = 70s.
-		{"10s boot needs 3", 10 * time.Second, 240 * time.Second, ScaleUp, 3},
-		// 30s lead: w=3 gives 30+60 = 90s > 87.5s; w=4 gives 30+48 = 78s.
-		{"30s boot needs 4", 30 * time.Second, 240 * time.Second, ScaleUp, 4},
-		// 110s lead on a 120s job: no fleet meets the deadline, and even
-		// est(8) = 13.3s cannot beat estNow = 120s once the boot is charged
-		// (110+13.3 > 120), so best-effort growth is pointless too.
-		{"boot longer than any improvement holds", 110 * time.Second, 120 * time.Second, Hold, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ctrl := mustNew(t, Policy{Deadline: 100 * time.Second, MaxWorkers: 8,
-				LaunchLeadTime: tc.lead})
-			dec := ctrl.StepWith(0, flatEst(tc.estBase))
-			if dec.Action != tc.wantAction {
-				t.Fatalf("action = %v (%s), want %v", dec.Action, dec.Reason, tc.wantAction)
-			}
-			if tc.wantAction == ScaleUp && dec.Workers != tc.wantFleet {
-				t.Errorf("fleet = %d (%s), want %d", dec.Workers, dec.Reason, tc.wantFleet)
-			}
-			if tc.wantAction == ScaleUp && dec.Estimate < tc.lead {
-				t.Errorf("estimate %v does not include the %v boot", dec.Estimate, tc.lead)
-			}
-		})
-	}
-	if _, err := New(Policy{MaxWorkers: 1, LaunchLeadTime: -time.Second}, nil); err == nil {
-		t.Error("negative LaunchLeadTime accepted")
-	}
-}
-
-func TestScaleUpCooldown(t *testing.T) {
-	ctrl := mustNew(t, Policy{Deadline: 100 * time.Second, MaxWorkers: 8,
-		ScaleUpCooldown: 30 * time.Second})
-	if dec := ctrl.StepWith(0, flatEst(240*time.Second)); dec.Action != ScaleUp {
-		t.Fatalf("first tick: %+v, want scale-up", dec)
-	}
-	// Workers not yet registered (launch pending), estimate unchanged: a
-	// second tick inside the cooldown must hold rather than double down.
-	if dec := ctrl.StepWith(10*time.Second, flatEst(240*time.Second)); dec.Action != Hold {
-		t.Fatalf("tick inside cooldown: %+v, want hold", dec)
-	}
-	if dec := ctrl.StepWith(40*time.Second, flatEst(240*time.Second)); dec.Action != ScaleUp {
-		t.Fatalf("tick after cooldown: %+v, want scale-up", dec)
-	}
-}
-
-func TestScaleDownCooldownSymmetric(t *testing.T) {
-	ctrl := mustNew(t, Policy{Deadline: time.Hour, MaxWorkers: 8,
-		ScaleUpCooldown: 30 * time.Second, Pricing: costmodel.DefaultPricingCurrent()})
-	if dec := ctrl.StepWith(0, flatEst(2*time.Hour)); dec.Action != ScaleUp {
-		t.Fatal("expected initial scale-up")
-	}
-	ctrl.WorkerLaunched(time.Second, 1000)
-	ctrl.WorkerLaunched(time.Second, 1001)
-	// The estimate swings straight back: inside the cooldown the freshly
-	// launched workers must not be churned away.
-	dec := ctrl.StepWith(10*time.Second, func(int) (time.Duration, bool) { return 5 * time.Second, true })
-	if dec.Action != Hold || !strings.Contains(dec.Reason, "cooldown") {
-		t.Fatalf("decision = %+v, want cooldown hold", dec)
-	}
-	if dec := ctrl.StepWith(50*time.Second, func(int) (time.Duration, bool) { return 5 * time.Second, true }); dec.Action != ScaleDown {
-		t.Fatalf("decision after cooldown = %+v, want scale-down", dec)
-	}
-}
-
-func TestBudgetForcesDrainDespiteDeadline(t *testing.T) {
-	ctrl := mustNew(t, Policy{Deadline: 10 * time.Second, Budget: 0.0001,
-		MaxWorkers: 8, Pricing: costmodel.DefaultPricing2011()})
-	ctrl.WorkerLaunched(0, 1000)
-	ctrl.WorkerLaunched(0, 1001)
-	// Deadline is hopeless AND the projection (two m1.large hours) is far
-	// past the budget: the budget wins.
-	dec := ctrl.StepWith(time.Second, func(int) (time.Duration, bool) { return time.Hour, true })
-	if dec.Action != ScaleDown || !strings.Contains(dec.Reason, "budget") {
-		t.Fatalf("decision = %+v, want budget-forced drain", dec)
-	}
-}
-
-func TestBudgetBlocksScaleUp(t *testing.T) {
-	pr := costmodel.DefaultPricing2011()
-	ctrl := mustNew(t, Policy{Deadline: 100 * time.Second, Budget: 0.01,
-		MaxWorkers: 8, Pricing: pr})
-	// Any scale-up bills at least one whole instance-hour ($0.34 × 4
-	// instances for an 8-core worker at 2 cores/instance — far past $0.01).
-	dec := ctrl.StepWith(0, flatEst(240*time.Second))
-	if dec.Action != Hold || !strings.Contains(dec.Reason, "no affordable") {
-		t.Fatalf("decision = %+v, want unaffordable hold", dec)
-	}
-}
-
-func TestBestEffortGrowthWhenDeadlineUnreachable(t *testing.T) {
-	ctrl := mustNew(t, Policy{Deadline: 10 * time.Second, MaxWorkers: 4})
-	// Even MaxWorkers cannot meet the deadline, but more workers still
-	// shrink the estimate: grow to the cap rather than give up.
-	dec := ctrl.StepWith(0, flatEst(10*time.Minute))
-	if dec.Action != ScaleUp || dec.Workers != 4 {
-		t.Fatalf("decision = %+v, want best-effort growth to MaxWorkers", dec)
-	}
-	if !strings.Contains(dec.Reason, "best effort") {
-		t.Errorf("reason = %q, want best-effort", dec.Reason)
-	}
-}
-
-func TestMinWorkersFloor(t *testing.T) {
-	ctrl := mustNew(t, Policy{MinWorkers: 1, MaxWorkers: 4,
-		Pricing: costmodel.DefaultPricingCurrent()})
-	ctrl.WorkerLaunched(0, 1000)
-	// No deadline → pure cost minimization, but the floor holds the worker.
-	dec := ctrl.StepWith(time.Minute, func(int) (time.Duration, bool) { return time.Second, true })
-	if dec.Action != Hold || !strings.Contains(dec.Reason, "floor") {
-		t.Fatalf("decision = %+v, want floor hold", dec)
-	}
-}
-
-func TestInstanceCostQuantum(t *testing.T) {
-	pr := costmodel.DefaultPricing2011() // $0.34/h, 2 cores/instance, 1h quantum
-	ctrl := mustNew(t, Policy{MaxWorkers: 4, Pricing: pr})
-	ctrl.WorkerLaunched(0, 1000)
-	ctrl.WorkerStopped(90*time.Minute, 1000) // 1.5h → billed 2h
-	ctrl.WorkerLaunched(0, 1001)
-	ctrl.WorkerStopped(time.Second, 1001) // 1s → minimum one quantum
-	// Env is nil → one worker bills CoresPerInstance cores = 1 instance.
-	got := ctrl.InstanceCost(2 * time.Hour)
-	want := 2*0.34 + 1*0.34
-	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("InstanceCost = %.4f, want %.4f", got, want)
-	}
-}
-
-func TestEpisodeReuseAfterStop(t *testing.T) {
-	ctrl := mustNew(t, Policy{MaxWorkers: 4})
-	ctrl.WorkerLaunched(0, 1000)
-	ctrl.WorkerStopped(time.Minute, 1000)
-	ctrl.WorkerLaunched(2*time.Minute, 1001)
-	sites := ctrl.ActiveSites()
-	if len(sites) != 1 || sites[0] != 1001 {
-		t.Fatalf("ActiveSites = %v, want [1001]", sites)
-	}
-	if n := len(ctrl.Decisions()); n != 0 {
-		t.Fatalf("decision log has %d entries before any tick", n)
-	}
-}
 
 func TestThroughputEstimator(t *testing.T) {
 	te := &ThroughputEstimator{Alpha: 1, BaseUnits: 2}
-	if _, ok := te.Est(1000)(0); ok {
+	if _, ok := te.Raw(map[int]int64{0: 1000}, 0); ok {
 		t.Fatal("estimator returned ok before any rate sample")
 	}
 	te.Observe(0, 1000, 0)
 	te.Observe(10*time.Second, 500, 0) // 50 B/s at 2 base units
-	est := te.Est(500)
-	if got, _ := est(0); got != 10*time.Second {
-		t.Fatalf("est(0) = %v, want 10s", got)
+	rem := map[int]int64{0: 300, 1: 200}
+	if got, _ := te.Raw(rem, 0); got != 10*time.Second {
+		t.Fatalf("Raw(rem, 0) = %v, want 10s", got)
 	}
 	// Two more workers double the worker-equivalents → half the time.
-	if got, _ := est(2); got != 5*time.Second {
-		t.Fatalf("est(2) = %v, want 5s", got)
+	if got, _ := te.Raw(rem, 2); got != 5*time.Second {
+		t.Fatalf("Raw(rem, 2) = %v, want 5s", got)
 	}
 }
 

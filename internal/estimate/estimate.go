@@ -53,7 +53,7 @@ func Makespan(cfg hybridsim.Config) (Estimate, error) {
 
 // MakespanRemaining predicts the makespan of draining only the given
 // remaining work (bytes left to process, keyed by hosting site) on cfg's
-// topology — the elastic controller's re-estimation entry point, fed from
+// topology — the elastic arbiter's re-estimation entry point, fed from
 // jobs.Pool.RemainingBytesBySite mid-run. Like Makespan it is a deliberate
 // lower bound: it assumes the remaining bytes flow as a fluid from a cold
 // start, ignoring in-flight partial jobs and end-game imbalance. Sites with

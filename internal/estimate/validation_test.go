@@ -142,7 +142,7 @@ func randomConfig(t *testing.T, seed uint64, compute, perStream, wan, frac float
 }
 
 // TestMakespanRemainingLowerBoundMidRun validates the remaining-work
-// estimator — the elastic controller's decision input — against the
+// estimator — the elastic arbiter's decision input — against the
 // simulator at mid-run snapshots: at any instant, MakespanRemaining over the
 // uncommitted work must not exceed the time the simulator actually still
 // needed. The bound is checked with a small tolerance because the snapshot's
@@ -164,13 +164,15 @@ func TestMakespanRemainingLowerBoundMidRun(t *testing.T) {
 				Index: cfg.Index, Placement: cfg.Placement, PoolOpts: cfg.PoolOpts,
 			}},
 			// A passive elasticity hook: never scales, only snapshots the
-			// controller's exact input every tick.
+			// arbiter's exact input (the one query's remaining work) every tick.
 			Elastic: &hybridsim.ElasticSim{
 				Interval: 5 * time.Second,
-				Decide: func(now time.Duration, remaining map[int]int64, workers []int) hybridsim.ElasticDecision {
-					cp := make(map[int]int64, len(remaining))
-					for s, b := range remaining {
-						cp[s] = b
+				Decide: func(now time.Duration, loads []hybridsim.ElasticLoad, workers []int) hybridsim.ElasticDecision {
+					cp := make(map[int]int64)
+					for _, l := range loads {
+						for s, b := range l.Remaining {
+							cp[s] = b
+						}
 					}
 					snaps = append(snaps, snap{at: now, remaining: cp})
 					return hybridsim.ElasticDecision{}

@@ -11,7 +11,7 @@ import (
 )
 
 // Elastic extension: instead of freezing the cloud allocation at startup
-// (RunProvisioning), run the burst controller inside the simulator and let it
+// (RunProvisioning), run the burst arbiter inside the simulator and let it
 // provision and drain workers mid-run under a deadline × budget sweep. The
 // scenario injects an unanticipated compute slowdown on the local cluster —
 // the perturbation a static, pre-sized plan cannot absorb — and the output
@@ -31,10 +31,10 @@ const (
 	ElasticSlowdownFactor = 4.0
 )
 
-// elasticEnv builds the controller environment for app: a local-only static
+// elasticEnv builds the arbiter environment for app: a local-only static
 // topology (16 cores, the calibration's campus cluster) whose 50/50 dataset
 // half lives in the object store, plus the model of one cloud burst worker.
-// The env describes the NOMINAL system — the controller does not know about
+// The env describes the NOMINAL system — the arbiter does not know about
 // the injected slowdown and has to discover it through feedback.
 func elasticEnv(app App) elastic.Env {
 	base := ConfigWithCores(app, Env5050, 16, 0, SimOptions{})
@@ -56,7 +56,7 @@ func elasticEnv(app App) elastic.Env {
 // serves at S3 rates; the staging path is the same shared campus↔AWS pipe
 // the workers would otherwise pull through, but as StageStreams bulk
 // sequential streams with no per-chunk seek penalty. StagedHitRate is the
-// effective-egress belief handed to the controller's estimator — deliberately
+// effective-egress belief handed to the arbiter's estimator — deliberately
 // modest, so the estimator stays a lower bound while the realized run
 // (pre-staged in grant order ahead of the workers) usually does better.
 const (
@@ -83,15 +83,15 @@ func StageModel() *hybridsim.StageModel {
 type ElasticOptions struct {
 	// Staged enables the burst-side partition cache: campus-hosted chunks
 	// are pre-staged into a cloud-local replica in grant order, burst
-	// workers read repeat/staged chunks at S3 rates, and the controller's
+	// workers read repeat/staged chunks at S3 rates, and the arbiter's
 	// estimator blends StagedHitRate into the effective origin egress.
 	// Staged burst workers are modelled at the cloud site (they prefer
 	// cloud-hosted and staged data over pulling the WAN).
 	Staged bool
 	// LaunchDelay is the simulated worker boot time: a scale-up decision
 	// bills immediately, but the worker only starts pulling jobs
-	// LaunchDelay later. The sweep feeds the same value to the policy's
-	// LaunchLeadTime so the controller provisions ahead of it.
+	// LaunchDelay later. The sweep feeds the same value to the arbiter's
+	// LaunchLeadTime so it provisions ahead of the boot.
 	LaunchDelay time.Duration
 	// Iterations > 1 runs the iterative variant of the app (pagerank and
 	// kmeans re-scan the dataset every pass; the cache tier serves passes
@@ -121,28 +121,14 @@ func elasticEnvWith(app App, opts ElasticOptions) elastic.Env {
 	return env
 }
 
-// ElasticPoint is one (deadline, budget) cell of the sweep.
+// ElasticPoint is one (deadline, budget) cell of the sweep: a one-query run
+// under the arbiter, with the cell's policy and its outcome on top of the
+// run's fleet-level result (makespan, bill, peak fleet, decision log).
 type ElasticPoint struct {
-	Deadline time.Duration
-	Budget   float64
-
-	Makespan    time.Duration
+	Deadline    time.Duration
+	Budget      float64
 	MetDeadline bool
-	// Cost is the realized bill: Instances is the controller's own
-	// per-episode, quantum-billed accounting; Transfer and Requests price
-	// the realized cross-boundary traffic through costmodel.Pricing.Price.
-	Cost costmodel.Cost
-	// PeakWorkers is the largest concurrent burst fleet; ScaleUps and
-	// ScaleDowns count controller decisions.
-	PeakWorkers int
-	ScaleUps    int
-	ScaleDowns  int
-	// Decisions is the controller's full decision log.
-	Decisions []elastic.Decision
-	// Clusters is the simulator's realized per-cluster footprint.
-	Clusters []hybridsim.MultiClusterResult
-	// Stage is the realized cache activity of a staged run; nil otherwise.
-	Stage *hybridsim.StageStats
+	ElasticMultiPoint
 }
 
 // ElasticSweep is the full deadline × budget sweep with its static baseline.
@@ -156,73 +142,28 @@ type ElasticSweep struct {
 	Static []costmodel.Candidate
 }
 
-// RunElasticPoint simulates one elastic run of app under policy, with the
-// standard slowdown injected, and prices it. Deterministic: fixed seed,
-// virtual clock, and a pure-policy controller.
-func RunElasticPoint(app App, policy elastic.Policy) (ElasticPoint, error) {
-	return RunElasticPointWith(app, policy, ElasticOptions{})
-}
-
-// RunElasticPointWith is RunElasticPoint under the selected extensions.
-func RunElasticPointWith(app App, policy elastic.Policy, opts ElasticOptions) (ElasticPoint, error) {
-	env := elasticEnvWith(app, opts)
-	ctrl, err := elastic.New(policy, &env)
+// RunElasticPointWith simulates one elastic run of app — a session of one
+// query carrying policy, sized by an arbiter configured with cfg — under the
+// selected extensions, with the standard slowdown injected, and prices it.
+// Deterministic: fixed seed, virtual clock, and a pure-policy arbiter.
+func RunElasticPointWith(app App, cfg elastic.ArbiterConfig, policy elastic.Policy, opts ElasticOptions) (ElasticPoint, error) {
+	mp, err := RunElasticMultiPointWith(app, cfg,
+		[]MultiPolicyQuery{{Name: string(app), Policy: &policy}}, opts)
 	if err != nil {
 		return ElasticPoint{}, err
 	}
-	cfg := env.Base
-	mc := singleQueryMultiIter(app, cfg, opts.Iterations)
-	es := ctrl.SimElastic(0)
-	es.LaunchDelay = opts.LaunchDelay
-	mc.Elastic = es
-	res, err := hybridsim.RunMulti(mc)
-	if err != nil {
-		return ElasticPoint{}, fmt.Errorf("experiments: elastic %s: %w", app, err)
-	}
-	p := ElasticPoint{
-		Deadline:    policy.Deadline,
-		Budget:      policy.Budget,
-		Makespan:    res.Total,
-		MetDeadline: policy.Deadline <= 0 || res.Total <= policy.Deadline,
-		Decisions:   ctrl.Decisions(),
-		Clusters:    res.Clusters,
-		Stage:       res.Stage,
-	}
-	fleet := 0
-	for _, d := range p.Decisions {
-		switch d.Action {
-		case elastic.ScaleUp:
-			p.ScaleUps++
-		case elastic.ScaleDown:
-			p.ScaleDowns++
-		}
-		if d.Workers > fleet {
-			fleet = d.Workers
-		}
-	}
-	p.PeakWorkers = fleet
-
-	// Instances as the controller billed them (per launch episode, rounded
-	// to the billing quantum); traffic priced from the realized footprint.
-	pricing := ctrl.Policy().Pricing
-	cost, err := pricing.Price(trafficUsage(cfg, res))
-	if err != nil {
-		return ElasticPoint{}, err
-	}
-	cost.Instances = ctrl.InstanceCost(res.Total)
-	p.Cost = cost
-	return p, nil
+	return ElasticPoint{
+		Deadline:          policy.Deadline,
+		Budget:            policy.Budget,
+		MetDeadline:       mp.Queries[0].MetDeadline,
+		ElasticMultiPoint: mp,
+	}, nil
 }
 
-// singleQueryMulti wraps cfg as a one-query multi-sim run with the standard
-// slowdown injected on the local cluster (index 0).
-func singleQueryMulti(app App, cfg hybridsim.Config) hybridsim.MultiConfig {
-	return singleQueryMultiIter(app, cfg, 0)
-}
-
-// singleQueryMultiIter is singleQueryMulti with an iteration count (≤ 1 is
-// the ordinary single pass).
-func singleQueryMultiIter(app App, cfg hybridsim.Config, iterations int) hybridsim.MultiConfig {
+// singleQueryMulti wraps cfg as a one-query multi-sim run of `iterations`
+// passes (≤ 1 is the ordinary single pass) with the standard slowdown
+// injected on the local cluster (index 0) — the static baseline's run.
+func singleQueryMulti(app App, cfg hybridsim.Config, iterations int) hybridsim.MultiConfig {
 	return hybridsim.MultiConfig{
 		Topology: cfg.Topology,
 		Seed:     cfg.Seed,
@@ -316,7 +257,7 @@ func NominalStaticMakespan(app App, cloudCores int, opts ElasticOptions) (time.D
 	if opts.Staged && cloudCores > 0 {
 		cfg.Topology.Stage = stageModelFor(opts)
 	}
-	mc := singleQueryMultiIter(app, cfg, opts.Iterations)
+	mc := singleQueryMulti(app, cfg, opts.Iterations)
 	mc.Slowdowns = nil
 	res, err := hybridsim.RunMulti(mc)
 	if err != nil {
@@ -341,7 +282,7 @@ func RunStaticCandidateWith(app App, pricing costmodel.Pricing, cloudCores int, 
 	if opts.Staged && cloudCores > 0 {
 		cfg.Topology.Stage = stageModelFor(opts)
 	}
-	res, err := hybridsim.RunMulti(singleQueryMultiIter(app, cfg, opts.Iterations))
+	res, err := hybridsim.RunMulti(singleQueryMulti(app, cfg, opts.Iterations))
 	if err != nil {
 		return costmodel.Candidate{}, fmt.Errorf("experiments: static %s/%d: %w", app, cloudCores, err)
 	}
@@ -368,7 +309,7 @@ var (
 )
 
 // RunElasticSweep sweeps deadline × budget for app, running the burst
-// controller in simulation at every point, and realizes the static baseline
+// arbiter in simulation at every point, and realizes the static baseline
 // under the same slowdown and pricing.
 func RunElasticSweep(app App, pricing costmodel.Pricing,
 	deadlines []time.Duration, budgets []float64) (*ElasticSweep, error) {
@@ -380,18 +321,11 @@ func RunElasticSweep(app App, pricing costmodel.Pricing,
 func RunElasticSweepWith(app App, pricing costmodel.Pricing,
 	deadlines []time.Duration, budgets []float64, opts ElasticOptions) (*ElasticSweep, error) {
 	sw := &ElasticSweep{App: app, Pricing: pricing}
-	interval := 5 * time.Second
+	cfg := DefaultMultiArbiterConfig(pricing)
+	cfg.LaunchLeadTime = opts.LaunchDelay
 	for _, d := range deadlines {
 		for _, b := range budgets {
-			p, err := RunElasticPointWith(app, elastic.Policy{
-				Deadline:        d,
-				Budget:          b,
-				MaxWorkers:      8,
-				Interval:        interval,
-				ScaleUpCooldown: 3 * interval,
-				LaunchLeadTime:  opts.LaunchDelay,
-				Pricing:         pricing,
-			}, opts)
+			p, err := RunElasticPointWith(app, cfg, elastic.Policy{Deadline: d, Budget: b}, opts)
 			if err != nil {
 				return nil, err
 			}

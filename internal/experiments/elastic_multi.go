@@ -61,6 +61,8 @@ type ElasticMultiPoint struct {
 	Cost costmodel.Cost
 	// Clusters is the simulator's realized per-cluster footprint.
 	Clusters []hybridsim.MultiClusterResult
+	// Stage is the realized cache activity of a staged run; nil otherwise.
+	Stage *hybridsim.StageStats
 }
 
 // DefaultMultiPolicyQueries is the standard mixed-policy 3-query workload:
@@ -74,8 +76,9 @@ func DefaultMultiPolicyQueries() []MultiPolicyQuery {
 	}
 }
 
-// DefaultMultiArbiterConfig is the arbiter configuration the multi-query
-// experiments run under (the sweep's cadence, session-wide).
+// DefaultMultiArbiterConfig is the arbiter configuration every elastic
+// experiment runs under — the single-query sweep and the multi-query
+// workload alike: 5s cadence, three-tick cooldown, 8-worker session cap.
 func DefaultMultiArbiterConfig(pricing costmodel.Pricing) elastic.ArbiterConfig {
 	return elastic.ArbiterConfig{
 		Interval:        5 * time.Second,
@@ -86,21 +89,29 @@ func DefaultMultiArbiterConfig(pricing costmodel.Pricing) elastic.ArbiterConfig 
 }
 
 // RunElasticMultiPoint simulates the mixed-policy workload of app under one
-// session-wide arbiter, with the standard slowdown injected, and prices the
-// run. Deterministic: fixed seed, virtual clock, pure-policy arbiter.
+// session-wide arbiter on the default cadence, with the standard slowdown
+// injected, and prices the run.
 func RunElasticMultiPoint(app App, pricing costmodel.Pricing, queries []MultiPolicyQuery) (ElasticMultiPoint, error) {
+	return RunElasticMultiPointWith(app, DefaultMultiArbiterConfig(pricing), queries, ElasticOptions{})
+}
+
+// arbiterSim builds the arbiter-in-simulator run every elastic experiment
+// goes through: an arbiter configured with acfg over app's calibrated
+// deployment (plus opts' extensions), bound into a multi-sim of queries with
+// the standard slowdown injected. base is the deployment's static config.
+func arbiterSim(app App, acfg elastic.ArbiterConfig, queries []MultiPolicyQuery,
+	opts ElasticOptions) (arb *elastic.Arbiter, base hybridsim.Config, mc hybridsim.MultiConfig, err error) {
 	if len(queries) == 0 {
-		return ElasticMultiPoint{}, fmt.Errorf("experiments: at least one query is required")
+		return nil, base, mc, fmt.Errorf("experiments: at least one query is required")
 	}
-	env := elasticEnv(app)
-	arb, err := elastic.NewArbiter(DefaultMultiArbiterConfig(pricing), &env)
-	if err != nil {
-		return ElasticMultiPoint{}, err
+	env := elasticEnvWith(app, opts)
+	if arb, err = elastic.NewArbiter(acfg, &env); err != nil {
+		return nil, base, mc, err
 	}
-	cfg := env.Base
-	mc := hybridsim.MultiConfig{
-		Topology:  cfg.Topology,
-		Seed:      cfg.Seed,
+	base = env.Base
+	mc = hybridsim.MultiConfig{
+		Topology:  base.Topology,
+		Seed:      base.Seed,
 		Slowdowns: []hybridsim.MultiSlowdown{elasticSlowdown(app)},
 	}
 	policies := make(map[int]*elastic.Policy, len(queries))
@@ -108,26 +119,40 @@ func RunElasticMultiPoint(app App, pricing costmodel.Pricing, queries []MultiPol
 		// A query may run a different application over the shared deployment
 		// (the RunMultiTraced pattern: first app's topology, each query its
 		// own index/placement/engine).
-		qcfg := cfg
+		qcfg := base
 		if q.App != "" && q.App != app {
 			qcfg = elasticEnv(q.App).Base
 		}
 		mc.Queries = append(mc.Queries, hybridsim.MultiQuery{
 			Name: q.Name, App: qcfg.App,
 			Index: qcfg.Index, Placement: qcfg.Placement, PoolOpts: qcfg.PoolOpts,
-			Weight: q.Weight,
+			Weight: q.Weight, Iterations: opts.Iterations,
 		})
 		policies[qi] = q.Policy
 	}
 	mc.Elastic = arb.SimElastic(0, policies)
+	mc.Elastic.LaunchDelay = opts.LaunchDelay
+	return arb, base, mc, nil
+}
+
+// RunElasticMultiPointWith is RunElasticMultiPoint under an explicit arbiter
+// configuration and the selected extensions (stage cache, iterations, worker
+// boot time). Deterministic: fixed seed, virtual clock, pure-policy arbiter.
+func RunElasticMultiPointWith(app App, acfg elastic.ArbiterConfig, queries []MultiPolicyQuery,
+	opts ElasticOptions) (ElasticMultiPoint, error) {
+	arb, cfg, mc, err := arbiterSim(app, acfg, queries, opts)
+	if err != nil {
+		return ElasticMultiPoint{}, err
+	}
 	res, err := hybridsim.RunMulti(mc)
 	if err != nil {
-		return ElasticMultiPoint{}, fmt.Errorf("experiments: elastic multi %s: %w", app, err)
+		return ElasticMultiPoint{}, fmt.Errorf("experiments: elastic %s: %w", app, err)
 	}
 	p := ElasticMultiPoint{
 		Makespan:  res.Total,
 		Decisions: arb.Decisions(),
 		Clusters:  res.Clusters,
+		Stage:     res.Stage,
 	}
 	costByQ := arb.CostByQuery()
 	for qi, q := range queries {
@@ -139,7 +164,6 @@ func RunElasticMultiPoint(app App, pricing costmodel.Pricing, queries []MultiPol
 			AttributedCost: costByQ[qi], Granted: qr.Granted,
 		})
 	}
-	fleet := 0
 	for _, d := range p.Decisions {
 		switch d.Action {
 		case elastic.ScaleUp:
@@ -147,12 +171,13 @@ func RunElasticMultiPoint(app App, pricing costmodel.Pricing, queries []MultiPol
 		case elastic.ScaleDown:
 			p.ScaleDowns++
 		}
-		if d.Workers > fleet {
-			fleet = d.Workers
+		if d.Workers > p.PeakWorkers {
+			p.PeakWorkers = d.Workers
 		}
 	}
-	p.PeakWorkers = fleet
-	cost, err := pricing.Price(trafficUsage(cfg, res))
+	// Instances as the arbiter billed them (per launch episode, rounded to
+	// the billing quantum); traffic priced from the realized footprint.
+	cost, err := arb.Config().Pricing.Price(trafficUsage(cfg, res))
 	if err != nil {
 		return ElasticMultiPoint{}, err
 	}

@@ -89,35 +89,17 @@ func TestElasticMultiDeterministic(t *testing.T) {
 	}
 }
 
-// TestArbiterDecisionParityReplay pins the sim↔live parity contract for the
-// session-wide arbiter: it is a pure function of its input stream. The
-// simulated run's inputs — every tick's (now, per-query loads) snapshot and
-// every worker launch/drain event — are recorded and replayed into a FRESH
-// arbiter, which must reproduce the decision log byte for byte. A live
-// Session feeding the same head.QueryLoads snapshots therefore scales
-// identically.
-func TestArbiterDecisionParityReplay(t *testing.T) {
-	pricing := costmodel.DefaultPricingCurrent()
-	queries := DefaultMultiPolicyQueries()
-	env := elasticEnv(KMeans)
-	arb, err := elastic.NewArbiter(DefaultMultiArbiterConfig(pricing), &env)
+// replayParity pins the sim↔live parity contract on one scenario: the
+// arbiter is a pure function of its input stream. The simulated run's inputs
+// — every tick's (now, per-query loads) snapshot and every worker
+// launch/drain event — are recorded and replayed into a FRESH arbiter, which
+// must reproduce the decision log byte for byte. A live Session feeding the
+// same head.QueryLoads snapshots therefore scales identically.
+func replayParity(t *testing.T, app App, acfg elastic.ArbiterConfig, queries []MultiPolicyQuery, opts ElasticOptions) {
+	t.Helper()
+	arb, _, mc, err := arbiterSim(app, acfg, queries, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	policies := make(map[int]*elastic.Policy, len(queries))
-	cfg := env.Base
-	mc := hybridsim.MultiConfig{
-		Topology:  cfg.Topology,
-		Seed:      cfg.Seed,
-		Slowdowns: []hybridsim.MultiSlowdown{elasticSlowdown(KMeans)},
-	}
-	for qi, q := range queries {
-		mc.Queries = append(mc.Queries, hybridsim.MultiQuery{
-			Name: q.Name, App: cfg.App,
-			Index: cfg.Index, Placement: cfg.Placement, PoolOpts: cfg.PoolOpts,
-			Weight: q.Weight,
-		})
-		policies[qi] = q.Policy
 	}
 	type event struct {
 		kind  int // 0 tick, 1 launch, 2 drained
@@ -126,9 +108,9 @@ func TestArbiterDecisionParityReplay(t *testing.T) {
 		loads []elastic.QueryLoad
 	}
 	var events []event
-	es := arb.SimElastic(0, policies)
-	decide, launch, drained := es.DecideMulti, es.OnLaunch, es.OnDrained
-	es.DecideMulti = func(now time.Duration, loads []hybridsim.ElasticLoad, workers []int) hybridsim.ElasticDecision {
+	es := mc.Elastic
+	decide, launch, drained := es.Decide, es.OnLaunch, es.OnDrained
+	es.Decide = func(now time.Duration, loads []hybridsim.ElasticLoad, workers []int) hybridsim.ElasticDecision {
 		cp := make([]elastic.QueryLoad, 0, len(loads))
 		for _, l := range loads {
 			rem := make(map[int]int64, len(l.Remaining))
@@ -137,7 +119,7 @@ func TestArbiterDecisionParityReplay(t *testing.T) {
 			}
 			cp = append(cp, elastic.QueryLoad{
 				Query: l.Query, Weight: l.Weight,
-				Policy: policies[l.Query], Remaining: rem,
+				Policy: queries[l.Query].Policy, Remaining: rem,
 			})
 		}
 		events = append(events, event{kind: 0, now: now, loads: cp})
@@ -151,13 +133,11 @@ func TestArbiterDecisionParityReplay(t *testing.T) {
 		events = append(events, event{kind: 2, now: now, site: site})
 		drained(now, site)
 	}
-	mc.Elastic = es
 	if _, err := hybridsim.RunMulti(mc); err != nil {
 		t.Fatal(err)
 	}
 
-	env2 := elasticEnv(KMeans)
-	replay, err := elastic.NewArbiter(DefaultMultiArbiterConfig(pricing), &env2)
+	replay, _, _, err := arbiterSim(app, acfg, queries, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,5 +158,33 @@ func TestArbiterDecisionParityReplay(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("replayed decisions diverge:\n--- simulated ---\n%s\n--- replayed ---\n%s", a, b)
+	}
+}
+
+// TestElasticDecisionParityReplay runs the record-and-replay parity check on
+// the single-query run, on the staged run (cache model, launch delay and lead
+// time in play), and on the mixed-policy three-query session.
+func TestElasticDecisionParityReplay(t *testing.T) {
+	acfg := DefaultMultiArbiterConfig(costmodel.DefaultPricingCurrent())
+	stagedCfg := acfg
+	stagedCfg.LaunchLeadTime = stagedKNNOpts.LaunchDelay
+	one := func(deadline time.Duration) []MultiPolicyQuery {
+		return []MultiPolicyQuery{{Policy: &elastic.Policy{Deadline: deadline}}}
+	}
+	rows := []struct {
+		name    string
+		app     App
+		acfg    elastic.ArbiterConfig
+		queries []MultiPolicyQuery
+		opts    ElasticOptions
+	}{
+		{"single", KMeans, acfg, one(150 * time.Second), ElasticOptions{}},
+		{"staged", KNN, stagedCfg, one(120 * time.Second), stagedKNNOpts},
+		{"multi", KMeans, acfg, DefaultMultiPolicyQueries(), ElasticOptions{}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			replayParity(t, row.app, row.acfg, row.queries, row.opts)
+		})
 	}
 }

@@ -6,23 +6,21 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
-	"repro/internal/elastic"
-	"repro/internal/hybridsim"
 )
 
 // The staged-knn acceptance gate. knn is retrieval-bound: burst workers are
 // only as fast as the WAN feeding them, so without the partition cache the
-// elastic controller cannot buy its way out of a degraded local storage
+// elastic arbiter cannot buy its way out of a degraded local storage
 // array — static provisioning wins everywhere. With the burst-side cache
 // pre-staging hot partitions in grant order, the iterative run's second pass
-// reads at cloud-local rates and the same controller lands on a frontier no
+// reads at cloud-local rates and the same arbiter lands on a frontier no
 // static plan picked in advance can reach.
 
 // iterKNNOpts is the two-pass knn scenario without the cache tier.
 var iterKNNOpts = ElasticOptions{Iterations: 2}
 
 // stagedKNNOpts adds the burst-side partition cache and a 5s simulated worker
-// boot (with the matching policy lead time).
+// boot (with the matching arbiter lead time).
 var stagedKNNOpts = ElasticOptions{Staged: true, Iterations: 2, LaunchDelay: 5 * time.Second}
 
 var knnUnstagedSweep = sync.OnceValues(func() (*ElasticSweep, error) {
@@ -49,7 +47,7 @@ func point(t *testing.T, sw *ElasticSweep, d time.Duration, budget float64) Elas
 
 // TestKNNUnstagedStaticWins pins the "before" side of the tentpole: on the
 // retrieval-bound app, bursting without the cache tier is pointless. The
-// elastic controller misses the two tight deadlines outright — its WAN-bound
+// elastic arbiter misses the two tight deadlines outright — its WAN-bound
 // workers cannot absorb the slowdown — while a static candidate meets them;
 // and the one cell elastic does meet is strictly Pareto-dominated by a
 // static allocation realized under the very same slowdown.
@@ -84,7 +82,7 @@ func TestKNNUnstagedStaticWins(t *testing.T) {
 }
 
 // TestKNNStagedElasticFrontier is the tentpole acceptance gate: with the
-// partition cache staged ahead of the workers, the same controller meets the
+// partition cache staged ahead of the workers, the same arbiter meets the
 // 120s deadline the unstaged run missed, and it dominates the best static
 // candidate — the allocation a capacity planner trusting the nominal model
 // would have committed to. That plan (the smallest menu entry whose
@@ -214,79 +212,5 @@ func TestKNNStagedSweepDeterministic(t *testing.T) {
 	}
 	if a, b := ElasticSweepCSV(sw1), ElasticSweepCSV(sw2); a != b {
 		t.Errorf("staged sweep CSV differs across reruns:\n--- first ---\n%s\n--- second ---\n%s", a, b)
-	}
-}
-
-// TestElasticStagedDecisionParityReplay extends the sim↔live parity contract
-// to staged runs: with the cache model, launch delay, and lead time in play,
-// the controller remains a pure function of its input stream — replaying the
-// recorded (tick, launch, drain) events into a fresh controller reproduces
-// the decision log byte for byte.
-func TestElasticStagedDecisionParityReplay(t *testing.T) {
-	policy := elastic.Policy{
-		Deadline: 120 * time.Second, MaxWorkers: 8,
-		Interval: 5 * time.Second, ScaleUpCooldown: 15 * time.Second,
-		LaunchLeadTime: stagedKNNOpts.LaunchDelay,
-		Pricing:        costmodel.DefaultPricingCurrent(),
-	}
-	env := elasticEnvWith(KNN, stagedKNNOpts)
-	ctrl, err := elastic.New(policy, &env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type event struct {
-		kind      int // 0 tick, 1 launch, 2 drained
-		now       time.Duration
-		site      int
-		remaining map[int]int64
-	}
-	var events []event
-	mc := singleQueryMultiIter(KNN, env.Base, stagedKNNOpts.Iterations)
-	es := ctrl.SimElastic(0)
-	es.LaunchDelay = stagedKNNOpts.LaunchDelay
-	decide, launch, drained := es.Decide, es.OnLaunch, es.OnDrained
-	es.Decide = func(now time.Duration, remaining map[int]int64, workers []int) hybridsim.ElasticDecision {
-		cp := make(map[int]int64, len(remaining))
-		for s, b := range remaining {
-			cp[s] = b
-		}
-		events = append(events, event{kind: 0, now: now, remaining: cp})
-		return decide(now, remaining, workers)
-	}
-	es.OnLaunch = func(now time.Duration, site int) {
-		events = append(events, event{kind: 1, now: now, site: site})
-		launch(now, site)
-	}
-	es.OnDrained = func(now time.Duration, site int) {
-		events = append(events, event{kind: 2, now: now, site: site})
-		drained(now, site)
-	}
-	mc.Elastic = es
-	if _, err := hybridsim.RunMulti(mc); err != nil {
-		t.Fatal(err)
-	}
-
-	env2 := elasticEnvWith(KNN, stagedKNNOpts)
-	replay, err := elastic.New(policy, &env2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events {
-		switch ev.kind {
-		case 0:
-			replay.Step(ev.now, ev.remaining)
-		case 1:
-			replay.WorkerLaunched(ev.now, ev.site)
-		case 2:
-			replay.WorkerStopped(ev.now, ev.site)
-		}
-	}
-	a := elastic.FormatDecisions(ctrl.Decisions())
-	b := elastic.FormatDecisions(replay.Decisions())
-	if a == "" {
-		t.Fatal("simulated staged run produced no scaling decisions")
-	}
-	if a != b {
-		t.Errorf("replayed staged decisions diverge:\n--- simulated ---\n%s\n--- replayed ---\n%s", a, b)
 	}
 }

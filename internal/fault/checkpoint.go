@@ -84,23 +84,11 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	return c, nil
 }
 
-// Key returns the object-store key for site's checkpoint under prefix,
-// e.g. Key("ckpt", 1) == "ckpt/site-1". Each site keeps a single key that
-// later checkpoints overwrite; Seq disambiguates stale content.
-func Key(prefix string, site int) string {
-	if prefix == "" {
-		prefix = "ckpt"
-	}
-	return fmt.Sprintf("%s/site-%d", prefix, site)
-}
-
-// QueryKey returns the object-store key for a (query, site) checkpoint in a
-// multi-query head. Query 0 maps to the legacy single-query Key so a head
-// upgraded in place keeps finding checkpoints written before the upgrade.
+// QueryKey returns the object-store key for a (query, site) checkpoint
+// under prefix (default "ckpt"), e.g. QueryKey("ckpt", 2, 1) ==
+// "ckpt/q2/site-1". Each (query, site) keeps a single key that later
+// checkpoints overwrite; Seq disambiguates stale content.
 func QueryKey(prefix string, query, site int) string {
-	if query == 0 {
-		return Key(prefix, site)
-	}
 	if prefix == "" {
 		prefix = "ckpt"
 	}

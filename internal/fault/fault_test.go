@@ -168,11 +168,12 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 }
 
 func TestCheckpointKey(t *testing.T) {
-	if got := Key("ckpt", 3); got != "ckpt/site-3" {
-		t.Fatalf("Key = %q", got)
+	if got := QueryKey("ckpt", 2, 3); got != "ckpt/q2/site-3" {
+		t.Fatalf("QueryKey = %q", got)
 	}
-	if got := Key("", 0); got != "ckpt/site-0" {
-		t.Fatalf("Key with empty prefix = %q", got)
+	// Query 0 is keyed like every other query, under the default prefix.
+	if got := QueryKey("", 0, 0); got != "ckpt/q0/site-0" {
+		t.Fatalf("QueryKey with empty prefix = %q", got)
 	}
 }
 

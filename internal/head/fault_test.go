@@ -144,7 +144,7 @@ func TestCheckpointSaveAndPrune(t *testing.T) {
 	if err := h.CheckpointSave(protocol.CheckpointSave{Site: 0, Seq: 1, Data: data}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := store.Get(fault.Key("", 0)); err != nil || len(got) != len(data) {
+	if got, err := store.Get(fault.QueryKey("", 0, 0)); err != nil || len(got) != len(data) {
 		t.Fatalf("stored checkpoint = %d bytes, %v", len(got), err)
 	}
 
@@ -255,7 +255,7 @@ func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 	if err := h.CheckpointSave(protocol.CheckpointSave{Site: 0, Seq: 1, Data: ck.Encode()}); !fault.IsFenced(err) {
 		t.Errorf("CheckpointSave from fenced site: err = %v, want fenced", err)
 	}
-	if _, err := store.Get(fault.Key("", 0)); err == nil {
+	if _, err := store.Get(fault.QueryKey("", 0, 0)); err == nil {
 		t.Error("fenced checkpoint was persisted")
 	}
 	// Heartbeats must not un-fence: only re-registration revives the lease.

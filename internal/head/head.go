@@ -68,12 +68,6 @@ type Config struct {
 	// into queries' contributor sets by doing work (committing jobs), and are
 	// removed with DrainSite.
 	DynamicSites bool
-	// DefaultPolicy is the session-default elasticity policy inherited by
-	// queries admitted without one (QueryConfig.Policy nil). When unset, the
-	// head adopts the policy carried by the first Hello that has one — the
-	// over-the-wire equivalent for remote masters configured with
-	// -deadline/-budget.
-	DefaultPolicy *elastic.Policy
 }
 
 // Head schedules admitted queries over registered masters. Create with New,
@@ -98,8 +92,7 @@ type Head struct {
 	fair *jobs.FairShare
 
 	// defaultPolicy seeds QueryConfig.Policy for queries admitted without
-	// one: Config.DefaultPolicy, or the first Hello.Policy seen when the
-	// config left it nil. Guarded by mu.
+	// one: the first Hello.Policy seen. Guarded by mu.
 	defaultPolicy *elastic.Policy
 
 	// done closes when the head stops serving: on Shutdown or a fatal
@@ -169,13 +162,6 @@ func New(cfg Config) (*Head, error) {
 	h.tr.NameProcess(0, "head")
 	h.tr.NameThread(0, 0, "global-reduction")
 	h.initFault()
-	if cfg.DefaultPolicy != nil {
-		if err := elastic.ValidateQueryPolicy(*cfg.DefaultPolicy); err != nil {
-			return nil, fmt.Errorf("head: DefaultPolicy: %w", err)
-		}
-		p := *cfg.DefaultPolicy
-		h.defaultPolicy = &p
-	}
 	return h, nil
 }
 
@@ -212,8 +198,8 @@ func (h *Head) registerSite(hello protocol.Hello) (known bool, err error) {
 	// only guards against a zombie incarnation that never said Hello again.
 	delete(h.departed, hello.Site)
 	if h.defaultPolicy == nil && !hello.Policy.Zero() {
-		// First policied Hello on a head with no configured default: adopt it
-		// as the session default so later policy-free admissions inherit it.
+		// First policied Hello: adopt it as the session default so later
+		// policy-free admissions inherit it.
 		p := elastic.Policy{
 			Deadline:   hello.Policy.Deadline,
 			Budget:     hello.Policy.Budget,

@@ -62,38 +62,9 @@ func TestAdmitPolicyValidationAndStamp(t *testing.T) {
 	}
 }
 
-// TestAdmitInheritsDefaultPolicy: a policy-free admission inherits
-// Config.DefaultPolicy; an explicit policy overrides it.
-func TestAdmitInheritsDefaultPolicy(t *testing.T) {
-	def := &elastic.Policy{Deadline: 2 * time.Minute, Budget: 0.5}
-	h, err := New(Config{ExpectClusters: 1, DefaultPolicy: def, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Shutdown()
-	q, err := h.Admit(QueryConfig{Pool: admitPool(t), Reducer: sumReducer{},
-		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Policy(); got == nil || got.Deadline != def.Deadline || got.Budget != def.Budget {
-		t.Errorf("inherited policy = %+v, want %+v", got, def)
-	}
-	own := &elastic.Policy{Deadline: 30 * time.Second}
-	q2, err := h.Admit(QueryConfig{Pool: admitPool(t), Reducer: sumReducer{},
-		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}, Policy: own})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := q2.Policy(); got == nil || got.Deadline != 30*time.Second || got.Budget != 0 {
-		t.Errorf("explicit policy = %+v, want %+v", got, own)
-	}
-}
-
-// TestHelloPolicyAdoptedAsSessionDefault: on a head with no configured
-// default, the first Hello carrying a policy sets the session default for
-// later policy-free admissions — the wire path for masters started with
-// -deadline/-budget.
+// TestHelloPolicyAdoptedAsSessionDefault: the first Hello carrying a policy
+// sets the session default, which later policy-free admissions inherit and
+// an explicit policy overrides.
 func TestHelloPolicyAdoptedAsSessionDefault(t *testing.T) {
 	h, err := New(Config{ExpectClusters: 2, Logf: t.Logf})
 	if err != nil {
@@ -117,6 +88,15 @@ func TestHelloPolicyAdoptedAsSessionDefault(t *testing.T) {
 	got := q.Policy()
 	if got == nil || got.Deadline != 3*time.Minute || got.Budget != 0.1 {
 		t.Errorf("adopted session default = %+v, want deadline 3m budget 0.1", got)
+	}
+	own := &elastic.Policy{Deadline: 30 * time.Second}
+	q2, err := h.Admit(QueryConfig{Pool: admitPool(t), Reducer: sumReducer{},
+		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}, Policy: own})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q2.Policy(); got == nil || got.Deadline != 30*time.Second || got.Budget != 0 {
+		t.Errorf("explicit policy = %+v, want %+v", got, own)
 	}
 }
 

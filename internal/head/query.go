@@ -36,11 +36,9 @@ type QueryConfig struct {
 	ExpectAll bool
 	// Policy is the query's elasticity policy — deadline, budget, and
 	// worker-count bounds — weighed by the session-wide arbiter against
-	// every other admitted query's. Nil inherits the head's default policy
-	// (Config.DefaultPolicy, or the first Hello that carried one); a query
-	// ends up policy-free only when neither exists. Only Deadline, Budget,
-	// MinWorkers and MaxWorkers are consulted; the arbiter supplies its own
-	// cadence and pricing.
+	// every other admitted query's. Nil inherits the policy of the first
+	// Hello that carried one; a query ends up policy-free only when none
+	// did. The arbiter supplies cadence and pricing.
 	Policy *elastic.Policy
 }
 

@@ -17,11 +17,12 @@ type ElasticDecision struct {
 	Drain []int
 }
 
-// ElasticLoad is one query's share of the remaining work, as the multi-query
-// elasticity hook sees it: the query's index in MultiConfig.Queries, its
-// fair-share weight (defaulted to 1 like the scheduler does), and its
-// uncommitted bytes keyed by hosting site. Only queries with work left
-// appear in a tick's load slice.
+// ElasticLoad is one query's share of the remaining work, as the elasticity
+// hook sees it: the query's index in MultiConfig.Queries, its fair-share
+// weight (defaulted to 1 like the scheduler does), and its uncommitted bytes
+// keyed by hosting site. A query appears in a tick's load slice while it has
+// uncommitted bytes or another pass to run — between the passes of an
+// iterative query Remaining is empty, never the query absent.
 type ElasticLoad struct {
 	Query     int
 	Weight    int
@@ -29,14 +30,14 @@ type ElasticLoad struct {
 }
 
 // ElasticSim adds mid-run cluster add/remove to a multi-query simulation.
-// The hooks are deliberately generic — plain funcs over (now, remaining
-// bytes, worker sites) — so the policy lives outside this package (the
-// elastic.Controller binds itself via Controller.SimElastic) and hybridsim
+// The hooks are deliberately generic — plain funcs over (now, per-query
+// remaining bytes, worker sites) — so the policy lives outside this package
+// (the elastic.Arbiter binds itself via Arbiter.SimElastic) and hybridsim
 // stays free of a dependency cycle through the estimator.
 //
-// Every Interval of virtual time, the simulator snapshots the remaining
-// work (summed over all undrained queries, keyed by hosting site) and the
-// active burst-worker sites, and calls Decide. Added workers are fresh
+// Every Interval of virtual time, the simulator snapshots each unfinished
+// query's remaining work (keyed by hosting site, with its fair-share weight)
+// and the active burst-worker sites, and calls Decide. Added workers are fresh
 // clusters built from the Worker template with unique monotonically
 // increasing site IDs (WorkerSiteBase + launch sequence — never reused, the
 // same convention the live head's dynamic admission uses); they host no
@@ -45,18 +46,13 @@ type ElasticLoad struct {
 // simulator fires OnDrained when the last held job completes, mirroring the
 // live drain protocol (stop granting → leases lapse → final fold).
 type ElasticSim struct {
-	// Interval is the controller tick period on the virtual clock.
+	// Interval is the arbiter tick period on the virtual clock.
 	Interval time.Duration
-	// Decide is consulted every tick. remaining maps hosting site → bytes
-	// of uncommitted work; workers lists active (non-draining) burst sites
-	// in launch order. Ignored when DecideMulti is set.
-	Decide func(now time.Duration, remaining map[int]int64, workers []int) ElasticDecision
-	// DecideMulti, when set, replaces Decide with a per-query view: the
-	// remaining work arrives split by query (with fair-share weights) so a
-	// session-wide arbiter can weigh each query's policy against its share
-	// of the fleet. The elastic.Arbiter binds itself here via
-	// Arbiter.SimElastic.
-	DecideMulti func(now time.Duration, loads []ElasticLoad, workers []int) ElasticDecision
+	// Decide is consulted every tick. The remaining work arrives split by
+	// query (with fair-share weights) so the session-wide arbiter can weigh
+	// each query's policy against its share of the fleet; workers lists
+	// active (non-draining) burst sites in launch order.
+	Decide func(now time.Duration, loads []ElasticLoad, workers []int) ElasticDecision
 	// Worker is the cluster-model template for one burst worker; Site and
 	// Name are overridden per launch.
 	Worker ClusterModel
@@ -72,7 +68,7 @@ type ElasticSim struct {
 	// starts polling for work LaunchDelay later.
 	LaunchDelay time.Duration
 	// OnLaunch and OnDrained report lifecycle events on the virtual clock —
-	// the controller's billing hooks.
+	// the arbiter's billing hooks.
 	OnLaunch  func(now time.Duration, site int)
 	OnDrained func(now time.Duration, site int)
 }
@@ -91,7 +87,7 @@ func (e *ElasticSim) interval() time.Duration {
 	return 2 * time.Second
 }
 
-// elasticTick runs one controller tick and reschedules itself until every
+// elasticTick runs one arbiter tick and reschedules itself until every
 // query has finished.
 func (s *multiSim) elasticTick() {
 	if s.err != nil || s.finished >= len(s.cfg.Queries) {
@@ -105,34 +101,26 @@ func (s *multiSim) elasticTick() {
 			workers = append(workers, c.model.Site)
 		}
 	}
-	var dec ElasticDecision
-	if e.DecideMulti != nil {
-		var loads []ElasticLoad
-		for qi, pool := range s.pools {
-			rem := pool.RemainingBytesBySite()
-			var total int64
-			for _, b := range rem {
-				total += b
-			}
-			if total <= 0 {
-				continue
-			}
-			w := s.cfg.Queries[qi].Weight
-			if w < 1 {
-				w = 1
-			}
-			loads = append(loads, ElasticLoad{Query: qi, Weight: w, Remaining: rem})
+	var loads []ElasticLoad
+	for qi, pool := range s.pools {
+		rem := pool.RemainingBytesBySite()
+		var total int64
+		for _, b := range rem {
+			total += b
 		}
-		dec = e.DecideMulti(now, loads, workers)
-	} else {
-		remaining := make(map[int]int64)
-		for _, pool := range s.pools {
-			for site, b := range pool.RemainingBytesBySite() {
-				remaining[site] += b
-			}
+		// A drained pool with a pass still to come is a pass boundary, not a
+		// finished query: keep it in the loads (with nothing remaining) so the
+		// arbiter holds the fleet and the deadline anchor across it.
+		if total <= 0 && !s.queryHasMorePasses(qi) {
+			continue
 		}
-		dec = e.Decide(now, remaining, workers)
+		w := s.cfg.Queries[qi].Weight
+		if w < 1 {
+			w = 1
+		}
+		loads = append(loads, ElasticLoad{Query: qi, Weight: w, Remaining: rem})
 	}
+	dec := e.Decide(now, loads, workers)
 	for i := 0; i < dec.Add; i++ {
 		s.addWorker()
 	}

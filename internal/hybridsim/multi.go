@@ -304,8 +304,8 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 		}
 	}
 	if cfg.Elastic != nil {
-		if cfg.Elastic.Decide == nil && cfg.Elastic.DecideMulti == nil {
-			return nil, fmt.Errorf("hybridsim: Elastic.Decide or Elastic.DecideMulti is required")
+		if cfg.Elastic.Decide == nil {
+			return nil, fmt.Errorf("hybridsim: Elastic.Decide is required")
 		}
 		// Burst workers splice paths into the topology's map mid-run; clone
 		// it so the caller's config is never mutated.

@@ -242,7 +242,7 @@ func TestElasticLaunchDelay(t *testing.T) {
 				},
 				LaunchDelay: delay,
 				OnLaunch:    func(now time.Duration, site int) { launches = append(launches, now) },
-				Decide: func(now time.Duration, remaining map[int]int64, workers []int) ElasticDecision {
+				Decide: func(now time.Duration, loads []ElasticLoad, workers []int) ElasticDecision {
 					if len(workers) == 0 {
 						adds++
 						return ElasticDecision{Add: 1}
@@ -268,5 +268,89 @@ func TestElasticLaunchDelay(t *testing.T) {
 	if delayed.Total <= instant.Total {
 		t.Errorf("5s boot delay did not slow the run: delayed %v <= instant %v",
 			delayed.Total, instant.Total)
+	}
+}
+
+// TestElasticLoadsKeepQueryBetweenPasses: a pass boundary of an iterative
+// query — its pool drained, the global reduction in flight, the next pass not
+// yet queued — is not the end of the query. The hook must keep seeing the
+// query (with nothing remaining) across every boundary, so a policy that
+// releases the fleet once no query is left (as the arbiter does) holds its
+// burst worker until the last pass has drained.
+func TestElasticLoadsKeepQueryBetweenPasses(t *testing.T) {
+	q := stageQuery(t, "kmeans", 4, 3)
+	q.App.MergeBytesPerSec = 4 << 20 // 250ms per merged object: a boundary spans several ticks
+	type tick struct {
+		at    time.Duration
+		loads int
+		rem   int64
+	}
+	var ticks []tick
+	cfg := MultiConfig{
+		Topology: stageTopology(nil),
+		Seed:     2,
+		Queries:  []MultiQuery{q},
+		Elastic: &ElasticSim{
+			Interval: 100 * time.Millisecond,
+			Worker:   ClusterModel{Cores: 4, RetrievalThreads: 4},
+			WorkerPaths: map[int]PathModel{
+				0: {Bandwidth: 40 << 20, Latency: 40 * time.Millisecond},
+				1: {Bandwidth: 400 << 20, Latency: 2 * time.Millisecond},
+			},
+			Decide: func(now time.Duration, loads []ElasticLoad, workers []int) ElasticDecision {
+				tk := tick{at: now, loads: len(loads)}
+				for _, l := range loads {
+					for _, b := range l.Remaining {
+						tk.rem += b
+					}
+				}
+				ticks = append(ticks, tk)
+				switch {
+				case len(loads) == 0:
+					return ElasticDecision{Drain: workers}
+				case len(workers) == 0:
+					return ElasticDecision{Add: 1}
+				}
+				return ElasticDecision{}
+			},
+		},
+	}
+	res, err := RunMulti(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := res.Queries[0].IterFinish
+	if len(fin) != 3 {
+		t.Fatalf("want 3 IterFinish entries, got %d", len(fin))
+	}
+	// Ticks that fell inside a boundary: the query listed, nothing remaining,
+	// and a later pass still to finish.
+	inBoundary := map[int]int{}
+	for _, tk := range ticks {
+		if tk.loads == 0 && tk.at < fin[1] {
+			t.Errorf("tick at %v saw no query, but pass 2 only finished at %v", tk.at, fin[1])
+		}
+		if tk.loads == 1 && tk.rem == 0 {
+			for pass := 0; pass < 2; pass++ {
+				if tk.at <= fin[pass] && (pass == 0 || tk.at > fin[pass-1]) {
+					inBoundary[pass]++
+				}
+			}
+		}
+	}
+	if inBoundary[0] == 0 || inBoundary[1] == 0 {
+		t.Fatalf("no tick landed inside both pass boundaries (%v) — the test no longer exercises them", inBoundary)
+	}
+	var burst *MultiClusterResult
+	for i := range res.Clusters {
+		if res.Clusters[i].Burst {
+			burst = &res.Clusters[i]
+		}
+	}
+	if burst == nil {
+		t.Fatal("no burst worker was launched")
+	}
+	if burst.Drained != 0 && burst.Drained < fin[1] {
+		t.Errorf("burst worker drained at %v, inside a pass boundary (pass 2 finished at %v)", burst.Drained, fin[1])
 	}
 }

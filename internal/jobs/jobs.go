@@ -645,7 +645,7 @@ func (p *Pool) OutstandingAt(site int) int {
 // RemainingBytesBySite returns the bytes of work not yet committed, keyed by
 // the site HOSTING the data (not the site processing it): pending jobs plus
 // outstanding-but-uncommitted ones. This is the remaining-work snapshot the
-// elastic controller feeds to estimate.MakespanRemaining — demand is located
+// elastic arbiter feeds to estimate.MakespanRemaining — demand is located
 // where the bytes must be read from, regardless of which cluster will do the
 // reading.
 func (p *Pool) RemainingBytesBySite() map[int]int64 {

@@ -107,7 +107,7 @@ type Hello struct {
 	Trace TraceContext
 	// Policy proposes a session-default elastic policy: the head adopts it
 	// as its default (applied to queries admitted without their own policy)
-	// when it has none configured. Zero means no proposal; old peers read
+	// unless an earlier Hello's was adopted. Zero means no proposal; old peers read
 	// the zero value.
 	Policy ElasticPolicy
 }
