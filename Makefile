@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race flake loc check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-dataplane bench-dataplane-short bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race flake loc check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -11,6 +11,7 @@ API_PKGS := \
 	repro/internal/cluster \
 	repro/internal/jobs \
 	repro/internal/protocol \
+	repro/internal/transport \
 	repro/internal/core \
 	repro/internal/apps \
 	repro/internal/elastic
@@ -96,17 +97,6 @@ bench-smoke:
 bench-obs:
 	BENCH_OBS_GATE=1 $(GO) test -count=1 -run TestObsOverheadGate -v .
 	$(GO) test -run=NONE -bench 'BenchmarkFig3_KNN$$|BenchmarkFig3_KNN_Obs' -benchtime 50x -count 5 .
-
-# Data-plane numbers for PR 3: the wire-codec chunk roundtrip (gob vs
-# binary side by side, with the ≥2× throughput / ≥10× fewer-allocs
-# acceptance gates) plus Fig1 real-engine ns/op. Writes BENCH_3.json.
-bench-dataplane:
-	BENCH_DATAPLANE_OUT=BENCH_3.json $(GO) test -run TestEmitBenchDataplane -v .
-	$(GO) test -run=NONE -bench 'BenchmarkWire_ChunkRoundtrip' ./internal/transport
-
-# CI variant: same gates, skips the slower Fig1 engine benchmarks.
-bench-dataplane-short:
-	BENCH_DATAPLANE_OUT=BENCH_3.json $(GO) test -short -run TestEmitBenchDataplane -v .
 
 # Elasticity must be free when off: TestElasticOverheadGate asserts an inert
 # arbiter hook adds <2% heap allocations to the Fig 3 KNN workload. Then

@@ -475,39 +475,38 @@ func TestObsOverheadGate(t *testing.T) {
 		}
 	}
 	refs := ix.AllRefs()
-	cacheSweep := func(wrapped chunk.Source) {
-		for _, ref := range refs {
-			data, err := wrapped.ReadChunk(ref)
+	// Per-hit allocations, averaged over many hits: a steady-state hit
+	// allocates nothing, so the handful of process-wide runtime mallocs
+	// that land in any window must not decide the comparison.
+	measureCache := func(reg *obs.Registry) (allocsPerHit float64) {
+		c := stagecache.New(stagecache.Config{CapacityBytes: ix.TotalBytes() * 2}, reg)
+		defer c.Close()
+		wrapped := c.Wrap(1, src)
+		i := 0
+		hit := func() {
+			data, err := wrapped.ReadChunk(refs[i%len(refs)])
 			if err != nil {
 				t.Fatal(err)
 			}
 			bufpool.Put(data)
+			i++
 		}
-	}
-	measureCache := func(reg *obs.Registry) (allocs uint64) {
-		c := stagecache.New(stagecache.Config{CapacityBytes: ix.TotalBytes() * 2}, reg)
-		defer c.Close()
-		wrapped := c.Wrap(1, src)
-		cacheSweep(wrapped) // populate the memory tier
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			cacheSweep(wrapped)
+		for range refs {
+			hit() // populate the memory tier
 		}
-		runtime.ReadMemStats(&after)
+		allocsPerHit = testing.AllocsPerRun(100*rounds*len(refs), hit)
 		if reg != nil {
 			if snap := reg.Snapshot(); snap["stagecache_hits_total"] == 0 {
 				t.Error("registry recorded no stagecache hits — metrics not wired")
 			}
 		}
-		return after.Mallocs - before.Mallocs
+		return allocsPerHit
 	}
 	cacheBareN := measureCache(nil)
 	cacheRegN := measureCache(obs.NewRegistry())
-	t.Logf("stagecache hit allocs %d → %d (%+.2f%%)", cacheBareN, cacheRegN, pct(cacheRegN, cacheBareN))
-	if d := pct(cacheRegN, cacheBareN); d > 2 {
-		t.Errorf("stagecache metrics alloc-count overhead %.2f%% exceeds the 2%% budget", d)
+	t.Logf("stagecache allocs per hit %v → %v", cacheBareN, cacheRegN)
+	if cacheRegN != cacheBareN {
+		t.Errorf("stagecache metrics cost %v allocs per hit, %v without a registry", cacheRegN, cacheBareN)
 	}
 }
 

@@ -58,9 +58,6 @@ func main() {
 	if *indexPath == "" {
 		log.Fatal("headnode: -index is required")
 	}
-	if err := tn.Validate(); err != nil {
-		log.Fatalf("headnode: %v", err)
-	}
 	f, err := os.Open(*indexPath)
 	if err != nil {
 		log.Fatalf("headnode: %v", err)

@@ -28,7 +28,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/daemon"
 	"repro/internal/objstore"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -50,9 +49,6 @@ func main() {
 	if *dataDir == "" && *s3Addr == "" {
 		log.Fatal("workernode: at least one of -data or -s3 is required")
 	}
-	if err := tn.Validate(); err != nil {
-		log.Fatalf("workernode: %v", err)
-	}
 
 	rt, err := daemon.Start("workernode", df, log.Printf)
 	if err != nil {
@@ -64,22 +60,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	useGob := tn.UseGob()
-
 	hc, err := cluster.DialAgent("tcp", *headAddr)
 	if err != nil {
 		fail("workernode: %v", err)
 	}
-	hc.SetUseGob(useGob)
 	defer hc.Close()
 
 	var osc *objstore.Client
 	if *s3Addr != "" {
-		codec := transport.CodecBinary
-		if useGob {
-			codec = transport.CodecGob
-		}
-		osc = objstore.DialCodec("tcp", *s3Addr, *retrieval**s3Threads, codec)
+		osc = objstore.Dial("tcp", *s3Addr, *retrieval**s3Threads)
 		defer osc.Close()
 	}
 

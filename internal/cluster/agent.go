@@ -169,8 +169,7 @@ type agentRun struct {
 
 	// Distributed-trace state. traceOn flips when the head's SiteSpec
 	// confirms the Hello's trace advert; only then do spans accumulate and
-	// completion messages carry TraceContexts, so a session with an
-	// untracing head stays bit-identical to the pre-trace wire protocol.
+	// completion messages carry non-zero TraceContexts.
 	traceOn  bool
 	nextSpan atomic.Uint64
 	spanMu   sync.Mutex

@@ -81,15 +81,9 @@ func (c InProcAgent) SubmitResult(res protocol.ReductionResult) error {
 // expects a reply is serialized under a mutex, so replies correlate by
 // ordering. Heartbeats are fire-and-forget (no reply), matching the head's
 // handler.
-//
-// The session starts in gob (so the Hello is readable regardless of
-// negotiation state) and advertises the binary codec in Hello.Codec; when
-// the head confirms it in SiteSpec.Codec, both directions upgrade for the
-// rest of the session.
 type RemoteAgent struct {
-	mu     sync.Mutex
-	conn   *transport.Conn
-	useGob bool
+	mu   sync.Mutex
+	conn *transport.Conn
 }
 
 // NewRemoteAgent wraps an established connection to the head node.
@@ -105,11 +99,6 @@ func DialAgent(network, addr string) (*RemoteAgent, error) {
 	}
 	return NewRemoteAgent(conn), nil
 }
-
-// SetUseGob disables the binary-codec advertisement, pinning the whole
-// session to the gob compat fallback (for drills against gob-pinned heads
-// or for bisecting codec issues; see the workernode -wire-codec flag).
-func (r *RemoteAgent) SetUseGob(v bool) { r.useGob = v }
 
 // Close closes the underlying connection.
 func (r *RemoteAgent) Close() error { return r.conn.Close() }
@@ -145,14 +134,10 @@ func ackErr(code int, msg string) error {
 	return head.CodeError(code, msg)
 }
 
-// RegisterSite implements QueryClient; it also performs the wire-codec
-// negotiation, upgrading both directions when the SiteSpec confirms binary
-// (the head sent that SiteSpec in the old codec and switches right after).
+// RegisterSite implements QueryClient, stamping the Hello with this
+// build's protocol version.
 func (r *RemoteAgent) RegisterSite(hello protocol.Hello) (protocol.SiteSpec, error) {
 	hello.Proto = protocol.ProtoMulti
-	if !r.useGob {
-		hello.Codec = protocol.WireBinary
-	}
 	reply, err := r.roundTrip(hello)
 	if err != nil {
 		return protocol.SiteSpec{}, err
@@ -160,10 +145,6 @@ func (r *RemoteAgent) RegisterSite(hello protocol.Hello) (protocol.SiteSpec, err
 	m, ok := reply.(protocol.SiteSpec)
 	if !ok {
 		return protocol.SiteSpec{}, unexpected(reply, hello)
-	}
-	if m.Codec == protocol.WireBinary {
-		r.conn.UpgradeSend(transport.CodecBinary)
-		r.conn.UpgradeRecv(transport.CodecBinary)
 	}
 	return m, nil
 }

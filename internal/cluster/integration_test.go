@@ -16,7 +16,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/objstore"
 	"repro/internal/protocol"
-	"repro/internal/transport"
 )
 
 // sumReducer sums little-endian uint32 units.
@@ -217,16 +216,49 @@ func TestSingleClusterInProc(t *testing.T) {
 	}
 }
 
+// gatedSource holds every read until open is closed.
+type gatedSource struct {
+	chunk.Source
+	open <-chan struct{}
+}
+
+func (g gatedSource) ReadChunk(ref chunk.Ref) ([]byte, error) {
+	<-g.open
+	return g.Source.ReadChunk(ref)
+}
+
+// tripSource closes open once the n-th read through it (and its copies
+// sharing reads) has completed.
+type tripSource struct {
+	chunk.Source
+	reads *atomic.Int64
+	n     int64
+	open  chan struct{}
+}
+
+func (c tripSource) ReadChunk(ref chunk.Ref) ([]byte, error) {
+	data, err := c.Source.ReadChunk(ref)
+	if c.reads.Add(1) == c.n {
+		close(c.open)
+	}
+	return data, err
+}
+
 func TestHybridTwoClustersInProc(t *testing.T) {
 	ix, src, want := buildDataset(t, 8000, 1000, 100) // 8 files × 10 chunks
 	// 25% of files at site 0, 75% at site 1: site 0 must steal.
 	placement := jobs.SplitByFraction(len(ix.Files), 0.25, 0, 1)
 	h, q := newHead(t, ix, placement, 2)
 
-	sources := map[int]chunk.Source{0: src, 1: src} // same backing data
+	// Site 0 holds 20 chunks. Site 1 cannot read anything until site 0 has
+	// completed 21 reads, so site 0 must take at least one of site 1's
+	// chunks while site 1 holds at most one request batch of its 60.
+	open := make(chan struct{})
+	counted := tripSource{src, new(atomic.Int64), 21, open}
+	gated := gatedSource{src, open}
 	s := runAgents(t, h, q,
-		AgentConfig{Site: 0, Name: "local", Cores: 2, Sources: sources},
-		AgentConfig{Site: 1, Name: "cloud", Cores: 2, Sources: sources})
+		AgentConfig{Site: 0, Name: "local", Cores: 2, Sources: map[int]chunk.Source{0: counted, 1: counted}},
+		AgentConfig{Site: 1, Name: "cloud", Cores: 2, Sources: map[int]chunk.Source{0: gated, 1: gated}})
 	if got := s.sum(t); got != want {
 		t.Errorf("final sum = %d, want %d", got, want)
 	}
@@ -234,10 +266,13 @@ func TestHybridTwoClustersInProc(t *testing.T) {
 	if local+stolen != ix.NumChunks() {
 		t.Errorf("clusters processed %d jobs, dataset has %d", local+stolen, ix.NumChunks())
 	}
-	// With a 25/75 split and symmetric compute, at least one side works on
-	// remote data.
 	if stolen == 0 {
 		t.Error("no stealing despite skewed placement")
+	}
+	for _, r := range s.reports {
+		if r.Site == 0 && r.Jobs.Stolen == 0 {
+			t.Errorf("site 0 stole nothing: %+v", r.Jobs)
+		}
 	}
 }
 
@@ -261,11 +296,11 @@ func storeServer(t *testing.T, ix *chunk.Index, src chunk.Source) (addr string) 
 }
 
 // socketAgents runs the two-cluster hybrid deployment over real sockets: the
-// head behind Serve, each master on its own DialAgent session (pinned to gob
-// where useGob says so), site 1's data behind the object store at storeAddr.
-// Every source a master builds passes through wrap.
+// head behind Serve, each master on its own DialAgent session, site 1's data
+// behind the object store at storeAddr. Every source a master builds passes
+// through wrap.
 func socketAgents(t *testing.T, h *head.Head, q *head.Query, src chunk.Source, storeAddr string,
-	useGob [2]bool, wrap func(chunk.Source) chunk.Source) session {
+	wrap func(chunk.Source) chunk.Source) session {
 	t.Helper()
 	hl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -280,12 +315,7 @@ func socketAgents(t *testing.T, h *head.Head, q *head.Query, src chunk.Source, s
 			t.Fatal(err)
 		}
 		defer hc.Close()
-		hc.SetUseGob(useGob[site])
-		codec := transport.CodecBinary
-		if useGob[site] {
-			codec = transport.CodecGob
-		}
-		osc := objstore.DialCodec("tcp", storeAddr, 4, codec)
+		osc := objstore.Dial("tcp", storeAddr, 4)
 		defer osc.Close()
 		cfgs = append(cfgs, AgentConfig{
 			Site: site, Name: fmt.Sprintf("c%d", site), Cores: 2, RetrievalThreads: 3,
@@ -309,7 +339,7 @@ func TestHybridOverSockets(t *testing.T) {
 	// once, whichever source each chunk came through.
 	var read atomic.Int64
 	count := func(inner chunk.Source) chunk.Source { return countingSource{inner, &read} }
-	s := socketAgents(t, h, q, src, storeServer(t, ix, src), [2]bool{}, count)
+	s := socketAgents(t, h, q, src, storeServer(t, ix, src), count)
 	if got := s.sum(t); got != want {
 		t.Errorf("final sum = %d, want %d", got, want)
 	}
@@ -371,34 +401,19 @@ func TestUnknownReducerInSpec(t *testing.T) {
 	}
 }
 
-// TestHybridOverSocketsCodecs runs the two-cluster hybrid deployment under
-// the supported wire-codec combinations: both masters on the default binary
-// codec against a default head; both pinned to gob against a head that
-// opted in with -wire-codec=gob; and mixed — a binary-advertising master on
-// the gob-pinned head, which must be accepted but held on gob (an opted-in
-// head never upgrades anyone). The final sum must be identical in all
-// three.
+// TestHybridOverSocketsCodecs runs the two-cluster hybrid deployment with
+// every peer on the one wire codec: both masters, their object-store
+// clients and the head all speak binary from the first byte. The gob and
+// mixed cases went with the gob codec.
 func TestHybridOverSocketsCodecs(t *testing.T) {
-	gobHead := config.Tuning{WireCodec: config.CodecGob}
-	cases := []struct {
-		name   string
-		useGob [2]bool
-		tuning config.Tuning
-	}{
-		{"both-binary", [2]bool{false, false}, config.Tuning{}},
-		{"both-gob", [2]bool{true, true}, gobHead},
-		{"mixed", [2]bool{true, false}, gobHead},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ix, src, want := buildDataset(t, 6000, 1000, 100)
-			placement := jobs.SplitByFraction(len(ix.Files), 0.5, 0, 1)
-			h, q := newHeadTuned(t, ix, placement, 2, tc.tuning)
-			s := socketAgents(t, h, q, src, storeServer(t, ix, src), tc.useGob,
-				func(s chunk.Source) chunk.Source { return s })
-			if got := s.sum(t); got != want {
-				t.Errorf("final sum = %d, want %d", got, want)
-			}
-		})
-	}
+	t.Run("both-binary", func(t *testing.T) {
+		ix, src, want := buildDataset(t, 6000, 1000, 100)
+		placement := jobs.SplitByFraction(len(ix.Files), 0.5, 0, 1)
+		h, q := newHead(t, ix, placement, 2)
+		s := socketAgents(t, h, q, src, storeServer(t, ix, src),
+			func(s chunk.Source) chunk.Source { return s })
+		if got := s.sum(t); got != want {
+			t.Errorf("final sum = %d, want %d", got, want)
+		}
+	})
 }

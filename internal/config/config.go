@@ -6,34 +6,18 @@
 //
 // Precedence (documented in docs/API.md): an explicit field on Tuning wins;
 // a zero field falls back to the component default that applied before the
-// knob was centralized (binary wire codec, heartbeat = LeaseTTL/3, fault
-// machinery off).
+// knob was centralized (heartbeat = LeaseTTL/3, fault machinery off).
 package config
 
 import (
 	"flag"
-	"fmt"
 	"time"
-)
-
-// Wire codec names carried by Tuning.WireCodec. The empty string means
-// CodecBinary (the data-plane default since the binary codec landed). Gob
-// finished its deprecation window as a silently-accepted fallback: a head
-// refuses gob sessions unless ITS tuning also opted in with -wire-codec=gob.
-const (
-	CodecBinary = "binary"
-	CodecGob    = "gob" // explicit-opt-in compat codec for peers predating the binary codec
 )
 
 // Tuning is the single definition of every knob shared by the head, the
 // cluster runtimes and the driver. The zero value reproduces the defaults
 // each component applied before the collapse.
 type Tuning struct {
-	// WireCodec selects the session codec masters negotiate with the head
-	// and the object store: CodecBinary (default) or CodecGob. Gob is an
-	// explicit opt-in on both ends — a binary-default head answers a gob
-	// advert with a refusal naming this knob.
-	WireCodec string
 	// GroupBytes is the cache-sized unit-group budget per reduction batch;
 	// 0 keeps the job spec's value.
 	GroupBytes int
@@ -87,19 +71,6 @@ func (t Tuning) EffectiveWatchdogMinSamples() int {
 	return t.WatchdogMinSamples
 }
 
-// Validate rejects unknown codec names.
-func (t Tuning) Validate() error {
-	switch t.WireCodec {
-	case "", CodecBinary, CodecGob:
-		return nil
-	default:
-		return fmt.Errorf("config: unknown wire codec %q (want %s or %s)", t.WireCodec, CodecBinary, CodecGob)
-	}
-}
-
-// UseGob reports whether the session should stay on the gob compat codec.
-func (t Tuning) UseGob() bool { return t.WireCodec == CodecGob }
-
 // HeartbeatInterval resolves the effective heartbeat period: the explicit
 // knob, else a third of the lease TTL, else 0 (no heartbeats).
 func (t Tuning) HeartbeatInterval() time.Duration {
@@ -115,8 +86,6 @@ func (t Tuning) HeartbeatInterval() time.Duration {
 // RegisterFlags exposes the shared knobs on a daemon's flag set, so
 // headnode and workernode declare them once and identically.
 func (t *Tuning) RegisterFlags(fs *flag.FlagSet) {
-	fs.StringVar(&t.WireCodec, "wire-codec", CodecBinary,
-		"wire codec: binary, or gob to opt in to the compat codec for peers predating binary (both sides must opt in; heads refuse gob sessions otherwise)")
 	fs.IntVar(&t.GroupBytes, "group-bytes", 0,
 		"unit-group (cache) budget per reduction batch (0 = job-spec value)")
 	fs.DurationVar(&t.LeaseTTL, "lease-ttl", 0,

@@ -217,6 +217,17 @@ func (s slowSource) ReadChunk(ref chunk.Ref) ([]byte, error) {
 	return s.inner.ReadChunk(ref)
 }
 
+// hookSource runs before ahead of every read.
+type hookSource struct {
+	chunk.Source
+	before func()
+}
+
+func (h hookSource) ReadChunk(ref chunk.Ref) ([]byte, error) {
+	h.before()
+	return h.Source.ReadChunk(ref)
+}
+
 // TestIterateCancelMidRound: Session.Iterate honors context cancellation
 // during a round — the in-flight query is withdrawn, its leases and engines
 // released, and the session stays usable for the next query. Close joins
@@ -579,11 +590,16 @@ func TestLiveWatchdogFlagsSlowSite(t *testing.T) {
 	}
 
 	d, src := buildPointDeployment(t, gen, 1500)
-	slow := map[int]chunk.Source{
-		0: slowSource{inner: src, delay: 25 * time.Millisecond},
-		1: slowSource{inner: src, delay: 25 * time.Millisecond},
-	}
-	d.Clusters[1].Sources = slow
+	// The healthy site's reads wait for the tarpit site's first one, so the
+	// tarpit holds jobs however fast the healthy site would otherwise drain
+	// the pool.
+	started := make(chan struct{})
+	var once sync.Once
+	tarpit := hookSource{slowSource{inner: src, delay: 25 * time.Millisecond},
+		func() { once.Do(func() { close(started) }) }}
+	healthy := hookSource{src, func() { <-started }}
+	d.Clusters[0].Sources = map[int]chunk.Source{0: healthy, 1: healthy}
+	d.Clusters[1].Sources = map[int]chunk.Source{0: tarpit, 1: tarpit}
 	d.Obs = obs.New(nil)
 	d.Obs.Tracer.Enable()
 	defer func() { dumpTraceOnFailure(t, d.Obs) }()

@@ -27,6 +27,8 @@ var (
 	// ErrAlreadyRegistered reports a duplicate registration without fault
 	// tolerance (with it, re-registration is a recovery, not an error).
 	ErrAlreadyRegistered = errors.New("head: site already registered")
+	// ErrVersionMismatch reports a Hello whose Proto is not ProtoMulti.
+	ErrVersionMismatch = errors.New("head: protocol version mismatch")
 )
 
 // OpError is the head's structured error, mirroring objstore's *OpError: it
@@ -72,6 +74,8 @@ func ErrCode(err error) int {
 		return protocol.CodeStale
 	case errors.Is(err, ErrShutdown):
 		return protocol.CodeShutdown
+	case errors.Is(err, ErrVersionMismatch):
+		return protocol.CodeVersionMismatch
 	default:
 		return protocol.CodeOK // unclassified; the message text still travels
 	}
@@ -95,6 +99,8 @@ func CodeError(code int, msg string) error {
 		sentinel = ErrStaleCheckpoint
 	case protocol.CodeShutdown:
 		sentinel = ErrShutdown
+	case protocol.CodeVersionMismatch:
+		sentinel = ErrVersionMismatch
 	default:
 		return errors.New(msg)
 	}

@@ -55,8 +55,7 @@ type Config struct {
 	// simulator-supplied virtual clock keeps all reported times consistent.
 	Obs *obs.Obs
 	// Tuning holds the knobs shared with the cluster runtimes and the
-	// driver: lease TTL, heartbeat cadence, speculation delay (the fault
-	// knobs that used to live on FaultConfig), wire codec, and so on.
+	// driver: lease TTL, heartbeat cadence, speculation delay, and so on.
 	Tuning config.Tuning
 	// Fault enables checkpoint intake and recovery persistence. Lease
 	// expiry and speculation are governed by Tuning; the zero value of both
@@ -90,10 +89,6 @@ type Head struct {
 	wake chan struct{}
 
 	fair *jobs.FairShare
-
-	// defaultPolicy seeds QueryConfig.Policy for queries admitted without
-	// one: the first Hello.Policy seen. Guarded by mu.
-	defaultPolicy *elastic.Policy
 
 	// done closes when the head stops serving: on Shutdown or a fatal
 	// failure. It stops Serve and the failure monitor.
@@ -132,9 +127,6 @@ func (h *Head) nextSpanID() uint64 { return h.nextSpan.Add(1) }
 func New(cfg Config) (*Head, error) {
 	if cfg.ExpectClusters <= 0 {
 		return nil, fmt.Errorf("head: ExpectClusters must be positive, got %d", cfg.ExpectClusters)
-	}
-	if err := cfg.Tuning.Validate(); err != nil {
-		return nil, fmt.Errorf("head: %w", err)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -197,21 +189,6 @@ func (h *Head) registerSite(hello protocol.Hello) (known bool, err error) {
 	// An explicit re-registration readmits the site ID: the departure fence
 	// only guards against a zombie incarnation that never said Hello again.
 	delete(h.departed, hello.Site)
-	if h.defaultPolicy == nil && !hello.Policy.Zero() {
-		// First policied Hello: adopt it as the session default so later
-		// policy-free admissions inherit it.
-		p := elastic.Policy{
-			Deadline:   hello.Policy.Deadline,
-			Budget:     hello.Policy.Budget,
-			MinWorkers: hello.Policy.MinWorkers,
-			MaxWorkers: hello.Policy.MaxWorkers,
-		}
-		if elastic.ValidateQueryPolicy(p) == nil {
-			h.defaultPolicy = &p
-			h.cfg.Logf("head: adopted session-default policy from site %d (deadline %v, budget $%.4f)",
-				hello.Site, p.Deadline, p.Budget)
-		}
-	}
 	nClusters := len(h.clusters)
 	h.mu.Unlock()
 	// Merged-trace convention: the head is pid 0 and site s's shipped spans
@@ -263,9 +240,8 @@ func (h *Head) RegisterSite(hello protocol.Hello) (protocol.SiteSpec, error) {
 	}
 	// Trace negotiation: a master that can propagate trace context adverts a
 	// non-zero Hello.Trace; the head confirms with a non-zero SiteSpec.Trace
-	// iff its tracer is live. Only after this exchange does either side put
-	// trace data on the wire, so sessions with an old peer stay bit-identical
-	// to the pre-trace protocol.
+	// iff its tracer is live. Only after this exchange does the master stamp
+	// trace data into its frames' (always present) trace fields.
 	if h.tr.Enabled() && !hello.Trace.Zero() {
 		spec.Trace = protocol.TraceContext{TraceID: uint64(hello.Site) + 1, SpanID: 1}
 	}
@@ -470,14 +446,12 @@ func (h *Head) Close() error {
 // SiteSpec, then PollRequest/QuerySpecRequest/JobsDone/CheckpointSave
 // interleaved across queries, with each ReductionResult acknowledged by a
 // ResultAck so the master keeps serving its remaining queries. Only
-// ProtoMulti sessions are accepted — a Hello with an older Proto is answered
-// with an ErrorReply naming the upgrade. Sessions default to the binary codec: a
-// gob Hello is refused unless this head was started with -wire-codec=gob.
-// Exported so in-process deployments can drive a head over transport.Pipe.
+// ProtoMulti sessions are accepted — a Hello of any other Proto is answered
+// with an ErrorReply coded CodeVersionMismatch. Exported so in-process
+// deployments can drive a head over transport.Pipe.
 func (h *Head) HandleConn(c *transport.Conn) {
 	defer c.Close()
 	site := -1
-	upgraded := false
 	for {
 		msg, err := c.Recv()
 		if err != nil {
@@ -488,47 +462,23 @@ func (h *Head) HandleConn(c *transport.Conn) {
 		}
 		switch m := msg.(type) {
 		case protocol.Hello:
-			if m.Proto < protocol.ProtoMulti {
-				_ = c.Send(protocol.ErrorReply{Err: "head: single-query wire sessions were retired; " +
-					"upgrade the master to the multi-query protocol (ProtoMulti)"})
+			if m.Proto != protocol.ProtoMulti {
+				err := opErr("register", m.Site, -1, fmt.Errorf("master speaks protocol version %d, this head %d: %w",
+					m.Proto, protocol.ProtoMulti, ErrVersionMismatch))
+				_ = c.Send(protocol.ErrorReply{Err: err.Error(), Code: ErrCode(err)})
 				return
 			}
-			// Wire-codec negotiation. The binary codec is the default: a
-			// master advertising it is upgraded after the SiteSpec reply
-			// (which still travels in the codec the Hello arrived in). Gob
-			// is opt-in — a Hello without the binary advert is refused
-			// unless this head itself was pinned to gob (-wire-codec=gob),
-			// and a gob-pinned head never upgrades anyone. A fenced master
-			// may re-Hello on the same session to recover; the codec stays
-			// whatever was negotiated first.
-			if m.Codec < protocol.WireBinary && !upgraded && !h.cfg.Tuning.UseGob() {
-				_ = c.Send(protocol.ErrorReply{Err: "head: gob wire sessions are opt-in; " +
-					"start both peers with -wire-codec=gob or upgrade the master to the binary codec"})
-				return
-			}
-			upgrade := m.Codec >= protocol.WireBinary && !upgraded && !h.cfg.Tuning.UseGob()
+			// A fenced master may re-Hello on the same session to recover.
 			site = m.Site
 			spec, err := h.RegisterSite(m)
 			if err != nil {
 				_ = c.Send(protocol.ErrorReply{Err: err.Error(), Code: ErrCode(err)})
 				return
 			}
-			if upgrade {
-				spec.Codec = protocol.WireBinary
-			}
 			if err := c.Send(spec); err != nil {
 				return
 			}
-			if upgrade {
-				c.UpgradeSend(transport.CodecBinary)
-				c.UpgradeRecv(transport.CodecBinary)
-				upgraded = true
-			}
-			codec := config.CodecGob
-			if upgraded {
-				codec = config.CodecBinary
-			}
-			h.cfg.Obs.Metrics().Counter("head_sessions_total", "codec", codec).Inc()
+			h.cfg.Obs.Metrics().Counter("head_sessions_total").Inc()
 		case protocol.PollRequest:
 			rep, err := h.PollFrom(m)
 			if err != nil {

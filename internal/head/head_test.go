@@ -3,7 +3,9 @@ package head
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -11,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/chunk"
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/protocol"
@@ -60,11 +61,7 @@ func testHead(t *testing.T, clusters int) (*Head, *Query) {
 	if err := EncodeIndexSpec(&spec, ix); err != nil {
 		t.Fatal(err)
 	}
-	// The pipe- and TCP-based protocol tests speak gob (the transport
-	// default), which is opt-in since the binary codec became the default:
-	// the test head opts in explicitly.
-	h, err := New(Config{ExpectClusters: clusters,
-		Tuning: config.Tuning{WireCodec: config.CodecGob}, Logf: t.Logf})
+	h, err := New(Config{ExpectClusters: clusters, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +296,12 @@ func TestHandleConnProtocol(t *testing.T) {
 	}
 }
 
-// TestHandleConnRejectsProtoSingle pins the deprecation window's close: a
-// Hello from a single-query master (no Proto field, so Proto 0) is answered
-// with an ErrorReply naming the required upgrade, not a SiteSpec.
+// TestHandleConnRejectsProtoSingle: a Hello from a single-query master (no
+// Proto field, so Proto 0) is answered with a version-mismatch ErrorReply,
+// not a SiteSpec, and does not register the site.
 func TestHandleConnRejectsProtoSingle(t *testing.T) {
 	h, _ := testHead(t, 1)
+	defer h.Shutdown()
 	a, b := transport.Pipe()
 	done := make(chan struct{})
 	go func() { h.HandleConn(b); close(done) }()
@@ -316,10 +314,10 @@ func TestHandleConnRejectsProtoSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	er, ok := reply.(protocol.ErrorReply)
-	if !ok {
-		t.Fatalf("reply = %T, want ErrorReply", reply)
+	if !ok || er.Code != protocol.CodeVersionMismatch {
+		t.Fatalf("reply = %#v, want ErrorReply coded CodeVersionMismatch", reply)
 	}
-	if want := "retired"; !strings.Contains(er.Err, want) {
+	if want := fmt.Sprintf("version 0, this head %d", protocol.ProtoMulti); !strings.Contains(er.Err, want) {
 		t.Errorf("error %q does not mention %q", er.Err, want)
 	}
 	<-done
@@ -330,88 +328,72 @@ func TestHandleConnRejectsProtoSingle(t *testing.T) {
 	}
 }
 
-// TestHandleConnGobOptIn pins the codec demotion: a head on the default
-// binary codec refuses a gob session (Hello without the binary advert) with
-// a one-line ErrorReply, while a head started with -wire-codec=gob accepts
-// it and never upgrades.
+// gobHello is the opening of the stream a master on the retired gob codec
+// wrote for its Hello: a gob type definition of the message envelope.
+var gobHello = []byte{
+	0x1b, 0x7f, 0x03, 0x01, 0x01, 0x08, 0x65, 0x6e, 0x76, 0x65, 0x6c, 0x6f, 0x70, 0x65, 0x01, 0xff,
+	0x80, 0x00, 0x01, 0x01, 0x01, 0x01, 0x4d, 0x01, 0x10, 0x00, 0x00, 0x00, 0x7e, 0xff, 0x80, 0x01,
+	0x1d, 0x72, 0x65, 0x70, 0x72, 0x6f, 0x2f, 0x69, 0x6e, 0x74, 0x65, 0x72, 0x6e, 0x61, 0x6c, 0x2f,
+	0x70, 0x72, 0x6f, 0x74, 0x6f, 0x63, 0x6f, 0x6c, 0x2e, 0x48, 0x65, 0x6c, 0x6c, 0x6f, 0xff, 0x81,
+}
+
+// TestHandleConnGobOptIn: there is no gob opt-in any more. A master that
+// opens its session in gob is dropped by the head without a reply and
+// without registering, and the head's single slot stays free.
 func TestHandleConnGobOptIn(t *testing.T) {
-	ix, err := chunk.Layout("h", 100, 4, 50, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := jobs.NewPool(ix, jobs.Placement{0, 1}, jobs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := New(Config{ExpectClusters: 1, Logf: t.Logf}) // default tuning: binary
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Admit(QueryConfig{Pool: pool, Reducer: sumReducer{},
-		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}, ExpectAll: true}); err != nil {
-		t.Fatal(err)
-	}
+	h, _ := testHead(t, 1)
 	defer h.Shutdown()
-	a, b := transport.Pipe()
+	client, server := net.Pipe()
+	defer client.Close()
 	done := make(chan struct{})
-	go func() { h.HandleConn(b); close(done) }()
-	defer a.Close()
-	if err := a.Send(protocol.Hello{Site: 0, Cluster: "gob", Proto: protocol.ProtoMulti}); err != nil {
-		t.Fatal(err)
+	go func() { h.HandleConn(transport.New(server)); close(done) }()
+	go client.Write(gobHello)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("HandleConn kept a gob session open")
 	}
-	reply, err := a.Recv()
-	if err != nil {
-		t.Fatal(err)
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := client.Read(make([]byte, 64)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Errorf("gob master read %d bytes, %v; want no reply and EOF", n, err)
 	}
-	er, ok := reply.(protocol.ErrorReply)
-	if !ok {
-		t.Fatalf("reply = %T, want ErrorReply", reply)
+	if _, err := h.RegisterSite(protocol.Hello{Site: 0, Cluster: "bin", Proto: protocol.ProtoMulti}); err != nil {
+		t.Errorf("registration after refused gob session: %v", err)
 	}
-	if want := "-wire-codec=gob"; !strings.Contains(er.Err, want) {
-		t.Errorf("error %q does not mention %q", er.Err, want)
-	}
-	<-done
+}
 
-	// Opted-in head: the same Hello gets a SiteSpec with no codec upgrade.
-	h2, _ := testHead(t, 2)
-	defer h2.Shutdown()
-	a2, b2 := transport.Pipe()
-	go h2.HandleConn(b2)
-	defer a2.Close()
-	if err := a2.Send(protocol.Hello{Site: 0, Cluster: "gob", Proto: protocol.ProtoMulti}); err != nil {
-		t.Fatal(err)
+// TestHandleConnRefusesOtherVersions: a Hello of any Proto but ProtoMulti
+// — 0 is the retired single-query dialect — is answered with an ErrorReply
+// coded CodeVersionMismatch, which a remote master rebuilds (CodeError, as
+// RemoteAgent does) into ErrVersionMismatch; the session ends without
+// registering the site.
+func TestHandleConnRefusesOtherVersions(t *testing.T) {
+	h, _ := testHead(t, 1)
+	defer h.Shutdown()
+	for _, proto := range []int{0, 1, protocol.ProtoMulti + 1} {
+		a, b := transport.Pipe()
+		done := make(chan struct{})
+		go func() { h.HandleConn(b); close(done) }()
+		if err := a.Send(protocol.Hello{Site: 0, Cluster: "other", Proto: proto}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := a.Recv()
+		if err != nil {
+			t.Fatalf("proto %d: %v", proto, err)
+		}
+		er, ok := reply.(protocol.ErrorReply)
+		if !ok || er.Code != protocol.CodeVersionMismatch {
+			t.Fatalf("proto %d: reply = %#v, want ErrorReply coded CodeVersionMismatch", proto, reply)
+		}
+		if err := CodeError(er.Code, er.Err); !errors.Is(err, ErrVersionMismatch) {
+			t.Errorf("proto %d: rebuilt error %v is not ErrVersionMismatch", proto, err)
+		}
+		<-done
+		a.Close()
 	}
-	reply, err = a2.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, ok := reply.(protocol.SiteSpec)
-	if !ok {
-		t.Fatalf("reply = %T, want SiteSpec", reply)
-	}
-	if spec.Codec != 0 {
-		t.Errorf("gob-pinned head offered codec upgrade %d", spec.Codec)
-	}
-
-	// A gob-pinned head must not upgrade a binary-advertising master either:
-	// both directions of its sessions stay gob.
-	a3, b3 := transport.Pipe()
-	go h2.HandleConn(b3)
-	defer a3.Close()
-	if err := a3.Send(protocol.Hello{Site: 1, Cluster: "bin", Proto: protocol.ProtoMulti,
-		Codec: protocol.WireBinary}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err = a3.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, ok = reply.(protocol.SiteSpec)
-	if !ok {
-		t.Fatalf("reply = %T, want SiteSpec", reply)
-	}
-	if spec.Codec != 0 {
-		t.Errorf("gob-pinned head confirmed binary upgrade %d", spec.Codec)
+	// No refused master took the head's single slot.
+	if _, err := h.RegisterSite(protocol.Hello{Site: 0, Cluster: "new", Proto: protocol.ProtoMulti}); err != nil {
+		t.Errorf("registration after refused Hellos: %v", err)
 	}
 }
 

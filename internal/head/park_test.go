@@ -402,14 +402,12 @@ func TestStopReleasesParkedSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		conns = append(conns, c)
-		if err := c.Send(protocol.Hello{Site: site, Cluster: "c" + strconv.Itoa(site), Proto: protocol.ProtoMulti, Codec: protocol.WireBinary}); err != nil {
+		if err := c.Send(protocol.Hello{Site: site, Cluster: "c" + strconv.Itoa(site), Proto: protocol.ProtoMulti}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Recv(); err != nil {
 			t.Fatal(err)
 		}
-		c.UpgradeSend(transport.CodecBinary)
-		c.UpgradeRecv(transport.CodecBinary)
 		if err := c.Send(protocol.PollRequest{Site: site, N: 4, ParkNS: forever}); err != nil {
 			t.Fatal(err)
 		}

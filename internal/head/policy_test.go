@@ -62,44 +62,6 @@ func TestAdmitPolicyValidationAndStamp(t *testing.T) {
 	}
 }
 
-// TestHelloPolicyAdoptedAsSessionDefault: the first Hello carrying a policy
-// sets the session default, which later policy-free admissions inherit and
-// an explicit policy overrides.
-func TestHelloPolicyAdoptedAsSessionDefault(t *testing.T) {
-	h, err := New(Config{ExpectClusters: 2, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Shutdown()
-	if _, err := h.RegisterSite(protocol.Hello{Site: 0, Cluster: "a", Proto: protocol.ProtoMulti,
-		Policy: protocol.ElasticPolicy{Deadline: 3 * time.Minute, Budget: 0.1}}); err != nil {
-		t.Fatal(err)
-	}
-	// A second policied Hello must not displace the adopted default.
-	if _, err := h.RegisterSite(protocol.Hello{Site: 1, Cluster: "b", Proto: protocol.ProtoMulti,
-		Policy: protocol.ElasticPolicy{Deadline: time.Minute}}); err != nil {
-		t.Fatal(err)
-	}
-	q, err := h.Admit(QueryConfig{Pool: admitPool(t), Reducer: sumReducer{},
-		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := q.Policy()
-	if got == nil || got.Deadline != 3*time.Minute || got.Budget != 0.1 {
-		t.Errorf("adopted session default = %+v, want deadline 3m budget 0.1", got)
-	}
-	own := &elastic.Policy{Deadline: 30 * time.Second}
-	q2, err := h.Admit(QueryConfig{Pool: admitPool(t), Reducer: sumReducer{},
-		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}, Policy: own})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := q2.Policy(); got == nil || got.Deadline != 30*time.Second || got.Budget != 0 {
-		t.Errorf("explicit policy = %+v, want %+v", got, own)
-	}
-}
-
 // TestQueryLoadsSnapshot: QueryLoads reports only queries with work left,
 // with their weights and policies, keyed the way the arbiter consumes them.
 func TestQueryLoadsSnapshot(t *testing.T) {

@@ -36,9 +36,8 @@ type QueryConfig struct {
 	ExpectAll bool
 	// Policy is the query's elasticity policy — deadline, budget, and
 	// worker-count bounds — weighed by the session-wide arbiter against
-	// every other admitted query's. Nil inherits the policy of the first
-	// Hello that carried one; a query ends up policy-free only when none
-	// did. The arbiter supplies cadence and pricing.
+	// every other admitted query's. Nil means policy-free. The arbiter
+	// supplies cadence and pricing.
 	Policy *elastic.Policy
 }
 
@@ -136,10 +135,6 @@ func (h *Head) Admit(qc QueryConfig) (*Query, error) {
 		qc.Policy = &p
 	}
 	h.mu.Lock()
-	if qc.Policy == nil && h.defaultPolicy != nil {
-		p := *h.defaultPolicy
-		qc.Policy = &p
-	}
 	if h.shutdown {
 		h.mu.Unlock()
 		return nil, opErr("admit", -1, -1, ErrShutdown)

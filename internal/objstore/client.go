@@ -15,14 +15,10 @@ import (
 // the paper's multi-threaded data retrieval, which is what lets compute
 // instances saturate the available bandwidth to S3.
 //
-// By default connections speak the binary wire codec (the server
-// auto-detects it per connection); DialCodec selects gob for peers that
-// predate the binary codec. Chunk payloads returned by Get/GetRange/
-// ReadChunk live in bufpool buffers — the caller owns them and should hand
+// Chunk payloads returned by Get/GetRange/ReadChunk live in bufpool buffers — the caller owns them and should hand
 // them to bufpool.Put when done (see docs/PERFORMANCE.md).
 type Client struct {
 	network, addr string
-	codec         transport.Codec
 
 	mu    sync.Mutex
 	idle  []*transport.Conn
@@ -31,18 +27,12 @@ type Client struct {
 }
 
 // Dial returns a client for the server at addr with at most maxConns pooled
-// connections (≤0 defaults to 8), speaking the binary wire codec.
+// connections (≤0 defaults to 8).
 func Dial(network, addr string, maxConns int) *Client {
-	return DialCodec(network, addr, maxConns, transport.CodecBinary)
-}
-
-// DialCodec is Dial with an explicit wire codec — the gob compat fallback
-// for old servers, which mirror whatever codec the client sends.
-func DialCodec(network, addr string, maxConns int, codec transport.Codec) *Client {
 	if maxConns <= 0 {
 		maxConns = 8
 	}
-	return &Client{network: network, addr: addr, max: maxConns, codec: codec}
+	return &Client{network: network, addr: addr, max: maxConns}
 }
 
 func (c *Client) acquire() (*transport.Conn, error) {
@@ -55,7 +45,7 @@ func (c *Client) acquire() (*transport.Conn, error) {
 	}
 	c.total++
 	c.mu.Unlock()
-	conn, err := transport.DialWith(c.network, c.addr, c.codec)
+	conn, err := transport.Dial(c.network, c.addr)
 	if err != nil {
 		c.mu.Lock()
 		c.total--

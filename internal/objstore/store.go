@@ -348,17 +348,10 @@ func (s *Server) handle(c *transport.Conn) {
 	defer m0.gConns.Add(-1)
 	slicer, _ := s.backend.(Slicer)
 	_, pooled := s.backend.(Pooler)
-	mirrored := false
 	for {
 		msg, err := c.Recv()
 		if err != nil {
 			return // connection closed
-		}
-		if !mirrored {
-			// Reply in whatever codec the client sent (detected from the
-			// connection preamble on the first Recv).
-			c.UpgradeSend(c.RecvCodec())
-			mirrored = true
 		}
 		// release, when non-nil, returns the reply's data buffer to bufpool
 		// after the reply bytes have been flushed to the socket.

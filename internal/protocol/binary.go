@@ -32,32 +32,13 @@ import (
 // decoders read them straight into a caller-supplied (pooled) buffer. No
 // reflection, no intermediate copies.
 //
-// Trace propagation (negotiated via Hello.Trace/SiteSpec.Trace) extends the
-// format in two backward-compatible ways:
-//
-//   - Messages WITHOUT a payload tail (Hello, JobSpec, SiteSpec, JobsDone,
-//     PollRequest, PollReply) append OPTIONAL TRAILING trace fields, emitted
-//     only when non-zero. Decoders read them only when frame bytes remain,
-//     so a zero context encodes bit-identically to the pre-trace format and
-//     an old frame decodes to zero values.
-//   - Tail-payload messages (CheckpointSave, ReductionResult) cannot grow a
-//     tail, so a non-zero context selects a TRACED TAG variant
-//     (tagCheckpointSaveTraced/tagReductionResultTraced) that inserts the
-//     context before the payload. The traced tags are only sent after both
-//     sides negotiated tracing, so old peers never see them.
-//
-// Per-query elastic policies (ElasticPolicy on Hello and JobSpec) extend the
-// format the same trailing-field way: an optional 32-byte policy block
-// (Deadline i64 ns | Budget f64 bits | MinWorkers | MaxWorkers) AFTER the
-// optional trace context, emitted only when the policy is non-zero. Because
-// the policy trails the trace, a non-zero policy forces the trace fields onto
-// the wire too (zeros if untraced) so decoders can position both; zero-policy
-// frames stay bit-identical to the pre-policy format.
-//
-// PollRequest.ParkNS follows the same rule: one optional i64 AFTER the span
-// block (NowNS, span count, spans), emitted only when non-zero and forcing an
-// empty span block onto the wire ahead of it, so a request that does not park
-// is bit-identical to the pre-park format with and without spans.
+// Every field is always present, whatever its value: a TraceContext is two
+// u64 words (zero when untraced), an ElasticPolicy a 32-byte block
+// (Deadline i64 ns | Budget f64 bits | MinWorkers | MaxWorkers). No field's
+// presence depends on its value or on the bytes left in the frame, so a
+// frame one byte short of its layout is ErrTruncatedFrame and one with a
+// byte to spare is ErrCorruptFrame. Head↔master sessions agree on the layout
+// through Hello.Proto, the first field of the first frame.
 const (
 	tagHello byte = 1 + iota
 	tagJobSpec
@@ -84,12 +65,11 @@ const (
 	tagPollReply
 	tagQuerySpecRequest
 	tagResultAck
-	// Traced variants of the tail-payload messages (see the trace-propagation
-	// note above). New tags MUST be appended here, never inserted, and a
-	// retired message keeps its number as a blank: a frame carrying it
-	// decodes to ErrUnknownType, and every surviving tag stays put.
-	tagCheckpointSaveTraced
-	tagReductionResultTraced
+	// New tags MUST be appended here, never inserted, and a retired message
+	// keeps its number as a blank: a frame carrying it decodes to
+	// ErrUnknownType, and every surviving tag stays put.
+	_ // 26: retired traced CheckpointSave (the trace is now a fixed field)
+	_ // 27: retired traced ReductionResult
 	_ // 28: retired ResultRequest
 )
 
@@ -160,20 +140,6 @@ func appendPolicy(b []byte, p ElasticPolicy) []byte {
 	return appendInt(b, p.MaxWorkers)
 }
 
-// appendTracePolicy emits the optional trailing trace-then-policy block of
-// Hello/JobSpec: nothing when both are zero, trace alone when only it is
-// set, and trace (zeros if need be) followed by the policy otherwise.
-func appendTracePolicy(b []byte, t TraceContext, p ElasticPolicy) []byte {
-	if t.Zero() && p.Zero() {
-		return b
-	}
-	b = appendTrace(b, t)
-	if !p.Zero() {
-		b = appendPolicy(b, p)
-	}
-	return b
-}
-
 func appendJobs(b []byte, js []jobs.Job) []byte {
 	b = appendU32(b, uint32(len(js)))
 	for _, j := range js {
@@ -197,12 +163,11 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 	switch m := m.(type) {
 	case Hello:
 		dst = append(dst, tagHello)
+		dst = appendInt(dst, m.Proto)
 		dst = appendInt(dst, m.Site)
 		dst = appendStr(dst, m.Cluster)
 		dst = appendInt(dst, m.Cores)
-		dst = appendInt(dst, m.Codec)
-		dst = appendInt(dst, m.Proto)
-		dst = appendTracePolicy(dst, m.Trace, m.Policy)
+		dst = appendTrace(dst, m.Trace)
 	case JobSpec:
 		dst = append(dst, tagJobSpec)
 		dst = appendStr(dst, m.App)
@@ -210,20 +175,17 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		dst = appendInt(dst, m.UnitSize)
 		dst = appendInt(dst, m.GroupBytes)
 		dst = appendBytes(dst, m.Index)
-		dst = appendInt(dst, m.GroupSize)
 		dst = appendBytes(dst, m.Checkpoint)
 		dst = appendI64(dst, m.HeartbeatEvery)
-		dst = appendInt(dst, m.Codec)
 		dst = appendInt(dst, m.Query)
-		dst = appendTracePolicy(dst, m.Trace, m.Policy)
+		dst = appendTrace(dst, m.Trace)
+		dst = appendPolicy(dst, m.Policy)
 	case JobsDone:
 		dst = append(dst, tagJobsDone)
 		dst = appendInt(dst, m.Site)
 		dst = appendInt(dst, m.Query)
 		dst = appendJobs(dst, m.Jobs)
-		if !m.Trace.Zero() {
-			dst = appendTrace(dst, m.Trace)
-		}
+		dst = appendTrace(dst, m.Trace)
 	case JobsDoneAck:
 		dst = append(dst, tagJobsDoneAck)
 		dst = appendStr(dst, m.Err)
@@ -236,28 +198,18 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		dst = append(dst, tagHeartbeat)
 		dst = appendInt(dst, m.Site)
 	case CheckpointSave:
-		if m.Trace.Zero() {
-			dst = append(dst, tagCheckpointSave)
-		} else {
-			dst = append(dst, tagCheckpointSaveTraced)
-		}
+		dst = append(dst, tagCheckpointSave)
 		dst = appendInt(dst, m.Site)
 		dst = appendInt(dst, m.Seq)
 		dst = appendInt(dst, m.Query)
-		if !m.Trace.Zero() {
-			dst = appendTrace(dst, m.Trace)
-		}
+		dst = appendTrace(dst, m.Trace)
 		return dst, m.Data, nil
 	case CheckpointAck:
 		dst = append(dst, tagCheckpointAck)
 		dst = appendStr(dst, m.Err)
 		dst = appendU32(dst, uint32(m.Code))
 	case ReductionResult:
-		if m.Trace.Zero() {
-			dst = append(dst, tagReductionResult)
-		} else {
-			dst = append(dst, tagReductionResultTraced)
-		}
+		dst = append(dst, tagReductionResult)
 		dst = appendInt(dst, m.Site)
 		dst = appendInt(dst, m.Query)
 		dst = appendI64(dst, m.Processing)
@@ -265,9 +217,7 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		dst = appendI64(dst, m.Sync)
 		dst = appendInt(dst, m.LocalJobs)
 		dst = appendInt(dst, m.StolenJobs)
-		if !m.Trace.Zero() {
-			dst = appendTrace(dst, m.Trace)
-		}
+		dst = appendTrace(dst, m.Trace)
 		return dst, m.Object, nil
 	case ErrorReply:
 		dst = append(dst, tagErrorReply)
@@ -276,33 +226,24 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 	case SiteSpec:
 		dst = append(dst, tagSiteSpec)
 		dst = appendI64(dst, m.HeartbeatEvery)
-		dst = appendInt(dst, m.Codec)
-		if !m.Trace.Zero() {
-			dst = appendTrace(dst, m.Trace)
-		}
+		dst = appendTrace(dst, m.Trace)
 	case PollRequest:
 		dst = append(dst, tagPollRequest)
 		dst = appendInt(dst, m.Site)
 		dst = appendInt(dst, m.N)
-		// ParkNS trails the span block, so a parking request puts the block
-		// on the wire even when it is empty (the policy-after-trace rule).
-		if m.NowNS != 0 || len(m.Spans) > 0 || m.ParkNS != 0 {
-			dst = appendI64(dst, m.NowNS)
-			dst = appendU32(dst, uint32(len(m.Spans)))
-			for _, s := range m.Spans {
-				dst = appendTrace(dst, s.Trace)
-				dst = appendStr(dst, s.Name)
-				dst = appendStr(dst, s.Cat)
-				dst = appendU32(dst, uint32(s.TID))
-				dst = appendU32(dst, uint32(s.Query))
-				dst = appendInt(dst, s.Job)
-				dst = appendI64(dst, s.Start)
-				dst = appendI64(dst, s.Dur)
-			}
+		dst = appendI64(dst, m.NowNS)
+		dst = appendU32(dst, uint32(len(m.Spans)))
+		for _, s := range m.Spans {
+			dst = appendTrace(dst, s.Trace)
+			dst = appendStr(dst, s.Name)
+			dst = appendStr(dst, s.Cat)
+			dst = appendU32(dst, uint32(s.TID))
+			dst = appendU32(dst, uint32(s.Query))
+			dst = appendInt(dst, s.Job)
+			dst = appendI64(dst, s.Start)
+			dst = appendI64(dst, s.Dur)
 		}
-		if m.ParkNS != 0 {
-			dst = appendI64(dst, m.ParkNS)
-		}
+		dst = appendI64(dst, m.ParkNS)
 	case PollReply:
 		dst = append(dst, tagPollReply)
 		var flags byte
@@ -319,6 +260,7 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		dst = appendU32(dst, uint32(len(m.Queries)))
 		for _, q := range m.Queries {
 			dst = appendInt(dst, q.Query)
+			dst = appendTrace(dst, q.Trace)
 			dst = appendJobs(dst, q.Jobs)
 		}
 		dst = appendU32(dst, uint32(len(m.Done)))
@@ -328,24 +270,6 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		dst = appendU32(dst, uint32(len(m.Dropped)))
 		for _, q := range m.Dropped {
 			dst = appendInt(dst, q)
-		}
-		// Optional trailing grant-trace section: one (query, context) entry
-		// per traced grant. Untraced replies omit it entirely.
-		traced := 0
-		for _, q := range m.Queries {
-			if !q.Trace.Zero() {
-				traced++
-			}
-		}
-		if traced > 0 {
-			dst = appendU32(dst, uint32(traced))
-			for _, q := range m.Queries {
-				if q.Trace.Zero() {
-					continue
-				}
-				dst = appendInt(dst, q.Query)
-				dst = appendTrace(dst, q.Trace)
-			}
 		}
 	case QuerySpecRequest:
 		dst = append(dst, tagQuerySpecRequest)
@@ -517,23 +441,9 @@ func (f *frameReader) trace() (TraceContext, error) {
 	return t, err
 }
 
-// optTrace reads a trailing optional TraceContext: zero when the frame has
-// no bytes left (an untraced or pre-trace peer), the context otherwise.
-func (f *frameReader) optTrace() (TraceContext, error) {
-	if f.n == 0 {
-		return TraceContext{}, nil
-	}
-	return f.trace()
-}
-
-// optPolicy reads a trailing optional ElasticPolicy: zero when the frame
-// has no bytes left (a policy-free or pre-policy peer), the 32-byte policy
-// block otherwise.
-func (f *frameReader) optPolicy() (ElasticPolicy, error) {
+// policy reads one ElasticPolicy block.
+func (f *frameReader) policy() (ElasticPolicy, error) {
 	var p ElasticPolicy
-	if f.n == 0 {
-		return p, nil
-	}
 	d, err := f.i64()
 	if err != nil {
 		return p, err
@@ -661,6 +571,9 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 	case tagHello:
 		var m Hello
 		var err error
+		if m.Proto, err = f.int(); err != nil {
+			return nil, err
+		}
 		if m.Site, err = f.int(); err != nil {
 			return nil, err
 		}
@@ -670,16 +583,7 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 		if m.Cores, err = f.int(); err != nil {
 			return nil, err
 		}
-		if m.Codec, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Proto, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Trace, err = f.optTrace(); err != nil {
-			return nil, err
-		}
-		if m.Policy, err = f.optPolicy(); err != nil {
+		if m.Trace, err = f.trace(); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -701,25 +605,19 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 		if m.Index, err = f.bytes(); err != nil {
 			return nil, err
 		}
-		if m.GroupSize, err = f.int(); err != nil {
-			return nil, err
-		}
 		if m.Checkpoint, err = f.bytes(); err != nil {
 			return nil, err
 		}
 		if m.HeartbeatEvery, err = f.i64(); err != nil {
 			return nil, err
 		}
-		if m.Codec, err = f.int(); err != nil {
-			return nil, err
-		}
 		if m.Query, err = f.int(); err != nil {
 			return nil, err
 		}
-		if m.Trace, err = f.optTrace(); err != nil {
+		if m.Trace, err = f.trace(); err != nil {
 			return nil, err
 		}
-		if m.Policy, err = f.optPolicy(); err != nil {
+		if m.Policy, err = f.policy(); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -735,7 +633,7 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 		if m.Jobs, err = f.jobs(); err != nil {
 			return nil, err
 		}
-		if m.Trace, err = f.optTrace(); err != nil {
+		if m.Trace, err = f.trace(); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -770,7 +668,7 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 			return nil, err
 		}
 		return m, nil
-	case tagCheckpointSave, tagCheckpointSaveTraced:
+	case tagCheckpointSave:
 		var m CheckpointSave
 		var err error
 		if m.Site, err = f.int(); err != nil {
@@ -782,10 +680,8 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 		if m.Query, err = f.int(); err != nil {
 			return nil, err
 		}
-		if tag == tagCheckpointSaveTraced {
-			if m.Trace, err = f.trace(); err != nil {
-				return nil, err
-			}
+		if m.Trace, err = f.trace(); err != nil {
+			return nil, err
 		}
 		if m.Data, err = f.tail(alloc); err != nil {
 			return nil, err
@@ -803,7 +699,7 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 		}
 		m.Code = int(int32(code))
 		return m, nil
-	case tagReductionResult, tagReductionResultTraced:
+	case tagReductionResult:
 		var m ReductionResult
 		var err error
 		if m.Site, err = f.int(); err != nil {
@@ -827,10 +723,8 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 		if m.StolenJobs, err = f.int(); err != nil {
 			return nil, err
 		}
-		if tag == tagReductionResultTraced {
-			if m.Trace, err = f.trace(); err != nil {
-				return nil, err
-			}
+		if m.Trace, err = f.trace(); err != nil {
+			return nil, err
 		}
 		if m.Object, err = f.tail(alloc); err != nil {
 			return nil, err
@@ -854,10 +748,7 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 		if m.HeartbeatEvery, err = f.i64(); err != nil {
 			return nil, err
 		}
-		if m.Codec, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Trace, err = f.optTrace(); err != nil {
+		if m.Trace, err = f.trace(); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -870,61 +761,49 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 		if m.N, err = f.int(); err != nil {
 			return nil, err
 		}
-		if f.n > 0 {
-			if m.NowNS, err = f.i64(); err != nil {
-				return nil, err
-			}
-			ns, err := f.count(wireSpanMin)
-			if err != nil {
-				return nil, err
-			}
-			if ns > 0 {
-				m.Spans = make([]WireSpan, ns)
-				for i := range m.Spans {
-					s := &m.Spans[i]
-					if s.Trace, err = f.trace(); err != nil {
-						return nil, err
-					}
-					if s.Name, err = f.str(); err != nil {
-						return nil, err
-					}
-					if s.Cat, err = f.str(); err != nil {
-						return nil, err
-					}
-					tid, err := f.u32()
-					if err != nil {
-						return nil, err
-					}
-					s.TID = int(int32(tid))
-					q, err := f.u32()
-					if err != nil {
-						return nil, err
-					}
-					s.Query = int(int32(q))
-					if s.Job, err = f.int(); err != nil {
-						return nil, err
-					}
-					if s.Start, err = f.i64(); err != nil {
-						return nil, err
-					}
-					if s.Dur, err = f.i64(); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if f.n > 0 {
-				// Whatever follows the span block is exactly one ParkNS word,
-				// which the encoder only writes when it is non-zero.
-				if f.n != 8 {
-					return nil, fmt.Errorf("%w: %d bytes after poll spans, want an 8-byte park word", ErrCorruptFrame, f.n)
-				}
-				if m.ParkNS, err = f.i64(); err != nil {
+		if m.NowNS, err = f.i64(); err != nil {
+			return nil, err
+		}
+		ns, err := f.count(wireSpanMin)
+		if err != nil {
+			return nil, err
+		}
+		if ns > 0 {
+			m.Spans = make([]WireSpan, ns)
+			for i := range m.Spans {
+				s := &m.Spans[i]
+				if s.Trace, err = f.trace(); err != nil {
 					return nil, err
 				}
-				if m.ParkNS == 0 {
-					return nil, fmt.Errorf("%w: explicit zero park word", ErrCorruptFrame)
+				if s.Name, err = f.str(); err != nil {
+					return nil, err
+				}
+				if s.Cat, err = f.str(); err != nil {
+					return nil, err
+				}
+				tid, err := f.u32()
+				if err != nil {
+					return nil, err
+				}
+				s.TID = int(int32(tid))
+				q, err := f.u32()
+				if err != nil {
+					return nil, err
+				}
+				s.Query = int(int32(q))
+				if s.Job, err = f.int(); err != nil {
+					return nil, err
+				}
+				if s.Start, err = f.i64(); err != nil {
+					return nil, err
+				}
+				if s.Dur, err = f.i64(); err != nil {
+					return nil, err
 				}
 			}
+		}
+		if m.ParkNS, err = f.i64(); err != nil {
+			return nil, err
 		}
 		return m, nil
 	case tagPollReply:
@@ -936,18 +815,22 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 		m.Wait = flags&1 != 0
 		m.Shutdown = flags&2 != 0
 		m.Drain = flags&4 != 0
-		// Each query entry costs at least its ID plus a jobs count word.
-		nq, err := f.count(8 + 4)
+		// Each query entry costs at least its ID, trace and jobs count word.
+		nq, err := f.count(8 + traceWire + 4)
 		if err != nil {
 			return nil, err
 		}
 		if nq > 0 {
 			m.Queries = make([]QueryJobs, nq)
 			for i := range m.Queries {
-				if m.Queries[i].Query, err = f.int(); err != nil {
+				q := &m.Queries[i]
+				if q.Query, err = f.int(); err != nil {
 					return nil, err
 				}
-				if m.Queries[i].Jobs, err = f.jobs(); err != nil {
+				if q.Trace, err = f.trace(); err != nil {
+					return nil, err
+				}
+				if q.Jobs, err = f.jobs(); err != nil {
 					return nil, err
 				}
 			}
@@ -957,29 +840,6 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 		}
 		if m.Dropped, err = f.ints(); err != nil {
 			return nil, err
-		}
-		if f.n > 0 {
-			// Trailing grant-trace section (traced sessions only).
-			nt, err := f.count(8 + traceWire)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < nt; i++ {
-				q, err := f.int()
-				if err != nil {
-					return nil, err
-				}
-				tc, err := f.trace()
-				if err != nil {
-					return nil, err
-				}
-				for j := range m.Queries {
-					if m.Queries[j].Query == q {
-						m.Queries[j].Trace = tc
-						break
-					}
-				}
-			}
 		}
 		return m, nil
 	case tagQuerySpecRequest:

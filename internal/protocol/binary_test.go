@@ -33,11 +33,11 @@ func sampleJobs(n int) []jobs.Job {
 // empty/nil payloads.
 func sampleMessages() []Message {
 	return []Message{
-		Hello{Site: 3, Cluster: "cloud", Cores: 16, Codec: WireBinary},
+		Hello{Site: 3, Cluster: "cloud", Cores: 16, Proto: ProtoMulti},
 		Hello{},
 		JobSpec{App: "knn", Params: []byte{1, 2, 3}, UnitSize: 4096, GroupBytes: 256 << 10,
-			Index: bytes.Repeat([]byte{0xAB}, 100), GroupSize: 8,
-			Checkpoint: []byte("ckpt"), HeartbeatEvery: 5e8, Codec: WireBinary},
+			Index:      bytes.Repeat([]byte{0xAB}, 100),
+			Checkpoint: []byte("ckpt"), HeartbeatEvery: 5e8},
 		JobSpec{App: "kmeans"},
 		JobsDone{Site: 2, Jobs: sampleJobs(3)},
 		JobsDoneAck{Dup: []int{4, 9, 11}, Err: "partial"},
@@ -63,13 +63,13 @@ func sampleMessages() []Message {
 		ListReq{Prefix: "points"},
 		ListResp{Keys: []string{"a", "bb", "ccc"}},
 		ListResp{},
-		Hello{Site: 2, Cluster: "shared", Cores: 8, Codec: WireBinary, Proto: ProtoMulti},
-		JobSpec{App: "histogram", Query: 7, Codec: WireBinary},
+		Hello{Site: 2, Cluster: "shared", Cores: 8, Proto: -1},
+		JobSpec{App: "histogram", Query: 7},
 		JobsDone{Site: 1, Query: 3, Jobs: []jobs.Job{{ID: 12, Site: 1}}},
 		CheckpointSave{Site: 0, Seq: 2, Query: 5, Data: []byte("q5")},
 		ReductionResult{Site: 1, Query: 4, Object: []byte{1}, Processing: 2, Retrieval: 3, Sync: 4, LocalJobs: 5, StolenJobs: 6},
 		ErrorReply{Err: "fenced", Code: CodeFenced},
-		SiteSpec{HeartbeatEvery: 25e7, Codec: WireBinary},
+		SiteSpec{HeartbeatEvery: 25e7},
 		SiteSpec{},
 		PollRequest{Site: 3, N: 9},
 		PollReply{
@@ -87,15 +87,14 @@ func sampleMessages() []Message {
 		QuerySpecRequest{Site: 2, Query: 6},
 		ResultAck{Err: "unknown query", Code: CodeUnknownQuery},
 		ResultAck{},
-		// Traced variants: optional trailing contexts, span piggybacking and
-		// the traced tail-payload tags.
+		// Traced messages, span piggybacking, policies and parking polls.
 		Hello{Site: 4, Cluster: "edge", Cores: 2, Proto: ProtoMulti, Trace: TraceContext{SpanID: 5}},
-		JobSpec{App: "knn", Query: 2, Codec: WireBinary, Trace: TraceContext{TraceID: 3}},
+		JobSpec{App: "knn", Query: 2, Trace: TraceContext{TraceID: 3}},
 		JobsDone{Site: 1, Query: 3, Jobs: sampleJobs(2), Trace: TraceContext{TraceID: 4, SpanID: 9}},
 		CheckpointSave{Site: 1, Seq: 7, Query: 5, Data: []byte("q5-traced"), Trace: TraceContext{TraceID: 6, SpanID: 2}},
 		ReductionResult{Site: 0, Query: 1, Object: []byte{1, 2}, Processing: 3,
 			Trace: TraceContext{TraceID: 2, SpanID: 8}},
-		SiteSpec{HeartbeatEvery: 1e9, Codec: WireBinary, Trace: TraceContext{TraceID: 4, SpanID: 1}},
+		SiteSpec{HeartbeatEvery: 1e9, Trace: TraceContext{TraceID: 4, SpanID: 1}},
 		PollRequest{Site: 2, N: 8, NowNS: 123456789, Spans: []WireSpan{
 			{Trace: TraceContext{TraceID: 1, SpanID: 2}, Name: "job 3", Cat: "job", TID: 1, Job: 3, Start: 10, Dur: 20},
 			{Trace: TraceContext{TraceID: 2, SpanID: 3}, Name: "retrieve", Cat: "retrieval", TID: 2, Query: 1, Job: 4, Start: 30, Dur: 40},
@@ -105,20 +104,11 @@ func sampleMessages() []Message {
 			{Query: 1, Jobs: sampleJobs(2), Trace: TraceContext{TraceID: 2, SpanID: 11}},
 			{Query: 2}, // untraced grant alongside a traced one
 		}, Wait: true},
-		// Per-query elastic policies: optional trailing block after the
-		// (possibly zero) trace context.
-		Hello{Site: 5, Cluster: "client", Cores: 4, Proto: ProtoMulti,
-			Policy: ElasticPolicy{Deadline: 120e9, Budget: 0.10, MaxWorkers: 8}},
-		Hello{Site: 6, Cluster: "client", Cores: 4, Proto: ProtoMulti,
-			Trace:  TraceContext{SpanID: 3},
-			Policy: ElasticPolicy{Deadline: 90e9, MinWorkers: 1, MaxWorkers: 4}},
-		JobSpec{App: "knn", Query: 3, Codec: WireBinary,
+		JobSpec{App: "knn", Query: 3,
 			Policy: ElasticPolicy{Budget: 0.25, MaxWorkers: 16}},
-		JobSpec{App: "kmeans", Query: 4, Codec: WireBinary,
+		JobSpec{App: "kmeans", Query: 4,
 			Trace:  TraceContext{TraceID: 5},
 			Policy: ElasticPolicy{Deadline: 240e9, Budget: 0.12, MinWorkers: 2, MaxWorkers: 6}},
-		// Parking polls: the optional park word after the (possibly empty)
-		// span block.
 		PollRequest{Site: 1, N: 4, ParkNS: 20e6},
 		PollRequest{Site: 1, N: 4, NowNS: 77, ParkNS: 20e6},
 		PollRequest{Site: 2, N: 8, NowNS: 123456789, ParkNS: 20e6, Spans: []WireSpan{
@@ -128,7 +118,7 @@ func sampleMessages() []Message {
 	}
 }
 
-// retiredFrames hand-builds well-formed frames of the four retired message
+// retiredFrames hand-builds well-formed frames of the six retired message
 // tags, in the layouts their encoders used to write. The tag numbers stay
 // reserved, so each must decode to ErrUnknownType whatever its body says.
 func retiredFrames() []struct {
@@ -148,6 +138,10 @@ func retiredFrames() []struct {
 		{"retired tag 4 (empty JobGrant)", frame(4, appendJobs([]byte{0}, nil))},
 		{"retired tag 11 (Finished)", frame(11, bytes.Repeat([]byte{0xCD}, 50))},
 		{"retired tag 11 (empty Finished)", frame(11, nil)},
+		{"retired tag 26 (traced CheckpointSave)",
+			frame(26, append(appendTrace(appendInt(appendInt(appendInt(nil, 1), 7), 5), TraceContext{6, 2}), "ckpt"...))},
+		{"retired tag 27 (traced ReductionResult)",
+			frame(27, append(appendTrace(make([]byte, 7*8), TraceContext{2, 8}), 1, 2))},
 		{"retired tag 28 (ResultRequest)", frame(28, appendInt(appendInt(nil, 2), 6))},
 		{"retired tag 28 (zero ResultRequest)", frame(28, make([]byte, 16))},
 	}
@@ -275,17 +269,6 @@ func TestDecodeFrameMalformed(t *testing.T) {
 				t.Fatalf("got error %v, want %v", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestGobBinaryCrossFieldCompat pins the negotiation contract: a gob peer
-// without the Codec fields decodes to the zero value WireGob.
-func TestCodecConstants(t *testing.T) {
-	if WireGob != 0 {
-		t.Fatalf("WireGob must be the zero value, got %d", WireGob)
-	}
-	if WireBinary <= WireGob {
-		t.Fatalf("WireBinary (%d) must rank above WireGob", WireBinary)
 	}
 }
 

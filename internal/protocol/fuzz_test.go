@@ -11,8 +11,8 @@ import (
 //
 //	go test -fuzz=FuzzDecodeFrame ./internal/protocol
 func FuzzDecodeFrame(f *testing.F) {
-	// Seed with every valid message type plus the malformed shapes from the
-	// table test so the fuzzer starts at the interesting boundaries.
+	// Seed with every valid message type, the hand-built fixed layouts and
+	// the retired tags so the fuzzer starts at the interesting boundaries.
 	seed := func(frame []byte) {
 		f.Add(frame)
 		if len(frame) > 5 {
@@ -30,8 +30,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, rf := range retiredFrames() {
 		seed(rf.frame)
 	}
-	for _, tc := range malformedParkFrames() {
-		f.Add(tc.frame)
+	for _, tc := range fixedLayouts() {
+		seed(tc.body.frame())
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})

@@ -2,15 +2,12 @@
 // node types: the HEAD node (global job assignment and final global
 // reduction), the per-cluster MASTER nodes (cluster-local job pools), and
 // the object-store daemons. Messages are carried by internal/transport in
-// one of two codecs: the hand-rolled length-prefixed binary format defined
-// in binary.go (the data-plane default — no reflection, no intermediate
-// copies) or the original gob envelope, now explicitly opt-in
-// (-wire-codec=gob on BOTH peers) and negotiated per session via
-// Hello.Codec/SiteSpec.Codec.
+// one format: the hand-rolled length-prefixed binary frames defined in
+// binary.go, every field at a fixed position (no reflection, no intermediate
+// copies). Head↔master sessions are versioned by Hello.Proto.
 package protocol
 
 import (
-	"encoding/gob"
 	"time"
 
 	"repro/internal/jobs"
@@ -22,9 +19,7 @@ type Message interface{ protoMsg() }
 // TraceContext correlates the events of one query (and one exchange within
 // it) across processes: the head assigns each admitted query a TraceID, and
 // individual grants or submissions carry a SpanID under it. The zero value
-// means "no trace" — peers predating trace propagation read (and send) zero
-// values in both codecs, and senders omit the fields entirely on the wire
-// when zero, so untraced sessions are bit-identical to the old format.
+// means "no trace"; it still occupies its 16 bytes on the wire.
 type TraceContext struct {
 	TraceID uint64
 	SpanID  uint64
@@ -33,23 +28,14 @@ type TraceContext struct {
 // Zero reports whether t carries no trace correlation.
 func (t TraceContext) Zero() bool { return t.TraceID == 0 && t.SpanID == 0 }
 
-// ElasticPolicy is a per-query elastic provisioning policy carried on the
-// admission path: a submitting peer proposes a session default in
-// Hello.Policy, and the head round-trips each query's resolved policy in
-// JobSpec.Policy (fetched via QuerySpecRequest). The zero value means "no
-// policy" — peers predating per-query policies read (and send) zero values
-// in both codecs, and senders omit the fields entirely on the wire when
-// zero, so policy-free sessions are bit-identical to the old format.
+// ElasticPolicy is a query's resolved elastic provisioning policy, which the
+// head round-trips in JobSpec.Policy (fetched via QuerySpecRequest). The zero
+// value means "no policy"; it still occupies its 32 bytes on the wire.
 type ElasticPolicy struct {
 	Deadline   time.Duration // target completion time from admission (0 = none)
 	Budget     float64       // hard cap on attributed instance spend in dollars (0 = unlimited)
 	MinWorkers int           // floor on the burst fleet while the query is active
 	MaxWorkers int           // ceiling this query will ever ask the arbiter for (0 = arbiter default)
-}
-
-// Zero reports whether p carries no elastic policy.
-func (p ElasticPolicy) Zero() bool {
-	return p.Deadline == 0 && p.Budget == 0 && p.MinWorkers == 0 && p.MaxWorkers == 0
 }
 
 // WireSpan is one completed master-side span shipped to the head,
@@ -70,46 +56,28 @@ type WireSpan struct {
 // ---------------------------------------------------------------------------
 // Head ↔ Master.
 
-// Wire codec identifiers carried in Hello/JobSpec for live negotiation.
-// Gob ignores unknown and missing struct fields, so a peer predating the
-// binary codec reads Codec as its zero value (WireGob) and the session
-// simply stays on gob.
-const (
-	WireGob    = 0 // reflection-driven gob envelope (compat fallback)
-	WireBinary = 1 // length-prefixed fixed-layout binary codec (binary.go)
-)
-
 // ProtoMulti is the session protocol version carried in Hello.Proto: the
 // master registers once and interleaves jobs from every admitted query over
 // the same connection; the head replies with SiteSpec and specs are fetched
-// per query. Version 0 — one query bound per session — is retired: a Hello
-// carrying it (or no Proto field at all) is answered with an ErrorReply
-// naming the upgrade instead of a hang.
-const ProtoMulti = 1
+// per query. Version 2 names the fixed-layout frames, every field always
+// present. The head answers a Hello of any other version with an ErrorReply
+// coded CodeVersionMismatch.
+const ProtoMulti = 2
 
 // Hello registers a master with the head node.
 type Hello struct {
+	// Proto is the session protocol version (ProtoMulti). It is the first
+	// field on the wire, so any peer's version is readable before the rest
+	// of the layout.
+	Proto   int
 	Site    int    // site id of the cluster's storage (matches the placement)
 	Cluster string // human-readable cluster name ("local", "cloud", …)
 	Cores   int    // processing threads the cluster contributes
-	// Codec is the best wire codec the master supports (WireGob/WireBinary).
-	// The head confirms the session codec in SiteSpec.Codec; both sides
-	// upgrade after that exchange.
-	Codec int
-	// Proto is the session protocol version (ProtoMulti). Masters predating
-	// it send no field, read as 0, and are refused.
-	Proto int
 	// Trace advertises trace propagation: a master that can record and ship
 	// spans sends a non-zero SpanID (its session span). The head confirms
 	// with a non-zero SiteSpec.Trace/JobSpec.Trace iff its tracer is live;
-	// only after that exchange do frames carry trace data. Old peers read
-	// the zero value and the session stays untraced.
+	// only after that exchange does the master stamp trace data.
 	Trace TraceContext
-	// Policy proposes a session-default elastic policy: the head adopts it
-	// as its default (applied to queries admitted without their own policy)
-	// unless an earlier Hello's was adopted. Zero means no proposal; old peers read
-	// the zero value.
-	Policy ElasticPolicy
 }
 
 // JobSpec is the head's response to QuerySpecRequest: everything a cluster
@@ -120,7 +88,6 @@ type JobSpec struct {
 	UnitSize   int    // dataset unit size in bytes
 	GroupBytes int    // cache-sized unit-group budget
 	Index      []byte // serialized chunk.Index
-	GroupSize  int    // unused: masters size their own requests (kept so frames do not change)
 	// Checkpoint, when non-empty, is the encoded fault.Checkpoint a
 	// re-registering cluster resumes from (its last persisted reduction
 	// object plus the job IDs that object covers).
@@ -128,9 +95,6 @@ type JobSpec struct {
 	// Fault carries the head's recovery parameters so the cluster runtime
 	// can enable heartbeats and checkpointing without local configuration.
 	HeartbeatEvery int64 // nanoseconds between heartbeats; 0 disables
-	// Codec is unused: the session codec is confirmed in SiteSpec.Codec (kept
-	// so frames do not change).
-	Codec int
 	// Query identifies which admitted query this spec belongs to.
 	Query int
 	// Trace is the query's trace context (TraceID assigned at admission),
@@ -175,10 +139,7 @@ type CheckpointSave struct {
 	Site  int
 	Seq   int
 	Query int // owning query
-	// Trace carries the owning query's trace context. In the binary codec a
-	// non-zero context selects the traced frame tag (the payload tail leaves
-	// no room for optional trailing fields); zero contexts encode with the
-	// original tag, bit-identical to old frames.
+	// Trace carries the owning query's trace context.
 	Trace TraceContext
 	Data  []byte
 }
@@ -201,8 +162,7 @@ type ReductionResult struct {
 	Sync       int64
 	LocalJobs  int
 	StolenJobs int
-	// Trace carries the owning query's trace context (see CheckpointSave for
-	// the binary-codec encoding rule).
+	// Trace carries the owning query's trace context.
 	Trace TraceContext
 }
 
@@ -222,7 +182,6 @@ type ErrorReply struct {
 // queries first appear in a PollReply.
 type SiteSpec struct {
 	HeartbeatEvery int64 // nanoseconds between heartbeats; 0 disables
-	Codec          int   // session codec: min(head's best, Hello.Codec)
 	// Trace confirms trace propagation for the session: non-zero (the head's
 	// session trace context) iff the head's tracer is live and the master
 	// advertised support in Hello.Trace. The master ships spans and stamps
@@ -237,7 +196,7 @@ type PollRequest struct {
 	N    int
 	// NowNS is the master's clock reading when the request was built,
 	// letting the head compute a per-site clock offset and align shipped
-	// span timestamps onto its own timeline. Zero on untraced sessions.
+	// span timestamps onto its own timeline.
 	NowNS int64
 	// Spans carries master-side spans completed since the last poll —
 	// trace shipping piggybacks on poll traffic rather than adding RPCs.
@@ -298,8 +257,7 @@ type ResultAck struct {
 // Object store (S3 stand-in).
 
 // Error codes classifying object-store failures for retry policies. The
-// zero value (CodeOK) keeps old servers' responses (no Code field on the
-// wire) reading as success-or-unclassified.
+// zero value (CodeOK) reads as success-or-unclassified.
 const (
 	CodeOK        = 0 // no error
 	CodeTransient = 1 // retryable: connection trouble, transient backend error
@@ -312,11 +270,12 @@ const (
 // (head.OpError sentinels, fault.ErrFenced) across the wire. Disjoint from
 // the object-store codes above so a misrouted reply cannot be misread.
 const (
-	CodeFenced       = 10 // site's lease expired; re-register to resume
-	CodeUnknownQuery = 11 // query ID never admitted at this head
-	CodeCanceled     = 12 // query was canceled
-	CodeStale        = 13 // stale checkpoint sequence or superseded request
-	CodeShutdown     = 14 // head is shutting down
+	CodeFenced          = 10 // site's lease expired; re-register to resume
+	CodeUnknownQuery    = 11 // query ID never admitted at this head
+	CodeCanceled        = 12 // query was canceled
+	CodeStale           = 13 // stale checkpoint sequence or superseded request
+	CodeShutdown        = 14 // head is shutting down
+	CodeVersionMismatch = 15 // Hello.Proto is not this head's ProtoMulti
 )
 
 // PutReq stores an object.
@@ -390,28 +349,3 @@ func (StatReq) protoMsg()          {}
 func (StatResp) protoMsg()         {}
 func (ListReq) protoMsg()          {}
 func (ListResp) protoMsg()         {}
-
-func init() {
-	gob.Register(Hello{})
-	gob.Register(JobSpec{})
-	gob.Register(JobsDone{})
-	gob.Register(JobsDoneAck{})
-	gob.Register(Heartbeat{})
-	gob.Register(CheckpointSave{})
-	gob.Register(CheckpointAck{})
-	gob.Register(ReductionResult{})
-	gob.Register(ErrorReply{})
-	gob.Register(SiteSpec{})
-	gob.Register(PollRequest{})
-	gob.Register(PollReply{})
-	gob.Register(QuerySpecRequest{})
-	gob.Register(ResultAck{})
-	gob.Register(PutReq{})
-	gob.Register(PutResp{})
-	gob.Register(GetReq{})
-	gob.Register(GetResp{})
-	gob.Register(StatReq{})
-	gob.Register(StatResp{})
-	gob.Register(ListReq{})
-	gob.Register(ListResp{})
-}

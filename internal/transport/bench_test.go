@@ -75,23 +75,14 @@ func BenchmarkSendOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkWire_ChunkRoundtrip is the PR's acceptance benchmark: one
-// 12.8 MB chunk (the experiments' standard chunk size) echoed over a
-// connection pair, gob vs binary. The binary codec must deliver ≥2× the
-// throughput at ≥10× fewer allocations per op. Received payloads are
-// returned to bufpool on both ends, so the binary numbers reflect the
-// steady-state pooled data plane.
+// BenchmarkWire_ChunkRoundtrip echoes one 12.8 MB chunk (the experiments'
+// standard chunk size) over a connection pair. Received payloads are
+// returned to bufpool on both ends, so the numbers reflect the steady-state
+// pooled data plane. The live benchmark reports the same path over loopback
+// TCP as transport.chunk_roundtrip_roofline.
 func BenchmarkWire_ChunkRoundtrip(b *testing.B) {
 	const chunkBytes = 12_800_000
-	for _, codec := range []Codec{CodecGob, CodecBinary} {
-		b.Run(codec.String(), func(b *testing.B) {
-			benchChunkRoundTrip(b, codec, chunkBytes)
-		})
-	}
-}
-
-func benchChunkRoundTrip(b *testing.B, codec Codec, chunkBytes int) {
-	a, peer := PipeWith(codec)
+	a, peer := Pipe()
 	defer a.Close()
 	defer peer.Close()
 	done := make(chan struct{})

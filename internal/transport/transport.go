@@ -1,27 +1,21 @@
 // Package transport carries protocol messages over any net.Conn: real TCP
 // sockets between machines, loopback sockets in single-host deployments, or
-// net.Pipe pairs in tests. Two frame codecs are supported on every
-// connection:
+// net.Pipe pairs in tests. Every connection speaks one codec, the
+// length-prefixed fixed-layout frames of internal/protocol/binary.go: no
+// reflection, bulk payloads written straight from the caller's buffer and
+// received into pooled buffers.
 //
-//   - CodecBinary — the length-prefixed fixed-layout format from
-//     internal/protocol/binary.go. No reflection; bulk payloads are written
-//     straight from the caller's buffer and received into pooled buffers.
-//   - CodecGob — the original gob-envelope stream, retained one release as
-//     a compat fallback.
-//
-// The receive side never needs configuration: a connection that is binary
-// from its first byte announces itself with a 4-byte preamble
-// {0x00,'C','B','1'}, which can never begin a gob stream (gob's first byte
-// is a nonzero varint length), and Recv probes for it before the first
-// frame. Sessions that start in gob (head↔master) negotiate an upgrade via
-// protocol.Hello.Codec/JobSpec.Codec and switch both directions explicitly
-// with UpgradeSend/UpgradeRecv — no preamble is emitted mid-stream.
+// Each direction opens with the 4-byte preamble {0x00,'C','B','1'} ahead
+// of its first frame. Recv checks for it before the first frame and
+// rejects a connection that does not start with it as "not a binary
+// session" (wrapping protocol.ErrCorruptFrame), reading nothing beyond those
+// four bytes.
 package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -31,33 +25,20 @@ import (
 	"repro/internal/protocol"
 )
 
-// Codec selects a frame encoding for one direction of a connection.
+// Codec names a frame encoding. CodecBinary is the only one; NewWith and
+// DialWith still take it so the benchmark's call sites compile unchanged,
+// and the argument goes when the benchmark is next revised.
 type Codec uint8
 
-const (
-	// CodecGob is the reflection-driven gob envelope (compat fallback).
-	CodecGob Codec = iota
-	// CodecBinary is the hand-rolled length-prefixed binary codec.
-	CodecBinary
-)
+// CodecBinary is the length-prefixed fixed-layout binary codec.
+const CodecBinary Codec = 1
 
-// String renders the codec for logs and flags.
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return "binary"
-	}
-	return "gob"
-}
-
-// binaryPreamble announces a binary-from-the-start connection. 0x00 is
-// impossible as a gob stream's first byte, making receive-side detection
-// unambiguous.
+// binaryPreamble opens each direction of every connection.
 var binaryPreamble = [4]byte{0x00, 'C', 'B', '1'}
 
-// envelope lets gob carry the Message interface.
-type envelope struct {
-	M protocol.Message
-}
+// errNotBinary rejects a peer whose first bytes are not binaryPreamble.
+// Preallocated so a hostile connection costs nothing beyond the 4-byte peek.
+var errNotBinary = fmt.Errorf("transport: recv: %w: not a binary session", protocol.ErrCorruptFrame)
 
 // Conn is a message-oriented connection. Send and Recv are individually
 // goroutine-safe (one lock each), supporting a reader goroutine concurrent
@@ -67,113 +48,45 @@ type Conn struct {
 
 	sendMu       sync.Mutex
 	bw           *bufio.Writer
-	enc          *gob.Encoder // lazily created; gob sends only
-	sendCodec    Codec
-	preamble     bool // emit binaryPreamble before the first frame
 	preambleSent bool
 	scratch      []byte // reused frame-meta buffer (guarded by sendMu)
 
-	recvMu    sync.Mutex
-	br        *bufio.Reader
-	dec       *gob.Decoder // lazily created; gob receives only
-	recvCodec Codec
-	probed    bool    // preamble probe done (or bypassed by UpgradeRecv)
-	rhdr      [4]byte // reused frame-header read buffer (guarded by recvMu)
-	bdec      protocol.BodyDecoder
+	recvMu sync.Mutex
+	br     *bufio.Reader
+	probed bool    // peer's preamble checked and consumed
+	rhdr   [4]byte // reused frame-header read buffer (guarded by recvMu)
+	bdec   protocol.BodyDecoder
 }
 
-// New wraps a net.Conn in a message connection sending gob (the compat
-// default for control-plane sessions, which upgrade via Hello). The receive
-// side auto-detects the peer's codec.
-func New(c net.Conn) *Conn { return NewWith(c, CodecGob) }
-
-// NewWith wraps a net.Conn sending the given codec from the first frame.
-// A binary sender emits the detection preamble so an auto-detecting peer
-// locks on, and expects binary replies in return (servers mirror the
-// detected codec, without re-emitting a preamble). A gob sender leaves its
-// receive side auto-detecting.
-func NewWith(c net.Conn, codec Codec) *Conn {
-	return &Conn{
-		raw:       c,
-		bw:        bufio.NewWriter(c),
-		br:        bufio.NewReader(c),
-		sendCodec: codec,
-		preamble:  codec == CodecBinary,
-		// The receive side defaults to the send codec (replies mirror the
-		// request codec) but still probes the first bytes: a peer that is
-		// binary-from-the-start announces itself with the preamble, which
-		// can never open a gob stream (first byte 0x00) or a binary frame
-		// (it reads as a length word beyond MaxFrameBytes).
-		recvCodec: codec,
-	}
+// New wraps a net.Conn in a message connection.
+func New(c net.Conn) *Conn {
+	return &Conn{raw: c, bw: bufio.NewWriter(c), br: bufio.NewReader(c)}
 }
 
-// Dial connects to a listening peer and wraps the socket (gob send side).
+// NewWith is New; the codec argument can only be CodecBinary.
+func NewWith(c net.Conn, _ Codec) *Conn { return New(c) }
+
+// Dial connects to a listening peer and wraps the socket.
 func Dial(network, addr string) (*Conn, error) {
-	return DialWith(network, addr, CodecGob)
-}
-
-// DialWith connects to a listening peer sending the given codec.
-func DialWith(network, addr string, codec Codec) (*Conn, error) {
 	c, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return NewWith(c, codec), nil
+	return New(c), nil
 }
 
-// UpgradeSend switches the send side to codec for all subsequent frames.
-// Used after a Hello/JobSpec negotiation; emits no preamble (the peer
-// switches its receive side from the same exchange).
-func (c *Conn) UpgradeSend(codec Codec) {
-	c.sendMu.Lock()
-	c.sendCodec = codec
-	c.sendMu.Unlock()
-}
+// DialWith is Dial; the codec argument can only be CodecBinary.
+func DialWith(network, addr string, _ Codec) (*Conn, error) { return Dial(network, addr) }
 
-// UpgradeRecv switches the receive side to codec for all subsequent frames
-// and disables preamble probing.
-func (c *Conn) UpgradeRecv(codec Codec) {
-	c.recvMu.Lock()
-	c.recvCodec = codec
-	c.probed = true
-	c.recvMu.Unlock()
-}
-
-// RecvCodec reports the receive-side codec. Before the first Recv (or
-// UpgradeRecv) it reports the provisional default; afterwards the detected
-// codec. Servers use it to mirror the client's codec onto their send side.
-func (c *Conn) RecvCodec() Codec {
-	c.recvMu.Lock()
-	defer c.recvMu.Unlock()
-	return c.recvCodec
-}
-
-// Send encodes and flushes one message.
+// Send writes one binary frame: length word, then the reused meta buffer
+// (tag + fixed fields), then the bulk payload — which goes to the
+// bufio.Writer directly and, when larger than its buffer, straight to the
+// socket with no intermediate copy. The first frame is preceded by the
+// preamble.
 func (c *Conn) Send(m protocol.Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	if c.sendCodec == CodecBinary {
-		return c.sendBinary(m)
-	}
-	if c.enc == nil {
-		c.enc = gob.NewEncoder(c.bw)
-	}
-	if err := c.enc.Encode(envelope{M: m}); err != nil {
-		return fmt.Errorf("transport: send: %w", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("transport: flush: %w", err)
-	}
-	return nil
-}
-
-// sendBinary writes one binary frame: length word, then the reused meta
-// buffer (tag + fixed fields), then the bulk payload — which goes to the
-// bufio.Writer directly and, when larger than its buffer, straight to the
-// socket with no intermediate copy. Caller holds sendMu.
-func (c *Conn) sendBinary(m protocol.Message) error {
-	if c.preamble && !c.preambleSent {
+	if !c.preambleSent {
 		if _, err := c.bw.Write(binaryPreamble[:]); err != nil {
 			return fmt.Errorf("transport: send preamble: %w", err)
 		}
@@ -205,54 +118,23 @@ func (c *Conn) sendBinary(m protocol.Message) error {
 	return nil
 }
 
-// Recv blocks for the next message. Bulk payloads of binary frames are read
-// into bufpool buffers; ownership passes to the caller (see
-// docs/PERFORMANCE.md for who releases them).
+// Recv blocks for the next message. Bulk payloads are read into bufpool
+// buffers; ownership passes to the caller (see docs/PERFORMANCE.md for who
+// releases them).
 func (c *Conn) Recv() (protocol.Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
 	if !c.probed {
-		if err := c.probe(); err != nil {
+		b, err := c.br.Peek(len(binaryPreamble))
+		if !bytes.HasPrefix(binaryPreamble[:], b) {
+			return nil, errNotBinary
+		}
+		if err != nil {
 			return nil, err
 		}
-	}
-	if c.recvCodec == CodecBinary {
-		return c.recvBinary()
-	}
-	if c.dec == nil {
-		c.dec = gob.NewDecoder(c.br)
-	}
-	var env envelope
-	if err := c.dec.Decode(&env); err != nil {
-		return nil, err
-	}
-	return env.M, nil
-}
-
-// probe peeks at the connection's first bytes for the binary preamble.
-// Caller holds recvMu. A short or failed peek is returned as-is: whichever
-// codec was in effect would have failed on the same bytes.
-func (c *Conn) probe() error {
-	b, err := c.br.Peek(len(binaryPreamble))
-	if err != nil {
-		if len(b) > 0 && b[0] != binaryPreamble[0] {
-			// Definitely not a preamble; let the gob decoder report the
-			// stream error on these bytes instead of failing the peek.
-			c.probed = true
-			return nil
-		}
-		return err
-	}
-	c.probed = true
-	if [4]byte(b) == binaryPreamble {
 		c.br.Discard(len(binaryPreamble))
-		c.recvCodec = CodecBinary
+		c.probed = true
 	}
-	return nil
-}
-
-// recvBinary reads one binary frame. Caller holds recvMu.
-func (c *Conn) recvBinary() (protocol.Message, error) {
 	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
 		return nil, err
 	}
@@ -280,12 +162,9 @@ func (c *Conn) Close() error { return c.raw.Close() }
 // RemoteAddr reports the peer address.
 func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }
 
-// Pipe returns a connected in-process pair (gob send sides, auto-detecting
-// receive sides), for tests and single-process deployments.
-func Pipe() (*Conn, *Conn) { return PipeWith(CodecGob) }
-
-// PipeWith returns a connected in-process pair sending the given codec.
-func PipeWith(codec Codec) (*Conn, *Conn) {
+// Pipe returns a connected in-process pair, for tests and single-process
+// deployments.
+func Pipe() (*Conn, *Conn) {
 	a, b := net.Pipe()
-	return NewWith(a, codec), NewWith(b, codec)
+	return New(a), New(b)
 }

@@ -142,7 +142,7 @@ func TestRecvOnCorruptStream(t *testing.T) {
 	tc := New(client)
 	defer tc.Close()
 	go func() {
-		server.Write([]byte("this is definitely not a gob stream"))
+		server.Write([]byte("this is definitely not a binary session"))
 		server.Close()
 	}()
 	if _, err := tc.Recv(); err == nil {
