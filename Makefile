@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race flake loc check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race flake results loc check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -39,6 +39,16 @@ flake:
 	$(GO) test -count=20 $(FLAKE_PKGS)
 	$(GO) test -race -count=5 $(FLAKE_PKGS)
 	$(GO) test -count=3 -run TestEndToEndDaemons .
+
+# Regenerate the paper-table snapshot that TestPaperTablesMatchResults pins
+# (every section but Figure 1's wall-clock timings) and the fault-sweep
+# goldens TestFaultTableMatchesGolden pins. Run after an intended change to
+# a simulated table and commit the diff alongside it.
+results:
+	$(GO) run ./cmd/cloudburst all > results_all.txt
+	@for app in knn kmeans pagerank; do \
+		$(GO) run ./cmd/cloudburst faults -app $$app | sed '$$d' > internal/experiments/testdata/faults_$$app.golden || exit 1; \
+	done
 
 # The size of the tree, outside the benchmark: ROADMAP's "success is a
 # negative line count" as a number to quote in every PR.

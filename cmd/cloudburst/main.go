@@ -183,31 +183,14 @@ func main() {
 	switch cmd {
 	case "fig1":
 		err = runFig1()
-	case "fig3":
+	case "fig3", "table1", "table2":
 		err = forEachApp(apps, func(app experiments.App) error {
 			r, err := experiments.RunFig3(app)
 			if err != nil {
 				return err
 			}
-			fmt.Println(r.FormatFig3())
-			return nil
-		})
-	case "table1":
-		err = forEachApp(apps, func(app experiments.App) error {
-			r, err := experiments.RunFig3(app)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.FormatTable1())
-			return nil
-		})
-	case "table2":
-		err = forEachApp(apps, func(app experiments.App) error {
-			r, err := experiments.RunFig3(app)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.FormatTable2())
+			format := map[string]func() string{"fig3": r.FormatFig3, "table1": r.FormatTable1, "table2": r.FormatTable2}
+			fmt.Println(format[cmd]())
 			return nil
 		})
 	case "fig4":
@@ -295,42 +278,7 @@ func main() {
 		if err = runFig1(); err != nil {
 			break
 		}
-		if err = forEachApp(apps, func(app experiments.App) error {
-			r, err := experiments.RunFig3(app)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.FormatFig3())
-			fmt.Println(r.FormatTable1())
-			fmt.Println(r.FormatTable2())
-			f4, err := experiments.RunFig4(app)
-			if err != nil {
-				return err
-			}
-			fmt.Println(f4.FormatFig4())
-			return nil
-		}); err != nil {
-			break
-		}
-		if err = runHeadline(); err != nil {
-			break
-		}
-		if err = runAblations(); err != nil {
-			break
-		}
-		err = forEachApp(apps, func(app experiments.App) error {
-			rows, err := experiments.RunEstimateValidation(app)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.FormatEstimateTable(rows))
-			costs, err := experiments.RunCostTable(app, costmodel.DefaultPricing2011())
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.FormatCostTable(costs))
-			return nil
-		})
+		err = experiments.WritePaperTables(os.Stdout, apps)
 	case "help", "-h", "--help":
 		usage()
 		return
@@ -358,22 +306,7 @@ func runHeadline() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Headline numbers (paper: 15.55% avg slowdown, 81% avg scaling)")
-	fmt.Printf("  average hybrid slowdown over %d app×env cells: %.2f%%\n",
-		len(fig3s)*len(experiments.HybridEnvs), h.AvgSlowdownPct)
-	fmt.Printf("  average per-doubling scaling efficiency:       %.1f%%\n", h.AvgEfficiencyPct)
-	for i, f3 := range fig3s {
-		fmt.Printf("  %-8s slowdowns:", experiments.Apps[i])
-		for _, env := range experiments.HybridEnvs {
-			fmt.Printf(" %s=%+.1f%%", env, 100*f3.Slowdown(env))
-		}
-		eff := fig4s[i].Efficiency()
-		fmt.Printf("  efficiencies:")
-		for _, e := range eff {
-			fmt.Printf(" %.1f%%", 100*e)
-		}
-		fmt.Println()
-	}
+	fmt.Print(experiments.FormatHeadline(h, fig3s, fig4s))
 	return nil
 }
 
@@ -416,28 +349,8 @@ func runTrace(figure string, app experiments.App, outPrefix string) error {
 		return err
 	}
 	for _, run := range runs {
-		tracePath := fmt.Sprintf("%s-%s.trace.json", outPrefix, run.Label)
-		metricsPath := fmt.Sprintf("%s-%s.metrics.txt", outPrefix, run.Label)
-		tf, err := os.Create(tracePath)
+		tracePath, err := writeTraced(outPrefix, run.Label, run.Obs)
 		if err != nil {
-			return err
-		}
-		if err := run.Obs.Tracer.WriteJSON(tf); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		mf, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := run.Obs.Registry.WriteText(mf); err != nil {
-			mf.Close()
-			return err
-		}
-		if err := mf.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("%-22s total=%8.1fs  events=%6d  phase-drift=%.4f%%  -> %s\n",
@@ -458,28 +371,8 @@ func runTraceMulti(outPrefix string) error {
 		if err != nil {
 			return err
 		}
-		tracePath := fmt.Sprintf("%s-%s.trace.json", outPrefix, run.Label)
-		metricsPath := fmt.Sprintf("%s-%s.metrics.txt", outPrefix, run.Label)
-		tf, err := os.Create(tracePath)
+		tracePath, err := writeTraced(outPrefix, run.Label, run.Obs)
 		if err != nil {
-			return err
-		}
-		if err := run.Obs.Tracer.WriteJSON(tf); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		mf, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := run.Obs.Registry.WriteText(mf); err != nil {
-			mf.Close()
-			return err
-		}
-		if err := mf.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("%-22s total=%8.1fs  queries=%d  events=%6d  -> %s\n",
@@ -488,6 +381,28 @@ func runTraceMulti(outPrefix string) error {
 	}
 	fmt.Println("load the .trace.json files at https://ui.perfetto.dev (or chrome://tracing)")
 	return nil
+}
+
+// writeTraced writes one traced run's Chrome-trace JSON and metrics snapshot
+// to <prefix>-<label>.trace.json and .metrics.txt, returning the trace path.
+func writeTraced(prefix, label string, o *obs.Obs) (string, error) {
+	tracePath := fmt.Sprintf("%s-%s.trace.json", prefix, label)
+	if err := writeFile(tracePath, o.Tracer.WriteJSON); err != nil {
+		return "", err
+	}
+	return tracePath, writeFile(fmt.Sprintf("%s-%s.metrics.txt", prefix, label), o.Registry.WriteText)
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runElasticSweep runs the burst arbiter inside the simulator over a

@@ -221,18 +221,7 @@ func Config(app App, env Env, opts SimOptions) hybridsim.Config {
 func ConfigWithCores(app App, env Env, localCores, cloudCores int, opts SimOptions) hybridsim.Config {
 	ix := DatasetIndex()
 	placement := jobs.SplitByFraction(numFiles, env.LocalFraction(), siteLocal, siteCloud)
-
-	threads := func(cores int) int {
-		perCore := 0.5 // one retrieval stream per two cores
-		if opts.RetrievalThreadsPerCore > 0 {
-			perCore = opts.RetrievalThreadsPerCore
-		}
-		t := int(float64(cores)*perCore + 0.5)
-		if t < 1 {
-			t = 1
-		}
-		return t
-	}
+	threads := opts.retrievalThreads
 
 	var clusters []hybridsim.ClusterModel
 	var paths = map[[2]int]hybridsim.PathModel{}
@@ -304,15 +293,20 @@ func ScaleConfig(app App, m int, opts SimOptions) hybridsim.Config {
 	cfg.Placement = jobs.SplitByFraction(numFiles, 0, siteLocal, siteCloud)
 	for i := range cfg.Topology.Clusters {
 		cfg.Topology.Clusters[i].Cores = m
-		perCore := 0.5
-		if opts.RetrievalThreadsPerCore > 0 {
-			perCore = opts.RetrievalThreadsPerCore
-		}
-		t := int(float64(m)*perCore + 0.5)
-		if t < 1 {
-			t = 1
-		}
-		cfg.Topology.Clusters[i].RetrievalThreads = t
+		cfg.Topology.Clusters[i].RetrievalThreads = opts.retrievalThreads(m)
 	}
 	return cfg
+}
+
+// retrievalThreads is a cluster's retrieval stream count: one per two cores
+// unless RetrievalThreadsPerCore overrides it, at least one.
+func (o SimOptions) retrievalThreads(cores int) int {
+	perCore := 0.5
+	if o.RetrievalThreadsPerCore > 0 {
+		perCore = o.RetrievalThreadsPerCore
+	}
+	if t := int(float64(cores)*perCore + 0.5); t > 1 {
+		return t
+	}
+	return 1
 }

@@ -164,16 +164,11 @@ func RunElasticPointWith(app App, cfg elastic.ArbiterConfig, policy elastic.Poli
 // passes (≤ 1 is the ordinary single pass) with the standard slowdown
 // injected on the local cluster (index 0) — the static baseline's run.
 func singleQueryMulti(app App, cfg hybridsim.Config, iterations int) hybridsim.MultiConfig {
-	return hybridsim.MultiConfig{
-		Topology: cfg.Topology,
-		Seed:     cfg.Seed,
-		Queries: []hybridsim.MultiQuery{{
-			Name: string(app), App: cfg.App,
-			Index: cfg.Index, Placement: cfg.Placement, PoolOpts: cfg.PoolOpts,
-			Iterations: iterations,
-		}},
-		Slowdowns: []hybridsim.MultiSlowdown{elasticSlowdown(app)},
-	}
+	mc := cfg.Multi()
+	mc.Queries[0].Name = string(app)
+	mc.Queries[0].Iterations = iterations
+	mc.Slowdowns = []hybridsim.MultiSlowdown{elasticSlowdown(app)}
+	return mc
 }
 
 // elasticSlowdown picks the degradation that actually bites each app: knn
@@ -266,17 +261,11 @@ func NominalStaticMakespan(app App, cloudCores int, opts ElasticOptions) (time.D
 	return res.Total, nil
 }
 
-// RunStaticCandidate realizes one pre-committed cloud allocation under the
-// injected slowdown: cloudCores fixed for the whole run, billed for the full
-// realized makespan.
-func RunStaticCandidate(app App, pricing costmodel.Pricing, cloudCores int) (costmodel.Candidate, error) {
-	return RunStaticCandidateWith(app, pricing, cloudCores, ElasticOptions{})
-}
-
-// RunStaticCandidateWith realizes a static allocation under the same
-// extensions as the elastic points, so the baseline never fights the
-// frontier with one hand tied: a staged sweep stages for the static cloud
-// cluster too.
+// RunStaticCandidateWith realizes one pre-committed cloud allocation under
+// the injected slowdown — cloudCores fixed for the whole run, billed for the
+// full realized makespan — and under the same extensions as the elastic
+// points, so the baseline never fights the frontier with one hand tied: a
+// staged sweep stages for the static cloud cluster too.
 func RunStaticCandidateWith(app App, pricing costmodel.Pricing, cloudCores int, opts ElasticOptions) (costmodel.Candidate, error) {
 	cfg := ConfigWithCores(app, Env5050, 16, cloudCores, SimOptions{})
 	if opts.Staged && cloudCores > 0 {

@@ -109,11 +109,8 @@ func arbiterSim(app App, acfg elastic.ArbiterConfig, queries []MultiPolicyQuery,
 		return nil, base, mc, err
 	}
 	base = env.Base
-	mc = hybridsim.MultiConfig{
-		Topology:  base.Topology,
-		Seed:      base.Seed,
-		Slowdowns: []hybridsim.MultiSlowdown{elasticSlowdown(app)},
-	}
+	mc = singleQueryMulti(app, base, opts.Iterations)
+	mc.Queries = nil
 	policies := make(map[int]*elastic.Policy, len(queries))
 	for qi, q := range queries {
 		// A query may run a different application over the shared deployment
@@ -123,11 +120,9 @@ func arbiterSim(app App, acfg elastic.ArbiterConfig, queries []MultiPolicyQuery,
 		if q.App != "" && q.App != app {
 			qcfg = elasticEnv(q.App).Base
 		}
-		mc.Queries = append(mc.Queries, hybridsim.MultiQuery{
-			Name: q.Name, App: qcfg.App,
-			Index: qcfg.Index, Placement: qcfg.Placement, PoolOpts: qcfg.PoolOpts,
-			Weight: q.Weight, Iterations: opts.Iterations,
-		})
+		mq := qcfg.Multi().Queries[0]
+		mq.Name, mq.Weight, mq.Iterations = q.Name, q.Weight, opts.Iterations
+		mc.Queries = append(mc.Queries, mq)
 		policies[qi] = q.Policy
 	}
 	mc.Elastic = arb.SimElastic(0, policies)

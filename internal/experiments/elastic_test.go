@@ -165,16 +165,7 @@ func TestElasticSweepMatchesGolden(t *testing.T) {
 				got.WriteString(FormatElasticSweep(sw))
 				got.WriteString("\n")
 			}
-			if got.String() == string(want) {
-				return
-			}
-			gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-			for i := 0; i < len(gl) && i < len(wl); i++ {
-				if gl[i] != wl[i] {
-					t.Fatalf("line %d differs:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-				}
-			}
-			t.Fatalf("output has %d lines, golden %d", len(gl), len(wl))
+			diffLines(t, got.String(), string(want))
 		})
 	}
 }

@@ -57,23 +57,13 @@ type TracedMultiRun struct {
 func RunMultiTraced(env Env) (TracedMultiRun, error) {
 	o := obs.New(nil)
 	o.Tracer.Enable()
-	mc := hybridsim.MultiConfig{Seed: 1, Obs: o}
-	for i, app := range Apps {
-		cfg := Config(app, env, SimOptions{})
-		if i == 0 {
-			// One shared deployment for all queries: the first app's
-			// calibrated core counts (a multi-query head serves every query
-			// from the same clusters, unlike the per-app single-query runs).
-			mc.Topology = cfg.Topology
-		}
-		mc.Queries = append(mc.Queries, hybridsim.MultiQuery{
-			Name:      string(app),
-			App:       cfg.App,
-			Index:     cfg.Index,
-			Placement: cfg.Placement,
-			PoolOpts:  cfg.PoolOpts,
-			Weight:    1,
-		})
+	// One shared deployment for all queries: the first app's calibrated core
+	// counts (a multi-query head serves every query from the same clusters,
+	// unlike the per-app single-query runs).
+	mc := Config(Apps[0], env, SimOptions{}).Multi()
+	mc.Seed, mc.Obs = 1, o
+	for _, app := range Apps[1:] {
+		mc.Queries = append(mc.Queries, Config(app, env, SimOptions{}).Multi().Queries[0])
 	}
 	label := "multi-" + strings.ReplaceAll(strings.TrimPrefix(string(env), "env-"), "/", "-")
 	sim, err := hybridsim.RunMulti(mc)

@@ -224,17 +224,6 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// EventsFor returns the events targeting site, in schedule order.
-func (p Plan) EventsFor(site int) []Event {
-	var out []Event
-	for _, e := range p.Events {
-		if e.Site == site {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // String renders the plan in its text format (one event per line, with a
 // header line for non-default parameters). Parse reverses it.
 func (p Plan) String() string {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // ElasticDecision is what the elasticity hook asks the simulator to do on
@@ -144,24 +143,6 @@ func (s *multiSim) addWorker() {
 	if cm.Cores <= 0 {
 		cm.Cores = 1
 	}
-	if cm.CoreSpeed <= 0 {
-		cm.CoreSpeed = 1
-	}
-	if cm.RetrievalThreads <= 0 {
-		cm.RetrievalThreads = 2
-	}
-	if cm.QueueDepth <= 0 {
-		cm.QueueDepth = 2 * cm.Cores
-	}
-	c := &mqCluster{s: s, model: cm, index: len(s.clusters), burst: true,
-		launched: s.clock.Now(), slowFactor: 1, jobsByQuery: make(map[int]stats.JobAccounting),
-		bytesBySite: make(map[int]int64)}
-	for lane := cm.RetrievalThreads; lane >= 1; lane-- {
-		c.freeLanes = append(c.freeLanes, lane)
-	}
-	for id := 0; id < cm.Cores; id++ {
-		c.idleCores = append(c.idleCores, id)
-	}
 	// Wire the worker's network paths to every data site (the topology's
 	// Paths map was cloned at startup when elasticity is on, so the caller's
 	// map is never mutated).
@@ -172,19 +153,13 @@ func (s *multiSim) addWorker() {
 	sort.Ints(keys)
 	for _, dataSite := range keys {
 		pm := e.WorkerPaths[dataSite]
-		key := [2]int{c.index, dataSite}
+		key := [2]int{len(s.clusters), dataSite}
 		s.cfg.Topology.Paths[key] = pm
 		s.paths[key] = &Resource{Name: fmt.Sprintf("path-c%d-s%d", key[0], key[1]), Capacity: pm.Bandwidth}
 	}
-	s.clusters = append(s.clusters, c)
-	s.tr.NameProcess(c.pid(), fmt.Sprintf("cluster %s (site %d)", cm.Name, cm.Site))
-	s.tr.NameThread(c.pid(), 0, "master")
-	for lane := 1; lane <= cm.RetrievalThreads; lane++ {
-		s.tr.NameThread(c.pid(), lane, fmt.Sprintf("retr-%d", lane))
-	}
-	for id := 0; id < cm.Cores; id++ {
-		s.tr.NameThread(c.pid(), c.coreTid(id), fmt.Sprintf("core-%d", id))
-	}
+	c := s.addCluster(cm)
+	c.burst = true
+	c.launched = s.clock.Now()
 	if s.tr.Enabled() {
 		s.tr.InstantAt(0, 0, "elastic", fmt.Sprintf("scale-up site %d", site), s.clock.Now(),
 			obs.Args{"site": site, "cluster": c.index})

@@ -12,19 +12,21 @@ import (
 // the live stack piece for piece so the same plan exercises both:
 //
 //   - crash        → internal/fault.Injector killing a worker's data path
-//   - detect       → the head's lease monitor (FailSite + Reissue)
-//   - checkpoint   → the cluster runtime's periodic reduction-object ship
+//   - detect       → the head's lease monitor (FailSite + Reissue on every
+//                    query's pool)
+//   - checkpoint   → the cluster runtime's periodic reduction-object ship,
+//                    one object per (query, cluster)
 //   - restart      → a replacement worker re-registering and resuming from
-//                    the last checkpoint
+//                    its last checkpoints
 //   - partition    → deferred commits, lease fencing when the outage outlives
 //                    the TTL
 //   - slowdown     → a straggler; speculation re-adds its outstanding jobs
 //
 // Everything runs single-threaded on simtime.Clock, so runs with the same
 // plan and seed are byte-identical. The conservation invariant the live pool
-// enforces holds here too: summing every cluster's job accounting at the end
-// of a faulty run yields exactly one credit per dataset chunk, no matter how
-// many copies were executed.
+// enforces holds here too: summing every cluster's job accounting for a
+// query at the end of a faulty run yields exactly one credit per chunk (per
+// pass), no matter how many copies were executed.
 
 // FaultStats summarizes fault activity during a simulated run.
 type FaultStats struct {
@@ -46,61 +48,58 @@ type FaultStats struct {
 	// post-partition duplicates); Speculated counts speculative copies issued
 	// against stragglers.
 	DupCommits, Speculated int
-	// LatencyFlags counts clusters the latency watchdog flagged as
-	// stragglers (p99 grant-to-commit latency above
-	// Plan.EffectiveStragglerFactor() times the run-wide median).
+	// LatencyFlags counts (query, cluster) pairs the latency watchdog
+	// flagged as stragglers (p99 grant-to-commit latency above
+	// Plan.EffectiveStragglerFactor() times the query's median).
 	LatencyFlags int
 }
 
-// pollEvery is the virtual-time retry interval a master uses after an
-// empty-but-undrained grant.
-func (s *sim) pollEvery() time.Duration {
-	p := 4 * s.cfg.Topology.ControlLatency
-	if p < 20*time.Millisecond {
-		p = 20 * time.Millisecond
+// scheduleFaults validates the plan and books its events. Each event
+// resolves its target clusters when it fires, so a burst worker launched at
+// the event's site before then is hit too.
+func (s *multiSim) scheduleFaults() error {
+	plan := s.cfg.faults
+	if !plan.Active() {
+		return nil
 	}
-	return p
-}
-
-// scheduleFaults validates the plan and books every event plus the periodic
-// checkpoint ticks on the virtual clock.
-func (s *sim) scheduleFaults() error {
-	plan := s.cfg.Faults
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	bySite := make(map[int][]*simCluster)
-	for _, c := range s.clusters {
-		bySite[c.model.Site] = append(bySite[c.model.Site], c)
-	}
 	for _, ev := range plan.Events {
-		targets := bySite[ev.Site]
-		if len(targets) == 0 {
+		if !s.siteCanExist(ev.Site) {
 			return fmt.Errorf("hybridsim: fault event %q targets site %d, which has no cluster", ev.String(), ev.Site)
 		}
 		ev := ev
-		for _, c := range targets {
-			c := c
-			s.clock.At(ev.At, func() { s.applyEvent(c, ev) })
-		}
-	}
-	if plan.CheckpointEvery > 0 {
-		for _, c := range s.clusters {
-			c := c
-			s.clock.After(plan.CheckpointEvery, c.checkpointTick)
-		}
+		s.clock.At(ev.At, func() {
+			for _, c := range s.clusters {
+				if c.model.Site == ev.Site {
+					s.applyEvent(c, ev)
+				}
+			}
+		})
 	}
 	return nil
 }
 
-func (s *sim) applyEvent(c *simCluster, ev fault.Event) {
+// siteCanExist reports whether a static cluster sits at site, or a burst
+// worker may be launched there.
+func (s *multiSim) siteCanExist(site int) bool {
+	for _, c := range s.clusters {
+		if c.model.Site == site {
+			return true
+		}
+	}
+	return s.cfg.Elastic != nil && site >= s.cfg.Elastic.siteBase()
+}
+
+func (s *multiSim) applyEvent(c *mqCluster, ev fault.Event) {
 	switch ev.Kind {
 	case fault.Crash:
 		s.crash(c)
 	case fault.Partition:
 		s.partition(c)
 	case fault.Slowdown:
-		if c.down || c.finished {
+		if !c.live() {
 			return
 		}
 		c.slowFactor = ev.Factor
@@ -113,22 +112,31 @@ func (s *sim) applyEvent(c *simCluster, ev fault.Event) {
 	}
 }
 
+// live reports whether a fault can still hurt the cluster: it is up, has
+// not left the fleet, and some query is still handing out work (once every
+// pool has drained, the objects are on their way to the head).
+func (c *mqCluster) live() bool {
+	return !c.down && !c.gone && !c.s.allDrained()
+}
+
+// failing reports a crash or partition the head has not detected yet.
+func (c *mqCluster) failing() bool {
+	return (c.down || c.partitioned) && c.detectedEpoch != c.epoch
+}
+
 // crash kills a cluster: local state dies with the incarnation, the head
 // detects the failure after the lease TTL (immediately with no leases), and
 // a replacement boots after Plan.Restart().
-func (s *sim) crash(c *simCluster) {
-	if c.down || c.finished {
-		return // already dead, or its contribution is already merged
+func (s *multiSim) crash(c *mqCluster) {
+	if !c.live() {
+		return
 	}
-	c.resetIncarnation()
-	c.down = true
 	s.fstats.Crashes++
 	if s.tr.Enabled() {
 		s.tr.InstantAt(c.pid(), 0, "fault", "crash", s.clock.Now(), nil)
 	}
-	plan := s.cfg.Faults
-	epoch := c.epoch
-	if ttl := plan.LeaseTTL; ttl > 0 {
+	epoch := s.kill(c)
+	if ttl := s.cfg.faults.LeaseTTL; ttl > 0 {
 		s.clock.After(ttl, func() {
 			if c.epoch == epoch && c.down {
 				s.detect(c)
@@ -137,30 +145,22 @@ func (s *sim) crash(c *simCluster) {
 	} else {
 		s.detect(c)
 	}
-	s.clock.After(plan.Restart(), func() { s.restart(c) })
 }
 
-// resetIncarnation wipes the cluster's volatile state: queued jobs, buffered
-// chunks, in-flight transfers and busy cores all die with the machine. The
-// epoch bump makes every callback the old incarnation scheduled a no-op.
-func (c *simCluster) resetIncarnation() {
+// kill takes the cluster down until a replacement boots after
+// Plan.Restart(), and returns the replacement's epoch. The volatile state —
+// queued jobs, buffered chunks, in-flight transfers, busy cores — dies with
+// the machine; the epoch bump makes every callback the old incarnation
+// scheduled a no-op.
+func (s *multiSim) kill(c *mqCluster) int {
+	s.clock.After(s.cfg.faults.Restart(), func() { s.restart(c) })
 	c.epoch++
-	for {
-		if _, ok := c.queue.Pop(); !ok {
-			break
-		}
-	}
+	c.down = true
+	c.queue = nil
 	c.ready = nil
 	c.inFlight = 0
 	c.busyCores = 0
-	c.idleCores = c.idleCores[:0]
-	for id := 0; id < c.model.Cores; id++ {
-		c.idleCores = append(c.idleCores, id)
-	}
-	c.freeLanes = c.freeLanes[:0]
-	for lane := c.model.RetrievalThreads; lane >= 1; lane-- {
-		c.freeLanes = append(c.freeLanes, lane)
-	}
+	c.freeAll()
 	c.requesting = false
 	c.exhausted = false
 	c.checkpointing = false
@@ -168,77 +168,96 @@ func (c *simCluster) resetIncarnation() {
 	c.fenced = false
 	c.slowFactor = 1
 	c.deferred = nil
+	return c.epoch
 }
 
 // detect is the head noticing the failed site — lease expiry in live mode.
-// In-flight jobs return to the pool, and committed-but-un-checkpointed
-// contributions are reissued: their credit is revoked here and granted to
-// whichever cluster recommits them.
-func (s *sim) detect(c *simCluster) {
+// In every query's pool, in-flight jobs return to the pool and
+// committed-but-un-checkpointed contributions are reissued: their credit is
+// revoked here and granted to whichever cluster recommits them.
+func (s *multiSim) detect(c *mqCluster) {
 	if c.detectedEpoch == c.epoch {
 		return // this incarnation's failure was already handled
 	}
 	c.detectedEpoch = c.epoch
-	requeued := s.pool.FailSite(c.model.Site)
-	reissued := s.pool.Reissue(c.sinceCkpt)
-	s.fstats.Requeued += len(requeued)
-	s.fstats.Reissued += reissued
-	for _, j := range c.sinceCkpt {
-		if j.Site == c.model.Site {
-			c.jobsAcct.Local--
-		} else {
-			c.jobsAcct.Stolen--
+	requeued, reissued := 0, 0
+	for q, pool := range s.pools {
+		st := &c.perQuery[q]
+		requeued += len(pool.FailSite(c.model.Site))
+		reissued += pool.Reissue(st.sinceCkpt)
+		for _, j := range st.sinceCkpt {
+			if j.Site == c.model.Site {
+				st.jobs.Local--
+			} else {
+				st.jobs.Stolen--
+			}
 		}
+		st.sinceCkpt = nil
+		st.trimSeq = st.commitSeq
+		// The head forgets the failed site's watchdog state alongside its
+		// in-flight grants (mirrors FailSite in internal/head/fault.go): the
+		// replacement incarnation is judged afresh.
+		if st.grantAt != nil {
+			st.grantAt = make(map[int]time.Duration)
+		}
+		st.wdFlagged = false
 	}
-	c.sinceCkpt = nil
-	c.trimSeq = c.commitSeq
-	// The head forgets the failed site's watchdog state alongside its
-	// in-flight grants (mirrors FailSite in internal/head/fault.go): the
-	// replacement incarnation is judged afresh.
-	if c.grantAt != nil {
-		c.grantAt = make(map[int]time.Duration)
-	}
-	c.wdFlagged = false
+	s.fstats.Requeued += requeued
+	s.fstats.Reissued += reissued
 	if s.tr.Enabled() {
 		s.tr.InstantAt(0, 0, "fault", fmt.Sprintf("detect site %d", c.model.Site), s.clock.Now(),
-			obs.Args{"requeued": len(requeued), "reissued": reissued})
+			obs.Args{"requeued": requeued, "reissued": reissued})
+	}
+	// A pool that drained while this failure went unnoticed can reduce now.
+	for q := range s.pools {
+		s.maybeReduce(q)
 	}
 }
 
 // restart boots the replacement: reconcile with the head (a restart can beat
-// the lease detector, exactly like live re-registration), reload the last
-// checkpoint, and resume requesting jobs.
-func (s *sim) restart(c *simCluster) {
+// the lease detector, exactly like live re-registration), fetch every
+// query's last checkpoint back in one transfer, ship any reduction object the
+// head asked for meanwhile, and resume polling.
+func (s *multiSim) restart(c *mqCluster) {
 	s.detect(c)
 	c.down = false
 	s.fstats.Recoveries++
+	hasCkpt, ckptBytes := false, int64(0)
+	for q, st := range c.perQuery {
+		if st.hasCkpt {
+			hasCkpt, ckptBytes = true, ckptBytes+s.cfg.Queries[q].App.RobjBytes
+		}
+	}
 	if s.tr.Enabled() {
-		s.tr.InstantAt(c.pid(), 0, "fault", "restart", s.clock.Now(), obs.Args{"checkpoint": c.hasCkpt})
+		s.tr.InstantAt(c.pid(), 0, "fault", "restart", s.clock.Now(), obs.Args{"checkpoint": hasCkpt})
 	}
+	epoch := c.epoch
 	resume := func() {
+		if c.epoch != epoch || c.down {
+			return
+		}
 		c.exhausted = false
-		c.ensureJobs()
+		for q := range c.perQuery {
+			if c.perQuery[q].pendingShip {
+				c.ship(q)
+			}
+		}
+		c.poll()
+		s.maybeDrained(c)
 	}
-	if !c.hasCkpt {
+	if !hasCkpt {
 		resume()
 		return
 	}
-	// Fetch the checkpointed reduction object back from the head before
-	// processing resumes.
-	epoch := c.epoch
-	s.net.Start(s.cfg.App.RobjBytes, s.robjLatency(c), 0, s.robjResources(c), func() {
-		if c.epoch == epoch && !c.down {
-			resume()
-		}
-	})
+	s.net.Start(ckptBytes, s.robjLatency(c), 0, s.robjResources(c), resume)
 }
 
 // partition cuts the cluster off from the head and the storage sites until
 // the matching Recover event. Chunks already buffered keep processing;
 // completions are deferred. If the outage outlives the lease TTL the head
 // declares the site failed and fences it.
-func (s *sim) partition(c *simCluster) {
-	if c.down || c.finished || c.partitioned {
+func (s *multiSim) partition(c *mqCluster) {
+	if !c.live() || c.partitioned {
 		return
 	}
 	c.partitioned = true
@@ -246,7 +265,7 @@ func (s *sim) partition(c *simCluster) {
 	if s.tr.Enabled() {
 		s.tr.InstantAt(c.pid(), 0, "fault", "partition", s.clock.Now(), nil)
 	}
-	if ttl := s.cfg.Faults.LeaseTTL; ttl > 0 {
+	if ttl := s.cfg.faults.LeaseTTL; ttl > 0 {
 		epoch := c.epoch
 		s.clock.After(ttl, func() {
 			if c.epoch == epoch && c.partitioned && !c.down {
@@ -258,8 +277,8 @@ func (s *sim) partition(c *simCluster) {
 }
 
 // recoverCluster ends an active slowdown and/or partition.
-func (s *sim) recoverCluster(c *simCluster) {
-	if c.down || c.finished {
+func (s *multiSim) recoverCluster(c *mqCluster) {
+	if c.down || c.gone {
 		return
 	}
 	c.slowFactor = 1
@@ -270,27 +289,28 @@ func (s *sim) recoverCluster(c *simCluster) {
 	if c.fenced {
 		// The head already declared this site failed and handed its work
 		// out; the stale master's deferred commits would be refused
-		// (fencing), so it restarts from the last checkpoint like a crash.
-		c.resetIncarnation()
-		c.down = true
-		s.clock.After(s.cfg.Faults.Restart(), func() { s.restart(c) })
+		// (fencing), so it restarts from its checkpoints like a crash.
+		s.kill(c)
 		return
 	}
 	// Healed before the lease expired: flush deferred completions — the pool
 	// deduplicates any the head re-assigned meanwhile — and resume.
 	deferred := c.deferred
 	c.deferred = nil
-	for _, j := range deferred {
-		c.commit(j)
+	for _, tg := range deferred {
+		c.commit(tg)
 	}
 	if s.tr.Enabled() {
 		s.tr.InstantAt(c.pid(), 0, "fault", "partition-healed", s.clock.Now(),
 			obs.Args{"flushed": len(deferred)})
 	}
-	c.ensureJobs()
+	for q := range s.pools {
+		s.maybeReduce(q)
+	}
+	c.poll()
 	c.kickRetrievers()
 	c.kickCores()
-	c.maybeFinish()
+	s.maybeDrained(c)
 }
 
 // watchdogLatencyBounds mirror the live head's job-latency histogram
@@ -306,140 +326,153 @@ var watchdogLatencyBounds = []time.Duration{
 // watchdogOn reports whether the plan arms the latency watchdog: it rides on
 // speculation (SpeculateAfter > 0) and can be vetoed with a negative
 // StragglerFactor, exactly like the live head's config.Tuning gate.
-func (s *sim) watchdogOn() bool {
-	return s.factive && s.cfg.Faults.SpeculateAfter > 0 && s.cfg.Faults.EffectiveStragglerFactor() > 0
+func (s *multiSim) watchdogOn() bool {
+	return s.cfg.faults.SpeculateAfter > 0 && s.cfg.faults.EffectiveStragglerFactor() > 0
 }
 
 // checkLatencyStragglers is the simulated twin of the head's latency
-// watchdog. It runs on every poll round: a cluster still holding granted
-// jobs whose p99 grant-to-commit latency exceeds StragglerFactor times the
-// run-wide median is flagged once, and its outstanding jobs are re-added to
-// the pool as speculative copies for healthy clusters to steal.
-func (s *sim) checkLatencyStragglers() {
-	if s.latAll == nil {
-		return
-	}
-	med := s.latAll.Quantile(0.5)
-	if med <= 0 {
-		return
-	}
-	factor := s.cfg.Faults.EffectiveStragglerFactor()
-	minSamples := int64(s.cfg.Faults.EffectiveWatchdogMinSamples())
-	for _, c := range s.clusters {
-		if c.wdFlagged || c.down || c.finished || len(c.grantAt) == 0 {
+// watchdog, run per pool on every poll: a cluster still holding a query's
+// granted jobs whose p99 grant-to-commit latency for that query exceeds
+// StragglerFactor times the query's median is flagged once, and its
+// outstanding jobs are re-added to that pool as speculative copies for
+// healthy clusters to steal.
+func (s *multiSim) checkLatencyStragglers() {
+	factor := s.cfg.faults.EffectiveStragglerFactor()
+	minSamples := int64(s.cfg.faults.EffectiveWatchdogMinSamples())
+	for q, all := range s.latAll {
+		med := all.Quantile(0.5)
+		if med <= 0 {
 			continue
 		}
-		if c.latHist.Count() < minSamples {
-			continue
-		}
-		p99 := c.latHist.Quantile(0.99)
-		if float64(p99) <= factor*float64(med) {
-			continue
-		}
-		c.wdFlagged = true
-		js := s.pool.SpeculateSite(c.model.Site)
-		s.fstats.Speculated += len(js)
-		s.fstats.LatencyFlags++
-		if s.tr.Enabled() {
-			s.tr.InstantAt(0, 0, "fault", fmt.Sprintf("straggler site %d", c.model.Site), s.clock.Now(),
-				obs.Args{"p99_us": p99.Microseconds(), "median_us": med.Microseconds(), "speculated": len(js)})
+		for _, c := range s.clusters {
+			st := &c.perQuery[q]
+			if st.wdFlagged || c.down || c.gone || len(st.grantAt) == 0 || st.latHist.Count() < minSamples {
+				continue
+			}
+			p99 := st.latHist.Quantile(0.99)
+			if float64(p99) <= factor*float64(med) {
+				continue
+			}
+			st.wdFlagged = true
+			js := s.pools[q].SpeculateSite(c.model.Site)
+			s.fstats.Speculated += len(js)
+			s.fstats.LatencyFlags++
+			if s.tr.Enabled() {
+				s.tr.InstantAt(0, 0, "fault", fmt.Sprintf("straggler site %d", c.model.Site), s.clock.Now(),
+					obs.Args{"query": q, "p99_us": p99.Microseconds(), "median_us": med.Microseconds(), "speculated": len(js)})
+			}
 		}
 	}
 }
 
 // noteEmptyGrant starts (at most one) straggler watchdog per
-// empty-but-undrained episode; if the pool stays starved for
-// Plan.SpeculateAfter, outstanding jobs are re-added as speculative copies.
-func (s *sim) noteEmptyGrant() {
-	after := s.cfg.Faults.SpeculateAfter
+// empty-but-undrained episode; if no grant lands for Plan.SpeculateAfter,
+// every pool's outstanding jobs are re-added as speculative copies.
+func (s *multiSim) noteEmptyGrant() {
+	after := s.cfg.faults.SpeculateAfter
 	if after <= 0 || s.emptySince >= 0 {
 		return
 	}
 	s.emptySince = s.clock.Now()
 	s.clock.After(after, func() {
-		if s.emptySince < 0 || s.pool.Drained() {
+		if s.emptySince < 0 {
 			return
 		}
-		js := s.pool.SpeculateOutstanding()
-		s.fstats.Speculated += len(js)
-		if s.tr.Enabled() && len(js) > 0 {
-			s.tr.InstantAt(0, 0, "fault", "speculate", s.clock.Now(), obs.Args{"jobs": len(js)})
+		n := 0
+		for _, pool := range s.pools {
+			n += len(pool.SpeculateOutstanding())
+		}
+		s.fstats.Speculated += n
+		if s.tr.Enabled() && n > 0 {
+			s.tr.InstantAt(0, 0, "fault", "speculate", s.clock.Now(), obs.Args{"jobs": n})
 		}
 	})
 }
 
 // checkpointTick fires every Plan.CheckpointEvery per cluster and starts a
 // checkpoint when there is anything new to cover.
-func (c *simCluster) checkpointTick() {
-	s := c.sim
-	if c.finished || s.merged == len(s.clusters) {
-		return // nothing left to protect; stop the ticker
+func (c *mqCluster) checkpointTick() {
+	s := c.s
+	if c.gone || s.allDrained() {
+		return // every object is on its way to the head; stop the ticker
 	}
-	s.clock.After(s.cfg.Faults.CheckpointEvery, c.checkpointTick)
-	if c.down || c.partitioned || c.checkpointing || len(c.sinceCkpt) == 0 {
+	s.clock.After(s.cfg.faults.CheckpointEvery, c.checkpointTick)
+	if c.down || c.partitioned || c.checkpointing {
 		return
 	}
 	c.beginCheckpoint()
 }
 
 // beginCheckpoint models the live checkpoint pipeline: quiesce and merge the
-// worker objects (new folds stall for the merge), then ship the object to
-// the head in the background. The covered job set becomes durable only when
-// the transfer lands — a crash mid-ship loses the checkpoint, not jobs.
-func (c *simCluster) beginCheckpoint() {
-	s := c.sim
+// worker objects of every query with new commits (new folds stall for the
+// merges), then ship one object per query to the head in the background.
+// The covered jobs become durable only when that object lands — a crash
+// mid-ship loses the checkpoint, not jobs.
+func (c *mqCluster) beginCheckpoint() {
+	s := c.s
+	type cover struct{ query, jobs, seq int }
+	var covers []cover
+	merge := time.Duration(0)
+	for q := range c.perQuery {
+		if st := &c.perQuery[q]; len(st.sinceCkpt) > 0 {
+			covers = append(covers, cover{q, len(st.sinceCkpt), st.commitSeq})
+			merge += s.cfg.Queries[q].App.mergeTime()
+		}
+	}
+	if len(covers) == 0 {
+		return
+	}
 	c.checkpointing = true
-	covered := len(c.sinceCkpt)
-	coveredSeq := c.commitSeq // prefix of the commit sequence this checkpoint covers
 	epoch := c.epoch
 	start := s.clock.Now()
-	merge := time.Duration(0)
-	if s.cfg.App.MergeBytesPerSec > 0 {
-		merge = time.Duration(float64(s.cfg.App.RobjBytes) / s.cfg.App.MergeBytesPerSec * float64(time.Second))
-	}
 	s.clock.After(merge, func() {
 		if c.epoch != epoch {
 			return
 		}
 		c.checkpointing = false
 		c.kickCores()
-		s.net.Start(s.cfg.App.RobjBytes, s.robjLatency(c), 0, s.robjResources(c), func() {
-			if c.epoch != epoch || c.fenced {
-				// Dead with the incarnation, or fenced: the head refuses a
-				// dead-marked site's checkpoint, so it never becomes durable.
-				return
-			}
-			// Cores resume as soon as the merge ends, so a later checkpoint
-			// can begin (and even land) while this object is still on the
-			// wire: trim only the commits this one covers beyond what
-			// earlier landings or a failure reissue already removed.
-			if drop := coveredSeq - c.trimSeq; drop > 0 {
-				c.sinceCkpt = append(c.sinceCkpt[:0:0], c.sinceCkpt[drop:]...)
-				c.trimSeq = coveredSeq
-			}
-			c.hasCkpt = true
-			c.ckptSeq++
-			s.fstats.Checkpoints++
-			s.fstats.CheckpointBytes += s.cfg.App.RobjBytes
-			if s.tr.Enabled() {
-				s.tr.Complete(c.pid(), 0, "fault", "checkpoint", start, s.clock.Now(),
-					obs.Args{"seq": c.ckptSeq, "jobs": covered, "bytes": s.cfg.App.RobjBytes})
-			}
-		})
+		for _, cv := range covers {
+			cv := cv
+			st := &c.perQuery[cv.query]
+			bytes := s.cfg.Queries[cv.query].App.RobjBytes
+			s.net.Start(bytes, s.robjLatency(c), 0, s.robjResources(c), func() {
+				if c.epoch != epoch || c.fenced {
+					// Dead with the incarnation, or fenced: the head refuses a
+					// dead-marked site's checkpoint, so it never becomes durable.
+					return
+				}
+				// Cores resume as soon as the merge ends, so a later checkpoint
+				// can begin (and even land) while this object is still on the
+				// wire: trim only the commits this one covers beyond what
+				// earlier landings, a ship or a failure reissue already removed.
+				if drop := cv.seq - st.trimSeq; drop > 0 {
+					st.sinceCkpt = append(st.sinceCkpt[:0:0], st.sinceCkpt[drop:]...)
+					st.trimSeq = cv.seq
+				}
+				st.hasCkpt = true
+				st.ckptSeq++
+				s.fstats.Checkpoints++
+				s.fstats.CheckpointBytes += bytes
+				if s.tr.Enabled() {
+					s.tr.Complete(c.pid(), 0, "fault", "checkpoint", start, s.clock.Now(),
+						obs.Args{"query": cv.query, "seq": st.ckptSeq, "jobs": cv.jobs, "bytes": bytes})
+				}
+			})
+		}
 	})
 }
 
 // robjResources and robjLatency pick the transfer cost of moving a reduction
 // object between a cluster and the head: the shared inter-cluster pipe,
 // waived for the cluster co-located with the head node.
-func (s *sim) robjResources(c *simCluster) []*Resource {
+func (s *multiSim) robjResources(c *mqCluster) []*Resource {
 	if c.index == s.cfg.Topology.HeadCluster || s.interRes == nil {
 		return nil
 	}
 	return []*Resource{s.interRes}
 }
 
-func (s *sim) robjLatency(c *simCluster) time.Duration {
+func (s *multiSim) robjLatency(c *mqCluster) time.Duration {
 	if c.index == s.cfg.Topology.HeadCluster {
 		return s.cfg.Topology.ControlLatency
 	}

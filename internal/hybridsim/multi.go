@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/chunk"
+	"repro/internal/fault"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -29,11 +30,11 @@ type MultiQuery struct {
 	Iterations int
 }
 
-// MultiConfig is a simulated multi-query experiment: N queries admitted at
-// t=0 over one shared deployment, with the head handing out jobs by the same
-// weighted stride scheduler the live head uses (jobs.FairShare). The
-// single-query simulator (Run) is untouched; this is a separate machine
-// sharing the Network/Resource substrate.
+// MultiConfig is a simulated experiment of N queries admitted at t=0 over
+// one shared deployment, with the head handing out jobs one at a time by
+// the same weighted stride scheduler the live head uses (jobs.FairShare).
+// It is the simulator's one event loop: Run executes the one-query
+// MultiConfig that Config.Multi builds.
 type MultiConfig struct {
 	Queries  []MultiQuery
 	Topology Topology
@@ -42,11 +43,12 @@ type MultiConfig struct {
 	RequestBatch int
 	// Seed drives the deterministic jitter stream.
 	Seed uint64
-	// Obs attaches observability. A non-nil tracer produces the same merged
-	// multi-site trace shape the live head emits — head-side grant spans on
-	// pid 0, per-cluster retrieval and processing spans on pid i+1, every
-	// span carrying the owning query's trace id (query+1) — but on virtual
-	// time, so live and simulated runs are visually comparable side by side.
+	// Obs attaches observability: the sim_* metrics, and with an enabled
+	// tracer the same merged multi-site trace shape the live head emits —
+	// head-side grant spans on pid 0, per-cluster retrieval and processing
+	// spans on pid i+1, every span carrying the owning query's trace id
+	// (query+1) — but on virtual time, so live and simulated runs are
+	// visually comparable side by side.
 	Obs *obs.Obs
 	// Elastic, when non-nil, enables mid-run cluster add/remove driven by
 	// the Decide hook on the virtual clock (see ElasticSim).
@@ -55,6 +57,10 @@ type MultiConfig struct {
 	// experiments use these as the perturbation a static, pre-sized
 	// provisioning plan cannot absorb.
 	Slowdowns []MultiSlowdown
+
+	// faults is the fault plan (fault.go); Config.Multi carries
+	// Config.Faults here.
+	faults fault.Plan
 }
 
 // MultiSlowdown is one injected mid-run degradation. A compute slowdown
@@ -82,8 +88,16 @@ type QueryResult struct {
 	IterFinish []time.Duration
 	// Granted counts jobs handed to masters for this query.
 	Granted int
-	// Jobs is the per-cluster accounting, indexed like Topology.Clusters.
+	// Jobs is the per-cluster accounting, indexed like MultiResult.Clusters.
 	Jobs []stats.JobAccounting
+	// Breakdown is each cluster's Figure-3 decomposition of this query:
+	// processing is the query's core-busy time ÷ cores, retrieval the rest
+	// up to the cluster's last fold, sync the wait from there to the
+	// Finished broadcast. Indexed like Jobs.
+	Breakdown []stats.Breakdown
+	// LocalDone is each cluster's last fold of this query (0 when it folded
+	// none). Indexed like Jobs.
+	LocalDone []time.Duration
 }
 
 // MultiResult reports the whole multi-query experiment.
@@ -102,6 +116,8 @@ type MultiResult struct {
 	// Stage reports the burst-side replica's realized behavior; nil when
 	// Topology.Stage is unset.
 	Stage *StageStats
+	// Faults summarizes fault-plan activity (zero without a plan).
+	Faults FaultStats
 }
 
 // MultiClusterResult is one cluster's realized footprint over the run.
@@ -123,6 +139,8 @@ type MultiClusterResult struct {
 	// replica instead of an origin site (excluded from BytesBySite so
 	// transfer-cost accounting never double-charges a cached read).
 	StageReadBytes int64
+	// RetrievalBusy is the total time retrieval lanes spent transferring.
+	RetrievalBusy time.Duration
 }
 
 // mqChunk is one retrieved-but-unprocessed chunk, tagged with its query.
@@ -131,8 +149,9 @@ type mqChunk struct {
 	bytes int64
 }
 
-// mqCluster is one cluster's agent in the multi-query simulation: a single
-// master/poll loop interleaving every query's jobs, like cluster.RunAgent.
+// mqCluster is one cluster's agent: a single master/poll loop interleaving
+// every query's jobs, like cluster.RunAgent, feeding retrieval lanes and
+// processing cores.
 type mqCluster struct {
 	s     *multiSim
 	model ClusterModel
@@ -150,7 +169,8 @@ type mqCluster struct {
 	launched  time.Duration
 	drainedAt time.Duration
 
-	// slowFactor divides the compute rate once a MultiSlowdown lands.
+	// slowFactor divides the compute rate once a slowdown lands (a
+	// MultiSlowdown or a fault.Slowdown event).
 	slowFactor float64
 
 	freeLanes []int
@@ -159,10 +179,54 @@ type mqCluster struct {
 	idleCores []int
 	busyCores int
 
-	jobsByQuery    map[int]stats.JobAccounting
+	perQuery       []clusterQuery // indexed by query
 	bytesBySite    map[int]int64
 	stageReadBytes int64
+	retrBusy       time.Duration
+
+	// Fault-plan state (fault.go; idle without a plan). epoch counts
+	// incarnations: every callback an incarnation schedules captures the
+	// epoch and no-ops once the cluster has crashed, so in-flight transfers,
+	// busy cores and pending polls die with the machine instead of leaking
+	// into its replacement.
+	epoch         int
+	detectedEpoch int  // last incarnation the head declared failed
+	down          bool // crashed, waiting for restart
+	partitioned   bool // cut off from head and storage
+	fenced        bool // lease expired mid-partition; commits will be refused
+	checkpointing bool // quiescing cores for a checkpoint merge
+	deferred      []jobs.Tagged
 }
+
+// clusterQuery is one cluster's state for one query.
+type clusterQuery struct {
+	jobs     stats.JobAccounting
+	coreBusy time.Duration // core time spent folding the query's chunks
+	lastFold time.Duration
+
+	// pendingShip marks a reduction object the head asked for while the
+	// cluster was down or partitioned; it ships when the cluster is back.
+	pendingShip bool
+	// sinceCkpt holds first commits no landed checkpoint or shipped object
+	// covers yet — what a failure reissues. commitSeq counts commits ever
+	// appended; trimSeq is the commitSeq position of sinceCkpt[0], so
+	// overlapping checkpoint ships trim only what earlier landings haven't.
+	sinceCkpt []jobs.Job
+	commitSeq int
+	trimSeq   int
+	hasCkpt   bool
+	ckptSeq   int
+	// Latency-watchdog state, nil/false unless the plan arms it: the grant
+	// time of each job the cluster holds, its grant→commit latencies, and
+	// whether the watchdog already flagged it.
+	grantAt   map[int]time.Duration
+	latHist   *obs.Histogram
+	wdFlagged bool
+}
+
+// contributed reports whether the cluster holds credited work for the
+// query, so the query's global reduction needs its object.
+func (st *clusterQuery) contributed() bool { return st.jobs.Local+st.jobs.Stolen > 0 }
 
 type multiSim struct {
 	cfg      MultiConfig
@@ -175,6 +239,10 @@ type multiSim struct {
 	paths    map[[2]int]*Resource
 	interRes *Resource
 
+	// nextSeq tracks, per (query, file), the chunk sequence number that
+	// would continue a sequential read; lastFile tracks, per site, the
+	// (query, file) the site served last. A fetch that switches files or
+	// breaks a file's sequence pays the site's seek penalty.
 	nextSeq  map[int]int
 	lastFile map[int]int
 	seeks    int
@@ -194,12 +262,25 @@ type multiSim struct {
 
 	stage *stageState
 
-	tr *obs.Tracer
+	// Fault-plan state (fault.go).
+	fstats     FaultStats
+	emptySince time.Duration    // start of the current empty-but-undrained episode; -1 when none
+	latAll     []*obs.Histogram // per-query grant→commit latency, the watchdog's median baseline
+
+	// Observability (all nil-safe). The loop is single-threaded, so fetch
+	// latencies accumulate in an unsynchronized histogram and every counter
+	// is flushed once at the end — an attached-but-idle Obs costs the hot
+	// path nothing but a nil check.
+	tr         *obs.Tracer
+	hRetrieval *obs.LocalHistogram
 }
 
 // Trace layout mirrors the live merged trace: pid 0 is the head, pid i+1 is
-// cluster i; within a cluster tid 0 is the master, 1..R the retrieval lanes
-// and R+1..R+cores the processing cores.
+// cluster i; within a cluster tid 0 is the master, 1..R the retrieval lanes,
+// R+1..R+cores the processing cores, and tidBreakdown+q query q's
+// phase-summary track.
+const tidBreakdown = 999
+
 func (c *mqCluster) pid() int { return c.index + 1 }
 func (c *mqCluster) coreTid(id int) int {
 	return 1 + c.model.RetrievalThreads + id
@@ -209,10 +290,10 @@ func (c *mqCluster) coreTid(id int) int {
 // head's convention (query+1; 0 stays "no trace").
 func mqTraceID(query int) uint64 { return uint64(query) + 1 }
 
-// RunMulti executes a multi-query simulated experiment: every query is
-// admitted at t=0, masters poll one shared head whose grants follow the
-// weighted fair share, and each query performs its own global reduction as
-// soon as its pool drains — while the other queries keep running.
+// RunMulti executes a simulated experiment: every query is admitted at t=0,
+// masters poll one shared head whose grants follow the weighted fair share,
+// and each query performs its own global reduction as soon as its pool
+// drains — while the other queries keep running.
 func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	if len(cfg.Queries) == 0 {
 		return nil, fmt.Errorf("hybridsim: at least one query is required")
@@ -220,36 +301,49 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	if len(cfg.Topology.Clusters) == 0 {
 		return nil, fmt.Errorf("hybridsim: at least one cluster is required")
 	}
+	nq := len(cfg.Queries)
 	s := &multiSim{
-		cfg:      cfg,
-		clock:    &simtime.Clock{},
-		fair:     jobs.NewFairShare(),
-		egress:   make(map[int]*Resource),
-		paths:    make(map[[2]int]*Resource),
-		nextSeq:  make(map[int]int),
-		lastFile: make(map[int]int),
-		granted:    make([]int, len(cfg.Queries)),
-		drained:    make([]bool, len(cfg.Queries)),
-		reducing:   make([]bool, len(cfg.Queries)),
-		iter:       make([]int, len(cfg.Queries)),
-		iterFinish: make([][]time.Duration, len(cfg.Queries)),
-		expect:     make([]int, len(cfg.Queries)),
-		finish:     make([]time.Duration, len(cfg.Queries)),
+		cfg:        cfg,
+		clock:      &simtime.Clock{},
+		fair:       jobs.NewFairShare(),
+		egress:     make(map[int]*Resource),
+		paths:      make(map[[2]int]*Resource),
+		nextSeq:    make(map[int]int),
+		lastFile:   make(map[int]int),
+		granted:    make([]int, nq),
+		drained:    make([]bool, nq),
+		reducing:   make([]bool, nq),
+		iter:       make([]int, nq),
+		iterFinish: make([][]time.Duration, nq),
+		expect:     make([]int, nq),
+		finish:     make([]time.Duration, nq),
+		emptySince: -1,
 	}
+	// The pools report into the run's registry; copy the queries so the
+	// caller's config is never mutated.
+	reg := cfg.Obs.Metrics()
+	s.cfg.Queries = append([]MultiQuery(nil), cfg.Queries...)
 	s.net = NewNetwork(s.clock)
 	s.tr = cfg.Obs.Trace()
 	s.tr.SetClock(obs.ClockFunc(s.clock.Now))
 	if cfg.Obs != nil {
 		cfg.Obs.Clock = obs.ClockFunc(s.clock.Now)
 	}
+	if reg != nil {
+		s.hRetrieval = obs.NewLocalHistogram(nil)
+	}
 	s.tr.NameProcess(0, "head")
 	s.tr.NameThread(0, 0, "scheduler")
-	for qi, q := range cfg.Queries {
+	for qi := range s.cfg.Queries {
+		q := &s.cfg.Queries[qi]
 		if q.Index == nil {
 			return nil, fmt.Errorf("hybridsim: query %d (%s) has no index", qi, q.Name)
 		}
 		if q.App.ComputeBytesPerSec <= 0 {
 			return nil, fmt.Errorf("hybridsim: query %d (%s): App.ComputeBytesPerSec must be positive", qi, q.Name)
+		}
+		if q.PoolOpts.Metrics == nil {
+			q.PoolOpts.Metrics = reg
 		}
 		pool, err := jobs.NewPool(q.Index, q.Placement, q.PoolOpts)
 		if err != nil {
@@ -258,6 +352,11 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 		s.pools = append(s.pools, pool)
 		if err := s.fair.Add(qi, pool, q.Weight); err != nil {
 			return nil, err
+		}
+	}
+	if s.watchdogOn() {
+		for range s.cfg.Queries {
+			s.latAll = append(s.latAll, obs.NewHistogram(watchdogLatencyBounds))
 		}
 	}
 	for site := range cfg.Topology.SeekPenalty {
@@ -272,36 +371,14 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	for key, p := range cfg.Topology.Paths {
 		s.paths[key] = &Resource{Name: fmt.Sprintf("path-c%d-s%d", key[0], key[1]), Capacity: p.Bandwidth}
 	}
-	for i, cm := range cfg.Topology.Clusters {
+	for _, cm := range cfg.Topology.Clusters {
 		if cm.Cores <= 0 {
 			return nil, fmt.Errorf("hybridsim: cluster %q has %d cores", cm.Name, cm.Cores)
 		}
-		if cm.CoreSpeed <= 0 {
-			cm.CoreSpeed = 1
-		}
-		if cm.RetrievalThreads <= 0 {
-			cm.RetrievalThreads = 2
-		}
-		if cm.QueueDepth <= 0 {
-			cm.QueueDepth = 2 * cm.Cores
-		}
-		c := &mqCluster{s: s, model: cm, index: i, slowFactor: 1,
-			jobsByQuery: make(map[int]stats.JobAccounting), bytesBySite: make(map[int]int64)}
-		for lane := cm.RetrievalThreads; lane >= 1; lane-- {
-			c.freeLanes = append(c.freeLanes, lane)
-		}
-		for id := 0; id < cm.Cores; id++ {
-			c.idleCores = append(c.idleCores, id)
-		}
-		s.clusters = append(s.clusters, c)
-		s.tr.NameProcess(c.pid(), fmt.Sprintf("cluster %s (site %d)", cm.Name, cm.Site))
-		s.tr.NameThread(c.pid(), 0, "master")
-		for lane := 1; lane <= cm.RetrievalThreads; lane++ {
-			s.tr.NameThread(c.pid(), lane, fmt.Sprintf("retr-%d", lane))
-		}
-		for id := 0; id < cm.Cores; id++ {
-			s.tr.NameThread(c.pid(), c.coreTid(id), fmt.Sprintf("core-%d", id))
-		}
+		s.addCluster(cm)
+	}
+	if err := s.scheduleFaults(); err != nil {
+		return nil, err
 	}
 	if cfg.Elastic != nil {
 		if cfg.Elastic.Decide == nil {
@@ -359,45 +436,64 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	if s.finished < len(cfg.Queries) {
-		return nil, fmt.Errorf("hybridsim: multi-query simulation stalled (%d/%d queries finished)",
-			s.finished, len(cfg.Queries))
+	if s.finished < nq {
+		return nil, fmt.Errorf("hybridsim: simulation stalled (%d/%d queries finished)", s.finished, nq)
 	}
-	res := &MultiResult{Seeks: s.seeks}
-	if s.stage != nil {
-		res.Stage = s.stage.snapshot()
-	}
-	for qi, q := range cfg.Queries {
-		qr := QueryResult{Name: q.Name, Finish: s.finish[qi], Granted: s.granted[qi],
-			IterFinish: s.iterFinish[qi]}
-		for _, c := range s.clusters {
-			qr.Jobs = append(qr.Jobs, c.jobsByQuery[qi])
-		}
-		res.Queries = append(res.Queries, qr)
-		if s.finish[qi] > res.Total {
-			res.Total = s.finish[qi]
-		}
-	}
-	for _, c := range s.clusters {
-		var total stats.JobAccounting
-		for _, acct := range c.jobsByQuery {
-			total.Local += acct.Local
-			total.Stolen += acct.Stolen
-		}
-		res.Clusters = append(res.Clusters, MultiClusterResult{
-			Name:           c.model.Name,
-			Site:           c.model.Site,
-			Cores:          c.model.Cores,
-			Burst:          c.burst,
-			Launched:       c.launched,
-			Drained:        c.drainedAt,
-			Jobs:           total,
-			BytesBySite:    c.bytesBySite,
-			StageReadBytes: c.stageReadBytes,
-		})
-	}
-	res.Total += cfg.Topology.ControlLatency // Finished broadcast
+	res := s.result()
+	s.report(res, reg)
 	return res, nil
+}
+
+// addCluster appends one cluster — static at startup, or a burst worker
+// mid-run — with its lanes, cores, per-query state and trace names.
+func (s *multiSim) addCluster(cm ClusterModel) *mqCluster {
+	if cm.CoreSpeed <= 0 {
+		cm.CoreSpeed = 1
+	}
+	if cm.RetrievalThreads <= 0 {
+		cm.RetrievalThreads = 2
+	}
+	if cm.QueueDepth <= 0 {
+		cm.QueueDepth = 2 * cm.Cores
+	}
+	c := &mqCluster{s: s, model: cm, index: len(s.clusters), slowFactor: 1, detectedEpoch: -1,
+		perQuery: make([]clusterQuery, len(s.cfg.Queries)), bytesBySite: make(map[int]int64)}
+	c.freeAll()
+	if s.latAll != nil {
+		for q := range c.perQuery {
+			c.perQuery[q].grantAt = make(map[int]time.Duration)
+			c.perQuery[q].latHist = obs.NewHistogram(watchdogLatencyBounds)
+		}
+	}
+	s.clusters = append(s.clusters, c)
+	s.tr.NameProcess(c.pid(), fmt.Sprintf("cluster %s (site %d)", cm.Name, cm.Site))
+	s.tr.NameThread(c.pid(), 0, "master")
+	for lane := 1; lane <= cm.RetrievalThreads; lane++ {
+		s.tr.NameThread(c.pid(), lane, fmt.Sprintf("retr-%d", lane))
+	}
+	for id := 0; id < cm.Cores; id++ {
+		s.tr.NameThread(c.pid(), c.coreTid(id), fmt.Sprintf("core-%d", id))
+	}
+	for q := range c.perQuery {
+		s.tr.NameThread(c.pid(), tidBreakdown+q, "breakdown")
+	}
+	if every := s.cfg.faults.CheckpointEvery; every > 0 {
+		s.clock.After(every, c.checkpointTick)
+	}
+	return c
+}
+
+// freeAll returns every retrieval lane and core to the idle stacks; the
+// lanes are stacked so the first pop is lane 1, matching thread ids.
+func (c *mqCluster) freeAll() {
+	c.freeLanes = c.freeLanes[:0]
+	for lane := c.model.RetrievalThreads; lane >= 1; lane-- {
+		c.freeLanes = append(c.freeLanes, lane)
+	}
+	c.idleCores = c.idleCores[:0]
+	for id := 0; id < c.model.Cores; id++ {
+		c.idleCores = append(c.idleCores, id)
+	}
 }
 
 func (s *multiSim) allDrained() bool {
@@ -410,8 +506,9 @@ func (s *multiSim) allDrained() bool {
 }
 
 // pollEvery is the masters' back-off between empty grants while some query
-// is still undrained (jobs outstanding on other clusters).
-func (s *multiSim) mqPollEvery() time.Duration {
+// is still undrained (jobs outstanding on other clusters): 2·ControlLatency,
+// at least 1 ms.
+func (s *multiSim) pollEvery() time.Duration {
 	if d := 2 * s.cfg.Topology.ControlLatency; d > 0 {
 		return d
 	}
@@ -430,9 +527,10 @@ func (c *mqCluster) batch() int {
 }
 
 // poll is the agent's shared master loop: one request serves every query,
-// the head answering with a fair-share-interleaved grant.
+// the head answering with a fair-share-interleaved grant, one job per ask —
+// the head's own FairShare.Assign.
 func (c *mqCluster) poll() {
-	if c.requesting || c.exhausted || c.draining || c.gone {
+	if c.requesting || c.exhausted || c.draining || c.gone || c.down || c.partitioned {
 		return
 	}
 	if len(c.queue) >= c.batch() {
@@ -440,15 +538,24 @@ func (c *mqCluster) poll() {
 	}
 	c.requesting = true
 	s := c.s
-	rtt := 2 * s.cfg.Topology.ControlLatency
-	s.clock.After(rtt, func() {
+	epoch := c.epoch
+	s.clock.After(2*s.cfg.Topology.ControlLatency, func() {
+		if c.epoch != epoch {
+			return // the poll died with a crashed incarnation
+		}
 		c.requesting = false
+		if c.partitioned {
+			return // reply cut off; the heal polls again
+		}
 		if c.draining || c.gone {
 			// The drain raced an in-flight poll: the head stops granting
 			// to a draining site.
 			s.maybeDrained(c)
 			return
 		}
+		// The head runs its latency watchdog on every poll, so a freshly
+		// flagged straggler's speculative copies can land in this grant.
+		s.checkLatencyStragglers()
 		tagged := s.fair.Assign(c.model.Site, c.batch())
 		if len(tagged) == 0 {
 			if s.allDrained() {
@@ -457,33 +564,39 @@ func (c *mqCluster) poll() {
 			}
 			// Empty but undrained somewhere: poll again (the live PollReply's
 			// Wait hint). New grants can appear when another cluster drains a
-			// shared pool or a weight rotation comes around.
-			s.clock.After(s.mqPollEvery(), func() { c.poll() })
+			// shared pool, a failure requeues work or speculation re-adds it.
+			s.noteEmptyGrant()
+			s.clock.After(s.pollEvery(), func() {
+				if c.epoch == epoch {
+					c.poll()
+				}
+			})
 			return
 		}
+		s.emptySince = -1 // a grant landed; the straggler episode is over
+		now := s.clock.Now()
 		for _, tg := range tagged {
 			s.granted[tg.Query]++
+			if at := c.perQuery[tg.Query].grantAt; at != nil {
+				at[tg.Job.ID] = now
+			}
 		}
 		if s.tr.Enabled() {
 			// One head-side grant span per (poll, query), stamped at the
 			// virtual instant the head issued the grant (half an RTT ago).
-			// Grouping preserves first-seen order so traces stay
-			// byte-identical run to run.
-			grantT := s.clock.Now() - s.cfg.Topology.ControlLatency
+			grantT := now - s.cfg.Topology.ControlLatency
 			if grantT < 0 {
 				grantT = 0
 			}
-			var qs []int
-			jobsBy := make(map[int][]int)
+			jobsBy := make([][]int, len(s.cfg.Queries))
 			for _, tg := range tagged {
-				if _, ok := jobsBy[tg.Query]; !ok {
-					qs = append(qs, tg.Query)
-				}
 				jobsBy[tg.Query] = append(jobsBy[tg.Query], tg.Job.ID)
 			}
-			for _, qi := range qs {
-				s.tr.Complete(0, 0, "scheduling", "grant", grantT, grantT, obs.Args{
-					"trace": mqTraceID(qi), "query": qi, "site": c.model.Site, "jobs": jobsBy[qi]})
+			for qi, ids := range jobsBy {
+				if len(ids) > 0 {
+					s.tr.Complete(0, 0, "scheduling", "grant", grantT, grantT, obs.Args{
+						"trace": mqTraceID(qi), "query": qi, "site": c.model.Site, "jobs": ids})
+				}
 			}
 		}
 		c.queue = append(c.queue, tagged...)
@@ -501,11 +614,16 @@ func (c *mqCluster) kickRetrievers() {
 	}
 }
 
-// startFetch begins one chunk transfer, charging the same egress, path and
-// seek resources as the single-query simulator.
+// startFetch begins one chunk transfer on the given retrieval lane if a job
+// and a buffer slot are available, charging the source egress, the path
+// and — on a sequence break — the site's seek penalty. It returns false
+// when the lane should stay idle.
 func (c *mqCluster) startFetch(lane int) bool {
+	if c.down || c.partitioned {
+		return false // no path to any storage site
+	}
 	if len(c.ready)+c.inFlight >= c.model.QueueDepth {
-		return false
+		return false // back-pressure: slave memory full
 	}
 	if len(c.queue) == 0 {
 		c.poll()
@@ -523,11 +641,10 @@ func (c *mqCluster) startFetch(lane int) bool {
 	// served at the replica's cloud-local rates instead of drawing origin
 	// egress across the WAN; a miss travels the normal path and deposits the
 	// chunk in the replica on the way past (read-through).
-	var sKey stageKey
+	sKey := stageKey{query: tg.Query, site: j.Site, file: j.Ref.File, seq: j.Ref.Seq}
 	cached := s.stage != nil && s.stage.eligible(c) && s.stage.cacheable(j.Site)
 	stageHit := false
 	if cached {
-		sKey = stageKey{query: tg.Query, site: j.Site, file: j.Ref.File, seq: j.Ref.Seq}
 		_, stageHit = s.stage.resident[sKey]
 		s.stage.recordRead(s.iter[tg.Query], stageHit, j.Ref.Size)
 	}
@@ -562,8 +679,15 @@ func (c *mqCluster) startFetch(lane int) bool {
 	}
 	c.inFlight++
 	start := s.clock.Now()
+	epoch := c.epoch
 	s.net.Start(j.Ref.Size, latency, perStream, resources, func() {
+		if c.epoch != epoch {
+			return // the destination crashed; the bytes are discarded
+		}
 		c.inFlight--
+		end := s.clock.Now()
+		c.retrBusy += end - start
+		s.hRetrieval.Observe(end - start)
 		if stageHit {
 			c.stageReadBytes += j.Ref.Size
 		} else {
@@ -573,18 +697,19 @@ func (c *mqCluster) startFetch(lane int) bool {
 			}
 		}
 		if s.stage != nil && s.stage.cacheable(j.Site) {
-			s.stage.retrieved[stageKey{query: tg.Query, site: j.Site, file: j.Ref.File, seq: j.Ref.Seq}] = true
+			s.stage.retrieved[sKey] = true
 		}
 		if s.tr.Enabled() {
 			args := obs.Args{"trace": mqTraceID(tg.Query), "query": tg.Query, "file": j.Ref.File,
-				"seq": j.Ref.Seq, "site": j.Site, "bytes": j.Ref.Size}
+				"seq": j.Ref.Seq, "site": j.Site, "bytes": j.Ref.Size, "stolen": j.Site != c.model.Site}
 			if stageHit {
 				args["staged"] = true
 			}
-			s.tr.Complete(c.pid(), lane, "retrieval", fmt.Sprintf("job %d", j.ID), start, s.clock.Now(), args)
+			s.tr.Complete(c.pid(), lane, "retrieval", fmt.Sprintf("job %d", j.ID), start, end, args)
 		}
 		c.ready = append(c.ready, mqChunk{tg: tg, bytes: j.Ref.Size})
 		c.kickCores()
+		// This retrieval lane immediately looks for the next job.
 		if c.startFetch(lane) {
 			return
 		}
@@ -593,43 +718,60 @@ func (c *mqCluster) startFetch(lane int) bool {
 	return true
 }
 
+// kickCores puts idle cores to work on retrieved chunks.
 func (c *mqCluster) kickCores() {
+	if c.checkpointing {
+		return // quiescing: no new folds until the checkpoint merge is done
+	}
 	for len(c.idleCores) > 0 && len(c.ready) > 0 {
 		core := c.idleCores[len(c.idleCores)-1]
 		c.idleCores = c.idleCores[:len(c.idleCores)-1]
 		qc := c.ready[0]
 		c.ready = c.ready[1:]
 		c.busyCores++
+		// A buffer slot freed: retrieval lanes may resume.
 		c.kickRetrievers()
 		c.process(core, qc)
 	}
 }
 
-// process models one core crunching one chunk at the owning query's rate.
+// process models one core crunching one chunk at the owning query's rate,
+// with a deterministic per-(cluster, query, job) jitter in [1-J, 1+J].
 func (c *mqCluster) process(core int, qc mqChunk) {
 	s := c.s
-	app := s.cfg.Queries[qc.tg.Query].App
-	h := splitmix64(s.cfg.Seed ^ uint64(c.index)<<32 ^ uint64(qc.tg.Job.ID) ^ uint64(qc.tg.Query)<<48)
+	q := qc.tg.Query
+	h := splitmix64(s.cfg.Seed ^ uint64(c.index)<<32 ^ uint64(qc.tg.Job.ID) ^ uint64(q)<<48)
 	jit := 1.0
 	if c.model.Jitter > 0 {
 		u := float64(h>>11) / float64(1<<53)
 		jit = 1 - c.model.Jitter + 2*c.model.Jitter*u
 	}
-	rate := app.ComputeBytesPerSec * c.model.CoreSpeed * jit
+	rate := s.cfg.Queries[q].App.ComputeBytesPerSec * c.model.CoreSpeed * jit
 	if c.slowFactor > 1 {
 		rate /= c.slowFactor // an injected mid-run degradation
 	}
 	d := time.Duration(float64(qc.bytes) / rate * float64(time.Second))
 	start := s.clock.Now()
+	epoch := c.epoch
 	s.clock.After(d, func() {
+		if c.epoch != epoch {
+			return // the core died mid-chunk; its work is gone
+		}
 		c.busyCores--
 		c.idleCores = append(c.idleCores, core)
+		st := &c.perQuery[q]
+		st.coreBusy += d
+		st.lastFold = s.clock.Now()
 		if s.tr.Enabled() {
 			s.tr.Complete(c.pid(), c.coreTid(core), "processing", fmt.Sprintf("job %d", qc.tg.Job.ID),
-				start, s.clock.Now(), obs.Args{"trace": mqTraceID(qc.tg.Query), "query": qc.tg.Query,
+				start, st.lastFold, obs.Args{"trace": mqTraceID(q), "query": q,
 					"bytes": qc.bytes, "stolen": qc.tg.Job.Site != c.model.Site})
 		}
-		c.complete(qc.tg)
+		if c.partitioned {
+			c.deferred = append(c.deferred, qc.tg) // reported when the partition heals
+		} else {
+			c.commit(qc.tg)
+		}
 		c.kickCores()
 		c.kickRetrievers()
 		if c.draining {
@@ -638,36 +780,45 @@ func (c *mqCluster) process(core int, qc mqChunk) {
 	})
 }
 
-// complete records one processed chunk against its query and, when that
-// drains the query's pool, starts the query's own global reduction while
-// every other query keeps running.
-func (c *mqCluster) complete(tg jobs.Tagged) {
+// commit reports one fold to the head. The pool deduplicates speculative
+// and recovered copies by job ID, so only a first commit earns the cluster
+// credit and a checkpoint obligation; the commit that drains a pool starts
+// its query's global reduction while every other query keeps running.
+func (c *mqCluster) commit(tg jobs.Tagged) {
 	s := c.s
 	if s.err != nil {
 		return
 	}
-	pool := s.pools[tg.Query]
-	if err := pool.Complete(tg.Job); err != nil {
+	st := &c.perQuery[tg.Query]
+	// Grant→commit latency feeds the watchdog; duplicates count too — a
+	// straggler's late copies are exactly the signal (mirrors the head).
+	if t0, ok := st.grantAt[tg.Job.ID]; ok {
+		delete(st.grantAt, tg.Job.ID)
+		lat := s.clock.Now() - t0
+		st.latHist.Observe(lat)
+		s.latAll[tg.Query].Observe(lat)
+	}
+	dup, err := s.pools[tg.Query].Commit(c.model.Site, tg.Job)
+	if err != nil {
 		s.err = err
 		return
 	}
-	acct := c.jobsByQuery[tg.Query]
-	if tg.Job.Site != c.model.Site {
-		acct.Stolen++
-	} else {
-		acct.Local++
+	switch {
+	case dup:
+		s.fstats.DupCommits++
+	case tg.Job.Site != c.model.Site:
+		st.jobs.Stolen++
+	default:
+		st.jobs.Local++
 	}
-	c.jobsByQuery[tg.Query] = acct
-	if !s.drained[tg.Query] && !s.reducing[tg.Query] && pool.Drained() {
-		s.reducing[tg.Query] = true
-		if !s.queryHasMorePasses(tg.Query) {
-			// Final pass: the query leaves the fair share for good and the
-			// masters may exhaust once every query has done the same.
-			s.drained[tg.Query] = true
-		}
-		s.fair.Remove(tg.Query)
-		s.startGlobalReduction(tg.Query)
+	if !dup && s.cfg.faults.Active() {
+		// Only a fault plan can reissue a commit; without one, tracking the
+		// checkpoint obligation would cost an allocation per job for nothing.
+		st.sinceCkpt = append(st.sinceCkpt, tg.Job)
+		st.commitSeq++
 	}
+	// Even a duplicate can drain the pool: it releases the last live copy.
+	s.maybeReduce(tg.Query)
 }
 
 // queryHasMorePasses reports whether the query re-reads its dataset again
@@ -676,29 +827,45 @@ func (s *multiSim) queryHasMorePasses(q int) bool {
 	return s.iter[q]+1 < s.cfg.Queries[q].Iterations
 }
 
-// startGlobalReduction ships every contributing cluster's reduction object
-// for one query to the head (the head cluster's is free) and merges them
-// serially on the shared head pipeline.
+// maybeReduce starts query q's global reduction — the head's Done — once
+// its pool has drained. A contributor whose crash or partition the head has
+// not detected yet holds it back: detection may still reissue that
+// cluster's un-checkpointed commits.
+func (s *multiSim) maybeReduce(q int) {
+	if s.reducing[q] || !s.pools[q].Drained() {
+		return
+	}
+	for _, c := range s.clusters {
+		if c.perQuery[q].contributed() && c.failing() {
+			return
+		}
+	}
+	s.reducing[q] = true
+	if !s.queryHasMorePasses(q) {
+		// Final pass: the query leaves the fair share for good and the
+		// masters may exhaust once every query has done the same.
+		s.drained[q] = true
+	}
+	s.fair.Remove(q)
+	s.startGlobalReduction(q)
+}
+
+// startGlobalReduction asks every contributing cluster for its reduction
+// object for query qi; a cluster that is down or partitioned ships when it
+// is back.
 func (s *multiSim) startGlobalReduction(qi int) {
-	t := s.cfg.Topology
-	app := s.cfg.Queries[qi].App
 	contributors := 0
 	for _, c := range s.clusters {
-		if c.jobsByQuery[qi].Local+c.jobsByQuery[qi].Stolen == 0 {
+		st := &c.perQuery[qi]
+		if !st.contributed() {
 			continue
 		}
 		contributors++
-		if c.index == t.HeadCluster {
-			s.robjMerged(qi, app)
+		if c.down || c.partitioned {
+			st.pendingShip = true
 			continue
 		}
-		var res []*Resource
-		if s.interRes != nil {
-			res = append(res, s.interRes)
-		}
-		s.net.Start(app.RobjBytes, t.InterClusterLatency, 0, res, func() {
-			s.robjMerged(qi, app)
-		})
+		c.ship(qi)
 	}
 	s.expect[qi] = contributors
 	if contributors == 0 {
@@ -706,57 +873,176 @@ func (s *multiSim) startGlobalReduction(qi int) {
 	}
 }
 
+// ship sends the cluster's reduction object for query q to the head — free
+// for the cluster hosting the head, over the shared inter-cluster pipe
+// otherwise — and queues its merge. A shipped object makes the cluster's
+// commits durable: nothing of it is reissued, and a next pass starts from a
+// fresh object.
+func (c *mqCluster) ship(q int) {
+	s := c.s
+	st := &c.perQuery[q]
+	st.pendingShip = false
+	st.sinceCkpt = nil
+	st.trimSeq = st.commitSeq
+	st.hasCkpt = false
+	app := s.cfg.Queries[q].App
+	if c.index == s.cfg.Topology.HeadCluster {
+		s.robjMerged(q, app)
+		return
+	}
+	start := s.clock.Now()
+	s.net.Start(app.RobjBytes, s.cfg.Topology.InterClusterLatency, 0, s.robjResources(c), func() {
+		if s.tr.Enabled() {
+			s.tr.Complete(c.pid(), 0, "reduction", "robj-transfer", start, s.clock.Now(),
+				obs.Args{"trace": mqTraceID(q), "query": q, "bytes": app.RobjBytes})
+		}
+		s.robjMerged(q, app)
+	})
+}
+
 // robjMerged serializes one reduction-object merge on the head and finishes
-// the query when its last object lands.
+// the query's pass when its last object lands.
 func (s *multiSim) robjMerged(qi int, app AppModel) {
 	mergeStart := s.clock.Now()
 	if mergeStart < s.headBusyAt {
 		mergeStart = s.headBusyAt
 	}
-	merge := time.Duration(0)
-	if app.MergeBytesPerSec > 0 {
-		merge = time.Duration(float64(app.RobjBytes) / app.MergeBytesPerSec * float64(time.Second))
-	}
-	s.headBusyAt = mergeStart + merge
+	s.headBusyAt = mergeStart + app.mergeTime()
 	s.clock.At(s.headBusyAt, func() {
 		if s.tr.Enabled() {
 			s.tr.Complete(0, 0, "reduction", "merge robj", mergeStart, s.clock.Now(),
 				obs.Args{"trace": mqTraceID(qi), "query": qi})
 		}
 		s.expect[qi]--
-		if s.expect[qi] == 0 {
-			q := s.cfg.Queries[qi]
-			s.iter[qi]++
-			if q.Iterations > 1 {
-				s.iterFinish[qi] = append(s.iterFinish[qi], s.clock.Now())
-			}
-			if s.iter[qi] < q.Iterations {
-				// Another pass: rebuild the pool over the same dataset and
-				// rejoin the fair share; the polling masters pick the new
-				// grants up on their next round trip.
-				pool, err := jobs.NewPool(q.Index, q.Placement, q.PoolOpts)
-				if err != nil {
-					s.err = err
-					return
-				}
-				s.pools[qi] = pool
-				s.reducing[qi] = false
-				if err := s.fair.Add(qi, pool, q.Weight); err != nil {
-					s.err = err
-					return
-				}
-				if s.tr.Enabled() {
-					s.tr.InstantAt(0, 0, "run", fmt.Sprintf("query %d pass %d done", qi, s.iter[qi]),
-						s.clock.Now(), obs.Args{"trace": mqTraceID(qi), "query": qi})
-				}
+		if s.expect[qi] > 0 {
+			return
+		}
+		q := s.cfg.Queries[qi]
+		s.iter[qi]++
+		if q.Iterations > 1 {
+			s.iterFinish[qi] = append(s.iterFinish[qi], s.clock.Now())
+		}
+		if s.iter[qi] < q.Iterations {
+			// Another pass: rebuild the pool over the same dataset and
+			// rejoin the fair share; the polling masters pick the new
+			// grants up on their next round trip.
+			pool, err := jobs.NewPool(q.Index, q.Placement, q.PoolOpts)
+			if err != nil {
+				s.err = err
 				return
 			}
-			s.finish[qi] = s.clock.Now()
-			s.finished++
-			if s.tr.Enabled() {
-				s.tr.InstantAt(0, 0, "run", fmt.Sprintf("query %d finished", qi), s.clock.Now(),
-					obs.Args{"trace": mqTraceID(qi), "query": qi})
+			s.pools[qi] = pool
+			s.reducing[qi] = false
+			if err := s.fair.Add(qi, pool, q.Weight); err != nil {
+				s.err = err
+				return
 			}
+			if s.tr.Enabled() {
+				s.tr.InstantAt(0, 0, "run", fmt.Sprintf("query %d pass %d done", qi, s.iter[qi]),
+					s.clock.Now(), obs.Args{"trace": mqTraceID(qi), "query": qi})
+			}
+			return
+		}
+		s.finish[qi] = s.clock.Now()
+		s.finished++
+		if s.tr.Enabled() {
+			s.tr.InstantAt(0, 0, "run", fmt.Sprintf("query %d finished", qi), s.clock.Now(),
+				obs.Args{"trace": mqTraceID(qi), "query": qi})
 		}
 	})
+}
+
+// result assembles the run's outcome from the per-cluster accumulators.
+func (s *multiSim) result() *MultiResult {
+	res := &MultiResult{Seeks: s.seeks, Faults: s.fstats}
+	if s.stage != nil {
+		res.Stage = s.stage.snapshot()
+	}
+	for _, f := range s.finish {
+		if f > res.Total {
+			res.Total = f
+		}
+	}
+	res.Total += s.cfg.Topology.ControlLatency // Finished broadcast
+	for qi, q := range s.cfg.Queries {
+		qr := QueryResult{Name: q.Name, Finish: s.finish[qi], Granted: s.granted[qi],
+			IterFinish: s.iterFinish[qi]}
+		end := s.finish[qi] + s.cfg.Topology.ControlLatency
+		for _, c := range s.clusters {
+			st := c.perQuery[qi]
+			proc := st.coreBusy / time.Duration(c.model.Cores)
+			qr.Jobs = append(qr.Jobs, st.jobs)
+			qr.LocalDone = append(qr.LocalDone, st.lastFold)
+			qr.Breakdown = append(qr.Breakdown, stats.Breakdown{
+				Processing: proc, Retrieval: st.lastFold - proc, Sync: end - st.lastFold})
+		}
+		res.Queries = append(res.Queries, qr)
+	}
+	for _, c := range s.clusters {
+		var total stats.JobAccounting
+		for _, st := range c.perQuery {
+			total.Local += st.jobs.Local
+			total.Stolen += st.jobs.Stolen
+		}
+		res.Clusters = append(res.Clusters, MultiClusterResult{
+			Name:           c.model.Name,
+			Site:           c.model.Site,
+			Cores:          c.model.Cores,
+			Burst:          c.burst,
+			Launched:       c.launched,
+			Drained:        c.drainedAt,
+			Jobs:           total,
+			BytesBySite:    c.bytesBySite,
+			StageReadBytes: c.stageReadBytes,
+			RetrievalBusy:  c.retrBusy,
+		})
+	}
+	return res
+}
+
+// report flushes the run's sim_* metrics once from the accumulators the
+// loop keeps anyway — cheaper than atomics per simulated event, and
+// consistent with res by construction — and, when tracing, marks the
+// Finished instant and lays each (query, cluster) Breakdown out as
+// back-to-back phase spans, so the trace carries the exact Figure-3
+// decomposition.
+func (s *multiSim) report(res *MultiResult, reg *obs.Registry) {
+	if reg != nil {
+		for _, c := range res.Clusters {
+			reg.Counter("sim_jobs_local_total").Add(int64(c.Jobs.Local))
+			reg.Counter("sim_jobs_stolen_total").Add(int64(c.Jobs.Stolen))
+			for site, n := range c.BytesBySite {
+				reg.Counter(fmt.Sprintf("sim_retrieved_bytes_site%d", site)).Add(n)
+			}
+		}
+		reg.Counter("sim_seeks_total").Add(int64(s.seeks))
+		reg.Histogram("sim_retrieval_seconds", nil).Merge(s.hRetrieval)
+		if s.cfg.faults.Active() {
+			f := s.fstats
+			reg.Counter("sim_fault_crashes_total").Add(int64(f.Crashes))
+			reg.Counter("sim_fault_recoveries_total").Add(int64(f.Recoveries))
+			reg.Counter("sim_fault_reissued_total").Add(int64(f.Reissued))
+			reg.Counter("sim_checkpoints_total").Add(int64(f.Checkpoints))
+			reg.Counter("sim_dup_commits_total").Add(int64(f.DupCommits))
+			reg.Counter("sim_speculated_total").Add(int64(f.Speculated))
+			reg.Counter("sim_straggler_flagged_total").Add(int64(f.LatencyFlags))
+		}
+	}
+	if !s.tr.Enabled() {
+		return
+	}
+	s.tr.InstantAt(0, 0, "run", "finished", res.Total, obs.Args{"total_s": res.Total.Seconds()})
+	for qi, qr := range res.Queries {
+		for i, b := range qr.Breakdown {
+			t0 := time.Duration(0)
+			for _, ph := range []struct {
+				name string
+				d    time.Duration
+			}{{"processing", b.Processing}, {"retrieval", b.Retrieval}, {"sync", b.Sync}} {
+				s.tr.Complete(i+1, tidBreakdown+qi, "phase", ph.name, t0, t0+ph.d,
+					obs.Args{"trace": mqTraceID(qi), "query": qi})
+				t0 += ph.d
+			}
+		}
+	}
 }

@@ -1,14 +1,12 @@
 package hybridsim
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/fault"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/simtime"
 	"repro/internal/stats"
 )
 
@@ -25,6 +23,14 @@ type AppModel struct {
 	// MergeBytesPerSec is the head node's rate for merging two reduction
 	// objects (dominates global reduction for large objects).
 	MergeBytesPerSec float64
+}
+
+// mergeTime is how long one merge of the app's reduction object takes.
+func (a AppModel) mergeTime() time.Duration {
+	if a.MergeBytesPerSec <= 0 {
+		return 0
+	}
+	return time.Duration(float64(a.RobjBytes) / a.MergeBytesPerSec * float64(time.Second))
 }
 
 // ClusterModel describes one compute cluster.
@@ -87,29 +93,26 @@ type Topology struct {
 	// cluster, so only the cloud pays the WAN exchange).
 	HeadCluster int
 	// Stage, when non-nil, adds a burst-side partition replica (pre-staging
-	// cache) at Stage.Site. Only the multi-query simulator (RunMulti)
-	// models it; the single-query Run ignores it.
+	// cache) at Stage.Site; Run and RunMulti both model it.
 	Stage *StageModel
 }
 
-// Config is a full simulated experiment.
+// Config is a full simulated single-query experiment.
 type Config struct {
 	Index     *chunk.Index
 	Placement jobs.Placement
 	PoolOpts  jobs.Options
 	App       AppModel
 	Topology  Topology
-	// RequestBatch is the job-group size masters request; defaults to the
-	// cluster's core count (min 4).
+	// RequestBatch is the job-group size masters request; defaults to
+	// max(RetrievalThreads/2, 4) per cluster.
 	RequestBatch int
 	// Seed drives the deterministic jitter stream.
 	Seed uint64
 	// Faults is the deterministic fault-injection schedule plus the recovery
-	// machinery it enables (checkpointing, leases, speculation). The zero
-	// plan leaves the simulator's failure-free behavior untouched; an active
-	// plan switches job completion to the deduplicating commit path and
-	// drives crash/partition/slowdown events on the virtual clock. Runs with
-	// the same plan and seed are byte-identical.
+	// machinery it enables (checkpointing, leases, speculation), driven on
+	// the virtual clock. The zero plan injects nothing. Runs with the same
+	// plan and seed are byte-identical.
 	Faults fault.Plan
 	// Obs, when non-nil, receives the run's metrics and — if its tracer is
 	// enabled — the full per-job event trace on VIRTUAL time (pid 0 is the
@@ -117,6 +120,17 @@ type Config struct {
 	// simulated schedule: a traced run and an untraced run with the same
 	// seed produce identical Results.
 	Obs *obs.Obs
+}
+
+// Multi maps cfg onto the one-query MultiConfig that Run executes, fault
+// plan included.
+func (cfg Config) Multi() MultiConfig {
+	return MultiConfig{
+		Queries: []MultiQuery{{Name: cfg.App.Name, App: cfg.App, Index: cfg.Index,
+			Placement: cfg.Placement, PoolOpts: cfg.PoolOpts}},
+		Topology: cfg.Topology, RequestBatch: cfg.RequestBatch, Seed: cfg.Seed, Obs: cfg.Obs,
+		faults: cfg.Faults,
+	}
 }
 
 // ClusterResult reports one cluster's simulated run.
@@ -131,7 +145,7 @@ type ClusterResult struct {
 	// RetrievalBusy is the total time retrieval threads spent transferring
 	// (diagnostic; the Breakdown's Retrieval is the non-overlapped stall).
 	RetrievalBusy time.Duration
-	// LocalDone is when the cluster finished processing all its jobs.
+	// LocalDone is when the cluster finished its last fold.
 	LocalDone time.Duration
 }
 
@@ -164,686 +178,29 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// simCluster is the per-cluster state machine: a master feeding a queue and
-// retrieval/processing units draining it.
-type simCluster struct {
-	sim   *sim
-	model ClusterModel
-	index int
-
-	queue      jobs.LocalQueue
-	requesting bool
-	exhausted  bool
-
-	freeLanes []int // retrieval lanes (thread ids) with nothing to fetch
-	inFlight  int   // transfers in progress
-	ready     []queuedChunk
-	idleCores []int // core ids with nothing to process
-	busyCores int
-
-	coreBusy    time.Duration
-	bytesBySite map[int]int64
-	jobsAcct    stats.JobAccounting
-	retrTime    time.Duration
-
-	localDone time.Duration
-	finished  bool
-
-	// Fault-plan state (see fault.go; all idle when the plan is inactive).
-	// epoch counts incarnations: every callback scheduled by an incarnation
-	// captures the epoch and no-ops if the cluster has since crashed, so
-	// in-flight transfers, busy cores and pending job requests die with the
-	// machine instead of leaking into its replacement.
-	epoch         int
-	detectedEpoch int  // last incarnation the head declared failed
-	down          bool // crashed, waiting for restart
-	partitioned   bool // cut off from head and storage
-	fenced        bool // lease expired mid-partition; commits will be refused
-	checkpointing bool // quiescing cores for a checkpoint merge
-	slowFactor    float64
-	deferred      []jobs.Job // completions awaiting a partition heal
-	sinceCkpt     []jobs.Job // committed but not yet durably checkpointed
-	// commitSeq counts first-commits ever appended to sinceCkpt; trimSeq is
-	// the commitSeq position of sinceCkpt[0], advanced by landed checkpoints
-	// and by failure reissue. len(sinceCkpt) == commitSeq-trimSeq always, so
-	// overlapping checkpoint ships — each covering a prefix of the same
-	// commit sequence — trim only what earlier landings haven't.
-	commitSeq int
-	trimSeq   int
-	hasCkpt   bool
-	ckptSeq   int
-
-	// Latency-watchdog state (see checkLatencyStragglers in fault.go): the
-	// virtual grant time of each job this cluster currently holds, the
-	// grant-to-commit latency histogram, and whether the watchdog already
-	// flagged this cluster as a straggler. All nil/false unless the plan
-	// arms the watchdog.
-	grantAt   map[int]time.Duration
-	latHist   *obs.Histogram
-	wdFlagged bool
-}
-
-type queuedChunk struct {
-	job   jobs.Job
-	bytes int64
-}
-
-// sim owns the whole run.
-type sim struct {
-	cfg      Config
-	clock    *simtime.Clock
-	net      *Network
-	pool     *jobs.Pool
-	egress   map[int]*Resource
-	paths    map[[2]int]*Resource
-	interRes *Resource // shared inter-cluster pipe for reduction objects
-	clusters []*simCluster
-	// nextSeq tracks, per file, the chunk sequence number that would
-	// continue a sequential read; lastFile tracks, per site, the file the
-	// site served last. A fetch that switches files or breaks a file's
-	// sequence pays the site's seek penalty (disk head movement / cold GET).
-	nextSeq  map[int]int
-	lastFile map[int]int
-	seeks    int
-
-	unfinished int
-	results    []ClusterResult
-	grStart    time.Duration // when the last cluster finished processing
-	finishAt   time.Duration
-	headBusyAt time.Duration // head merge pipeline availability
-	merged     int
-	err        error
-
-	// Fault-plan state (see fault.go).
-	factive    bool
-	fstats     FaultStats
-	emptySince time.Duration  // start of the current empty-but-undrained episode; -1 when none
-	latAll     *obs.Histogram // run-wide grant→commit latency; the watchdog's median baseline
-
-	// Observability (all nil-safe; see Config.Obs). The event loop is
-	// single-threaded, so per-fetch latencies accumulate in an unsynchronized
-	// local histogram and every counter is derived from the per-cluster
-	// accumulators once at the end of Run — an attached-but-idle Obs costs
-	// the hot path nothing but a nil check.
-	tr         *obs.Tracer
-	hRetrieval *obs.LocalHistogram
-}
-
-// Trace pid/tid layout: pid 0 is the head node; pid i+1 is cluster i.
-// Within a cluster, tid 0 is the master, tids 1..R the retrieval lanes,
-// tids R+1..R+cores the processing cores, and tidBreakdown the synthetic
-// per-cluster phase-summary track.
-const tidBreakdown = 999
-
-func (c *simCluster) pid() int { return c.index + 1 }
-func (c *simCluster) coreTid(id int) int {
-	return 1 + c.model.RetrievalThreads + id
-}
-
-// Run executes the simulated experiment.
+// Run executes a single-query simulated experiment: RunMulti over
+// cfg.Multi(), with the query's per-cluster view mapped back into a Result.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Index == nil {
-		return nil, fmt.Errorf("hybridsim: Index is required")
-	}
-	if len(cfg.Topology.Clusters) == 0 {
-		return nil, fmt.Errorf("hybridsim: at least one cluster is required")
-	}
-	if cfg.App.ComputeBytesPerSec <= 0 {
-		return nil, fmt.Errorf("hybridsim: App.ComputeBytesPerSec must be positive")
-	}
-	clock := &simtime.Clock{}
-	reg := cfg.Obs.Metrics()
-	if cfg.PoolOpts.Metrics == nil {
-		cfg.PoolOpts.Metrics = reg
-	}
-	pool, err := jobs.NewPool(cfg.Index, cfg.Placement, cfg.PoolOpts)
+	m, err := RunMulti(cfg.Multi())
 	if err != nil {
 		return nil, err
 	}
-	s := &sim{
-		cfg:        cfg,
-		clock:      clock,
-		net:        NewNetwork(clock),
-		pool:       pool,
-		egress:     make(map[int]*Resource),
-		paths:      make(map[[2]int]*Resource),
-		unfinished: len(cfg.Topology.Clusters),
-		results:    make([]ClusterResult, len(cfg.Topology.Clusters)),
-		nextSeq:    make(map[int]int),
-		lastFile:   make(map[int]int),
-
-		tr: cfg.Obs.Trace(),
-	}
-	if reg != nil {
-		s.hRetrieval = obs.NewLocalHistogram(nil)
-	}
-	// Point the shared tracer at virtual time so clock-driven helpers (and
-	// any stats.Timer running on cfg.Obs.Clock) agree with explicit spans.
-	s.tr.SetClock(obs.ClockFunc(clock.Now))
-	if cfg.Obs != nil {
-		cfg.Obs.Clock = obs.ClockFunc(clock.Now)
-	}
-	s.tr.NameProcess(0, "head")
-	s.tr.NameThread(0, 0, "global-reduction")
-	for site := range cfg.Topology.SeekPenalty {
-		s.lastFile[site] = -1
-	}
-	for site, cap := range cfg.Topology.SourceEgress {
-		s.egress[site] = &Resource{Name: fmt.Sprintf("egress-site%d", site), Capacity: cap}
-	}
-	if cfg.Topology.InterClusterBandwidth > 0 {
-		s.interRes = &Resource{Name: "inter-cluster", Capacity: cfg.Topology.InterClusterBandwidth}
-	}
-	for key, p := range cfg.Topology.Paths {
-		s.paths[key] = &Resource{Name: fmt.Sprintf("path-c%d-s%d", key[0], key[1]), Capacity: p.Bandwidth}
-	}
-	for i, cm := range cfg.Topology.Clusters {
-		if cm.Cores <= 0 {
-			return nil, fmt.Errorf("hybridsim: cluster %q has %d cores", cm.Name, cm.Cores)
+	q := m.Queries[0]
+	res := &Result{Total: m.Total, Seeks: m.Seeks, Faults: m.Faults}
+	first, last := m.Total, time.Duration(0)
+	for i, c := range m.Clusters {
+		done := q.LocalDone[i]
+		res.Clusters = append(res.Clusters, ClusterResult{Name: c.Name, Site: c.Site, Cores: c.Cores,
+			Breakdown: q.Breakdown[i], Jobs: q.Jobs[i], BytesBySite: c.BytesBySite,
+			RetrievalBusy: c.RetrievalBusy, LocalDone: done})
+		if done < first {
+			first = done
 		}
-		if cm.CoreSpeed <= 0 {
-			cm.CoreSpeed = 1
-		}
-		if cm.RetrievalThreads <= 0 {
-			cm.RetrievalThreads = 2
-		}
-		if cm.QueueDepth <= 0 {
-			cm.QueueDepth = 2 * cm.Cores
-		}
-		c := &simCluster{
-			sim:           s,
-			model:         cm,
-			index:         i,
-			bytesBySite:   make(map[int]int64),
-			slowFactor:    1,
-			detectedEpoch: -1,
-		}
-		// Stack the lanes so the first pop is lane 1, matching thread ids.
-		for lane := cm.RetrievalThreads; lane >= 1; lane-- {
-			c.freeLanes = append(c.freeLanes, lane)
-		}
-		for id := 0; id < cm.Cores; id++ {
-			c.idleCores = append(c.idleCores, id)
-		}
-		s.clusters = append(s.clusters, c)
-		s.tr.NameProcess(c.pid(), fmt.Sprintf("cluster %s (site %d)", cm.Name, cm.Site))
-		s.tr.NameThread(c.pid(), 0, "master")
-		for lane := 1; lane <= cm.RetrievalThreads; lane++ {
-			s.tr.NameThread(c.pid(), lane, fmt.Sprintf("retr-%d", lane))
-		}
-		for id := 0; id < cm.Cores; id++ {
-			s.tr.NameThread(c.pid(), c.coreTid(id), fmt.Sprintf("core-%d", id))
-		}
-		s.tr.NameThread(c.pid(), tidBreakdown, "breakdown")
-	}
-	s.emptySince = -1
-	if cfg.Faults.Active() {
-		s.factive = true
-		if err := s.scheduleFaults(); err != nil {
-			return nil, err
-		}
-		if s.watchdogOn() {
-			s.latAll = obs.NewHistogram(watchdogLatencyBounds)
-			for _, c := range s.clusters {
-				c.grantAt = make(map[int]time.Duration)
-				c.latHist = obs.NewHistogram(watchdogLatencyBounds)
-			}
+		if done > last {
+			last = done
 		}
 	}
-	// Kick every master at t=0.
-	for _, c := range s.clusters {
-		c.ensureJobs()
-	}
-	clock.Run()
-	if s.err != nil {
-		return nil, s.err
-	}
-	if s.unfinished > 0 || s.merged != len(s.clusters) {
-		return nil, fmt.Errorf("hybridsim: simulation stalled (%d clusters unfinished, %d merged)", s.unfinished, s.merged)
-	}
-
-	res := &Result{Total: s.finishAt, Clusters: s.results, Seeks: s.seeks, Faults: s.fstats}
-	minDone, maxDone := time.Duration(1<<62), time.Duration(0)
-	for i := range s.results {
-		// Sync = everything after the cluster stopped processing.
-		s.results[i].Breakdown.Sync = s.finishAt - s.results[i].LocalDone
-		d := s.results[i].LocalDone
-		if d < minDone {
-			minDone = d
-		}
-		if d > maxDone {
-			maxDone = d
-		}
-	}
-	res.IdleTime = maxDone - minDone
-	res.GlobalReduction = s.finishAt - maxDone
-	// Flush metrics once from the per-cluster accumulators the simulator
-	// keeps anyway — cheaper than atomics per simulated event, and exactly
-	// consistent with the returned Result by construction.
-	if reg != nil {
-		var local, stolen int64
-		bySite := make(map[int]int64)
-		for i := range s.results {
-			local += int64(s.results[i].Jobs.Local)
-			stolen += int64(s.results[i].Jobs.Stolen)
-			for site, n := range s.results[i].BytesBySite {
-				bySite[site] += n
-			}
-		}
-		reg.Counter("sim_jobs_local_total").Add(local)
-		reg.Counter("sim_jobs_stolen_total").Add(stolen)
-		for site, n := range bySite {
-			reg.Counter(fmt.Sprintf("sim_retrieved_bytes_site%d", site)).Add(n)
-		}
-		reg.Counter("sim_seeks_total").Add(int64(s.seeks))
-		reg.Histogram("sim_retrieval_seconds", nil).Merge(s.hRetrieval)
-		if s.factive {
-			reg.Counter("sim_fault_crashes_total").Add(int64(s.fstats.Crashes))
-			reg.Counter("sim_fault_recoveries_total").Add(int64(s.fstats.Recoveries))
-			reg.Counter("sim_fault_reissued_total").Add(int64(s.fstats.Reissued))
-			reg.Counter("sim_checkpoints_total").Add(int64(s.fstats.Checkpoints))
-			reg.Counter("sim_dup_commits_total").Add(int64(s.fstats.DupCommits))
-			reg.Counter("sim_speculated_total").Add(int64(s.fstats.Speculated))
-			reg.Counter("sim_straggler_flagged_total").Add(int64(s.fstats.LatencyFlags))
-		}
-	}
-	if s.tr.Enabled() {
-		s.tr.InstantAt(0, 0, "run", "finished", s.finishAt, obs.Args{"total_s": s.finishAt.Seconds()})
-		// Per-cluster phase summary: one back-to-back span per Breakdown
-		// component, so the trace carries the exact Figure-3 decomposition
-		// (the trace subcommand and tests cross-check these sums).
-		for i := range s.results {
-			b := s.results[i].Breakdown
-			pid := i + 1
-			t0 := time.Duration(0)
-			for _, ph := range []struct {
-				name string
-				d    time.Duration
-			}{{"processing", b.Processing}, {"retrieval", b.Retrieval}, {"sync", b.Sync}} {
-				s.tr.Complete(pid, tidBreakdown, "phase", ph.name, t0, t0+ph.d, nil)
-				t0 += ph.d
-			}
-		}
-	}
+	res.IdleTime = last - first
+	res.GlobalReduction = m.Total - last
 	return res, nil
-}
-
-// batch is the master's request size: one job per retrieval thread by
-// default — big enough to keep every stream busy and reads sequential,
-// small enough that a slow cluster does not hoard jobs a faster cluster
-// could have stolen near the end of the run.
-func (c *simCluster) batch() int {
-	if c.sim.cfg.RequestBatch > 0 {
-		return c.sim.cfg.RequestBatch
-	}
-	b := c.model.RetrievalThreads / 2
-	if b < 4 {
-		b = 4
-	}
-	return b
-}
-
-// ensureJobs is the master: request a group from the head when the local
-// pool is diminishing.
-func (c *simCluster) ensureJobs() {
-	if c.requesting || c.exhausted || c.finished {
-		return
-	}
-	if c.sim.factive && (c.down || c.partitioned) {
-		return // no control channel to the head
-	}
-	if c.queue.Len() >= c.batch() {
-		return
-	}
-	c.requesting = true
-	s := c.sim
-	rtt := 2 * s.cfg.Topology.ControlLatency
-	reqStart := s.clock.Now()
-	epoch := c.epoch
-	s.clock.After(rtt, func() {
-		if s.factive && (c.epoch != epoch || c.down) {
-			return // the request died with the crashed incarnation
-		}
-		c.requesting = false
-		if s.factive && c.partitioned {
-			return // reply cut off; re-request after the partition heals
-		}
-		// The head runs its latency watchdog on every poll, so a freshly
-		// flagged straggler's speculative copies can land in this very grant.
-		s.checkLatencyStragglers()
-		granted := s.pool.Assign(c.model.Site, c.batch())
-		if len(granted) == 0 {
-			if s.factive && !s.pool.Drained() {
-				// Empty but undrained: jobs are still outstanding on other
-				// (possibly failed or slow) clusters, so poll again instead
-				// of leaving the run — the live master's wait-flagged grant.
-				s.noteEmptyGrant()
-				s.clock.After(s.pollEvery(), func() {
-					if c.epoch == epoch && !c.down && !c.partitioned {
-						c.ensureJobs()
-					}
-				})
-				return
-			}
-			c.exhausted = true
-			if s.tr.Enabled() {
-				s.tr.InstantAt(c.pid(), 0, "assign", "pool-exhausted", s.clock.Now(), nil)
-			}
-			c.maybeFinish()
-			return
-		}
-		if s.factive {
-			s.emptySince = -1 // a grant landed; the straggler episode is over
-		}
-		if c.grantAt != nil {
-			now := s.clock.Now()
-			for _, j := range granted {
-				c.grantAt[j.ID] = now
-			}
-		}
-		if s.tr.Enabled() {
-			stolen := 0
-			for _, j := range granted {
-				if j.Site != c.model.Site {
-					stolen++
-				}
-			}
-			s.tr.Complete(c.pid(), 0, "assign", "request-jobs", reqStart, s.clock.Now(),
-				obs.Args{"granted": len(granted), "stolen": stolen, "first_job": granted[0].ID})
-			for _, j := range granted {
-				s.tr.InstantAt(c.pid(), 0, "assign", fmt.Sprintf("job %d", j.ID), s.clock.Now(),
-					obs.Args{"file": j.Ref.File, "seq": j.Ref.Seq, "site": j.Site, "stolen": j.Site != c.model.Site})
-			}
-		}
-		c.queue.Push(granted)
-		c.kickRetrievers()
-	})
-}
-
-// kickRetrievers puts idle retrieval threads to work.
-func (c *simCluster) kickRetrievers() {
-	for len(c.freeLanes) > 0 {
-		lane := c.freeLanes[len(c.freeLanes)-1]
-		if !c.startFetch(lane) {
-			break
-		}
-		c.freeLanes = c.freeLanes[:len(c.freeLanes)-1]
-	}
-}
-
-// startFetch begins one chunk transfer on the given retrieval lane if a job
-// and a buffer slot are available. Returns false when the thread should
-// stay idle.
-func (c *simCluster) startFetch(lane int) bool {
-	if c.sim.factive && (c.down || c.partitioned) {
-		return false // no path to any storage site
-	}
-	if len(c.ready)+c.inFlight >= c.model.QueueDepth {
-		return false // back-pressure: slave memory full
-	}
-	j, ok := c.queue.Pop()
-	if !ok {
-		c.ensureJobs()
-		return false
-	}
-	c.ensureJobs() // queue diminished; maybe request more
-	s := c.sim
-	var resources []*Resource
-	if r, ok := s.egress[j.Site]; ok && r.Capacity > 0 {
-		resources = append(resources, r)
-	}
-	var latency time.Duration
-	var perStream float64
-	if pm, ok := s.cfg.Topology.Paths[[2]int{c.index, j.Site}]; ok {
-		if r := s.paths[[2]int{c.index, j.Site}]; r != nil && r.Capacity > 0 {
-			resources = append(resources, r)
-		}
-		latency = pm.Latency
-		perStream = pm.PerStream
-	}
-	if pen, ok := s.cfg.Topology.SeekPenalty[j.Site]; ok && pen > 0 {
-		if s.lastFile[j.Site] != j.Ref.File || s.nextSeq[j.Ref.File] != j.Ref.Seq {
-			latency += pen
-			s.seeks++
-		}
-		s.lastFile[j.Site] = j.Ref.File
-		s.nextSeq[j.Ref.File] = j.Ref.Seq + 1
-	}
-	start := s.clock.Now()
-	c.inFlight++
-	epoch := c.epoch
-	s.net.Start(j.Ref.Size, latency, perStream, resources, func() {
-		if s.factive && c.epoch != epoch {
-			return // the transfer's destination crashed; bytes discarded
-		}
-		c.inFlight--
-		end := s.clock.Now()
-		c.retrTime += end - start
-		c.bytesBySite[j.Site] += j.Ref.Size
-		s.hRetrieval.Observe(end - start)
-		if s.tr.Enabled() {
-			s.tr.Complete(c.pid(), lane, "retrieval", fmt.Sprintf("job %d", j.ID), start, end,
-				obs.Args{"file": j.Ref.File, "seq": j.Ref.Seq, "site": j.Site,
-					"bytes": j.Ref.Size, "stolen": j.Site != c.model.Site})
-		}
-		c.ready = append(c.ready, queuedChunk{job: j, bytes: j.Ref.Size})
-		c.kickCores()
-		// This retrieval thread immediately looks for the next job.
-		if c.startFetch(lane) {
-			return
-		}
-		c.freeLanes = append(c.freeLanes, lane)
-	})
-	return true
-}
-
-// kickCores puts idle cores to work on retrieved chunks.
-func (c *simCluster) kickCores() {
-	if c.sim.factive && c.checkpointing {
-		return // quiescing: no new folds until the checkpoint merge is done
-	}
-	for len(c.idleCores) > 0 && len(c.ready) > 0 {
-		core := c.idleCores[len(c.idleCores)-1]
-		c.idleCores = c.idleCores[:len(c.idleCores)-1]
-		qc := c.ready[0]
-		c.ready = c.ready[1:]
-		c.busyCores++
-		// A buffer slot freed: retrieval threads may resume.
-		c.kickRetrievers()
-		c.process(core, qc)
-	}
-}
-
-// jitterFactor derives the deterministic per-(cluster, job) compute-speed
-// multiplier in [1-J, 1+J].
-func (c *simCluster) jitterFactor(jobID int) float64 {
-	if c.model.Jitter <= 0 {
-		return 1
-	}
-	h := splitmix64(c.sim.cfg.Seed ^ uint64(c.index)<<32 ^ uint64(jobID))
-	u := float64(h>>11) / float64(1<<53) // [0,1)
-	return 1 - c.model.Jitter + 2*c.model.Jitter*u
-}
-
-// process models one core crunching one chunk.
-func (c *simCluster) process(core int, qc queuedChunk) {
-	s := c.sim
-	rate := s.cfg.App.ComputeBytesPerSec * c.model.CoreSpeed * c.jitterFactor(qc.job.ID)
-	if s.factive && c.slowFactor > 1 {
-		rate /= c.slowFactor // an active straggler event
-	}
-	d := time.Duration(float64(qc.bytes) / rate * float64(time.Second))
-	start := s.clock.Now()
-	epoch := c.epoch
-	s.clock.After(d, func() {
-		if s.factive && c.epoch != epoch {
-			return // the core died mid-chunk; its work is gone
-		}
-		c.coreBusy += d
-		c.busyCores--
-		c.idleCores = append(c.idleCores, core)
-		c.complete(qc.job)
-		stolen := qc.job.Site != c.model.Site
-		if s.tr.Enabled() {
-			s.tr.Complete(c.pid(), c.coreTid(core), "processing", fmt.Sprintf("job %d", qc.job.ID),
-				start, s.clock.Now(), obs.Args{"bytes": qc.bytes, "stolen": stolen})
-		}
-		c.kickCores()
-		c.kickRetrievers()
-		c.maybeFinish()
-	})
-}
-
-func accumulate(a stats.JobAccounting, stolen bool) stats.JobAccounting {
-	if stolen {
-		a.Stolen++
-	} else {
-		a.Local++
-	}
-	return a
-}
-
-// complete records one processed chunk. Without an active fault plan this is
-// the original exactly-once bookkeeping; with one, completions go through
-// the pool's deduplicating commit (and are deferred while partitioned).
-func (c *simCluster) complete(j jobs.Job) {
-	s := c.sim
-	if !s.factive {
-		if s.err == nil {
-			if err := s.pool.Complete(j); err != nil {
-				s.err = err
-			}
-		}
-		c.jobsAcct = accumulate(c.jobsAcct, j.Site != c.model.Site)
-		return
-	}
-	if c.partitioned {
-		c.deferred = append(c.deferred, j)
-		return
-	}
-	c.commit(j)
-}
-
-// commit registers one completion with the head, deduplicating re-executed
-// copies by job ID; only first commits are credited to the cluster's job
-// accounting and become checkpoint obligations.
-func (c *simCluster) commit(j jobs.Job) {
-	s := c.sim
-	if s.err != nil {
-		return
-	}
-	// Grant→commit latency feeds the watchdog; duplicates count too — a
-	// straggler's late copies are exactly the signal (mirrors the head).
-	if t0, ok := c.grantAt[j.ID]; ok {
-		delete(c.grantAt, j.ID)
-		lat := s.clock.Now() - t0
-		c.latHist.Observe(lat)
-		s.latAll.Observe(lat)
-	}
-	dup, err := s.pool.Commit(c.model.Site, j)
-	if err != nil {
-		s.err = err
-		return
-	}
-	if dup {
-		s.fstats.DupCommits++
-		return
-	}
-	c.jobsAcct = accumulate(c.jobsAcct, j.Site != c.model.Site)
-	c.sinceCkpt = append(c.sinceCkpt, j)
-	c.commitSeq++
-}
-
-// maybeFinish detects end of the cluster's processing and starts its part
-// of the global reduction.
-func (c *simCluster) maybeFinish() {
-	if c.finished || !c.exhausted {
-		return
-	}
-	if c.sim.factive && c.down {
-		return
-	}
-	if c.queue.Len() > 0 || c.inFlight > 0 || len(c.ready) > 0 || c.busyCores > 0 {
-		return
-	}
-	c.finished = true
-	s := c.sim
-	c.localDone = s.clock.Now()
-	procAvg := c.coreBusy / time.Duration(c.model.Cores)
-	c.sim.results[c.index] = ClusterResult{
-		Name:  c.model.Name,
-		Site:  c.model.Site,
-		Cores: c.model.Cores,
-		Breakdown: stats.Breakdown{
-			Processing: procAvg,
-			// The retrieval bar is the non-overlapped part: elapsed time the
-			// cluster spent beyond its average per-core compute — data
-			// stalls plus pipeline fill. Sync is filled in at the end.
-			Retrieval: c.localDone - procAvg,
-		},
-		Jobs:          c.jobsAcct,
-		BytesBySite:   c.bytesBySite,
-		RetrievalBusy: c.retrTime,
-		LocalDone:     c.localDone,
-	}
-	if c.sim.results[c.index].Breakdown.Retrieval < 0 {
-		c.sim.results[c.index].Breakdown.Retrieval = 0
-	}
-	s.unfinished--
-	if s.tr.Enabled() {
-		s.tr.InstantAt(c.pid(), 0, "barrier", "local-done", c.localDone,
-			obs.Args{"jobs_local": c.jobsAcct.Local, "jobs_stolen": c.jobsAcct.Stolen})
-	}
-	if s.unfinished == 0 {
-		s.grStart = s.clock.Now()
-		if s.tr.Enabled() {
-			s.tr.InstantAt(0, 0, "barrier", "all-clusters-done", s.grStart, nil)
-		}
-	}
-	// Ship the reduction object to the head: an inter-cluster transfer over
-	// the SHARED WAN pipe (waived for the cluster hosting the head node),
-	// then a merge that the head performs serially per arriving object.
-	t := s.cfg.Topology
-	if c.index == t.HeadCluster {
-		s.robjArrived()
-		return
-	}
-	var res []*Resource
-	if s.interRes != nil {
-		res = append(res, s.interRes)
-	}
-	sendStart := s.clock.Now()
-	s.net.Start(s.cfg.App.RobjBytes, t.InterClusterLatency, 0, res, func() {
-		if s.tr.Enabled() {
-			s.tr.Complete(c.pid(), 0, "global-reduction", "robj-transfer", sendStart, s.clock.Now(),
-				obs.Args{"bytes": s.cfg.App.RobjBytes})
-		}
-		s.robjArrived()
-	})
-}
-
-// robjArrived schedules the head's serial merge of one reduction object and
-// finishes the run when the last merge lands.
-func (s *sim) robjArrived() {
-	mergeStart := s.clock.Now()
-	if mergeStart < s.headBusyAt {
-		mergeStart = s.headBusyAt
-	}
-	merge := time.Duration(0)
-	if s.cfg.App.MergeBytesPerSec > 0 {
-		merge = time.Duration(float64(s.cfg.App.RobjBytes) / s.cfg.App.MergeBytesPerSec * float64(time.Second))
-	}
-	s.headBusyAt = mergeStart + merge
-	if s.tr.Enabled() && merge > 0 {
-		s.tr.Complete(0, 0, "global-reduction", "merge-robj", mergeStart, s.headBusyAt,
-			obs.Args{"bytes": s.cfg.App.RobjBytes})
-	}
-	s.clock.At(s.headBusyAt, func() {
-		s.merged++
-		if s.merged == len(s.clusters) {
-			// Broadcast of Finished reaches masters one control hop later.
-			s.finishAt = s.clock.Now() + s.cfg.Topology.ControlLatency
-			s.clock.At(s.finishAt, func() {})
-		}
-	})
 }

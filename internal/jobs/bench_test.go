@@ -36,7 +36,7 @@ func BenchmarkPoolAssignComplete(b *testing.B) {
 				break
 			}
 			for _, j := range js {
-				if err := p.Complete(j); err != nil {
+				if _, err := p.Commit(site, j); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -71,20 +71,6 @@ func BenchmarkPoolStealRoundRobin(b *testing.B) {
 		for {
 			js := p.Assign(0, 8)
 			if len(js) == 0 {
-				break
-			}
-		}
-	}
-}
-
-func BenchmarkLocalQueue(b *testing.B) {
-	var q LocalQueue
-	group := make([]Job, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Push(group)
-		for {
-			if _, ok := q.Pop(); !ok {
 				break
 			}
 		}

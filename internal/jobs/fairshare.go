@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -131,17 +130,5 @@ func (f *FairShare) Grants() map[int]int {
 	for q, n := range f.grants {
 		out[q] = n
 	}
-	return out
-}
-
-// Queries lists the registered query IDs in ascending order.
-func (f *FairShare) Queries() []int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]int, 0, len(f.entries))
-	for q := range f.entries {
-		out = append(out, q)
-	}
-	sort.Ints(out)
 	return out
 }

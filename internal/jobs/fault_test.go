@@ -24,9 +24,6 @@ func poolFixture(t *testing.T, nFiles, chunksPer int) *Pool {
 
 func TestCommitUnknownJob(t *testing.T) {
 	p := poolFixture(t, 4, 4)
-	if err := p.Complete(Job{ID: 3}); err == nil {
-		t.Fatal("Complete of never-assigned job succeeded")
-	}
 	if _, err := p.Commit(0, Job{ID: 3}); err == nil {
 		t.Fatal("Commit of never-assigned job succeeded")
 	}
@@ -38,20 +35,22 @@ func TestCompleteAlreadyCompletedJob(t *testing.T) {
 	if len(js) != 1 {
 		t.Fatalf("Assign = %v", js)
 	}
-	if err := p.Complete(js[0]); err != nil {
-		t.Fatal(err)
+	if dup, err := p.Commit(0, js[0]); err != nil || dup {
+		t.Fatalf("first commit: dup=%v err=%v", dup, err)
 	}
-	// Complete is strict: a second completion errors.
-	if err := p.Complete(js[0]); err == nil {
-		t.Fatal("double Complete succeeded")
+	// A second completion — from this site or any other — is a dup, not an
+	// error.
+	for _, site := range []int{0, 1} {
+		dup, err := p.Commit(site, js[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dup {
+			t.Fatalf("second commit from site %d not flagged dup", site)
+		}
 	}
-	// Commit is lenient: a second completion is a dup, not an error.
-	dup, err := p.Commit(0, js[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dup {
-		t.Fatal("Commit after Complete not flagged dup")
+	if p.Outstanding() != 0 {
+		t.Fatalf("Outstanding = %d after the commit", p.Outstanding())
 	}
 }
 
@@ -90,7 +89,7 @@ func TestFailSiteRequeuesOutstanding(t *testing.T) {
 	if len(js) != 5 {
 		t.Fatalf("Assign = %d jobs", len(js))
 	}
-	if err := p.Complete(js[0]); err != nil {
+	if _, err := p.Commit(0, js[0]); err != nil {
 		t.Fatal(err)
 	}
 	requeued := p.FailSite(0)
@@ -121,7 +120,7 @@ func TestFailSiteRequeuesOutstanding(t *testing.T) {
 				t.Fatalf("job %d assigned twice without failure", j.ID)
 			}
 			seen[j.ID] = true
-			if err := p.Complete(j); err != nil {
+			if _, err := p.Commit(0, j); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -337,7 +336,7 @@ func TestSpeculateSiteTargetsOnlyThatSite(t *testing.T) {
 	}
 	// One of the slow site's jobs completes before the watchdog fires: it
 	// must not be duplicated.
-	if err := p.Complete(slow[0]); err != nil {
+	if _, err := p.Commit(0, slow[0]); err != nil {
 		t.Fatal(err)
 	}
 

@@ -142,7 +142,10 @@ type Pool struct {
 	// cursor[s] is the next file to drain for site-local assignment.
 	cursor map[int]int
 	// rrCursor advances the round-robin steal ablation.
-	rrCursor     int
+	rrCursor int
+	// stride[s] is the next position in perSite[s] the scattered ablation
+	// takes from, so successive asks keep striding across files.
+	stride       map[int]int
 	remaining    int
 	assigned     map[int]*assignment // outstanding jobs by ID
 	completed    map[int]bool        // committed job IDs, for duplicate detection
@@ -166,6 +169,7 @@ func NewPool(ix *chunk.Index, placement Placement, opts Options) (*Pool, error) 
 		files:        make([]fileState, len(ix.Files)),
 		perSite:      make(map[int][]int),
 		cursor:       make(map[int]int),
+		stride:       make(map[int]int),
 		assigned:     make(map[int]*assignment),
 		completed:    make(map[int]bool),
 		inPending:    make(map[int]bool),
@@ -294,26 +298,20 @@ func (p *Pool) assignConsecutive(site, n int) []Job {
 	return out
 }
 
-// assignScattered (ablation) strides across the site's files, defeating
-// sequential reads.
+// assignScattered (ablation) strides across the site's files one job per
+// file, defeating sequential reads. The stride position persists across
+// calls, so a run of one-job asks scatters exactly like one large ask.
 func (p *Pool) assignScattered(site, n int) []Job {
 	var out []Job
 	local := p.perSite[site]
-	for len(out) < n {
-		took := false
-		for _, fi := range local {
-			if len(out) >= n {
-				break
-			}
-			if len(p.files[fi].pending) > 0 {
-				if js := p.takeFrom(site, fi, 1); len(js) > 0 {
-					out = append(out, js...)
-					took = true
-				}
-			}
-		}
-		if !took {
-			break
+	for misses := 0; len(out) < n && misses < len(local); {
+		i := p.stride[site] % len(local)
+		p.stride[site] = i + 1
+		if js := p.takeFrom(site, local[i], 1); len(js) > 0 {
+			out = append(out, js...)
+			misses = 0
+		} else {
+			misses++
 		}
 	}
 	return out
@@ -381,34 +379,12 @@ func (p *Pool) takeFrom(site, fi, n int) []Job {
 	return out
 }
 
-// Complete records that a previously assigned job finished, releasing its
-// contribution to the source file's contention counter. Completing a job
-// that was never assigned (or completing one twice) is an error — the
-// conservation property the tests verify. Fault-aware callers use Commit,
-// which deduplicates instead of erroring.
-func (p *Pool) Complete(j Job) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	a, ok := p.assigned[j.ID]
-	if !ok {
-		return fmt.Errorf("jobs: completing job %d that is not outstanding", j.ID)
-	}
-	// Release one copy (the lowest-numbered holding site, for determinism).
-	site := -1
-	for s, c := range a.copies {
-		if c > 0 && (site == -1 || s < site) {
-			site = s
-		}
-	}
-	p.commitLocked(site, j)
-	return nil
-}
-
-// Commit records that site finished job j, deduplicating speculative and
+// Commit records that site finished job j, releasing its contribution to
+// the source file's contention counter and deduplicating speculative and
 // recovered re-executions: the first commit of a job ID wins (dup=false)
 // and every later one reports dup=true so the caller discards the
 // duplicate's contribution. Committing a job that was never assigned and
-// never completed is still an error.
+// never completed is an error — the conservation property the tests verify.
 func (p *Pool) Commit(site int, j Job) (dup bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -422,37 +398,22 @@ func (p *Pool) Commit(site int, j Job) (dup bool, err error) {
 		return true, nil
 	}
 	a := p.assigned[j.ID]
-	switch {
-	case a != nil && a.copies[site] > 0:
-		// The normal path.
-		p.commitLocked(site, j)
-	case a != nil:
-		// The committing site no longer holds a copy (it was declared failed
-		// and its copy requeued or reassigned) but the work is real: accept
-		// it; the other copies become duplicates.
-		p.completed[j.ID] = true
-		p.dropPendingLocked(j)
-	case p.inPending[j.ID] && p.everAssigned[j.ID]:
-		// The job went back to the pool (lease expiry during a partition)
-		// before the original holder's completion arrived: accept the late
-		// completion and withdraw the requeued copy.
-		p.completed[j.ID] = true
-		p.dropPendingLocked(j)
-	default:
+	if a == nil && !(p.inPending[j.ID] && p.everAssigned[j.ID]) {
 		return false, fmt.Errorf("jobs: completing job %d that is not outstanding", j.ID)
 	}
+	// The work is real even when the committing site no longer holds a copy
+	// (it was declared failed and its copy requeued or reassigned), or when
+	// the job went back to the pool before this late completion arrived
+	// (lease expiry during a partition): accept it, make the other copies
+	// duplicates and withdraw any pending copy.
+	p.completed[j.ID] = true
+	if a != nil && a.copies[site] > 0 {
+		p.releaseCopyLocked(a, site, j)
+	}
+	p.dropPendingLocked(j)
 	p.gRemaining.Set(int64(p.remaining))
 	p.gOutstanding.Set(int64(len(p.assigned)))
 	return false, nil
-}
-
-// commitLocked marks j completed and releases one of site's copies.
-func (p *Pool) commitLocked(site int, j Job) {
-	a := p.assigned[j.ID]
-	p.completed[j.ID] = true
-	p.releaseCopyLocked(a, site, j)
-	p.dropPendingLocked(j)
-	p.gOutstanding.Set(int64(len(p.assigned)))
 }
 
 // releaseCopyLocked decrements site's copy of a and the file reader count,
@@ -665,53 +626,4 @@ func (p *Pool) RemainingBytesBySite() map[int]int64 {
 		out[a.job.Site] += a.job.Ref.Size
 	}
 	return out
-}
-
-// OutstandingJobs returns the currently outstanding jobs sorted by ID (a
-// snapshot, for diagnostics and straggler detection).
-func (p *Pool) OutstandingJobs() []Job {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Job, 0, len(p.assigned))
-	for _, a := range p.assigned {
-		out = append(out, a.job)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
-}
-
-// ---------------------------------------------------------------------------
-
-// LocalQueue is a master node's cluster-local pool: jobs received in groups
-// from the head, handed out one at a time to requesting slaves. Safe for
-// concurrent use.
-type LocalQueue struct {
-	mu   sync.Mutex
-	jobs []Job
-}
-
-// Push appends a group of jobs received from the head.
-func (q *LocalQueue) Push(js []Job) {
-	q.mu.Lock()
-	q.jobs = append(q.jobs, js...)
-	q.mu.Unlock()
-}
-
-// Pop removes and returns the next job; ok is false when the queue is empty.
-func (q *LocalQueue) Pop() (j Job, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.jobs) == 0 {
-		return Job{}, false
-	}
-	j = q.jobs[0]
-	q.jobs = q.jobs[1:]
-	return j, true
-}
-
-// Len reports the number of queued jobs.
-func (q *LocalQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.jobs)
 }

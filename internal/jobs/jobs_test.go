@@ -127,8 +127,8 @@ func TestStealMinContention(t *testing.T) {
 	// After completions release file 1's readers, contention flips: drain
 	// file 2 by site 1 and verify steal source follows the counter.
 	for _, j := range site1 {
-		if err := p.Complete(j); err != nil {
-			t.Fatalf("Complete: %v", err)
+		if _, err := p.Commit(1, j); err != nil {
+			t.Fatalf("Commit: %v", err)
 		}
 	}
 	site1b := p.Assign(1, 6) // continues file 1 (consecutive policy)
@@ -175,6 +175,26 @@ func TestScatterGroups(t *testing.T) {
 	}
 }
 
+// TestScatterGroupsStridesAcrossAsks: the head asks the pool for one job at
+// a time (FairShare.Assign), so the scattered ablation must keep striding
+// across files between asks instead of restarting at the site's first file.
+func TestScatterGroupsStridesAcrossAsks(t *testing.T) {
+	ix := mustIndex(t, 400, 100, 10) // 4 files × 10 chunks
+	p, err := NewPool(ix, Placement{0, 0, 0, 0}, Options{ScatterGroups: true})
+	if err != nil {
+		t.Fatalf("NewPool: %v", err)
+	}
+	for want := 0; want < 8; want++ {
+		js := p.Assign(0, 1)
+		if len(js) != 1 {
+			t.Fatalf("ask %d: assigned %d jobs", want, len(js))
+		}
+		if js[0].Ref.File != want%4 || js[0].Ref.Seq != want/4 {
+			t.Errorf("ask %d = %v, want file %d chunk %d", want, js[0].Ref, want%4, want/4)
+		}
+	}
+}
+
 // TestPoolConservation: every job is assigned exactly once, across any
 // interleaving of requesters and request sizes, and completion bookkeeping
 // balances.
@@ -191,7 +211,7 @@ func TestPoolConservation(t *testing.T) {
 		}
 		seen := make(map[int]bool)
 		s := seed
-		var all []Job
+		held := map[int][]Job{}
 		for p.Remaining() > 0 {
 			s = s*1664525 + 1013904223
 			site := int(s>>8) % 2
@@ -205,15 +225,17 @@ func TestPoolConservation(t *testing.T) {
 					return false // duplicate assignment
 				}
 				seen[j.ID] = true
-				all = append(all, j)
 			}
+			held[site] = append(held[site], js...)
 		}
 		if len(seen) != ix.NumChunks() {
 			return false // lost jobs
 		}
-		for _, j := range all {
-			if err := p.Complete(j); err != nil {
-				return false
+		for site, js := range held {
+			for _, j := range js {
+				if dup, err := p.Commit(site, j); err != nil || dup {
+					return false
+				}
 			}
 		}
 		return p.Drained()
@@ -226,15 +248,15 @@ func TestPoolConservation(t *testing.T) {
 func TestCompleteUnknownJob(t *testing.T) {
 	ix := mustIndex(t, 100, 100, 10)
 	p, _ := NewPool(ix, Placement{0}, Options{})
-	if err := p.Complete(Job{ID: 5}); err == nil {
-		t.Error("completing unassigned job succeeded")
+	if _, err := p.Commit(0, Job{ID: 5}); err == nil {
+		t.Error("committing unassigned job succeeded")
 	}
 	js := p.Assign(0, 1)
-	if err := p.Complete(js[0]); err != nil {
-		t.Fatalf("Complete: %v", err)
+	if dup, err := p.Commit(0, js[0]); err != nil || dup {
+		t.Fatalf("Commit: dup=%v err=%v", dup, err)
 	}
-	if err := p.Complete(js[0]); err == nil {
-		t.Error("double completion succeeded")
+	if dup, err := p.Commit(0, js[0]); err != nil || !dup {
+		t.Errorf("double commit: dup=%v err=%v, want a dup", dup, err)
 	}
 }
 
@@ -258,27 +280,6 @@ func TestAssignEdgeCases(t *testing.T) {
 	p2, _ := NewPool(ix, Placement{1}, Options{})
 	if got := p2.Assign(0, 1000); len(got) != 10 {
 		t.Errorf("pure-remote site got %d, want 10", len(got))
-	}
-}
-
-func TestLocalQueue(t *testing.T) {
-	var q LocalQueue
-	if _, ok := q.Pop(); ok {
-		t.Error("empty queue popped")
-	}
-	q.Push([]Job{{ID: 1}, {ID: 2}})
-	q.Push([]Job{{ID: 3}})
-	if q.Len() != 3 {
-		t.Errorf("Len = %d", q.Len())
-	}
-	for want := 1; want <= 3; want++ {
-		j, ok := q.Pop()
-		if !ok || j.ID != want {
-			t.Errorf("Pop = %v,%v want ID %d", j, ok, want)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Error("drained queue popped")
 	}
 }
 
