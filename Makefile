@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race flake results loc check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race flake results loc layout check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -14,7 +14,8 @@ API_PKGS := \
 	repro/internal/transport \
 	repro/internal/core \
 	repro/internal/apps \
-	repro/internal/elastic
+	repro/internal/elastic \
+	repro/internal/fault
 
 build:
 	$(GO) build ./...
@@ -57,6 +58,16 @@ loc:
 		find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 	@printf 'test Go lines outside bench/:     '; \
 		find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
+# Where the linker put (*KMeansReducer).LocalReduce in the bench binary, and
+# that address mod 64: kmeans-compute's speed follows it (0 is the fast
+# layout, 32 the slow one), so every change reports it until the build is
+# layout-stable.
+layout:
+	@dir=$$(mktemp -d) && $(GO) build -o $$dir/bench ./bench && \
+		addr=$$($(GO) tool nm $$dir/bench | awk '$$3 == "repro/internal/apps.(*KMeansReducer).LocalReduce" { print $$1 }') && \
+		rm -rf $$dir && test -n "$$addr" && \
+		echo "apps.(*KMeansReducer).LocalReduce 0x$$addr mod64=$$((0x$$addr % 64))"
 
 # Regenerate the exported-API snapshots. Run after an intentional API
 # change and commit the diff alongside it.

@@ -26,6 +26,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/head"
 	"repro/internal/hybridsim"
 	"repro/internal/jobs"
 	"repro/internal/mapreduce"
@@ -534,7 +535,7 @@ func TestElasticOverheadGate(t *testing.T) {
 			}
 			if hook {
 				mc.Elastic = &hybridsim.ElasticSim{Interval: 5 * time.Second,
-					Decide: func(time.Duration, []hybridsim.ElasticLoad, []int) hybridsim.ElasticDecision {
+					Decide: func(time.Duration, []head.QueryLoad, []int) hybridsim.ElasticDecision {
 						return hybridsim.ElasticDecision{}
 					}}
 			}

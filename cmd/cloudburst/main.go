@@ -115,7 +115,7 @@ func (q *queryFlags) Set(s string) error {
 		}
 	}
 	if havePol {
-		if err := elastic.ValidateQueryPolicy(pol); err != nil {
+		if err := pol.Validate(); err != nil {
 			return fmt.Errorf("-query: %w", err)
 		}
 		mq.Policy = &pol

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/estimate"
+	"repro/internal/head"
 	"repro/internal/hybridsim"
 )
 
@@ -15,18 +16,10 @@ import (
 // config nor any query policy names a ceiling.
 const DefaultArbiterMaxWorkers = 8
 
-// QueryLoad is one admitted query's view as the arbiter sees it each tick:
-// identity, fair-share weight, the query's elastic policy (nil for a query
-// that merely rides along on fair share), and its uncommitted bytes keyed by
-// hosting site. Callers include a query while it has work remaining or a
-// further pass to run (Remaining is then empty); a query absent from a tick
-// is over, and its deadline anchor forgotten.
-type QueryLoad struct {
-	Query     int
-	Weight    int
-	Policy    *Policy
-	Remaining map[int]int64
-}
+// QueryLoad is one admitted query's view as the arbiter sees it each tick —
+// the head's own snapshot type (head.Head.QueryLoads), so the live session
+// and the simulator's in-process head feed the arbiter the same value.
+type QueryLoad = head.QueryLoad
 
 // ArbiterConfig carries the session-wide arbiter knobs — everything that is
 // NOT per-query. Per-query deadline/budget/min/max arrive in each
@@ -59,24 +52,6 @@ func (c ArbiterConfig) EffectiveInterval() time.Duration {
 		return c.Interval
 	}
 	return DefaultInterval
-}
-
-// ValidateQueryPolicy checks a per-query policy for admission. MaxWorkers 0
-// is valid: it means "the arbiter's session cap".
-func ValidateQueryPolicy(p Policy) error {
-	if p.Deadline < 0 || p.Budget < 0 {
-		return fmt.Errorf("elastic: negative deadline or budget")
-	}
-	if p.MinWorkers < 0 {
-		return fmt.Errorf("elastic: negative MinWorkers")
-	}
-	if p.MaxWorkers < 0 {
-		return fmt.Errorf("elastic: negative MaxWorkers")
-	}
-	if p.MaxWorkers > 0 && p.MinWorkers > p.MaxWorkers {
-		return fmt.Errorf("elastic: MinWorkers %d exceeds MaxWorkers %d", p.MinWorkers, p.MaxWorkers)
-	}
-	return nil
 }
 
 // Arbiter is the session's ONE fleet-sizing feedback loop: it serves every
@@ -772,11 +747,10 @@ func (a *Arbiter) observe(now time.Duration, aggregate map[int]int64,
 }
 
 // SimElastic binds the arbiter to a hybridsim multi-query run through the
-// per-query Decide hook: the SAME Step code ticks on the virtual
-// clock, fed each query's remaining work and weight, with policies looked
-// up by query index in the supplied map (nil entries — and absent ones —
-// ride along unpolicied). siteBase ≤ 0 uses DefaultWorkerSiteBase.
-func (a *Arbiter) SimElastic(siteBase int, policies map[int]*Policy) *hybridsim.ElasticSim {
+// per-query Decide hook: the SAME Step code ticks on the virtual clock, fed
+// the simulator's head's loads — each query's policy arrives with its load,
+// as it does live. siteBase ≤ 0 uses DefaultWorkerSiteBase.
+func (a *Arbiter) SimElastic(siteBase int) *hybridsim.ElasticSim {
 	if siteBase <= 0 {
 		siteBase = DefaultWorkerSiteBase
 	}
@@ -791,14 +765,7 @@ func (a *Arbiter) SimElastic(siteBase int, policies map[int]*Policy) *hybridsim.
 		Worker:         worker,
 		WorkerPaths:    paths,
 		WorkerSiteBase: siteBase,
-		Decide: func(now time.Duration, sims []hybridsim.ElasticLoad, workers []int) hybridsim.ElasticDecision {
-			loads := make([]QueryLoad, 0, len(sims))
-			for _, l := range sims {
-				loads = append(loads, QueryLoad{
-					Query: l.Query, Weight: l.Weight,
-					Policy: policies[l.Query], Remaining: l.Remaining,
-				})
-			}
+		Decide: func(now time.Duration, loads []QueryLoad, workers []int) hybridsim.ElasticDecision {
 			d := a.Step(now, loads)
 			switch d.Action {
 			case ScaleUp:

@@ -42,14 +42,14 @@ func TestValidateQueryPolicy(t *testing.T) {
 		{MinWorkers: 5, MaxWorkers: 4},
 	}
 	for i, p := range bad {
-		if err := ValidateQueryPolicy(p); err == nil {
+		if err := p.Validate(); err == nil {
 			t.Errorf("policy %d accepted: %+v", i, p)
 		}
 	}
 	// MaxWorkers 0 (= arbiter session cap) is fine, and so is a fully zero
 	// policy.
 	for i, p := range []Policy{{}, {Deadline: time.Minute, MinWorkers: 2}} {
-		if err := ValidateQueryPolicy(p); err != nil {
+		if err := p.Validate(); err != nil {
 			t.Errorf("good policy %d rejected: %v", i, err)
 		}
 	}

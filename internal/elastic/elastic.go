@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/hybridsim"
+	"repro/internal/protocol"
 )
 
 // DefaultWorkerSiteBase is the first site ID handed to burst workers. Burst
@@ -42,24 +43,14 @@ const DefaultWorkerSiteBase = 1000
 const DefaultInterval = 2 * time.Second
 
 // Policy is the per-query elasticity contract — the four numbers that cross
-// the wire with a query (protocol.ElasticPolicy). Everything session-wide
-// (cadence, cooldown, boot lead time, pricing, the fleet cap) lives on
-// ArbiterConfig.
-type Policy struct {
-	// Deadline is the target completion time, measured from the query's
-	// admission on the arbiter's clock. 0 = no deadline (the query then never
-	// justifies fleet growth, only drains).
-	Deadline time.Duration
-	// Budget caps projected instance spending in dollars. 0 = unlimited.
-	// The cap is hard: when the projection exceeds it the arbiter drains
-	// workers even if that forfeits the deadline.
-	Budget float64
-	// MinWorkers and MaxWorkers bound the burst fleet (static clusters are
-	// not counted). MaxWorkers 0 means the arbiter's session cap; MinWorkers
-	// defaults to 0.
-	MinWorkers int
-	MaxWorkers int
-}
+// the wire with a query: Deadline (target completion from admission on the
+// arbiter's clock; 0 = none, the query then never justifies fleet growth,
+// only drains), Budget (hard cap on projected instance dollars; 0 =
+// unlimited — past it the arbiter drains even if that forfeits the
+// deadline), and MinWorkers/MaxWorkers (burst-fleet bounds; MaxWorkers 0 =
+// the arbiter's session cap). Everything session-wide (cadence, cooldown,
+// boot lead time, pricing, the fleet cap) lives on ArbiterConfig.
+type Policy = protocol.ElasticPolicy
 
 // Env describes what one more worker buys: the static topology plus the
 // cluster model and network paths of a burst worker. The arbiter's

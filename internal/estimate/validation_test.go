@@ -9,6 +9,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/estimate"
 	"repro/internal/experiments"
+	"repro/internal/head"
 	"repro/internal/hybridsim"
 	"repro/internal/jobs"
 )
@@ -167,7 +168,7 @@ func TestMakespanRemainingLowerBoundMidRun(t *testing.T) {
 			// arbiter's exact input (the one query's remaining work) every tick.
 			Elastic: &hybridsim.ElasticSim{
 				Interval: 5 * time.Second,
-				Decide: func(now time.Duration, loads []hybridsim.ElasticLoad, workers []int) hybridsim.ElasticDecision {
+				Decide: func(now time.Duration, loads []head.QueryLoad, workers []int) hybridsim.ElasticDecision {
 					cp := make(map[int]int64)
 					for _, l := range loads {
 						for s, b := range l.Remaining {

@@ -111,8 +111,7 @@ func arbiterSim(app App, acfg elastic.ArbiterConfig, queries []MultiPolicyQuery,
 	base = env.Base
 	mc = singleQueryMulti(app, base, opts.Iterations)
 	mc.Queries = nil
-	policies := make(map[int]*elastic.Policy, len(queries))
-	for qi, q := range queries {
+	for _, q := range queries {
 		// A query may run a different application over the shared deployment
 		// (the RunMultiTraced pattern: first app's topology, each query its
 		// own index/placement/engine).
@@ -121,11 +120,10 @@ func arbiterSim(app App, acfg elastic.ArbiterConfig, queries []MultiPolicyQuery,
 			qcfg = elasticEnv(q.App).Base
 		}
 		mq := qcfg.Multi().Queries[0]
-		mq.Name, mq.Weight, mq.Iterations = q.Name, q.Weight, opts.Iterations
+		mq.Name, mq.Weight, mq.Iterations, mq.Policy = q.Name, q.Weight, opts.Iterations, q.Policy
 		mc.Queries = append(mc.Queries, mq)
-		policies[qi] = q.Policy
 	}
-	mc.Elastic = arb.SimElastic(0, policies)
+	mc.Elastic = arb.SimElastic(0)
 	mc.Elastic.LaunchDelay = opts.LaunchDelay
 	return arb, base, mc, nil
 }

@@ -110,7 +110,7 @@ func replayParity(t *testing.T, app App, acfg elastic.ArbiterConfig, queries []M
 	var events []event
 	es := mc.Elastic
 	decide, launch, drained := es.Decide, es.OnLaunch, es.OnDrained
-	es.Decide = func(now time.Duration, loads []hybridsim.ElasticLoad, workers []int) hybridsim.ElasticDecision {
+	es.Decide = func(now time.Duration, loads []elastic.QueryLoad, workers []int) hybridsim.ElasticDecision {
 		cp := make([]elastic.QueryLoad, 0, len(loads))
 		for _, l := range loads {
 			rem := make(map[int]int64, len(l.Remaining))

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/hybridsim"
 )
@@ -54,8 +55,8 @@ type FaultRow struct {
 func faultPlan(every time.Duration, failures int, baseline time.Duration) fault.Plan {
 	p := fault.Plan{
 		CheckpointEvery: every,
-		LeaseTTL:        baseline / 16,
 		RestartAfter:    baseline / 8,
+		Tuning:          config.Tuning{LeaseTTL: baseline / 16},
 	}
 	for i := 0; i < failures; i++ {
 		at := baseline * time.Duration(i+1) / time.Duration(failures+1)

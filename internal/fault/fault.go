@@ -33,6 +33,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/config"
 )
 
 // Kind enumerates fault-plan event types.
@@ -129,65 +131,24 @@ type Plan struct {
 	// CheckpointEvery is the reduction-object checkpoint cadence on the
 	// run's clock; 0 disables checkpointing.
 	CheckpointEvery time.Duration
-	// LeaseTTL is the per-site liveness lease: a site silent for longer is
-	// declared failed and its in-flight jobs are requeued. 0 disables
-	// lease expiry (crashes are then only detected by explicit events).
-	LeaseTTL time.Duration
-	// SpeculateAfter re-adds a straggler's outstanding jobs to the pool as
-	// speculative copies once the pool has been empty-but-undrained for
-	// this long; 0 disables speculative re-execution.
-	SpeculateAfter time.Duration
-	// StragglerFactor tunes the latency watchdog that runs alongside
-	// speculation: a site is flagged as a straggler when its p99
-	// grant-to-commit job latency exceeds this multiple of the cluster-wide
-	// median. 0 means DefaultStragglerFactor; negative disables the
-	// watchdog. The watchdog is only armed when SpeculateAfter > 0.
-	// Mirrors config.Tuning.StragglerFactor for the live head.
-	StragglerFactor float64
-	// WatchdogMinSamples is the minimum number of completed jobs a site
-	// must have before the latency watchdog will judge it; 0 or negative
-	// means DefaultWatchdogMinSamples. Mirrors
-	// config.Tuning.WatchdogMinSamples for the live head.
-	WatchdogMinSamples int
+	// Tuning holds the head knobs the plan runs under — LeaseTTL (a site
+	// silent for longer is declared failed and its in-flight jobs requeued;
+	// 0 means a crash is only noticed as a lost session), SpeculateAfter
+	// (re-add a query's outstanding jobs once its pool has idled
+	// empty-but-undrained this long; 0 disables speculation and the latency
+	// watchdog), StragglerFactor and WatchdogMinSamples. The simulator hands
+	// it to its in-process head unchanged.
+	Tuning config.Tuning
 }
 
 // DefaultRestartAfter is the crash-to-restart delay when the plan does not
 // specify one.
 const DefaultRestartAfter = 10 * time.Second
 
-// DefaultStragglerFactor and DefaultWatchdogMinSamples are the latency
-// watchdog defaults; they deliberately match the config package's values so
-// simulated and live runs judge stragglers the same way.
-const (
-	DefaultStragglerFactor    = 3.0
-	DefaultWatchdogMinSamples = 4
-)
-
-// EffectiveStragglerFactor resolves StragglerFactor: 0 becomes the default,
-// negative values report 0 (watchdog off).
-func (p Plan) EffectiveStragglerFactor() float64 {
-	if p.StragglerFactor < 0 {
-		return 0
-	}
-	if p.StragglerFactor == 0 {
-		return DefaultStragglerFactor
-	}
-	return p.StragglerFactor
-}
-
-// EffectiveWatchdogMinSamples resolves WatchdogMinSamples, applying the
-// default when unset.
-func (p Plan) EffectiveWatchdogMinSamples() int {
-	if p.WatchdogMinSamples <= 0 {
-		return DefaultWatchdogMinSamples
-	}
-	return p.WatchdogMinSamples
-}
-
 // Active reports whether the plan changes anything at all: any events or
 // any recovery machinery (checkpointing, leases, speculation) enabled.
 func (p Plan) Active() bool {
-	return len(p.Events) > 0 || p.CheckpointEvery > 0 || p.LeaseTTL > 0 || p.SpeculateAfter > 0
+	return len(p.Events) > 0 || p.CheckpointEvery > 0 || p.Tuning.LeaseTTL > 0 || p.Tuning.SpeculateAfter > 0
 }
 
 // Restart returns the crash-to-restart delay, applying the default.
@@ -235,11 +196,11 @@ func (p Plan) String() string {
 	if p.CheckpointEvery > 0 {
 		hdr = append(hdr, "checkpoint="+p.CheckpointEvery.String())
 	}
-	if p.LeaseTTL > 0 {
-		hdr = append(hdr, "lease="+p.LeaseTTL.String())
+	if p.Tuning.LeaseTTL > 0 {
+		hdr = append(hdr, "lease="+p.Tuning.LeaseTTL.String())
 	}
-	if p.SpeculateAfter > 0 {
-		hdr = append(hdr, "speculate="+p.SpeculateAfter.String())
+	if p.Tuning.SpeculateAfter > 0 {
+		hdr = append(hdr, "speculate="+p.Tuning.SpeculateAfter.String())
 	}
 	if len(hdr) > 0 {
 		b.WriteString("plan " + strings.Join(hdr, " ") + "\n")
@@ -279,9 +240,9 @@ func ParsePlan(text string) (Plan, error) {
 				case "checkpoint":
 					p.CheckpointEvery = d
 				case "lease":
-					p.LeaseTTL = d
+					p.Tuning.LeaseTTL = d
 				case "speculate":
-					p.SpeculateAfter = d
+					p.Tuning.SpeculateAfter = d
 				default:
 					return Plan{}, fmt.Errorf("fault: line %d: unknown parameter %q", ln+1, k)
 				}

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/config"
 )
 
 func TestPlanTextRoundTrip(t *testing.T) {
@@ -18,8 +20,7 @@ func TestPlanTextRoundTrip(t *testing.T) {
 		},
 		RestartAfter:    10 * time.Second,
 		CheckpointEvery: 30 * time.Second,
-		LeaseTTL:        5 * time.Second,
-		SpeculateAfter:  20 * time.Second,
+		Tuning:          config.Tuning{LeaseTTL: 5 * time.Second, SpeculateAfter: 20 * time.Second},
 	}
 	got, err := ParsePlan(p.String())
 	if err != nil {

@@ -1,4 +1,4 @@
-package head
+package head_test
 
 import (
 	"context"
@@ -13,9 +13,13 @@ import (
 	"repro/internal/config"
 	"repro/internal/costmodel"
 	"repro/internal/elastic"
+	"repro/internal/head"
 	"repro/internal/jobs"
 	"repro/internal/protocol"
 )
+
+// This file is an external test package: the arbiter imports head, so only
+// a test outside package head can drive a real head with a real arbiter.
 
 // TestArbiterSafetyUnderChurn is the session-wide arbiter's safety property:
 // with the arbiter itself deciding every launch and drain while queries are
@@ -42,7 +46,7 @@ func TestArbiterSafetyUnderChurn(t *testing.T) {
 	}
 	var expect uint64
 	for id := 0; id < ix.NumChunks(); id++ {
-		expect += jobVal(id)
+		expect += head.JobVal(id)
 	}
 	var ups, downs int
 	for seed := int64(0); seed < 20; seed++ {
@@ -76,7 +80,7 @@ func newArbChurnSite() *arbChurnSite {
 func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (ups, downs int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	h, err := New(Config{
+	h, err := head.New(head.Config{
 		ExpectClusters: 1, DynamicSites: true,
 		Tuning: config.Tuning{LeaseTTL: time.Hour},
 		Logf:   func(string, ...any) {},
@@ -88,17 +92,17 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 	if _, err := h.RegisterSite(protocol.Hello{Site: 0, Cluster: "local", Proto: protocol.ProtoMulti}); err != nil {
 		t.Fatal(err)
 	}
-	admit := func(weight int, pol *elastic.Policy) (*Query, *jobs.Pool) {
+	admit := func(weight int, pol *elastic.Policy) (*head.Query, *jobs.Pool) {
 		pool, err := jobs.NewPool(ix, jobs.Placement{0, 0, 0, 0}, jobs.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec := protocol.JobSpec{App: "sum", UnitSize: 4}
-		if err := EncodeIndexSpec(&spec, ix); err != nil {
+		if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 			t.Fatal(err)
 		}
-		q, err := h.Admit(QueryConfig{
-			Pool: pool, Reducer: sumReducer{}, Spec: spec, Weight: weight, Policy: pol,
+		q, err := h.Admit(head.QueryConfig{
+			Pool: pool, Reducer: head.SumReducer{}, Spec: spec, Weight: weight, Policy: pol,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -110,7 +114,7 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 	// keeps the arbiter's scale-up pressure on for the whole run.
 	qa, poolA := admit(2, &elastic.Policy{Deadline: 10 * time.Second})
 	qb, poolB := admit(1, &elastic.Policy{Budget: budgetB})
-	var qc *Query
+	var qc *head.Query
 	qcCanceled := false
 	admitCAt := 50 + rng.Intn(100)
 	cancelCAt := 250 + rng.Intn(150)
@@ -215,7 +219,7 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 		}
 		for _, j := range batch {
 			if !dup[j.ID] {
-				st.acc[query] += jobVal(j.ID)
+				st.acc[query] += head.JobVal(j.ID)
 			}
 		}
 		st.held[query] = append([]jobs.Job(nil), held[n:]...)
@@ -244,7 +248,7 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 			if !st.submitted[id] {
 				st.submitted[id] = true
 				if err := h.SubmitQueryResult(protocol.ReductionResult{
-					Site: site, Query: id, Object: encodeSum(st.acc[id]),
+					Site: site, Query: id, Object: head.EncodeSum(st.acc[id]),
 				}); err != nil {
 					t.Fatalf("site %d submit for query %d: %v", site, id, err)
 				}
@@ -302,7 +306,7 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 	// Drain-down phase: every survivor commits what it holds and keeps
 	// polling; the arbiter keeps ticking so the idle-session rule drains the
 	// fleet it still owns.
-	queryDone := func(q *Query) bool {
+	queryDone := func(q *head.Query) bool {
 		if q == nil {
 			return true
 		}
@@ -345,14 +349,14 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 	checkBudget()
 
 	// Exactly-once conservation for every surviving query.
-	verify := func(name string, q *Query) {
+	verify := func(name string, q *head.Query) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		obj, _, _, err := q.Wait(ctx)
 		if err != nil {
 			t.Fatalf("query %s failed: %v", name, err)
 		}
-		if got := obj.(*sumObj).total; got != expect {
+		if got := head.SumTotal(obj); got != expect {
 			t.Fatalf("conservation violated for %s: reduced %d, want %d (Δ=%d)",
 				name, got, expect, int64(got-expect))
 		}
@@ -361,7 +365,7 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 	verify("qb", qb)
 	if qc != nil {
 		if qcCanceled {
-			if _, _, _, err := qc.Wait(context.Background()); !errors.Is(err, ErrQueryCanceled) {
+			if _, _, _, err := qc.Wait(context.Background()); !errors.Is(err, head.ErrQueryCanceled) {
 				t.Fatalf("canceled query Wait = %v, want ErrQueryCanceled", err)
 			}
 		} else {

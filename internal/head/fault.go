@@ -3,6 +3,7 @@ package head
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -72,23 +73,34 @@ func (h *Head) initFault() {
 		mHeartbeats:  reg.Counter("head_heartbeats_total"),
 		hCkptBytes:   reg.Histogram("head_checkpoint_bytes", checkpointSizeBounds),
 	}
-	if h.cfg.Tuning.LeaseTTL > 0 || h.cfg.Tuning.SpeculateAfter > 0 {
+	// Only the wall clock ticks by itself; the owner of any other clock (the
+	// simulator) calls Tick at its own event times.
+	if h.TickInterval() > 0 && h.clk == obs.Wall {
 		go h.monitor()
 	}
 }
 
-// monitor is the head's wall-clock failure detector and straggler watchdog.
-func (h *Head) monitor() {
-	tick := h.cfg.Tuning.LeaseTTL / 4
-	if tick <= 0 || (h.cfg.Tuning.SpeculateAfter > 0 && h.cfg.Tuning.SpeculateAfter/4 < tick) {
-		if h.cfg.Tuning.SpeculateAfter > 0 {
-			tick = h.cfg.Tuning.SpeculateAfter / 4
-		}
+// TickInterval is the period Tick is due at: a quarter of the lease TTL or
+// of SpeculateAfter, whichever is shorter, and 0 when neither is set (there
+// is then nothing to tick).
+func (h *Head) TickInterval() time.Duration {
+	ttl, spec := h.cfg.Tuning.LeaseTTL, h.cfg.Tuning.SpeculateAfter
+	if ttl <= 0 && spec <= 0 {
+		return 0
+	}
+	tick := ttl / 4
+	if tick <= 0 || (spec > 0 && spec/4 < tick) {
+		tick = spec / 4
 	}
 	if tick <= 0 {
 		tick = 50 * time.Millisecond
 	}
-	t := time.NewTicker(tick)
+	return tick
+}
+
+// monitor drives Tick from the wall clock until the head stops.
+func (h *Head) monitor() {
+	t := time.NewTicker(h.TickInterval())
 	defer t.Stop()
 	for {
 		select {
@@ -96,14 +108,25 @@ func (h *Head) monitor() {
 			return
 		case <-t.C:
 		}
-		now := h.clk.Now()
-		for _, site := range h.fs.leases.Expired(now) {
-			h.cfg.Logf("head: lease expired for site %d", site)
-			h.FailSite(site)
-		}
-		h.checkStragglers(now)
-		h.checkLatencyStragglers()
+		h.Tick(h.clk.Now())
 	}
+}
+
+// Tick runs the head's failure detector and straggler watchdogs once, as of
+// now on the head's clock: sites whose lease expired are failed, a query
+// whose pool has sat empty-but-undrained past SpeculateAfter is speculated,
+// and the latency watchdog judges every site. A no-op with fault tolerance
+// off.
+func (h *Head) Tick(now time.Duration) {
+	if h.fs == nil {
+		return
+	}
+	for _, site := range h.fs.leases.Expired(now) {
+		h.cfg.Logf("head: lease expired for site %d", site)
+		h.FailSite(site)
+	}
+	h.checkStragglers(now)
+	h.checkLatencyStragglers()
 }
 
 // watchdogOn reports whether the latency watchdog runs: speculation must be
@@ -129,13 +152,13 @@ func (h *Head) checkLatencyStragglers() {
 	factor := h.cfg.Tuning.EffectiveStragglerFactor()
 	minSamples := int64(h.cfg.Tuning.EffectiveWatchdogMinSamples())
 	type flagged struct {
-		q        *Query
-		site     int
-		p99, med time.Duration
+		q         *Query
+		pos, site int
+		p99, med  time.Duration
 	}
 	var flags []flagged
 	h.mu.Lock()
-	for _, id := range h.order {
+	for pos, id := range h.order {
 		q := h.queries[id]
 		if q.finished || q.canceled {
 			continue
@@ -154,7 +177,7 @@ func (h *Head) checkLatencyStragglers() {
 			p99 := hist.Quantile(0.99)
 			if float64(p99) > factor*float64(med) {
 				q.flagged[site] = true
-				flags = append(flags, flagged{q, site, p99, med})
+				flags = append(flags, flagged{q, pos, site, p99, med})
 			}
 		}
 	}
@@ -162,6 +185,13 @@ func (h *Head) checkLatencyStragglers() {
 	if len(flags) == 0 {
 		return
 	}
+	// Act in (admission, site) order, so two sites flagged in one evaluation
+	// are speculated, counted, logged and traced in a fixed order: a replay
+	// on a virtual clock is byte-identical.
+	sort.Slice(flags, func(i, j int) bool {
+		a, b := flags[i], flags[j]
+		return a.pos < b.pos || a.pos == b.pos && a.site < b.site
+	})
 	for _, f := range flags {
 		spec := f.q.pool.SpeculateSite(f.site)
 		h.cfg.Obs.Metrics().Counter("head_straggler_flagged_total",
@@ -361,6 +391,12 @@ func (h *Head) CheckpointSave(cs protocol.CheckpointSave) error {
 		return opErr("checkpoint", cs.Site, cs.Query, err)
 	}
 	h.mu.Lock()
+	if q.reported[cs.Site] {
+		// The object this checkpoint snapshots was already merged.
+		h.mu.Unlock()
+		return opErr("checkpoint", cs.Site, cs.Query,
+			fmt.Errorf("site already reported: %w", ErrStaleCheckpoint))
+	}
 	if cs.Seq <= q.ckptSeq[cs.Site] && q.ckptSeq[cs.Site] != 0 {
 		have := q.ckptSeq[cs.Site]
 		h.mu.Unlock()
@@ -393,13 +429,20 @@ func (h *Head) CheckpointSave(cs protocol.CheckpointSave) error {
 	return nil
 }
 
-// recoverSpec loads the (query, site) checkpoint for a re-registering
-// cluster; nil when checkpointing is off or nothing was persisted.
-func (h *Head) recoverSpec(query, site int) []byte {
+// recoverSpec loads q's checkpoint for a re-registering site; nil when
+// checkpointing is off, nothing was persisted, or the site's report has
+// since merged what the checkpoint covered.
+func (h *Head) recoverSpec(q *Query, site int) []byte {
 	if h.fs == nil || h.cfg.Fault.Store == nil {
 		return nil
 	}
-	data, err := h.cfg.Fault.Store.Get(fault.QueryKey(h.cfg.Fault.CheckpointPrefix, query, site))
+	h.mu.Lock()
+	live := q.ckptSeq[site] != 0
+	h.mu.Unlock()
+	if !live {
+		return nil
+	}
+	data, err := h.cfg.Fault.Store.Get(fault.QueryKey(h.cfg.Fault.CheckpointPrefix, q.id, site))
 	if err != nil {
 		return nil // no checkpoint yet: resume from scratch
 	}

@@ -2,6 +2,7 @@ package head
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -77,8 +78,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// virtualClock returns an Obs whose clock the test advances by hand, and
+// that clock's reading.
+func virtualClock() (*obs.Obs, *time.Duration) {
+	now := new(time.Duration)
+	return &obs.Obs{Clock: obs.ClockFunc(func() time.Duration { return *now })}, now
+}
+
 func TestLeaseExpiryRequeuesInFlight(t *testing.T) {
-	h, pool := testFaultHead(t, 2, faultOpts{LeaseTTL: 40 * time.Millisecond})
+	o, now := virtualClock()
+	h, pool := testFaultHead(t, 2, faultOpts{LeaseTTL: 40 * time.Millisecond, Obs: o})
 	register(t, h, 0, 1)
 	js, _, _ := reqJobs(h, 0, 3)
 	if len(js) != 3 {
@@ -88,27 +97,20 @@ func TestLeaseExpiryRequeuesInFlight(t *testing.T) {
 		t.Fatalf("remaining = %d", pool.Remaining())
 	}
 	// Site 1 keeps heartbeating; site 0 goes silent and must be failed.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				h.Heartbeat(1)
-			}
-		}
-	}()
-	waitFor(t, "site 0 lease expiry", func() bool {
-		return pool.Remaining() == 10 && pool.Outstanding() == 0
-	})
+	for *now < 100*time.Millisecond {
+		*now += 5 * time.Millisecond
+		h.Heartbeat(1)
+		h.Tick(*now)
+	}
+	if pool.Remaining() != 10 || pool.Outstanding() != 0 {
+		t.Fatalf("after site 0's lease expiry: remaining %d, outstanding %d; want 10 and 0",
+			pool.Remaining(), pool.Outstanding())
+	}
 }
 
 func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
-	h, pool := testFaultHead(t, 1, faultOpts{LeaseTTL: 60 * time.Millisecond})
+	o, now := virtualClock()
+	h, pool := testFaultHead(t, 1, faultOpts{LeaseTTL: 60 * time.Millisecond, Obs: o})
 	register(t, h, 0)
 	js, _, _ := reqJobs(h, 0, 2)
 	if len(js) != 2 {
@@ -116,10 +118,100 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		h.Heartbeat(0)
-		time.Sleep(10 * time.Millisecond)
+		*now += 10 * time.Millisecond
+		h.Tick(*now)
 	}
 	if got := pool.Outstanding(); got != 2 {
 		t.Fatalf("outstanding = %d after heartbeats, want 2 (lease must not expire)", got)
+	}
+}
+
+// TestVirtualClockHeadStartsNoGoroutine: only the wall clock ticks by
+// itself. A head on any other clock leaves Tick to the clock's owner, so New
+// starts no goroutine even with leases and speculation on.
+func TestVirtualClockHeadStartsNoGoroutine(t *testing.T) {
+	o, _ := virtualClock()
+	before := runtime.NumGoroutine()
+	h, err := New(Config{ExpectClusters: 1, Obs: o,
+		Tuning: config.Tuning{LeaseTTL: time.Second, SpeculateAfter: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Shutdown()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d → %d across New on a virtual clock", before, after)
+	}
+	if got := h.TickInterval(); got != 250*time.Millisecond {
+		t.Errorf("TickInterval = %v, want a quarter of the 1s lease", got)
+	}
+}
+
+// TestWatchdogFlagsSitesInOrder: when one evaluation flags two slow sites,
+// the watchdog speculates them in site order, so the flags, the speculative
+// copies and the grants that hand them out replay identically — on a
+// virtual clock that is what byte-identical simulator runs rest on.
+func TestWatchdogFlagsSitesInOrder(t *testing.T) {
+	run := func() (flagged []string, copies []int) {
+		ix, err := chunk.Layout("w", 300, 4, 100, 10) // 3 files × 10 chunks
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := jobs.NewPool(ix, jobs.Placement{0, 1, 2}, jobs.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, now := virtualClock()
+		h, err := New(Config{ExpectClusters: 3, Obs: o,
+			Tuning: config.Tuning{SpeculateAfter: time.Hour, StragglerFactor: 2, WatchdogMinSamples: 2},
+			Logf: func(format string, args ...any) {
+				if line := fmt.Sprintf(format, args...); strings.Contains(line, "watchdog flagged") {
+					flagged = append(flagged, line)
+				}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Shutdown()
+		if _, err := h.Admit(QueryConfig{Pool: pool, Reducer: sumReducer{}}); err != nil {
+			t.Fatal(err)
+		}
+		register(t, h, 0, 1, 2)
+		// Site 0 sets a 1ms median; sites 1 and 2 each commit two of four
+		// jobs after 30ms and hold the rest.
+		for i := 0; i < 4; i++ {
+			js, _, _ := reqJobs(h, 0, 2)
+			*now += time.Millisecond
+			if _, err := complete(h, 0, js); err != nil {
+				t.Fatal(err)
+			}
+		}
+		slow := map[int][]jobs.Job{}
+		for _, site := range []int{1, 2} {
+			slow[site], _, _ = reqJobs(h, site, 4)
+		}
+		*now += 30 * time.Millisecond
+		for _, site := range []int{1, 2} {
+			if _, err := complete(h, site, slow[site][:2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One evaluation flags both; site 0 then collects the copies.
+		h.Tick(*now)
+		js, _, _ := reqJobs(h, 0, 10)
+		for _, j := range js {
+			copies = append(copies, j.ID)
+		}
+		return flagged, copies
+	}
+	flags, copies := run()
+	if len(flags) != 2 || !strings.Contains(flags[0], "site 1 ") || !strings.Contains(flags[1], "site 2 ") {
+		t.Fatalf("flags = %q, want site 1 then site 2", flags)
+	}
+	for i := 0; i < 50; i++ {
+		f, c := run()
+		if fmt.Sprint(f) != fmt.Sprint(flags) || fmt.Sprint(c) != fmt.Sprint(copies) {
+			t.Fatalf("run %d: flags %q grants %v; first run: flags %q grants %v", i, f, c, flags, copies)
+		}
 	}
 }
 
@@ -362,7 +454,8 @@ func TestSpeculationDuplicatesStragglers(t *testing.T) {
 // speculating its in-flight jobs, ticking the labeled counter, and emitting
 // a trace instant.
 func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
-	o := obs.New(nil)
+	var now time.Duration
+	o := obs.New(obs.ClockFunc(func() time.Duration { return now }))
 	o.Tracer.Enable()
 	h, pool := testFaultHead(t, 2, faultOpts{
 		// SpeculateAfter arms the speculation machinery; a huge value keeps
@@ -381,6 +474,7 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 		if err != nil || len(js) == 0 {
 			t.Fatalf("healthy grant: %d jobs, err=%v", len(js), err)
 		}
+		now += time.Millisecond
 		if _, err := complete(h, 1, js); err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +486,7 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 	if err != nil || len(slow) != 4 {
 		t.Fatalf("slow grant: %d jobs, err=%v", len(slow), err)
 	}
-	time.Sleep(30 * time.Millisecond)
+	now += 30 * time.Millisecond
 	if _, err := complete(h, 0, slow[:2]); err != nil {
 		t.Fatal(err)
 	}
@@ -487,5 +581,115 @@ func TestCommitRacingFailSiteIsReissued(t *testing.T) {
 				i, got, len(js))
 		}
 		h.Shutdown()
+	}
+}
+
+// TestReportedSiteReportsReissuedWorkAgain: a site that has already reported
+// is handed work reissued from a failed site. Its commits cancel the report,
+// the drained pool asks it for a second object, the head merges both, and
+// the checkpoint the first object superseded is neither reloaded nor
+// overwritten by a stale save.
+func TestReportedSiteReportsReissuedWorkAgain(t *testing.T) {
+	ix, err := chunk.Layout("h", 100, 4, 50, 10) // 10 jobs
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := jobs.NewPool(ix, jobs.Placement{0, 1}, jobs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(Config{ExpectClusters: 2, Logf: t.Logf, Tuning: config.Tuning{LeaseTTL: time.Hour},
+		Fault: FaultConfig{Store: fault.NewMemStore()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Shutdown()
+	spec := protocol.JobSpec{App: "sum", UnitSize: 4}
+	if err := EncodeIndexSpec(&spec, ix); err != nil {
+		t.Fatal(err)
+	}
+	q, err := h.Admit(QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(t, h, 0, 1)
+	var want uint64
+	for id := 0; id < ix.NumChunks(); id++ {
+		want += jobVal(id)
+	}
+	// fold polls once for up to n jobs at site and commits them.
+	fold := func(site, n int) (sum uint64, ids []int) {
+		t.Helper()
+		js, _, err := reqJobs(h, site, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dups, err := h.CompleteQueryJobs(q.ID(), site, js); err != nil || len(dups) > 0 {
+			t.Fatalf("site %d commit: dups %v, err %v", site, dups, err)
+		}
+		for _, j := range js {
+			sum += jobVal(j.ID)
+			ids = append(ids, j.ID)
+		}
+		return sum, ids
+	}
+	// doneFor polls site and reports whether its reply asks for q's object.
+	doneFor := func(site int) bool {
+		t.Helper()
+		rep, err := h.Poll(site, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rep.Done) == 1 && rep.Done[0] == q.ID()
+	}
+	sum0, ids0 := fold(0, 5)
+	sum1, _ := fold(1, 10)
+	if sum0 == 0 || sum1 == 0 || pool.Remaining() != 0 {
+		t.Fatalf("both sites should hold work: %d / %d, remaining %d", sum0, sum1, pool.Remaining())
+	}
+	ck := fault.Checkpoint{Site: 0, Seq: 1, Object: encodeSum(sum0), Completed: ids0}.Encode()
+	if err := h.CheckpointSave(protocol.CheckpointSave{Site: 0, Seq: 1, Query: q.ID(), Data: ck}); err != nil {
+		t.Fatal(err)
+	}
+	if !doneFor(0) {
+		t.Fatal("drained pool sent site 0 no Done")
+	}
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Query: q.ID(), Object: encodeSum(sum0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.CheckpointSave(protocol.CheckpointSave{Site: 0, Seq: 2, Query: q.ID(), Data: ck}); err == nil {
+		t.Error("checkpoint of an object the head already merged was accepted")
+	}
+	if s, err := h.QuerySpec(0, q.ID()); err != nil || len(s.Checkpoint) != 0 {
+		t.Errorf("QuerySpec after the report: %d checkpoint bytes, err %v; want none", len(s.Checkpoint), err)
+	}
+
+	// Site 1 dies before reporting: everything it folded is reissued, and
+	// only site 0 is left to fold it.
+	h.FailSite(1)
+	extra, _ := fold(0, 10)
+	if extra != sum1 {
+		t.Fatalf("site 0 folded %d of the reissued work, want %d", extra, sum1)
+	}
+	select {
+	case <-q.Done():
+		t.Fatal("query sealed without site 0's second object")
+	default:
+	}
+	if !doneFor(0) {
+		t.Fatal("site 0 was not asked for the object holding the reissued folds")
+	}
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Query: q.ID(), Object: encodeSum(extra)}); err != nil {
+		t.Fatal(err)
+	}
+	obj, reports, _, err := q.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obj.(*sumObj).total; got != want {
+		t.Errorf("final = %d, want %d", got, want)
+	}
+	if len(reports) != 1 || reports[0].Site != 0 {
+		t.Errorf("reports = %+v, want one merged report from site 0", reports)
 	}
 }

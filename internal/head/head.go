@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/chunk"
 	"repro/internal/config"
-	"repro/internal/elastic"
 	"repro/internal/fault"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -305,15 +304,27 @@ func (h *Head) Sites() []int {
 	return out
 }
 
+// QueryLoad is one admitted query's view as the burst arbiter sees it each
+// tick: identity, fair-share weight, the query's elastic policy (nil for a
+// query that merely rides along on fair share), and its uncommitted bytes
+// keyed by hosting site. Callers include a query while it has work
+// remaining or a further pass to run (Remaining is then empty); a query
+// absent from a tick is over, and its deadline anchor forgotten.
+type QueryLoad struct {
+	Query     int
+	Weight    int
+	Policy    *protocol.ElasticPolicy
+	Remaining map[int]int64
+}
+
 // QueryLoads snapshots every active query's share of the remaining work in
-// the arbiter's input shape: query ID, fair-share weight, the policy it was
-// admitted under, and its uncommitted bytes keyed by hosting site. Queries
-// with nothing left (or finished/canceled ones) are omitted, mirroring the
-// simulator's per-tick load slice, so the same arbiter drives both.
-func (h *Head) QueryLoads() []elastic.QueryLoad {
+// the arbiter's input shape. Queries with nothing left (or finished/canceled
+// ones) are omitted; the simulator calls this same method on its in-process
+// head, so the same arbiter drives both.
+func (h *Head) QueryLoads() []QueryLoad {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var loads []elastic.QueryLoad
+	var loads []QueryLoad
 	for _, id := range h.order {
 		q := h.queries[id]
 		if q.finished || q.canceled {
@@ -327,7 +338,7 @@ func (h *Head) QueryLoads() []elastic.QueryLoad {
 		if total <= 0 {
 			continue
 		}
-		loads = append(loads, elastic.QueryLoad{
+		loads = append(loads, QueryLoad{
 			Query: id, Weight: q.weight, Policy: q.Policy(), Remaining: rem,
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/chunk"
-	"repro/internal/elastic"
 	"repro/internal/jobs"
 	"repro/internal/protocol"
 )
@@ -35,12 +34,12 @@ func TestAdmitPolicyValidationAndStamp(t *testing.T) {
 	if _, err := h.RegisterSite(protocol.Hello{Site: 0, Cluster: "a", Proto: protocol.ProtoMulti}); err != nil {
 		t.Fatal(err)
 	}
-	bad := &elastic.Policy{Deadline: -time.Second}
+	bad := &protocol.ElasticPolicy{Deadline: -time.Second}
 	if _, err := h.Admit(QueryConfig{Pool: admitPool(t), Reducer: sumReducer{},
 		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}, Policy: bad}); err == nil {
 		t.Fatal("negative deadline admitted")
 	}
-	pol := &elastic.Policy{Deadline: 90 * time.Second, Budget: 0.25, MaxWorkers: 4}
+	pol := &protocol.ElasticPolicy{Deadline: 90 * time.Second, Budget: 0.25, MaxWorkers: 4}
 	q, err := h.Admit(QueryConfig{Pool: admitPool(t), Reducer: sumReducer{},
 		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}, Policy: pol})
 	if err != nil {
@@ -70,7 +69,7 @@ func TestQueryLoadsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Shutdown()
-	pol := &elastic.Policy{Deadline: time.Minute}
+	pol := &protocol.ElasticPolicy{Deadline: time.Minute}
 	q0, err := h.Admit(QueryConfig{Pool: admitPool(t), Reducer: sumReducer{},
 		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}, Weight: 3, Policy: pol})
 	if err != nil {

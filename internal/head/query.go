@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/elastic"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/protocol"
-	"repro/internal/stats"
 )
 
 // QueryConfig describes one query to admit into a running head.
@@ -38,7 +36,7 @@ type QueryConfig struct {
 	// worker-count bounds — weighed by the session-wide arbiter against
 	// every other admitted query's. Nil means policy-free. The arbiter
 	// supplies cadence and pricing.
-	Policy *elastic.Policy
+	Policy *protocol.ElasticPolicy
 }
 
 // Query is one admitted query's state at the head. All mutable fields are
@@ -52,13 +50,14 @@ type Query struct {
 	spec      protocol.JobSpec
 	weight    int
 	expectAll bool
-	policy    *elastic.Policy
+	policy    *protocol.ElasticPolicy
 
 	// contrib marks sites whose folds are credited to this query: a site
 	// joins on its first non-duplicate commit and leaves (in FailSite) only
 	// if nothing it folded survives — no persisted checkpoint and no merged
 	// result. Completion for non-ExpectAll queries is "pool drained and
-	// every contributor has reported".
+	// every contributor has reported"; a reported site's next first commit
+	// clears its mark, because those folds need a second object.
 	contrib  map[int]bool
 	reported map[int]bool
 	// dropNotified marks sites already told (via PollReply.Dropped) to
@@ -128,7 +127,7 @@ func (h *Head) Admit(qc QueryConfig) (*Query, error) {
 		qc.Weight = 1
 	}
 	if qc.Policy != nil {
-		if err := elastic.ValidateQueryPolicy(*qc.Policy); err != nil {
+		if err := qc.Policy.Validate(); err != nil {
 			return nil, opErr("admit", -1, -1, err)
 		}
 		p := *qc.Policy
@@ -173,12 +172,7 @@ func (h *Head) Admit(qc QueryConfig) (*Query, error) {
 	if q.policy != nil {
 		// Stamp the wire form so masters (and their own advisors) can see
 		// the deadline/budget this query runs under.
-		q.spec.Policy = protocol.ElasticPolicy{
-			Deadline:   q.policy.Deadline,
-			Budget:     q.policy.Budget,
-			MinWorkers: q.policy.MinWorkers,
-			MaxWorkers: q.policy.MaxWorkers,
-		}
+		q.spec.Policy = *q.policy
 	}
 	h.queries[id] = q
 	h.order = append(h.order, id)
@@ -207,7 +201,7 @@ func (q *Query) ID() int { return q.id }
 
 // Policy returns a copy of the elasticity policy the query was admitted
 // with (after default inheritance), or nil for a policy-free query.
-func (q *Query) Policy() *elastic.Policy {
+func (q *Query) Policy() *protocol.ElasticPolicy {
 	if q.policy == nil {
 		return nil
 	}
@@ -279,30 +273,23 @@ func (q *Query) finalizeLocked() {
 }
 
 // completeLocked reports whether every expected reduction result is in.
-// Caller holds h.mu.
+// Every contributor must have reported — dynamic sites beyond
+// ExpectClusters and a site handed reissued work after it reported
+// included, since their folds travel only in their objects. Caller holds
+// h.mu.
 func (q *Query) completeLocked() bool {
 	if q.finished {
 		return false
 	}
 	if q.expectAll {
-		// The all-masters rule: complete when every expected cluster has
-		// submitted. A master only submits once the head stops granting it
-		// jobs, so the pool is drained by construction here — the seed's
-		// single-query contract, preserved without re-checking drain.
+		// The all-masters rule: every expected cluster has submitted. A
+		// master only submits once the head stops granting it jobs, so the
+		// pool is drained by construction here — the seed's single-query
+		// contract, preserved without re-checking drain.
 		if q.collected < q.h.cfg.ExpectClusters {
 			return false
 		}
-		// With dynamic sites, contributors beyond ExpectClusters may exist;
-		// their folds travel in their reduction objects, so the query cannot
-		// seal until every contributor has reported.
-		for site := range q.contrib {
-			if !q.reported[site] {
-				return false
-			}
-		}
-		return true
-	}
-	if !q.pool.Drained() || len(q.contrib) == 0 || q.collected == 0 {
+	} else if !q.pool.Drained() || len(q.contrib) == 0 || q.collected == 0 {
 		return false
 	}
 	for site := range q.contrib {
@@ -596,7 +583,7 @@ func (h *Head) QuerySpec(site, query int) (protocol.JobSpec, error) {
 	}
 	spec := q.spec
 	spec.HeartbeatEvery = int64(h.cfg.Tuning.HeartbeatInterval())
-	spec.Checkpoint = h.recoverSpec(query, site)
+	spec.Checkpoint = h.recoverSpec(q, site)
 	if h.tr.Enabled() {
 		// Confirms trace propagation for this query: the master stamps this
 		// TraceID on its spans and completion messages.
@@ -661,6 +648,9 @@ func (h *Head) CompleteQueryJobs(query, site int, js []jobs.Job) ([]int, error) 
 			return dups, opErr("complete", site, query, errFenced(site))
 		}
 		q.contrib[site] = true
+		// A site that already reported and now folds reissued work owes a
+		// second object with these folds; the query waits for it.
+		delete(q.reported, site)
 		if h.fs != nil {
 			q.sinceCkpt[site] = append(q.sinceCkpt[site], j)
 		}
@@ -770,19 +760,27 @@ func (h *Head) submit(q *Query, res protocol.ReductionResult) error {
 	h.hGlobalRed.Observe(merge)
 	h.mResults.Inc()
 	q.mResults.Inc()
-	q.collected++
 	q.reported[res.Site] = true
 	q.contrib[res.Site] = true
-	q.reports = append(q.reports, ClusterReport{
-		Site:    res.Site,
-		Cluster: h.clusters[res.Site],
-		Breakdown: stats.Breakdown{
-			Processing: time.Duration(res.Processing),
-			Retrieval:  time.Duration(res.Retrieval),
-			Sync:       time.Duration(res.Sync),
-		},
-		Jobs: stats.JobAccounting{Local: res.LocalJobs, Stolen: res.StolenJobs},
-	})
+	// The object holds everything the site's checkpoints for q covered, so a
+	// later recovery must not reload them.
+	q.ckptSeq[res.Site] = 0
+	i := 0
+	for i < len(q.reports) && q.reports[i].Site != res.Site {
+		i++
+	}
+	if i == len(q.reports) {
+		q.collected++
+		q.reports = append(q.reports, ClusterReport{Site: res.Site, Cluster: h.clusters[res.Site]})
+	}
+	// A second object from one site (reissued work it folded after its
+	// first report) adds to that site's report.
+	r := &q.reports[i]
+	r.Breakdown.Processing += time.Duration(res.Processing)
+	r.Breakdown.Retrieval += time.Duration(res.Retrieval)
+	r.Breakdown.Sync += time.Duration(res.Sync)
+	r.Jobs.Local += res.LocalJobs
+	r.Jobs.Stolen += res.StolenJobs
 	if q.completeLocked() {
 		q.finalizeLocked()
 		h.fair.Remove(q.id)

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/fault"
+	"repro/internal/head"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 )
@@ -46,7 +48,7 @@ func chaosConfig(t *testing.T) MultiConfig {
 	}
 	cfg.Elastic = &ElasticSim{
 		Interval: 200 * time.Millisecond,
-		Decide: func(now time.Duration, _ []ElasticLoad, workers []int) ElasticDecision {
+		Decide: func(now time.Duration, _ []head.QueryLoad, workers []int) ElasticDecision {
 			if len(workers) < 2 {
 				return ElasticDecision{Add: 1}
 			}
@@ -61,8 +63,8 @@ func chaosConfig(t *testing.T) MultiConfig {
 	cfg.faults = fault.Plan{
 		Events:          []fault.Event{{At: 700 * time.Millisecond, Site: 1000, Kind: fault.Crash}},
 		CheckpointEvery: 150 * time.Millisecond,
-		LeaseTTL:        200 * time.Millisecond,
 		RestartAfter:    300 * time.Millisecond,
+		Tuning:          config.Tuning{LeaseTTL: 200 * time.Millisecond},
 	}
 	return cfg
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/head"
 	"repro/internal/obs"
 )
 
@@ -16,42 +17,32 @@ type ElasticDecision struct {
 	Drain []int
 }
 
-// ElasticLoad is one query's share of the remaining work, as the elasticity
-// hook sees it: the query's index in MultiConfig.Queries, its fair-share
-// weight (defaulted to 1 like the scheduler does), and its uncommitted bytes
-// keyed by hosting site. A query appears in a tick's load slice while it has
-// uncommitted bytes or another pass to run — between the passes of an
-// iterative query Remaining is empty, never the query absent.
-type ElasticLoad struct {
-	Query     int
-	Weight    int
-	Remaining map[int]int64
-}
-
 // ElasticSim adds mid-run cluster add/remove to a multi-query simulation.
-// The hooks are deliberately generic — plain funcs over (now, per-query
-// remaining bytes, worker sites) — so the policy lives outside this package
+// The hooks are deliberately generic — plain funcs over (now, the head's
+// per-query loads, worker sites) — so the policy lives outside this package
 // (the elastic.Arbiter binds itself via Arbiter.SimElastic) and hybridsim
 // stays free of a dependency cycle through the estimator.
 //
-// Every Interval of virtual time, the simulator snapshots each unfinished
-// query's remaining work (keyed by hosting site, with its fair-share weight)
-// and the active burst-worker sites, and calls Decide. Added workers are fresh
+// Every Interval of virtual time, the simulator takes its head's QueryLoads
+// (each query's remaining work keyed by hosting site, with its fair-share
+// weight and policy, numbered by its index in MultiConfig.Queries), and the
+// active burst-worker sites, and calls Decide. Added workers are fresh
 // clusters built from the Worker template with unique monotonically
 // increasing site IDs (WorkerSiteBase + launch sequence — never reused, the
 // same convention the live head's dynamic admission uses); they host no
-// data, so every job they run is stolen work. Drained workers stop
-// requesting jobs, finish what they already hold, and then leave; the
-// simulator fires OnDrained when the last held job completes, mirroring the
-// live drain protocol (stop granting → leases lapse → final fold).
+// data, so every job they run is stolen work. A drained worker is drained
+// at the head (head.DrainSite): it is granted nothing more, finishes what it
+// already holds, submits its reduction objects, and leaves when the head
+// answers Drain — the simulator fires OnDrained then.
 type ElasticSim struct {
 	// Interval is the arbiter tick period on the virtual clock.
 	Interval time.Duration
 	// Decide is consulted every tick. The remaining work arrives split by
-	// query (with fair-share weights) so the session-wide arbiter can weigh
-	// each query's policy against its share of the fleet; workers lists
-	// active (non-draining) burst sites in launch order.
-	Decide func(now time.Duration, loads []ElasticLoad, workers []int) ElasticDecision
+	// query (with fair-share weights and policies) so the session-wide
+	// arbiter can weigh each query's policy against its share of the fleet;
+	// a query between two passes is listed with nothing remaining. workers
+	// lists active (non-draining) burst sites in launch order.
+	Decide func(now time.Duration, loads []head.QueryLoad, workers []int) ElasticDecision
 	// Worker is the cluster-model template for one burst worker; Site and
 	// Name are overridden per launch.
 	Worker ClusterModel
@@ -100,25 +91,20 @@ func (s *multiSim) elasticTick() {
 			workers = append(workers, c.model.Site)
 		}
 	}
-	var loads []ElasticLoad
-	for qi, pool := range s.pools {
-		rem := pool.RemainingBytesBySite()
-		var total int64
-		for _, b := range rem {
-			total += b
-		}
-		// A drained pool with a pass still to come is a pass boundary, not a
-		// finished query: keep it in the loads (with nothing remaining) so the
-		// arbiter holds the fleet and the deadline anchor across it.
-		if total <= 0 && !s.queryHasMorePasses(qi) {
-			continue
-		}
-		w := s.cfg.Queries[qi].Weight
-		if w < 1 {
-			w = 1
-		}
-		loads = append(loads, ElasticLoad{Query: qi, Weight: w, Remaining: rem})
+	loads := s.head.QueryLoads()
+	for i := range loads {
+		loads[i].Query = s.byID[loads[i].Query]
 	}
+	// A drained pool with a pass still to come is a pass boundary, not a
+	// finished query: keep it in the loads (with nothing remaining) so the
+	// arbiter holds the fleet and the deadline anchor across it.
+	for qi, pool := range s.pools {
+		if s.queryHasMorePasses(qi) && pool.Drained() {
+			loads = append(loads, head.QueryLoad{Query: qi, Weight: max(s.cfg.Queries[qi].Weight, 1),
+				Policy: s.passes[qi].Policy(), Remaining: pool.RemainingBytesBySite()})
+		}
+	}
+	sort.Slice(loads, func(i, j int) bool { return loads[i].Query < loads[j].Query })
 	dec := e.Decide(now, loads, workers)
 	for i := 0; i < dec.Add; i++ {
 		s.addWorker()
@@ -168,30 +154,42 @@ func (s *multiSim) addWorker() {
 		e.OnLaunch(s.clock.Now(), site)
 	}
 	if e.LaunchDelay > 0 {
-		s.clock.After(e.LaunchDelay, func() { c.poll() })
+		s.clock.After(e.LaunchDelay, func() { c.start("") })
 		return
 	}
-	c.poll()
+	c.start("")
 }
 
-// drainWorker marks the burst worker at site draining: it stops requesting
-// new jobs and leaves once everything it already holds has been processed.
+// drainWorker drains the burst worker at site through the head. A worker
+// still booting has nothing to hand back and leaves at once.
 func (s *multiSim) drainWorker(site int) {
 	for _, c := range s.clusters {
-		if c.burst && c.model.Site == site && !c.draining && !c.gone {
-			c.draining = true
-			s.maybeDrained(c)
+		if !c.burst || c.model.Site != site || c.draining || c.gone {
+			continue
+		}
+		c.draining = true
+		if !c.registered {
+			c.depart()
 			return
 		}
+		ch, err := s.head.DrainSite(site)
+		if err != nil {
+			s.err = err
+			return
+		}
+		c.drainCh = ch
+		if c.reachable() {
+			c.exhausted = false
+			c.poll() // the drain wakes the worker's parked poll
+		}
+		return
 	}
 }
 
-// maybeDrained completes a drain once the worker holds no more work.
-func (s *multiSim) maybeDrained(c *mqCluster) {
-	if !c.draining || c.gone {
-		return
-	}
-	if len(c.queue) > 0 || c.inFlight > 0 || len(c.ready) > 0 || c.busyCores > 0 || c.requesting {
+// depart completes the worker's drain: it leaves the fleet.
+func (c *mqCluster) depart() {
+	s := c.s
+	if c.gone {
 		return
 	}
 	c.gone = true

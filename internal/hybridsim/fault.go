@@ -1,57 +1,74 @@
 package hybridsim
 
 import (
+	"errors"
 	"fmt"
+	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
-// This file drives a fault.Plan on the simulator's virtual clock. It mirrors
-// the live stack piece for piece so the same plan exercises both:
-//
-//   - crash        → internal/fault.Injector killing a worker's data path
-//   - detect       → the head's lease monitor (FailSite + Reissue on every
-//                    query's pool)
-//   - checkpoint   → the cluster runtime's periodic reduction-object ship,
-//                    one object per (query, cluster)
-//   - restart      → a replacement worker re-registering and resuming from
-//                    its last checkpoints
-//   - partition    → deferred commits, lease fencing when the outage outlives
-//                    the TTL
-//   - slowdown     → a straggler; speculation re-adds its outstanding jobs
-//
-// Everything runs single-threaded on simtime.Clock, so runs with the same
-// plan and seed are byte-identical. The conservation invariant the live pool
-// enforces holds here too: summing every cluster's job accounting for a
-// query at the end of a faulty run yields exactly one credit per chunk (per
-// pass), no matter how many copies were executed.
+// This file drives a fault.Plan on the virtual clock. The policy side —
+// leases, fencing, requeue and reissue, checkpoint boundaries, speculation
+// and the latency watchdog — is the run's in-process head.Head; the
+// simulator models only what happens to the machines (crash, reboot,
+// partition, slowdown) and what each agent knows (its objects and
+// checkpoints). With the same plan and seed, runs are byte-identical, and
+// every query still credits each chunk exactly once per pass.
 
 // FaultStats summarizes fault activity during a simulated run.
 type FaultStats struct {
 	// Crashes, Partitions and Slowdowns count injected events that landed on
 	// a live cluster (events targeting a dead or finished cluster are no-ops).
 	Crashes, Partitions, Slowdowns int
-	// Recoveries counts restarts that rejoined the run — after a crash, or
-	// after a partition that outlived the lease and fenced the site.
+	// Recoveries counts incarnations that rejoined the run — a restart after
+	// a crash, or a re-registration after a fencing rejection.
 	Recoveries int
-	// Checkpoints and CheckpointBytes count durable reduction-object
-	// checkpoints shipped to the head.
+	// Checkpoints and CheckpointBytes count reduction-object checkpoints the
+	// head accepted.
 	Checkpoints     int
 	CheckpointBytes int64
 	// Requeued counts in-flight jobs returned to the pool by failure
 	// detection; Reissued counts committed-but-un-checkpointed jobs whose
-	// contribution was revoked for re-execution.
+	// contribution was revoked for re-execution (the pools' counters).
 	Requeued, Reissued int
-	// DupCommits counts completions the pool deduplicated (speculative or
-	// post-partition duplicates); Speculated counts speculative copies issued
-	// against stragglers.
+	// DupCommits counts completions the head answered as duplicates
+	// (speculative or post-partition copies); Speculated counts speculative
+	// copies the head issued against stragglers.
 	DupCommits, Speculated int
-	// LatencyFlags counts (query, cluster) pairs the latency watchdog
-	// flagged as stragglers (p99 grant-to-commit latency above
-	// Plan.EffectiveStragglerFactor() times the query's median).
+	// LatencyFlags counts (query, site) pairs the head's latency watchdog
+	// flagged as stragglers.
 	LatencyFlags int
+}
+
+// faultStats completes the simulator-side counts with the pools' and the
+// head's counters in the run's registry. A registry is one run's: the head
+// also keeps its watchdog's latency histograms there.
+func (s *multiSim) faultStats() FaultStats {
+	f := s.fstats
+	if !s.cfg.faults.Active() {
+		return f
+	}
+	seen := make(map[*obs.Registry]bool)
+	for _, q := range s.cfg.Queries {
+		if r := q.PoolOpts.Metrics; !seen[r] {
+			seen[r] = true
+			f.Requeued += int(r.Counter("pool_jobs_requeued_total").Value())
+			f.Reissued += int(r.Counter("pool_jobs_reissued_total").Value())
+			f.Speculated += int(r.Counter("pool_jobs_speculated_total").Value())
+		}
+	}
+	for id := range s.byID {
+		for _, c := range s.clusters {
+			f.LatencyFlags += int(s.reg.Counter("head_straggler_flagged_total",
+				"query", strconv.Itoa(id), "site", strconv.Itoa(c.model.Site)).Value())
+		}
+	}
+	return f
 }
 
 // scheduleFaults validates the plan and books its events. Each event
@@ -119,14 +136,12 @@ func (c *mqCluster) live() bool {
 	return !c.down && !c.gone && !c.s.allDrained()
 }
 
-// failing reports a crash or partition the head has not detected yet.
-func (c *mqCluster) failing() bool {
-	return (c.down || c.partitioned) && c.detectedEpoch != c.epoch
-}
+// errCrashed is the session loss a crashed master's head sees.
+var errCrashed = errors.New("hybridsim: master crashed")
 
-// crash kills a cluster: local state dies with the incarnation, the head
-// detects the failure after the lease TTL (immediately with no leases), and
-// a replacement boots after Plan.Restart().
+// crash kills a cluster and books its replacement's boot after
+// Plan.Restart(). Without leases the head sees the session drop at once;
+// with leases it notices when the heartbeats stop.
 func (s *multiSim) crash(c *mqCluster) {
 	if !c.live() {
 		return
@@ -135,27 +150,21 @@ func (s *multiSim) crash(c *mqCluster) {
 	if s.tr.Enabled() {
 		s.tr.InstantAt(c.pid(), 0, "fault", "crash", s.clock.Now(), nil)
 	}
-	epoch := s.kill(c)
-	if ttl := s.cfg.faults.LeaseTTL; ttl > 0 {
-		s.clock.After(ttl, func() {
-			if c.epoch == epoch && c.down {
-				s.detect(c)
-			}
-		})
-	} else {
-		s.detect(c)
+	c.reset()
+	c.down = true
+	s.clock.After(s.cfg.faults.Restart(), func() { c.start("restart") })
+	if s.cfg.faults.Tuning.LeaseTTL <= 0 {
+		s.head.SiteLost(c.model.Site, errCrashed)
+		s.afterFailure()
 	}
 }
 
-// kill takes the cluster down until a replacement boots after
-// Plan.Restart(), and returns the replacement's epoch. The volatile state —
-// queued jobs, buffered chunks, in-flight transfers, busy cores — dies with
-// the machine; the epoch bump makes every callback the old incarnation
-// scheduled a no-op.
-func (s *multiSim) kill(c *mqCluster) int {
-	s.clock.After(s.cfg.faults.Restart(), func() { s.restart(c) })
+// reset ends the cluster's incarnation: the volatile state — queued jobs,
+// buffered chunks, in-flight transfers, busy cores, reduction objects —
+// dies with it, and the epoch bump makes every callback the old
+// incarnation scheduled a no-op.
+func (c *mqCluster) reset() {
 	c.epoch++
-	c.down = true
 	c.queue = nil
 	c.ready = nil
 	c.inFlight = 0
@@ -165,97 +174,42 @@ func (s *multiSim) kill(c *mqCluster) int {
 	c.exhausted = false
 	c.checkpointing = false
 	c.partitioned = false
-	c.fenced = false
 	c.slowFactor = 1
 	c.deferred = nil
-	return c.epoch
-}
-
-// detect is the head noticing the failed site — lease expiry in live mode.
-// In every query's pool, in-flight jobs return to the pool and
-// committed-but-un-checkpointed contributions are reissued: their credit is
-// revoked here and granted to whichever cluster recommits them.
-func (s *multiSim) detect(c *mqCluster) {
-	if c.detectedEpoch == c.epoch {
-		return // this incarnation's failure was already handled
-	}
-	c.detectedEpoch = c.epoch
-	requeued, reissued := 0, 0
-	for q, pool := range s.pools {
-		st := &c.perQuery[q]
-		requeued += len(pool.FailSite(c.model.Site))
-		reissued += pool.Reissue(st.sinceCkpt)
-		for _, j := range st.sinceCkpt {
-			if j.Site == c.model.Site {
-				st.jobs.Local--
-			} else {
-				st.jobs.Stolen--
-			}
-		}
-		st.sinceCkpt = nil
-		st.trimSeq = st.commitSeq
-		// The head forgets the failed site's watchdog state alongside its
-		// in-flight grants (mirrors FailSite in internal/head/fault.go): the
-		// replacement incarnation is judged afresh.
-		if st.grantAt != nil {
-			st.grantAt = make(map[int]time.Duration)
-		}
-		st.wdFlagged = false
-	}
-	s.fstats.Requeued += requeued
-	s.fstats.Reissued += reissued
-	if s.tr.Enabled() {
-		s.tr.InstantAt(0, 0, "fault", fmt.Sprintf("detect site %d", c.model.Site), s.clock.Now(),
-			obs.Args{"requeued": requeued, "reissued": reissued})
-	}
-	// A pool that drained while this failure went unnoticed can reduce now.
-	for q := range s.pools {
-		s.maybeReduce(q)
+	for q := range c.perQuery {
+		c.perQuery[q].reset(-1)
 	}
 }
 
-// restart boots the replacement: reconcile with the head (a restart can beat
-// the lease detector, exactly like live re-registration), fetch every
-// query's last checkpoint back in one transfer, ship any reduction object the
-// head asked for meanwhile, and resume polling.
-func (s *multiSim) restart(c *mqCluster) {
-	s.detect(c)
-	c.down = false
-	s.fstats.Recoveries++
-	hasCkpt, ckptBytes := false, int64(0)
-	for q, st := range c.perQuery {
-		if st.hasCkpt {
-			hasCkpt, ckptBytes = true, ckptBytes+s.cfg.Queries[q].App.RobjBytes
-		}
-	}
-	if s.tr.Enabled() {
-		s.tr.InstantAt(c.pid(), 0, "fault", "restart", s.clock.Now(), obs.Args{"checkpoint": hasCkpt})
-	}
-	epoch := c.epoch
-	resume := func() {
-		if c.epoch != epoch || c.down {
-			return
-		}
-		c.exhausted = false
-		for q := range c.perQuery {
-			if c.perQuery[q].pendingShip {
-				c.ship(q)
+// afterFailure reconciles the simulator with what a head-side failure (a
+// lease expiry, a lost session, a re-registration) did: passes the failure
+// completed finish, a draining site the failure removed has left, and idle
+// masters poll again if reissued or requeued work needs them.
+func (s *multiSim) afterFailure() {
+	s.settle()
+	for _, c := range s.clusters {
+		if c.draining && !c.gone && c.drainCh != nil {
+			select {
+			case <-c.drainCh:
+				c.depart()
+			default:
 			}
 		}
-		c.poll()
-		s.maybeDrained(c)
 	}
-	if !hasCkpt {
-		resume()
+	if s.allDrained() {
 		return
 	}
-	s.net.Start(ckptBytes, s.robjLatency(c), 0, s.robjResources(c), resume)
+	for _, c := range s.clusters {
+		if c.exhausted {
+			c.exhausted = false
+			c.poll()
+		}
+	}
 }
 
 // partition cuts the cluster off from the head and the storage sites until
 // the matching Recover event. Chunks already buffered keep processing;
-// completions are deferred. If the outage outlives the lease TTL the head
-// declares the site failed and fences it.
+// completions are deferred, and heartbeats stop reaching the head.
 func (s *multiSim) partition(c *mqCluster) {
 	if !c.live() || c.partitioned {
 		return
@@ -265,18 +219,12 @@ func (s *multiSim) partition(c *mqCluster) {
 	if s.tr.Enabled() {
 		s.tr.InstantAt(c.pid(), 0, "fault", "partition", s.clock.Now(), nil)
 	}
-	if ttl := s.cfg.faults.LeaseTTL; ttl > 0 {
-		epoch := c.epoch
-		s.clock.After(ttl, func() {
-			if c.epoch == epoch && c.partitioned && !c.down {
-				c.fenced = true
-				s.detect(c)
-			}
-		})
-	}
 }
 
-// recoverCluster ends an active slowdown and/or partition.
+// recoverCluster ends an active slowdown and/or partition. A healed
+// partition flushes the deferred completions — the head deduplicates any it
+// re-assigned meanwhile, or fences the lot if the lease lapsed — and
+// resumes.
 func (s *multiSim) recoverCluster(c *mqCluster) {
 	if c.down || c.gone {
 		return
@@ -286,107 +234,29 @@ func (s *multiSim) recoverCluster(c *mqCluster) {
 		return
 	}
 	c.partitioned = false
-	if c.fenced {
-		// The head already declared this site failed and handed its work
-		// out; the stale master's deferred commits would be refused
-		// (fencing), so it restarts from its checkpoints like a crash.
-		s.kill(c)
-		return
-	}
-	// Healed before the lease expired: flush deferred completions — the pool
-	// deduplicates any the head re-assigned meanwhile — and resume.
-	deferred := c.deferred
-	c.deferred = nil
-	for _, tg := range deferred {
-		c.commit(tg)
+	n, epoch := len(c.deferred), c.epoch
+	if c.flush(); c.epoch != epoch {
+		return // fenced: the agent re-registered
 	}
 	if s.tr.Enabled() {
 		s.tr.InstantAt(c.pid(), 0, "fault", "partition-healed", s.clock.Now(),
-			obs.Args{"flushed": len(deferred)})
-	}
-	for q := range s.pools {
-		s.maybeReduce(q)
+			obs.Args{"flushed": n})
 	}
 	c.poll()
 	c.kickRetrievers()
 	c.kickCores()
-	s.maybeDrained(c)
 }
 
-// watchdogLatencyBounds mirror the live head's job-latency histogram
-// buckets so a simulated watchdog judges p99-vs-median on the same grid.
-var watchdogLatencyBounds = []time.Duration{
-	100 * time.Microsecond, 300 * time.Microsecond,
-	time.Millisecond, 3 * time.Millisecond, 10 * time.Millisecond,
-	30 * time.Millisecond, 100 * time.Millisecond, 300 * time.Millisecond,
-	time.Second, 3 * time.Second, 10 * time.Second, 30 * time.Second,
-	2 * time.Minute,
-}
-
-// watchdogOn reports whether the plan arms the latency watchdog: it rides on
-// speculation (SpeculateAfter > 0) and can be vetoed with a negative
-// StragglerFactor, exactly like the live head's config.Tuning gate.
-func (s *multiSim) watchdogOn() bool {
-	return s.cfg.faults.SpeculateAfter > 0 && s.cfg.faults.EffectiveStragglerFactor() > 0
-}
-
-// checkLatencyStragglers is the simulated twin of the head's latency
-// watchdog, run per pool on every poll: a cluster still holding a query's
-// granted jobs whose p99 grant-to-commit latency for that query exceeds
-// StragglerFactor times the query's median is flagged once, and its
-// outstanding jobs are re-added to that pool as speculative copies for
-// healthy clusters to steal.
-func (s *multiSim) checkLatencyStragglers() {
-	factor := s.cfg.faults.EffectiveStragglerFactor()
-	minSamples := int64(s.cfg.faults.EffectiveWatchdogMinSamples())
-	for q, all := range s.latAll {
-		med := all.Quantile(0.5)
-		if med <= 0 {
-			continue
-		}
-		for _, c := range s.clusters {
-			st := &c.perQuery[q]
-			if st.wdFlagged || c.down || c.gone || len(st.grantAt) == 0 || st.latHist.Count() < minSamples {
-				continue
-			}
-			p99 := st.latHist.Quantile(0.99)
-			if float64(p99) <= factor*float64(med) {
-				continue
-			}
-			st.wdFlagged = true
-			js := s.pools[q].SpeculateSite(c.model.Site)
-			s.fstats.Speculated += len(js)
-			s.fstats.LatencyFlags++
-			if s.tr.Enabled() {
-				s.tr.InstantAt(0, 0, "fault", fmt.Sprintf("straggler site %d", c.model.Site), s.clock.Now(),
-					obs.Args{"query": q, "p99_us": p99.Microseconds(), "median_us": med.Microseconds(), "speculated": len(js)})
-			}
-		}
-	}
-}
-
-// noteEmptyGrant starts (at most one) straggler watchdog per
-// empty-but-undrained episode; if no grant lands for Plan.SpeculateAfter,
-// every pool's outstanding jobs are re-added as speculative copies.
-func (s *multiSim) noteEmptyGrant() {
-	after := s.cfg.faults.SpeculateAfter
-	if after <= 0 || s.emptySince >= 0 {
-		return
-	}
-	s.emptySince = s.clock.Now()
-	s.clock.After(after, func() {
-		if s.emptySince < 0 {
+// flush commits the completions the agent held back; it stops early if a
+// commit is fenced (the agent has re-registered).
+func (c *mqCluster) flush() {
+	deferred, epoch := c.deferred, c.epoch
+	c.deferred = nil
+	for _, mj := range deferred {
+		if c.commit(mj); c.epoch != epoch {
 			return
 		}
-		n := 0
-		for _, pool := range s.pools {
-			n += len(pool.SpeculateOutstanding())
-		}
-		s.fstats.Speculated += n
-		if s.tr.Enabled() && n > 0 {
-			s.tr.InstantAt(0, 0, "fault", "speculate", s.clock.Now(), obs.Args{"jobs": n})
-		}
-	})
+	}
 }
 
 // checkpointTick fires every Plan.CheckpointEvery per cluster and starts a
@@ -404,20 +274,30 @@ func (c *mqCluster) checkpointTick() {
 }
 
 // beginCheckpoint models the live checkpoint pipeline: quiesce and merge the
-// worker objects of every query with new commits (new folds stall for the
-// merges), then ship one object per query to the head in the background.
-// The covered jobs become durable only when that object lands — a crash
-// mid-ship loses the checkpoint, not jobs.
+// object of every query with folds no landed checkpoint covers (new folds
+// stall for the merges), then ship one object per query to the head in the
+// background. The covered jobs become durable only when the head accepts
+// the CheckpointSave — a crash mid-ship loses the checkpoint, not jobs.
 func (c *mqCluster) beginCheckpoint() {
 	s := c.s
-	type cover struct{ query, jobs, seq int }
+	type cover struct {
+		query, id, seq int
+		ids            []int
+		obj            []byte
+	}
 	var covers []cover
 	merge := time.Duration(0)
 	for q := range c.perQuery {
-		if st := &c.perQuery[q]; len(st.sinceCkpt) > 0 {
-			covers = append(covers, cover{q, len(st.sinceCkpt), st.commitSeq})
-			merge += s.cfg.Queries[q].App.mergeTime()
+		st := &c.perQuery[q]
+		if len(st.folded) <= st.landed {
+			continue
 		}
+		st.ckptSeq++
+		ids := append([]int(nil), st.folded...)
+		sort.Ints(ids)
+		covers = append(covers, cover{query: q, id: st.pass, seq: st.ckptSeq,
+			ids: ids, obj: encodeCredit(st.obj)})
+		merge += s.cfg.Queries[q].App.mergeTime()
 	}
 	if len(covers) == 0 {
 		return
@@ -433,29 +313,28 @@ func (c *mqCluster) beginCheckpoint() {
 		c.kickCores()
 		for _, cv := range covers {
 			cv := cv
-			st := &c.perQuery[cv.query]
 			bytes := s.cfg.Queries[cv.query].App.RobjBytes
 			s.net.Start(bytes, s.robjLatency(c), 0, s.robjResources(c), func() {
-				if c.epoch != epoch || c.fenced {
-					// Dead with the incarnation, or fenced: the head refuses a
-					// dead-marked site's checkpoint, so it never becomes durable.
-					return
+				if c.epoch != epoch {
+					return // died with the incarnation
+				}
+				data := fault.Checkpoint{Site: c.model.Site, Seq: cv.seq, Object: cv.obj,
+					Completed: cv.ids}.Encode()
+				if err := s.head.CheckpointSave(protocol.CheckpointSave{Site: c.model.Site,
+					Seq: cv.seq, Query: cv.id, Data: data}); err != nil {
+					return // refused: a fenced site, a stale seq, a finished pass
 				}
 				// Cores resume as soon as the merge ends, so a later checkpoint
 				// can begin (and even land) while this object is still on the
-				// wire: trim only the commits this one covers beyond what
-				// earlier landings, a ship or a failure reissue already removed.
-				if drop := cv.seq - st.trimSeq; drop > 0 {
-					st.sinceCkpt = append(st.sinceCkpt[:0:0], st.sinceCkpt[drop:]...)
-					st.trimSeq = cv.seq
+				// wire: only a landing that covers more moves the boundary.
+				if st := &c.perQuery[cv.query]; st.pass == cv.id && len(cv.ids) > st.landed {
+					st.landed = len(cv.ids)
 				}
-				st.hasCkpt = true
-				st.ckptSeq++
 				s.fstats.Checkpoints++
 				s.fstats.CheckpointBytes += bytes
 				if s.tr.Enabled() {
 					s.tr.Complete(c.pid(), 0, "fault", "checkpoint", start, s.clock.Now(),
-						obs.Args{"query": cv.query, "seq": st.ckptSeq, "jobs": cv.jobs, "bytes": bytes})
+						obs.Args{"query": cv.query, "seq": cv.seq, "jobs": len(cv.ids), "bytes": bytes})
 				}
 			})
 		}

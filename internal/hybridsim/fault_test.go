@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 // creditTotal sums the per-cluster job accounting — with an active fault
@@ -39,8 +41,8 @@ func TestSimCrashRecoveryMatchesFailureFree(t *testing.T) {
 	cfg.Faults = fault.Plan{
 		Events:          []fault.Event{{At: base.Total / 3, Site: 1, Kind: fault.Crash}},
 		CheckpointEvery: base.Total / 8,
-		LeaseTTL:        200 * time.Millisecond,
 		RestartAfter:    500 * time.Millisecond,
+		Tuning:          config.Tuning{LeaseTTL: 200 * time.Millisecond},
 	}
 	res := mustRun(t, cfg)
 
@@ -76,9 +78,8 @@ func TestSimFaultDeterminism(t *testing.T) {
 				{At: 1200 * time.Millisecond, Site: 0, Kind: fault.Recover},
 			},
 			CheckpointEvery: 300 * time.Millisecond,
-			LeaseTTL:        250 * time.Millisecond,
 			RestartAfter:    600 * time.Millisecond,
-			SpeculateAfter:  300 * time.Millisecond,
+			Tuning:          config.Tuning{LeaseTTL: 250 * time.Millisecond, SpeculateAfter: 300 * time.Millisecond},
 		}
 		return cfg
 	}
@@ -102,7 +103,7 @@ func TestSimPartitionHealsAndFlushes(t *testing.T) {
 			{At: 200 * time.Millisecond, Site: 1, Kind: fault.Partition},
 			{At: 500 * time.Millisecond, Site: 1, Kind: fault.Recover},
 		},
-		LeaseTTL: 2 * time.Second,
+		Tuning: config.Tuning{LeaseTTL: 2 * time.Second},
 	}
 	res := mustRun(t, cfg)
 	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
@@ -127,8 +128,8 @@ func TestSimPartitionFencedRestarts(t *testing.T) {
 			{At: 1500 * time.Millisecond, Site: 1, Kind: fault.Recover},
 		},
 		CheckpointEvery: 200 * time.Millisecond,
-		LeaseTTL:        400 * time.Millisecond,
 		RestartAfter:    300 * time.Millisecond,
+		Tuning:          config.Tuning{LeaseTTL: 400 * time.Millisecond},
 	}
 	res := mustRun(t, cfg)
 	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
@@ -145,8 +146,8 @@ func TestSimPartitionFencedRestarts(t *testing.T) {
 func TestSimSpeculationDuplicatesStraggler(t *testing.T) {
 	cfg := testConfig(t, 8, 4, 0.5)
 	cfg.Faults = fault.Plan{
-		Events:         []fault.Event{{At: 100 * time.Millisecond, Site: 1, Kind: fault.Slowdown, Factor: 50}},
-		SpeculateAfter: 200 * time.Millisecond,
+		Events: []fault.Event{{At: 100 * time.Millisecond, Site: 1, Kind: fault.Slowdown, Factor: 50}},
+		Tuning: config.Tuning{SpeculateAfter: 200 * time.Millisecond},
 	}
 	res := mustRun(t, cfg)
 	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
@@ -177,6 +178,75 @@ func TestSimCheckpointOnlyOverheadSmall(t *testing.T) {
 	}
 	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
 		t.Errorf("credited %d jobs, want %d", got, want)
+	}
+}
+
+// TestSimRandomCrashesCreditEveryChunkOnce runs 200 seeded crash plans —
+// one to four crashes, with and without leases and checkpoints — at two
+// reduction-object sizes. Seed 152 crashes a cluster after the other one has
+// reported, so the lost work is reissued to a site the head no longer waits
+// for: the head must ask it for a second object holding those folds instead
+// of sealing the pass without them. With 64 MiB objects (seeds 42, 144, 176)
+// the reissued work reaches a cluster whose first object is still on the
+// wire, and its commits must wait until the head has merged that object.
+// RunMulti itself fails a pass whose merged credit is off.
+func TestSimRandomCrashesCreditEveryChunkOnce(t *testing.T) {
+	for _, robj := range []int64{0, 64 << 20} {
+		cfg := testConfig(t, 12, 6, 0.5)
+		cfg.Topology.Clusters[1].Jitter = 0.1
+		if robj > 0 {
+			cfg.App.RobjBytes = robj
+		}
+		base := mustRun(t, cfg).Total
+		for seed := uint64(0); seed < 200; seed++ {
+			cfg.Faults = fault.RandomPlan(seed, 1+int(seed%4), base, []int{0, 1})
+			cfg.Faults.CheckpointEvery = time.Duration(seed%3) * base / 6
+			cfg.Faults.RestartAfter = base / 8
+			cfg.Faults.Tuning = config.Tuning{}
+			if seed%2 == 0 {
+				cfg.Faults.Tuning.LeaseTTL = base / 16
+			}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Errorf("robj %d, seed %d: %v", cfg.App.RobjBytes, seed, err)
+				continue
+			}
+			if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
+				t.Errorf("robj %d, seed %d: credited %d jobs, want %d", cfg.App.RobjBytes, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestSimFaultStatsWithCallerRegistry: under a fault plan the head's and
+// the pools' counters land in the caller's registry, and the run and its
+// FaultStats are what they are without one.
+func TestSimFaultStatsWithCallerRegistry(t *testing.T) {
+	cfg := testConfig(t, 12, 6, 0.4)
+	cfg.Topology.Clusters[1].Jitter = 0.1
+	cfg.Faults = fault.Plan{
+		Events: []fault.Event{
+			{At: 400 * time.Millisecond, Site: 1, Kind: fault.Crash},
+			{At: 700 * time.Millisecond, Site: 0, Kind: fault.Slowdown, Factor: 3},
+			{At: 1200 * time.Millisecond, Site: 0, Kind: fault.Recover},
+		},
+		RestartAfter: 600 * time.Millisecond,
+		Tuning:       config.Tuning{LeaseTTL: 250 * time.Millisecond, SpeculateAfter: 300 * time.Millisecond},
+	}
+	want := mustRun(t, cfg).Faults
+	if want.Requeued+want.Reissued == 0 || want.Speculated == 0 || want.LatencyFlags == 0 {
+		t.Fatalf("plan exercised too little: %+v", want)
+	}
+	reg := obs.NewRegistry()
+	cfg.Obs = &obs.Obs{Registry: reg}
+	if got := mustRun(t, cfg).Faults; got != want {
+		t.Errorf("with a caller registry: %+v, want %+v", got, want)
+	}
+	if got := reg.Counter("pool_jobs_speculated_total").Value(); got != int64(want.Speculated) {
+		t.Errorf("registry pool_jobs_speculated_total = %d, want %d", got, want.Speculated)
+	}
+	if got := reg.Counter("head_site_failures_total").Value(); got != 1 {
+		t.Errorf("registry head_site_failures_total = %d, want 1", got)
 	}
 }
 
@@ -219,13 +289,11 @@ func TestSimOverlappingCheckpointShips(t *testing.T) {
 func TestSimLatencyWatchdogFlagsSlowdown(t *testing.T) {
 	cfg := testConfig(t, 8, 4, 0.5)
 	cfg.Faults = fault.Plan{
-		Events:         []fault.Event{{At: 100 * time.Millisecond, Site: 1, Kind: fault.Slowdown, Factor: 50}},
-		SpeculateAfter: time.Hour,
+		Events: []fault.Event{{At: 100 * time.Millisecond, Site: 1, Kind: fault.Slowdown, Factor: 50}},
 		// The healthy cluster's own batch queueing puts its p99 a few×
 		// above the median; 5× clears that while the 50× slowdown (p99
 		// ~33× median) still trips it.
-		StragglerFactor:    5,
-		WatchdogMinSamples: 2,
+		Tuning: config.Tuning{SpeculateAfter: time.Hour, StragglerFactor: 5, WatchdogMinSamples: 2},
 	}
 	res := mustRun(t, cfg)
 	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
@@ -254,7 +322,7 @@ func TestSimLatencyWatchdogFlagsSlowdown(t *testing.T) {
 	}
 
 	// Negative factor: watchdog off, nothing is flagged or speculated.
-	cfg.Faults.StragglerFactor = -1
+	cfg.Faults.Tuning.StragglerFactor = -1
 	off := mustRun(t, cfg)
 	if off.Faults.LatencyFlags != 0 || off.Faults.Speculated != 0 {
 		t.Errorf("disabled watchdog still acted: %+v", off.Faults)

@@ -1,20 +1,25 @@
 package hybridsim
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
 	"time"
 
 	"repro/internal/chunk"
+	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/head"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 )
 
 // MultiQuery is one concurrent query in a multi-query simulation: its own
 // dataset view, placement, pool policy, application cost shape and
-// fair-share weight — mirroring head.QueryConfig.
+// fair-share weight and elastic policy — mirroring head.QueryConfig.
 type MultiQuery struct {
 	Name      string
 	App       AppModel
@@ -24,16 +29,20 @@ type MultiQuery struct {
 	// Weight is the query's fair-share weight (default 1).
 	Weight int
 	// Iterations makes the query re-read its whole dataset that many times
-	// (iterative Generalized Reduction: kmeans, pagerank). Each pass drains
-	// the pool, performs its own global reduction, then the pool is rebuilt
-	// for the next pass. ≤1 means a single pass.
+	// (iterative Generalized Reduction: kmeans, pagerank). Each pass is one
+	// admission at the head with a fresh pool over the dataset, and performs
+	// its own global reduction before the next is admitted. ≤1 means a
+	// single pass.
 	Iterations int
+	// Policy is the query's elastic policy as head.Admit takes it (nil rides
+	// along on fair share); it reaches the elasticity hook with the query's
+	// load, as it does live.
+	Policy *protocol.ElasticPolicy
 }
 
 // MultiConfig is a simulated experiment of N queries admitted at t=0 over
-// one shared deployment, with the head handing out jobs one at a time by
-// the same weighted stride scheduler the live head uses (jobs.FairShare).
-// It is the simulator's one event loop: Run executes the one-query
+// one shared deployment, scheduled by a real head.Head on the virtual
+// clock. It is the simulator's one event loop: Run executes the one-query
 // MultiConfig that Config.Multi builds.
 type MultiConfig struct {
 	Queries  []MultiQuery
@@ -143,31 +152,39 @@ type MultiClusterResult struct {
 	RetrievalBusy time.Duration
 }
 
-// mqChunk is one retrieved-but-unprocessed chunk, tagged with its query.
-type mqChunk struct {
-	tg    jobs.Tagged
-	bytes int64
+// mqJob is one granted job: the query's index in MultiConfig.Queries, the
+// head's ID for the pass it was granted under, and the job itself.
+type mqJob struct {
+	query int
+	id    int
+	job   jobs.Job
 }
 
 // mqCluster is one cluster's agent: a single master/poll loop interleaving
 // every query's jobs, like cluster.RunAgent, feeding retrieval lanes and
-// processing cores.
+// processing cores. It talks to the simulator's in-process head.Head the way
+// the live agent talks to the head node; what it models itself is physics
+// (links, disks, cores, boot and crash) and what an agent itself knows.
 type mqCluster struct {
 	s     *multiSim
 	model ClusterModel
 	index int
 
-	queue      []jobs.Tagged
+	queue      []mqJob
 	requesting bool
 	exhausted  bool
 
-	// burst workers are added mid-run by the elasticity hook; draining ones
-	// stop requesting, finish what they hold, then are gone.
-	burst     bool
-	draining  bool
-	gone      bool
-	launched  time.Duration
-	drainedAt time.Duration
+	// registered is set once the agent said Hello (a burst worker only once
+	// it has booted). Burst workers are added mid-run by the elasticity hook;
+	// draining ones stop receiving grants, finish what they hold, submit
+	// their objects, and leave when the head answers Drain.
+	registered bool
+	burst      bool
+	draining   bool
+	drainCh    <-chan struct{}
+	gone       bool
+	launched   time.Duration
+	drainedAt  time.Duration
 
 	// slowFactor divides the compute rate once a slowdown lands (a
 	// MultiSlowdown or a fault.Slowdown event).
@@ -175,7 +192,7 @@ type mqCluster struct {
 
 	freeLanes []int
 	inFlight  int
-	ready     []mqChunk
+	ready     []mqJob // retrieved, not yet folded
 	idleCores []int
 	busyCores int
 
@@ -186,58 +203,56 @@ type mqCluster struct {
 
 	// Fault-plan state (fault.go; idle without a plan). epoch counts
 	// incarnations: every callback an incarnation schedules captures the
-	// epoch and no-ops once the cluster has crashed, so in-flight transfers,
-	// busy cores and pending polls die with the machine instead of leaking
-	// into its replacement.
+	// epoch and no-ops once the cluster has crashed or been fenced, so
+	// in-flight transfers, busy cores and pending polls die with the machine
+	// instead of leaking into its replacement.
 	epoch         int
-	detectedEpoch int  // last incarnation the head declared failed
 	down          bool // crashed, waiting for restart
 	partitioned   bool // cut off from head and storage
-	fenced        bool // lease expired mid-partition; commits will be refused
 	checkpointing bool // quiescing cores for a checkpoint merge
-	deferred      []jobs.Tagged
+	deferred      []mqJob
 }
 
 // clusterQuery is one cluster's state for one query.
 type clusterQuery struct {
-	jobs     stats.JobAccounting
-	coreBusy time.Duration // core time spent folding the query's chunks
+	jobs     stats.JobAccounting // credit in the objects the head merged
+	coreBusy time.Duration       // core time spent folding the query's chunks
 	lastFold time.Duration
 
-	// pendingShip marks a reduction object the head asked for while the
-	// cluster was down or partitioned; it ships when the cluster is back.
-	pendingShip bool
-	// sinceCkpt holds first commits no landed checkpoint or shipped object
-	// covers yet — what a failure reissues. commitSeq counts commits ever
-	// appended; trimSeq is the commitSeq position of sinceCkpt[0], so
-	// overlapping checkpoint ships trim only what earlier landings haven't.
-	sinceCkpt []jobs.Job
-	commitSeq int
-	trimSeq   int
-	hasCkpt   bool
-	ckptSeq   int
-	// Latency-watchdog state, nil/false unless the plan arms it: the grant
-	// time of each job the cluster holds, its grant→commit latencies, and
-	// whether the watchdog already flagged it.
-	grantAt   map[int]time.Duration
-	latHist   *obs.Histogram
-	wdFlagged bool
+	// The agent's reduction object for the query's current pass: the head
+	// query it belongs to (-1: none), the credit it holds, and — with
+	// checkpointing on — the job IDs it covers, how many of them the last
+	// landed checkpoint covered, and that checkpoint's sequence number.
+	// shipping marks an object on its way to the head.
+	pass     int
+	obj      stats.JobAccounting
+	folded   []int
+	landed   int
+	ckptSeq  int
+	shipping bool
 }
 
-// contributed reports whether the cluster holds credited work for the
-// query, so the query's global reduction needs its object.
-func (st *clusterQuery) contributed() bool { return st.jobs.Local+st.jobs.Stolen > 0 }
+// reset starts an empty object for head query id.
+func (st *clusterQuery) reset(id int) {
+	st.pass, st.obj, st.folded, st.landed, st.ckptSeq, st.shipping = id, stats.JobAccounting{}, nil, 0, 0, false
+}
 
 type multiSim struct {
 	cfg      MultiConfig
 	clock    *simtime.Clock
 	net      *Network
-	fair     *jobs.FairShare
-	pools    []*jobs.Pool
+	head     *head.Head
 	clusters []*mqCluster
 	egress   map[int]*Resource
 	paths    map[[2]int]*Resource
 	interRes *Resource
+
+	// pools and passes hold each query's current pass — its pool and its
+	// admission at the head (nil once the last pass finished); byID maps
+	// every head query ID back to its query's index.
+	pools  []*jobs.Pool
+	passes []*head.Query
+	byID   map[int]int
 
 	// nextSeq tracks, per (query, file), the chunk sequence number that
 	// would continue a sequential read; lastFile tracks, per site, the
@@ -250,11 +265,8 @@ type multiSim struct {
 	workerSeq int // burst workers launched so far
 
 	granted    []int
-	drained    []bool
-	reducing   []bool // a pass's global reduction is in flight
-	iter       []int  // completed passes, per query
+	iter       []int // completed passes, per query
 	iterFinish [][]time.Duration
-	expect     []int // reduction objects the head still awaits, per query
 	finish     []time.Duration
 	headBusyAt time.Duration
 	finished   int
@@ -262,10 +274,10 @@ type multiSim struct {
 
 	stage *stageState
 
-	// Fault-plan state (fault.go).
-	fstats     FaultStats
-	emptySince time.Duration    // start of the current empty-but-undrained episode; -1 when none
-	latAll     []*obs.Histogram // per-query grant→commit latency, the watchdog's median baseline
+	// Fault-plan state (fault.go): the simulator-side counts, and the
+	// registry the head and the pools report into.
+	fstats FaultStats
+	reg    *obs.Registry
 
 	// Observability (all nil-safe). The loop is single-threaded, so fetch
 	// latencies accumulate in an unsynchronized histogram and every counter
@@ -290,10 +302,11 @@ func (c *mqCluster) coreTid(id int) int {
 // head's convention (query+1; 0 stays "no trace").
 func mqTraceID(query int) uint64 { return uint64(query) + 1 }
 
-// RunMulti executes a simulated experiment: every query is admitted at t=0,
-// masters poll one shared head whose grants follow the weighted fair share,
-// and each query performs its own global reduction as soon as its pool
-// drains — while the other queries keep running.
+// RunMulti executes a simulated experiment: every query is admitted at t=0
+// into an in-process head.Head running on the virtual clock, masters poll it
+// for fair-share grants, commit to it, and ship each query's reduction
+// object when the head's Done asks for it — while the other queries keep
+// running.
 func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	if len(cfg.Queries) == 0 {
 		return nil, fmt.Errorf("hybridsim: at least one query is required")
@@ -305,23 +318,25 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	s := &multiSim{
 		cfg:        cfg,
 		clock:      &simtime.Clock{},
-		fair:       jobs.NewFairShare(),
 		egress:     make(map[int]*Resource),
 		paths:      make(map[[2]int]*Resource),
 		nextSeq:    make(map[int]int),
 		lastFile:   make(map[int]int),
+		pools:      make([]*jobs.Pool, nq),
+		passes:     make([]*head.Query, nq),
+		byID:       make(map[int]int),
 		granted:    make([]int, nq),
-		drained:    make([]bool, nq),
-		reducing:   make([]bool, nq),
 		iter:       make([]int, nq),
 		iterFinish: make([][]time.Duration, nq),
-		expect:     make([]int, nq),
 		finish:     make([]time.Duration, nq),
-		emptySince: -1,
 	}
-	// The pools report into the run's registry; copy the queries so the
-	// caller's config is never mutated.
-	reg := cfg.Obs.Metrics()
+	// The head and the pools report into the caller's registry — or, under a
+	// fault plan without one, a private one, because FaultStats reads their
+	// counters. Copy the queries so the caller's config is never mutated.
+	s.reg = cfg.Obs.Metrics()
+	if s.reg == nil && cfg.faults.Active() {
+		s.reg = obs.NewRegistry()
+	}
 	s.cfg.Queries = append([]MultiQuery(nil), cfg.Queries...)
 	s.net = NewNetwork(s.clock)
 	s.tr = cfg.Obs.Trace()
@@ -329,11 +344,14 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	if cfg.Obs != nil {
 		cfg.Obs.Clock = obs.ClockFunc(s.clock.Now)
 	}
-	if reg != nil {
+	if cfg.Obs.Metrics() != nil {
 		s.hRetrieval = obs.NewLocalHistogram(nil)
 	}
 	s.tr.NameProcess(0, "head")
 	s.tr.NameThread(0, 0, "scheduler")
+	if err := s.startHead(); err != nil {
+		return nil, err
+	}
 	for qi := range s.cfg.Queries {
 		q := &s.cfg.Queries[qi]
 		if q.Index == nil {
@@ -343,20 +361,10 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 			return nil, fmt.Errorf("hybridsim: query %d (%s): App.ComputeBytesPerSec must be positive", qi, q.Name)
 		}
 		if q.PoolOpts.Metrics == nil {
-			q.PoolOpts.Metrics = reg
+			q.PoolOpts.Metrics = s.reg
 		}
-		pool, err := jobs.NewPool(q.Index, q.Placement, q.PoolOpts)
-		if err != nil {
-			return nil, fmt.Errorf("hybridsim: query %d (%s): %w", qi, q.Name, err)
-		}
-		s.pools = append(s.pools, pool)
-		if err := s.fair.Add(qi, pool, q.Weight); err != nil {
+		if err := s.admit(qi); err != nil {
 			return nil, err
-		}
-	}
-	if s.watchdogOn() {
-		for range s.cfg.Queries {
-			s.latAll = append(s.latAll, obs.NewHistogram(watchdogLatencyBounds))
 		}
 	}
 	for site := range cfg.Topology.SeekPenalty {
@@ -430,9 +438,10 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 		s.stage.start()
 	}
 	for _, c := range s.clusters {
-		c.poll()
+		c.start("")
 	}
-	s.clock.Run()
+	for s.err == nil && s.clock.Step() {
+	}
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -440,8 +449,61 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 		return nil, fmt.Errorf("hybridsim: simulation stalled (%d/%d queries finished)", s.finished, nq)
 	}
 	res := s.result()
-	s.report(res, reg)
+	s.report(res)
 	return res, nil
+}
+
+// startHead builds the run's head on the virtual clock. Under a fault plan
+// it gets the plan's Tuning and an in-memory checkpoint store (which also
+// turns a lost master into a recoverable failure), and its failure detector
+// and watchdogs tick every TickInterval of virtual time.
+func (s *multiSim) startHead() error {
+	plan := s.cfg.faults
+	hc := head.Config{
+		ExpectClusters: len(s.cfg.Topology.Clusters),
+		DynamicSites:   true,
+		Obs:            &obs.Obs{Clock: obs.ClockFunc(s.clock.Now), Registry: s.reg},
+	}
+	if plan.Active() {
+		hc.Tuning = plan.Tuning
+		hc.Fault.Store = fault.NewMemStore()
+	}
+	h, err := head.New(hc)
+	if err != nil {
+		return err
+	}
+	s.head = h
+	if every := h.TickInterval(); every > 0 {
+		var tick func()
+		tick = func() {
+			if s.finished >= len(s.cfg.Queries) {
+				return
+			}
+			h.Tick(s.clock.Now())
+			s.afterFailure()
+			s.clock.After(every, tick)
+		}
+		s.clock.After(every, tick)
+	}
+	return nil
+}
+
+// admit submits query qi's next pass to the head: one pool over the query's
+// dataset, one Admit — as driver.Session.Iterate does live.
+func (s *multiSim) admit(qi int) error {
+	q := s.cfg.Queries[qi]
+	pool, err := jobs.NewPool(q.Index, q.Placement, q.PoolOpts)
+	if err != nil {
+		return fmt.Errorf("hybridsim: query %d (%s): %w", qi, q.Name, err)
+	}
+	hq, err := s.head.Admit(head.QueryConfig{Pool: pool, Reducer: creditReducer{},
+		Spec: protocol.JobSpec{App: q.App.Name}, Weight: q.Weight, Policy: q.Policy})
+	if err != nil {
+		return fmt.Errorf("hybridsim: query %d (%s): %w", qi, q.Name, err)
+	}
+	s.pools[qi], s.passes[qi] = pool, hq
+	s.byID[hq.ID()] = qi
+	return nil
 }
 
 // addCluster appends one cluster — static at startup, or a burst worker
@@ -456,15 +518,12 @@ func (s *multiSim) addCluster(cm ClusterModel) *mqCluster {
 	if cm.QueueDepth <= 0 {
 		cm.QueueDepth = 2 * cm.Cores
 	}
-	c := &mqCluster{s: s, model: cm, index: len(s.clusters), slowFactor: 1, detectedEpoch: -1,
+	c := &mqCluster{s: s, model: cm, index: len(s.clusters), slowFactor: 1,
 		perQuery: make([]clusterQuery, len(s.cfg.Queries)), bytesBySite: make(map[int]int64)}
-	c.freeAll()
-	if s.latAll != nil {
-		for q := range c.perQuery {
-			c.perQuery[q].grantAt = make(map[int]time.Duration)
-			c.perQuery[q].latHist = obs.NewHistogram(watchdogLatencyBounds)
-		}
+	for q := range c.perQuery {
+		c.perQuery[q].pass = -1
 	}
+	c.freeAll()
 	s.clusters = append(s.clusters, c)
 	s.tr.NameProcess(c.pid(), fmt.Sprintf("cluster %s (site %d)", cm.Name, cm.Site))
 	s.tr.NameThread(c.pid(), 0, "master")
@@ -483,6 +542,90 @@ func (s *multiSim) addCluster(cm ClusterModel) *mqCluster {
 	return c
 }
 
+// start brings up an incarnation of the cluster's agent — at boot (why ""),
+// after a crash's restart, or after a fencing rejection. It registers with
+// the head (which fails a previous incarnation whose lease has not lapsed
+// yet), starts heartbeating, reloads every checkpoint the head hands back —
+// all of them in one transfer — and then polls.
+func (c *mqCluster) start(why string) {
+	s := c.s
+	if c.gone {
+		return // drained before it came up
+	}
+	c.down = false
+	if why != "" {
+		s.fstats.Recoveries++
+		if s.tr.Enabled() {
+			s.tr.InstantAt(c.pid(), 0, "fault", why, s.clock.Now(), nil)
+		}
+	}
+	if _, err := s.head.RegisterSite(protocol.Hello{Site: c.model.Site, Cluster: c.model.Name,
+		Cores: c.model.Cores, Proto: protocol.ProtoMulti}); err != nil {
+		s.err = err
+		return
+	}
+	c.registered = true
+	if s.afterFailure(); c.gone {
+		return
+	}
+	c.heartbeat(c.epoch)
+	var bytes int64
+	for qi, hq := range s.passes {
+		if hq == nil {
+			continue
+		}
+		spec, err := s.head.QuerySpec(c.model.Site, hq.ID())
+		if err != nil || len(spec.Checkpoint) == 0 {
+			continue
+		}
+		ck, err := fault.DecodeCheckpoint(spec.Checkpoint)
+		if err != nil {
+			s.err = err
+			return
+		}
+		credit, err := decodeCredit(ck.Object)
+		if err != nil {
+			s.err = err
+			return
+		}
+		st := &c.perQuery[qi]
+		st.reset(hq.ID())
+		st.obj, st.ckptSeq = *credit, ck.Seq
+		st.folded = append(st.folded, ck.Completed...)
+		st.landed = len(ck.Completed)
+		bytes += s.cfg.Queries[qi].App.RobjBytes
+	}
+	if bytes == 0 {
+		c.poll()
+		return
+	}
+	epoch := c.epoch
+	s.net.Start(bytes, s.robjLatency(c), 0, s.robjResources(c), func() {
+		if c.epoch == epoch && !c.down && !c.gone {
+			c.poll()
+		}
+	})
+}
+
+// heartbeat renews the cluster's lease every Tuning.HeartbeatInterval while
+// the incarnation lives and can reach the head.
+func (c *mqCluster) heartbeat(epoch int) {
+	s := c.s
+	every := s.cfg.faults.Tuning.HeartbeatInterval()
+	if every <= 0 {
+		return
+	}
+	s.clock.After(every, func() {
+		if c.epoch != epoch || c.gone || s.finished >= len(s.cfg.Queries) {
+			return
+		}
+		if !c.partitioned {
+			s.head.Heartbeat(c.model.Site)
+		}
+		c.heartbeat(epoch)
+	})
+}
+
 // freeAll returns every retrieval lane and core to the idle stacks; the
 // lanes are stacked so the first pop is lane 1, matching thread ids.
 func (c *mqCluster) freeAll() {
@@ -496,9 +639,11 @@ func (c *mqCluster) freeAll() {
 	}
 }
 
+// allDrained reports whether every query is on its last pass and that
+// pass's pool has nothing left to grant or commit.
 func (s *multiSim) allDrained() bool {
-	for _, d := range s.drained {
-		if !d {
+	for qi, pool := range s.pools {
+		if s.queryHasMorePasses(qi) || !pool.Drained() {
 			return false
 		}
 	}
@@ -526,11 +671,15 @@ func (c *mqCluster) batch() int {
 	return b
 }
 
+// reachable reports whether the head's messages can get to the cluster.
+func (c *mqCluster) reachable() bool {
+	return c.registered && !c.gone && !c.down && !c.partitioned
+}
+
 // poll is the agent's shared master loop: one request serves every query,
-// the head answering with a fair-share-interleaved grant, one job per ask —
-// the head's own FairShare.Assign.
+// answered by the head's PollFrom one round trip later.
 func (c *mqCluster) poll() {
-	if c.requesting || c.exhausted || c.draining || c.gone || c.down || c.partitioned {
+	if c.requesting || c.exhausted || !c.reachable() {
 		return
 	}
 	if len(c.queue) >= c.batch() {
@@ -547,61 +696,74 @@ func (c *mqCluster) poll() {
 		if c.partitioned {
 			return // reply cut off; the heal polls again
 		}
-		if c.draining || c.gone {
-			// The drain raced an in-flight poll: the head stops granting
-			// to a draining site.
-			s.maybeDrained(c)
+		n := c.answer(s.head.PollFrom(protocol.PollRequest{Site: c.model.Site, N: c.batch()}))
+		if c.epoch != epoch || c.gone || s.err != nil {
 			return
 		}
-		// The head runs its latency watchdog on every poll, so a freshly
-		// flagged straggler's speculative copies can land in this grant.
-		s.checkLatencyStragglers()
-		tagged := s.fair.Assign(c.model.Site, c.batch())
-		if len(tagged) == 0 {
-			if s.allDrained() {
-				c.exhausted = true
-				return
-			}
-			// Empty but undrained somewhere: poll again (the live PollReply's
-			// Wait hint). New grants can appear when another cluster drains a
-			// shared pool, a failure requeues work or speculation re-adds it.
-			s.noteEmptyGrant()
-			s.clock.After(s.pollEvery(), func() {
-				if c.epoch == epoch {
-					c.poll()
-				}
-			})
+		if n > 0 {
+			c.kickRetrievers()
 			return
 		}
-		s.emptySince = -1 // a grant landed; the straggler episode is over
-		now := s.clock.Now()
-		for _, tg := range tagged {
-			s.granted[tg.Query]++
-			if at := c.perQuery[tg.Query].grantAt; at != nil {
-				at[tg.Job.ID] = now
-			}
+		if !c.draining && s.allDrained() {
+			c.exhausted = true
+			return
 		}
+		// Empty but undrained somewhere: poll again (the live PollReply's
+		// Wait hint). New grants can appear when another cluster drains a
+		// shared pool, a failure requeues work or speculation re-adds it; a
+		// draining cluster polls on until the head answers Drain.
+		s.clock.After(s.pollEvery(), func() {
+			if c.epoch == epoch {
+				c.poll()
+			}
+		})
+	})
+}
+
+// answer acts on one poll reply: grants join the queue, each Done notice
+// ships that query's object, Drain completes a decommission, and a fencing
+// rejection re-registers. It returns the number of jobs granted.
+func (c *mqCluster) answer(rep protocol.PollReply, err error) int {
+	s := c.s
+	if err != nil {
+		if fault.IsFenced(err) {
+			c.reset()
+			c.start("fenced")
+		} else {
+			s.err = err
+		}
+		return 0
+	}
+	n := 0
+	for _, qj := range rep.Queries {
+		qi := s.byID[qj.Query]
+		for _, j := range qj.Jobs {
+			c.queue = append(c.queue, mqJob{query: qi, id: qj.Query, job: j})
+		}
+		n += len(qj.Jobs)
+		s.granted[qi] += len(qj.Jobs)
 		if s.tr.Enabled() {
 			// One head-side grant span per (poll, query), stamped at the
 			// virtual instant the head issued the grant (half an RTT ago).
-			grantT := now - s.cfg.Topology.ControlLatency
+			grantT := s.clock.Now() - s.cfg.Topology.ControlLatency
 			if grantT < 0 {
 				grantT = 0
 			}
-			jobsBy := make([][]int, len(s.cfg.Queries))
-			for _, tg := range tagged {
-				jobsBy[tg.Query] = append(jobsBy[tg.Query], tg.Job.ID)
+			ids := make([]int, len(qj.Jobs))
+			for i, j := range qj.Jobs {
+				ids[i] = j.ID
 			}
-			for qi, ids := range jobsBy {
-				if len(ids) > 0 {
-					s.tr.Complete(0, 0, "scheduling", "grant", grantT, grantT, obs.Args{
-						"trace": mqTraceID(qi), "query": qi, "site": c.model.Site, "jobs": ids})
-				}
-			}
+			s.tr.Complete(0, 0, "scheduling", "grant", grantT, grantT, obs.Args{
+				"trace": mqTraceID(qi), "query": qi, "site": c.model.Site, "jobs": ids})
 		}
-		c.queue = append(c.queue, tagged...)
-		c.kickRetrievers()
-	})
+	}
+	for _, id := range rep.Done {
+		c.ship(s.byID[id], id)
+	}
+	if rep.Drain {
+		c.depart()
+	}
+	return n
 }
 
 func (c *mqCluster) kickRetrievers() {
@@ -629,11 +791,11 @@ func (c *mqCluster) startFetch(lane int) bool {
 		c.poll()
 		return false
 	}
-	tg := c.queue[0]
+	mj := c.queue[0]
 	c.queue = c.queue[1:]
 	c.poll() // queue diminished; maybe request more
 	s := c.s
-	j := tg.Job
+	j := mj.job
 	var resources []*Resource
 	var latency time.Duration
 	var perStream float64
@@ -641,12 +803,12 @@ func (c *mqCluster) startFetch(lane int) bool {
 	// served at the replica's cloud-local rates instead of drawing origin
 	// egress across the WAN; a miss travels the normal path and deposits the
 	// chunk in the replica on the way past (read-through).
-	sKey := stageKey{query: tg.Query, site: j.Site, file: j.Ref.File, seq: j.Ref.Seq}
+	sKey := stageKey{query: mj.query, site: j.Site, file: j.Ref.File, seq: j.Ref.Seq}
 	cached := s.stage != nil && s.stage.eligible(c) && s.stage.cacheable(j.Site)
 	stageHit := false
 	if cached {
 		_, stageHit = s.stage.resident[sKey]
-		s.stage.recordRead(s.iter[tg.Query], stageHit, j.Ref.Size)
+		s.stage.recordRead(s.iter[mj.query], stageHit, j.Ref.Size)
 	}
 	if stageHit {
 		if s.stage.serveRes != nil {
@@ -668,7 +830,7 @@ func (c *mqCluster) startFetch(lane int) bool {
 		if pen, ok := s.cfg.Topology.SeekPenalty[j.Site]; ok && pen > 0 {
 			// Sequence tracking is per (query, file): two queries interleaving
 			// over the same files look like two readers to the storage site.
-			key := tg.Query<<20 | j.Ref.File
+			key := mj.query<<20 | j.Ref.File
 			if s.lastFile[j.Site] != key || s.nextSeq[key] != j.Ref.Seq {
 				latency += pen
 				s.seeks++
@@ -700,14 +862,14 @@ func (c *mqCluster) startFetch(lane int) bool {
 			s.stage.retrieved[sKey] = true
 		}
 		if s.tr.Enabled() {
-			args := obs.Args{"trace": mqTraceID(tg.Query), "query": tg.Query, "file": j.Ref.File,
+			args := obs.Args{"trace": mqTraceID(mj.query), "query": mj.query, "file": j.Ref.File,
 				"seq": j.Ref.Seq, "site": j.Site, "bytes": j.Ref.Size, "stolen": j.Site != c.model.Site}
 			if stageHit {
 				args["staged"] = true
 			}
 			s.tr.Complete(c.pid(), lane, "retrieval", fmt.Sprintf("job %d", j.ID), start, end, args)
 		}
-		c.ready = append(c.ready, mqChunk{tg: tg, bytes: j.Ref.Size})
+		c.ready = append(c.ready, mj)
 		c.kickCores()
 		// This retrieval lane immediately looks for the next job.
 		if c.startFetch(lane) {
@@ -726,21 +888,21 @@ func (c *mqCluster) kickCores() {
 	for len(c.idleCores) > 0 && len(c.ready) > 0 {
 		core := c.idleCores[len(c.idleCores)-1]
 		c.idleCores = c.idleCores[:len(c.idleCores)-1]
-		qc := c.ready[0]
+		mj := c.ready[0]
 		c.ready = c.ready[1:]
 		c.busyCores++
 		// A buffer slot freed: retrieval lanes may resume.
 		c.kickRetrievers()
-		c.process(core, qc)
+		c.process(core, mj)
 	}
 }
 
 // process models one core crunching one chunk at the owning query's rate,
 // with a deterministic per-(cluster, query, job) jitter in [1-J, 1+J].
-func (c *mqCluster) process(core int, qc mqChunk) {
+func (c *mqCluster) process(core int, mj mqJob) {
 	s := c.s
-	q := qc.tg.Query
-	h := splitmix64(s.cfg.Seed ^ uint64(c.index)<<32 ^ uint64(qc.tg.Job.ID) ^ uint64(q)<<48)
+	q := mj.query
+	h := splitmix64(s.cfg.Seed ^ uint64(c.index)<<32 ^ uint64(mj.job.ID) ^ uint64(q)<<48)
 	jit := 1.0
 	if c.model.Jitter > 0 {
 		u := float64(h>>11) / float64(1<<53)
@@ -750,7 +912,7 @@ func (c *mqCluster) process(core int, qc mqChunk) {
 	if c.slowFactor > 1 {
 		rate /= c.slowFactor // an injected mid-run degradation
 	}
-	d := time.Duration(float64(qc.bytes) / rate * float64(time.Second))
+	d := time.Duration(float64(mj.job.Ref.Size) / rate * float64(time.Second))
 	start := s.clock.Now()
 	epoch := c.epoch
 	s.clock.After(d, func() {
@@ -763,62 +925,71 @@ func (c *mqCluster) process(core int, qc mqChunk) {
 		st.coreBusy += d
 		st.lastFold = s.clock.Now()
 		if s.tr.Enabled() {
-			s.tr.Complete(c.pid(), c.coreTid(core), "processing", fmt.Sprintf("job %d", qc.tg.Job.ID),
+			s.tr.Complete(c.pid(), c.coreTid(core), "processing", fmt.Sprintf("job %d", mj.job.ID),
 				start, st.lastFold, obs.Args{"trace": mqTraceID(q), "query": q,
-					"bytes": qc.bytes, "stolen": qc.tg.Job.Site != c.model.Site})
+					"bytes": mj.job.Ref.Size, "stolen": mj.job.Site != c.model.Site})
 		}
-		if c.partitioned {
-			c.deferred = append(c.deferred, qc.tg) // reported when the partition heals
+		if c.partitioned || st.shipping && st.pass == mj.id {
+			// Held back: a partitioned agent cannot reach the head, and the
+			// live agent submits an object synchronously, so it commits
+			// nothing more for that pass until the head has merged it.
+			c.deferred = append(c.deferred, mj)
 		} else {
-			c.commit(qc.tg)
+			c.commit(mj)
+		}
+		if c.epoch != epoch {
+			return // the commit was fenced and the agent restarted
 		}
 		c.kickCores()
 		c.kickRetrievers()
-		if c.draining {
-			s.maybeDrained(c)
-		}
 	})
 }
 
-// commit reports one fold to the head. The pool deduplicates speculative
-// and recovered copies by job ID, so only a first commit earns the cluster
-// credit and a checkpoint obligation; the commit that drains a pool starts
-// its query's global reduction while every other query keeps running.
-func (c *mqCluster) commit(tg jobs.Tagged) {
+// commit reports one fold to the head. A duplicate — another copy already
+// committed, or the pass is over — is discarded; a first commit joins the
+// cluster's reduction object. The commit that drains a pool is followed at
+// the same instant by an empty poll from every reachable cluster: the live
+// agents' parked polls, woken by the drain, which deliver the head's Done.
+func (c *mqCluster) commit(mj mqJob) {
 	s := c.s
 	if s.err != nil {
 		return
 	}
-	st := &c.perQuery[tg.Query]
-	// Grant→commit latency feeds the watchdog; duplicates count too — a
-	// straggler's late copies are exactly the signal (mirrors the head).
-	if t0, ok := st.grantAt[tg.Job.ID]; ok {
-		delete(st.grantAt, tg.Job.ID)
-		lat := s.clock.Now() - t0
-		st.latHist.Observe(lat)
-		s.latAll[tg.Query].Observe(lat)
-	}
-	dup, err := s.pools[tg.Query].Commit(c.model.Site, tg.Job)
+	dups, err := s.head.CompleteQueryJobs(mj.id, c.model.Site, []jobs.Job{mj.job})
 	if err != nil {
-		s.err = err
+		if fault.IsFenced(err) {
+			c.reset()
+			c.start("fenced")
+		} else {
+			s.err = err
+		}
 		return
 	}
-	switch {
-	case dup:
+	if len(dups) > 0 {
 		s.fstats.DupCommits++
-	case tg.Job.Site != c.model.Site:
-		st.jobs.Stolen++
-	default:
-		st.jobs.Local++
+	} else {
+		st := &c.perQuery[mj.query]
+		if st.pass != mj.id {
+			st.reset(mj.id)
+		}
+		if mj.job.Site != c.model.Site {
+			st.obj.Stolen++
+		} else {
+			st.obj.Local++
+		}
+		if s.cfg.faults.CheckpointEvery > 0 {
+			// Only a checkpoint names the jobs it covers; without one,
+			// tracking them would cost an allocation per job for nothing.
+			st.folded = append(st.folded, mj.job.ID)
+		}
 	}
-	if !dup && s.cfg.faults.Active() {
-		// Only a fault plan can reissue a commit; without one, tracking the
-		// checkpoint obligation would cost an allocation per job for nothing.
-		st.sinceCkpt = append(st.sinceCkpt, tg.Job)
-		st.commitSeq++
+	if hq := s.passes[mj.query]; hq != nil && hq.ID() == mj.id && s.pools[mj.query].Drained() {
+		for _, o := range s.clusters {
+			if o.reachable() {
+				o.answer(s.head.PollFrom(protocol.PollRequest{Site: o.model.Site}))
+			}
+		}
 	}
-	// Even a duplicate can drain the pool: it releases the last live copy.
-	s.maybeReduce(tg.Query)
 }
 
 // queryHasMorePasses reports whether the query re-reads its dataset again
@@ -827,134 +998,136 @@ func (s *multiSim) queryHasMorePasses(q int) bool {
 	return s.iter[q]+1 < s.cfg.Queries[q].Iterations
 }
 
-// maybeReduce starts query q's global reduction — the head's Done — once
-// its pool has drained. A contributor whose crash or partition the head has
-// not detected yet holds it back: detection may still reissue that
-// cluster's un-checkpointed commits.
-func (s *multiSim) maybeReduce(q int) {
-	if s.reducing[q] || !s.pools[q].Drained() {
-		return
-	}
-	for _, c := range s.clusters {
-		if c.perQuery[q].contributed() && c.failing() {
-			return
-		}
-	}
-	s.reducing[q] = true
-	if !s.queryHasMorePasses(q) {
-		// Final pass: the query leaves the fair share for good and the
-		// masters may exhaust once every query has done the same.
-		s.drained[q] = true
-	}
-	s.fair.Remove(q)
-	s.startGlobalReduction(q)
-}
-
-// startGlobalReduction asks every contributing cluster for its reduction
-// object for query qi; a cluster that is down or partitioned ships when it
-// is back.
-func (s *multiSim) startGlobalReduction(qi int) {
-	contributors := 0
-	for _, c := range s.clusters {
-		st := &c.perQuery[qi]
-		if !st.contributed() {
-			continue
-		}
-		contributors++
-		if c.down || c.partitioned {
-			st.pendingShip = true
-			continue
-		}
-		c.ship(qi)
-	}
-	s.expect[qi] = contributors
-	if contributors == 0 {
-		s.err = fmt.Errorf("hybridsim: query %d drained with no contributors", qi)
-	}
-}
-
-// ship sends the cluster's reduction object for query q to the head — free
-// for the cluster hosting the head, over the shared inter-cluster pipe
-// otherwise — and queues its merge. A shipped object makes the cluster's
-// commits durable: nothing of it is reissued, and a next pass starts from a
-// fresh object.
-func (c *mqCluster) ship(q int) {
+// ship answers the head's Done for head query id (query qi): the cluster's
+// object goes to the head — free for the cluster hosting the head, over the
+// shared inter-cluster pipe otherwise — and queues its merge. The agent
+// forgets the object once it is sent; a crash mid-transfer loses it.
+func (c *mqCluster) ship(qi, id int) {
 	s := c.s
-	st := &c.perQuery[q]
-	st.pendingShip = false
-	st.sinceCkpt = nil
-	st.trimSeq = st.commitSeq
-	st.hasCkpt = false
-	app := s.cfg.Queries[q].App
+	st := &c.perQuery[qi]
+	if st.pass == id && st.shipping {
+		return // already on its way
+	}
+	var obj stats.JobAccounting // empty if nothing was folded for this pass
+	if st.pass == id {
+		obj = st.obj
+	}
+	st.reset(id)
+	st.shipping = true
+	app := s.cfg.Queries[qi].App
 	if c.index == s.cfg.Topology.HeadCluster {
-		s.robjMerged(q, app)
+		s.robjMerged(c, qi, id, obj)
 		return
 	}
 	start := s.clock.Now()
+	epoch := c.epoch
 	s.net.Start(app.RobjBytes, s.cfg.Topology.InterClusterLatency, 0, s.robjResources(c), func() {
+		if c.epoch != epoch {
+			return // the sender crashed; the head reissues what the object held
+		}
 		if s.tr.Enabled() {
 			s.tr.Complete(c.pid(), 0, "reduction", "robj-transfer", start, s.clock.Now(),
-				obs.Args{"trace": mqTraceID(q), "query": q, "bytes": app.RobjBytes})
+				obs.Args{"trace": mqTraceID(qi), "query": qi, "bytes": app.RobjBytes})
 		}
-		s.robjMerged(q, app)
+		s.robjMerged(c, qi, id, obj)
 	})
 }
 
-// robjMerged serializes one reduction-object merge on the head and finishes
-// the query's pass when its last object lands.
-func (s *multiSim) robjMerged(qi int, app AppModel) {
+// robjMerged serializes one reduction-object merge on the head's CPU and
+// submits the object to the head when the merge is done.
+func (s *multiSim) robjMerged(c *mqCluster, qi, id int, obj stats.JobAccounting) {
 	mergeStart := s.clock.Now()
 	if mergeStart < s.headBusyAt {
 		mergeStart = s.headBusyAt
 	}
-	s.headBusyAt = mergeStart + app.mergeTime()
+	s.headBusyAt = mergeStart + s.cfg.Queries[qi].App.mergeTime()
 	s.clock.At(s.headBusyAt, func() {
 		if s.tr.Enabled() {
 			s.tr.Complete(0, 0, "reduction", "merge robj", mergeStart, s.clock.Now(),
 				obs.Args{"trace": mqTraceID(qi), "query": qi})
 		}
-		s.expect[qi]--
-		if s.expect[qi] > 0 {
+		err := s.head.SubmitQueryResult(protocol.ReductionResult{Site: c.model.Site, Query: id,
+			Object: encodeCredit(obj), LocalJobs: obj.Local, StolenJobs: obj.Stolen})
+		st := &c.perQuery[qi]
+		if st.pass == id {
+			st.shipping = false
+		}
+		switch {
+		case err == nil:
+			st.jobs.Local += obj.Local
+			st.jobs.Stolen += obj.Stolen
+		case fault.IsFenced(err):
+			// The head failed the sender before the merge: it reissued the
+			// object's jobs, so the object is refused.
+		default:
+			s.err = err
 			return
 		}
+		if !c.partitioned {
+			c.flush()
+		}
+		s.settle()
+		if c.draining && !c.gone {
+			c.poll() // the live agent polls right after submitting
+		}
+	})
+}
+
+// settle finishes every pass the head has completed: the query's next pass
+// is admitted (the polling masters pick its grants up on their next round
+// trip), or the query is over.
+func (s *multiSim) settle() {
+	for qi, hq := range s.passes {
+		if hq == nil {
+			continue
+		}
+		select {
+		case <-hq.Done():
+		default:
+			continue
+		}
+		obj, _, _, err := hq.Wait(context.Background())
+		if err != nil {
+			s.err = err
+			return
+		}
+		now := s.clock.Now()
 		q := s.cfg.Queries[qi]
+		// Exactly one credit per chunk per pass: a merged object that holds
+		// any other count would publish a wrong table, so it ends the run.
+		if cr := obj.(*stats.JobAccounting); cr.Local+cr.Stolen != q.Index.NumChunks() {
+			s.err = fmt.Errorf("hybridsim: query %d (%s) pass %d credited %d of %d chunks",
+				qi, q.Name, s.iter[qi]+1, cr.Local+cr.Stolen, q.Index.NumChunks())
+			return
+		}
 		s.iter[qi]++
 		if q.Iterations > 1 {
-			s.iterFinish[qi] = append(s.iterFinish[qi], s.clock.Now())
+			s.iterFinish[qi] = append(s.iterFinish[qi], now)
 		}
 		if s.iter[qi] < q.Iterations {
-			// Another pass: rebuild the pool over the same dataset and
-			// rejoin the fair share; the polling masters pick the new
-			// grants up on their next round trip.
-			pool, err := jobs.NewPool(q.Index, q.Placement, q.PoolOpts)
-			if err != nil {
-				s.err = err
-				return
-			}
-			s.pools[qi] = pool
-			s.reducing[qi] = false
-			if err := s.fair.Add(qi, pool, q.Weight); err != nil {
+			if err := s.admit(qi); err != nil {
 				s.err = err
 				return
 			}
 			if s.tr.Enabled() {
 				s.tr.InstantAt(0, 0, "run", fmt.Sprintf("query %d pass %d done", qi, s.iter[qi]),
-					s.clock.Now(), obs.Args{"trace": mqTraceID(qi), "query": qi})
+					now, obs.Args{"trace": mqTraceID(qi), "query": qi})
 			}
-			return
+			continue
 		}
-		s.finish[qi] = s.clock.Now()
+		s.passes[qi] = nil
+		s.finish[qi] = now
 		s.finished++
 		if s.tr.Enabled() {
-			s.tr.InstantAt(0, 0, "run", fmt.Sprintf("query %d finished", qi), s.clock.Now(),
+			s.tr.InstantAt(0, 0, "run", fmt.Sprintf("query %d finished", qi), now,
 				obs.Args{"trace": mqTraceID(qi), "query": qi})
 		}
-	})
+	}
 }
 
 // result assembles the run's outcome from the per-cluster accumulators.
 func (s *multiSim) result() *MultiResult {
-	res := &MultiResult{Seeks: s.seeks, Faults: s.fstats}
+	res := &MultiResult{Seeks: s.seeks, Faults: s.faultStats()}
 	if s.stage != nil {
 		res.Stage = s.stage.snapshot()
 	}
@@ -1006,8 +1179,8 @@ func (s *multiSim) result() *MultiResult {
 // Finished instant and lays each (query, cluster) Breakdown out as
 // back-to-back phase spans, so the trace carries the exact Figure-3
 // decomposition.
-func (s *multiSim) report(res *MultiResult, reg *obs.Registry) {
-	if reg != nil {
+func (s *multiSim) report(res *MultiResult) {
+	if reg := s.cfg.Obs.Metrics(); reg != nil {
 		for _, c := range res.Clusters {
 			reg.Counter("sim_jobs_local_total").Add(int64(c.Jobs.Local))
 			reg.Counter("sim_jobs_stolen_total").Add(int64(c.Jobs.Stolen))
@@ -1018,14 +1191,12 @@ func (s *multiSim) report(res *MultiResult, reg *obs.Registry) {
 		reg.Counter("sim_seeks_total").Add(int64(s.seeks))
 		reg.Histogram("sim_retrieval_seconds", nil).Merge(s.hRetrieval)
 		if s.cfg.faults.Active() {
-			f := s.fstats
+			f := res.Faults
+			// Reissues, speculation, flags and checkpoints are already in the
+			// registry as the pools' and the head's own counters.
 			reg.Counter("sim_fault_crashes_total").Add(int64(f.Crashes))
 			reg.Counter("sim_fault_recoveries_total").Add(int64(f.Recoveries))
-			reg.Counter("sim_fault_reissued_total").Add(int64(f.Reissued))
-			reg.Counter("sim_checkpoints_total").Add(int64(f.Checkpoints))
 			reg.Counter("sim_dup_commits_total").Add(int64(f.DupCommits))
-			reg.Counter("sim_speculated_total").Add(int64(f.Speculated))
-			reg.Counter("sim_straggler_flagged_total").Add(int64(f.LatencyFlags))
 		}
 	}
 	if !s.tr.Enabled() {
@@ -1045,4 +1216,41 @@ func (s *multiSim) report(res *MultiResult, reg *obs.Registry) {
 			}
 		}
 	}
+}
+
+// creditReducer is the head-side reducer of a simulated query. The
+// simulator moves an object's size, not its data, so the object it encodes
+// is the credit it carries — the local and stolen jobs folded into it — and
+// merging two objects adds their credits.
+type creditReducer struct{}
+
+func (creditReducer) NewObject() core.Object                { return &stats.JobAccounting{} }
+func (creditReducer) LocalReduce(core.Object, []byte) error { return nil }
+func (creditReducer) Encode(o core.Object) ([]byte, error) {
+	return encodeCredit(*o.(*stats.JobAccounting)), nil
+}
+func (creditReducer) Decode(data []byte) (core.Object, error) { return decodeCredit(data) }
+
+func (creditReducer) GlobalReduce(dst, src core.Object) error {
+	d, s := dst.(*stats.JobAccounting), src.(*stats.JobAccounting)
+	d.Local += s.Local
+	d.Stolen += s.Stolen
+	return nil
+}
+
+// encodeCredit and decodeCredit are the wire form of a credit object: two
+// little-endian uint64s.
+func encodeCredit(a stats.JobAccounting) []byte {
+	b := make([]byte, 16)
+	binary.LittleEndian.PutUint64(b, uint64(a.Local))
+	binary.LittleEndian.PutUint64(b[8:], uint64(a.Stolen))
+	return b
+}
+
+func decodeCredit(b []byte) (*stats.JobAccounting, error) {
+	if len(b) != 16 {
+		return nil, fmt.Errorf("hybridsim: credit object is %d bytes, want 16", len(b))
+	}
+	return &stats.JobAccounting{Local: int(binary.LittleEndian.Uint64(b)),
+		Stolen: int(binary.LittleEndian.Uint64(b[8:]))}, nil
 }

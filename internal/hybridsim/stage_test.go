@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/head"
 	"repro/internal/jobs"
 )
 
@@ -242,7 +243,7 @@ func TestElasticLaunchDelay(t *testing.T) {
 				},
 				LaunchDelay: delay,
 				OnLaunch:    func(now time.Duration, site int) { launches = append(launches, now) },
-				Decide: func(now time.Duration, loads []ElasticLoad, workers []int) ElasticDecision {
+				Decide: func(now time.Duration, loads []head.QueryLoad, workers []int) ElasticDecision {
 					if len(workers) == 0 {
 						adds++
 						return ElasticDecision{Add: 1}
@@ -297,7 +298,7 @@ func TestElasticLoadsKeepQueryBetweenPasses(t *testing.T) {
 				0: {Bandwidth: 40 << 20, Latency: 40 * time.Millisecond},
 				1: {Bandwidth: 400 << 20, Latency: 2 * time.Millisecond},
 			},
-			Decide: func(now time.Duration, loads []ElasticLoad, workers []int) ElasticDecision {
+			Decide: func(now time.Duration, loads []head.QueryLoad, workers []int) ElasticDecision {
 				tk := tick{at: now, loads: len(loads)}
 				for _, l := range loads {
 					for _, b := range l.Remaining {

@@ -8,6 +8,7 @@
 package protocol
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/jobs"
@@ -36,6 +37,24 @@ type ElasticPolicy struct {
 	Budget     float64       // hard cap on attributed instance spend in dollars (0 = unlimited)
 	MinWorkers int           // floor on the burst fleet while the query is active
 	MaxWorkers int           // ceiling this query will ever ask the arbiter for (0 = arbiter default)
+}
+
+// Validate checks a policy for admission. MaxWorkers 0 is valid: it means
+// "the arbiter's session cap".
+func (p ElasticPolicy) Validate() error {
+	if p.Deadline < 0 || p.Budget < 0 {
+		return fmt.Errorf("elastic: negative deadline or budget")
+	}
+	if p.MinWorkers < 0 {
+		return fmt.Errorf("elastic: negative MinWorkers")
+	}
+	if p.MaxWorkers < 0 {
+		return fmt.Errorf("elastic: negative MaxWorkers")
+	}
+	if p.MaxWorkers > 0 && p.MinWorkers > p.MaxWorkers {
+		return fmt.Errorf("elastic: MinWorkers %d exceeds MaxWorkers %d", p.MinWorkers, p.MaxWorkers)
+	}
+	return nil
 }
 
 // WireSpan is one completed master-side span shipped to the head,
