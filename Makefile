@@ -59,15 +59,19 @@ loc:
 	@printf 'test Go lines outside bench/:     '; \
 		find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
-# Where the linker put (*KMeansReducer).LocalReduce in the bench binary, and
-# that address mod 64: kmeans-compute's speed follows it (0 is the fast
-# layout, 32 the slow one), so every change reports it until the build is
-# layout-stable.
+# Where the linker put (*KMeansReducer).LocalReduce and runtime.memmove in
+# the bench binary, and each address mod 64: kmeans-compute's speed follows
+# them (LocalReduce ≡ 0 is the fast layout, 32 the slow one; a memmove move
+# alone has coincided with a kmeans-compute shift), so every change reports
+# both until the build is layout-stable.
 layout:
 	@dir=$$(mktemp -d) && $(GO) build -o $$dir/bench ./bench && \
-		addr=$$($(GO) tool nm $$dir/bench | awk '$$3 == "repro/internal/apps.(*KMeansReducer).LocalReduce" { print $$1 }') && \
-		rm -rf $$dir && test -n "$$addr" && \
-		echo "apps.(*KMeansReducer).LocalReduce 0x$$addr mod64=$$((0x$$addr % 64))"
+		$(GO) tool nm $$dir/bench > $$dir/nm && rm -f $$dir/bench && \
+		for sym in 'repro/internal/apps.(*KMeansReducer).LocalReduce' runtime.memmove; do \
+			addr=$$(awk -v s="$$sym" '$$3 == s && $$2 == "T" { print $$1 }' $$dir/nm); \
+			test -n "$$addr" || { rm -rf $$dir; echo "layout: $$sym not found"; exit 1; }; \
+			echo "$${sym#repro/internal/} 0x$$addr mod64=$$((0x$$addr % 64))"; \
+		done; rm -rf $$dir
 
 # Regenerate the exported-API snapshots. Run after an intentional API
 # change and commit the diff alongside it.

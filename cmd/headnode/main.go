@@ -12,18 +12,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
-	"time"
 
 	"repro/internal/appcfg"
 	"repro/internal/chunk"
 	"repro/internal/config"
 	"repro/internal/daemon"
+	"repro/internal/driver"
 	"repro/internal/elastic"
 	"repro/internal/head"
 	"repro/internal/jobs"
@@ -125,8 +124,18 @@ func main() {
 	if err != nil {
 		fail("headnode: %v", err)
 	}
+	// The headnode cannot start worker processes, so its burst loop only
+	// advises: a scale-up is logged (an operator, or an autoscaler tailing
+	// the log, starts more workernodes, which register as dynamic sites);
+	// drains run through the head. It estimates from observed throughput,
+	// as the daemon has no calibrated topology for the analytic model.
+	var burst *driver.BurstLoop
 	if ef.Elastic {
-		go runElasticAdvisor(rt.Context(), h, ef.MaxWorkers, log.Printf)
+		arb, err := elastic.NewArbiter(elastic.ArbiterConfig{MaxWorkers: ef.MaxWorkers}, nil)
+		if err != nil {
+			fail("headnode: %v", err)
+		}
+		burst = driver.StartBurstLoop(h, arb, &elastic.ThroughputEstimator{}, nil, rt.Obs, log.Printf)
 	}
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -146,6 +155,9 @@ func main() {
 	_, reports, grTime, err := q.Wait(rt.Context())
 	signaled := rt.Context().Err() != nil
 	h.Shutdown()
+	if burst != nil {
+		burst.Close()
+	}
 	switch {
 	case signaled:
 		log.Printf("headnode: shutdown signal; closing listener")
@@ -162,97 +174,5 @@ func main() {
 	_ = rt.Close()
 	if err != nil && !signaled {
 		os.Exit(1)
-	}
-}
-
-// elasticAdvisor is the multi-process deployment's elasticity loop: the
-// session arbiter over the head's admitted queries (headnode admits one,
-// carrying the -deadline/-budget policy). The headnode cannot launch worker
-// processes itself, so scale-up decisions are logged as advisories (an
-// operator — or an external autoscaler tailing the log — starts more
-// workernode processes, which register as dynamic sites); scale-down
-// decisions are executed directly through the head's graceful drain. The
-// estimator is observed throughput (the analytic model needs a calibrated
-// topology the daemon does not have), so the arbiter runs the same Step code
-// as the driver with a different raw() source.
-type elasticAdvisor struct {
-	h     *head.Head
-	arb   *elastic.Arbiter
-	te    elastic.ThroughputEstimator
-	known map[int]bool // burst sites with an open billing episode
-	logf  func(string, ...any)
-}
-
-func newElasticAdvisor(h *head.Head, maxWorkers int, logf func(string, ...any)) (*elasticAdvisor, error) {
-	arb, err := elastic.NewArbiter(elastic.ArbiterConfig{MaxWorkers: maxWorkers}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &elasticAdvisor{h: h, arb: arb, known: make(map[int]bool), logf: logf}, nil
-}
-
-// runElasticAdvisor ticks an advisor over h on the arbiter's cadence until
-// ctx is cancelled.
-func runElasticAdvisor(ctx context.Context, h *head.Head, maxWorkers int, logf func(string, ...any)) {
-	a, err := newElasticAdvisor(h, maxWorkers, logf)
-	if err != nil {
-		logf("headnode: elastic advisor disabled: %v", err)
-		return
-	}
-	start := time.Now()
-	t := time.NewTicker(a.arb.Config().EffectiveInterval())
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			a.tick(time.Since(start))
-		}
-	}
-}
-
-// tick is one arbiter step at session time now.
-func (a *elasticAdvisor) tick(now time.Duration) {
-	// Reconcile billing episodes with dynamic registrations: sites at or
-	// above the burst base appear when an operator launches a worker and
-	// vanish when a drain completes.
-	current := make(map[int]bool)
-	for _, site := range a.h.Sites() {
-		if site >= elastic.DefaultWorkerSiteBase {
-			current[site] = true
-			if !a.known[site] {
-				a.known[site] = true
-				a.arb.WorkerLaunched(now, site)
-				a.logf("headnode: elastic worker registered at site %d", site)
-			}
-		}
-	}
-	for site := range a.known {
-		if !current[site] {
-			delete(a.known, site)
-			a.arb.WorkerStopped(now, site)
-		}
-	}
-	loads := a.h.QueryLoads()
-	var total int64
-	for _, l := range loads {
-		for _, b := range l.Remaining {
-			total += b
-		}
-	}
-	a.te.Observe(now, total, len(a.arb.ActiveSites()))
-	dec := a.arb.StepWith(now, loads, a.te.Raw)
-	switch dec.Action {
-	case elastic.ScaleUp:
-		a.logf("headnode: elastic advisory: launch %d more worker(s) — %s", dec.Delta, dec.Reason)
-	case elastic.ScaleDown:
-		for _, site := range dec.Sites {
-			if _, err := a.h.DrainSite(site); err != nil {
-				a.logf("headnode: elastic drain of site %d: %v", site, err)
-			} else {
-				a.logf("headnode: elastic scale-down: draining site %d — %s", site, dec.Reason)
-			}
-		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 // Worker is one elastically launched cluster agent. It runs until the head
 // drains it (clean exit), its context is canceled, or it fails.
 type Worker struct {
-	site string // name, for logs
 	id   int
 	done chan struct{}
 
@@ -45,14 +44,10 @@ type Launcher interface {
 // describes how a new worker reaches every data site, and every job it runs
 // is stolen work.
 type AgentLauncher struct {
-	// Template is copied per launch; Site and Name are overridden. Head is
-	// used as-is unless Connect is set.
+	// Template is copied per launch; Site and Name are overridden. Every
+	// worker shares Template.Head, which must therefore be safe for
+	// concurrent sessions (the in-process client is).
 	Template AgentConfig
-	// Connect, when set, opens a fresh head session per worker (e.g. a new
-	// TCP connection from DialAgent); when nil every worker shares
-	// Template.Head, which must then be safe for concurrent sessions (the
-	// in-process client is).
-	Connect func() (QueryClient, error)
 }
 
 // Launch implements Launcher.
@@ -60,17 +55,10 @@ func (l *AgentLauncher) Launch(ctx context.Context, site int, name string) (*Wor
 	cfg := l.Template
 	cfg.Site = site
 	cfg.Name = name
-	if l.Connect != nil {
-		hc, err := l.Connect()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: launching %s: %w", name, err)
-		}
-		cfg.Head = hc
-	}
 	if cfg.Head == nil {
-		return nil, fmt.Errorf("cluster: launching %s: no head client (set Template.Head or Connect)", name)
+		return nil, fmt.Errorf("cluster: launching %s: no head client in Template.Head", name)
 	}
-	w := &Worker{site: name, id: site, done: make(chan struct{})}
+	w := &Worker{id: site, done: make(chan struct{})}
 	go func() {
 		err := RunAgent(ctx, cfg)
 		w.mu.Lock()

@@ -81,16 +81,12 @@ type ElasticConfig struct {
 	// Env models the static topology plus what one more burst worker buys —
 	// the arbiter's estimator input (see elastic.Env).
 	Env elastic.Env
-	// Worker is the template for live burst workers: its Sources must cover
+	// Worker is the template for live burst workers, launched as
+	// in-process agents wired to the session's head: its Sources must cover
 	// every data site (burst workers host no data of their own). Site and
-	// Name are overridden per launch.
+	// Name are overridden per launch; site IDs grow from head.BurstSiteBase
+	// and are never reused.
 	Worker ClusterSpec
-	// Launcher overrides the worker actuator; nil launches in-process agents
-	// from Worker, wired to the session's head.
-	Launcher cluster.Launcher
-	// SiteBase is the first burst site ID (elastic.DefaultWorkerSiteBase
-	// when 0); burst IDs grow monotonically and are never reused.
-	SiteBase int
 	// Arbiter tunes the session-wide loop: tick interval, scale-up
 	// cooldown, drain timeout, launch lead time, the fleet-wide worker cap,
 	// and pricing. Zero values take the elastic package defaults.
@@ -146,7 +142,7 @@ func (d *Deployment) validate() error {
 			return fmt.Errorf("driver: cluster %d (%s) has no sources", i, c.Name)
 		}
 	}
-	if e := d.Elastic; e != nil && e.Launcher == nil {
+	if e := d.Elastic; e != nil {
 		if e.Worker.Cores <= 0 {
 			return fmt.Errorf("driver: ElasticConfig.Worker has %d cores", e.Worker.Cores)
 		}

@@ -96,7 +96,7 @@ func TestArbiterLiveTwoQueryDeadlines(t *testing.T) {
 	countJobs := func(reports []head.ClusterReport) (jobs, burst int) {
 		for _, r := range reports {
 			jobs += r.Jobs.Local + r.Jobs.Stolen
-			if r.Site >= elastic.DefaultWorkerSiteBase {
+			if r.Site >= head.BurstSiteBase {
 				burst++
 			}
 		}
@@ -233,7 +233,7 @@ func TestArbiterLiveTwoQueryDeadlines(t *testing.T) {
 	if elTight.err != nil || elLax.err != nil {
 		t.Fatal(elTight.err, elLax.err)
 	}
-	costs := sess.arb.CostByQuery()
+	costs := sess.burst.arb.CostByQuery()
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}

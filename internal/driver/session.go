@@ -54,19 +54,13 @@ type Session struct {
 	debug     *http.Server
 	debugAddr net.Addr
 
-	// Elastic state (set only when Deployment.Elastic is non-nil): one
-	// session-wide arbiter sizes the shared burst fleet for every admitted
-	// query; arbStop asks its loop to decommission the fleet and exit, and
-	// arbDone closes when it has.
-	launcher cluster.Launcher
-	arb      *elastic.Arbiter
-	arbStop  chan struct{}
-	arbDone  chan struct{}
+	// burst runs the session-wide arbiter that sizes the shared burst fleet
+	// for every admitted query; nil unless Deployment.Elastic is set.
+	burst *BurstLoop
 
-	mu            sync.Mutex
-	agentErr      error
-	closed        bool
-	nextBurstSite int
+	mu       sync.Mutex
+	agentErr error
+	closed   bool
 }
 
 // DebugAddr returns the bound address of the session's debug HTTP server,
@@ -89,6 +83,13 @@ func newSession(d *Deployment) (*Session, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	var arb *elastic.Arbiter
+	if d.Elastic != nil {
+		var err error
+		if arb, err = elastic.NewArbiter(d.Elastic.Arbiter, &d.Elastic.Env); err != nil {
+			return nil, err
+		}
+	}
 	h, err := head.New(head.Config{
 		ExpectClusters: len(d.Clusters),
 		Logf:           logf,
@@ -101,36 +102,9 @@ func newSession(d *Deployment) (*Session, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Session{dep: d, h: h, logf: logf, cancel: cancel, ctx: ctx}
-	if d.Elastic != nil {
-		s.nextBurstSite = d.Elastic.SiteBase
-		if s.nextBurstSite <= 0 {
-			s.nextBurstSite = elastic.DefaultWorkerSiteBase
-		}
-		s.launcher = d.Elastic.Launcher
-		if s.launcher == nil {
-			w := d.Elastic.Worker
-			s.launcher = &cluster.AgentLauncher{Template: cluster.AgentConfig{
-				Cores:            w.Cores,
-				RetrievalThreads: w.RetrievalThreads,
-				Tuning:           d.Tuning,
-				Sources:          w.Sources,
-				SourceLabels:     w.SourceLabels,
-				Head:             cluster.InProcAgent{Head: h},
-				Retry:            w.Retry,
-				Logf:             logf,
-				Obs:              d.Obs,
-			}}
-		}
-		arb, err := elastic.NewArbiter(d.Elastic.Arbiter, &d.Elastic.Env)
-		if err != nil {
-			h.Shutdown()
-			cancel()
-			return nil, err
-		}
-		s.arb = arb
-		s.arbStop = make(chan struct{})
-		s.arbDone = make(chan struct{})
-		go s.runArbiter()
+	if arb != nil {
+		s.burst = StartBurstLoop(h, arb, nil,
+			&cluster.AgentLauncher{Template: s.agentConfig(d.Elastic.Worker)}, d.Obs, logf)
 	}
 	if d.DebugAddr != "" {
 		srv, addr, err := obs.ServeDebug(d.DebugAddr, d.Obs.Metrics(), d.Obs.Trace())
@@ -146,19 +120,7 @@ func newSession(d *Deployment) (*Session, error) {
 		s.agents.Add(1)
 		go func(cs ClusterSpec) {
 			defer s.agents.Done()
-			err := cluster.RunAgent(ctx, cluster.AgentConfig{
-				Site:             cs.Site,
-				Name:             cs.Name,
-				Cores:            cs.Cores,
-				RetrievalThreads: cs.RetrievalThreads,
-				Tuning:           d.Tuning,
-				Sources:          cs.Sources,
-				SourceLabels:     cs.SourceLabels,
-				Head:             cluster.InProcAgent{Head: h},
-				Retry:            cs.Retry,
-				Logf:             logf,
-				Obs:              d.Obs,
-			})
+			err := cluster.RunAgent(ctx, s.agentConfig(cs))
 			if err != nil && !errors.Is(err, context.Canceled) {
 				s.mu.Lock()
 				if s.agentErr == nil {
@@ -170,6 +132,24 @@ func newSession(d *Deployment) (*Session, error) {
 		}(cs)
 	}
 	return s, nil
+}
+
+// agentConfig is the runtime of one agent for cs, wired to the session's
+// head.
+func (s *Session) agentConfig(cs ClusterSpec) cluster.AgentConfig {
+	return cluster.AgentConfig{
+		Site:             cs.Site,
+		Name:             cs.Name,
+		Cores:            cs.Cores,
+		RetrievalThreads: cs.RetrievalThreads,
+		Tuning:           s.dep.Tuning,
+		Sources:          cs.Sources,
+		SourceLabels:     cs.SourceLabels,
+		Head:             cluster.InProcAgent{Head: s.h},
+		Retry:            cs.Retry,
+		Logf:             s.logf,
+		Obs:              s.dep.Obs,
+	}
 }
 
 // Submit admits one query into the session and returns a handle to it. The
@@ -295,13 +275,11 @@ func (s *Session) Close() error {
 		_ = s.debug.Close()
 	}
 	s.h.Shutdown()
-	// Let the arbiter loop finish its graceful teardown (drain the burst
-	// fleet, settle gauges) before pulling the context: arbStop tells it the
-	// session is over, and finishArbiter bounds every wait with the drain
-	// grace timer.
-	if s.arb != nil {
-		close(s.arbStop)
-		<-s.arbDone
+	// Let the burst loop finish its graceful teardown (drain the fleet,
+	// settle gauges) before pulling the context; it bounds every wait with
+	// the drain grace.
+	if s.burst != nil {
+		s.burst.Close()
 	}
 	s.cancel()
 	s.agents.Wait()

@@ -113,8 +113,8 @@ type Arbiter struct {
 
 // NewArbiter builds a session arbiter over env's worker model. env supplies
 // the model-based estimator used by Step; it may be nil when the caller only
-// uses StepWith (an observed-throughput estimator, as the headnode advisor
-// does).
+// uses StepWith (an observed-throughput estimator, as cmd/headnode's burst
+// loop does).
 func NewArbiter(cfg ArbiterConfig, env *Env) (*Arbiter, error) {
 	if cfg.MaxWorkers < 0 {
 		return nil, fmt.Errorf("elastic: negative MaxWorkers")
@@ -339,8 +339,9 @@ func (a *Arbiter) Step(now time.Duration, loads []QueryLoad) Decision {
 // StepWith is Step with the raw model estimator injected: raw answers "how
 // long would THIS remaining map take on a fleet of workers" (ok=false when
 // no estimate is available, which holds the fleet). Step passes the
-// estimate.MakespanRemaining model; the headnode advisor passes observed
-// throughput (ThroughputEstimator.Raw); tests pass synthetic curves.
+// estimate.MakespanRemaining model; the live burst loop passes observed
+// throughput (ThroughputEstimator.Raw) when it is given an estimator, as
+// cmd/headnode does; tests pass synthetic curves.
 func (a *Arbiter) StepWith(now time.Duration, loads []QueryLoad,
 	raw func(rem map[int]int64, workers int) (time.Duration, bool)) Decision {
 	aggregate := make(map[int]int64)
@@ -749,22 +750,13 @@ func (a *Arbiter) observe(now time.Duration, aggregate map[int]int64,
 // SimElastic binds the arbiter to a hybridsim multi-query run through the
 // per-query Decide hook: the SAME Step code ticks on the virtual clock, fed
 // the simulator's head's loads — each query's policy arrives with its load,
-// as it does live. siteBase ≤ 0 uses DefaultWorkerSiteBase.
-func (a *Arbiter) SimElastic(siteBase int) *hybridsim.ElasticSim {
-	if siteBase <= 0 {
-		siteBase = DefaultWorkerSiteBase
-	}
-	var worker hybridsim.ClusterModel
-	var paths map[int]hybridsim.PathModel
-	if a.env != nil {
-		worker = a.env.Worker
-		paths = a.env.WorkerPaths
-	}
+// as it does live. The arbiter must have an Env: its Worker and
+// WorkerPaths model the simulated burst workers.
+func (a *Arbiter) SimElastic() *hybridsim.ElasticSim {
 	return &hybridsim.ElasticSim{
-		Interval:       a.cfg.EffectiveInterval(),
-		Worker:         worker,
-		WorkerPaths:    paths,
-		WorkerSiteBase: siteBase,
+		Interval:    a.cfg.EffectiveInterval(),
+		Worker:      a.env.Worker,
+		WorkerPaths: a.env.WorkerPaths,
 		Decide: func(now time.Duration, loads []QueryLoad, workers []int) hybridsim.ElasticDecision {
 			d := a.Step(now, loads)
 			switch d.Action {

@@ -9,11 +9,13 @@
 // with one QueryLoad.
 //
 // The arbiter is deliberately pure policy: it owns no goroutines, no clocks
-// and no I/O. Callers (driver.Session and the headnode advisor live,
-// hybridsim.ElasticSim in simulation) tick it with (now, per-query remaining
-// work) snapshots and execute the returned Decisions. Because the same Step
-// code runs in both, simulated and live scaling behave identically on
-// identical inputs — the parity the acceptance tests pin down.
+// and no I/O. Two executors tick it with (now, per-query remaining work)
+// snapshots and carry out the returned Decisions: driver.BurstLoop live (the
+// one wall-clock loop, run by driver.Session and cmd/headnode) and
+// hybridsim.ElasticSim in simulation (via Arbiter.SimElastic, on the virtual
+// clock). Because the same Step code runs in both, simulated and live
+// scaling behave identically on identical inputs — the parity the
+// acceptance tests pin down.
 //
 // Billing awareness: scale-down respects Pricing.BillingQuantum. A worker
 // whose current paid-for quantum already covers the remaining horizon is
@@ -33,11 +35,6 @@ import (
 	"repro/internal/hybridsim"
 	"repro/internal/protocol"
 )
-
-// DefaultWorkerSiteBase is the first site ID handed to burst workers. Burst
-// sites host no data — the ID is only an identity for registration, fencing
-// and drain bookkeeping — so the base just needs to clear every static site.
-const DefaultWorkerSiteBase = 1000
 
 // DefaultInterval is the arbiter tick period when ArbiterConfig.Interval is 0.
 const DefaultInterval = 2 * time.Second
@@ -240,19 +237,14 @@ func FormatDecisions(ds []Decision) string {
 
 // ---------------------------------------------------------------------------
 // Observed-throughput estimation, for deployments that cannot re-run the
-// analytic model (the headnode advisor).
+// analytic model (cmd/headnode).
 
 // ThroughputEstimator derives raw(rem, w) from observed progress: it watches the
 // total remaining bytes shrink between ticks, smooths the drain rate with
-// an EWMA, and assumes throughput scales linearly with the worker count
-// (each burst worker adds the marginal rate of one current worker-equivalent).
+// an EWMA (weight 0.3 on the newest sample), and assumes throughput scales
+// linearly with the worker count, the static fleet counting as one
+// worker-equivalent (each burst worker adds the marginal rate of one).
 type ThroughputEstimator struct {
-	// Alpha is the EWMA weight of the newest sample (default 0.3).
-	Alpha float64
-	// BaseUnits is the static capacity expressed in worker-equivalents
-	// (e.g. static cores / worker cores); default 1.
-	BaseUnits float64
-
 	mu        sync.Mutex
 	lastAt    time.Duration
 	lastBytes int64
@@ -269,25 +261,14 @@ func (t *ThroughputEstimator) Observe(now time.Duration, remaining int64, worker
 	if t.haveLast && now > t.lastAt && remaining <= t.lastBytes {
 		dt := (now - t.lastAt).Seconds()
 		sample := float64(t.lastBytes-remaining) / dt
-		alpha := t.Alpha
-		if alpha <= 0 || alpha > 1 {
-			alpha = 0.3
-		}
 		if t.rate == 0 {
 			t.rate = sample
 		} else {
-			t.rate = alpha*sample + (1-alpha)*t.rate
+			t.rate = 0.3*sample + 0.7*t.rate
 		}
-		t.rateUnits = t.base() + float64(workers)
+		t.rateUnits = 1 + float64(workers)
 	}
 	t.lastAt, t.lastBytes, t.haveLast = now, remaining, true
-}
-
-func (t *ThroughputEstimator) base() float64 {
-	if t.BaseUnits > 0 {
-		return t.BaseUnits
-	}
-	return 1
 }
 
 // Raw is the estimator for Arbiter.StepWith: it scales the observed drain
@@ -299,7 +280,7 @@ func (t *ThroughputEstimator) Raw(rem map[int]int64, workers int) (time.Duration
 	if t.rate <= 0 || t.rateUnits <= 0 {
 		return 0, false
 	}
-	rate := t.rate * (t.base() + float64(workers)) / t.rateUnits
+	rate := t.rate * (1 + float64(workers)) / t.rateUnits
 	if rate <= 0 {
 		return 0, false
 	}

@@ -123,7 +123,7 @@ func arbiterSim(app App, acfg elastic.ArbiterConfig, queries []MultiPolicyQuery,
 		mq.Name, mq.Weight, mq.Iterations, mq.Policy = q.Name, q.Weight, opts.Iterations, q.Policy
 		mc.Queries = append(mc.Queries, mq)
 	}
-	mc.Elastic = arb.SimElastic(0)
+	mc.Elastic = arb.SimElastic()
 	mc.Elastic.LaunchDelay = opts.LaunchDelay
 	return arb, base, mc, nil
 }

@@ -144,7 +144,7 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 	}
 
 	live := map[int]*arbChurnSite{0: newArbChurnSite()}
-	nextSite := elastic.DefaultWorkerSiteBase
+	nextSite := head.BurstSiteBase
 	vnow := time.Duration(0)
 	sites := func() []int {
 		out := make([]int, 0, len(live))
@@ -256,7 +256,7 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 		}
 		if rep.Drain {
 			delete(live, site)
-			if site >= elastic.DefaultWorkerSiteBase {
+			if site >= head.BurstSiteBase {
 				arb.WorkerStopped(vnow, site)
 			}
 		}
@@ -324,7 +324,7 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 		}
 		burstLeft := 0
 		for _, s := range sites() {
-			if s >= elastic.DefaultWorkerSiteBase {
+			if s >= head.BurstSiteBase {
 				burstLeft++
 			}
 		}

@@ -2,8 +2,10 @@ package head
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/chunk"
+	"repro/internal/config"
 	"repro/internal/jobs"
 	"repro/internal/protocol"
 )
@@ -126,5 +128,31 @@ func TestDrainProtocolCommitSubmitDepart(t *testing.T) {
 	// A departed site is gone: its next request is rejected.
 	if _, err := h.Poll(1000, 1); err == nil {
 		t.Fatal("poll after departure accepted")
+	}
+}
+
+// TestSitesOmitsFencedSite: a site FailSite fenced is not live membership —
+// Sites must not list it (the burst loop bills and counts the fleet from
+// it) until it re-registers.
+func TestSitesOmitsFencedSite(t *testing.T) {
+	h, err := New(Config{ExpectClusters: 1, DynamicSites: true, Logf: t.Logf,
+		Tuning: config.Tuning{LeaseTTL: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Shutdown()
+	hello := protocol.Hello{Site: BurstSiteBase, Cluster: "burst-1000", Proto: protocol.ProtoMulti}
+	if _, err := h.RegisterSite(hello); err != nil {
+		t.Fatal(err)
+	}
+	h.FailSite(BurstSiteBase)
+	if got := h.Sites(); len(got) != 0 {
+		t.Fatalf("Sites() after FailSite(1000) = %v, want none", got)
+	}
+	if _, err := h.RegisterSite(hello); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Sites(); len(got) != 1 || got[0] != BurstSiteBase {
+		t.Fatalf("Sites() after re-registration = %v, want [1000]", got)
 	}
 }

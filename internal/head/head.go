@@ -68,6 +68,12 @@ type Config struct {
 	DynamicSites bool
 }
 
+// BurstSiteBase is the first site ID handed to burst workers, live and
+// simulated. Burst sites host no data — the ID is only an identity for
+// registration, fencing and drain bookkeeping — so the base just needs to
+// clear every static site. Burst IDs grow from it and are never reused.
+const BurstSiteBase = 1000
+
 // Head schedules admitted queries over registered masters. Create with New,
 // expose it to masters either over sockets (Serve) or in-process (the
 // RegisterSite/Poll/... methods), admit queries with Admit, then wait on
@@ -290,14 +296,18 @@ func (h *Head) SiteLost(site int, err error) {
 	h.fail(opErr("session", site, -1, fmt.Errorf("lost master: %w", err)))
 }
 
-// Sites returns the currently registered site IDs, sorted — departed
-// (drained) sites are absent. External elasticity advisors use it to track
-// dynamic registrations.
+// Sites returns the head's live membership, sorted: every registered site
+// except those that departed after a drain and those fenced by FailSite (a
+// fenced site shows up again once it re-registers). The burst loop bills
+// and counts the fleet from it.
 func (h *Head) Sites() []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]int, 0, len(h.clusters))
 	for site := range h.clusters {
+		if h.fs != nil && h.fs.leases.Dead(site) {
+			continue
+		}
 		out = append(out, site)
 	}
 	sort.Ints(out)

@@ -28,14 +28,15 @@ type ElasticDecision struct {
 // weight and policy, numbered by its index in MultiConfig.Queries), and the
 // active burst-worker sites, and calls Decide. Added workers are fresh
 // clusters built from the Worker template with unique monotonically
-// increasing site IDs (WorkerSiteBase + launch sequence — never reused, the
+// increasing site IDs (head.BurstSiteBase + launch sequence — never reused, the
 // same convention the live head's dynamic admission uses); they host no
 // data, so every job they run is stolen work. A drained worker is drained
 // at the head (head.DrainSite): it is granted nothing more, finishes what it
 // already holds, submits its reduction objects, and leaves when the head
 // answers Drain — the simulator fires OnDrained then.
 type ElasticSim struct {
-	// Interval is the arbiter tick period on the virtual clock.
+	// Interval is the arbiter tick period on the virtual clock; it must be
+	// positive (Arbiter.SimElastic sets the arbiter's own).
 	Interval time.Duration
 	// Decide is consulted every tick. The remaining work arrives split by
 	// query (with fair-share weights and policies) so the session-wide
@@ -46,8 +47,6 @@ type ElasticSim struct {
 	// Worker is the cluster-model template for one burst worker; Site and
 	// Name are overridden per launch.
 	Worker ClusterModel
-	// WorkerSiteBase is the first burst site ID (default 1000).
-	WorkerSiteBase int
 	// WorkerPaths maps each data site to the path model new workers use to
 	// reach it.
 	WorkerPaths map[int]PathModel
@@ -61,20 +60,6 @@ type ElasticSim struct {
 	// the arbiter's billing hooks.
 	OnLaunch  func(now time.Duration, site int)
 	OnDrained func(now time.Duration, site int)
-}
-
-func (e *ElasticSim) siteBase() int {
-	if e.WorkerSiteBase > 0 {
-		return e.WorkerSiteBase
-	}
-	return 1000
-}
-
-func (e *ElasticSim) interval() time.Duration {
-	if e.Interval > 0 {
-		return e.Interval
-	}
-	return 2 * time.Second
 }
 
 // elasticTick runs one arbiter tick and reschedules itself until every
@@ -114,7 +99,7 @@ func (s *multiSim) elasticTick() {
 	for _, site := range drain {
 		s.drainWorker(site)
 	}
-	s.clock.After(e.interval(), func() { s.elasticTick() })
+	s.clock.After(e.Interval, func() { s.elasticTick() })
 }
 
 // addWorker appends one burst-worker cluster mid-run and starts its master
@@ -122,7 +107,7 @@ func (s *multiSim) elasticTick() {
 func (s *multiSim) addWorker() {
 	e := s.cfg.Elastic
 	cm := e.Worker
-	site := e.siteBase() + s.workerSeq
+	site := head.BurstSiteBase + s.workerSeq
 	s.workerSeq++
 	cm.Site = site
 	cm.Name = fmt.Sprintf("burst-%d", site)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/head"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 )
@@ -106,7 +107,7 @@ func (s *multiSim) siteCanExist(site int) bool {
 			return true
 		}
 	}
-	return s.cfg.Elastic != nil && site >= s.cfg.Elastic.siteBase()
+	return s.cfg.Elastic != nil && site >= head.BurstSiteBase
 }
 
 func (s *multiSim) applyEvent(c *mqCluster, ev fault.Event) {

@@ -389,8 +389,8 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 		return nil, err
 	}
 	if cfg.Elastic != nil {
-		if cfg.Elastic.Decide == nil {
-			return nil, fmt.Errorf("hybridsim: Elastic.Decide is required")
+		if cfg.Elastic.Decide == nil || cfg.Elastic.Interval <= 0 {
+			return nil, fmt.Errorf("hybridsim: Elastic needs a Decide hook and a positive Interval")
 		}
 		// Burst workers splice paths into the topology's map mid-run; clone
 		// it so the caller's config is never mutated.
@@ -399,7 +399,7 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 			paths[k] = v
 		}
 		s.cfg.Topology.Paths = paths
-		s.clock.After(cfg.Elastic.interval(), func() { s.elasticTick() })
+		s.clock.After(cfg.Elastic.Interval, func() { s.elasticTick() })
 	}
 	for _, ev := range cfg.Slowdowns {
 		ev := ev
