@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race flake results loc layout check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race flake results loc layout sim-bench check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -72,6 +72,12 @@ layout:
 			test -n "$$addr" || { rm -rf $$dir; echo "layout: $$sym not found"; exit 1; }; \
 			echo "$${sym#repro/internal/} 0x$$addr mod64=$$((0x$$addr % 64))"; \
 		done; rm -rf $$dir
+
+# The simulator's speed and allocations on the paper-scale evaluation:
+# ten samples of BenchmarkPaperScaleRun, for comparing a change against its
+# parent (alternate the two trees; run nothing else meanwhile).
+sim-bench:
+	$(GO) test -run '^$$' -bench 'BenchmarkPaperScaleRun$$' -benchmem -count=10 ./internal/hybridsim
 
 # Regenerate the exported-API snapshots. Run after an intentional API
 # change and commit the diff alongside it.

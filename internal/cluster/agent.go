@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -76,8 +75,6 @@ type AgentConfig struct {
 	Cache *stagecache.Cache
 	// Head connects to the head node. Required.
 	Head QueryClient
-	// RequestBatch is the job-group size per poll; defaults to max(Cores, 4).
-	RequestBatch int
 	// Retry is the retrieval fault-tolerance policy.
 	Retry Retry
 	// Logf receives diagnostics; nil silences them.
@@ -103,12 +100,6 @@ func (c *AgentConfig) applyDefaults() error {
 	if c.RetrievalThreads <= 0 {
 		c.RetrievalThreads = 2
 	}
-	if c.RequestBatch <= 0 {
-		c.RequestBatch = c.Cores
-		if c.RequestBatch < 4 {
-			c.RequestBatch = 4
-		}
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -116,8 +107,9 @@ func (c *AgentConfig) applyDefaults() error {
 }
 
 // agentQuery is the agent-side state of one active query: its own reduction
-// engine, sources, stats collector and checkpoint bookkeeping, fully
-// isolated from every other query the agent serves.
+// engine, sources, stats collector and recovered checkpoint object, fully
+// isolated from every other query the agent serves. Its protocol state is
+// in the agent's AgentCore.
 type agentQuery struct {
 	id        int
 	spec      protocol.JobSpec
@@ -125,11 +117,6 @@ type agentQuery struct {
 	engine    *core.Engine
 	sources   map[int]chunk.Source
 	collector *stats.Collector
-	// fetched tallies, per source label, the chunk bytes of every batch this
-	// query worked, for its "done" line; only the poll loop touches it.
-	// (Tallied here rather than read back from the collector: see "Code
-	// placement" in docs/PERFORMANCE.md.)
-	fetched map[string]int64
 	// raw holds the sources as configured, before the cache and the checksum
 	// verifier wrapped them: the pre-stager must not loop through the cache it
 	// feeds. Nil without a cache.
@@ -140,10 +127,6 @@ type agentQuery struct {
 	// from the head after a crash-restart; it is never mutated — each
 	// checkpoint and the final merge fold it into a fresh engine snapshot.
 	ckptMu    sync.RWMutex
-	idsMu     sync.Mutex
-	folded    []int
-	ckptSeq   int
-	foldedN   int64
 	resumeObj core.Object
 
 	// mFolded counts this query's folds with query/site labels
@@ -153,7 +136,11 @@ type agentQuery struct {
 
 // agentRun carries the per-RunAgent state shared across queries.
 type agentRun struct {
-	cfg       *AgentConfig
+	cfg *AgentConfig
+	// core is the agent's protocol state. The retrieval lanes call it under
+	// coreMu; the poll loop calls it between batches, when no lane runs.
+	coreMu    sync.Mutex
+	core      *AgentCore
 	clk       obs.Clock
 	tr        *obs.Tracer
 	queries   map[int]*agentQuery
@@ -190,14 +177,14 @@ const (
 	agentTIDRetr = 2
 )
 
-// shipping reports whether q's spans travel to the head's merged trace.
-func (a *agentRun) shipping(q *agentQuery) bool {
+// spansToHead reports whether q's spans travel to the head's merged trace.
+func (a *agentRun) spansToHead(q *agentQuery) bool {
 	return a.traceOn && !q.spec.Trace.Zero()
 }
 
 // tracing reports whether spans for q have anywhere to go.
 func (a *agentRun) tracing(q *agentQuery) bool {
-	return a.shipping(q) || a.tr.Enabled()
+	return a.spansToHead(q) || a.tr.Enabled()
 }
 
 // addSpan records one completed span of q: buffered for shipment on the next
@@ -232,7 +219,7 @@ func (a *agentRun) takeSpans() []protocol.WireSpan {
 // the query's confirmed TraceID with a fresh agent-local span ID, or zero
 // when the session is untraced.
 func (a *agentRun) queryTrace(q *agentQuery) protocol.TraceContext {
-	if !a.shipping(q) {
+	if !a.spansToHead(q) {
 		return protocol.TraceContext{}
 	}
 	return protocol.TraceContext{TraceID: q.spec.Trace.TraceID, SpanID: a.nextSpan.Add(1)}
@@ -241,11 +228,13 @@ func (a *agentRun) queryTrace(q *agentQuery) protocol.TraceContext {
 // RunAgent runs one cluster's multi-query agent until the head announces
 // shutdown (returns nil) or ctx is canceled (returns ctx.Err()). The agent
 // registers once, then interleaves jobs from every admitted query out of a
-// single poll loop: each query gets its own reduction engine and stats, each
-// drained query's object ships asynchronously (the agent keeps serving the
-// others), canceled queries are discarded on the head's Dropped notice, and
-// a fencing rejection triggers re-registration with all local query state
-// reset (the head already reissued anything not checkpointed).
+// single poll loop: each query gets its own reduction engine and stats, a
+// drained query's object ships from the poll loop (the agent serves nothing
+// else until the head has answered it), and canceled queries are discarded
+// on the head's Dropped notice. A fenced answer to any head call ends the
+// incarnation: the agent drops the rest of that reply and all local query
+// state (the head already reissued anything not checkpointed), registers
+// again and polls.
 func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	if err := cfg.applyDefaults(); err != nil {
 		return err
@@ -263,19 +252,14 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		mRetries:  reg.Counter("cluster_retrieval_retries_total"),
 		gInflight: reg.Gauge("cluster_retrievals_inflight"),
 		bySite:    make(map[int]siteObs),
+		core:      NewAgentCore(cfg.Site, cfg.Name, cfg.Cores, cfg.Tuning.CheckpointEveryJobs > 0),
 	}
 	bufpool.Register(reg)
 
-	// The non-zero Hello.Trace adverts trace-propagation capability; the
-	// head confirms with a non-zero SiteSpec.Trace iff its tracer is live.
-	siteSpec, err := cfg.Head.RegisterSite(protocol.Hello{
-		Site: cfg.Site, Cluster: cfg.Name, Cores: cfg.Cores, Proto: protocol.ProtoMulti,
-		Trace: protocol.TraceContext{SpanID: uint64(cfg.Site) + 1},
-	})
+	siteSpec, err := a.register()
 	if err != nil {
-		return fmt.Errorf("cluster %s: register: %w", cfg.Name, err)
+		return err
 	}
-	a.traceOn = !siteSpec.Trace.Zero()
 	if !a.traceOn {
 		// Spans stay in this process: lay its lanes out as the head would.
 		pid := cfg.Site + 1
@@ -314,7 +298,7 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		// Nothing is in flight between batches, so the poll can park: the head
 		// holds an empty answer until it has grants or a notice for this site,
 		// for at most the waitPoll an idle agent would otherwise sleep.
-		req := protocol.PollRequest{Site: cfg.Site, N: cfg.RequestBatch, ParkNS: int64(waitPoll)}
+		req := protocol.PollRequest{Site: cfg.Site, N: max(cfg.Cores, 4), ParkNS: int64(waitPoll)}
 		polled := time.Now()
 		if a.traceOn {
 			req.Spans = a.takeSpans()
@@ -329,46 +313,25 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 				a.spans = append(req.Spans, a.spans...)
 				a.spanMu.Unlock()
 			}
-			if fault.IsFenced(err) {
-				if err := a.reregister(); err != nil {
-					return err
-				}
-				continue
-			}
-			return fmt.Errorf("cluster %s: poll: %w", cfg.Name, err)
+			err = fmt.Errorf("cluster %s: poll: %w", cfg.Name, err)
 		}
 		worked := false
-		for _, qj := range rep.Queries {
-			q, err := a.ensure(qj.Query)
-			if err != nil {
-				if errors.Is(err, head.ErrQueryCanceled) || errors.Is(err, head.ErrUnknownQuery) {
-					// Canceled between assignment and the spec fetch; its
-					// grants need no commit — the pool left with the query.
-					continue
-				}
-				return err
-			}
-			a.prestage(q, qj.Jobs)
-			if err := a.process(ctx, q, qj.Jobs); err != nil {
-				if fault.IsFenced(err) {
-					if err := a.reregister(); err != nil {
-						return err
-					}
-					break
-				}
-				return err
-			}
-			worked = true
+		if err == nil {
+			worked, err = a.serve(ctx, rep)
 		}
-		for _, id := range rep.Done {
-			if err := a.finalize(id); err != nil {
+		if fault.IsFenced(err) {
+			// The head reissued every fold no landed checkpoint covers; the
+			// checkpoints come back through each query's re-fetched spec.
+			a.discardAll()
+			a.core.Reset()
+			cfg.Logf("cluster %s: fenced; re-registering", cfg.Name)
+			if _, err := a.register(); err != nil {
 				return err
 			}
-			worked = true
+			continue
 		}
-		for _, id := range rep.Dropped {
-			a.discard(id)
-			worked = true
+		if err != nil {
+			return err
 		}
 		if rep.Drain {
 			// Decommissioned: every obligation is settled (the head only sets
@@ -395,22 +358,49 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	}
 }
 
-// reregister re-opens the session after a fencing rejection. Local query
-// state is discarded wholesale: the head reissued every fold not covered by
-// a persisted checkpoint, and the checkpoint itself comes back through each
-// query's re-fetched spec.
-func (a *agentRun) reregister() error {
-	a.discardAll()
-	a.cfg.Logf("cluster %s: fenced; re-registering", a.cfg.Name)
-	spec, err := a.cfg.Head.RegisterSite(protocol.Hello{
-		Site: a.cfg.Site, Cluster: a.cfg.Name, Cores: a.cfg.Cores, Proto: protocol.ProtoMulti,
-		Trace: protocol.TraceContext{SpanID: uint64(a.cfg.Site) + 1},
-	})
+// serve acts on one poll reply: it works each query's grants, ships the
+// object of each query the head is Done with, and drops each canceled
+// query. It reports whether there was anything to do, and stops at the
+// first error.
+func (a *agentRun) serve(ctx context.Context, rep protocol.PollReply) (worked bool, err error) {
+	for _, qj := range rep.Queries {
+		q, err := a.ensure(qj.Query)
+		if err != nil {
+			if errors.Is(err, head.ErrQueryCanceled) || errors.Is(err, head.ErrUnknownQuery) {
+				// Canceled between assignment and the spec fetch; its
+				// grants need no commit — the pool left with the query.
+				continue
+			}
+			return worked, err
+		}
+		a.prestage(q, qj.Jobs)
+		if err := a.process(ctx, q, qj.Jobs); err != nil {
+			return worked, err
+		}
+		worked = true
+	}
+	for _, id := range rep.Done {
+		if err := a.finalize(id); err != nil {
+			return worked, err
+		}
+		worked = true
+	}
+	for _, id := range rep.Dropped {
+		a.discard(id)
+		worked = true
+	}
+	return worked, nil
+}
+
+// register opens the agent's session, at start and again after a fence.
+// The Hello's trace advert is confirmed iff the head's tracer is live.
+func (a *agentRun) register() (protocol.SiteSpec, error) {
+	spec, err := a.cfg.Head.RegisterSite(a.core.Hello())
 	if err != nil {
-		return fmt.Errorf("cluster %s: re-register: %w", a.cfg.Name, err)
+		return spec, fmt.Errorf("cluster %s: register: %w", a.cfg.Name, err)
 	}
 	a.traceOn = !spec.Trace.Zero()
-	return nil
+	return spec, nil
 }
 
 // ensure returns the agent's state for query id, fetching the spec and
@@ -471,24 +461,21 @@ func (a *agentRun) ensure(id int) (*agentQuery, error) {
 	collector := &stats.Collector{}
 	q := &agentQuery{
 		id: id, spec: spec, reducer: reducer,
-		sources: sources, raw: raw, collector: collector, fetched: make(map[string]int64),
+		sources: sources, raw: raw, collector: collector,
 		mFolded: cfg.Obs.Metrics().Counter("cluster_jobs_folded_total",
 			"query", strconv.Itoa(id), "site", strconv.Itoa(cfg.Site)),
 	}
 	// The checkpoint is decoded before the engine exists: NewEngine starts
 	// the worker goroutines, and a garbled checkpoint must not strand them.
 	if len(spec.Checkpoint) > 0 {
-		ck, err := fault.DecodeCheckpoint(spec.Checkpoint)
+		obj, err := a.core.Resume(id, spec.Checkpoint, nil)
 		if err != nil {
 			return nil, fmt.Errorf("cluster %s: bad checkpoint in query %d spec: %w", cfg.Name, id, err)
 		}
-		if q.resumeObj, err = reducer.Decode(ck.Object); err != nil {
+		if q.resumeObj, err = reducer.Decode(obj); err != nil {
 			return nil, fmt.Errorf("cluster %s: decoding query %d checkpoint: %w", cfg.Name, id, err)
 		}
-		q.ckptSeq = ck.Seq
-		q.folded = append(q.folded, ck.Completed...)
-		cfg.Logf("cluster %s: query %d resumes from checkpoint seq %d (%d jobs covered)",
-			cfg.Name, id, ck.Seq, len(ck.Completed))
+		cfg.Logf("cluster %s: query %d resumes from its checkpoint", cfg.Name, id)
 	}
 	groupBytes := spec.GroupBytes
 	if cfg.Tuning.GroupBytes > 0 {
@@ -584,11 +571,6 @@ func (a *agentRun) process(ctx context.Context, q *agentQuery, js []jobs.Job) er
 	}
 	close(jobCh)
 	wg.Wait()
-	if firstErr == nil {
-		for _, j := range js {
-			q.fetched[a.bySite[j.Site].label] += j.Ref.Size
-		}
-	}
 	return firstErr
 }
 
@@ -631,25 +613,26 @@ func (a *agentRun) oneJob(q *agentQuery, j jobs.Job) error {
 		return nil
 	}
 	q.ckptMu.RLock()
-	err = q.engine.Submit(data)
-	if err == nil {
-		q.idsMu.Lock()
-		q.folded = append(q.folded, j.ID)
-		q.foldedN++
-		n := q.foldedN
-		q.idsMu.Unlock()
-		q.ckptMu.RUnlock()
-		if every := cfg.Tuning.CheckpointEveryJobs; every > 0 && n%int64(every) == 0 {
-			if err := a.checkpoint(q); err != nil {
-				cfg.Logf("cluster %s: query %d checkpoint failed: %v", cfg.Name, q.id, err)
-			}
-		}
-	} else {
+	if err := q.engine.Submit(data); err != nil {
 		q.ckptMu.RUnlock()
 		bufpool.Put(data)
 		return err
 	}
-	q.collector.CountJob(j.Site != cfg.Site)
+	// The fold and its credit land under one read lock, so a checkpoint
+	// covers a job exactly when its snapshot holds the fold.
+	a.coreMu.Lock()
+	a.core.Committed(q.id, j, false)
+	credit := a.core.Credit(q.id)
+	a.coreMu.Unlock()
+	q.ckptMu.RUnlock()
+	if every := cfg.Tuning.CheckpointEveryJobs; every > 0 && (credit.Local+credit.Stolen)%every == 0 {
+		if err := a.checkpoint(q); err != nil {
+			if fault.IsFenced(err) {
+				return err
+			}
+			cfg.Logf("cluster %s: query %d checkpoint failed: %v", cfg.Name, q.id, err)
+		}
+	}
 	q.mFolded.Inc()
 	if j.Site != cfg.Site {
 		a.mStolen.Inc()
@@ -665,34 +648,31 @@ func (a *agentRun) checkpoint(q *agentQuery) error {
 	cfg := a.cfg
 	q.ckptMu.Lock()
 	snap, err := q.engine.Snapshot()
-	if err == nil && q.resumeObj != nil {
-		err = q.reducer.GlobalReduce(snap, q.resumeObj)
-	}
 	var enc []byte
 	if err == nil {
-		enc, err = q.reducer.Encode(snap)
+		enc, err = q.merged(snap)
 	}
 	if err != nil {
 		q.ckptMu.Unlock()
 		return err
 	}
-	q.idsMu.Lock()
-	ids := make([]int, len(q.folded))
-	copy(ids, q.folded)
-	q.idsMu.Unlock()
-	sort.Ints(ids)
-	q.ckptSeq++
-	seq := q.ckptSeq
+	a.coreMu.Lock()
+	save, n := a.core.Checkpoint(q.id, enc)
+	a.coreMu.Unlock()
 	q.ckptMu.Unlock()
-	data := fault.Checkpoint{Site: cfg.Site, Seq: seq, Object: enc, Completed: ids}.Encode()
-	if err := cfg.Head.Checkpoint(protocol.CheckpointSave{
-		Site: cfg.Site, Seq: seq, Query: q.id, Data: data, Trace: a.queryTrace(q),
-	}); err != nil {
+	if n == 0 {
+		return nil
+	}
+	save.Trace = a.queryTrace(q)
+	if err := cfg.Head.Checkpoint(save); err != nil {
 		return err
 	}
+	a.coreMu.Lock()
+	a.core.Landed(q.id, n)
+	a.coreMu.Unlock()
 	a.mCkpts.Inc()
 	cfg.Logf("cluster %s: query %d checkpoint %d shipped (%d jobs, %d bytes)",
-		cfg.Name, q.id, seq, len(ids), len(data))
+		cfg.Name, q.id, save.Seq, n, len(save.Data))
 	return nil
 }
 
@@ -722,14 +702,9 @@ func (a *agentRun) finalize(id int) error {
 	if err != nil {
 		return fmt.Errorf("cluster %s: query %d local reduction: %w", cfg.Name, id, err)
 	}
-	if q.resumeObj != nil {
-		if err := q.reducer.GlobalReduce(obj, q.resumeObj); err != nil {
-			return fmt.Errorf("cluster %s: query %d merging recovered checkpoint: %w", cfg.Name, id, err)
-		}
-	}
-	encoded, err := q.reducer.Encode(obj)
+	encoded, err := q.merged(obj)
 	if err != nil {
-		return fmt.Errorf("cluster %s: query %d encoding reduction object: %w", cfg.Name, id, err)
+		return fmt.Errorf("cluster %s: query %d reduction object: %w", cfg.Name, id, err)
 	}
 	end := a.clk.Now()
 	q.collector.AddSync(end - start)
@@ -737,18 +712,11 @@ func (a *agentRun) finalize(id int) error {
 		a.addSpan(q, "local-merge", "sync", agentTIDJobs, -1, start, end)
 	}
 	b := q.collector.Breakdown()
-	jacct := q.collector.Jobs()
-	err = cfg.Head.SubmitResult(protocol.ReductionResult{
-		Site:       cfg.Site,
-		Query:      id,
-		Trace:      a.queryTrace(q),
-		Object:     encoded,
-		Processing: int64(b.Processing),
-		Retrieval:  int64(b.Retrieval),
-		Sync:       int64(b.Sync),
-		LocalJobs:  jacct.Local,
-		StolenJobs: jacct.Stolen,
-	})
+	res, _ := a.core.Ship(id, encoded) // one object at a time: nothing else runs
+	res.Trace = a.queryTrace(q)
+	res.Processing, res.Retrieval, res.Sync = int64(b.Processing), int64(b.Retrieval), int64(b.Sync)
+	err = cfg.Head.SubmitResult(res)
+	a.core.Shipped(id) // and so nothing was held
 	if err != nil {
 		if errors.Is(err, head.ErrQueryCanceled) || errors.Is(err, head.ErrUnknownQuery) {
 			return nil // canceled while we merged; nothing to keep
@@ -756,8 +724,19 @@ func (a *agentRun) finalize(id int) error {
 		return fmt.Errorf("cluster %s: query %d submitting result: %w", cfg.Name, id, err)
 	}
 	cfg.Logf("cluster %s: query %d done: %v; jobs %d local + %d stolen; bytes %v",
-		cfg.Name, id, b, jacct.Local, jacct.Stolen, q.fetched)
+		cfg.Name, id, b, res.LocalJobs, res.StolenJobs, q.collector.BytesRetrieved())
 	return nil
+}
+
+// merged folds the checkpoint object a restart resumed from into obj (an
+// engine snapshot or the final object) and encodes the sum.
+func (q *agentQuery) merged(obj core.Object) ([]byte, error) {
+	if q.resumeObj != nil {
+		if err := q.reducer.GlobalReduce(obj, q.resumeObj); err != nil {
+			return nil, err
+		}
+	}
+	return q.reducer.Encode(obj)
 }
 
 // discard drops all local state for a canceled query.
@@ -767,6 +746,7 @@ func (a *agentRun) discard(id int) {
 		return
 	}
 	delete(a.queries, id)
+	a.core.Drop(id)
 	_, _ = q.engine.Finish() // stop the workers, release buffers
 	a.cfg.Logf("cluster %s: dropped query %d", a.cfg.Name, id)
 }

@@ -31,9 +31,10 @@ type QueryClient interface {
 	Heartbeat(site int) error
 	// Checkpoint persists a per-query reduction-object checkpoint.
 	Checkpoint(cs protocol.CheckpointSave) error
-	// SubmitResult delivers one query's reduction object. It returns as soon
-	// as the head acknowledges, so the agent keeps serving its other queries;
-	// the final object is read at the head (Query.Wait).
+	// SubmitResult delivers one query's reduction object and returns once
+	// the head has acknowledged it. The agent calls it from its poll loop, so
+	// it serves none of its other queries until then; the final object is
+	// read at the head (Query.Wait).
 	SubmitResult(res protocol.ReductionResult) error
 }
 

@@ -115,38 +115,78 @@ func (r *registrations) RegisterSite(hello protocol.Hello) (protocol.SiteSpec, e
 	return r.QueryClient.RegisterSite(hello)
 }
 
-// TestFencedMasterFailsFastAndRejoins declares a site failed while its
-// master is alive and mid-run. The fenced master must notice at once —
-// neither hang on wait=true polls nor silently double-count — drop what the
-// head no longer credits it with, re-register on the same session, resume
-// from its last accepted checkpoint and produce the exact failure-free
-// result.
-func TestFencedMasterFailsFastAndRejoins(t *testing.T) {
-	ix, src, want := buildDataset(t, 4000, 1000, 100) // 40 jobs
-	placement := jobs.SplitByFraction(len(ix.Files), 1, 0, 1)
-	// Expiry never fires on its own (1h TTL); the test fences explicitly.
-	h, q := newFaultHead(t, ix, placement, 1, fault.NewMemStore(), time.Hour)
-	fsrc := &fencingSource{Source: src, after: 12, fence: func() { h.FailSite(0) }}
-	client := &registrations{QueryClient: InProcAgent{Head: h}}
-	done := make(chan session, 1)
-	go func() {
-		done <- runAgents(t, h, q, AgentConfig{
-			Site: 0, Name: "straggler", Cores: 2,
-			Sources: map[int]chunk.Source{0: fsrc},
-			Head:    client,
-			Tuning:  config.Tuning{CheckpointEveryJobs: 5},
-		})
-	}()
-	select {
-	case s := <-done:
-		if got := s.sum(t); got != want {
-			t.Errorf("sum after fencing = %d, want %d", got, want)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("fenced master hung instead of rejoining")
+// fenceOnce fails site 0 at the head once, just before forwarding the
+// first QuerySpec or SubmitResult call (whichever spec or submit is set).
+type fenceOnce struct {
+	QueryClient
+	h            *head.Head
+	spec, submit bool
+	once         sync.Once
+}
+
+func (f *fenceOnce) QuerySpec(site, query int) (protocol.JobSpec, error) {
+	if f.spec {
+		f.once.Do(func() { f.h.FailSite(0) })
 	}
-	if got := client.n.Load(); got != 2 {
-		t.Errorf("master registered %d times, want 2 (once, and once after the fence)", got)
+	return f.QueryClient.QuerySpec(site, query)
+}
+
+func (f *fenceOnce) SubmitResult(res protocol.ReductionResult) error {
+	if f.submit {
+		f.once.Do(func() { f.h.FailSite(0) })
+	}
+	return f.QueryClient.SubmitResult(res)
+}
+
+// TestFencedMasterFailsFastAndRejoins declares a site failed while its
+// master is alive and mid-run — around a chunk read (so a commit or a poll
+// meets the fence), at the spec fetch, or at the result submit. The fenced
+// master must notice at once — neither hang on wait=true polls nor silently
+// double-count — drop what the head no longer credits it with, re-register
+// on the same session, resume from its last accepted checkpoint and produce
+// the exact failure-free result.
+func TestFencedMasterFailsFastAndRejoins(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		read         bool // fence around the 12th chunk read
+		spec, submit bool
+	}{
+		{name: "read", read: true},
+		{name: "spec", spec: true},
+		{name: "submit", submit: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, src, want := buildDataset(t, 4000, 1000, 100) // 40 jobs
+			placement := jobs.SplitByFraction(len(ix.Files), 1, 0, 1)
+			// Expiry never fires on its own (1h TTL); the test fences explicitly.
+			h, q := newFaultHead(t, ix, placement, 1, fault.NewMemStore(), time.Hour)
+			var source chunk.Source = src
+			if tc.read {
+				source = &fencingSource{Source: src, after: 12, fence: func() { h.FailSite(0) }}
+			}
+			client := &registrations{QueryClient: &fenceOnce{QueryClient: InProcAgent{Head: h}, h: h,
+				spec: tc.spec, submit: tc.submit}}
+			done := make(chan session, 1)
+			go func() {
+				done <- runAgents(t, h, q, AgentConfig{
+					Site: 0, Name: "straggler", Cores: 2,
+					Sources: map[int]chunk.Source{0: source},
+					Head:    client,
+					Tuning:  config.Tuning{CheckpointEveryJobs: 5},
+				})
+			}()
+			select {
+			case s := <-done:
+				if got := s.sum(t); got != want {
+					t.Errorf("sum after fencing = %d, want %d", got, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("fenced master hung instead of rejoining")
+			}
+			if got := client.n.Load(); got != 2 {
+				t.Errorf("master registered %d times, want 2 (once, and once after the fence)", got)
+			}
+		})
 	}
 }
 

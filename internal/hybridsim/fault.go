@@ -3,7 +3,6 @@ package hybridsim
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -17,9 +16,10 @@ import (
 // leases, fencing, requeue and reissue, checkpoint boundaries, speculation
 // and the latency watchdog — is the run's in-process head.Head; the
 // simulator models only what happens to the machines (crash, reboot,
-// partition, slowdown) and what each agent knows (its objects and
-// checkpoints). With the same plan and seed, runs are byte-identical, and
-// every query still credits each chunk exactly once per pass.
+// partition, slowdown). What each agent knows — its objects and checkpoints
+// — is the live agent's cluster.AgentCore. With the same plan and seed, runs
+// are byte-identical, and every query still credits each chunk exactly once
+// per pass.
 
 // FaultStats summarizes fault activity during a simulated run.
 type FaultStats struct {
@@ -177,9 +177,19 @@ func (c *mqCluster) reset() {
 	c.partitioned = false
 	c.slowFactor = 1
 	c.deferred = nil
-	for q := range c.perQuery {
-		c.perQuery[q].reset(-1)
+	c.core.Reset()
+}
+
+// failed acts on an error answer from the head. A fenced answer to any call
+// ends the incarnation: the agent forgets every query and registers again.
+// Any other error ends the run.
+func (c *mqCluster) failed(err error) {
+	if !fault.IsFenced(err) {
+		c.s.err = err
+		return
 	}
+	c.reset()
+	c.start("fenced")
 }
 
 // afterFailure reconciles the simulator with what a head-side failure (a
@@ -282,22 +292,21 @@ func (c *mqCluster) checkpointTick() {
 func (c *mqCluster) beginCheckpoint() {
 	s := c.s
 	type cover struct {
-		query, id, seq int
-		ids            []int
-		obj            []byte
+		query, jobs int
+		save        protocol.CheckpointSave
 	}
 	var covers []cover
 	merge := time.Duration(0)
-	for q := range c.perQuery {
-		st := &c.perQuery[q]
-		if len(st.folded) <= st.landed {
+	for q, hq := range s.passes {
+		if hq == nil {
 			continue
 		}
-		st.ckptSeq++
-		ids := append([]int(nil), st.folded...)
-		sort.Ints(ids)
-		covers = append(covers, cover{query: q, id: st.pass, seq: st.ckptSeq,
-			ids: ids, obj: encodeCredit(st.obj)})
+		id := hq.ID()
+		save, n := c.core.Checkpoint(id, encodeCredit(c.core.Credit(id)))
+		if n == 0 {
+			continue
+		}
+		covers = append(covers, cover{query: q, jobs: n, save: save})
 		merge += s.cfg.Queries[q].App.mergeTime()
 	}
 	if len(covers) == 0 {
@@ -319,23 +328,21 @@ func (c *mqCluster) beginCheckpoint() {
 				if c.epoch != epoch {
 					return // died with the incarnation
 				}
-				data := fault.Checkpoint{Site: c.model.Site, Seq: cv.seq, Object: cv.obj,
-					Completed: cv.ids}.Encode()
-				if err := s.head.CheckpointSave(protocol.CheckpointSave{Site: c.model.Site,
-					Seq: cv.seq, Query: cv.id, Data: data}); err != nil {
-					return // refused: a fenced site, a stale seq, a finished pass
+				if err := s.head.CheckpointSave(cv.save); err != nil {
+					if fault.IsFenced(err) {
+						c.failed(err)
+					}
+					return // or refused: a stale seq, a finished pass
 				}
 				// Cores resume as soon as the merge ends, so a later checkpoint
 				// can begin (and even land) while this object is still on the
-				// wire: only a landing that covers more moves the boundary.
-				if st := &c.perQuery[cv.query]; st.pass == cv.id && len(cv.ids) > st.landed {
-					st.landed = len(cv.ids)
-				}
+				// wire.
+				c.core.Landed(cv.save.Query, cv.jobs)
 				s.fstats.Checkpoints++
 				s.fstats.CheckpointBytes += bytes
 				if s.tr.Enabled() {
 					s.tr.Complete(c.pid(), 0, "fault", "checkpoint", start, s.clock.Now(),
-						obs.Args{"query": cv.query, "seq": cv.seq, "jobs": len(cv.ids), "bytes": bytes})
+						obs.Args{"query": cv.query, "seq": cv.save.Seq, "jobs": cv.jobs, "bytes": bytes})
 				}
 			})
 		}

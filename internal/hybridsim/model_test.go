@@ -170,24 +170,6 @@ func TestControlLatencySlowsSmallRuns(t *testing.T) {
 	}
 }
 
-func TestRequestBatchOverride(t *testing.T) {
-	cfg := testConfig(t, 8, 4, 0.5)
-	cfg.RequestBatch = 1 // pathological: one job per head round-trip
-	cfg.Topology.ControlLatency = 10 * time.Millisecond
-	one, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.RequestBatch = 8
-	eight, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Total <= eight.Total {
-		t.Errorf("batch=1 (%v) not slower than batch=8 (%v)", one.Total, eight.Total)
-	}
-}
-
 func TestQueueDepthBackpressure(t *testing.T) {
 	// With a tiny queue depth and slow compute, retrieval must stall rather
 	// than buffer the whole dataset.

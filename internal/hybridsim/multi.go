@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/chunk"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/head"
@@ -47,9 +48,6 @@ type MultiQuery struct {
 type MultiConfig struct {
 	Queries  []MultiQuery
 	Topology Topology
-	// RequestBatch is the job-group size masters request per poll; defaults
-	// to max(RetrievalThreads/2, 4) per cluster, like the live master.
-	RequestBatch int
 	// Seed drives the deterministic jitter stream.
 	Seed uint64
 	// Obs attaches observability: the sim_* metrics, and with an enabled
@@ -163,12 +161,14 @@ type mqJob struct {
 // mqCluster is one cluster's agent: a single master/poll loop interleaving
 // every query's jobs, like cluster.RunAgent, feeding retrieval lanes and
 // processing cores. It talks to the simulator's in-process head.Head the way
-// the live agent talks to the head node; what it models itself is physics
-// (links, disks, cores, boot and crash) and what an agent itself knows.
+// the live agent talks to the head node, and keeps its protocol state in the
+// live agent's cluster.AgentCore; what it models itself is physics (links,
+// disks, cores, boot and crash).
 type mqCluster struct {
 	s     *multiSim
 	model ClusterModel
 	index int
+	core  *cluster.AgentCore
 
 	queue      []mqJob
 	requesting bool
@@ -207,34 +207,17 @@ type mqCluster struct {
 	// in-flight transfers, busy cores and pending polls die with the machine
 	// instead of leaking into its replacement.
 	epoch         int
-	down          bool // crashed, waiting for restart
-	partitioned   bool // cut off from head and storage
-	checkpointing bool // quiescing cores for a checkpoint merge
-	deferred      []mqJob
+	down          bool    // crashed, waiting for restart
+	partitioned   bool    // cut off from head and storage
+	checkpointing bool    // quiescing cores for a checkpoint merge
+	deferred      []mqJob // commits a partition holds back
 }
 
-// clusterQuery is one cluster's state for one query.
+// clusterQuery is one cluster's physics and result for one query.
 type clusterQuery struct {
 	jobs     stats.JobAccounting // credit in the objects the head merged
 	coreBusy time.Duration       // core time spent folding the query's chunks
 	lastFold time.Duration
-
-	// The agent's reduction object for the query's current pass: the head
-	// query it belongs to (-1: none), the credit it holds, and — with
-	// checkpointing on — the job IDs it covers, how many of them the last
-	// landed checkpoint covered, and that checkpoint's sequence number.
-	// shipping marks an object on its way to the head.
-	pass     int
-	obj      stats.JobAccounting
-	folded   []int
-	landed   int
-	ckptSeq  int
-	shipping bool
-}
-
-// reset starts an empty object for head query id.
-func (st *clusterQuery) reset(id int) {
-	st.pass, st.obj, st.folded, st.landed, st.ckptSeq, st.shipping = id, stats.JobAccounting{}, nil, 0, 0, false
 }
 
 type multiSim struct {
@@ -519,10 +502,9 @@ func (s *multiSim) addCluster(cm ClusterModel) *mqCluster {
 		cm.QueueDepth = 2 * cm.Cores
 	}
 	c := &mqCluster{s: s, model: cm, index: len(s.clusters), slowFactor: 1,
+		core:      cluster.NewAgentCore(cm.Site, cm.Name, cm.Cores, s.cfg.faults.CheckpointEvery > 0),
+		freeLanes: make([]int, 0, cm.RetrievalThreads), idleCores: make([]int, 0, cm.Cores),
 		perQuery: make([]clusterQuery, len(s.cfg.Queries)), bytesBySite: make(map[int]int64)}
-	for q := range c.perQuery {
-		c.perQuery[q].pass = -1
-	}
 	c.freeAll()
 	s.clusters = append(s.clusters, c)
 	s.tr.NameProcess(c.pid(), fmt.Sprintf("cluster %s (site %d)", cm.Name, cm.Site))
@@ -559,8 +541,7 @@ func (c *mqCluster) start(why string) {
 			s.tr.InstantAt(c.pid(), 0, "fault", why, s.clock.Now(), nil)
 		}
 	}
-	if _, err := s.head.RegisterSite(protocol.Hello{Site: c.model.Site, Cluster: c.model.Name,
-		Cores: c.model.Cores, Proto: protocol.ProtoMulti}); err != nil {
+	if _, err := s.head.RegisterSite(c.core.Hello()); err != nil {
 		s.err = err
 		return
 	}
@@ -578,21 +559,10 @@ func (c *mqCluster) start(why string) {
 		if err != nil || len(spec.Checkpoint) == 0 {
 			continue
 		}
-		ck, err := fault.DecodeCheckpoint(spec.Checkpoint)
-		if err != nil {
+		if _, err := c.core.Resume(hq.ID(), spec.Checkpoint, decodeCredit); err != nil {
 			s.err = err
 			return
 		}
-		credit, err := decodeCredit(ck.Object)
-		if err != nil {
-			s.err = err
-			return
-		}
-		st := &c.perQuery[qi]
-		st.reset(hq.ID())
-		st.obj, st.ckptSeq = *credit, ck.Seq
-		st.folded = append(st.folded, ck.Completed...)
-		st.landed = len(ck.Completed)
 		bytes += s.cfg.Queries[qi].App.RobjBytes
 	}
 	if bytes == 0 {
@@ -660,15 +630,10 @@ func (s *multiSim) pollEvery() time.Duration {
 	return time.Millisecond
 }
 
+// batch is the job-group size a master requests per poll:
+// max(RetrievalThreads/2, 4). (The live agent asks for max(Cores, 4).)
 func (c *mqCluster) batch() int {
-	if c.s.cfg.RequestBatch > 0 {
-		return c.s.cfg.RequestBatch
-	}
-	b := c.model.RetrievalThreads / 2
-	if b < 4 {
-		b = 4
-	}
-	return b
+	return max(c.model.RetrievalThreads/2, 4)
 }
 
 // reachable reports whether the head's messages can get to the cluster.
@@ -726,12 +691,7 @@ func (c *mqCluster) poll() {
 func (c *mqCluster) answer(rep protocol.PollReply, err error) int {
 	s := c.s
 	if err != nil {
-		if fault.IsFenced(err) {
-			c.reset()
-			c.start("fenced")
-		} else {
-			s.err = err
-		}
+		c.failed(err)
 		return 0
 	}
 	n := 0
@@ -929,12 +889,11 @@ func (c *mqCluster) process(core int, mj mqJob) {
 				start, st.lastFold, obs.Args{"trace": mqTraceID(q), "query": q,
 					"bytes": mj.job.Ref.Size, "stolen": mj.job.Site != c.model.Site})
 		}
-		if c.partitioned || st.shipping && st.pass == mj.id {
-			// Held back: a partitioned agent cannot reach the head, and the
-			// live agent submits an object synchronously, so it commits
-			// nothing more for that pass until the head has merged it.
+		// A partitioned agent cannot reach the head; the core holds a commit
+		// for a pass whose object is on the wire until the head has merged it.
+		if c.partitioned {
 			c.deferred = append(c.deferred, mj)
-		} else {
+		} else if !c.core.Hold(mj.id, mj.job) {
 			c.commit(mj)
 		}
 		if c.epoch != epoch {
@@ -957,31 +916,11 @@ func (c *mqCluster) commit(mj mqJob) {
 	}
 	dups, err := s.head.CompleteQueryJobs(mj.id, c.model.Site, []jobs.Job{mj.job})
 	if err != nil {
-		if fault.IsFenced(err) {
-			c.reset()
-			c.start("fenced")
-		} else {
-			s.err = err
-		}
+		c.failed(err)
 		return
 	}
-	if len(dups) > 0 {
+	if !c.core.Committed(mj.id, mj.job, len(dups) > 0) {
 		s.fstats.DupCommits++
-	} else {
-		st := &c.perQuery[mj.query]
-		if st.pass != mj.id {
-			st.reset(mj.id)
-		}
-		if mj.job.Site != c.model.Site {
-			st.obj.Stolen++
-		} else {
-			st.obj.Local++
-		}
-		if s.cfg.faults.CheckpointEvery > 0 {
-			// Only a checkpoint names the jobs it covers; without one,
-			// tracking them would cost an allocation per job for nothing.
-			st.folded = append(st.folded, mj.job.ID)
-		}
 	}
 	if hq := s.passes[mj.query]; hq != nil && hq.ID() == mj.id && s.pools[mj.query].Drained() {
 		for _, o := range s.clusters {
@@ -1004,19 +943,15 @@ func (s *multiSim) queryHasMorePasses(q int) bool {
 // forgets the object once it is sent; a crash mid-transfer loses it.
 func (c *mqCluster) ship(qi, id int) {
 	s := c.s
-	st := &c.perQuery[qi]
-	if st.pass == id && st.shipping {
+	res, ok := c.core.Ship(id, nil)
+	if !ok {
 		return // already on its way
 	}
-	var obj stats.JobAccounting // empty if nothing was folded for this pass
-	if st.pass == id {
-		obj = st.obj
-	}
-	st.reset(id)
-	st.shipping = true
+	// A simulated object is the credit it carries.
+	res.Object = encodeCredit(stats.JobAccounting{Local: res.LocalJobs, Stolen: res.StolenJobs})
 	app := s.cfg.Queries[qi].App
 	if c.index == s.cfg.Topology.HeadCluster {
-		s.robjMerged(c, qi, id, obj)
+		s.robjMerged(c, qi, res)
 		return
 	}
 	start := s.clock.Now()
@@ -1029,13 +964,15 @@ func (c *mqCluster) ship(qi, id int) {
 			s.tr.Complete(c.pid(), 0, "reduction", "robj-transfer", start, s.clock.Now(),
 				obs.Args{"trace": mqTraceID(qi), "query": qi, "bytes": app.RobjBytes})
 		}
-		s.robjMerged(c, qi, id, obj)
+		s.robjMerged(c, qi, res)
 	})
 }
 
 // robjMerged serializes one reduction-object merge on the head's CPU and
-// submits the object to the head when the merge is done.
-func (s *multiSim) robjMerged(c *mqCluster, qi, id int, obj stats.JobAccounting) {
+// submits the object to the head when the merge is done. The head's answer
+// reaches the sender only if its incarnation still lives.
+func (s *multiSim) robjMerged(c *mqCluster, qi int, res protocol.ReductionResult) {
+	epoch := c.epoch
 	mergeStart := s.clock.Now()
 	if mergeStart < s.headBusyAt {
 		mergeStart = s.headBusyAt
@@ -1046,22 +983,26 @@ func (s *multiSim) robjMerged(c *mqCluster, qi, id int, obj stats.JobAccounting)
 			s.tr.Complete(0, 0, "reduction", "merge robj", mergeStart, s.clock.Now(),
 				obs.Args{"trace": mqTraceID(qi), "query": qi})
 		}
-		err := s.head.SubmitQueryResult(protocol.ReductionResult{Site: c.model.Site, Query: id,
-			Object: encodeCredit(obj), LocalJobs: obj.Local, StolenJobs: obj.Stolen})
-		st := &c.perQuery[qi]
-		if st.pass == id {
-			st.shipping = false
-		}
+		err := s.head.SubmitQueryResult(res)
 		switch {
 		case err == nil:
-			st.jobs.Local += obj.Local
-			st.jobs.Stolen += obj.Stolen
-		case fault.IsFenced(err):
-			// The head failed the sender before the merge: it reissued the
-			// object's jobs, so the object is refused.
-		default:
+			st := &c.perQuery[qi]
+			st.jobs.Local += res.LocalJobs
+			st.jobs.Stolen += res.StolenJobs
+		case !fault.IsFenced(err):
 			s.err = err
 			return
+		case c.epoch == epoch:
+			// The head failed the sender before the merge and reissued the
+			// object's jobs.
+			c.failed(err)
+			return
+		}
+		if c.epoch == epoch {
+			// The commits held for the object follow it.
+			for _, j := range c.core.Shipped(res.Query) {
+				c.deferred = append(c.deferred, mqJob{query: qi, id: res.Query, job: j})
+			}
 		}
 		if !c.partitioned {
 			c.flush()
@@ -1229,7 +1170,13 @@ func (creditReducer) LocalReduce(core.Object, []byte) error { return nil }
 func (creditReducer) Encode(o core.Object) ([]byte, error) {
 	return encodeCredit(*o.(*stats.JobAccounting)), nil
 }
-func (creditReducer) Decode(data []byte) (core.Object, error) { return decodeCredit(data) }
+func (creditReducer) Decode(data []byte) (core.Object, error) {
+	a, err := decodeCredit(data)
+	if err != nil {
+		return nil, err
+	}
+	return &a, nil
+}
 
 func (creditReducer) GlobalReduce(dst, src core.Object) error {
 	d, s := dst.(*stats.JobAccounting), src.(*stats.JobAccounting)
@@ -1247,10 +1194,10 @@ func encodeCredit(a stats.JobAccounting) []byte {
 	return b
 }
 
-func decodeCredit(b []byte) (*stats.JobAccounting, error) {
+func decodeCredit(b []byte) (stats.JobAccounting, error) {
 	if len(b) != 16 {
-		return nil, fmt.Errorf("hybridsim: credit object is %d bytes, want 16", len(b))
+		return stats.JobAccounting{}, fmt.Errorf("hybridsim: credit object is %d bytes, want 16", len(b))
 	}
-	return &stats.JobAccounting{Local: int(binary.LittleEndian.Uint64(b)),
+	return stats.JobAccounting{Local: int(binary.LittleEndian.Uint64(b)),
 		Stolen: int(binary.LittleEndian.Uint64(b[8:]))}, nil
 }

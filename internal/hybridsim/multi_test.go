@@ -116,7 +116,7 @@ func TestMultiWeightedShareFinishOrder(t *testing.T) {
 		ControlLatency: time.Millisecond,
 	}
 	mk := func(wHeavy, wLight int) MultiConfig {
-		cfg := MultiConfig{Topology: topo, Seed: 3, RequestBatch: 4}
+		cfg := MultiConfig{Topology: topo, Seed: 3}
 		for i, w := range []int{wHeavy, wLight} {
 			name := []string{"heavy", "light"}[i]
 			ix := multiIndex(t, name, 6, 4)

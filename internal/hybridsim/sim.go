@@ -104,9 +104,6 @@ type Config struct {
 	PoolOpts  jobs.Options
 	App       AppModel
 	Topology  Topology
-	// RequestBatch is the job-group size masters request; defaults to
-	// max(RetrievalThreads/2, 4) per cluster.
-	RequestBatch int
 	// Seed drives the deterministic jitter stream.
 	Seed uint64
 	// Faults is the deterministic fault-injection schedule plus the recovery
@@ -128,7 +125,7 @@ func (cfg Config) Multi() MultiConfig {
 	return MultiConfig{
 		Queries: []MultiQuery{{Name: cfg.App.Name, App: cfg.App, Index: cfg.Index,
 			Placement: cfg.Placement, PoolOpts: cfg.PoolOpts}},
-		Topology: cfg.Topology, RequestBatch: cfg.RequestBatch, Seed: cfg.Seed, Obs: cfg.Obs,
+		Topology: cfg.Topology, Seed: cfg.Seed, Obs: cfg.Obs,
 		faults: cfg.Faults,
 	}
 }

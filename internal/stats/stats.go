@@ -80,12 +80,11 @@ type JobAccounting struct {
 // Total returns Local + Stolen.
 func (a JobAccounting) Total() int { return a.Local + a.Stolen }
 
-// Collector accumulates a Breakdown and job accounting from many goroutines.
-// The zero value is ready to use.
+// Collector accumulates a Breakdown and per-source retrieval volume from
+// many goroutines. The zero value is ready to use.
 type Collector struct {
-	mu   sync.Mutex
-	b    Breakdown
-	jobs JobAccounting
+	mu sync.Mutex
+	b  Breakdown
 
 	// bytesRetrieved tracks the volume pulled from each source, keyed by a
 	// caller-chosen label ("local", "s3", …).
@@ -117,29 +116,11 @@ func (c *Collector) AddSync(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// CountJob records one completed job; stolen marks remote-data jobs.
-func (c *Collector) CountJob(stolen bool) {
-	c.mu.Lock()
-	if stolen {
-		c.jobs.Stolen++
-	} else {
-		c.jobs.Local++
-	}
-	c.mu.Unlock()
-}
-
 // Breakdown returns a snapshot of the accumulated decomposition.
 func (c *Collector) Breakdown() Breakdown {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.b
-}
-
-// Jobs returns a snapshot of the job accounting.
-func (c *Collector) Jobs() JobAccounting {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.jobs
 }
 
 // BytesRetrieved returns a copy of the per-source byte counters.
