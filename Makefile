@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race flake results loc layout sim-bench check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race flake results loc layout sim-bench control-bench check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -78,6 +78,11 @@ layout:
 # parent (alternate the two trees; run nothing else meanwhile).
 sim-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPaperScaleRun$$' -benchmem -count=10 ./internal/hybridsim
+
+# The head's grant path: five samples each of the fair-share drain (ns and
+# allocs per granted job) and the single-pool assign/commit cycle.
+control-bench:
+	$(GO) test -run '^$$' -bench 'Benchmark(FairShareAssign|PoolAssignComplete)$$' -benchmem -count=5 ./internal/jobs
 
 # Regenerate the exported-API snapshots. Run after an intentional API
 # change and commit the diff alongside it.

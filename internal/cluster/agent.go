@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -122,11 +123,9 @@ type agentQuery struct {
 	// feeds. Nil without a cache.
 	raw map[int]chunk.Source
 
-	// Checkpoint state: folds hold ckptMu.RLock, a checkpoint holds the write
-	// lock while it quiesces the engine. resumeObj is the object recovered
-	// from the head after a crash-restart; it is never mutated — each
-	// checkpoint and the final merge fold it into a fresh engine snapshot.
-	ckptMu    sync.RWMutex
+	// resumeObj is the object recovered from the head after a crash-restart;
+	// it is never mutated — each checkpoint and the final merge fold it into
+	// a fresh engine snapshot.
 	resumeObj core.Object
 
 	// mFolded counts this query's folds with query/site labels
@@ -137,9 +136,8 @@ type agentQuery struct {
 // agentRun carries the per-RunAgent state shared across queries.
 type agentRun struct {
 	cfg *AgentConfig
-	// core is the agent's protocol state. The retrieval lanes call it under
-	// coreMu; the poll loop calls it between batches, when no lane runs.
-	coreMu    sync.Mutex
+	// core is the agent's protocol state; only the poll loop's goroutine
+	// (which also commits and folds every batch) calls it.
 	core      *AgentCore
 	clk       obs.Clock
 	tr        *obs.Tracer
@@ -526,105 +524,150 @@ func (a *agentRun) prestage(q *agentQuery, js []jobs.Job) {
 	}
 }
 
-// process works one query's grant batch: retrieve, commit-before-fold, and
-// feed the query's engine, with RetrievalThreads jobs in flight at once. It
-// returns once the whole batch is folded (or discarded as duplicates), so a
-// Done notice in a later poll can never race this batch's folds.
+// process works one query's grant batch: RetrievalThreads lanes retrieve
+// while this goroutine commits and folds. Each commit takes the first
+// retrieved job plus every other one already waiting — whatever arrived
+// while the previous commit was on the wire; it never waits for more — and
+// folds the group's acknowledged non-duplicates in grant order within the
+// group. The lanes get job indices only from this goroutine, at most
+// RetrievalThreads beyond the chunks already folded or Put, so the batch
+// never holds more chunks than that outside the engine and no channel send
+// blocks. It returns once the whole batch is folded (or discarded as
+// duplicates), so a Done notice in a later poll can never race this batch's
+// folds.
 func (a *agentRun) process(ctx context.Context, q *agentQuery, js []jobs.Job) error {
-	cfg := a.cfg
-	lanes := cfg.RetrievalThreads
-	if lanes > len(js) {
-		lanes = len(js)
-	}
-	jobCh := make(chan jobs.Job)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for t := 0; t < lanes; t++ {
+	next := make(chan int, a.cfg.RetrievalThreads)
+	got := make(chan retrieved, a.cfg.RetrievalThreads)
+	var wg sync.WaitGroup
+	for range min(a.cfg.RetrievalThreads, len(js)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobCh {
-				if err := a.oneJob(q, j); err != nil {
-					fail(err)
-				}
+			for i := range next {
+				got <- a.retrieve(q, i, js[i])
 			}
 		}()
 	}
-	for _, j := range js {
-		select {
-		case <-ctx.Done():
-			fail(ctx.Err())
-		case jobCh <- j:
-			continue
+	defer func() {
+		close(next)
+		for range next { // a failed batch starts no more retrievals
 		}
-		break
+		wg.Wait()
+		close(got)
+		for r := range got {
+			bufpool.Put(r.data) // retrieved after the batch failed
+		}
+	}()
+	sent := 0
+	group := make([]retrieved, 0, a.cfg.RetrievalThreads)
+	for left := len(js); left > 0; left -= len(group) {
+		for ; sent < min(len(js)-left+a.cfg.RetrievalThreads, len(js)); sent++ {
+			next <- sent
+		}
+		select {
+		case r := <-got:
+			group = append(group[:0], r)
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		for len(got) > 0 { // only this goroutine receives: no wait
+			group = append(group, <-got)
+		}
+		slices.SortFunc(group, func(x, y retrieved) int { return x.i - y.i })
+		if err := a.commit(q, js, group); err != nil {
+			return err
+		}
 	}
-	close(jobCh)
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
-// oneJob retrieves, commits and folds a single job for q, recording the
-// job's retrieval and whole-job processing as spans (see addSpan).
-func (a *agentRun) oneJob(q *agentQuery, j jobs.Job) error {
+// retrieved is one lane's result: job js[i]'s chunk (a pooled buffer the
+// receiver owns) or the retrieval error, and when the retrieval started.
+type retrieved struct {
+	i     int
+	data  []byte
+	err   error
+	start time.Duration
+}
+
+// retrieve reads job j (js[i]) of q through its source, recording the
+// retrieval's stats and span.
+func (a *agentRun) retrieve(q *agentQuery, i int, j jobs.Job) retrieved {
 	cfg := a.cfg
+	r := retrieved{i: i, start: a.clk.Now()}
 	src, ok := q.sources[j.Site]
 	if !ok {
-		return fmt.Errorf("cluster %s: no source for site %d", cfg.Name, j.Site)
+		r.err = fmt.Errorf("cluster %s: no source for site %d", cfg.Name, j.Site)
+		return r
 	}
 	so := a.bySite[j.Site]
 	a.gInflight.Add(1)
-	start := a.clk.Now()
-	data, err := retrieveWithRetry(cfg.Name, cfg.Retry, cfg.Logf, src, j, a.mRetries)
-	elapsed := a.clk.Now() - start
+	r.data, r.err = retrieveWithRetry(cfg.Name, cfg.Retry, cfg.Logf, src, j, a.mRetries)
+	elapsed := a.clk.Now() - r.start
 	a.gInflight.Add(-1)
-	if err != nil {
-		return fmt.Errorf("cluster %s: retrieving %v: %w", cfg.Name, j.Ref, err)
+	if r.err != nil {
+		r.err = fmt.Errorf("cluster %s: retrieving %v: %w", cfg.Name, j.Ref, r.err)
+		return r
 	}
-	q.collector.AddRetrieval(so.label, elapsed, int64(len(data)))
+	q.collector.AddRetrieval(so.label, elapsed, int64(len(r.data)))
 	so.hRetr.Observe(elapsed)
 	if a.tracing(q) {
-		a.addSpan(q, "retrieve", "retrieval", agentTIDRetr, j.ID, start, start+elapsed)
-		defer func() { a.addSpan(q, "process", "job", agentTIDJobs, j.ID, start, a.clk.Now()) }()
+		a.addSpan(q, "retrieve", "retrieval", agentTIDRetr, j.ID, r.start, r.start+elapsed)
 	}
-	// Commit BEFORE folding: exactly-once reduction per query (duplicate
-	// completions — speculative copies, recovered re-executions, or commits
-	// for a canceled query — must not be folded).
-	dups, err := cfg.Head.CompleteJobs(protocol.JobsDone{
-		Site: cfg.Site, Query: q.id, Jobs: []jobs.Job{j}, Trace: a.queryTrace(q),
-	})
-	if err != nil {
-		bufpool.Put(data)
-		return err
+	return r
+}
+
+// commit sends one group of retrieved jobs to the head in a single JobsDone
+// and then folds the acknowledged ones. Commit BEFORE folding: exactly-once
+// reduction per query (duplicate completions — speculative copies,
+// recovered re-executions, or commits for a canceled query — must not be
+// folded). Every buffer in the group goes to the engine or back to bufpool
+// exactly once, whatever fails.
+func (a *agentRun) commit(q *agentQuery, js []jobs.Job, group []retrieved) error {
+	done := protocol.JobsDone{Site: a.cfg.Site, Query: q.id, Jobs: make([]jobs.Job, len(group))}
+	var err error
+	for k, r := range group {
+		done.Jobs[k] = js[r.i]
+		if err == nil {
+			err = r.err
+		}
 	}
-	if len(dups) > 0 {
-		bufpool.Put(data)
-		a.mDups.Inc()
-		return nil
+	var dups []int
+	if err == nil {
+		done.Trace = a.queryTrace(q)
+		dups, err = a.cfg.Head.CompleteJobs(done)
 	}
-	q.ckptMu.RLock()
+	for k, r := range group {
+		j := done.Jobs[k]
+		switch {
+		case err != nil:
+			bufpool.Put(r.data)
+		case slices.Contains(dups, j.ID):
+			bufpool.Put(r.data)
+			a.mDups.Inc()
+		default:
+			err = a.fold(q, j, r.data)
+		}
+		if r.err == nil && a.tracing(q) {
+			a.addSpan(q, "process", "job", agentTIDJobs, j.ID, r.start, a.clk.Now())
+		}
+	}
+	return err
+}
+
+// fold feeds one committed job's chunk to q's engine (which then owns the
+// buffer), credits it, and ships a checkpoint when the credit reaches the
+// next CheckpointEveryJobs boundary. Folds and checkpoints both run on the
+// poll loop's goroutine, so a checkpoint covers a job exactly when its
+// snapshot holds the fold.
+func (a *agentRun) fold(q *agentQuery, j jobs.Job, data []byte) error {
+	cfg := a.cfg
 	if err := q.engine.Submit(data); err != nil {
-		q.ckptMu.RUnlock()
 		bufpool.Put(data)
 		return err
 	}
-	// The fold and its credit land under one read lock, so a checkpoint
-	// covers a job exactly when its snapshot holds the fold.
-	a.coreMu.Lock()
 	a.core.Committed(q.id, j, false)
 	credit := a.core.Credit(q.id)
-	a.coreMu.Unlock()
-	q.ckptMu.RUnlock()
 	if every := cfg.Tuning.CheckpointEveryJobs; every > 0 && (credit.Local+credit.Stolen)%every == 0 {
 		if err := a.checkpoint(q); err != nil {
 			if fault.IsFenced(err) {
@@ -646,20 +689,15 @@ func (a *agentRun) oneJob(q *agentQuery, j jobs.Job) error {
 // covered job IDs to the head, tagged with the query.
 func (a *agentRun) checkpoint(q *agentQuery) error {
 	cfg := a.cfg
-	q.ckptMu.Lock()
 	snap, err := q.engine.Snapshot()
 	var enc []byte
 	if err == nil {
 		enc, err = q.merged(snap)
 	}
 	if err != nil {
-		q.ckptMu.Unlock()
 		return err
 	}
-	a.coreMu.Lock()
 	save, n := a.core.Checkpoint(q.id, enc)
-	a.coreMu.Unlock()
-	q.ckptMu.Unlock()
 	if n == 0 {
 		return nil
 	}
@@ -667,9 +705,7 @@ func (a *agentRun) checkpoint(q *agentQuery) error {
 	if err := cfg.Head.Checkpoint(save); err != nil {
 		return err
 	}
-	a.coreMu.Lock()
 	a.core.Landed(q.id, n)
-	a.coreMu.Unlock()
 	a.mCkpts.Inc()
 	cfg.Logf("cluster %s: query %d checkpoint %d shipped (%d jobs, %d bytes)",
 		cfg.Name, q.id, save.Seq, n, len(save.Data))

@@ -13,7 +13,8 @@ import (
 // mapping below, a wire round-trip. Fencing rejections reuse
 // fault.ErrFenced so existing fault.IsFenced call sites keep working.
 var (
-	// ErrUnknownQuery reports a query ID this head never admitted.
+	// ErrUnknownQuery reports a query ID this head never admitted, or a
+	// spec or checkpoint request for a query it has retired.
 	ErrUnknownQuery = errors.New("head: unknown query")
 	// ErrQueryCanceled reports an operation on a canceled query.
 	ErrQueryCanceled = errors.New("head: query canceled")

@@ -13,3 +13,11 @@ type SumReducer = sumReducer
 
 // SumTotal reads a sumReducer object's total.
 func SumTotal(obj core.Object) uint64 { return obj.(*sumObj).total }
+
+// Retained reports how many queries the head still holds: entries in its
+// query map and in its admission order.
+func (h *Head) Retained() (queries, order int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.queries), len(h.order)
+}

@@ -160,7 +160,7 @@ func (h *Head) checkLatencyStragglers() {
 	h.mu.Lock()
 	for pos, id := range h.order {
 		q := h.queries[id]
-		if q.finished || q.canceled {
+		if q.canceled {
 			continue
 		}
 		med := q.latAll.Quantile(0.5)
@@ -223,7 +223,7 @@ func (h *Head) checkStragglers(now time.Duration) {
 	defer h.mu.Unlock()
 	for _, id := range h.order {
 		q := h.queries[id]
-		if q.finished || q.canceled {
+		if q.canceled {
 			continue
 		}
 		if q.pool.Remaining() > 0 || q.pool.Outstanding() == 0 {
@@ -297,7 +297,7 @@ func (h *Head) FailSite(site int) {
 	h.mu.Lock()
 	actives := make([]*Query, 0, len(h.order))
 	for _, id := range h.order {
-		if q := h.queries[id]; !q.finished && !q.canceled {
+		if q := h.queries[id]; !q.canceled {
 			actives = append(actives, q)
 		}
 	}
@@ -349,6 +349,7 @@ func (h *Head) FailSite(site int) {
 	if _, ok := h.draining[site]; ok {
 		h.departLocked(site)
 	}
+	h.retireCanceledLocked() // a fenced site needs no Dropped notice
 	// Requeued and reissued jobs are grantable to sites held in a poll, and
 	// the failed site's own held poll must come back fenced.
 	h.notifyLocked()

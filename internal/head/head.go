@@ -337,7 +337,7 @@ func (h *Head) QueryLoads() []QueryLoad {
 	var loads []QueryLoad
 	for _, id := range h.order {
 		q := h.queries[id]
-		if q.finished || q.canceled {
+		if q.canceled {
 			continue
 		}
 		rem := q.pool.RemainingBytesBySite()
@@ -393,6 +393,7 @@ func (h *Head) departLocked(site int) {
 	if h.fs != nil {
 		h.fs.leases.Release(site)
 	}
+	h.retireCanceledLocked()
 	h.cfg.Obs.Metrics().Gauge("head_clusters_registered").Set(int64(len(h.clusters)))
 	h.cfg.Logf("head: site %d departed", site)
 	if h.tr.Enabled() {
@@ -403,10 +404,8 @@ func (h *Head) departLocked(site int) {
 // fail aborts every active query with err and stops the head.
 func (h *Head) fail(err error) {
 	h.mu.Lock()
-	for _, id := range h.order {
-		if q := h.queries[id]; !q.finished {
-			q.failLocked(err)
-		}
+	for _, q := range h.queries { // failLocked retires q: range the map, not h.order
+		q.failLocked(err)
 	}
 	h.mu.Unlock()
 	h.markDone()

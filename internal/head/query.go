@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -246,6 +247,7 @@ func (q *Query) Cancel() {
 	q.canceled = true
 	q.failLocked(opErr("cancel", -1, q.id, ErrQueryCanceled))
 	h.notifyLocked() // every site now owes a Dropped notice
+	h.retireCanceledLocked()
 	h.mu.Unlock()
 	h.fair.Remove(q.id)
 	h.cfg.Logf("head: canceled query %d", q.id)
@@ -254,7 +256,9 @@ func (q *Query) Cancel() {
 	}
 }
 
-// failLocked ends the query with err. Caller holds h.mu.
+// failLocked ends the query with err and retires it, unless it is being
+// canceled: a canceled query stays until every site has had its Dropped
+// notice. Caller holds h.mu.
 func (q *Query) failLocked(err error) {
 	if q.finished {
 		return
@@ -262,14 +266,53 @@ func (q *Query) failLocked(err error) {
 	q.finished = true
 	q.finishErr = err
 	close(q.done)
+	if !q.canceled {
+		q.h.retireLocked(q.id)
+	}
 }
 
-// finalizeLocked seals the final object and releases everyone waiting on
-// the query. Caller holds h.mu.
+// finalizeLocked seals the final object, releases everyone waiting on the
+// query and retires it. Caller holds h.mu.
 func (q *Query) finalizeLocked() {
 	q.finished = true
 	close(q.done)
+	q.h.retireLocked(q.id)
 	q.h.cfg.Logf("head: query %d complete (%d cluster results)", q.id, q.collected)
+}
+
+// retireLocked forgets a finished query; the client's *Query keeps Wait and
+// the reports. A late call naming its ID gets a finished query's answer:
+// commits are all duplicates, a submit is dropped, a spec or checkpoint
+// request is ErrUnknownQuery. Caller holds h.mu.
+func (h *Head) retireLocked(id int) {
+	delete(h.queries, id)
+	if i := slices.Index(h.order, id); i >= 0 {
+		h.order = slices.Delete(h.order, i, i+1)
+	}
+}
+
+// retiredLocked reports whether id names a query this head admitted and has
+// since retired. Caller holds h.mu.
+func (h *Head) retiredLocked(id int) bool {
+	return id >= 0 && id < h.nextQuery && h.queries[id] == nil
+}
+
+// retireCanceledLocked retires every canceled query whose Dropped notice
+// has reached each live registered site (a fenced site re-registers with no
+// query state, so it needs none). Caller holds h.mu.
+func (h *Head) retireCanceledLocked() {
+queries:
+	for id, q := range h.queries {
+		if !q.canceled {
+			continue
+		}
+		for site := range h.clusters {
+			if !q.dropNotified[site] && !(h.fs != nil && h.fs.leases.Dead(site)) {
+				continue queries
+			}
+		}
+		h.retireLocked(id)
+	}
 }
 
 // completeLocked reports whether every expected reduction result is in.
@@ -452,15 +495,13 @@ func (h *Head) pollOnce(site, n int, first bool) (protocol.PollReply, <-chan str
 			}
 			continue
 		}
-		if q.finished {
-			continue
-		}
 		if !q.pool.Drained() {
 			anyUndrained = true
 		} else if !q.reported[site] && (q.expectAll || q.contrib[site]) {
 			rep.Done = append(rep.Done, id)
 		}
 	}
+	h.retireCanceledLocked()
 	h.mu.Unlock()
 
 	if traced {
@@ -516,9 +557,6 @@ func (h *Head) pollDraining(site int) (protocol.PollReply, error) {
 			}
 			continue
 		}
-		if q.finished {
-			continue
-		}
 		if n := q.pool.OutstandingAt(site); n > 0 {
 			// Copies this site still holds: let it finish and commit them
 			// rather than requeue — the graceful half of the drain protocol.
@@ -530,6 +568,7 @@ func (h *Head) pollDraining(site int) (protocol.PollReply, error) {
 			rep.Done = append(rep.Done, id)
 		}
 	}
+	h.retireCanceledLocked()
 	if outstanding == 0 && owes == 0 {
 		rep.Drain = true
 		h.departLocked(site)
@@ -604,11 +643,11 @@ func (h *Head) CompleteQueryJobs(query, site int, js []jobs.Job) ([]int, error) 
 	h.Heartbeat(site)
 	h.mu.Lock()
 	q := h.queries[query]
-	if q == nil {
+	if q == nil && !h.retiredLocked(query) {
 		h.mu.Unlock()
 		return nil, opErr("complete", site, query, ErrUnknownQuery)
 	}
-	if q.canceled || q.finished {
+	if q == nil || q.canceled {
 		h.mu.Unlock()
 		dups := make([]int, len(js))
 		for i, j := range js {
@@ -708,7 +747,11 @@ func (h *Head) SubmitQueryResult(res protocol.ReductionResult) error {
 	h.Heartbeat(res.Site)
 	h.mu.Lock()
 	q := h.queries[res.Query]
+	retired := h.retiredLocked(res.Query)
 	h.mu.Unlock()
+	if retired {
+		return nil // late: the query's object is sealed
+	}
 	if q == nil {
 		return opErr("submit", res.Site, res.Query, ErrUnknownQuery)
 	}
@@ -798,11 +841,8 @@ func (h *Head) Shutdown() {
 		return
 	}
 	h.shutdown = true
-	for _, id := range h.order {
-		q := h.queries[id]
-		if !q.finished {
-			q.failLocked(opErr("shutdown", -1, id, ErrShutdown))
-		}
+	for id, q := range h.queries { // failLocked retires q: range the map, not h.order
+		q.failLocked(opErr("shutdown", -1, id, ErrShutdown))
 		h.fair.Remove(id)
 	}
 	h.notifyLocked()

@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/chunk"
 )
@@ -75,4 +77,48 @@ func BenchmarkPoolStealRoundRobin(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkFairShareAssign drains three 8 192-job pools (16 files of 512
+// jobs, split between two sites) through one FairShare, four jobs per ask
+// on alternating sites: the head's grant path. It reports the cost per
+// granted job.
+func BenchmarkFairShareAssign(b *testing.B) {
+	ix, err := chunk.Layout("fair", 8192, 4096, 512, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	placement := SplitByFraction(len(ix.Files), 0.5, 0, 1)
+	var grants, mallocs uint64
+	var elapsed time.Duration
+	var ms runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f := NewFairShare()
+		for q := 0; q < 3; q++ {
+			p, err := NewPool(ix, placement, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := f.Add(q, p, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		before, start := ms.Mallocs, time.Now()
+		b.StartTimer()
+		for site := 0; ; site = 1 - site {
+			got := f.Assign(site, 4)
+			if len(got) == 0 {
+				break
+			}
+			grants += uint64(len(got))
+		}
+		b.StopTimer()
+		elapsed += time.Since(start)
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+	}
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(grants), "ns/grant")
+	b.ReportMetric(float64(mallocs)/float64(grants), "allocs/grant")
 }

@@ -356,21 +356,23 @@ func (p *Pool) steal(site, n int) []Job {
 // live copy of (speculative re-insertions of its own in-flight work) are
 // skipped — handing a straggler a duplicate of its own job only slows it
 // further; those copies stay pending for some other site to pick up, or
-// are dropped when the original commits.
+// are dropped when the original commits. It walks only the jobs it takes
+// or skips, not the whole pending list.
 func (p *Pool) takeFrom(site, fi, n int) []Job {
 	fs := &p.files[fi]
-	var out []Job
-	kept := fs.pending[:0]
-	for _, j := range fs.pending {
-		if len(out) < n {
-			if a := p.assigned[j.ID]; a == nil || a.copies[site] == 0 {
-				out = append(out, j)
-				continue
-			}
+	out := make([]Job, 0, min(n, len(fs.pending)))
+	i, k := 0, 0 // jobs walked; skipped copies, compacted to the front
+	for ; i < len(fs.pending) && len(out) < n; i++ {
+		j := fs.pending[i]
+		if a := p.assigned[j.ID]; a != nil && a.copies[site] > 0 {
+			fs.pending[k] = j
+			k++
+			continue
 		}
-		kept = append(kept, j)
+		out = append(out, j)
 	}
-	fs.pending = kept
+	copy(fs.pending[i-k:i], fs.pending[:k]) // skipped copies stay in order
+	fs.pending = fs.pending[i-k:]
 	fs.readers += len(out)
 	p.remaining -= len(out)
 	for _, j := range out {
