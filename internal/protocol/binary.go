@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
-	"repro/internal/chunk"
 	"repro/internal/jobs"
 )
 
@@ -31,6 +29,9 @@ import (
 // so encoders write the payload bytes directly after the fixed meta and
 // decoders read them straight into a caller-supplied (pooled) buffer. No
 // reflection, no intermediate copies.
+//
+// Each layout is written once, as its message's walk method: the one field
+// list both encodes and decodes the message (see walker).
 //
 // Every field is always present, whatever its value: a TraceContext is two
 // u64 words (zero when untraced), an ElasticPolicy a 32-byte block
@@ -104,55 +105,374 @@ var (
 const jobWire = 8 + 4 + 4 + 4 + 8 + 8 + 4
 
 // ---------------------------------------------------------------------------
-// Encoding.
+// The walker.
 
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+// walker runs one message's field list in one of two modes.
+//
+// Encoding appends each field to buf; a trailing bulk payload is only
+// aliased in payload, for the caller to send after the meta.
+//
+// Decoding reads each field from r, of which n body bytes remain. The first
+// failure is kept in err and turns every later field into a no-op, so a walk
+// never checks errors itself. Every count and length is checked against the
+// bytes left before anything is allocated, and a tail payload is read into a
+// buffer from alloc. Decoding writes the fields it reads; encoding writes
+// nothing, so a message whose slices are shared can be encoded concurrently.
+type walker struct {
+	dec     bool
+	buf     []byte
+	payload []byte
+
+	r     io.Reader
+	n     int
+	err   error
+	alloc func(int) []byte
+	// scratch is the 8-byte read buffer. It lives outside the walker so that
+	// handing it to r does not move an encoding walker to the heap.
+	scratch []byte
 }
 
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func appendInt(b []byte, v int) []byte   { return appendU64(b, uint64(int64(v))) }
-func appendI64(b []byte, v int64) []byte { return appendU64(b, uint64(v)) }
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = appendU32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
-func appendTrace(b []byte, t TraceContext) []byte {
-	b = appendU64(b, t.TraceID)
-	return appendU64(b, t.SpanID)
-}
-
-func appendPolicy(b []byte, p ElasticPolicy) []byte {
-	b = appendI64(b, int64(p.Deadline))
-	b = appendU64(b, math.Float64bits(p.Budget))
-	b = appendInt(b, p.MinWorkers)
-	return appendInt(b, p.MaxWorkers)
-}
-
-func appendJobs(b []byte, js []jobs.Job) []byte {
-	b = appendU32(b, uint32(len(js)))
-	for _, j := range js {
-		b = appendU64(b, uint64(int64(j.ID)))
-		b = appendU32(b, uint32(j.Site))
-		b = appendU32(b, uint32(j.Ref.File))
-		b = appendU32(b, uint32(j.Ref.Seq))
-		b = appendU64(b, uint64(j.Ref.Offset))
-		b = appendU64(b, uint64(j.Ref.Size))
-		b = appendU32(b, uint32(j.Ref.Units))
+// fail records err unless the walk has already failed.
+func (w *walker) fail(err error) {
+	if w.err == nil {
+		w.err = err
 	}
-	return b
 }
+
+// fill reads len(p) body bytes into p, reporting whether it did.
+func (w *walker) fill(p []byte) bool {
+	if w.err != nil {
+		return false
+	}
+	if len(p) > w.n {
+		w.err = ErrTruncatedFrame
+		return false
+	}
+	if _, err := io.ReadFull(w.r, p); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = ErrTruncatedFrame
+		}
+		w.err = err
+		return false
+	}
+	w.n -= len(p)
+	return true
+}
+
+// word walks one little-endian field of size 1, 4 or 8 bytes: encoding
+// appends the low size bytes of v and returns v; decoding returns the field
+// read, or 0 once the walk has failed.
+func (w *walker) word(v uint64, size int) uint64 {
+	if w.dec {
+		return w.read(size)
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)[:len(w.buf)+size]
+	return v
+}
+
+// read decodes a size-byte little-endian word.
+func (w *walker) read(size int) uint64 {
+	p := w.scratch[:8]
+	clear(p[size:])
+	if !w.fill(p[:size]) {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(p)
+}
+
+// u64 walks a u64 word.
+func (w *walker) u64(v *uint64) {
+	if x := w.word(*v, 8); w.dec {
+		*v = x
+	}
+}
+
+// i64 walks an int64 as a u64 word.
+func (w *walker) i64(v *int64) {
+	if x := w.word(uint64(*v), 8); w.dec {
+		*v = int64(x)
+	}
+}
+
+// int walks an int as a u64 two's-complement word.
+func (w *walker) int(v *int) {
+	if x := w.word(uint64(*v), 8); w.dec {
+		*v = int(int64(x))
+	}
+}
+
+// i32 walks a small int (a code, a site, a file/seq/unit count) as a u32
+// two's-complement word.
+func (w *walker) i32(v *int) {
+	if x := w.word(uint64(uint32(*v)), 4); w.dec {
+		*v = int(int32(x))
+	}
+}
+
+// flags walks up to eight bools as the bits of one byte, low bit first.
+func (w *walker) flags(bits ...*bool) {
+	var b uint64
+	for i, p := range bits {
+		if *p {
+			b |= 1 << i
+		}
+	}
+	if b = w.word(b, 1); w.dec {
+		for i, p := range bits {
+			*p = b&(1<<i) != 0
+		}
+	}
+}
+
+// count walks a u32 element count. Decoding rejects a count whose elements,
+// at min bytes each, cannot fit in the bytes left, and returns 0 for it.
+func (w *walker) count(n, min int) int {
+	n = int(w.word(uint64(n), 4))
+	if w.dec && n*min > w.n {
+		w.fail(fmt.Errorf("%w: count %d × %d bytes exceeds frame", ErrCorruptFrame, n, min))
+		return 0
+	}
+	return n
+}
+
+// slice walks the count of *s and returns the slice whose elements the
+// caller walks next: *s itself when encoding; when decoding, a fresh slice
+// of the count read, stored in *s (left nil when the count is 0).
+func slice[T any](w *walker, s *[]T, min int) []T {
+	if n := w.count(len(*s), min); w.dec && n > 0 {
+		*s = make([]T, n)
+	}
+	return *s
+}
+
+// bytes walks a u32 length and that many bytes; empty decodes to nil.
+func (w *walker) bytes(p *[]byte) {
+	if b := slice(w, p, 1); !w.dec {
+		w.buf = append(w.buf, b...)
+	} else {
+		w.fill(b)
+	}
+}
+
+// str walks a string as a u32 length and its bytes.
+func (w *walker) str(s *string) {
+	n := w.count(len(*s), 1)
+	if !w.dec {
+		w.buf = append(w.buf, *s...)
+	} else if b := make([]byte, n); w.fill(b) {
+		*s = string(b)
+	}
+}
+
+// tail walks the trailing bulk payload: encoding aliases *p as the payload;
+// decoding reads every byte left into a buffer from alloc (nil alloc ⇒
+// make). Zero bytes left decode to nil, as a nil payload encodes.
+func (w *walker) tail(p *[]byte) {
+	if !w.dec {
+		w.payload = *p
+		return
+	}
+	if w.err != nil || w.n == 0 {
+		return
+	}
+	var b []byte
+	if w.alloc != nil {
+		b = w.alloc(w.n)
+	} else {
+		b = make([]byte, w.n)
+	}
+	if w.fill(b) {
+		*p = b
+	}
+}
+
+func (w *walker) trace(t *TraceContext) {
+	w.u64(&t.TraceID)
+	w.u64(&t.SpanID)
+}
+
+// status walks the {Err, Code} pair that ends every plain reply.
+func (w *walker) status(err *string, code *int) {
+	w.str(err)
+	w.i32(code)
+}
+
+func (w *walker) policy(p *ElasticPolicy) {
+	w.i64((*int64)(&p.Deadline))
+	if bits := w.word(math.Float64bits(p.Budget), 8); w.dec {
+		p.Budget = math.Float64frombits(bits)
+	}
+	w.int(&p.MinWorkers)
+	w.int(&p.MaxWorkers)
+}
+
+// ints walks a u32 count and that many u64-encoded ints.
+func (w *walker) ints(v *[]int) {
+	s := slice(w, v, 8)
+	for i := range s {
+		w.int(&s[i])
+	}
+}
+
+func (w *walker) jobs(v *[]jobs.Job) {
+	s := slice(w, v, jobWire)
+	for i := range s {
+		j := &s[i]
+		w.int(&j.ID)
+		w.i32(&j.Site)
+		w.i32(&j.Ref.File)
+		w.i32(&j.Ref.Seq)
+		w.i64(&j.Ref.Offset)
+		w.i64(&j.Ref.Size)
+		w.i32(&j.Ref.Units)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Layouts: one walk per message, its fields in wire order.
+
+func (m *Hello) walk(w *walker) {
+	w.int(&m.Proto)
+	w.int(&m.Site)
+	w.str(&m.Cluster)
+	w.int(&m.Cores)
+	w.trace(&m.Trace)
+}
+
+func (m *JobSpec) walk(w *walker) {
+	w.str(&m.App)
+	w.bytes(&m.Params)
+	w.int(&m.UnitSize)
+	w.int(&m.GroupBytes)
+	w.bytes(&m.Index)
+	w.bytes(&m.Checkpoint)
+	w.i64(&m.HeartbeatEvery)
+	w.int(&m.Query)
+	w.trace(&m.Trace)
+	w.policy(&m.Policy)
+}
+
+func (m *JobsDone) walk(w *walker) {
+	w.int(&m.Site)
+	w.int(&m.Query)
+	w.jobs(&m.Jobs)
+	w.trace(&m.Trace)
+}
+
+func (m *JobsDoneAck) walk(w *walker) {
+	w.status(&m.Err, &m.Code)
+	w.ints(&m.Dup)
+}
+
+func (m *Heartbeat) walk(w *walker) { w.int(&m.Site) }
+
+func (m *CheckpointSave) walk(w *walker) {
+	w.int(&m.Site)
+	w.int(&m.Seq)
+	w.int(&m.Query)
+	w.trace(&m.Trace)
+	w.tail(&m.Data)
+}
+
+func (m *CheckpointAck) walk(w *walker) { w.status(&m.Err, &m.Code) }
+
+func (m *ReductionResult) walk(w *walker) {
+	w.int(&m.Site)
+	w.int(&m.Query)
+	w.i64(&m.Processing)
+	w.i64(&m.Retrieval)
+	w.i64(&m.Sync)
+	w.int(&m.LocalJobs)
+	w.int(&m.StolenJobs)
+	w.trace(&m.Trace)
+	w.tail(&m.Object)
+}
+
+func (m *ErrorReply) walk(w *walker) { w.status(&m.Err, &m.Code) }
+
+func (m *SiteSpec) walk(w *walker) {
+	w.i64(&m.HeartbeatEvery)
+	w.trace(&m.Trace)
+}
+
+func (m *PollRequest) walk(w *walker) {
+	w.int(&m.Site)
+	w.int(&m.N)
+	w.i64(&m.NowNS)
+	spans := slice(w, &m.Spans, wireSpanMin)
+	for i := range spans {
+		s := &spans[i]
+		w.trace(&s.Trace)
+		w.str(&s.Name)
+		w.str(&s.Cat)
+		w.i32(&s.TID)
+		w.i32(&s.Query)
+		w.int(&s.Job)
+		w.i64(&s.Start)
+		w.i64(&s.Dur)
+	}
+	w.i64(&m.ParkNS)
+}
+
+func (m *PollReply) walk(w *walker) {
+	w.flags(&m.Wait, &m.Shutdown, &m.Drain)
+	// Each query entry costs at least its ID, trace and jobs count word.
+	qs := slice(w, &m.Queries, 8+traceWire+4)
+	for i := range qs {
+		q := &qs[i]
+		w.int(&q.Query)
+		w.trace(&q.Trace)
+		w.jobs(&q.Jobs)
+	}
+	w.ints(&m.Done)
+	w.ints(&m.Dropped)
+}
+
+func (m *QuerySpecRequest) walk(w *walker) {
+	w.int(&m.Site)
+	w.int(&m.Query)
+}
+
+func (m *ResultAck) walk(w *walker) { w.status(&m.Err, &m.Code) }
+
+func (m *PutReq) walk(w *walker) {
+	w.str(&m.Key)
+	w.tail(&m.Data)
+}
+
+func (m *PutResp) walk(w *walker) { w.status(&m.Err, &m.Code) }
+
+func (m *GetReq) walk(w *walker) {
+	w.str(&m.Key)
+	w.i64(&m.Off)
+	w.i64(&m.Len)
+}
+
+func (m *GetResp) walk(w *walker) {
+	w.status(&m.Err, &m.Code)
+	w.tail(&m.Data)
+}
+
+func (m *StatReq) walk(w *walker) { w.str(&m.Key) }
+
+func (m *StatResp) walk(w *walker) {
+	w.i64(&m.Size)
+	w.status(&m.Err, &m.Code)
+}
+
+func (m *ListReq) walk(w *walker) { w.str(&m.Prefix) }
+
+func (m *ListResp) walk(w *walker) {
+	keys := slice(w, &m.Keys, 4) // each key costs at least its u32 length word
+	for i := range keys {
+		w.str(&keys[i])
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch. The walks are called on concrete types, never through an
+// interface, so neither the message nor the walker escapes: encoding stays
+// allocation-free.
 
 // AppendBinary encodes m onto dst (which should have the frame's length word
 // reserved or prepended by the caller). It returns the grown meta buffer —
@@ -160,376 +480,57 @@ func appendJobs(b []byte, js []jobs.Job) []byte {
 // slice to transmit verbatim after the meta. The payload is aliased, never
 // copied; the frame length is len(meta)+len(payload).
 func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
+	w := walker{buf: dst}
+	tag := func(t byte) *walker { w.buf = append(w.buf, t); return &w }
 	switch m := m.(type) {
 	case Hello:
-		dst = append(dst, tagHello)
-		dst = appendInt(dst, m.Proto)
-		dst = appendInt(dst, m.Site)
-		dst = appendStr(dst, m.Cluster)
-		dst = appendInt(dst, m.Cores)
-		dst = appendTrace(dst, m.Trace)
+		m.walk(tag(tagHello))
 	case JobSpec:
-		dst = append(dst, tagJobSpec)
-		dst = appendStr(dst, m.App)
-		dst = appendBytes(dst, m.Params)
-		dst = appendInt(dst, m.UnitSize)
-		dst = appendInt(dst, m.GroupBytes)
-		dst = appendBytes(dst, m.Index)
-		dst = appendBytes(dst, m.Checkpoint)
-		dst = appendI64(dst, m.HeartbeatEvery)
-		dst = appendInt(dst, m.Query)
-		dst = appendTrace(dst, m.Trace)
-		dst = appendPolicy(dst, m.Policy)
+		m.walk(tag(tagJobSpec))
 	case JobsDone:
-		dst = append(dst, tagJobsDone)
-		dst = appendInt(dst, m.Site)
-		dst = appendInt(dst, m.Query)
-		dst = appendJobs(dst, m.Jobs)
-		dst = appendTrace(dst, m.Trace)
+		m.walk(tag(tagJobsDone))
 	case JobsDoneAck:
-		dst = append(dst, tagJobsDoneAck)
-		dst = appendStr(dst, m.Err)
-		dst = appendU32(dst, uint32(m.Code))
-		dst = appendU32(dst, uint32(len(m.Dup)))
-		for _, id := range m.Dup {
-			dst = appendInt(dst, id)
-		}
+		m.walk(tag(tagJobsDoneAck))
 	case Heartbeat:
-		dst = append(dst, tagHeartbeat)
-		dst = appendInt(dst, m.Site)
+		m.walk(tag(tagHeartbeat))
 	case CheckpointSave:
-		dst = append(dst, tagCheckpointSave)
-		dst = appendInt(dst, m.Site)
-		dst = appendInt(dst, m.Seq)
-		dst = appendInt(dst, m.Query)
-		dst = appendTrace(dst, m.Trace)
-		return dst, m.Data, nil
+		m.walk(tag(tagCheckpointSave))
 	case CheckpointAck:
-		dst = append(dst, tagCheckpointAck)
-		dst = appendStr(dst, m.Err)
-		dst = appendU32(dst, uint32(m.Code))
+		m.walk(tag(tagCheckpointAck))
 	case ReductionResult:
-		dst = append(dst, tagReductionResult)
-		dst = appendInt(dst, m.Site)
-		dst = appendInt(dst, m.Query)
-		dst = appendI64(dst, m.Processing)
-		dst = appendI64(dst, m.Retrieval)
-		dst = appendI64(dst, m.Sync)
-		dst = appendInt(dst, m.LocalJobs)
-		dst = appendInt(dst, m.StolenJobs)
-		dst = appendTrace(dst, m.Trace)
-		return dst, m.Object, nil
+		m.walk(tag(tagReductionResult))
 	case ErrorReply:
-		dst = append(dst, tagErrorReply)
-		dst = appendStr(dst, m.Err)
-		dst = appendU32(dst, uint32(m.Code))
+		m.walk(tag(tagErrorReply))
 	case SiteSpec:
-		dst = append(dst, tagSiteSpec)
-		dst = appendI64(dst, m.HeartbeatEvery)
-		dst = appendTrace(dst, m.Trace)
+		m.walk(tag(tagSiteSpec))
 	case PollRequest:
-		dst = append(dst, tagPollRequest)
-		dst = appendInt(dst, m.Site)
-		dst = appendInt(dst, m.N)
-		dst = appendI64(dst, m.NowNS)
-		dst = appendU32(dst, uint32(len(m.Spans)))
-		for _, s := range m.Spans {
-			dst = appendTrace(dst, s.Trace)
-			dst = appendStr(dst, s.Name)
-			dst = appendStr(dst, s.Cat)
-			dst = appendU32(dst, uint32(s.TID))
-			dst = appendU32(dst, uint32(s.Query))
-			dst = appendInt(dst, s.Job)
-			dst = appendI64(dst, s.Start)
-			dst = appendI64(dst, s.Dur)
-		}
-		dst = appendI64(dst, m.ParkNS)
+		m.walk(tag(tagPollRequest))
 	case PollReply:
-		dst = append(dst, tagPollReply)
-		var flags byte
-		if m.Wait {
-			flags |= 1
-		}
-		if m.Shutdown {
-			flags |= 2
-		}
-		if m.Drain {
-			flags |= 4
-		}
-		dst = append(dst, flags)
-		dst = appendU32(dst, uint32(len(m.Queries)))
-		for _, q := range m.Queries {
-			dst = appendInt(dst, q.Query)
-			dst = appendTrace(dst, q.Trace)
-			dst = appendJobs(dst, q.Jobs)
-		}
-		dst = appendU32(dst, uint32(len(m.Done)))
-		for _, q := range m.Done {
-			dst = appendInt(dst, q)
-		}
-		dst = appendU32(dst, uint32(len(m.Dropped)))
-		for _, q := range m.Dropped {
-			dst = appendInt(dst, q)
-		}
+		m.walk(tag(tagPollReply))
 	case QuerySpecRequest:
-		dst = append(dst, tagQuerySpecRequest)
-		dst = appendInt(dst, m.Site)
-		dst = appendInt(dst, m.Query)
+		m.walk(tag(tagQuerySpecRequest))
 	case ResultAck:
-		dst = append(dst, tagResultAck)
-		dst = appendStr(dst, m.Err)
-		dst = appendU32(dst, uint32(m.Code))
+		m.walk(tag(tagResultAck))
 	case PutReq:
-		dst = append(dst, tagPutReq)
-		dst = appendStr(dst, m.Key)
-		return dst, m.Data, nil
+		m.walk(tag(tagPutReq))
 	case PutResp:
-		dst = append(dst, tagPutResp)
-		dst = appendStr(dst, m.Err)
-		dst = appendU32(dst, uint32(m.Code))
+		m.walk(tag(tagPutResp))
 	case GetReq:
-		dst = append(dst, tagGetReq)
-		dst = appendStr(dst, m.Key)
-		dst = appendI64(dst, m.Off)
-		dst = appendI64(dst, m.Len)
+		m.walk(tag(tagGetReq))
 	case GetResp:
-		dst = append(dst, tagGetResp)
-		dst = appendStr(dst, m.Err)
-		dst = appendU32(dst, uint32(m.Code))
-		return dst, m.Data, nil
+		m.walk(tag(tagGetResp))
 	case StatReq:
-		dst = append(dst, tagStatReq)
-		dst = appendStr(dst, m.Key)
+		m.walk(tag(tagStatReq))
 	case StatResp:
-		dst = append(dst, tagStatResp)
-		dst = appendI64(dst, m.Size)
-		dst = appendStr(dst, m.Err)
-		dst = appendU32(dst, uint32(m.Code))
+		m.walk(tag(tagStatResp))
 	case ListReq:
-		dst = append(dst, tagListReq)
-		dst = appendStr(dst, m.Prefix)
+		m.walk(tag(tagListReq))
 	case ListResp:
-		dst = append(dst, tagListResp)
-		dst = appendU32(dst, uint32(len(m.Keys)))
-		for _, k := range m.Keys {
-			dst = appendStr(dst, k)
-		}
+		m.walk(tag(tagListResp))
 	default:
 		return dst, nil, fmt.Errorf("%w: %T", ErrUnknownType, m)
 	}
-	return dst, nil, nil
-}
-
-// ---------------------------------------------------------------------------
-// Decoding.
-
-// frameReader reads a frame body field by field, tracking the bytes that
-// remain so every embedded length and count is validated against the frame
-// size BEFORE anything is allocated.
-type frameReader struct {
-	r       io.Reader
-	n       int // body bytes not yet consumed
-	scratch [8]byte
-}
-
-func (f *frameReader) read(p []byte) error {
-	if len(p) > f.n {
-		return ErrTruncatedFrame
-	}
-	if _, err := io.ReadFull(f.r, p); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return ErrTruncatedFrame
-		}
-		return err
-	}
-	f.n -= len(p)
-	return nil
-}
-
-func (f *frameReader) u32() (uint32, error) {
-	if err := f.read(f.scratch[:4]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(f.scratch[:4]), nil
-}
-
-func (f *frameReader) u64() (uint64, error) {
-	if err := f.read(f.scratch[:8]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(f.scratch[:8]), nil
-}
-
-func (f *frameReader) int() (int, error) {
-	v, err := f.u64()
-	return int(int64(v)), err
-}
-
-func (f *frameReader) i64() (int64, error) {
-	v, err := f.u64()
-	return int64(v), err
-}
-
-func (f *frameReader) u8() (byte, error) {
-	if err := f.read(f.scratch[:1]); err != nil {
-		return 0, err
-	}
-	return f.scratch[0], nil
-}
-
-// count reads a u32 element count and validates count*elemSize against the
-// remaining frame bytes, so a hostile count cannot drive a huge allocation.
-func (f *frameReader) count(elemSize int) (int, error) {
-	v, err := f.u32()
-	if err != nil {
-		return 0, err
-	}
-	n := int(v)
-	if n < 0 || n*elemSize > f.n {
-		return 0, fmt.Errorf("%w: count %d × %d bytes exceeds frame", ErrCorruptFrame, n, elemSize)
-	}
-	return n, nil
-}
-
-func (f *frameReader) bytes() ([]byte, error) {
-	n, err := f.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b := make([]byte, n)
-	if err := f.read(b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-func (f *frameReader) str() (string, error) {
-	b, err := f.bytes()
-	return string(b), err
-}
-
-// tail reads the frame's trailing bulk payload — everything not yet consumed
-// — into a buffer from alloc (nil alloc ⇒ make). Zero remaining bytes yield
-// a nil slice, matching the encoder's treatment of nil payloads.
-func (f *frameReader) tail(alloc func(int) []byte) ([]byte, error) {
-	if f.n == 0 {
-		return nil, nil
-	}
-	var b []byte
-	if alloc != nil {
-		b = alloc(f.n)
-	} else {
-		b = make([]byte, f.n)
-	}
-	if err := f.read(b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// trace reads one TraceContext (two u64 words).
-func (f *frameReader) trace() (TraceContext, error) {
-	var t TraceContext
-	var err error
-	if t.TraceID, err = f.u64(); err != nil {
-		return t, err
-	}
-	t.SpanID, err = f.u64()
-	return t, err
-}
-
-// policy reads one ElasticPolicy block.
-func (f *frameReader) policy() (ElasticPolicy, error) {
-	var p ElasticPolicy
-	d, err := f.i64()
-	if err != nil {
-		return p, err
-	}
-	p.Deadline = time.Duration(d)
-	bits, err := f.u64()
-	if err != nil {
-		return p, err
-	}
-	p.Budget = math.Float64frombits(bits)
-	if p.MinWorkers, err = f.int(); err != nil {
-		return p, err
-	}
-	p.MaxWorkers, err = f.int()
-	return p, err
-}
-
-// ints reads a u32 count followed by that many u64-encoded ints.
-func (f *frameReader) ints() ([]int, error) {
-	n, err := f.count(8)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		if out[i], err = f.int(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (f *frameReader) jobs() ([]jobs.Job, error) {
-	n, err := f.count(jobWire)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	js := make([]jobs.Job, n)
-	for i := range js {
-		id, err := f.u64()
-		if err != nil {
-			return nil, err
-		}
-		site, err := f.u32()
-		if err != nil {
-			return nil, err
-		}
-		file, err := f.u32()
-		if err != nil {
-			return nil, err
-		}
-		seq, err := f.u32()
-		if err != nil {
-			return nil, err
-		}
-		off, err := f.u64()
-		if err != nil {
-			return nil, err
-		}
-		size, err := f.u64()
-		if err != nil {
-			return nil, err
-		}
-		units, err := f.u32()
-		if err != nil {
-			return nil, err
-		}
-		js[i] = jobs.Job{
-			ID:   int(int64(id)),
-			Site: int(int32(site)),
-			Ref: chunk.Ref{
-				File:   int(int32(file)),
-				Seq:    int(int32(seq)),
-				Offset: int64(off),
-				Size:   int64(size),
-				Units:  int(int32(units)),
-			},
-		}
-	}
-	return js, nil
+	return w.buf, w.payload, nil
 }
 
 // DecodeBinaryBody decodes one frame body (everything after the length word
@@ -542,12 +543,13 @@ func DecodeBinaryBody(tag byte, bodyLen int, r io.Reader, alloc func(int) []byte
 	return d.Decode(tag, bodyLen, r, alloc)
 }
 
-// BodyDecoder is a reusable DecodeBinaryBody: its internal frame reader
-// escapes into io.Reader calls, so a caller decoding many frames (one
-// transport connection) holds one BodyDecoder and avoids re-allocating the
-// state per frame. Not goroutine-safe; zero value is ready to use.
+// BodyDecoder is a reusable DecodeBinaryBody: its read buffer escapes into
+// io.Reader calls, so a caller decoding many frames (one transport
+// connection) holds one BodyDecoder and avoids re-allocating the state per
+// frame. Not goroutine-safe; zero value is ready to use.
 type BodyDecoder struct {
-	f frameReader
+	w       walker
+	scratch [8]byte
 }
 
 // Decode decodes one frame body exactly like DecodeBinaryBody.
@@ -555,412 +557,108 @@ func (d *BodyDecoder) Decode(tag byte, bodyLen int, r io.Reader, alloc func(int)
 	if bodyLen < 0 {
 		return nil, ErrCorruptFrame
 	}
-	d.f.r, d.f.n = r, bodyLen
-	m, err := decodeBody(tag, &d.f, alloc)
-	if err != nil {
-		return nil, err
-	}
-	if d.f.n != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %T", ErrCorruptFrame, d.f.n, m)
-	}
-	return m, nil
-}
-
-func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, error) {
+	d.w = walker{dec: true, r: r, n: bodyLen, alloc: alloc, scratch: d.scratch[:]}
+	w := &d.w
+	var m Message
 	switch tag {
 	case tagHello:
-		var m Hello
-		var err error
-		if m.Proto, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Site, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Cluster, err = f.str(); err != nil {
-			return nil, err
-		}
-		if m.Cores, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Trace, err = f.trace(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v Hello
+		v.walk(w)
+		m = v
 	case tagJobSpec:
-		var m JobSpec
-		var err error
-		if m.App, err = f.str(); err != nil {
-			return nil, err
-		}
-		if m.Params, err = f.bytes(); err != nil {
-			return nil, err
-		}
-		if m.UnitSize, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.GroupBytes, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Index, err = f.bytes(); err != nil {
-			return nil, err
-		}
-		if m.Checkpoint, err = f.bytes(); err != nil {
-			return nil, err
-		}
-		if m.HeartbeatEvery, err = f.i64(); err != nil {
-			return nil, err
-		}
-		if m.Query, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Trace, err = f.trace(); err != nil {
-			return nil, err
-		}
-		if m.Policy, err = f.policy(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v JobSpec
+		v.walk(w)
+		m = v
 	case tagJobsDone:
-		var m JobsDone
-		var err error
-		if m.Site, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Query, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Jobs, err = f.jobs(); err != nil {
-			return nil, err
-		}
-		if m.Trace, err = f.trace(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v JobsDone
+		v.walk(w)
+		m = v
 	case tagJobsDoneAck:
-		var m JobsDoneAck
-		var err error
-		if m.Err, err = f.str(); err != nil {
-			return nil, err
-		}
-		code, err := f.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.Code = int(int32(code))
-		n, err := f.count(8)
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.Dup = make([]int, n)
-			for i := range m.Dup {
-				if m.Dup[i], err = f.int(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return m, nil
+		var v JobsDoneAck
+		v.walk(w)
+		m = v
 	case tagHeartbeat:
-		var m Heartbeat
-		var err error
-		if m.Site, err = f.int(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v Heartbeat
+		v.walk(w)
+		m = v
 	case tagCheckpointSave:
-		var m CheckpointSave
-		var err error
-		if m.Site, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Seq, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Query, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Trace, err = f.trace(); err != nil {
-			return nil, err
-		}
-		if m.Data, err = f.tail(alloc); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v CheckpointSave
+		v.walk(w)
+		m = v
 	case tagCheckpointAck:
-		var m CheckpointAck
-		var err error
-		if m.Err, err = f.str(); err != nil {
-			return nil, err
-		}
-		code, err := f.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.Code = int(int32(code))
-		return m, nil
+		var v CheckpointAck
+		v.walk(w)
+		m = v
 	case tagReductionResult:
-		var m ReductionResult
-		var err error
-		if m.Site, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Query, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Processing, err = f.i64(); err != nil {
-			return nil, err
-		}
-		if m.Retrieval, err = f.i64(); err != nil {
-			return nil, err
-		}
-		if m.Sync, err = f.i64(); err != nil {
-			return nil, err
-		}
-		if m.LocalJobs, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.StolenJobs, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Trace, err = f.trace(); err != nil {
-			return nil, err
-		}
-		if m.Object, err = f.tail(alloc); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v ReductionResult
+		v.walk(w)
+		m = v
 	case tagErrorReply:
-		var m ErrorReply
-		var err error
-		if m.Err, err = f.str(); err != nil {
-			return nil, err
-		}
-		code, err := f.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.Code = int(int32(code))
-		return m, nil
+		var v ErrorReply
+		v.walk(w)
+		m = v
 	case tagSiteSpec:
-		var m SiteSpec
-		var err error
-		if m.HeartbeatEvery, err = f.i64(); err != nil {
-			return nil, err
-		}
-		if m.Trace, err = f.trace(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v SiteSpec
+		v.walk(w)
+		m = v
 	case tagPollRequest:
-		var m PollRequest
-		var err error
-		if m.Site, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.N, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.NowNS, err = f.i64(); err != nil {
-			return nil, err
-		}
-		ns, err := f.count(wireSpanMin)
-		if err != nil {
-			return nil, err
-		}
-		if ns > 0 {
-			m.Spans = make([]WireSpan, ns)
-			for i := range m.Spans {
-				s := &m.Spans[i]
-				if s.Trace, err = f.trace(); err != nil {
-					return nil, err
-				}
-				if s.Name, err = f.str(); err != nil {
-					return nil, err
-				}
-				if s.Cat, err = f.str(); err != nil {
-					return nil, err
-				}
-				tid, err := f.u32()
-				if err != nil {
-					return nil, err
-				}
-				s.TID = int(int32(tid))
-				q, err := f.u32()
-				if err != nil {
-					return nil, err
-				}
-				s.Query = int(int32(q))
-				if s.Job, err = f.int(); err != nil {
-					return nil, err
-				}
-				if s.Start, err = f.i64(); err != nil {
-					return nil, err
-				}
-				if s.Dur, err = f.i64(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if m.ParkNS, err = f.i64(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v PollRequest
+		v.walk(w)
+		m = v
 	case tagPollReply:
-		var m PollReply
-		flags, err := f.u8()
-		if err != nil {
-			return nil, err
-		}
-		m.Wait = flags&1 != 0
-		m.Shutdown = flags&2 != 0
-		m.Drain = flags&4 != 0
-		// Each query entry costs at least its ID, trace and jobs count word.
-		nq, err := f.count(8 + traceWire + 4)
-		if err != nil {
-			return nil, err
-		}
-		if nq > 0 {
-			m.Queries = make([]QueryJobs, nq)
-			for i := range m.Queries {
-				q := &m.Queries[i]
-				if q.Query, err = f.int(); err != nil {
-					return nil, err
-				}
-				if q.Trace, err = f.trace(); err != nil {
-					return nil, err
-				}
-				if q.Jobs, err = f.jobs(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if m.Done, err = f.ints(); err != nil {
-			return nil, err
-		}
-		if m.Dropped, err = f.ints(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v PollReply
+		v.walk(w)
+		m = v
 	case tagQuerySpecRequest:
-		var m QuerySpecRequest
-		var err error
-		if m.Site, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Query, err = f.int(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v QuerySpecRequest
+		v.walk(w)
+		m = v
 	case tagResultAck:
-		var m ResultAck
-		var err error
-		if m.Err, err = f.str(); err != nil {
-			return nil, err
-		}
-		code, err := f.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.Code = int(int32(code))
-		return m, nil
+		var v ResultAck
+		v.walk(w)
+		m = v
 	case tagPutReq:
-		var m PutReq
-		var err error
-		if m.Key, err = f.str(); err != nil {
-			return nil, err
-		}
-		if m.Data, err = f.tail(alloc); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v PutReq
+		v.walk(w)
+		m = v
 	case tagPutResp:
-		var m PutResp
-		var err error
-		if m.Err, err = f.str(); err != nil {
-			return nil, err
-		}
-		code, err := f.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.Code = int(int32(code))
-		return m, nil
+		var v PutResp
+		v.walk(w)
+		m = v
 	case tagGetReq:
-		var m GetReq
-		var err error
-		if m.Key, err = f.str(); err != nil {
-			return nil, err
-		}
-		if m.Off, err = f.i64(); err != nil {
-			return nil, err
-		}
-		if m.Len, err = f.i64(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v GetReq
+		v.walk(w)
+		m = v
 	case tagGetResp:
-		var m GetResp
-		var err error
-		if m.Err, err = f.str(); err != nil {
-			return nil, err
-		}
-		code, err := f.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.Code = int(int32(code))
-		if m.Data, err = f.tail(alloc); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v GetResp
+		v.walk(w)
+		m = v
 	case tagStatReq:
-		var m StatReq
-		var err error
-		if m.Key, err = f.str(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v StatReq
+		v.walk(w)
+		m = v
 	case tagStatResp:
-		var m StatResp
-		var err error
-		if m.Size, err = f.i64(); err != nil {
-			return nil, err
-		}
-		if m.Err, err = f.str(); err != nil {
-			return nil, err
-		}
-		code, err := f.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.Code = int(int32(code))
-		return m, nil
+		var v StatResp
+		v.walk(w)
+		m = v
 	case tagListReq:
-		var m ListReq
-		var err error
-		if m.Prefix, err = f.str(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		var v ListReq
+		v.walk(w)
+		m = v
 	case tagListResp:
-		var m ListResp
-		n, err := f.count(4) // each key costs at least its u32 length word
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.Keys = make([]string, n)
-			for i := range m.Keys {
-				if m.Keys[i], err = f.str(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return m, nil
+		var v ListResp
+		v.walk(w)
+		m = v
 	default:
 		return nil, fmt.Errorf("%w: tag %d", ErrUnknownType, tag)
 	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	if w.n != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %T", ErrCorruptFrame, w.n, m)
+	}
+	return m, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -970,8 +668,7 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 // payload — appended to dst.
 func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	lenAt := len(dst)
-	dst = appendU32(dst, 0) // patched below
-	meta, payload, err := AppendBinary(dst, m)
+	meta, payload, err := AppendBinary(append(dst, 0, 0, 0, 0), m) // length patched below
 	if err != nil {
 		return dst[:lenAt], err
 	}
