@@ -210,6 +210,7 @@ func (w *walker) i32(v *int) {
 }
 
 // flags walks up to eight bools as the bits of one byte, low bit first.
+// Decoding rejects a byte with any higher bit set.
 func (w *walker) flags(bits ...*bool) {
 	var b uint64
 	for i, p := range bits {
@@ -218,6 +219,9 @@ func (w *walker) flags(bits ...*bool) {
 		}
 	}
 	if b = w.word(b, 1); w.dec {
+		if b>>len(bits) != 0 {
+			w.fail(fmt.Errorf("%w: unknown flag bits %#x", ErrCorruptFrame, b))
+		}
 		for i, p := range bits {
 			*p = b&(1<<i) != 0
 		}

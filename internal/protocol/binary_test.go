@@ -251,6 +251,12 @@ func TestDecodeFrameMalformed(t *testing.T) {
 				return append(frameLen(uint32(len(body))), body...)
 			}(), ErrCorruptFrame},
 		{"payload frame truncated mid-meta", validPayload[:6], ErrTruncatedFrame},
+		{"poll reply flag bit beyond Wait, Shutdown and Drain",
+			func() []byte {
+				// An otherwise empty PollReply: flags, then three zero counts.
+				body := appendU32(appendU32(appendU32([]byte{byte(tagPollReply), 1 | 8}, 0), 0), 0)
+				return append(frameLen(uint32(len(body))), body...)
+			}(), ErrCorruptFrame},
 	}
 	for _, rf := range retiredFrames() {
 		cases = append(cases, struct {

@@ -7,7 +7,8 @@ import (
 
 // FuzzDecodeFrame feeds arbitrary bytes to the frame decoder. The decoder
 // must never panic and never allocate beyond the frame cap: any outcome
-// other than a clean (Message, n, nil) or a typed error is a bug. Run with
+// other than a clean (Message, n, nil) or a typed error is a bug, and so is
+// a decoded message that does not re-encode to the frame it came from. Run with
 //
 //	go test -fuzz=FuzzDecodeFrame ./internal/protocol
 func FuzzDecodeFrame(f *testing.F) {
@@ -48,22 +49,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		if m == nil {
 			t.Fatal("DecodeFrame returned nil message with nil error")
 		}
-		// A successfully decoded message must survive a re-encode/re-decode
-		// round trip (the encoder is the source of truth for the layout).
+		// Every layout is one walk in both directions, so a decoded message
+		// re-encodes to exactly the bytes it was decoded from.
 		frame, err := AppendFrame(nil, m)
 		if err != nil {
 			t.Fatalf("re-encoding decoded %T: %v", m, err)
 		}
-		m2, _, err := DecodeFrame(frame)
-		if err != nil {
-			t.Fatalf("re-decoding %T: %v", m, err)
-		}
-		frame2, err := AppendFrame(nil, m2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(frame, frame2) {
-			t.Fatalf("%T not canonical:\n first %x\nsecond %x", m, frame, frame2)
+		if !bytes.Equal(frame, data[:n]) {
+			t.Fatalf("%T does not re-encode to its frame:\n frame %x\nre-enc %x", m, data[:n], frame)
 		}
 	})
 }
