@@ -197,150 +197,83 @@ const (
 
 // WriteTo serializes the index in the binary format above.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	write := func(v any) error { return binary.Write(cw, binary.LittleEndian, v) }
-	if _, err := cw.Write([]byte(indexMagic)); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(indexVersion)); err != nil {
-		return cw.n, err
-	}
+	le := binary.LittleEndian
 	var flags uint32
 	if ix.HasChecksums() {
 		flags |= flagChecksums
 	}
-	if err := write(flags); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(ix.UnitSize)); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(len(ix.Files))); err != nil {
-		return cw.n, err
-	}
+	b := le.AppendUint32([]byte(indexMagic), indexVersion)
+	b = le.AppendUint32(b, flags)
+	b = le.AppendUint32(b, uint32(ix.UnitSize))
+	b = le.AppendUint32(b, uint32(len(ix.Files)))
 	for _, f := range ix.Files {
-		if err := write(uint32(len(f.Name))); err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write([]byte(f.Name)); err != nil {
-			return cw.n, err
-		}
-		if err := write(uint64(f.Size)); err != nil {
-			return cw.n, err
-		}
-		if err := write(uint32(len(f.Chunks))); err != nil {
-			return cw.n, err
-		}
+		b = le.AppendUint32(b, uint32(len(f.Name)))
+		b = append(b, f.Name...)
+		b = le.AppendUint64(b, uint64(f.Size))
+		b = le.AppendUint32(b, uint32(len(f.Chunks)))
 		for _, c := range f.Chunks {
-			if err := write(uint64(c.Offset)); err != nil {
-				return cw.n, err
-			}
-			if err := write(uint64(c.Size)); err != nil {
-				return cw.n, err
-			}
-			if err := write(uint32(c.Units)); err != nil {
-				return cw.n, err
-			}
+			b = le.AppendUint64(b, uint64(c.Offset))
+			b = le.AppendUint64(b, uint64(c.Size))
+			b = le.AppendUint32(b, uint32(c.Units))
 		}
 		if flags&flagChecksums != 0 {
 			for _, sum := range f.Checksums {
-				if err := write(sum); err != nil {
-					return cw.n, err
-				}
+				b = le.AppendUint32(b, sum)
 			}
 		}
 	}
-	return cw.n, nil
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
-// ReadIndex parses an index previously written with WriteTo and validates it.
+// ReadIndex parses an index previously written with WriteTo and validates
+// it. Agents decode indexes off the wire, so no count in one is trusted:
+// the file and chunk lists grow as their records arrive, and an index that
+// ends early is ErrCorruptIndex.
 func ReadIndex(r io.Reader) (*Index, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, err
-	}
-	if string(magic[:]) != indexMagic {
+	x := indexReader{r: r}
+	if string(x.next(make([]byte, len(indexMagic)))) != indexMagic {
+		if x.err != nil {
+			return nil, x.fail()
+		}
 		return nil, ErrBadMagic
 	}
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	var version, flags, unitSize, nFiles uint32
-	if err := read(&version); err != nil {
-		return nil, err
-	}
-	switch version {
-	case indexVersionOld:
+	var flags uint32
+	switch version := x.u32(); {
+	case x.err != nil || version == indexVersionOld:
 		// No flags word, no checksums.
-	case indexVersion:
-		if err := read(&flags); err != nil {
-			return nil, err
-		}
+	case version == indexVersion:
+		flags = x.u32()
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
-	if err := read(&unitSize); err != nil {
-		return nil, err
-	}
-	if err := read(&nFiles); err != nil {
-		return nil, err
-	}
-	const maxFiles = 1 << 20
-	if nFiles > maxFiles {
+	ix := &Index{UnitSize: int(x.u32())}
+	nFiles := int(x.u32())
+	if nFiles > 1<<20 {
 		return nil, fmt.Errorf("%w: %d files", ErrCorruptIndex, nFiles)
 	}
-	ix := &Index{UnitSize: int(unitSize), Files: make([]FileMeta, nFiles)}
-	for fi := range ix.Files {
-		var nameLen uint32
-		if err := read(&nameLen); err != nil {
-			return nil, err
-		}
+	for fi := 0; fi < nFiles && x.err == nil; fi++ {
+		nameLen := x.u32()
 		if nameLen > 4096 {
 			return nil, fmt.Errorf("%w: name length %d", ErrCorruptIndex, nameLen)
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, err
-		}
-		var size uint64
-		var nChunks uint32
-		if err := read(&size); err != nil {
-			return nil, err
-		}
-		if err := read(&nChunks); err != nil {
-			return nil, err
-		}
+		fm := FileMeta{Name: string(x.next(make([]byte, nameLen))), Size: int64(x.u64())}
+		nChunks := int(x.u32())
 		if nChunks > 1<<24 {
 			return nil, fmt.Errorf("%w: %d chunks", ErrCorruptIndex, nChunks)
 		}
-		fm := FileMeta{Name: string(name), Size: int64(size), Chunks: make([]Ref, nChunks)}
-		for ci := range fm.Chunks {
-			var off, csize uint64
-			var units uint32
-			if err := read(&off); err != nil {
-				return nil, err
-			}
-			if err := read(&csize); err != nil {
-				return nil, err
-			}
-			if err := read(&units); err != nil {
-				return nil, err
-			}
-			fm.Chunks[ci] = Ref{
-				File:   fi,
-				Seq:    ci,
-				Offset: int64(off),
-				Size:   int64(csize),
-				Units:  int(units),
-			}
+		for ci := 0; ci < nChunks && x.err == nil; ci++ {
+			// Operands are evaluated left to right: offset, size, units.
+			fm.Chunks = append(fm.Chunks, Ref{File: fi, Seq: ci,
+				Offset: int64(x.u64()), Size: int64(x.u64()), Units: int(x.u32())})
 		}
-		if flags&flagChecksums != 0 {
-			fm.Checksums = make([]uint32, nChunks)
-			for ci := range fm.Checksums {
-				if err := read(&fm.Checksums[ci]); err != nil {
-					return nil, err
-				}
-			}
+		for ci := 0; flags&flagChecksums != 0 && ci < nChunks && x.err == nil; ci++ {
+			fm.Checksums = append(fm.Checksums, x.u32())
 		}
-		ix.Files[fi] = fm
+		ix.Files = append(ix.Files, fm)
+	}
+	if x.err != nil {
+		return nil, x.fail()
 	}
 	if err := ix.Validate(); err != nil {
 		return nil, err
@@ -348,15 +281,33 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	return ix, nil
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
+// indexReader reads an index's little-endian fields. It keeps the first
+// read error and yields zeros after it, so ReadIndex checks once per record.
+type indexReader struct {
+	r   io.Reader
+	err error
+	b   [8]byte
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
+func (x *indexReader) next(p []byte) []byte {
+	if x.err == nil {
+		_, x.err = io.ReadFull(x.r, p)
+	}
+	if x.err != nil {
+		clear(p)
+	}
+	return p
+}
+
+func (x *indexReader) u32() uint32 { return binary.LittleEndian.Uint32(x.next(x.b[:4])) }
+func (x *indexReader) u64() uint64 { return binary.LittleEndian.Uint64(x.next(x.b[:8])) }
+
+// fail returns the read error, a short index as ErrCorruptIndex.
+func (x *indexReader) fail() error {
+	if x.err == io.EOF || x.err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: truncated", ErrCorruptIndex)
+	}
+	return x.err
 }
 
 // UnitGroups splits a chunk's payload into groups of whole units whose size
