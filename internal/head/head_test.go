@@ -370,7 +370,7 @@ func TestHandleConnGobOptIn(t *testing.T) {
 func TestHandleConnRefusesOtherVersions(t *testing.T) {
 	h, _ := testHead(t, 1)
 	defer h.Shutdown()
-	for _, proto := range []int{0, 1, protocol.ProtoMulti + 1} {
+	for _, proto := range []int{0, 1, protocol.ProtoMulti - 1, protocol.ProtoMulti + 1} {
 		a, b := transport.Pipe()
 		done := make(chan struct{})
 		go func() { h.HandleConn(b); close(done) }()

@@ -621,7 +621,6 @@ func (h *Head) QuerySpec(site, query int) (protocol.JobSpec, error) {
 		return protocol.JobSpec{}, opErr("spec", site, query, ErrQueryCanceled)
 	}
 	spec := q.spec
-	spec.HeartbeatEvery = int64(h.cfg.Tuning.HeartbeatInterval())
 	spec.Checkpoint = h.recoverSpec(q, site)
 	if h.tr.Enabled() {
 		// Confirms trace propagation for this query: the master stamps this

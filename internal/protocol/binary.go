@@ -350,7 +350,6 @@ func (m *JobSpec) walk(w *walker) {
 	w.int(&m.GroupBytes)
 	w.bytes(&m.Index)
 	w.bytes(&m.Checkpoint)
-	w.i64(&m.HeartbeatEvery)
 	w.int(&m.Query)
 	w.trace(&m.Trace)
 	w.policy(&m.Policy)

@@ -37,7 +37,7 @@ func sampleMessages() []Message {
 		Hello{},
 		JobSpec{App: "knn", Params: []byte{1, 2, 3}, UnitSize: 4096, GroupBytes: 256 << 10,
 			Index:      bytes.Repeat([]byte{0xAB}, 100),
-			Checkpoint: []byte("ckpt"), HeartbeatEvery: 5e8},
+			Checkpoint: []byte("ckpt")},
 		JobSpec{App: "kmeans"},
 		JobsDone{Site: 2, Jobs: sampleJobs(3)},
 		JobsDoneAck{Dup: []int{4, 9, 11}, Err: "partial"},

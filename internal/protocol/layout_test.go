@@ -57,11 +57,11 @@ func fixedLayouts() []layoutCase {
 		{"Hello zero trace", Hello{Proto: ProtoMulti, Cores: 1},
 			w.u8(1).n(ProtoMulti).n(0).str("").n(1).tc(0, 0), 0},
 		{"JobSpec", JobSpec{App: "knn", Params: []byte("p"), UnitSize: 32, GroupBytes: 1 << 18, Index: []byte("ix"),
-			Checkpoint: []byte("ck"), HeartbeatEvery: 5e8, Query: 4, Trace: TraceContext{5, 0}, Policy: policy},
-			w.u8(2).str("knn").str("p").n(32).n(1<<18).str("ix").str("ck").n(5e8).n(4).tc(5, 0).
+			Checkpoint: []byte("ck"), Query: 4, Trace: TraceContext{5, 0}, Policy: policy},
+			w.u8(2).str("knn").str("p").n(32).n(1<<18).str("ix").str("ck").n(4).tc(5, 0).
 				n(90e9).u64(math.Float64bits(0.25)).n(1).n(6), 0},
 		{"JobSpec zero trace and policy", JobSpec{App: "knn"},
-			w.u8(2).str("knn").str("").n(0).n(0).str("").str("").n(0).n(0).tc(0, 0).n(0).u64(0).n(0).n(0), 0},
+			w.u8(2).str("knn").str("").n(0).n(0).str("").str("").n(0).tc(0, 0).n(0).u64(0).n(0).n(0), 0},
 		{"JobsDone", JobsDone{Site: 1, Query: 4, Jobs: []jobs.Job{layoutJob}, Trace: TraceContext{5, 6}},
 			w.u8(5).n(1).n(4).u32(1).job(9, 1, 2, 3, 4096, 512, 16).tc(5, 6), 0},
 		{"JobsDone zero trace", JobsDone{Site: 1},
@@ -215,7 +215,7 @@ func TestZeroPolicyEncodesBitIdentical(t *testing.T) {
 		n(policy.MinWorkers).n(policy.MaxWorkers)
 	for _, trace := range []TraceContext{{}, traceWord} {
 		zero := JobSpec{App: "knn", Params: []byte{1, 2}, UnitSize: 4096, GroupBytes: 256 << 10,
-			HeartbeatEvery: 5e8, Query: 2, Trace: trace}
+			Query: 2, Trace: trace}
 		withPolicy := zero
 		withPolicy.Policy = policy
 		got := mustFrame(t, zero)
@@ -381,5 +381,15 @@ func TestPrePolicyFramesRefused(t *testing.T) {
 	refused(t, map[string][]byte{
 		"JobSpec":       spec.frame(),
 		"JobSpec+trace": append(append(wire(nil), spec...), wire(nil).tc(3, 0)...).frame(),
+	})
+}
+
+// TestProto2JobSpecRefused: a JobSpec in the version-2 layout, which carried
+// a heartbeat period after Checkpoint, is one word longer than the current
+// layout and is refused rather than read with shifted fields.
+func TestProto2JobSpecRefused(t *testing.T) {
+	refused(t, map[string][]byte{
+		"JobSpec v2": wire(nil).u8(tagJobSpec).str("knn").str("p").n(32).n(1<<18).str("ix").str("ck").
+			n(5e8).n(4).tc(5, 0).n(90e9).u64(math.Float64bits(0.25)).n(1).n(6).frame(),
 	})
 }

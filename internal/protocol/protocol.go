@@ -78,10 +78,11 @@ type WireSpan struct {
 // ProtoMulti is the session protocol version carried in Hello.Proto: the
 // master registers once and interleaves jobs from every admitted query over
 // the same connection; the head replies with SiteSpec and specs are fetched
-// per query. Version 2 names the fixed-layout frames, every field always
-// present. The head answers a Hello of any other version with an ErrorReply
-// coded CodeVersionMismatch.
-const ProtoMulti = 2
+// per query. Version 3 names the fixed-layout frames, every field always
+// present (version 2 also carried a heartbeat period in JobSpec). The head
+// answers a Hello of any other version with an ErrorReply coded
+// CodeVersionMismatch.
+const ProtoMulti = 3
 
 // Hello registers a master with the head node.
 type Hello struct {
@@ -111,9 +112,6 @@ type JobSpec struct {
 	// re-registering cluster resumes from (its last persisted reduction
 	// object plus the job IDs that object covers).
 	Checkpoint []byte
-	// Fault carries the head's recovery parameters so the cluster runtime
-	// can enable heartbeats and checkpointing without local configuration.
-	HeartbeatEvery int64 // nanoseconds between heartbeats; 0 disables
 	// Query identifies which admitted query this spec belongs to.
 	Query int
 	// Trace is the query's trace context (TraceID assigned at admission),
