@@ -1,7 +1,7 @@
 // Package driver is the public client surface for running generalized-
 // reduction queries over a hybrid deployment. A Deployment describes the
-// fixed wiring — dataset layout, placement, clusters; a Client opens
-// Sessions over it; a Session accepts concurrent queries (Submit → Query →
+// fixed wiring — dataset layout, placement, clusters; NewSession opens a
+// Session over it; a Session accepts concurrent queries (Submit → Query →
 // Wait/Cancel) that share the deployed clusters under the head's weighted
 // fair-share scheduler.
 //

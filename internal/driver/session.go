@@ -17,30 +17,6 @@ import (
 	"repro/internal/protocol"
 )
 
-// Client is the public entry point for running queries over a Deployment:
-// it validates the deployment once and opens Sessions against it. The
-// Deployment.RunOnce / Deployment.Iterate entry points are thin wrappers
-// over the same path (one short-lived Session per call).
-type Client struct {
-	dep *Deployment
-}
-
-// NewClient validates d and returns a client for it.
-func NewClient(d *Deployment) (*Client, error) {
-	if err := d.validate(); err != nil {
-		return nil, err
-	}
-	return &Client{dep: d}, nil
-}
-
-// Open starts a live session: a multi-query head plus one long-lived agent
-// per cluster, all in-process. The clusters register once and then serve
-// every query submitted through the session, concurrently, under the head's
-// weighted fair share. Close the session to release the agents.
-func (c *Client) Open() (*Session, error) {
-	return newSession(c.dep)
-}
-
 // Session is a running deployment accepting concurrent queries. Submit
 // admits a query and returns immediately; each Query is waited on (or
 // canceled) independently. Sessions are safe for concurrent use.
@@ -68,17 +44,15 @@ type Session struct {
 // Deployment.DebugAddr ":0" this is how callers discover the chosen port.
 func (s *Session) DebugAddr() net.Addr { return s.debugAddr }
 
-// NewSession validates d and opens a live session over it; shorthand for
-// NewClient(d) followed by Open.
+// NewSession validates d and opens a live session over it: a multi-query
+// head plus one long-lived agent per cluster, all in-process. The clusters
+// register once and then serve every query submitted through the session,
+// concurrently, under the head's weighted fair share. Close the session to
+// release the agents.
 func NewSession(d *Deployment) (*Session, error) {
-	c, err := NewClient(d)
-	if err != nil {
+	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	return c.Open()
-}
-
-func newSession(d *Deployment) (*Session, error) {
 	logf := d.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
