@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race flake results loc layout sim-bench control-bench check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race flake fuzz results loc layout sim-bench control-bench check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -40,6 +40,22 @@ flake:
 	$(GO) test -count=20 $(FLAKE_PKGS)
 	$(GO) test -race -count=5 $(FLAKE_PKGS)
 	$(GO) test -count=3 -run TestEndToEndDaemons .
+
+# Run every fuzz target for FUZZTIME, one `go test -fuzz` per target (the
+# flag takes one target at a time). A finding fails the run and leaves its
+# input under the package's testdata/fuzz/ for the regression suite.
+FUZZTIME ?= 15s
+FUZZ_TARGETS := \
+	FuzzDecodeFrame:./internal/protocol \
+	FuzzDecodeFloat64Vector:./internal/core \
+	FuzzPageRankParams:./internal/apps \
+	FuzzReadIndex:./internal/chunk
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		name=$${t%%:*}; pkg=$${t#*:}; \
+		echo "fuzz $$name in $$pkg for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # Regenerate the paper-table snapshot that TestPaperTablesMatchResults pins
 # (every section but Figure 1's wall-clock timings) and the fault-sweep
