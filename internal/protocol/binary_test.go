@@ -336,11 +336,11 @@ func TestDecodeAllocs(t *testing.T) {
 		max   float64
 	}{
 		// One allocation for the job slice, plus the bytes.Reader, the
-		// frameReader, and boxing the result into the Message interface; a
+		// BodyDecoder, and boxing the result into the Message interface; a
 		// poll grant adds its per-query slice.
 		{"PollReply", grant, nil, 5},
 		{"JobsDone", done, nil, 4},
-		// The chunk payload lands in the pooled buffer: reader + frameReader
+		// The chunk payload lands in the pooled buffer: reader + BodyDecoder
 		// + interface boxing only.
 		{"GetResp chunk pooled", chunkFrame, alloc, 3},
 	}
