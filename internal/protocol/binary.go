@@ -295,7 +295,7 @@ func (w *walker) trace(t *TraceContext) {
 	w.u64(&t.SpanID)
 }
 
-// status walks the {Err, Code} pair that ends every plain reply.
+// status walks the {Err, Code} pair that seven replies share.
 func (w *walker) status(err *string, code *int) {
 	w.str(err)
 	w.i32(code)
