@@ -318,6 +318,7 @@ func (w *walker) ints(v *[]int) {
 	}
 }
 
+// jobs walks a u32 count and that many jobs of jobWire bytes each.
 func (w *walker) jobs(v *[]jobs.Job) {
 	s := slice(w, v, jobWire)
 	for i := range s {
@@ -484,6 +485,7 @@ func (m *ListResp) walk(w *walker) {
 // copied; the frame length is len(meta)+len(payload).
 func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 	w := walker{buf: dst}
+	// tag appends the frame's tag byte and hands the walker to the fields.
 	tag := func(t byte) *walker { w.buf = append(w.buf, t); return &w }
 	switch m := m.(type) {
 	case Hello:
