@@ -96,9 +96,12 @@ sim-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPaperScaleRun$$' -benchmem -count=10 ./internal/hybridsim
 
 # The head's grant path: five samples each of the fair-share drain (ns and
-# allocs per granted job) and the single-pool assign/commit cycle.
+# allocs per granted job) and the single-pool assign/commit cycle; then the
+# head's poll with the last grant's commit riding on it against a poll plus
+# its own commit (ns and allocs per committed job).
 control-bench:
 	$(GO) test -run '^$$' -bench 'Benchmark(FairShareAssign|PoolAssignComplete)$$' -benchmem -count=5 ./internal/jobs
+	$(GO) test -run '^$$' -bench 'BenchmarkPollCommit$$' -benchmem -count=5 ./internal/head
 
 # Regenerate the exported-API snapshots. Run after an intentional API
 # change and commit the diff alongside it.

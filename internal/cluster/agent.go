@@ -159,6 +159,21 @@ type agentRun struct {
 	nextSpan atomic.Uint64
 	spanMu   sync.Mutex
 	spans    []protocol.WireSpan
+
+	// kept holds each query's last group of the batch just served, which the
+	// next poll commits; commits is that poll's outgoing list. Both keep
+	// their capacity from poll to poll.
+	kept    []keptGroup
+	commits []protocol.JobsDone
+}
+
+// keptGroup is one query's last group of a grant batch, held for the next
+// poll to commit: the group itself (its buffers included) and its jobs in
+// group order.
+type keptGroup struct {
+	q     *agentQuery
+	group []retrieved
+	jobs  []jobs.Job
 }
 
 // siteObs is what the agent keeps per source site: the byte-accounting
@@ -288,15 +303,20 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		}()
 	}
 	defer a.discardAll()
+	defer a.settleKept(nil, errAgentExit)
 
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Nothing is in flight between batches, so the poll can park: the head
-		// holds an empty answer until it has grants or a notice for this site,
-		// for at most the waitPoll an idle agent would otherwise sleep.
+		// Nothing is retrieving between batches, so the poll can park: the
+		// head holds an empty answer until it has grants or a notice for this
+		// site, for at most the waitPoll an idle agent would otherwise sleep.
+		// A poll that commits the last batch's kept groups is never held.
 		req := protocol.PollRequest{Site: cfg.Site, N: max(cfg.Cores, 4), ParkNS: int64(waitPoll)}
+		if len(a.kept) > 0 {
+			req.Commits = a.outgoing()
+		}
 		polled := time.Now()
 		if a.traceOn {
 			req.Spans = a.takeSpans()
@@ -313,9 +333,14 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 			}
 			err = fmt.Errorf("cluster %s: poll: %w", cfg.Name, err)
 		}
+		// The poll's commits fold before anything in its reply is served, so a
+		// Done notice never overtakes a fold.
+		err = a.settleKept(rep.Acks, err)
 		worked := false
 		if err == nil {
-			worked, err = a.serve(ctx, rep)
+			if worked, err = a.serve(ctx, rep); err != nil {
+				a.settleKept(nil, err)
+			}
 		}
 		if fault.IsFenced(err) {
 			// The head reissued every fold no landed checkpoint covers; the
@@ -341,12 +366,13 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		if rep.Shutdown {
 			return nil
 		}
-		if rest := waitPoll - time.Since(polled); !worked && rest > 0 {
+		if rest := waitPoll - time.Since(polled); !worked && len(req.Commits) == 0 && rest > 0 {
 			// Idle, and the answer came back before the park ran out (a head
 			// that does not hold polls, or a notice for a query already gone):
 			// sit out the remainder so an empty answer can never make the loop
 			// spin. New queries may be admitted at any time, so the agent never
-			// exits on an empty grant.
+			// exits on an empty grant. A poll that carried commits was answered
+			// without a hold: the next one, empty-handed, parks instead.
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -525,16 +551,18 @@ func (a *agentRun) prestage(q *agentQuery, js []jobs.Job) {
 }
 
 // process works one query's grant batch: RetrievalThreads lanes retrieve
-// while this goroutine commits and folds. Each commit takes the first
+// while this goroutine commits and folds. Each group takes the first
 // retrieved job plus every other one already waiting — whatever arrived
-// while the previous commit was on the wire; it never waits for more — and
-// folds the group's acknowledged non-duplicates in grant order within the
-// group. The lanes get job indices only from this goroutine, at most
-// RetrievalThreads beyond the chunks already folded or Put, so the batch
-// never holds more chunks than that outside the engine and no channel send
-// blocks. It returns once the whole batch is folded (or discarded as
-// duplicates), so a Done notice in a later poll can never race this batch's
-// folds.
+// while the previous commit was on the wire; it never waits for more. Every
+// group but the last commits at once in a JobsDone and folds its
+// acknowledged non-duplicates in grant order within the group; the last is
+// kept for the next poll to commit. The lanes get job indices only from
+// this goroutine, at most RetrievalThreads beyond the chunks already
+// folded, Put or kept, so the batch never holds more chunks than that
+// outside the engine and no channel send blocks. It returns once the whole
+// batch is folded, discarded or kept, and the poll loop folds kept groups
+// before it serves the next reply, so a Done notice can never race this
+// batch's folds.
 func (a *agentRun) process(ctx context.Context, q *agentQuery, js []jobs.Job) error {
 	next := make(chan int, a.cfg.RetrievalThreads)
 	got := make(chan retrieved, a.cfg.RetrievalThreads)
@@ -574,6 +602,9 @@ func (a *agentRun) process(ctx context.Context, q *agentQuery, js []jobs.Job) er
 			group = append(group, <-got)
 		}
 		slices.SortFunc(group, func(x, y retrieved) int { return x.i - y.i })
+		if left == len(group) {
+			return a.keep(q, js, group)
+		}
 		if err := a.commit(q, js, group); err != nil {
 			return err
 		}
@@ -618,27 +649,91 @@ func (a *agentRun) retrieve(q *agentQuery, i int, j jobs.Job) retrieved {
 }
 
 // commit sends one group of retrieved jobs to the head in a single JobsDone
-// and then folds the acknowledged ones. Commit BEFORE folding: exactly-once
-// reduction per query (duplicate completions — speculative copies,
-// recovered re-executions, or commits for a canceled query — must not be
-// folded). Every buffer in the group goes to the engine or back to bufpool
-// exactly once, whatever fails.
+// and then settles it.
 func (a *agentRun) commit(q *agentQuery, js []jobs.Job, group []retrieved) error {
-	done := protocol.JobsDone{Site: a.cfg.Site, Query: q.id, Jobs: make([]jobs.Job, len(group))}
+	done := protocol.JobsDone{Site: a.cfg.Site, Query: q.id}
 	var err error
-	for k, r := range group {
-		done.Jobs[k] = js[r.i]
-		if err == nil {
-			err = r.err
-		}
-	}
+	done.Jobs, err = groupJobs(make([]jobs.Job, 0, len(group)), js, group)
 	var dups []int
 	if err == nil {
 		done.Trace = a.queryTrace(q)
 		dups, err = a.cfg.Head.CompleteJobs(done)
 	}
+	return a.settle(q, done.Jobs, group, dups, err)
+}
+
+// keep stashes q's last group of a batch for the next poll to commit; the
+// stash owns group and its buffers from here on. A group with a failed
+// retrieval is never kept: it settles at once, every buffer back to bufpool.
+func (a *agentRun) keep(q *agentQuery, js []jobs.Job, group []retrieved) error {
+	n := len(a.kept)
+	a.kept = slices.Grow(a.kept, 1)[:n+1] // the slot keeps its old jobs capacity
+	k := &a.kept[n]
+	var err error
+	if k.jobs, err = groupJobs(k.jobs[:0], js, group); err != nil {
+		a.kept = a.kept[:n]
+		return a.settle(q, k.jobs, group, nil, err)
+	}
+	k.q, k.group = q, group
+	return nil
+}
+
+// outgoing lists the kept groups as the next poll's commits.
+func (a *agentRun) outgoing() []protocol.JobsDone {
+	a.commits = a.commits[:0]
+	for _, k := range a.kept {
+		a.commits = append(a.commits, protocol.JobsDone{
+			Site: a.cfg.Site, Query: k.q.id, Jobs: k.jobs, Trace: a.queryTrace(k.q)})
+	}
+	return a.commits
+}
+
+// errAgentExit settles the groups an exiting agent still keeps.
+var errAgentExit = errors.New("cluster: agent exited before committing")
+
+// settleKept settles every kept group against the acks of the poll that
+// carried it, one ack per group in order, and empties the stash. err, when
+// set, is the poll's failure: nothing folds and every buffer goes back to
+// bufpool. So does every buffer after the first failing ack or fold.
+func (a *agentRun) settleKept(acks []protocol.JobsDoneAck, err error) error {
+	if err == nil && len(acks) != len(a.kept) {
+		err = fmt.Errorf("cluster %s: poll answered %d commits with %d acks", a.cfg.Name, len(a.kept), len(acks))
+	}
+	for i := range a.kept {
+		k := &a.kept[i]
+		dups, cerr := []int(nil), err
+		if cerr == nil {
+			dups, cerr = acks[i].Dup, ackErr(acks[i].Code, acks[i].Err)
+		}
+		err = a.settle(k.q, k.jobs, k.group, dups, cerr)
+		k.q, k.group = nil, nil
+	}
+	a.kept = a.kept[:0]
+	return err
+}
+
+// groupJobs appends group's jobs, in group order, to dst and returns the
+// first retrieval error among them.
+func groupJobs(dst, js []jobs.Job, group []retrieved) ([]jobs.Job, error) {
+	var err error
+	for _, r := range group {
+		dst = append(dst, js[r.i])
+		if err == nil {
+			err = r.err
+		}
+	}
+	return dst, err
+}
+
+// settle folds the acknowledged jobs of one committed group. Commit BEFORE
+// folding: exactly-once reduction per query (duplicate completions —
+// speculative copies, recovered re-executions, or commits for a canceled
+// query — must not be folded). err is the commit's failure, if any, and
+// folds nothing. Every buffer in the group goes to the engine or back to
+// bufpool exactly once, whatever fails; the first failure is returned.
+func (a *agentRun) settle(q *agentQuery, js []jobs.Job, group []retrieved, dups []int, err error) error {
 	for k, r := range group {
-		j := done.Jobs[k]
+		j := js[k]
 		switch {
 		case err != nil:
 			bufpool.Put(r.data)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,28 +70,48 @@ func idDataset(t *testing.T, files, chunks int) (*chunk.Index, *chunk.MemSource,
 	return ix, src, want
 }
 
-// countingClient records every grant and every JobsDone frame passing
-// between an agent and its head, and marks acknowledged first commits in
-// ackedJobs. Each commit sits on the wire for delay.
+// countingClient records every grant and every commit passing between an
+// agent and its head — in a JobsDone frame or riding a poll — and marks
+// acknowledged first commits in ackedJobs before the agent sees the ack.
+// Each JobsDone sits on the wire for delay.
 type countingClient struct {
 	QueryClient
 	delay time.Duration
 
 	mu      sync.Mutex
-	frames  int
+	frames  int         // JobsDone frames
+	polled  int         // commits carried by polls
 	granted map[int]int // job ID → grants
-	commits map[int]int // job ID → JobsDone frames naming it
+	commits map[int]int // job ID → commits naming it, by either path
+}
+
+func newCountingClient(inner QueryClient, delay time.Duration) *countingClient {
+	return &countingClient{QueryClient: inner, delay: delay,
+		granted: make(map[int]int), commits: make(map[int]int)}
 }
 
 func (c *countingClient) Poll(req protocol.PollRequest) (protocol.PollReply, error) {
 	rep, err := c.QueryClient.Poll(req)
 	c.mu.Lock()
+	c.polled += len(req.Commits)
+	for _, d := range req.Commits {
+		for _, j := range d.Jobs {
+			c.commits[j.ID]++
+		}
+	}
 	for _, qj := range rep.Queries {
 		for _, j := range qj.Jobs {
 			c.granted[j.ID]++
 		}
 	}
 	c.mu.Unlock()
+	if err == nil {
+		for i, d := range req.Commits {
+			if i < len(rep.Acks) && rep.Acks[i].Err == "" {
+				markAcked(d.Jobs, rep.Acks[i].Dup)
+			}
+		}
+	}
 	return rep, err
 }
 
@@ -104,13 +125,44 @@ func (c *countingClient) CompleteJobs(done protocol.JobsDone) ([]int, error) {
 	}
 	c.mu.Unlock()
 	if err == nil {
-		for _, j := range done.Jobs {
-			if !containsID(dups, j.ID) {
-				ackedJobs.Store(j.ID, true)
-			}
-		}
+		markAcked(done.Jobs, dups)
 	}
 	return dups, err
+}
+
+// markAcked records the first commits among js in ackedJobs.
+func markAcked(js []jobs.Job, dups []int) {
+	for _, j := range js {
+		if !containsID(dups, j.ID) {
+			ackedJobs.Store(j.ID, true)
+		}
+	}
+}
+
+// checkCommits fails t unless every job c saw granted was committed, by
+// JobsDone or by a poll, exactly as often as it was granted, and no unit was
+// folded before its job's commit was acknowledged.
+func (c *countingClient) checkCommits(t *testing.T, jobs int) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.granted) != jobs {
+		t.Errorf("%d distinct jobs granted, want %d", len(c.granted), jobs)
+	}
+	for id, n := range c.granted {
+		if got := c.commits[id]; got != n {
+			t.Errorf("job %d granted %d times, committed %d times", id, n, got)
+		}
+	}
+	if n := foldedEarly.Load(); n > 0 {
+		t.Errorf("%d units folded before their job's commit was acknowledged", n)
+	}
+}
+
+// resetAcked forgets the acknowledgements of an earlier test.
+func resetAcked() {
+	ackedJobs.Range(func(k, _ any) bool { ackedJobs.Delete(k); return true })
+	foldedEarly.Store(0)
 }
 
 func containsID(ids []int, id int) bool {
@@ -124,12 +176,12 @@ func containsID(ids []int, id int) bool {
 
 // TestGroupCommitFramesAndFoldOrder: an agent over an instant source with a
 // commit that takes a moment on the wire groups its commits — fewer JobsDone
-// frames than jobs — while every granted job is committed in exactly one
-// frame and no job is folded before the head acknowledged it.
+// frames than jobs, and each batch's last group rides the next poll — while
+// every granted job is committed exactly once, by JobsDone or by a poll, and
+// no job is folded before the head acknowledged it.
 func TestGroupCommitFramesAndFoldOrder(t *testing.T) {
 	ix, src, want := idDataset(t, 4, 40) // 160 jobs
-	ackedJobs.Range(func(k, _ any) bool { ackedJobs.Delete(k); return true })
-	foldedEarly.Store(0)
+	resetAcked()
 	h := multiTestHead(t, 1, config.Tuning{}, nil)
 	pool, err := jobs.NewPool(ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), jobs.Options{})
 	if err != nil {
@@ -141,8 +193,7 @@ func TestGroupCommitFramesAndFoldOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := &countingClient{QueryClient: InProcAgent{Head: h}, delay: 200 * time.Microsecond,
-		granted: make(map[int]int), commits: make(map[int]int)}
+	client := newCountingClient(InProcAgent{Head: h}, 200*time.Microsecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -164,23 +215,74 @@ func TestGroupCommitFramesAndFoldOrder(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("agent exit: %v", err)
 	}
+	client.checkCommits(t, ix.NumChunks())
 	client.mu.Lock()
 	defer client.mu.Unlock()
-	if len(client.granted) != ix.NumChunks() {
-		t.Errorf("%d distinct jobs granted, want %d", len(client.granted), ix.NumChunks())
-	}
-	for id, n := range client.granted {
-		if c := client.commits[id]; c != n {
-			t.Errorf("job %d granted %d times, in %d JobsDone frames", id, n, c)
-		}
-	}
 	if client.frames >= ix.NumChunks() {
 		t.Errorf("%d JobsDone frames for %d jobs: commits were not grouped", client.frames, ix.NumChunks())
 	}
-	if n := foldedEarly.Load(); n > 0 {
-		t.Errorf("%d units folded before their job's commit was acknowledged", n)
+	if client.polled == 0 {
+		t.Error("no commit rode a poll")
 	}
-	t.Logf("%d jobs in %d frames", ix.NumChunks(), client.frames)
+	t.Logf("%d jobs in %d JobsDone frames and %d poll-carried commits", ix.NumChunks(), client.frames, client.polled)
+}
+
+// TestPollCommitSingleQueryBatches: when every group of a single-query
+// batch is its last — here each batch is one job over a MemSource — the
+// agent sends no JobsDone at all: each job commits on the poll after its
+// batch, which also brings the query's Done, and no unit is folded before
+// its ack.
+func TestPollCommitSingleQueryBatches(t *testing.T) {
+	ix, src, want := idDataset(t, 1, 1)
+	resetAcked()
+	h := multiTestHead(t, 1, config.Tuning{}, nil)
+	defer h.Shutdown()
+	client := newCountingClient(InProcAgent{Head: h}, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- RunAgent(ctx, AgentConfig{
+			Site: 0, Name: "single", Cores: 4,
+			Sources: map[int]chunk.Source{0: src},
+			Head:    client,
+		})
+	}()
+	const queries = 5
+	for range queries { // one at a time: every batch is one query's one job
+		pool, err := jobs.NewPool(ix, jobs.Placement{0}, jobs.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := sumSpec(t, ix)
+		spec.App = "cluster-test-acked"
+		q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, _, _, err := q.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := obj.(*sumObj).total; got != want {
+			t.Errorf("query %d: sum = %d, want %d", q.ID(), got, want)
+		}
+		if n := foldedEarly.Load(); n > 0 {
+			t.Errorf("query %d: %d units folded before their job's commit was acknowledged", q.ID(), n)
+		}
+		resetAcked() // the next query's job has the same ID
+	}
+	h.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("agent exit: %v", err)
+	}
+	client.checkCommits(t, ix.NumChunks())
+	client.mu.Lock()
+	defer client.mu.Unlock()
+	if client.frames != 0 || client.polled != queries {
+		t.Errorf("%d JobsDone frames and %d poll-carried commits for %d one-job batches, want 0 and %d",
+			client.frames, client.polled, queries, queries)
+	}
 }
 
 // trippingSource fails its nth read when fail is set, and otherwise calls
@@ -245,62 +347,164 @@ func TestGroupCommitReclaimsBuffers(t *testing.T) {
 	}
 }
 
-// gatedClient holds the agent's first JobsDone on the wire until release is
-// closed, and closes entered when that commit arrives.
+// gate holds one call on the wire: the call closes in on arrival and waits
+// for the test to close out.
+type gate struct {
+	once    sync.Once
+	in, out chan struct{}
+}
+
+func newGate() *gate { return &gate{in: make(chan struct{}), out: make(chan struct{})} }
+
+// hold blocks the first caller until the gate opens; later callers pass.
+func (g *gate) hold() {
+	g.once.Do(func() {
+		close(g.in)
+		<-g.out
+	})
+}
+
+// await fails t unless the gated call has arrived.
+func (g *gate) await(t *testing.T, what string) {
+	t.Helper()
+	select {
+	case <-g.in:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no %s reached the head", what)
+	}
+}
+
+// gatedClient holds on the wire the agent's first JobsDone for the last
+// query of its first grant batch, and its first poll that carries commits.
+// It records the first batch's jobs per query and that poll's commits.
 type gatedClient struct {
 	QueryClient
-	once             sync.Once
-	entered, release chan struct{}
+	done, poll *gate
+
+	mu      sync.Mutex
+	batch   []protocol.QueryJobs
+	commits []protocol.JobsDone
+}
+
+func (c *gatedClient) Poll(req protocol.PollRequest) (protocol.PollReply, error) {
+	if len(req.Commits) > 0 {
+		c.mu.Lock()
+		if c.commits == nil {
+			c.commits = slices.Clone(req.Commits)
+		}
+		c.mu.Unlock()
+		c.poll.hold()
+	}
+	rep, err := c.QueryClient.Poll(req)
+	c.mu.Lock()
+	if c.batch == nil && len(rep.Queries) > 0 {
+		c.batch = rep.Queries
+	}
+	c.mu.Unlock()
+	return rep, err
 }
 
 func (c *gatedClient) CompleteJobs(done protocol.JobsDone) ([]int, error) {
-	c.once.Do(func() {
-		close(c.entered)
-		<-c.release
-	})
+	c.mu.Lock()
+	last := done.Query == c.batch[len(c.batch)-1].Query
+	c.mu.Unlock()
+	if last {
+		c.done.hold()
+	}
 	return c.QueryClient.CompleteJobs(done)
 }
 
-// TestGroupCommitBoundsHeldChunks: while a commit is stuck on the wire and
-// nothing has been folded, the lanes have retrieved RetrievalThreads chunks
-// and no more, though the grant batch holds max(Cores, 4) = 16 jobs.
+// TestGroupCommitBoundsHeldChunks: the agent never holds more than the
+// grant batch (max(Cores, 4) = 16 jobs) outside the engine, and a
+// single-query batch never more than RetrievalThreads chunks. While the
+// last query's first JobsDone is stuck on the wire the lanes have retrieved
+// every earlier query's part of the batch plus RetrievalThreads chunks, and
+// no more. When the poll that commits the batch's kept groups is on the
+// wire, the whole batch has been retrieved, it carries one group per query,
+// none larger than RetrievalThreads, and the query's result is exact.
 func TestGroupCommitBoundsHeldChunks(t *testing.T) {
-	ix, src, want := buildDataset(t, 8000, 1000, 100) // 80 jobs
-	h := multiTestHead(t, 1, config.Tuning{}, nil)
-	defer h.Shutdown()
-	q := admitSum(t, h, ix, 0)
-	var read atomic.Int64
-	held := 2 * ix.Files[0].Chunks[0].Size // RetrievalThreads chunks of bytes
-	client := &gatedClient{QueryClient: InProcAgent{Head: h},
-		entered: make(chan struct{}), release: make(chan struct{})}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		done <- RunAgent(ctx, AgentConfig{
-			Site: 0, Name: "gated", Cores: 16, RetrievalThreads: 2,
-			Sources: map[int]chunk.Source{0: countingSource{Source: src, n: &read}},
-			Head:    client,
+	for _, queries := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d-query batch", queries), func(t *testing.T) {
+			const cores, lanes = 16, 2
+			ix, src, want := buildDataset(t, 8000, 1000, 100) // 80 jobs per query
+			h := multiTestHead(t, 1, config.Tuning{}, nil)
+			defer h.Shutdown()
+			qs := make([]*head.Query, queries)
+			for i := range qs {
+				qs[i] = admitSum(t, h, ix, 0)
+			}
+			var read atomic.Int64
+			size := ix.Files[0].Chunks[0].Size
+			client := &gatedClient{QueryClient: InProcAgent{Head: h}, done: newGate(), poll: newGate()}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				done <- RunAgent(ctx, AgentConfig{
+					Site: 0, Name: "gated", Cores: cores, RetrievalThreads: lanes,
+					Sources: map[int]chunk.Source{0: countingSource{Source: src, n: &read}},
+					Head:    client,
+				})
+			}()
+			// settled waits until want bytes were read, then leaves room for a
+			// lane that runs ahead, and reports the bytes read.
+			settled := func(want int64) int64 {
+				for deadline := time.Now().Add(5 * time.Second); read.Load() < want && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(20 * time.Millisecond)
+				return read.Load()
+			}
+
+			client.done.await(t, "JobsDone")
+			client.mu.Lock()
+			batch := client.batch
+			client.mu.Unlock()
+			if len(batch) != queries {
+				t.Fatalf("first batch serves %d queries, want %d", len(batch), queries)
+			}
+			earlier := 0
+			for _, qj := range batch[:queries-1] {
+				earlier += len(qj.Jobs)
+			}
+			if want := int64(earlier+lanes) * size; settled(want) != want {
+				t.Errorf("%d bytes retrieved while the last query's first commit was on the wire, want "+
+					"%d earlier jobs + RetrievalThreads chunks = %d", read.Load(), earlier, want)
+			}
+			close(client.done.out)
+
+			client.poll.await(t, "poll carrying commits")
+			if want := int64(cores) * size; settled(want) != want {
+				t.Errorf("%d bytes retrieved while the batch's commits rode the poll, want the whole batch = %d", read.Load(), want)
+			}
+			client.mu.Lock()
+			kept := 0
+			for _, c := range client.commits {
+				kept += len(c.Jobs)
+				if len(c.Jobs) == 0 || len(c.Jobs) > lanes {
+					t.Errorf("query %d keeps a group of %d jobs, want 1..RetrievalThreads = %d", c.Query, len(c.Jobs), lanes)
+				}
+			}
+			if len(client.commits) != queries || kept > cores {
+				t.Errorf("the poll carries %d groups of %d jobs in all, want %d groups and at most the batch's %d jobs",
+					len(client.commits), kept, queries, cores)
+			}
+			client.mu.Unlock()
+			close(client.poll.out)
+
+			for _, q := range qs {
+				obj, _, _, err := q.Wait(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := obj.(*sumObj).total; got != want {
+					t.Errorf("query %d: sum = %d, want %d", q.ID(), got, want)
+				}
+			}
+			h.Shutdown()
+			if err := <-done; err != nil {
+				t.Fatalf("agent exit: %v", err)
+			}
 		})
-	}()
-	<-client.entered
-	for deadline := time.Now().Add(5 * time.Second); read.Load() < held && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond) // room for a lane that runs ahead
-	if n := read.Load(); n != held {
-		t.Errorf("%d bytes retrieved while the first commit was on the wire, want RetrievalThreads chunks = %d", n, held)
-	}
-	close(client.release)
-	obj, _, _, err := q.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.(*sumObj).total; got != want {
-		t.Errorf("sum = %d, want %d", got, want)
-	}
-	h.Shutdown()
-	if err := <-done; err != nil {
-		t.Fatalf("agent exit: %v", err)
 	}
 }

@@ -9,11 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/chunk"
 	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/head"
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -116,12 +118,37 @@ func (r *registrations) RegisterSite(hello protocol.Hello) (protocol.SiteSpec, e
 }
 
 // fenceOnce fails site 0 at the head once, just before forwarding the
-// first QuerySpec or SubmitResult call (whichever spec or submit is set).
+// first QuerySpec or SubmitResult call, or the first poll that carries
+// commits (whichever spec, submit or poll is set). With poll set it reads
+// the agent's fold counter when it fences and again when the agent
+// re-registers.
 type fenceOnce struct {
 	QueryClient
-	h            *head.Head
-	spec, submit bool
-	once         sync.Once
+	h                  *head.Head
+	spec, submit, poll bool
+	once               sync.Once
+
+	folds               *obs.Counter // the agent's cluster_jobs_local_total
+	fenced              atomic.Bool
+	atFence, atRegister int64
+}
+
+func (f *fenceOnce) Poll(req protocol.PollRequest) (protocol.PollReply, error) {
+	if f.poll && len(req.Commits) > 0 {
+		f.once.Do(func() {
+			f.h.FailSite(0)
+			f.atFence = f.folds.Value()
+			f.fenced.Store(true)
+		})
+	}
+	return f.QueryClient.Poll(req)
+}
+
+func (f *fenceOnce) RegisterSite(hello protocol.Hello) (protocol.SiteSpec, error) {
+	if f.poll && f.fenced.Load() {
+		f.atRegister = f.folds.Value()
+	}
+	return f.QueryClient.RegisterSite(hello)
 }
 
 func (f *fenceOnce) QuerySpec(site, query int) (protocol.JobSpec, error) {
@@ -140,20 +167,24 @@ func (f *fenceOnce) SubmitResult(res protocol.ReductionResult) error {
 
 // TestFencedMasterFailsFastAndRejoins declares a site failed while its
 // master is alive and mid-run — around a chunk read (so a commit or a poll
-// meets the fence), at the spec fetch, or at the result submit. The fenced
-// master must notice at once — neither hang on wait=true polls nor silently
-// double-count — drop what the head no longer credits it with, re-register
-// on the same session, resume from its last accepted checkpoint and produce
-// the exact failure-free result.
+// meets the fence), at the spec fetch, at the result submit, or just before
+// a poll that carries commits. The fenced master must notice at once —
+// neither hang on wait=true polls nor silently double-count — drop what the
+// head no longer credits it with, re-register on the same session, resume
+// from its last accepted checkpoint and produce the exact failure-free
+// result, byte for byte, with every pooled buffer it took given back. A
+// fenced poll's kept groups fold nothing: their jobs are reissued and
+// folded once, by the next incarnation.
 func TestFencedMasterFailsFastAndRejoins(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		read         bool // fence around the 12th chunk read
-		spec, submit bool
+		name               string
+		read               bool // fence around the 12th chunk read
+		spec, submit, poll bool
 	}{
 		{name: "read", read: true},
 		{name: "spec", spec: true},
 		{name: "submit", submit: true},
+		{name: "poll-commit", poll: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ix, src, want := buildDataset(t, 4000, 1000, 100) // 40 jobs
@@ -164,8 +195,12 @@ func TestFencedMasterFailsFastAndRejoins(t *testing.T) {
 			if tc.read {
 				source = &fencingSource{Source: src, after: 12, fence: func() { h.FailSite(0) }}
 			}
-			client := &registrations{QueryClient: &fenceOnce{QueryClient: InProcAgent{Head: h}, h: h,
-				spec: tc.spec, submit: tc.submit}}
+			o := obs.New(nil)
+			fence := &fenceOnce{QueryClient: InProcAgent{Head: h}, h: h,
+				spec: tc.spec, submit: tc.submit, poll: tc.poll,
+				folds: o.Metrics().Counter("cluster_jobs_local_total")}
+			client := &registrations{QueryClient: fence}
+			gets0, _, puts0, _ := bufpool.Stats()
 			done := make(chan session, 1)
 			go func() {
 				done <- runAgents(t, h, q, AgentConfig{
@@ -173,6 +208,7 @@ func TestFencedMasterFailsFastAndRejoins(t *testing.T) {
 					Sources: map[int]chunk.Source{0: source},
 					Head:    client,
 					Tuning:  config.Tuning{CheckpointEveryJobs: 5},
+					Obs:     o,
 				})
 			}()
 			select {
@@ -180,11 +216,25 @@ func TestFencedMasterFailsFastAndRejoins(t *testing.T) {
 				if got := s.sum(t); got != want {
 					t.Errorf("sum after fencing = %d, want %d", got, want)
 				}
+				enc, err := sumReducer{}.Encode(s.obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref, _ := (sumReducer{}).Encode(&sumObj{total: want}); !bytes.Equal(enc, ref) {
+					t.Errorf("final object %x, want the failure-free %x", enc, ref)
+				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("fenced master hung instead of rejoining")
 			}
 			if got := client.n.Load(); got != 2 {
 				t.Errorf("master registered %d times, want 2 (once, and once after the fence)", got)
+			}
+			if gets1, _, puts1, _ := bufpool.Stats(); gets1-gets0 != puts1-puts0 {
+				t.Errorf("bufpool: %d gets, %d puts during the run", gets1-gets0, puts1-puts0)
+			}
+			if tc.poll && fence.atRegister != fence.atFence {
+				t.Errorf("%d folds between the fenced poll and re-registration, want none",
+					fence.atRegister-fence.atFence)
 			}
 		})
 	}

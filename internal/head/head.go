@@ -518,13 +518,7 @@ func (h *Head) HandleConn(c *transport.Conn) {
 				return
 			}
 		case protocol.JobsDone:
-			dups, err := h.CompleteQueryJobs(m.Query, m.Site, m.Jobs)
-			ack := protocol.JobsDoneAck{Dup: dups}
-			if err != nil {
-				h.cfg.Logf("head: completion error from site %d: %v", m.Site, err)
-				ack.Err = err.Error()
-				ack.Code = ErrCode(err)
-			}
+			ack, _ := h.commit(m) // the error travels in the ack
 			if err := c.Send(ack); err != nil {
 				return
 			}

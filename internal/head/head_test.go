@@ -363,7 +363,8 @@ func TestHandleConnGobOptIn(t *testing.T) {
 }
 
 // TestHandleConnRefusesOtherVersions: a Hello of any Proto but ProtoMulti
-// — 0 is the retired single-query dialect — is answered with an ErrorReply
+// — 0 is the retired single-query dialect, ProtoMulti-1 the layout before
+// commits rode the poll — is answered with an ErrorReply
 // coded CodeVersionMismatch, which a remote master rebuilds (CodeError, as
 // RemoteAgent does) into ErrVersionMismatch; the session ends without
 // registering the site.

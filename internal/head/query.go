@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -368,6 +369,13 @@ func (h *Head) Poll(site, n int) (protocol.PollReply, error) {
 // requeue or shutdown changes that, or with the idle reply once ParkNS has
 // passed. Spans are absorbed and head_pool_exhausted_total counted once per
 // request, however often it is re-evaluated.
+//
+// The request's Commits are applied first, in order, each exactly as
+// CompleteQueryJobs applies a JobsDone, so a commit that drains a pool gets
+// its Done in this very reply; Acks answers them one for one. A poll that
+// carries commits is never held. A fenced site's poll is refused whole,
+// none of its commits applied; a fence that lands between two of them
+// refuses the poll too, and the head reissues what the first ones committed.
 func (h *Head) PollFrom(req protocol.PollRequest) (protocol.PollReply, error) {
 	site := req.Site
 	if err := h.fencedCheck(site); err != nil {
@@ -375,11 +383,44 @@ func (h *Head) PollFrom(req protocol.PollRequest) (protocol.PollReply, error) {
 	}
 	h.Heartbeat(site)
 	h.absorbSpans(req)
+	acks, err := h.applyCommits(req.Commits)
+	if err != nil {
+		return protocol.PollReply{}, err
+	}
 	rep, wake, err := h.pollOnce(site, req.N, true)
-	if err != nil || req.ParkNS <= 0 || !idleReply(rep) {
+	rep.Acks = acks
+	if err != nil || req.ParkNS <= 0 || len(acks) > 0 || !idleReply(rep) {
 		return rep, err
 	}
 	return h.holdPoll(req, rep, wake)
+}
+
+// applyCommits commits each JobsDone riding a poll and returns its ack. A
+// query-scoped failure travels in the commit's ack; a fence fails them all.
+func (h *Head) applyCommits(commits []protocol.JobsDone) ([]protocol.JobsDoneAck, error) {
+	if len(commits) == 0 {
+		return nil, nil
+	}
+	acks := make([]protocol.JobsDoneAck, len(commits))
+	for i, c := range commits {
+		var err error
+		if acks[i], err = h.commit(c); fault.IsFenced(err) {
+			return nil, err
+		}
+	}
+	return acks, nil
+}
+
+// commit applies one JobsDone, from its own frame or riding a poll, and
+// returns its ack; a failure is both in the ack and returned.
+func (h *Head) commit(done protocol.JobsDone) (protocol.JobsDoneAck, error) {
+	dups, err := h.CompleteQueryJobs(done.Query, done.Site, done.Jobs)
+	ack := protocol.JobsDoneAck{Dup: dups}
+	if err != nil {
+		h.cfg.Logf("head: completion error from site %d: %v", done.Site, err)
+		ack.Err, ack.Code = err.Error(), ErrCode(err)
+	}
+	return ack, err
 }
 
 // holdPoll parks a request whose first evaluation came back idle: it waits

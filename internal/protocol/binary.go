@@ -81,6 +81,13 @@ const (
 	wireSpanMin = traceWire + 4 + 4 + 4 + 4 + 8 + 8 + 8
 )
 
+// commitMin is the minimum encoded size of one JobsDone (no jobs); ackMin
+// that of one JobsDoneAck (empty Err, no duplicates).
+const (
+	commitMin = 8 + 8 + 4 + traceWire
+	ackMin    = 4 + 4 + 4
+)
+
 // MaxFrameBytes caps a frame's length word. A hostile or corrupt length is
 // rejected before any allocation happens. Generous: the largest legitimate
 // frame is a chunk payload (tens of MB) or a whole-file Put.
@@ -416,6 +423,10 @@ func (m *PollRequest) walk(w *walker) {
 		w.i64(&s.Dur)
 	}
 	w.i64(&m.ParkNS)
+	commits := slice(w, &m.Commits, commitMin)
+	for i := range commits {
+		commits[i].walk(w)
+	}
 }
 
 func (m *PollReply) walk(w *walker) {
@@ -430,6 +441,10 @@ func (m *PollReply) walk(w *walker) {
 	}
 	w.ints(&m.Done)
 	w.ints(&m.Dropped)
+	acks := slice(w, &m.Acks, ackMin)
+	for i := range acks {
+		acks[i].walk(w)
+	}
 }
 
 func (m *QuerySpecRequest) walk(w *walker) {

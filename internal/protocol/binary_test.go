@@ -115,6 +115,16 @@ func sampleMessages() []Message {
 			{Trace: TraceContext{TraceID: 1, SpanID: 2}, Name: "job 3", Cat: "job", TID: 1, Job: 3, Start: 10, Dur: 20},
 		}},
 		PollRequest{Site: 3, N: 1, ParkNS: -1}, // meaningless to the head, still round-trips
+		// Commits riding a poll, and the acks answering them.
+		PollRequest{Site: 1, N: 4, ParkNS: 20e6, Commits: []JobsDone{
+			{Site: 1, Query: 2, Jobs: sampleJobs(3), Trace: TraceContext{TraceID: 4, SpanID: 9}},
+			{Site: 1, Query: 3, Jobs: []jobs.Job{{ID: 12, Site: 1}}},
+		}},
+		PollReply{Queries: []QueryJobs{{Query: 2, Jobs: sampleJobs(2)}}, Done: []int{3}, Acks: []JobsDoneAck{
+			{Dup: []int{7}},
+			{},
+			{Err: "unknown query", Code: CodeUnknownQuery},
+		}},
 	}
 }
 
@@ -253,8 +263,25 @@ func TestDecodeFrameMalformed(t *testing.T) {
 		{"payload frame truncated mid-meta", validPayload[:6], ErrTruncatedFrame},
 		{"poll reply flag bit beyond Wait, Shutdown and Drain",
 			func() []byte {
-				// An otherwise empty PollReply: flags, then three zero counts.
-				body := appendU32(appendU32(appendU32([]byte{byte(tagPollReply), 1 | 8}, 0), 0), 0)
+				// An otherwise empty PollReply: flags, then four zero counts.
+				body := appendU32(appendU32(appendU32(appendU32([]byte{byte(tagPollReply), 1 | 8}, 0), 0), 0), 0)
+				return append(frameLen(uint32(len(body))), body...)
+			}(), ErrCorruptFrame},
+		{"ack count exceeding frame",
+			func() []byte {
+				// A PollReply with no grants or notices whose ack count claims
+				// far more acks than the bytes left could hold.
+				body := appendU32(appendU32(appendU32([]byte{byte(tagPollReply), 0}, 0), 0), 0)
+				body = appendU32(body, 1<<20)
+				body = appendU32(appendU32(appendU32(body, 0), 0), 0) // one empty ack
+				return append(frameLen(uint32(len(body))), body...)
+			}(), ErrCorruptFrame},
+		{"commit count exceeding frame",
+			func() []byte {
+				// A bare PollRequest whose commit count claims 1M commits.
+				body := appendInt(appendInt(appendInt([]byte{byte(tagPollRequest)}, 0), 4), 0)
+				body = appendInt(appendU32(body, 0), 0) // no spans, no park
+				body = appendU32(body, 1<<20)
 				return append(frameLen(uint32(len(body))), body...)
 			}(), ErrCorruptFrame},
 	}

@@ -14,6 +14,8 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with every valid message type, the hand-built fixed layouts and
 	// the retired tags so the fuzzer starts at the interesting boundaries.
+	// Both sets hold a PollRequest carrying commits and a PollReply
+	// carrying acks, the two variable blocks that end those frames.
 	seed := func(frame []byte) {
 		f.Add(frame)
 		if len(frame) > 5 {

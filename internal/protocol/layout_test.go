@@ -96,15 +96,25 @@ func fixedLayouts() []layoutCase {
 		{"PollRequest", PollRequest{Site: 2, N: 8, NowNS: 77, Spans: []WireSpan{span}, ParkNS: 20e6},
 			w.u8(22).n(2).n(8).n(77).u32(1).
 				tc(1, 2).str("job 9").str("job").u32(1).u32(4).n(9).n(10).n(20).
-				n(20e6), 0},
+				n(20e6).u32(0), 0},
 		{"PollRequest zero clock, spans and park", PollRequest{Site: 2, N: 8},
-			w.u8(22).n(2).n(8).n(0).u32(0).n(0), 0},
+			w.u8(22).n(2).n(8).n(0).u32(0).n(0).u32(0), 0},
+		{"PollRequest with commits", PollRequest{Site: 1, N: 4, ParkNS: 20e6, Commits: []JobsDone{
+			{Site: 1, Query: 4, Jobs: []jobs.Job{layoutJob}, Trace: TraceContext{5, 6}}, {Site: 1, Query: 7}}},
+			w.u8(22).n(1).n(4).n(0).u32(0).n(20e6).u32(2).
+				n(1).n(4).u32(1).job(9, 1, 2, 3, 4096, 512, 16).tc(5, 6).
+				n(1).n(7).u32(0).tc(0, 0), 0},
 		{"PollReply", PollReply{Queries: []QueryJobs{{Query: 4, Jobs: []jobs.Job{layoutJob}, Trace: TraceContext{4, 11}}},
 			Done: []int{1}, Dropped: []int{2}, Wait: true},
 			w.u8(23).u8(1).u32(1).n(4).tc(4, 11).u32(1).job(9, 1, 2, 3, 4096, 512, 16).
-				u32(1).n(1).u32(1).n(2), 0},
+				u32(1).n(1).u32(1).n(2).u32(0), 0},
 		{"PollReply zero trace", PollReply{Queries: []QueryJobs{{Query: 4}}, Shutdown: true, Drain: true},
-			w.u8(23).u8(6).u32(1).n(4).tc(0, 0).u32(0).u32(0).u32(0), 0},
+			w.u8(23).u8(6).u32(1).n(4).tc(0, 0).u32(0).u32(0).u32(0).u32(0), 0},
+		{"PollReply with acks", PollReply{Done: []int{4}, Acks: []JobsDoneAck{
+			{Dup: []int{9}}, {Err: "gone", Code: CodeUnknownQuery}}},
+			w.u8(23).u8(0).u32(0).u32(1).n(4).u32(0).u32(2).
+				str("").u32(0).u32(1).n(9).
+				str("gone").u32(CodeUnknownQuery).u32(0), 0},
 		{"QuerySpecRequest", QuerySpecRequest{Site: 2, Query: 6}, w.u8(24).n(2).n(6), 0},
 		{"ResultAck", ResultAck{Err: "gone", Code: CodeUnknownQuery},
 			w.u8(25).str("gone").u32(CodeUnknownQuery), 0},
@@ -265,7 +275,8 @@ var parkSpans = []WireSpan{
 }
 
 // pollBody hand-builds the PollRequest body for (site 2, n 9) up to and
-// including its span block: everything but the trailing park word.
+// including its span block: everything but the park word and the commit
+// block that end it.
 func pollBody(now int64, spans []WireSpan) wire {
 	w := wire(nil).u8(tagPollRequest).n(2).n(9).u64(uint64(now)).u32(uint32(len(spans)))
 	for _, s := range spans {
@@ -275,6 +286,14 @@ func pollBody(now int64, spans []WireSpan) wire {
 	return w
 }
 
+// parkCommits is the commit block some PollRequest frames below carry, and
+// parkCommitBlock its hand-built encoding.
+var (
+	parkCommits     = []JobsDone{{Site: 2, Query: 1, Jobs: []jobs.Job{layoutJob}, Trace: TraceContext{3, 4}}}
+	parkCommitBlock = wire(nil).u32(1).n(2).n(1).u32(1).job(9, 1, 2, 3, 4096, 512, 16).tc(3, 4)
+	noCommitBlock   = wire(nil).u32(0)
+)
+
 var pollCases = []struct {
 	name string
 	msg  PollRequest
@@ -282,13 +301,24 @@ var pollCases = []struct {
 	{"bare", PollRequest{Site: 2, N: 9}},
 	{"clock sample", PollRequest{Site: 2, N: 9, NowNS: 55}},
 	{"spans", PollRequest{Site: 2, N: 9, NowNS: 55, Spans: parkSpans}},
+	{"commits", PollRequest{Site: 2, N: 9, NowNS: 55, Commits: parkCommits}},
+	{"spans and commits", PollRequest{Site: 2, N: 9, NowNS: 55, Spans: parkSpans, Commits: parkCommits}},
 }
 
-// TestZeroParkEncodesBitIdentical: a request that does not park ends in an
-// 8-byte zero park word, with and without spans, and decodes with ParkNS 0.
+// commitBlock is the hand-built commit block that ends m's frame.
+func commitBlock(m PollRequest) wire {
+	if len(m.Commits) > 0 {
+		return parkCommitBlock
+	}
+	return noCommitBlock
+}
+
+// TestZeroParkEncodesBitIdentical: a request that does not park carries an
+// 8-byte zero park word between its span block and its commit block, with
+// and without spans or commits, and decodes with ParkNS 0.
 func TestZeroParkEncodesBitIdentical(t *testing.T) {
 	for _, tc := range pollCases {
-		want := pollBody(tc.msg.NowNS, tc.msg.Spans).n(0).frame()
+		want := append(pollBody(tc.msg.NowNS, tc.msg.Spans).n(0), commitBlock(tc.msg)...).frame()
 		if got := mustFrame(t, tc.msg); !bytes.Equal(got, want) {
 			t.Errorf("%s: zero-park frame:\n got %x\nwant %x", tc.name, got, want)
 		}
@@ -300,17 +330,24 @@ func TestZeroParkEncodesBitIdentical(t *testing.T) {
 }
 
 // TestParkWordTrailsSpanBlock: a parking request is the non-parking frame
-// with its last 8 bytes set to the park word, right after the span block.
+// with the 8 bytes right after the span block set to the park word; the
+// commit block follows it, unchanged, and ends the frame.
 func TestParkWordTrailsSpanBlock(t *testing.T) {
 	for _, tc := range pollCases {
 		in := tc.msg
 		in.ParkNS = 20e6
 		got := mustFrame(t, in)
-		if want := pollBody(in.NowNS, in.Spans).n(20e6).frame(); !bytes.Equal(got, want) {
+		block := commitBlock(in)
+		if want := append(pollBody(in.NowNS, in.Spans).n(20e6), block...).frame(); !bytes.Equal(got, want) {
 			t.Errorf("%s: parking frame:\n got %x\nwant %x", tc.name, got, want)
 		}
-		if still := mustFrame(t, tc.msg); !bytes.Equal(got[:len(got)-8], still[:len(still)-8]) {
-			t.Errorf("%s: parking changed bytes ahead of the park word", tc.name)
+		at := len(got) - len(block) - 8 // where the park word starts
+		still := mustFrame(t, tc.msg)
+		if len(still) != len(got) || !bytes.Equal(got[:at], still[:at]) || !bytes.Equal(got[at+8:], still[at+8:]) {
+			t.Errorf("%s: parking changed bytes other than the park word", tc.name)
+		}
+		if !bytes.Equal(got[at+8:], block) {
+			t.Errorf("%s: frame ends in %x after the park word, want the commit block %x", tc.name, got[at+8:], block)
 		}
 		dec, _, err := DecodeFrame(got)
 		if err != nil || !reflect.DeepEqual(dec, Message(in)) {
@@ -320,24 +357,43 @@ func TestParkWordTrailsSpanBlock(t *testing.T) {
 }
 
 // TestMalformedParkWordRejected: the bytes after a span block must be
-// exactly one park word; a short word is truncated, anything more corrupt.
+// exactly one park word and then one commit block. A short park word or a
+// missing or cut commit block is truncated; anything more is corrupt, and
+// so is a second park word, which reads as an impossible commit count.
 func TestMalformedParkWordRejected(t *testing.T) {
 	word := wire(nil).n(20e6)
+	cat := func(parts ...wire) wire {
+		var w wire
+		for _, p := range parts {
+			w = append(w, p...)
+		}
+		return w
+	}
 	for _, spans := range [][]WireSpan{nil, parkSpans} {
 		body := pollBody(55, spans)
-		after := func(tail wire) []byte { return append(append(wire(nil), body...), tail...).frame() }
+		after := func(tail wire) []byte { return cat(body, tail).frame() }
 		for _, cut := range []int{0, 1, 4, 7} {
 			if m, _, err := DecodeFrame(after(word[:cut])); !errors.Is(err, ErrTruncatedFrame) {
 				t.Errorf("%d spans, park word cut to %d bytes: decoded %#v, err %v; want ErrTruncatedFrame",
 					len(spans), cut, m, err)
 			}
 		}
-		for name, tail := range map[string]wire{
-			"garbage after the park word": append(append(wire(nil), word...), 0xAB),
-			"two park words":              append(append(wire(nil), word...), word...),
-		} {
-			if m, _, err := DecodeFrame(after(tail)); !errors.Is(err, ErrCorruptFrame) {
-				t.Errorf("%d spans, %s: decoded %#v, err %v; want ErrCorruptFrame", len(spans), name, m, err)
+		for _, block := range []wire{noCommitBlock, parkCommitBlock} {
+			for _, cut := range []int{0, 3, len(block) - 1} {
+				if m, _, err := DecodeFrame(after(cat(word, block[:cut]))); !errors.Is(err, ErrTruncatedFrame) {
+					t.Errorf("%d spans, %d-byte commit block cut to %d bytes: decoded %#v, err %v; want ErrTruncatedFrame",
+						len(spans), len(block), cut, m, err)
+				}
+			}
+			for name, tail := range map[string]wire{
+				"garbage after the commit block": cat(word, block, wire{0xAB}),
+				"two park words":                 cat(word, word, block),
+				"two commit blocks":              cat(word, block, block),
+			} {
+				if m, _, err := DecodeFrame(after(tail)); !errors.Is(err, ErrCorruptFrame) {
+					t.Errorf("%d spans, %d-byte commit block, %s: decoded %#v, err %v; want ErrCorruptFrame",
+						len(spans), len(block), name, m, err)
+				}
 			}
 		}
 	}

@@ -78,11 +78,12 @@ type WireSpan struct {
 // ProtoMulti is the session protocol version carried in Hello.Proto: the
 // master registers once and interleaves jobs from every admitted query over
 // the same connection; the head replies with SiteSpec and specs are fetched
-// per query. Version 3 names the fixed-layout frames, every field always
-// present (version 2 also carried a heartbeat period in JobSpec). The head
-// answers a Hello of any other version with an ErrorReply coded
-// CodeVersionMismatch.
-const ProtoMulti = 3
+// per query. Version 4 adds the commit block that ends PollRequest and the
+// ack block that ends PollReply; version 3 named the fixed-layout frames,
+// every field always present (version 2 also carried a heartbeat period in
+// JobSpec). The head answers a Hello of any other version with an
+// ErrorReply coded CodeVersionMismatch.
+const ProtoMulti = 4
 
 // Hello registers a master with the head node.
 type Hello struct {
@@ -223,6 +224,11 @@ type PollRequest struct {
 	// this many nanoseconds, answering as soon as it has any of those to
 	// report. Zero is answered at once.
 	ParkNS int64
+	// Commits carries group commits riding the poll, each exactly what a
+	// JobsDone would carry. The head applies them, in order, before it
+	// evaluates the grants, and answers a poll that carries any at once,
+	// whatever ParkNS asks.
+	Commits []JobsDone
 }
 
 // QueryJobs is one query's slice of a poll grant.
@@ -244,7 +250,8 @@ type QueryJobs struct {
 // the master should finalize what it has and exit. Drain means the head has
 // decommissioned this site: every obligation is settled (all held jobs
 // committed, all owed reduction objects submitted) and the master should
-// exit cleanly.
+// exit cleanly. Acks answers the request's Commits, one JobsDoneAck per
+// commit in the same order; it is empty when the request carried none.
 type PollReply struct {
 	Queries  []QueryJobs
 	Done     []int
@@ -252,6 +259,7 @@ type PollReply struct {
 	Wait     bool
 	Shutdown bool
 	Drain    bool
+	Acks     []JobsDoneAck
 }
 
 // QuerySpecRequest fetches the JobSpec for one admitted query — sent the
