@@ -701,7 +701,8 @@ func (a *agentRun) settleKept(acks []protocol.JobsDoneAck, err error) error {
 	}
 	for i := range a.kept {
 		k := &a.kept[i]
-		dups, cerr := []int(nil), err
+		var dups []int
+		cerr := err
 		if cerr == nil {
 			dups, cerr = acks[i].Dup, ackErr(acks[i].Code, acks[i].Err)
 		}
