@@ -49,7 +49,8 @@ FUZZ_TARGETS := \
 	FuzzDecodeFrame:./internal/protocol \
 	FuzzDecodeFloat64Vector:./internal/core \
 	FuzzPageRankParams:./internal/apps \
-	FuzzReadIndex:./internal/chunk
+	FuzzReadIndex:./internal/chunk \
+	FuzzParsePlan:./internal/fault
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		name=$${t%%:*}; pkg=$${t#*:}; \

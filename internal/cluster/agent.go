@@ -160,9 +160,14 @@ type agentRun struct {
 	spanMu   sync.Mutex
 	spans    []protocol.WireSpan
 
-	// kept holds each query's last group of the batch just served, which the
-	// next poll commits; commits is that poll's outgoing list. Both keep
-	// their capacity from poll to poll.
+	// batch holds the rules of the batch being worked, slots each of its
+	// retrievals by job index, and group the group being settled. kept holds
+	// each query's last group of the batch just served, which the next poll
+	// commits; commits is that poll's outgoing list. All keep their capacity
+	// from batch to batch and poll to poll.
+	batch   Batch
+	slots   []retrieved
+	group   []retrieved
 	kept    []keptGroup
 	commits []protocol.JobsDone
 }
@@ -550,20 +555,21 @@ func (a *agentRun) prestage(q *agentQuery, js []jobs.Job) {
 	}
 }
 
-// process works one query's grant batch: RetrievalThreads lanes retrieve
-// while this goroutine commits and folds. Each group takes the first
-// retrieved job plus every other one already waiting — whatever arrived
-// while the previous commit was on the wire; it never waits for more. Every
-// group but the last commits at once in a JobsDone and folds its
-// acknowledged non-duplicates in grant order within the group; the last is
-// kept for the next poll to commit. The lanes get job indices only from
-// this goroutine, at most RetrievalThreads beyond the chunks already
-// folded, Put or kept, so the batch never holds more chunks than that
-// outside the engine and no channel send blocks. It returns once the whole
-// batch is folded, discarded or kept, and the poll loop folds kept groups
-// before it serves the next reply, so a Done notice can never race this
-// batch's folds.
+// process works one query's grant batch by the rules of Batch:
+// RetrievalThreads lanes retrieve while this goroutine commits and folds.
+// Each group takes the first retrieved job plus every other one already
+// waiting; it never waits for more. Every group but the last commits at once
+// in a JobsDone and folds its acknowledged non-duplicates in group order; the
+// last is kept for the next poll to commit. The lanes get job indices only
+// from this goroutine, so the batch never holds more than RetrievalThreads
+// chunks outside the engine and no channel send blocks. It returns once the
+// whole batch is folded, discarded or kept, and the poll loop folds kept
+// groups before it serves the next reply, so a Done notice can never race
+// this batch's folds.
 func (a *agentRun) process(ctx context.Context, q *agentQuery, js []jobs.Job) error {
+	b := &a.batch
+	b.Grant(len(js), a.cfg.RetrievalThreads)
+	a.slots = slices.Grow(a.slots[:0], len(js))[:len(js)]
 	next := make(chan int, a.cfg.RetrievalThreads)
 	got := make(chan retrieved, a.cfg.RetrievalThreads)
 	var wg sync.WaitGroup
@@ -585,29 +591,41 @@ func (a *agentRun) process(ctx context.Context, q *agentQuery, js []jobs.Job) er
 		for r := range got {
 			bufpool.Put(r.data) // retrieved after the batch failed
 		}
+		clear(a.slots) // every buffer is the engine's, bufpool's or kept
+		clear(a.group)
 	}()
-	sent := 0
-	group := make([]retrieved, 0, a.cfg.RetrievalThreads)
-	for left := len(js); left > 0; left -= len(group) {
-		for ; sent < min(len(js)-left+a.cfg.RetrievalThreads, len(js)); sent++ {
-			next <- sent
+	arrive := func(r retrieved) {
+		a.slots[r.i] = r
+		b.Retrieved(r.i, r.err == nil)
+	}
+	for !b.Done() {
+		for i, ok := b.Start(); ok; i, ok = b.Start() {
+			next <- i
 		}
 		select {
 		case r := <-got:
-			group = append(group[:0], r)
+			arrive(r)
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 		for len(got) > 0 { // only this goroutine receives: no wait
-			group = append(group, <-got)
+			arrive(<-got)
 		}
-		slices.SortFunc(group, func(x, y retrieved) int { return x.i - y.i })
-		if left == len(group) {
-			return a.keep(q, js, group)
+		g, act, _ := b.Group()
+		a.group = a.group[:0]
+		for _, i := range g {
+			a.group = append(a.group, a.slots[i])
 		}
-		if err := a.commit(q, js, group); err != nil {
+		if act == Keep {
+			a.keep(q, js, a.group)
+			return nil
+		}
+		// A group with a failed retrieval (Fail) settles in commit without
+		// reaching the head, and commit returns the retrieval's error.
+		if err := a.commit(q, js, a.group); err != nil {
 			return err
 		}
+		b.Acked()
 	}
 	return nil
 }
@@ -662,20 +680,14 @@ func (a *agentRun) commit(q *agentQuery, js []jobs.Job, group []retrieved) error
 	return a.settle(q, done.Jobs, group, dups, err)
 }
 
-// keep stashes q's last group of a batch for the next poll to commit; the
-// stash owns group and its buffers from here on. A group with a failed
-// retrieval is never kept: it settles at once, every buffer back to bufpool.
-func (a *agentRun) keep(q *agentQuery, js []jobs.Job, group []retrieved) error {
+// keep stashes q's last group of a batch, every retrieval in it good, for
+// the next poll to commit; the stash owns the group's buffers from here on.
+func (a *agentRun) keep(q *agentQuery, js []jobs.Job, group []retrieved) {
 	n := len(a.kept)
-	a.kept = slices.Grow(a.kept, 1)[:n+1] // the slot keeps its old jobs capacity
+	a.kept = slices.Grow(a.kept, 1)[:n+1] // the slot keeps its old capacity
 	k := &a.kept[n]
-	var err error
-	if k.jobs, err = groupJobs(k.jobs[:0], js, group); err != nil {
-		a.kept = a.kept[:n]
-		return a.settle(q, k.jobs, group, nil, err)
-	}
-	k.q, k.group = q, group
-	return nil
+	k.jobs, _ = groupJobs(k.jobs[:0], js, group)
+	k.q, k.group = q, append(k.group[:0], group...)
 }
 
 // outgoing lists the kept groups as the next poll's commits.
@@ -707,7 +719,8 @@ func (a *agentRun) settleKept(acks []protocol.JobsDoneAck, err error) error {
 			dups, cerr = acks[i].Dup, ackErr(acks[i].Code, acks[i].Err)
 		}
 		err = a.settle(k.q, k.jobs, k.group, dups, cerr)
-		k.q, k.group = nil, nil
+		clear(k.group) // the buffers are the engine's or bufpool's now
+		k.q, k.group = nil, k.group[:0]
 	}
 	a.kept = a.kept[:0]
 	return err

@@ -159,8 +159,13 @@ func (p Plan) Restart() time.Duration {
 	return DefaultRestartAfter
 }
 
-// Validate checks event ordering and per-event parameters.
+// Validate checks the plan's parameters, event ordering and per-event
+// parameters: everything String renders back must be what it holds.
 func (p Plan) Validate() error {
+	if p.RestartAfter < 0 || p.CheckpointEvery < 0 || p.Tuning.LeaseTTL < 0 || p.Tuning.SpeculateAfter < 0 {
+		return fmt.Errorf("fault: negative plan parameter (restart %v, checkpoint %v, lease %v, speculate %v)",
+			p.RestartAfter, p.CheckpointEvery, p.Tuning.LeaseTTL, p.Tuning.SpeculateAfter)
+	}
 	last := time.Duration(-1 << 62)
 	for i, e := range p.Events {
 		if e.At < 0 {
@@ -173,8 +178,11 @@ func (p Plan) Validate() error {
 		if e.Site < 0 {
 			return fmt.Errorf("fault: event %d targets negative site %d", i, e.Site)
 		}
-		if e.Kind == Slowdown && e.Factor <= 1 {
+		if e.Kind == Slowdown && !(e.Factor > 1) { // NaN too
 			return fmt.Errorf("fault: event %d slowdown factor %g must be > 1", i, e.Factor)
+		}
+		if e.Kind != Slowdown && e.Factor != 0 {
+			return fmt.Errorf("fault: event %d of kind %s has a factor; only a slowdown takes one", i, e.Kind)
 		}
 		switch e.Kind {
 		case Crash, Partition, Slowdown, Recover:

@@ -88,13 +88,13 @@ func TestDrainProtocolCommitSubmitDepart(t *testing.T) {
 		t.Error("second DrainSite returned a different channel")
 	}
 
-	// Outstanding copies: no new work, keep polling.
+	// Outstanding copies: no new work, no notice yet.
 	rep, err = h.Poll(1000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Drain || !rep.Wait || len(rep.Queries) != 0 {
-		t.Fatalf("draining poll with held jobs = %+v, want Wait only", rep)
+	if rep.Drain || len(rep.Done) != 0 || len(rep.Queries) != 0 {
+		t.Fatalf("draining poll with held jobs = %+v, want an empty reply", rep)
 	}
 
 	if _, err := h.CompleteQueryJobs(q.ID(), 1000, held); err != nil {
@@ -105,7 +105,7 @@ func TestDrainProtocolCommitSubmitDepart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Drain || rep.Wait || len(rep.Done) != 1 || rep.Done[0] != q.ID() {
+	if rep.Drain || len(rep.Queries) != 0 || len(rep.Done) != 1 || rep.Done[0] != q.ID() {
 		t.Fatalf("draining poll after commits = %+v, want Done=[%d]", rep, q.ID())
 	}
 	if err := h.SubmitQueryResult(protocol.ReductionResult{

@@ -358,13 +358,13 @@ func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 
 	// The survivor recomputes everything, including site 0's reissued jobs.
 	for {
-		got, wait, err := reqJobs(h, 1, 100)
+		got, rep, err := reqJobs(h, 1, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) == 0 {
-			if wait {
-				t.Fatal("empty grant with wait=true while survivor still working")
+			if len(rep.Done) != 1 {
+				t.Fatalf("empty grant to the survivor with Done = %v, want its result asked for", rep.Done)
 			}
 			break
 		}
@@ -396,8 +396,8 @@ func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 	if _, err := h.RegisterSite(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
 		t.Fatalf("re-registration: %v", err)
 	}
-	if _, wait, err := reqJobs(h, 0, 4); err != nil || wait {
-		t.Fatalf("revived RequestJobs: wait=%v err=%v", wait, err)
+	if got, rep, err := reqJobs(h, 0, 4); err != nil || len(got) != 0 || len(rep.Done) != 1 {
+		t.Fatalf("revived RequestJobs: %d jobs, Done=%v, err=%v; want no jobs and its result asked for", len(got), rep.Done, err)
 	}
 	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Object: encodeSum(0)}); err != nil {
 		t.Fatalf("revived submit: %v", err)
@@ -422,9 +422,9 @@ func TestSpeculationDuplicatesStragglers(t *testing.T) {
 	if dups, err := complete(h, 0, js[:8]); err != nil || len(dups) != 0 {
 		t.Fatalf("completing head of pool: dups=%v err=%v", dups, err)
 	}
-	// An empty grant while stragglers are outstanding must say "poll again".
-	if got, wait, _ := reqJobs(h, 1, 4); len(got) != 0 || !wait {
-		t.Fatalf("grant = %d jobs, wait = %v; want empty+wait", len(got), wait)
+	// An empty grant while stragglers are outstanding asks for no result yet.
+	if got, rep, _ := reqJobs(h, 1, 4); len(got) != 0 || len(rep.Done) != 0 {
+		t.Fatalf("grant = %d jobs, Done = %v; want neither", len(got), rep.Done)
 	}
 	// The watchdog speculates the 2 stragglers back into the pool.
 	var spec []jobs.Job

@@ -82,18 +82,18 @@ func register(t *testing.T, h *Head, sites ...int) {
 	}
 }
 
-// reqJobs flattens a Poll reply into the (jobs, wait, err) triple most
-// single-query tests want.
-func reqJobs(h *Head, site, n int) ([]jobs.Job, bool, error) {
+// reqJobs flattens a Poll reply's grants for the single-query tests, and
+// returns the reply for its notices.
+func reqJobs(h *Head, site, n int) ([]jobs.Job, protocol.PollReply, error) {
 	rep, err := h.Poll(site, n)
 	if err != nil {
-		return nil, false, err
+		return nil, rep, err
 	}
 	var js []jobs.Job
 	for _, qj := range rep.Queries {
 		js = append(js, qj.Jobs...)
 	}
-	return js, rep.Wait, nil
+	return js, rep, nil
 }
 
 func TestNewValidation(t *testing.T) {
@@ -178,12 +178,12 @@ func TestSubmitResultDecodeErrorFailsRun(t *testing.T) {
 
 func TestRequestAndCompleteJobs(t *testing.T) {
 	h, q := testHead(t, 1)
-	js, wait, _ := reqJobs(h, 0, 3)
+	js, rep, _ := reqJobs(h, 0, 3)
 	if len(js) != 3 {
 		t.Fatalf("granted %d", len(js))
 	}
-	if wait {
-		t.Error("wait = true on a non-empty grant")
+	if len(rep.Done) != 0 {
+		t.Errorf("Done = %v on a grant from an undrained pool", rep.Done)
 	}
 	dups, err := h.CompleteQueryJobs(q.ID(), 0, js)
 	if err != nil {
@@ -371,7 +371,7 @@ func TestHandleConnGobOptIn(t *testing.T) {
 func TestHandleConnRefusesOtherVersions(t *testing.T) {
 	h, _ := testHead(t, 1)
 	defer h.Shutdown()
-	for _, proto := range []int{0, 1, protocol.ProtoMulti - 1, protocol.ProtoMulti + 1} {
+	for _, proto := range []int{0, 1, 3, 4, protocol.ProtoMulti + 1} {
 		a, b := transport.Pipe()
 		done := make(chan struct{})
 		go func() { h.HandleConn(b); close(done) }()

@@ -213,18 +213,17 @@ func TestParkedPollWakesOnEvent(t *testing.T) {
 }
 
 // TestParkExpiryMatchesUnparkedReply: a hold that runs out answers exactly
-// what a non-parking poll gets at that moment, Wait included.
+// what a non-parking poll gets at that moment: no grants and no notices.
 func TestParkExpiryMatchesUnparkedReply(t *testing.T) {
 	ix := parkIndex(t)
 	for _, tc := range []struct {
-		name     string
-		tuning   config.Tuning
-		wantWait bool
+		name   string
+		tuning config.Tuning
 	}{
-		{"fail-fast head", config.Tuning{}, false},
+		{"fail-fast head", config.Tuning{}},
 		// Fault machinery on and site 1's grants uncommitted: a failure could
-		// still requeue them, so the empty answer says poll again.
-		{"fault-tolerant head", config.Tuning{LeaseTTL: 3 * time.Hour}, true},
+		// still requeue them, and the empty answer is the same.
+		{"fault-tolerant head", config.Tuning{LeaseTTL: 3 * time.Hour}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h, o := parkHead(t, 2, Config{Tuning: tc.tuning})
@@ -238,8 +237,8 @@ func TestParkExpiryMatchesUnparkedReply(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(r.rep, want) || !idleReply(r.rep) || r.rep.Wait != tc.wantWait {
-				t.Errorf("reply at expiry = %+v, unparked poll = %+v, want idle with Wait=%v", r.rep, want, tc.wantWait)
+			if !reflect.DeepEqual(r.rep, want) || !idleReply(r.rep) {
+				t.Errorf("reply at expiry = %+v, unparked poll = %+v, want idle", r.rep, want)
 			}
 			snap := o.Metrics().Snapshot()
 			if got := snap[`head_poll_park_seconds{end="expiry"}.count`]; got != 1 {

@@ -350,9 +350,9 @@ func (q *Query) completeLocked() bool {
 // Poll assigns up to n jobs runnable at site, drawn from every admitted
 // query by weighted fair share, and reports the per-query lifecycle
 // transitions the site must act on — queries now expecting its reduction
-// result (Done), canceled queries to discard (Dropped), whether an empty
-// grant is final or worth polling again (Wait), and head shutdown. A fenced
-// site gets an *OpError wrapping fault.ErrFenced and must re-register.
+// result (Done), canceled queries to discard (Dropped), and head shutdown.
+// A fenced site gets an *OpError wrapping fault.ErrFenced and must
+// re-register.
 func (h *Head) Poll(site, n int) (protocol.PollReply, error) {
 	return h.PollFrom(protocol.PollRequest{Site: site, N: n})
 }
@@ -507,7 +507,6 @@ func (h *Head) pollOnce(site, n int, first bool) (protocol.PollReply, <-chan str
 	watch := h.watchdogOn()
 	h.mu.Lock()
 	rep.Shutdown = h.shutdown
-	anyUndrained := false
 	for _, id := range h.order {
 		q := h.queries[id]
 		if i, ok := idx[id]; ok {
@@ -536,9 +535,7 @@ func (h *Head) pollOnce(site, n int, first bool) (protocol.PollReply, <-chan str
 			}
 			continue
 		}
-		if !q.pool.Drained() {
-			anyUndrained = true
-		} else if !q.reported[site] && (q.expectAll || q.contrib[site]) {
+		if q.pool.Drained() && !q.reported[site] && (q.expectAll || q.contrib[site]) {
 			rep.Done = append(rep.Done, id)
 		}
 	}
@@ -565,24 +562,18 @@ func (h *Head) pollOnce(site, n int, first bool) (protocol.PollReply, <-chan str
 		h.mGrants.Inc()
 		h.mJobsGranted.Add(int64(len(tagged)))
 		h.cfg.Logf("head: granted %d jobs to site %d (%d queries)", len(tagged), site, len(rep.Queries))
-	} else {
-		if first {
-			h.mExhausted.Inc()
-		}
-		// An empty grant is only final once every outstanding job has
-		// committed; with fault machinery on, a failure could still requeue
-		// work this site must be able to pick up.
-		rep.Wait = h.fs != nil && anyUndrained
+	} else if first {
+		h.mExhausted.Inc()
 	}
 	h.checkLatencyStragglers()
 	return rep, wake, nil
 }
 
 // pollDraining answers a poll from a site being decommissioned. No new jobs
-// are granted; the site first commits whatever it still holds (outstanding
-// copies keep it polling with Wait), then submits its reduction object for
-// every query expecting one (Done), and on the poll after its last
-// obligation clears it is told to leave (Drain) and departs.
+// are granted; the site first commits whatever it still holds, then submits
+// its reduction object for every query expecting one (Done), and on the
+// poll after its last obligation clears it is told to leave (Drain) and
+// departs.
 func (h *Head) pollDraining(site int) (protocol.PollReply, error) {
 	var rep protocol.PollReply
 	h.mu.Lock()
@@ -613,10 +604,6 @@ func (h *Head) pollDraining(site int) (protocol.PollReply, error) {
 	if outstanding == 0 && owes == 0 {
 		rep.Drain = true
 		h.departLocked(site)
-	} else {
-		// Wait only while held jobs are still committing; once they are in,
-		// the master acts on Done.
-		rep.Wait = outstanding > 0
 	}
 	return rep, nil
 }

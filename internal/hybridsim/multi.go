@@ -673,10 +673,11 @@ func (c *mqCluster) poll() {
 			c.exhausted = true
 			return
 		}
-		// Empty but undrained somewhere: poll again (the live PollReply's
-		// Wait hint). New grants can appear when another cluster drains a
-		// shared pool, a failure requeues work or speculation re-adds it; a
-		// draining cluster polls on until the head answers Drain.
+		// Empty but undrained somewhere: poll again after pollEvery (the live
+		// agent parks its poll at the head instead). New grants can appear
+		// when another cluster drains a shared pool, a failure requeues work
+		// or speculation re-adds it; a draining cluster polls on until the
+		// head answers Drain.
 		s.clock.After(s.pollEvery(), func() {
 			if c.epoch == epoch {
 				c.poll()

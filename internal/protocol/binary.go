@@ -430,7 +430,7 @@ func (m *PollRequest) walk(w *walker) {
 }
 
 func (m *PollReply) walk(w *walker) {
-	w.flags(&m.Wait, &m.Shutdown, &m.Drain)
+	w.flags(&m.Shutdown, &m.Drain)
 	// Each query entry costs at least its ID, trace and jobs count word.
 	qs := slice(w, &m.Queries, 8+traceWire+4)
 	for i := range qs {

@@ -79,7 +79,6 @@ func sampleMessages() []Message {
 			},
 			Done:    []int{3, 4},
 			Dropped: []int{5},
-			Wait:    true,
 		},
 		PollReply{Shutdown: true},
 		PollReply{Done: []int{2}, Drain: true},
@@ -103,7 +102,7 @@ func sampleMessages() []Message {
 		PollReply{Queries: []QueryJobs{
 			{Query: 1, Jobs: sampleJobs(2), Trace: TraceContext{TraceID: 2, SpanID: 11}},
 			{Query: 2}, // untraced grant alongside a traced one
-		}, Wait: true},
+		}},
 		JobSpec{App: "knn", Query: 3,
 			Policy: ElasticPolicy{Budget: 0.25, MaxWorkers: 16}},
 		JobSpec{App: "kmeans", Query: 4,
@@ -261,10 +260,10 @@ func TestDecodeFrameMalformed(t *testing.T) {
 				return append(frameLen(uint32(len(body))), body...)
 			}(), ErrCorruptFrame},
 		{"payload frame truncated mid-meta", validPayload[:6], ErrTruncatedFrame},
-		{"poll reply flag bit beyond Wait, Shutdown and Drain",
+		{"poll reply flag bit beyond Shutdown and Drain",
 			func() []byte {
 				// An otherwise empty PollReply: flags, then four zero counts.
-				body := appendU32(appendU32(appendU32(appendU32([]byte{byte(tagPollReply), 1 | 8}, 0), 0), 0), 0)
+				body := appendU32(appendU32(appendU32(appendU32([]byte{byte(tagPollReply), 1 | 4}, 0), 0), 0), 0)
 				return append(frameLen(uint32(len(body))), body...)
 			}(), ErrCorruptFrame},
 		{"ack count exceeding frame",

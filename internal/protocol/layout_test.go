@@ -105,11 +105,11 @@ func fixedLayouts() []layoutCase {
 				n(1).n(4).u32(1).job(9, 1, 2, 3, 4096, 512, 16).tc(5, 6).
 				n(1).n(7).u32(0).tc(0, 0), 0},
 		{"PollReply", PollReply{Queries: []QueryJobs{{Query: 4, Jobs: []jobs.Job{layoutJob}, Trace: TraceContext{4, 11}}},
-			Done: []int{1}, Dropped: []int{2}, Wait: true},
+			Done: []int{1}, Dropped: []int{2}, Shutdown: true},
 			w.u8(23).u8(1).u32(1).n(4).tc(4, 11).u32(1).job(9, 1, 2, 3, 4096, 512, 16).
 				u32(1).n(1).u32(1).n(2).u32(0), 0},
 		{"PollReply zero trace", PollReply{Queries: []QueryJobs{{Query: 4}}, Shutdown: true, Drain: true},
-			w.u8(23).u8(6).u32(1).n(4).tc(0, 0).u32(0).u32(0).u32(0).u32(0), 0},
+			w.u8(23).u8(3).u32(1).n(4).tc(0, 0).u32(0).u32(0).u32(0).u32(0), 0},
 		{"PollReply with acks", PollReply{Done: []int{4}, Acks: []JobsDoneAck{
 			{Dup: []int{9}}, {Err: "gone", Code: CodeUnknownQuery}}},
 			w.u8(23).u8(0).u32(0).u32(1).n(4).u32(0).u32(2).
@@ -201,8 +201,8 @@ func TestZeroTraceEncodesBitIdentical(t *testing.T) {
 			CheckpointSave{Site: 1, Seq: 42, Data: []byte("ck")}},
 		{ReductionResult{Site: 2, Query: 4, Object: []byte{9, 8, 7}, Processing: 123, Trace: traceWord},
 			ReductionResult{Site: 2, Query: 4, Object: []byte{9, 8, 7}, Processing: 123}},
-		{PollReply{Queries: []QueryJobs{{Query: 1, Jobs: []jobs.Job{layoutJob}, Trace: traceWord}}, Wait: true},
-			PollReply{Queries: []QueryJobs{{Query: 1, Jobs: []jobs.Job{layoutJob}}}, Wait: true}},
+		{PollReply{Queries: []QueryJobs{{Query: 1, Jobs: []jobs.Job{layoutJob}, Trace: traceWord}}, Drain: true},
+			PollReply{Queries: []QueryJobs{{Query: 1, Jobs: []jobs.Job{layoutJob}}}, Drain: true}},
 	}
 	for _, p := range pairs {
 		got := mustFrame(t, p.zero)

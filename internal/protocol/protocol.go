@@ -78,12 +78,13 @@ type WireSpan struct {
 // ProtoMulti is the session protocol version carried in Hello.Proto: the
 // master registers once and interleaves jobs from every admitted query over
 // the same connection; the head replies with SiteSpec and specs are fetched
-// per query. Version 4 adds the commit block that ends PollRequest and the
-// ack block that ends PollReply; version 3 named the fixed-layout frames,
+// per query. Version 5 drops PollReply's Wait flag, which no master read;
+// version 4 added the commit block that ends PollRequest and the ack block
+// that ends PollReply; version 3 named the fixed-layout frames,
 // every field always present (version 2 also carried a heartbeat period in
 // JobSpec). The head answers a Hello of any other version with an
 // ErrorReply coded CodeVersionMismatch.
-const ProtoMulti = 4
+const ProtoMulti = 5
 
 // Hello registers a master with the head node.
 type Hello struct {
@@ -244,19 +245,18 @@ type QueryJobs struct {
 // PollReply answers a PollRequest. Queries carries the granted jobs grouped
 // by query. Done lists queries whose pools drained and now expect this
 // site's reduction result; Dropped lists canceled queries whose state the
-// master should discard without submitting. Wait set with no grants means
-// the pools are momentarily empty but recovery/speculation/admission may
-// still produce work — poll again. Shutdown means the head is closing and
-// the master should finalize what it has and exit. Drain means the head has
-// decommissioned this site: every obligation is settled (all held jobs
-// committed, all owed reduction objects submitted) and the master should
-// exit cleanly. Acks answers the request's Commits, one JobsDoneAck per
-// commit in the same order; it is empty when the request carried none.
+// master should discard without submitting. Shutdown means the head is
+// closing and the master should finalize what it has and exit. Drain means
+// the head has decommissioned this site: every obligation is settled (all
+// held jobs committed, all owed reduction objects submitted) and the master
+// should exit cleanly. Acks answers the request's Commits, one JobsDoneAck
+// per commit in the same order; it is empty when the request carried none.
+// An empty reply is never final: a master polls again, parking
+// (PollRequest.ParkNS) so the head answers once it has something.
 type PollReply struct {
 	Queries  []QueryJobs
 	Done     []int
 	Dropped  []int
-	Wait     bool
 	Shutdown bool
 	Drain    bool
 	Acks     []JobsDoneAck
