@@ -557,15 +557,11 @@ func (a *agentRun) prestage(q *agentQuery, js []jobs.Job) {
 
 // process works one query's grant batch by the rules of Batch:
 // RetrievalThreads lanes retrieve while this goroutine commits and folds.
-// Each group takes the first retrieved job plus every other one already
-// waiting; it never waits for more. Every group but the last commits at once
-// in a JobsDone and folds its acknowledged non-duplicates in group order; the
-// last is kept for the next poll to commit. The lanes get job indices only
-// from this goroutine, so the batch never holds more than RetrievalThreads
-// chunks outside the engine and no channel send blocks. It returns once the
-// whole batch is folded, discarded or kept, and the poll loop folds kept
-// groups before it serves the next reply, so a Done notice can never race
-// this batch's folds.
+// A group takes the first retrieved job plus every other one already
+// waiting; it never waits for more. The lanes get job indices only from this
+// goroutine, so no channel send blocks. It returns once the whole batch is
+// folded, discarded or kept, and the poll loop folds kept groups before it
+// serves the next reply, so a Done notice can never race this batch's folds.
 func (a *agentRun) process(ctx context.Context, q *agentQuery, js []jobs.Job) error {
 	b := &a.batch
 	b.Grant(len(js), a.cfg.RetrievalThreads)

@@ -3,9 +3,9 @@ package cluster
 import "slices"
 
 // Batch is the agent's rules for working one grant batch, apart from any
-// clock. RunAgent drives it with retrieval lanes on the wall clock, the
-// simulator (internal/hybridsim) with virtual events; each calls a method
-// where the event happens and acts on what it returns:
+// clock: RunAgent drives it with retrieval lanes on the wall clock, calling
+// a method where each event happens and acting on what it returns, and a
+// driver on a virtual clock can do the same:
 //
 //   - Start hands out the next job index to retrieve, at most threads beyond
 //     the jobs already settled;
