@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race flake fuzz results loc layout sim-bench control-bench check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race flake fuzz results loc layout sim-bench control-bench kernel-bench check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -49,6 +49,7 @@ FUZZ_TARGETS := \
 	FuzzDecodeFrame:./internal/protocol \
 	FuzzDecodeFloat64Vector:./internal/core \
 	FuzzPageRankParams:./internal/apps \
+	FuzzKNNParams:./internal/apps \
 	FuzzReadIndex:./internal/chunk \
 	FuzzParsePlan:./internal/fault
 fuzz:
@@ -103,6 +104,12 @@ sim-bench:
 control-bench:
 	$(GO) test -run '^$$' -bench 'Benchmark(FairShareAssign|PoolAssignComplete)$$' -benchmem -count=5 ./internal/jobs
 	$(GO) test -run '^$$' -bench 'BenchmarkPollCommit$$' -benchmem -count=5 ./internal/head
+
+# The application kernels' fold throughput and allocations: five samples
+# each of the kNN, k-means, PageRank and histogram local reductions on the
+# real engine (bytes folded per second, allocations per pass).
+kernel-bench:
+	$(GO) test -run '^$$' -bench 'Benchmark(KNN|KMeans|PageRank|Histogram)Kernel$$' -benchmem -count=5 ./internal/apps
 
 # Regenerate the exported-API snapshots. Run after an intentional API
 # change and commit the diff alongside it.

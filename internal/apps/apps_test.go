@@ -66,10 +66,8 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 	if len(got) != p.K {
 		t.Fatalf("got %d neighbors, want %d", len(got), p.K)
 	}
-	for i := range want {
-		if math.Abs(got[i].Dist-want[i].Dist) > 1e-12 {
-			t.Errorf("neighbor %d dist = %v, want %v", i, got[i].Dist, want[i].Dist)
-		}
+	if what, ok := sameNeighbors(got, want); !ok {
+		t.Errorf("%s differs from the brute force:\n got  %v\n want %v", what, got, want)
 	}
 }
 
@@ -127,6 +125,8 @@ func TestKNNParamsValidation(t *testing.T) {
 		{K: 0, Dim: 2, Query: []float64{0, 0}},
 		{K: 1, Dim: 0, Query: nil},
 		{K: 1, Dim: 2, Query: []float64{0}},
+		{K: 1, Dim: 2, Query: []float64{0, math.NaN()}},
+		{K: 1, Dim: 1, Query: []float64{math.Inf(-1)}},
 	}
 	for i, p := range bad {
 		if _, err := NewKNNReducer(p); err == nil {

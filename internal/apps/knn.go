@@ -17,6 +17,7 @@ package apps
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -41,6 +42,11 @@ func (p KNNParams) Validate() error {
 	if len(p.Query) != p.Dim {
 		return fmt.Errorf("apps: knn query has %d coordinates, want %d", len(p.Query), p.Dim)
 	}
+	for i, q := range p.Query {
+		if math.IsNaN(q) || math.IsInf(q, 0) {
+			return fmt.Errorf("apps: knn query coordinate %d is %v, want a finite value", i, q)
+		}
+	}
 	return nil
 }
 
@@ -59,17 +65,35 @@ type KNNObject struct {
 	Best []Neighbor // sorted ascending by Dist, len ≤ K
 }
 
-// insert adds a candidate if it beats the current worst.
-func (o *KNNObject) insert(n Neighbor) {
-	if len(o.Best) == o.K && n.Dist >= o.Best[len(o.Best)-1].Dist {
-		return
+// bound is the k-th best distance of a full list, NaN (no bound) before.
+func (o *KNNObject) bound() float64 {
+	if len(o.Best) < o.K {
+		return math.NaN()
 	}
-	i := sort.Search(len(o.Best), func(i int) bool { return o.Best[i].Dist > n.Dist })
-	o.Best = append(o.Best, Neighbor{})
+	return o.Best[o.K-1].Dist
+}
+
+// slot inserts dist and returns its entry, whose Point is nil or the evicted
+// neighbor's to overwrite (every KNNObject owns its points); nil for NaN
+// (the answer would depend on fold order) or, when full, !(dist < bound).
+func (o *KNNObject) slot(dist float64) *Neighbor {
+	if b := o.bound(); !(dist < b || b != b && dist == dist) {
+		return nil
+	}
+	i := sort.Search(len(o.Best), func(i int) bool { return o.Best[i].Dist > dist })
+	if len(o.Best) < o.K {
+		o.Best = append(o.Best, Neighbor{})
+	}
+	pt := o.Best[len(o.Best)-1].Point
 	copy(o.Best[i+1:], o.Best[i:])
-	o.Best[i] = n
-	if len(o.Best) > o.K {
-		o.Best = o.Best[:o.K]
+	o.Best[i] = Neighbor{Dist: dist, Point: pt}
+	return &o.Best[i]
+}
+
+// insert adds a copy of a candidate if it beats the current worst.
+func (o *KNNObject) insert(n Neighbor) {
+	if s := o.slot(n.Dist); s != nil {
+		s.Point = append(s.Point[:0], n.Point...)
 	}
 }
 
@@ -95,8 +119,9 @@ func (r *KNNReducer) NewObject() core.Object {
 // without allocating. The inner loop is unrolled ×4 with hoisted bounds
 // checks; the single accumulator adds terms in the same order as the scalar
 // loop, so results are bit-identical (this is the kNN hot loop — every unit
-// of every chunk passes through it).
-func (r *KNNReducer) distance(unit []byte) float64 {
+// of every chunk passes through it). It returns once a block leaves the sum
+// ≥ bound: adding a non-negative term never lowers an IEEE sum.
+func (r *KNNReducer) distance(unit []byte, bound float64) float64 {
 	q := r.Params.Query
 	unit = unit[:4*len(q)] // one bounds check for the whole point
 	var d float64
@@ -110,6 +135,9 @@ func (r *KNNReducer) distance(unit []byte) float64 {
 		d += d1 * d1
 		d += d2 * d2
 		d += d3 * d3
+		if d >= bound {
+			return d
+		}
 	}
 	for ; i < len(q); i++ {
 		diff := float64(core.Float32At(unit, 4*i)) - q[i]
@@ -120,24 +148,25 @@ func (r *KNNReducer) distance(unit []byte) float64 {
 
 // LocalReduce implements core.Reducer: fold one point into the k-best list.
 func (r *KNNReducer) LocalReduce(obj core.Object, unit []byte) error {
-	o := obj.(*KNNObject)
-	dist := r.distance(unit)
-	if len(o.Best) == o.K && dist >= o.Best[len(o.Best)-1].Dist {
-		return nil // fast reject without decoding the point
-	}
-	pt := make([]float64, r.Params.Dim)
-	for i := range pt {
-		pt[i] = float64(core.Float32At(unit, 4*i))
-	}
-	o.insert(Neighbor{Dist: dist, Point: pt})
-	return nil
+	return r.LocalReduceGroup(obj, unit, len(unit))
 }
 
 // LocalReduceGroup implements core.GroupReducer.
 func (r *KNNReducer) LocalReduceGroup(obj core.Object, group []byte, unitSize int) error {
-	for off := 0; off < len(group); off += unitSize {
-		if err := r.LocalReduce(obj, group[off:off+unitSize]); err != nil {
-			return err
+	if unitSize != 4*r.Params.Dim || len(group)%unitSize != 0 {
+		return fmt.Errorf("%w: knn group of %d bytes in %d-byte units, want %d", core.ErrBadPayload, len(group), unitSize, 4*r.Params.Dim)
+	}
+	o := obj.(*KNNObject)
+	bound := o.bound()
+	for unit := group; len(unit) > 0; unit = unit[unitSize:] {
+		if dist := r.distance(unit, bound); !(dist >= bound) { // most points fail here, without a call
+			if n := o.slot(dist); n != nil {
+				n.Point = append(n.Point[:0], make([]float64, r.Params.Dim)...)
+				for i := range n.Point {
+					n.Point[i] = float64(core.Float32At(unit, 4*i))
+				}
+				bound = o.bound()
+			}
 		}
 	}
 	return nil
@@ -172,6 +201,9 @@ func (r *KNNReducer) Decode(data []byte) (core.Object, error) {
 		return nil, fmt.Errorf("apps: knn object truncated (%d bytes)", len(data))
 	}
 	count := int(binary.LittleEndian.Uint32(data))
+	if count > r.Params.K {
+		return nil, fmt.Errorf("apps: knn object holds %d neighbors, want at most %d", count, r.Params.K)
+	}
 	rec := 8 * (1 + r.Params.Dim)
 	if len(data) != 4+count*rec {
 		return nil, fmt.Errorf("apps: knn object is %d bytes, want %d", len(data), 4+count*rec)
@@ -191,7 +223,7 @@ func (r *KNNReducer) Decode(data []byte) (core.Object, error) {
 }
 
 // Distance exposes the query distance for tests and MR formulations.
-func (r *KNNReducer) Distance(unit []byte) float64 { return r.distance(unit) }
+func (r *KNNReducer) Distance(unit []byte) float64 { return r.distance(unit, math.NaN()) }
 
 var (
 	_ core.Reducer      = (*KNNReducer)(nil)
@@ -233,9 +265,7 @@ func BruteForceKNN(points [][]float64, query []float64, k int) []Neighbor {
 			diff := pt[i] - query[i]
 			d += diff * diff
 		}
-		cp := make([]float64, len(pt))
-		copy(cp, pt)
-		obj.insert(Neighbor{Dist: d, Point: cp})
+		obj.insert(Neighbor{Dist: d, Point: pt})
 	}
 	return obj.Best
 }

@@ -211,3 +211,43 @@ func FuzzPageRankParams(f *testing.F) {
 		}
 	})
 }
+
+func FuzzKNNParams(f *testing.F) {
+	f.Add(mustEncode(f, EncodeKNNParams, knnParams(3, 2)))
+	f.Add(mustEncode(f, EncodeKNNParams, KNNParams{K: -1, Dim: 2, Query: []float64{1}}))
+	f.Add(mustEncode(f, EncodeKNNParams, KNNParams{K: 1, Dim: 2, Query: []float64{math.NaN(), 0}}))
+	f.Add(mustEncode(f, EncodeKNNParams, KNNParams{K: 1, Dim: 1, Query: []float64{math.Inf(1)}}))
+	f.Add([]byte{})
+	f.Add([]byte("garbage"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := decodeKNNParams(data)
+		if err != nil {
+			if !errors.Is(err, core.ErrBadPayload) {
+				t.Fatalf("error %v does not wrap core.ErrBadPayload", err)
+			}
+			return
+		}
+		p2, err := decodeKNNParams(mustEncode(t, EncodeKNNParams, p))
+		if err != nil {
+			t.Fatalf("re-decoding: %v", err)
+		}
+		if p2.K != p.K || p2.Dim != p.Dim || len(p2.Query) != len(p.Query) {
+			t.Fatalf("round trip %+v -> %+v", p, p2)
+		}
+		finite := true
+		for i, q := range p.Query {
+			if math.Float64bits(p2.Query[i]) != math.Float64bits(q) {
+				t.Fatalf("query %d: %x -> %x", i, math.Float64bits(q), math.Float64bits(p2.Query[i]))
+			}
+			finite = finite && !math.IsNaN(q) && !math.IsInf(q, 0)
+		}
+		_, err = core.NewReducer(KNNReducerName, data)
+		if errors.Is(err, core.ErrBadPayload) {
+			t.Fatalf("factory calls a decodable payload malformed: %v", err)
+		}
+		if !finite && err == nil {
+			t.Fatalf("factory accepted the non-finite query %v", p.Query)
+		}
+	})
+}
