@@ -50,6 +50,7 @@ FUZZ_TARGETS := \
 	FuzzDecodeFloat64Vector:./internal/core \
 	FuzzPageRankParams:./internal/apps \
 	FuzzKNNParams:./internal/apps \
+	FuzzKMeansParams:./internal/apps \
 	FuzzReadIndex:./internal/chunk \
 	FuzzParsePlan:./internal/fault
 fuzz:
@@ -77,15 +78,16 @@ loc:
 	@printf 'test Go lines outside bench/:     '; \
 		find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
-# Where the linker put (*KMeansReducer).LocalReduce and runtime.memmove in
-# the bench binary, and each address mod 64: kmeans-compute's speed follows
-# them (LocalReduce ≡ 0 is the fast layout, 32 the slow one; a memmove move
-# alone has coincided with a kmeans-compute shift), so every change reports
-# both until the build is layout-stable.
+# Where the linker put (*KMeansReducer).nearest, which holds the kmeans hot
+# loop, and runtime.memmove in the bench binary, and each address mod 64:
+# kmeans-compute's speed has followed them (the loop's old home,
+# LocalReduce, was fast at ≡ 0 and slow at ≡ 32; a memmove move alone has
+# coincided with a kmeans-compute shift), so every change reports both
+# until the build is layout-stable.
 layout:
 	@dir=$$(mktemp -d) && $(GO) build -o $$dir/bench ./bench && \
 		$(GO) tool nm $$dir/bench > $$dir/nm && rm -f $$dir/bench && \
-		for sym in 'repro/internal/apps.(*KMeansReducer).LocalReduce' runtime.memmove; do \
+		for sym in 'repro/internal/apps.(*KMeansReducer).nearest' runtime.memmove; do \
 			addr=$$(awk -v s="$$sym" '$$3 == s && $$2 == "T" { print $$1 }' $$dir/nm); \
 			test -n "$$addr" || { rm -rf $$dir; echo "layout: $$sym not found"; exit 1; }; \
 			echo "$${sym#repro/internal/} 0x$$addr mod64=$$((0x$$addr % 64))"; \
@@ -106,10 +108,11 @@ control-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPollCommit$$' -benchmem -count=5 ./internal/head
 
 # The application kernels' fold throughput and allocations: five samples
-# each of the kNN, k-means, PageRank and histogram local reductions on the
-# real engine (bytes folded per second, allocations per pass).
+# each of the kNN, k-means (worst case and clustered), PageRank and
+# histogram local reductions on the real engine (bytes folded per second,
+# allocations per pass).
 kernel-bench:
-	$(GO) test -run '^$$' -bench 'Benchmark(KNN|KMeans|PageRank|Histogram)Kernel$$' -benchmem -count=5 ./internal/apps
+	$(GO) test -run '^$$' -bench 'Benchmark(KNN|KMeans|KMeansClustered|PageRank|Histogram)Kernel$$' -benchmem -count=5 ./internal/apps
 
 # Regenerate the exported-API snapshots. Run after an intentional API
 # change and commit the diff alongside it.

@@ -311,6 +311,10 @@ func TestKMeansRegistryAndValidation(t *testing.T) {
 		{K: 2, Dim: 0},
 		{K: 2, Dim: 2, Centers: [][]float64{{0, 0}}},
 		{K: 1, Dim: 2, Centers: [][]float64{{0}}},
+		{K: 1, Dim: 2, Centers: [][]float64{{0, math.NaN()}}},
+		{K: 2, Dim: 1, Centers: [][]float64{{0}, {math.Inf(-1)}}},
+		{K: maxKMeansK + 1, Dim: 1},
+		{K: 1, Dim: maxKMeansDim + 1},
 	}
 	for i, p := range bad {
 		if _, err := NewKMeansReducer(p); err == nil {

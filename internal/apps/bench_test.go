@@ -13,9 +13,8 @@ import (
 // on the real engine — the quantity the simulator's ComputeBytesPerSec
 // calibration stands in for.
 
-func benchPointsDataset(b *testing.B, dim int, units int64) (*chunk.Index, chunk.Source) {
+func benchPointsDataset(b *testing.B, gen workload.Generator, units int64) (*chunk.Index, chunk.Source) {
 	b.Helper()
-	gen := workload.UniformPoints{Seed: 2, Dim: dim}
 	ix, err := chunk.Layout("bp", units, gen.UnitSize(), int(units/4), int(units/32))
 	if err != nil {
 		b.Fatal(err)
@@ -40,7 +39,7 @@ func benchApp(b *testing.B, r core.Reducer, ix *chunk.Index, src chunk.Source) {
 }
 
 func BenchmarkKNNKernel(b *testing.B) {
-	ix, src := benchPointsDataset(b, 8, 64_000)
+	ix, src := benchPointsDataset(b, workload.UniformPoints{Seed: 2, Dim: 8}, 64_000)
 	r, err := NewKNNReducer(knnParams(8, 10))
 	if err != nil {
 		b.Fatal(err)
@@ -49,7 +48,7 @@ func BenchmarkKNNKernel(b *testing.B) {
 }
 
 func BenchmarkKMeansKernel(b *testing.B) {
-	ix, src := benchPointsDataset(b, 8, 64_000)
+	ix, src := benchPointsDataset(b, workload.UniformPoints{Seed: 2, Dim: 8}, 64_000)
 	centers := make([][]float64, 16)
 	for k := range centers {
 		centers[k] = make([]float64, 8)
@@ -58,6 +57,27 @@ func BenchmarkKMeansKernel(b *testing.B) {
 		}
 	}
 	r, err := NewKMeansReducer(KMeansParams{K: 16, Dim: 8, Centers: centers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchApp(b, r, ix, src)
+}
+
+// BenchmarkKMeansKernel's 16 collinear centers over uniform points are the
+// pruned search's worst case: most points have several centers within twice
+// their nearest distance. BenchmarkKMeansClusteredKernel is the
+// kmeans-compute shape: K 32 over 32 blobs, centers after 5 Lloyd rounds.
+func BenchmarkKMeansClusteredKernel(b *testing.B) {
+	ix, src := benchPointsDataset(b, workload.ClusteredPoints{Seed: 2, Dim: 8, K: 32, Spread: 0.05}, 64_000)
+	seeds, err := SeedCenters(ix, src, 32, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	centers, _, err := KMeansIterate(ix, src, KMeansParams{K: 32, Dim: 8, Centers: seeds}, 1, 5, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := NewKMeansReducer(KMeansParams{K: 32, Dim: 8, Centers: centers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -82,7 +102,7 @@ func BenchmarkPageRankKernel(b *testing.B) {
 }
 
 func BenchmarkHistogramKernel(b *testing.B) {
-	ix, src := benchPointsDataset(b, 8, 64_000)
+	ix, src := benchPointsDataset(b, workload.UniformPoints{Seed: 2, Dim: 8}, 64_000)
 	r, err := NewHistogramReducer(HistogramParams{Bins: 64, Dim: 8})
 	if err != nil {
 		b.Fatal(err)

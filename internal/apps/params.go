@@ -11,7 +11,9 @@ import (
 // layouts built from three primitives: a signed varint per int (so a
 // negative value survives to the factory's Validate, which names it), a
 // little-endian IEEE-754 float64, and a uvarint-count-prefixed run of
-// float64s. Each Encode*Params documents its field order.
+// float64s. Each Encode*Params documents its field order. The decoders
+// accept only the shortest varint form, so a payload that decodes is the
+// one its params encode to.
 
 func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
 
@@ -42,7 +44,8 @@ func (r *paramReader) int() int {
 		return 0
 	}
 	v, n := binary.Varint(r.data)
-	if n <= 0 || int64(int(v)) != v {
+	var canon [binary.MaxVarintLen64]byte
+	if n <= 0 || int64(int(v)) != v || n != len(binary.AppendVarint(canon[:0], v)) {
 		r.fail("bad varint")
 		return 0
 	}
@@ -84,7 +87,8 @@ func (r *paramReader) count(elemSize int) int {
 		return 0
 	}
 	n, k := binary.Uvarint(r.data)
-	if k <= 0 {
+	var canon [binary.MaxVarintLen64]byte
+	if k <= 0 || k != len(binary.AppendUvarint(canon[:0], n)) {
 		r.fail("bad count")
 		return 0
 	}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -16,7 +17,7 @@ import (
 // reducer.
 func TestParamsRoundTripThroughFactory(t *testing.T) {
 	knn := KNNParams{K: 3, Dim: 2, Query: []float64{0.25, math.Copysign(0, -1)}}
-	kmeans := KMeansParams{K: 2, Dim: 3, Centers: [][]float64{{0, 1, 2}, {-1, math.Inf(1), 1e-300}}}
+	kmeans := KMeansParams{K: 2, Dim: 3, Centers: [][]float64{{0, 1, 2}, {-1, -math.MaxFloat64, 1e-300}}}
 	hist := HistogramParams{Bins: 7, Dim: 4}
 	prUniform := PageRankParams{Nodes: 9, Damping: 0.85}
 	// Ranks as a round produces them: nodes nothing points at hold the base
@@ -248,6 +249,39 @@ func FuzzKNNParams(f *testing.F) {
 		}
 		if !finite && err == nil {
 			t.Fatalf("factory accepted the non-finite query %v", p.Query)
+		}
+	})
+}
+
+func FuzzKMeansParams(f *testing.F) {
+	f.Add(mustEncode(f, EncodeKMeansParams, KMeansParams{K: 2, Dim: 2, Centers: [][]float64{{0, 1}, {-2, 3e300}}}))
+	f.Add(mustEncode(f, EncodeKMeansParams, KMeansParams{K: -1, Dim: 2, Centers: [][]float64{{1, 2}}}))
+	f.Add(mustEncode(f, EncodeKMeansParams, KMeansParams{K: 1, Dim: 2, Centers: [][]float64{{math.NaN(), 0}}}))
+	f.Add(mustEncode(f, EncodeKMeansParams, KMeansParams{K: 1, Dim: 1, Centers: [][]float64{{math.Inf(-1)}}}))
+	f.Add(append([]byte{2, 2, 1, 0x81, 0}, make([]byte, 8)...)) // K 1, Dim 1, a center counted in a two-byte varint
+	f.Add([]byte{})
+	f.Add([]byte("garbage"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := decodeKMeansParams(data)
+		if err != nil {
+			if !errors.Is(err, core.ErrBadPayload) {
+				t.Fatalf("error %v does not wrap core.ErrBadPayload", err)
+			}
+			return
+		}
+		_, err = core.NewReducer(KMeansReducerName, data)
+		if verr := p.Validate(); verr != nil {
+			if err == nil || errors.Is(err, core.ErrBadPayload) {
+				t.Fatalf("factory error %v for params Validate refuses with %v", err, verr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("factory refused valid params: %v", err)
+		}
+		if enc := mustEncode(t, EncodeKMeansParams, p); !bytes.Equal(enc, data) {
+			t.Fatalf("params %+v re-encode to %x, decoded from %x", p, enc, data)
 		}
 	})
 }
