@@ -52,7 +52,9 @@ FUZZ_TARGETS := \
 	FuzzKNNParams:./internal/apps \
 	FuzzKMeansParams:./internal/apps \
 	FuzzReadIndex:./internal/chunk \
-	FuzzParsePlan:./internal/fault
+	FuzzParsePlan:./internal/fault \
+	FuzzObjstoreRequest:./internal/objstore \
+	FuzzQueryFlag:./cmd/cloudburst
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		name=$${t%%:*}; pkg=$${t#*:}; \

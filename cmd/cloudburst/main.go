@@ -12,7 +12,7 @@
 //	cloudburst trace multi              merged multi-query trace, all apps concurrently
 //	cloudburst headline                 the paper's summary numbers
 //	cloudburst ablations                design-choice ablation studies
-//	cloudburst faults [-app knn]        fault tolerance: makespan vs checkpoint interval
+//	cloudburst faults [-app knn]        fault tolerance: makespan vs checkpoint cadence
 //	cloudburst estimate [-app knn]      analytic makespan model vs simulator
 //	cloudburst cost [-app knn]          pay-as-you-go bills per environment
 //	cloudburst provision [-app knn]     cheapest configuration meeting a deadline
@@ -483,7 +483,7 @@ subcommands:
   trace       per-job event traces: cloudburst trace <fig3|fig4|multi> [-app knn] [-out prefix]
   headline    the paper's summary numbers
   ablations   design-choice ablation studies
-  faults      fault tolerance: makespan vs checkpoint interval at 0/1/4 failures
+  faults      fault tolerance: makespan vs checkpoint cadence (jobs) at 0/1/4 failures
   estimate    performance-estimate validation
   cost        cloud cost table
   provision   deadline-driven provisioning plan

@@ -462,7 +462,11 @@ func EncodeKMeansParams(p KMeansParams) ([]byte, error) {
 func decodeKMeansParams(data []byte) (KMeansParams, error) {
 	r := paramReader{data: data}
 	p := KMeansParams{K: r.int(), Dim: r.int()}
-	if n := r.count(1); n > 0 { // a center is at least its one-byte count
+	// A center is at least its one-byte count, and there are no more than K
+	// of them: bound the count by both before a slice header is allocated.
+	if n := r.count(1); n > min(max(p.K, 0), maxKMeansK) {
+		r.fail(fmt.Sprintf("%d centers for K %d", n, p.K))
+	} else if n > 0 {
 		p.Centers = make([][]float64, n)
 		for i := range p.Centers {
 			p.Centers[i] = r.float64s()

@@ -253,7 +253,34 @@ func FuzzKNNParams(f *testing.F) {
 	})
 }
 
+// emptyCentersParams is a 1 MiB k-means payload for K 1, Dim 1 that
+// declares 1 Mi centers, each one empty: one count byte.
+func emptyCentersParams() []byte {
+	b := binary.AppendVarint(nil, 1) // K
+	b = binary.AppendVarint(b, 1)    // Dim
+	b = binary.AppendUvarint(b, 1<<20)
+	return append(b, make([]byte, 1<<20)...)
+}
+
+// TestKMeansParamsCenterCountBounded: the decoder bounds the declared center
+// count by K before it allocates a slice header per center, so 1 MiB of
+// empty centers no longer costs 24 MiB.
+func TestKMeansParamsCenterCountBounded(t *testing.T) {
+	data := emptyCentersParams()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := core.NewReducer(KMeansReducerName, data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, core.ErrBadPayload) {
+		t.Fatalf("err = %v, want core.ErrBadPayload", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("rejecting allocated %d bytes", got)
+	}
+}
+
 func FuzzKMeansParams(f *testing.F) {
+	f.Add(emptyCentersParams())
 	f.Add(mustEncode(f, EncodeKMeansParams, KMeansParams{K: 2, Dim: 2, Centers: [][]float64{{0, 1}, {-2, 3e300}}}))
 	f.Add(mustEncode(f, EncodeKMeansParams, KMeansParams{K: -1, Dim: 2, Centers: [][]float64{{1, 2}}}))
 	f.Add(mustEncode(f, EncodeKMeansParams, KMeansParams{K: 1, Dim: 2, Centers: [][]float64{{math.NaN(), 0}}}))

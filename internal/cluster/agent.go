@@ -270,7 +270,7 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		mRetries:  reg.Counter("cluster_retrieval_retries_total"),
 		gInflight: reg.Gauge("cluster_retrievals_inflight"),
 		bySite:    make(map[int]siteObs),
-		core:      NewAgentCore(cfg.Site, cfg.Name, cfg.Cores, cfg.Tuning.CheckpointEveryJobs > 0),
+		core:      NewAgentCore(cfg.Site, cfg.Name, cfg.Cores, cfg.Tuning.CheckpointEveryJobs),
 	}
 	bufpool.Register(reg)
 
@@ -761,19 +761,16 @@ func (a *agentRun) settle(q *agentQuery, js []jobs.Job, group []retrieved, dups 
 }
 
 // fold feeds one committed job's chunk to q's engine (which then owns the
-// buffer), credits it, and ships a checkpoint when the credit reaches the
-// next CheckpointEveryJobs boundary. Folds and checkpoints both run on the
-// poll loop's goroutine, so a checkpoint covers a job exactly when its
-// snapshot holds the fold.
+// buffer), credits it, and ships a checkpoint when the core says one is due.
+// Folds and checkpoints both run on the poll loop's goroutine, so a
+// checkpoint covers a job exactly when its snapshot holds the fold.
 func (a *agentRun) fold(q *agentQuery, j jobs.Job, data []byte) error {
 	cfg := a.cfg
 	if err := q.engine.Submit(data); err != nil {
 		bufpool.Put(data)
 		return err
 	}
-	a.core.Committed(q.id, j, false)
-	credit := a.core.Credit(q.id)
-	if every := cfg.Tuning.CheckpointEveryJobs; every > 0 && (credit.Local+credit.Stolen)%every == 0 {
+	if a.core.Committed(q.id, j, false); a.core.CheckpointDue(q.id) {
 		if err := a.checkpoint(q); err != nil {
 			if fault.IsFenced(err) {
 				return err
@@ -853,12 +850,10 @@ func (a *agentRun) finalize(id int) error {
 		a.addSpan(q, "local-merge", "sync", agentTIDJobs, -1, start, end)
 	}
 	b := q.collector.Breakdown()
-	res, _ := a.core.Ship(id, encoded) // one object at a time: nothing else runs
+	res := a.core.Ship(id, encoded)
 	res.Trace = a.queryTrace(q)
 	res.Processing, res.Retrieval, res.Sync = int64(b.Processing), int64(b.Retrieval), int64(b.Sync)
-	err = cfg.Head.SubmitResult(res)
-	a.core.Shipped(id) // and so nothing was held
-	if err != nil {
+	if err := cfg.Head.SubmitResult(res); err != nil {
 		if errors.Is(err, head.ErrQueryCanceled) || errors.Is(err, head.ErrUnknownQuery) {
 			return nil // canceled while we merged; nothing to keep
 		}

@@ -11,38 +11,38 @@ import (
 
 // AgentCore is an agent's protocol state, apart from any clock: per head
 // query ID, the credit of the object the agent is building, the job IDs it
-// covers, its checkpoint seq and landed boundary, and the commits held while
-// it is on the wire. RunAgent drives it on the wall clock, the simulator
+// covers, its checkpoint seq and landed boundary, and when it is due for its
+// next checkpoint. RunAgent drives it on the wall clock, the simulator
 // (internal/hybridsim) on its virtual one, each calling a method where the
 // event happens. It is not safe for concurrent use.
 type AgentCore struct {
 	hello protocol.Hello
-	// track records the IDs each object covers. Only a checkpoint names
-	// them, so without checkpoints the core allocates nothing per job.
-	track bool
+	// every is the checkpoint cadence in folds; 0 disables checkpoints. Only
+	// a checkpoint names the IDs an object covers, so without checkpoints the
+	// core allocates nothing per job.
+	every int
 	// queries holds the few queries the agent serves at a time; a scan
 	// finds one faster than a map lookup, with no allocation per query.
 	queries []coreQuery
 }
 
 type coreQuery struct {
-	id       int // the head's query ID
-	credit   stats.JobAccounting
-	folded   []int // with track, in fold order
-	seq      int   // of the last checkpoint
-	landed   int   // IDs a landed checkpoint covers
-	shipping bool
-	held     []jobs.Job
+	id     int // the head's query ID
+	credit stats.JobAccounting
+	folds  int   // since the state began: a resume starts at zero
+	folded []int // with checkpoints, in fold order
+	seq    int   // of the last checkpoint
+	landed int   // IDs a landed checkpoint covers
 }
 
-// NewAgentCore returns the state of the agent for site; checkpoints makes
-// it record the IDs Checkpoint names.
-func NewAgentCore(site int, name string, cores int, checkpoints bool) *AgentCore {
+// NewAgentCore returns the state of the agent for site. A query checkpoints
+// every checkpointEvery folds of its state; 0 never checkpoints.
+func NewAgentCore(site int, name string, cores, checkpointEvery int) *AgentCore {
 	// The non-zero Trace adverts trace propagation; a head with a live
 	// tracer confirms it in SiteSpec.Trace.
 	return &AgentCore{hello: protocol.Hello{Site: site, Cluster: name, Cores: cores,
 		Proto: protocol.ProtoMulti, Trace: protocol.TraceContext{SpanID: uint64(site) + 1}},
-		track: checkpoints}
+		every: max(checkpointEvery, 0)}
 }
 
 // Hello is what every incarnation of the agent registers with.
@@ -75,18 +75,16 @@ func (c *AgentCore) query(id int) *coreQuery {
 	return &c.queries[len(c.queries)-1]
 }
 
-// forget removes query id and returns the commits it held.
-func (c *AgentCore) forget(id int) []jobs.Job {
+// forget removes query id.
+func (c *AgentCore) forget(id int) {
 	q := c.find(id)
 	if q == nil {
-		return nil
+		return
 	}
-	held := q.held
 	last := len(c.queries) - 1
 	*q = c.queries[last]
 	c.queries[last] = coreQuery{}
 	c.queries = c.queries[:last]
-	return held
 }
 
 // Resume adopts the checkpoint a QuerySpec carried for query — its seq, and
@@ -128,10 +126,22 @@ func (c *AgentCore) Committed(query int, j jobs.Job, dup bool) (fold bool) {
 	} else {
 		q.credit.Local++
 	}
-	if c.track {
+	q.folds++
+	if c.every > 0 {
 		q.folded = append(q.folded, j.ID)
 	}
 	return true
+}
+
+// CheckpointDue reports whether query's last fold completes a checkpoint
+// interval: every checkpointEvery folds since its state began, so a resumed
+// query counts its own folds, not the checkpoint's.
+func (c *AgentCore) CheckpointDue(query int) bool {
+	if c.every == 0 {
+		return false
+	}
+	q := c.find(query)
+	return q != nil && q.folds > 0 && q.folds%c.every == 0
 }
 
 // Checkpoint names the next checkpoint of query's object obj: every ID
@@ -159,30 +169,14 @@ func (c *AgentCore) Landed(query, n int) {
 }
 
 // Ship answers the head's Done for query with obj and the credit folded
-// into it (zero for a query never folded: the identity object), and starts
-// an empty object. It returns false while an earlier object is on the wire.
-func (c *AgentCore) Ship(query int, obj []byte) (protocol.ReductionResult, bool) {
-	q := c.query(query)
-	if q.shipping {
-		return protocol.ReductionResult{}, false
+// into it (zero for a query never folded: the identity object), and forgets
+// the query: the agent serves nothing until the head has answered, and a
+// later commit starts a new object.
+func (c *AgentCore) Ship(query int, obj []byte) protocol.ReductionResult {
+	res := protocol.ReductionResult{Site: c.hello.Site, Query: query, Object: obj}
+	if q := c.find(query); q != nil {
+		res.LocalJobs, res.StolenJobs = q.credit.Local, q.credit.Stolen
 	}
-	res := protocol.ReductionResult{Site: c.hello.Site, Query: query, Object: obj,
-		LocalJobs: q.credit.Local, StolenJobs: q.credit.Stolen}
-	*q = coreQuery{id: query, shipping: true}
-	return res, true
+	c.forget(query)
+	return res
 }
-
-// Hold keeps a commit of j back while query's object is on the wire, and
-// reports whether it did.
-func (c *AgentCore) Hold(query int, j jobs.Job) bool {
-	q := c.find(query)
-	if q == nil || !q.shipping {
-		return false
-	}
-	q.held = append(q.held, j)
-	return true
-}
-
-// Shipped records the head's answer to query's result: it forgets the query
-// and returns the commits held meanwhile, in order.
-func (c *AgentCore) Shipped(query int) []jobs.Job { return c.forget(query) }

@@ -93,7 +93,7 @@ func TestAgentCore(t *testing.T) {
 			if _, err := c.Resume(7, ckpt, credit); err != nil {
 				t.Fatal(err)
 			}
-			if res, _ := c.Ship(7, nil); res.LocalJobs != 2 || res.StolenJobs != 5 {
+			if res := c.Ship(7, nil); res.LocalJobs != 2 || res.StolenJobs != 5 {
 				t.Errorf("shipped credit %d+%d, want 2+5", res.LocalJobs, res.StolenJobs)
 			}
 		}},
@@ -108,38 +108,42 @@ func TestAgentCore(t *testing.T) {
 				}
 			}
 		}},
-		{"commits held while shipping come back in order", func(t *testing.T, c *AgentCore) {
-			c.Committed(7, local(1), false)
-			c.Committed(8, local(2), false)
-			if c.Hold(7, local(3)) {
-				t.Error("held a commit with no object on the wire")
-			}
-			res, ok := c.Ship(7, []byte("obj"))
-			if !ok || res.Query != 7 || res.LocalJobs != 1 || !bytes.Equal(res.Object, []byte("obj")) {
-				t.Fatalf("Ship = %+v, %v", res, ok)
-			}
-			if _, ok := c.Ship(7, nil); ok {
-				t.Error("shipped twice while the first object was on the wire")
-			}
-			for _, j := range []jobs.Job{local(5), stolen(4), local(6)} {
-				if !c.Hold(7, j) {
-					t.Errorf("commit of job %d not held", j.ID)
+		{"checkpoint due every N folds of the state", func(t *testing.T, c *AgentCore) {
+			var due []int
+			for id := 1; id <= 7; id++ {
+				// Job 3 is a duplicate: it is not folded and does not count.
+				if c.Committed(7, local(id), id == 3) && c.CheckpointDue(7) {
+					due = append(due, id)
 				}
 			}
-			if c.Hold(8, local(9)) {
-				t.Error("held a commit of a query that is not shipping")
+			if want := []int{2, 5, 7}; !reflect.DeepEqual(due, want) {
+				t.Errorf("due after jobs %v, want %v", due, want)
 			}
-			if got := c.Shipped(7); !reflect.DeepEqual(got, []jobs.Job{local(5), stolen(4), local(6)}) {
-				t.Errorf("Shipped = %v, want jobs 5, 4, 6", got)
+			if c.CheckpointDue(8) {
+				t.Error("a query never folded is due")
 			}
-			if c.Hold(7, local(10)) {
-				t.Error("held a commit after the object landed")
+			// A resume starts the count at zero, whatever the checkpoint covers.
+			ckpt := fault.Checkpoint{Seq: 1, Object: []byte("x"), Completed: []int{1, 2, 3}}.Encode()
+			if _, err := c.Resume(7, ckpt, nil); err != nil {
+				t.Fatal(err)
+			}
+			if c.Committed(7, local(8), false); c.CheckpointDue(7) {
+				t.Error("due after one fold of the resumed state")
+			}
+			if c.Committed(7, local(9), false); !c.CheckpointDue(7) {
+				t.Error("not due after two folds of the resumed state")
+			}
+			// A shipped object's state ends; the next object counts anew.
+			if res := c.Ship(7, []byte("obj")); res.Query != 7 || res.LocalJobs != 2 || !bytes.Equal(res.Object, []byte("obj")) {
+				t.Errorf("Ship = %+v, want 2 local jobs in obj", res)
+			}
+			if c.Committed(7, local(10), false); c.CheckpointDue(7) {
+				t.Error("due after one fold of a new object")
 			}
 		}},
 		{"reset forgets every query", func(t *testing.T, c *AgentCore) {
 			c.Committed(7, local(1), false)
 			c.Committed(8, stolen(2), false)
-			c.Ship(9, nil)
 			c.Reset()
 			for _, q := range []int{7, 8} {
 				if got := c.Credit(q); got != (stats.JobAccounting{}) {
@@ -149,20 +153,17 @@ func TestAgentCore(t *testing.T) {
 					t.Errorf("query %d checkpoint covers %d jobs after reset", q, n)
 				}
 			}
-			if c.Hold(9, local(3)) {
-				t.Error("a shipping object survived the reset")
-			}
 		}},
 		{"never-seen query ships zero credit", func(t *testing.T, c *AgentCore) {
 			c.Committed(7, local(1), false)
-			res, ok := c.Ship(42, []byte("identity"))
-			if !ok || res.Query != 42 || res.LocalJobs != 0 || res.StolenJobs != 0 {
-				t.Errorf("Ship of an unseen query = %+v, %v; want zero credit", res, ok)
+			res := c.Ship(42, []byte("identity"))
+			if res.Query != 42 || res.LocalJobs != 0 || res.StolenJobs != 0 {
+				t.Errorf("Ship of an unseen query = %+v; want zero credit", res)
 			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.run(t, NewAgentCore(0, "local", 2, true))
+			tc.run(t, NewAgentCore(0, "local", 2, 2))
 		})
 	}
 }
@@ -170,8 +171,11 @@ func TestAgentCore(t *testing.T) {
 // TestAgentCoreTracksIDsOnlyForCheckpoints: without checkpoints the core
 // keeps no ID list, so it has no checkpoint to name.
 func TestAgentCoreTracksIDsOnlyForCheckpoints(t *testing.T) {
-	c := NewAgentCore(0, "local", 2, false)
+	c := NewAgentCore(0, "local", 2, 0)
 	c.Committed(7, jobs.Job{ID: 1}, false)
+	if c.CheckpointDue(7) {
+		t.Error("a core without checkpoints is due for one")
+	}
 	if _, n := c.Checkpoint(7, nil); n != 0 {
 		t.Errorf("untracked core named a checkpoint of %d jobs", n)
 	}

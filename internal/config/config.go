@@ -6,7 +6,8 @@
 //
 // Precedence (documented in docs/API.md): an explicit field on Tuning wins;
 // a zero field falls back to the component default that applied before the
-// knob was centralized (heartbeat = LeaseTTL/3, fault machinery off).
+// knob was centralized (fault machinery off). The heartbeat period is not a
+// knob: it is LeaseTTL/3.
 package config
 
 import (
@@ -25,9 +26,6 @@ type Tuning struct {
 	// longer is declared failed, its in-flight jobs requeued, and its
 	// un-checkpointed completions reissued. 0 disables lease expiry.
 	LeaseTTL time.Duration
-	// HeartbeatEvery is pushed to clusters so they renew their leases;
-	// 0 defaults to LeaseTTL/3 when leases are enabled.
-	HeartbeatEvery time.Duration
 	// CheckpointEveryJobs, when > 0, makes each cluster snapshot its
 	// reduction engine and ship a checkpoint every that many folded jobs.
 	CheckpointEveryJobs int
@@ -71,17 +69,10 @@ func (t Tuning) EffectiveWatchdogMinSamples() int {
 	return t.WatchdogMinSamples
 }
 
-// HeartbeatInterval resolves the effective heartbeat period: the explicit
-// knob, else a third of the lease TTL, else 0 (no heartbeats).
-func (t Tuning) HeartbeatInterval() time.Duration {
-	if t.HeartbeatEvery > 0 {
-		return t.HeartbeatEvery
-	}
-	if t.LeaseTTL > 0 {
-		return t.LeaseTTL / 3
-	}
-	return 0
-}
+// HeartbeatInterval is the heartbeat period the head pushes to clusters so
+// they renew their leases: a third of the lease TTL (0 without leases: no
+// heartbeats).
+func (t Tuning) HeartbeatInterval() time.Duration { return t.LeaseTTL / 3 }
 
 // RegisterFlags exposes the shared knobs on a daemon's flag set, so
 // headnode and workernode declare them once and identically.
@@ -90,8 +81,6 @@ func (t *Tuning) RegisterFlags(fs *flag.FlagSet) {
 		"unit-group (cache) budget per reduction batch (0 = job-spec value)")
 	fs.DurationVar(&t.LeaseTTL, "lease-ttl", 0,
 		"site liveness lease at the head; silent sites are failed after this (0 = off)")
-	fs.DurationVar(&t.HeartbeatEvery, "heartbeat-every", 0,
-		"cluster heartbeat period (0 = lease-ttl/3)")
 	fs.IntVar(&t.CheckpointEveryJobs, "checkpoint-every", 0,
 		"ship a reduction-object checkpoint every N folded jobs (0 = off)")
 	fs.DurationVar(&t.SpeculateAfter, "speculate-after", 0,

@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,8 @@ func TestValidateQueryPolicy(t *testing.T) {
 		{MinWorkers: -1},
 		{MaxWorkers: -2},
 		{MinWorkers: 5, MaxWorkers: 4},
+		{Budget: math.NaN()}, // a budget=NaN flag once lifted the session's cap
+		{Budget: math.Inf(1)},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

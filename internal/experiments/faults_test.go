@@ -59,7 +59,7 @@ func TestFaultCrashAtPaperScaleDeterministic(t *testing.T) {
 	}
 	run := func() *hybridsim.Result {
 		cfg := Config(KNN, Env5050, SimOptions{})
-		cfg.Faults = faultPlan(base.Total/8, 1, base.Total)
+		cfg.Faults = faultPlan(DatasetIndex().NumChunks()/16, 1, base.Total)
 		res, err := hybridsim.Run(cfg)
 		if err != nil {
 			t.Fatal(err)

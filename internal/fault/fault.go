@@ -128,16 +128,15 @@ type Plan struct {
 	// RestartAfter is the crash-to-restart delay (how long a replacement
 	// worker takes to boot); 0 means the DefaultRestartAfter.
 	RestartAfter time.Duration
-	// CheckpointEvery is the reduction-object checkpoint cadence on the
-	// run's clock; 0 disables checkpointing.
-	CheckpointEvery time.Duration
-	// Tuning holds the head knobs the plan runs under — LeaseTTL (a site
-	// silent for longer is declared failed and its in-flight jobs requeued;
-	// 0 means a crash is only noticed as a lost session), SpeculateAfter
-	// (re-add a query's outstanding jobs once its pool has idled
-	// empty-but-undrained this long; 0 disables speculation and the latency
-	// watchdog), StragglerFactor and WatchdogMinSamples. The simulator hands
-	// it to its in-process head unchanged.
+	// Tuning holds the knobs the plan runs under — CheckpointEveryJobs (each
+	// agent checkpoints a query every that many folds; 0 disables
+	// checkpointing), LeaseTTL (a site silent for longer is declared failed
+	// and its in-flight jobs requeued; 0 means a crash is only noticed as a
+	// lost session), SpeculateAfter (re-add a query's outstanding jobs once
+	// its pool has idled empty-but-undrained this long; 0 disables
+	// speculation and the latency watchdog), StragglerFactor and
+	// WatchdogMinSamples. The simulator hands it to its in-process head and
+	// agents unchanged.
 	Tuning config.Tuning
 }
 
@@ -148,7 +147,7 @@ const DefaultRestartAfter = 10 * time.Second
 // Active reports whether the plan changes anything at all: any events or
 // any recovery machinery (checkpointing, leases, speculation) enabled.
 func (p Plan) Active() bool {
-	return len(p.Events) > 0 || p.CheckpointEvery > 0 || p.Tuning.LeaseTTL > 0 || p.Tuning.SpeculateAfter > 0
+	return len(p.Events) > 0 || p.Tuning.CheckpointEveryJobs > 0 || p.Tuning.LeaseTTL > 0 || p.Tuning.SpeculateAfter > 0
 }
 
 // Restart returns the crash-to-restart delay, applying the default.
@@ -162,9 +161,9 @@ func (p Plan) Restart() time.Duration {
 // Validate checks the plan's parameters, event ordering and per-event
 // parameters: everything String renders back must be what it holds.
 func (p Plan) Validate() error {
-	if p.RestartAfter < 0 || p.CheckpointEvery < 0 || p.Tuning.LeaseTTL < 0 || p.Tuning.SpeculateAfter < 0 {
-		return fmt.Errorf("fault: negative plan parameter (restart %v, checkpoint %v, lease %v, speculate %v)",
-			p.RestartAfter, p.CheckpointEvery, p.Tuning.LeaseTTL, p.Tuning.SpeculateAfter)
+	if p.RestartAfter < 0 || p.Tuning.CheckpointEveryJobs < 0 || p.Tuning.LeaseTTL < 0 || p.Tuning.SpeculateAfter < 0 {
+		return fmt.Errorf("fault: negative plan parameter (restart %v, checkpoint %d, lease %v, speculate %v)",
+			p.RestartAfter, p.Tuning.CheckpointEveryJobs, p.Tuning.LeaseTTL, p.Tuning.SpeculateAfter)
 	}
 	last := time.Duration(-1 << 62)
 	for i, e := range p.Events {
@@ -201,8 +200,8 @@ func (p Plan) String() string {
 	if p.RestartAfter > 0 {
 		hdr = append(hdr, "restart="+p.RestartAfter.String())
 	}
-	if p.CheckpointEvery > 0 {
-		hdr = append(hdr, "checkpoint="+p.CheckpointEvery.String())
+	if p.Tuning.CheckpointEveryJobs > 0 {
+		hdr = append(hdr, "checkpoint="+strconv.Itoa(p.Tuning.CheckpointEveryJobs))
 	}
 	if p.Tuning.LeaseTTL > 0 {
 		hdr = append(hdr, "lease="+p.Tuning.LeaseTTL.String())
@@ -220,7 +219,8 @@ func (p Plan) String() string {
 }
 
 // ParsePlan parses the text plan format: an optional leading
-// "plan restart=10s checkpoint=30s lease=5s speculate=20s" parameter line,
+// "plan restart=10s checkpoint=100 lease=5s speculate=20s" parameter line
+// (checkpoint is a job count, the others durations),
 // then one event per line like "at=30s site=1 kind=crash" or
 // "at=40s site=0 kind=slowdown factor=4". Blank lines and lines starting
 // with '#' are ignored.
@@ -238,21 +238,21 @@ func ParsePlan(text string) (Plan, error) {
 				if !ok {
 					return Plan{}, fmt.Errorf("fault: line %d: bad parameter %q", ln+1, f)
 				}
-				d, err := time.ParseDuration(v)
-				if err != nil {
-					return Plan{}, fmt.Errorf("fault: line %d: %s: %v", ln+1, k, err)
-				}
+				var err error
 				switch k {
 				case "restart":
-					p.RestartAfter = d
+					p.RestartAfter, err = time.ParseDuration(v)
 				case "checkpoint":
-					p.CheckpointEvery = d
+					p.Tuning.CheckpointEveryJobs, err = strconv.Atoi(v)
 				case "lease":
-					p.Tuning.LeaseTTL = d
+					p.Tuning.LeaseTTL, err = time.ParseDuration(v)
 				case "speculate":
-					p.Tuning.SpeculateAfter = d
+					p.Tuning.SpeculateAfter, err = time.ParseDuration(v)
 				default:
 					return Plan{}, fmt.Errorf("fault: line %d: unknown parameter %q", ln+1, k)
+				}
+				if err != nil {
+					return Plan{}, fmt.Errorf("fault: line %d: %s: %v", ln+1, k, err)
 				}
 			}
 			continue

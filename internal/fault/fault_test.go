@@ -18,9 +18,9 @@ func TestPlanTextRoundTrip(t *testing.T) {
 			{At: 40 * time.Second, Site: 0, Kind: Recover},
 			{At: 50 * time.Second, Site: 1, Worker: 2, Kind: Partition},
 		},
-		RestartAfter:    10 * time.Second,
-		CheckpointEvery: 30 * time.Second,
-		Tuning:          config.Tuning{LeaseTTL: 5 * time.Second, SpeculateAfter: 20 * time.Second},
+		RestartAfter: 10 * time.Second,
+		Tuning: config.Tuning{CheckpointEveryJobs: 100, LeaseTTL: 5 * time.Second,
+			SpeculateAfter: 20 * time.Second},
 	}
 	got, err := ParsePlan(p.String())
 	if err != nil {
@@ -48,6 +48,7 @@ func TestPlanValidate(t *testing.T) {
 		{Events: []Event{{At: 0, Kind: Slowdown, Factor: 1}}},
 		{Events: []Event{{At: 0, Kind: Kind(99)}}},
 		{Events: []Event{{At: time.Second, Kind: Crash}, {At: 0, Kind: Crash}}},
+		{Tuning: config.Tuning{CheckpointEveryJobs: -1}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -63,7 +64,7 @@ func TestPlanActive(t *testing.T) {
 	if (Plan{}).Active() {
 		t.Error("zero plan reports active")
 	}
-	if !(Plan{CheckpointEvery: time.Second}).Active() {
+	if !(Plan{Tuning: config.Tuning{CheckpointEveryJobs: 1}}).Active() {
 		t.Error("checkpointing plan reports inactive")
 	}
 	if !(Plan{Events: []Event{{Kind: Crash}}}).Active() {

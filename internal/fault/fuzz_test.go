@@ -15,7 +15,7 @@ func FuzzParsePlan(f *testing.F) {
 	for _, s := range []string{
 		"",
 		"# a drill\nat=30s site=1 kind=crash\n\nat=10s site=0 kind=crash\n",
-		"plan restart=10s checkpoint=30s lease=5s speculate=20s\nat=10s site=0 kind=slowdown factor=4\n",
+		"plan restart=10s checkpoint=100 lease=5s speculate=20s\nat=10s site=0 kind=slowdown factor=4\n",
 		"at=50s site=1 worker=2 kind=partition\nat=60s site=1 kind=recover\n",
 		"plan lease=0s\nat=1ms site=3 kind=crash worker=1\n",
 		// Once accepted and then lost in the rendering: a factor on a

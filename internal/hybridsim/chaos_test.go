@@ -61,10 +61,9 @@ func chaosConfig(t *testing.T) MultiConfig {
 		},
 	}
 	cfg.faults = fault.Plan{
-		Events:          []fault.Event{{At: 700 * time.Millisecond, Site: 1000, Kind: fault.Crash}},
-		CheckpointEvery: 150 * time.Millisecond,
-		RestartAfter:    300 * time.Millisecond,
-		Tuning:          config.Tuning{LeaseTTL: 200 * time.Millisecond},
+		Events:       []fault.Event{{At: 700 * time.Millisecond, Site: 1000, Kind: fault.Crash}},
+		RestartAfter: 300 * time.Millisecond,
+		Tuning:       config.Tuning{CheckpointEveryJobs: 4, LeaseTTL: 200 * time.Millisecond},
 	}
 	return cfg
 }

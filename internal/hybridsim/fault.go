@@ -9,7 +9,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/head"
 	"repro/internal/obs"
-	"repro/internal/protocol"
 )
 
 // This file drives a fault.Plan on the virtual clock. The policy side —
@@ -176,7 +175,9 @@ func (c *mqCluster) reset() {
 	c.checkpointing = false
 	c.partitioned = false
 	c.slowFactor = 1
+	c.waits = 0
 	c.deferred = nil
+	c.specs = c.specs[:0]
 	c.core.Reset()
 }
 
@@ -258,94 +259,60 @@ func (s *multiSim) recoverCluster(c *mqCluster) {
 	c.kickCores()
 }
 
-// flush commits the completions the agent held back; it stops early if a
-// commit is fenced (the agent has re-registered).
+// flush commits the completions the agent held back, in order; it stops
+// early if a commit is fenced (the agent has re-registered) or starts a
+// wait on the head (the answer flushes the rest).
 func (c *mqCluster) flush() {
-	deferred, epoch := c.deferred, c.epoch
-	c.deferred = nil
-	for _, mj := range deferred {
+	epoch := c.epoch
+	for len(c.deferred) > 0 && c.waits == 0 {
+		mj := c.deferred[0]
+		c.deferred = c.deferred[1:]
 		if c.commit(mj); c.epoch != epoch {
 			return
 		}
 	}
 }
 
-// checkpointTick fires every Plan.CheckpointEvery per cluster and starts a
-// checkpoint when there is anything new to cover.
-func (c *mqCluster) checkpointTick() {
-	s := c.s
-	if c.gone || s.allDrained() {
-		return // every object is on its way to the head; stop the ticker
-	}
-	s.clock.After(s.cfg.faults.CheckpointEvery, c.checkpointTick)
-	if c.down || c.partitioned || c.checkpointing {
-		return
-	}
-	c.beginCheckpoint()
-}
-
-// beginCheckpoint models the live checkpoint pipeline: quiesce and merge the
-// object of every query with folds no landed checkpoint covers (new folds
-// stall for the merges), then ship one object per query to the head in the
-// background. The covered jobs become durable only when the head accepts
+// checkpoint models the live agent's checkpoint of head query id (query
+// qi), due at the commit that completes the cadence: the cores quiesce while
+// the object is merged, and then the agent ships it and waits on the head
+// for the answer. The covered jobs become durable only when the head accepts
 // the CheckpointSave — a crash mid-ship loses the checkpoint, not jobs.
-func (c *mqCluster) beginCheckpoint() {
+func (c *mqCluster) checkpoint(qi, id int) {
 	s := c.s
-	type cover struct {
-		query, jobs int
-		save        protocol.CheckpointSave
-	}
-	var covers []cover
-	merge := time.Duration(0)
-	for q, hq := range s.passes {
-		if hq == nil {
-			continue
-		}
-		id := hq.ID()
-		save, n := c.core.Checkpoint(id, encodeCredit(c.core.Credit(id)))
-		if n == 0 {
-			continue
-		}
-		covers = append(covers, cover{query: q, jobs: n, save: save})
-		merge += s.cfg.Queries[q].App.mergeTime()
-	}
-	if len(covers) == 0 {
+	save, n := c.core.Checkpoint(id, encodeCredit(c.core.Credit(id)))
+	if n == 0 {
 		return
 	}
+	app := s.cfg.Queries[qi].App
 	c.checkpointing = true
+	c.waits++
 	epoch := c.epoch
 	start := s.clock.Now()
-	s.clock.After(merge, func() {
+	s.clock.After(app.mergeTime(), func() {
 		if c.epoch != epoch {
 			return
 		}
 		c.checkpointing = false
 		c.kickCores()
-		for _, cv := range covers {
-			cv := cv
-			bytes := s.cfg.Queries[cv.query].App.RobjBytes
-			s.net.Start(bytes, s.robjLatency(c), 0, s.robjResources(c), func() {
-				if c.epoch != epoch {
-					return // died with the incarnation
-				}
-				if err := s.head.CheckpointSave(cv.save); err != nil {
-					if fault.IsFenced(err) {
-						c.failed(err)
-					}
-					return // or refused: a stale seq, a finished pass
-				}
-				// Cores resume as soon as the merge ends, so a later checkpoint
-				// can begin (and even land) while this object is still on the
-				// wire.
-				c.core.Landed(cv.save.Query, cv.jobs)
+		s.net.Start(app.RobjBytes, s.robjLatency(c), 0, s.robjResources(c), func() {
+			if c.epoch != epoch {
+				return // died with the incarnation
+			}
+			if err := s.head.CheckpointSave(save); fault.IsFenced(err) {
+				c.failed(err)
+				return
+			} else if err == nil { // or refused: a stale seq, a finished pass
+				c.core.Landed(id, n)
 				s.fstats.Checkpoints++
-				s.fstats.CheckpointBytes += bytes
+				s.fstats.CheckpointBytes += app.RobjBytes
 				if s.tr.Enabled() {
 					s.tr.Complete(c.pid(), 0, "fault", "checkpoint", start, s.clock.Now(),
-						obs.Args{"query": cv.query, "seq": cv.save.Seq, "jobs": cv.jobs, "bytes": bytes})
+						obs.Args{"query": qi, "seq": save.Seq, "jobs": n, "bytes": app.RobjBytes})
 				}
-			})
-		}
+			}
+			c.answered()
+		})
 	})
 }
 

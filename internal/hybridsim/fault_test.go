@@ -39,10 +39,9 @@ func TestSimCrashRecoveryMatchesFailureFree(t *testing.T) {
 	base := mustRun(t, cfg)
 
 	cfg.Faults = fault.Plan{
-		Events:          []fault.Event{{At: base.Total / 3, Site: 1, Kind: fault.Crash}},
-		CheckpointEvery: base.Total / 8,
-		RestartAfter:    500 * time.Millisecond,
-		Tuning:          config.Tuning{LeaseTTL: 200 * time.Millisecond},
+		Events:       []fault.Event{{At: base.Total / 3, Site: 1, Kind: fault.Crash}},
+		RestartAfter: 500 * time.Millisecond,
+		Tuning:       config.Tuning{CheckpointEveryJobs: 8, LeaseTTL: 200 * time.Millisecond},
 	}
 	res := mustRun(t, cfg)
 
@@ -77,9 +76,9 @@ func TestSimFaultDeterminism(t *testing.T) {
 				{At: 700 * time.Millisecond, Site: 0, Kind: fault.Slowdown, Factor: 3},
 				{At: 1200 * time.Millisecond, Site: 0, Kind: fault.Recover},
 			},
-			CheckpointEvery: 300 * time.Millisecond,
-			RestartAfter:    600 * time.Millisecond,
-			Tuning:          config.Tuning{LeaseTTL: 250 * time.Millisecond, SpeculateAfter: 300 * time.Millisecond},
+			RestartAfter: 600 * time.Millisecond,
+			Tuning: config.Tuning{CheckpointEveryJobs: 6, LeaseTTL: 250 * time.Millisecond,
+				SpeculateAfter: 300 * time.Millisecond},
 		}
 		return cfg
 	}
@@ -127,9 +126,8 @@ func TestSimPartitionFencedRestarts(t *testing.T) {
 			{At: 300 * time.Millisecond, Site: 1, Kind: fault.Partition},
 			{At: 1500 * time.Millisecond, Site: 1, Kind: fault.Recover},
 		},
-		CheckpointEvery: 200 * time.Millisecond,
-		RestartAfter:    300 * time.Millisecond,
-		Tuning:          config.Tuning{LeaseTTL: 400 * time.Millisecond},
+		RestartAfter: 300 * time.Millisecond,
+		Tuning:       config.Tuning{CheckpointEveryJobs: 4, LeaseTTL: 400 * time.Millisecond},
 	}
 	res := mustRun(t, cfg)
 	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
@@ -168,7 +166,7 @@ func TestSimCheckpointOnlyOverheadSmall(t *testing.T) {
 	cfg := testConfig(t, 16, 8, 0.5)
 	base := mustRun(t, cfg)
 
-	cfg.Faults = fault.Plan{CheckpointEvery: base.Total / 10}
+	cfg.Faults = fault.Plan{Tuning: config.Tuning{CheckpointEveryJobs: 6}}
 	res := mustRun(t, cfg)
 	if res.Faults.Checkpoints == 0 {
 		t.Fatal("no checkpoints were taken")
@@ -200,9 +198,8 @@ func TestSimRandomCrashesCreditEveryChunkOnce(t *testing.T) {
 		base := mustRun(t, cfg).Total
 		for seed := uint64(0); seed < 200; seed++ {
 			cfg.Faults = fault.RandomPlan(seed, 1+int(seed%4), base, []int{0, 1})
-			cfg.Faults.CheckpointEvery = time.Duration(seed%3) * base / 6
 			cfg.Faults.RestartAfter = base / 8
-			cfg.Faults.Tuning = config.Tuning{}
+			cfg.Faults.Tuning = config.Tuning{CheckpointEveryJobs: int(seed%3) * 6}
 			if seed%2 == 0 {
 				cfg.Faults.Tuning.LeaseTTL = base / 16
 			}
@@ -257,27 +254,6 @@ func TestSimFaultUnknownSiteRejected(t *testing.T) {
 	cfg.Faults = fault.Plan{Events: []fault.Event{{At: time.Second, Site: 9, Kind: fault.Crash}}}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("plan targeting an unknown site was accepted")
-	}
-}
-
-// TestSimOverlappingCheckpointShips drives checkpoint ships that outlive the
-// checkpoint interval: a new checkpoint begins (the merge quiesce ends and
-// cores resume) while the previous object is still on the inter-cluster
-// pipe. Each landing must trim only the commits it covers beyond what
-// earlier landings already removed — a raw prefix-length trim walks off the
-// end of the shifted slice.
-func TestSimOverlappingCheckpointShips(t *testing.T) {
-	cfg := testConfig(t, 12, 6, 0.5)
-	cfg.App.RobjBytes = 64 << 20 // ~1.6 s per ship on the 40 MiB/s inter-cluster pipe
-	cfg.Faults = fault.Plan{
-		CheckpointEvery: 50 * time.Millisecond, // several ships in flight at once
-	}
-	res := mustRun(t, cfg)
-	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
-		t.Errorf("credited %d jobs, dataset has %d", got, want)
-	}
-	if res.Faults.Checkpoints < 2 {
-		t.Errorf("Checkpoints = %d, want overlapping ships", res.Faults.Checkpoints)
 	}
 }
 

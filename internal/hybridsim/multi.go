@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/chunk"
@@ -207,10 +208,17 @@ type mqCluster struct {
 	// in-flight transfers, busy cores and pending polls die with the machine
 	// instead of leaking into its replacement.
 	epoch         int
-	down          bool    // crashed, waiting for restart
-	partitioned   bool    // cut off from head and storage
-	checkpointing bool    // quiescing cores for a checkpoint merge
-	deferred      []mqJob // commits a partition holds back
+	down          bool // crashed, waiting for restart
+	partitioned   bool // cut off from head and storage
+	checkpointing bool // quiescing cores for a checkpoint merge
+	// waits counts the head calls the agent is waiting on: a result, a
+	// checkpoint or a reloaded checkpoint on the wire. Meanwhile it starts no
+	// retrieval, commits nothing and sends no poll, as RunAgent serves
+	// nothing while the head answers.
+	waits    int
+	deferred []mqJob // commits a partition or a wait holds back
+	// specs lists the head query IDs whose spec the incarnation fetched.
+	specs []int
 }
 
 // clusterQuery is one cluster's physics and result for one query.
@@ -502,7 +510,7 @@ func (s *multiSim) addCluster(cm ClusterModel) *mqCluster {
 		cm.QueueDepth = 2 * cm.Cores
 	}
 	c := &mqCluster{s: s, model: cm, index: len(s.clusters), slowFactor: 1,
-		core:      cluster.NewAgentCore(cm.Site, cm.Name, cm.Cores, s.cfg.faults.CheckpointEvery > 0),
+		core:      cluster.NewAgentCore(cm.Site, cm.Name, cm.Cores, s.cfg.faults.Tuning.CheckpointEveryJobs),
 		freeLanes: make([]int, 0, cm.RetrievalThreads), idleCores: make([]int, 0, cm.Cores),
 		perQuery: make([]clusterQuery, len(s.cfg.Queries)), bytesBySite: make(map[int]int64)}
 	c.freeAll()
@@ -518,17 +526,14 @@ func (s *multiSim) addCluster(cm ClusterModel) *mqCluster {
 	for q := range c.perQuery {
 		s.tr.NameThread(c.pid(), tidBreakdown+q, "breakdown")
 	}
-	if every := s.cfg.faults.CheckpointEvery; every > 0 {
-		s.clock.After(every, c.checkpointTick)
-	}
 	return c
 }
 
 // start brings up an incarnation of the cluster's agent — at boot (why ""),
 // after a crash's restart, or after a fencing rejection. It registers with
 // the head (which fails a previous incarnation whose lease has not lapsed
-// yet), starts heartbeating, reloads every checkpoint the head hands back —
-// all of them in one transfer — and then polls.
+// yet), starts heartbeating and polls; each query's checkpoint comes back
+// with its spec (ensure).
 func (c *mqCluster) start(why string) {
 	s := c.s
 	if c.gone {
@@ -550,31 +555,45 @@ func (c *mqCluster) start(why string) {
 		return
 	}
 	c.heartbeat(c.epoch)
-	var bytes int64
-	for qi, hq := range s.passes {
-		if hq == nil {
-			continue
-		}
-		spec, err := s.head.QuerySpec(c.model.Site, hq.ID())
-		if err != nil || len(spec.Checkpoint) == 0 {
-			continue
-		}
-		if _, err := c.core.Resume(hq.ID(), spec.Checkpoint, decodeCredit); err != nil {
-			s.err = err
+	c.poll()
+}
+
+// ensure fetches head query id's spec (query qi) at the incarnation's first
+// grant or Done for it, as RunAgent.ensure does, and then ships the query's
+// object if ship is set. A spec that carries a checkpoint resumes the query
+// from it, and the agent waits on the head while the object moves. A fenced
+// fetch ends the incarnation.
+func (c *mqCluster) ensure(qi, id int, ship bool) {
+	s := c.s
+	if !slices.Contains(c.specs, id) {
+		spec, err := s.head.QuerySpec(c.model.Site, id)
+		if err != nil {
+			c.failed(err)
 			return
 		}
-		bytes += s.cfg.Queries[qi].App.RobjBytes
-	}
-	if bytes == 0 {
-		c.poll()
-		return
-	}
-	epoch := c.epoch
-	s.net.Start(bytes, s.robjLatency(c), 0, s.robjResources(c), func() {
-		if c.epoch == epoch && !c.down && !c.gone {
-			c.poll()
+		c.specs = append(c.specs, id)
+		if len(spec.Checkpoint) > 0 {
+			if _, err := c.core.Resume(id, spec.Checkpoint, decodeCredit); err != nil {
+				s.err = err
+				return
+			}
+			c.waits++
+			epoch := c.epoch
+			s.net.Start(s.cfg.Queries[qi].App.RobjBytes, s.robjLatency(c), 0, s.robjResources(c), func() {
+				if c.epoch != epoch {
+					return // died with the incarnation
+				}
+				if ship {
+					c.ship(qi, id)
+				}
+				c.answered()
+			})
+			return
 		}
-	})
+	}
+	if ship {
+		c.ship(qi, id)
+	}
 }
 
 // heartbeat renews the cluster's lease every Tuning.HeartbeatInterval while
@@ -644,7 +663,7 @@ func (c *mqCluster) reachable() bool {
 // poll is the agent's shared master loop: one request serves every query,
 // answered by the head's PollFrom one round trip later.
 func (c *mqCluster) poll() {
-	if c.requesting || c.exhausted || !c.reachable() {
+	if c.requesting || c.exhausted || c.waits > 0 || !c.reachable() {
 		return
 	}
 	if len(c.queue) >= c.batch() {
@@ -658,8 +677,8 @@ func (c *mqCluster) poll() {
 			return // the poll died with a crashed incarnation
 		}
 		c.requesting = false
-		if c.partitioned {
-			return // reply cut off; the heal polls again
+		if c.partitioned || c.waits > 0 {
+			return // reply cut off, or not sent; the heal or the answer polls again
 		}
 		n := c.answer(s.head.PollFrom(protocol.PollRequest{Site: c.model.Site, N: c.batch()}))
 		if c.epoch != epoch || c.gone || s.err != nil {
@@ -688,16 +707,20 @@ func (c *mqCluster) poll() {
 
 // answer acts on one poll reply: grants join the queue, each Done notice
 // ships that query's object, Drain completes a decommission, and a fencing
-// rejection re-registers. It returns the number of jobs granted.
+// rejection re-registers. The first grant or Done for a query fetches its
+// spec. It returns the number of jobs granted.
 func (c *mqCluster) answer(rep protocol.PollReply, err error) int {
 	s := c.s
 	if err != nil {
 		c.failed(err)
 		return 0
 	}
-	n := 0
+	n, epoch := 0, c.epoch
 	for _, qj := range rep.Queries {
 		qi := s.byID[qj.Query]
+		if c.ensure(qi, qj.Query, false); c.epoch != epoch || s.err != nil {
+			return 0 // fenced, or the run failed: the rest of the reply is dropped
+		}
 		for _, j := range qj.Jobs {
 			c.queue = append(c.queue, mqJob{query: qi, id: qj.Query, job: j})
 		}
@@ -719,7 +742,9 @@ func (c *mqCluster) answer(rep protocol.PollReply, err error) int {
 		}
 	}
 	for _, id := range rep.Done {
-		c.ship(s.byID[id], id)
+		if c.ensure(s.byID[id], id, true); c.epoch != epoch || s.err != nil {
+			return 0
+		}
 	}
 	if rep.Drain {
 		c.depart()
@@ -742,8 +767,8 @@ func (c *mqCluster) kickRetrievers() {
 // and — on a sequence break — the site's seek penalty. It returns false
 // when the lane should stay idle.
 func (c *mqCluster) startFetch(lane int) bool {
-	if c.down || c.partitioned {
-		return false // no path to any storage site
+	if c.down || c.partitioned || c.waits > 0 {
+		return false // no path to any storage site, or waiting on the head
 	}
 	if len(c.ready)+c.inFlight >= c.model.QueueDepth {
 		return false // back-pressure: slave memory full
@@ -890,11 +915,11 @@ func (c *mqCluster) process(core int, mj mqJob) {
 				start, st.lastFold, obs.Args{"trace": mqTraceID(q), "query": q,
 					"bytes": mj.job.Ref.Size, "stolen": mj.job.Site != c.model.Site})
 		}
-		// A partitioned agent cannot reach the head; the core holds a commit
-		// for a pass whose object is on the wire until the head has merged it.
-		if c.partitioned {
+		// A partitioned agent cannot reach the head, and a waiting one
+		// commits nothing until the head has answered.
+		if c.partitioned || c.waits > 0 {
 			c.deferred = append(c.deferred, mj)
-		} else if !c.core.Hold(mj.id, mj.job) {
+		} else {
 			c.commit(mj)
 		}
 		if c.epoch != epoch {
@@ -907,8 +932,9 @@ func (c *mqCluster) process(core int, mj mqJob) {
 
 // commit reports one fold to the head. A duplicate — another copy already
 // committed, or the pass is over — is discarded; a first commit joins the
-// cluster's reduction object. The commit that drains a pool is followed at
-// the same instant by an empty poll from every reachable cluster: the live
+// cluster's reduction object, and checkpoints it when the core says one is
+// due. The commit that drains a pool is followed at the same instant by an
+// empty poll from every reachable cluster not waiting on the head: the live
 // agents' parked polls, woken by the drain, which deliver the head's Done.
 func (c *mqCluster) commit(mj mqJob) {
 	s := c.s
@@ -922,10 +948,12 @@ func (c *mqCluster) commit(mj mqJob) {
 	}
 	if !c.core.Committed(mj.id, mj.job, len(dups) > 0) {
 		s.fstats.DupCommits++
+	} else if c.core.CheckpointDue(mj.id) {
+		c.checkpoint(mj.query, mj.id)
 	}
 	if hq := s.passes[mj.query]; hq != nil && hq.ID() == mj.id && s.pools[mj.query].Drained() {
 		for _, o := range s.clusters {
-			if o.reachable() {
+			if o.reachable() && o.waits == 0 {
 				o.answer(s.head.PollFrom(protocol.PollRequest{Site: o.model.Site}))
 			}
 		}
@@ -940,14 +968,13 @@ func (s *multiSim) queryHasMorePasses(q int) bool {
 
 // ship answers the head's Done for head query id (query qi): the cluster's
 // object goes to the head — free for the cluster hosting the head, over the
-// shared inter-cluster pipe otherwise — and queues its merge. The agent
-// forgets the object once it is sent; a crash mid-transfer loses it.
+// shared inter-cluster pipe otherwise — and queues its merge, and the agent
+// waits on the head until the merge is answered. The agent forgets the
+// object once it is sent; a crash mid-transfer loses it.
 func (c *mqCluster) ship(qi, id int) {
 	s := c.s
-	res, ok := c.core.Ship(id, nil)
-	if !ok {
-		return // already on its way
-	}
+	res := c.core.Ship(id, nil)
+	c.waits++
 	// A simulated object is the credit it carries.
 	res.Object = encodeCredit(stats.JobAccounting{Local: res.LocalJobs, Stolen: res.StolenJobs})
 	app := s.cfg.Queries[qi].App
@@ -1000,19 +1027,25 @@ func (s *multiSim) robjMerged(c *mqCluster, qi int, res protocol.ReductionResult
 			return
 		}
 		if c.epoch == epoch {
-			// The commits held for the object follow it.
-			for _, j := range c.core.Shipped(res.Query) {
-				c.deferred = append(c.deferred, mqJob{query: qi, id: res.Query, job: j})
-			}
-		}
-		if !c.partitioned {
-			c.flush()
+			c.answered()
 		}
 		s.settle()
-		if c.draining && !c.gone {
-			c.poll() // the live agent polls right after submitting
-		}
 	})
+}
+
+// answered ends one wait on the head. Once the head has answered every call
+// the agent waited on, it commits what its cores folded meanwhile, as after a
+// partition, then polls and retrieves again.
+func (c *mqCluster) answered() {
+	if c.waits--; c.waits > 0 || c.partitioned {
+		return // still waiting, or cut off: the last answer or the heal goes on
+	}
+	epoch := c.epoch
+	if c.flush(); c.epoch != epoch || c.waits > 0 {
+		return
+	}
+	c.poll()
+	c.kickRetrievers()
 }
 
 // settle finishes every pass the head has completed: the query's next pass

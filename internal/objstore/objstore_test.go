@@ -3,6 +3,7 @@ package objstore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
+	"repro/internal/protocol"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -69,6 +72,96 @@ func TestMemBackendRangeErrors(t *testing.T) {
 	}
 	if got, _ := b.Get("k", 10, 0); len(got) != 0 {
 		t.Errorf("empty tail range = %q", got)
+	}
+}
+
+// TestBackendRanges: both backends check a range against the object before
+// they read or allocate anything, and refuse the same ranges with
+// ErrBadRange.
+func TestBackendRanges(t *testing.T) {
+	for name, b := range testBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := b.Put("k", []byte("01234")); err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range []struct {
+				off, length int64
+				want        string // "" with bad set: refused
+				bad         bool
+			}{
+				{0, -1, "01234", false},
+				{2, 2, "23", false},
+				{5, 0, "", false},
+				{5, -1, "", false},
+				{0, 1 << 20, "", true}, // longer than the object
+				{0, 1 << 62, "", true}, // more than can be allocated
+				{1, math.MaxInt64, "", true},
+				{-1, 2, "", true},
+				{6, -1, "", true},
+			} {
+				got, err := b.Get("k", tc.off, tc.length)
+				if tc.bad {
+					if !errors.Is(err, ErrBadRange) {
+						t.Errorf("Get(%d, %d) = %d bytes, %v; want ErrBadRange", tc.off, tc.length, len(got), err)
+					}
+				} else if err != nil || string(got) != tc.want {
+					t.Errorf("Get(%d, %d) = %q, %v; want %q", tc.off, tc.length, got, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// serveOnPipe runs a server's request loop over backend on one end of an
+// in-process pipe and returns the other end.
+func serveOnPipe(tb testing.TB, backend Backend) *transport.Conn {
+	client, server := transport.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewServer(backend).handle(server)
+	}()
+	tb.Cleanup(func() {
+		client.Close()
+		<-done
+	})
+	return client
+}
+
+// roundTrip sends req and returns the reply; a closed connection fails tb.
+func roundTrip(tb testing.TB, c *transport.Conn, req protocol.Message) protocol.Message {
+	tb.Helper()
+	if err := c.Send(req); err != nil {
+		tb.Fatalf("send %#v: %v", req, err)
+	}
+	rep, err := c.Recv()
+	if err != nil {
+		tb.Fatalf("no reply to %#v: %v", req, err)
+	}
+	return rep
+}
+
+// TestServerSurvivesHostileGet: a GetReq for more than the object holds —
+// once a makeslice panic that ended an s3d on a DirBackend — gets a typed
+// error reply, and the connection serves the next request.
+func TestServerSurvivesHostileGet(t *testing.T) {
+	for name, b := range testBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := b.Put("k", []byte("01234")); err != nil {
+				t.Fatal(err)
+			}
+			c := serveOnPipe(t, b)
+			for _, req := range []protocol.GetReq{{Key: "k", Len: 1 << 62}, {Key: "k", Len: 1 << 20}} {
+				rep, ok := roundTrip(t, c, req).(protocol.GetResp)
+				if !ok || rep.Code != protocol.CodeBadRange || len(rep.Data) != 0 {
+					t.Errorf("%+v answered %+v, want a bad-range GetResp", req, rep)
+				}
+			}
+			rep, ok := roundTrip(t, c, protocol.GetReq{Key: "k", Off: 1, Len: 3}).(protocol.GetResp)
+			if !ok || rep.Err != "" || string(rep.Data) != "123" {
+				t.Errorf("next request answered %+v, want \"123\"", rep)
+			}
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ package objstore
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
@@ -97,15 +96,9 @@ func (b *MemBackend) GetSlice(key string, off, length int64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	if off < 0 || off > int64(len(data)) {
-		return nil, fmt.Errorf("%w: offset %d for %q (%d bytes)", ErrBadRange, off, key, len(data))
-	}
-	end := int64(len(data))
-	if length >= 0 {
-		end = off + length
-		if end > int64(len(data)) {
-			return nil, fmt.Errorf("%w: %d+%d beyond %q (%d bytes)", ErrBadRange, off, length, key, len(data))
-		}
+	end, err := bounds(key, off, length, int64(len(data)))
+	if err != nil {
+		return nil, err
 	}
 	return data[off:end:end], nil
 }
@@ -136,19 +129,29 @@ func (b *MemBackend) List(prefix string) ([]string, error) {
 }
 
 func slice(data []byte, off, length int64, key string) ([]byte, error) {
-	if off < 0 || off > int64(len(data)) {
-		return nil, fmt.Errorf("%w: offset %d for %q (%d bytes)", ErrBadRange, off, key, len(data))
-	}
-	end := int64(len(data))
-	if length >= 0 {
-		end = off + length
-		if end > int64(len(data)) {
-			return nil, fmt.Errorf("%w: %d+%d beyond %q (%d bytes)", ErrBadRange, off, length, key, len(data))
-		}
+	end, err := bounds(key, off, length, int64(len(data)))
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, end-off)
 	copy(out, data[off:end])
 	return out, nil
+}
+
+// bounds checks the range [off, off+length) of key's size-byte object — a
+// negative length runs to the end — before anything is read or allocated,
+// and returns the range's end.
+func bounds(key string, off, length, size int64) (end int64, err error) {
+	if off < 0 || off > size {
+		return 0, fmt.Errorf("%w: offset %d for %q (%d bytes)", ErrBadRange, off, key, size)
+	}
+	if length < 0 {
+		return size, nil
+	}
+	if length > size-off { // off+length may overflow
+		return 0, fmt.Errorf("%w: %d+%d beyond %q (%d bytes)", ErrBadRange, off, length, key, size)
+	}
+	return off + length, nil
 }
 
 // DirBackend stores each object as a file under a root directory. Keys may
@@ -186,20 +189,21 @@ func (b DirBackend) Get(key string, off, length int64) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if length < 0 {
-		fi, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		length = fi.Size() - off
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	end, err := bounds(key, off, length, fi.Size())
+	if err != nil {
+		return nil, err
 	}
 	// Pooled read buffer: the server returns it to bufpool once the reply
 	// has been flushed (DirBackend implements Pooler). Other callers simply
 	// let the GC take it.
-	buf := bufpool.Get(int(length))
-	if _, err := f.ReadAt(buf, off); err != nil && err != io.EOF {
+	buf := bufpool.Get(int(end - off))
+	if n, err := f.ReadAt(buf, off); n < len(buf) {
 		bufpool.Put(buf)
-		return nil, err
+		return nil, fmt.Errorf("objstore: reading %q: %w", key, err) // shrank under the read
 	}
 	return buf, nil
 }

@@ -9,6 +9,7 @@ package protocol
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/jobs"
@@ -44,6 +45,10 @@ type ElasticPolicy struct {
 func (p ElasticPolicy) Validate() error {
 	if p.Deadline < 0 || p.Budget < 0 {
 		return fmt.Errorf("elastic: negative deadline or budget")
+	}
+	if math.IsNaN(p.Budget) || math.IsInf(p.Budget, 0) {
+		// NaN passes every comparison, and either would read as "no budget".
+		return fmt.Errorf("elastic: budget %g is not finite", p.Budget)
 	}
 	if p.MinWorkers < 0 {
 		return fmt.Errorf("elastic: negative MinWorkers")
