@@ -15,7 +15,8 @@ API_PKGS := \
 	repro/internal/core \
 	repro/internal/apps \
 	repro/internal/elastic \
-	repro/internal/fault
+	repro/internal/fault \
+	repro/internal/costmodel
 
 build:
 	$(GO) build ./...

@@ -1,16 +1,16 @@
-// Package costmodel prices cloud-bursting runs and provisions cloud
-// resources under deadlines — the extension direction the paper's authors
-// pursued next ("Time and Cost Sensitive Data-Intensive Computing on Hybrid
-// Clouds"). Given a simulated (or measured) run, it computes the dollar
-// cost of the cloud side: instance-hours, object-store requests, and
-// cross-boundary data transfer; given a deadline, it searches for the
-// cheapest cloud allocation that meets it.
+// Package costmodel prices cloud-bursting runs — the extension direction the
+// paper's authors pursued next ("Time and Cost Sensitive Data-Intensive
+// Computing on Hybrid Clouds"). Every simulated run, static or elastic, is
+// metered by one function (Meter) into one Usage record and priced by one
+// bill (Pricing.Price): instance time, object-store requests, and
+// cross-boundary data transfer. Instance time is rounded to the billing
+// quantum in one place (Pricing.InstanceCost), which the elastic arbiter's
+// per-episode bill calls too. Storage is not billed: a dataset's storage is
+// paid per month whether or not a run happens.
 package costmodel
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -30,44 +30,40 @@ type Pricing struct {
 	TransferOutPerGB float64
 	// TransferInPerGB prices data entering the cloud (usually 0 or cheap).
 	TransferInPerGB float64
-	// RequestPer10K prices object-store GET requests.
+	// RequestPer10K prices object-store requests (GETs and PUTs).
 	RequestPer10K float64
-	// StoragePerGBMonth prices keeping the dataset in the object store.
-	StoragePerGBMonth float64
 }
 
 // DefaultPricing2011 is Amazon's 2011-era us-east pricing: m1.large at
 // $0.34/h (whole-hour billing), $0.12/GB out, $0.10/GB in, $0.01 per 10k
-// GETs, $0.14/GB-month in S3.
+// GETs.
 func DefaultPricing2011() Pricing {
 	return Pricing{
-		InstancePerHour:   0.34,
-		CoresPerInstance:  2,
-		BillingQuantum:    time.Hour,
-		TransferOutPerGB:  0.12,
-		TransferInPerGB:   0.10,
-		RequestPer10K:     0.01,
-		StoragePerGBMonth: 0.14,
+		InstancePerHour:  0.34,
+		CoresPerInstance: 2,
+		BillingQuantum:   time.Hour,
+		TransferOutPerGB: 0.12,
+		TransferInPerGB:  0.10,
+		RequestPer10K:    0.01,
 	}
 }
 
 // DefaultPricingCurrent is current-generation on-demand pricing (c-family
 // compute instances, us-east): per-SECOND billing, $0.17/h for a 2-vCPU
-// instance, $0.09/GB out with free ingress, $0.004 per 10k GETs,
-// $0.023/GB-month standard object storage. The headline difference from
-// DefaultPricing2011 for elastic scale-down is the billing quantum: with
-// per-second billing a drained worker stops costing money immediately, so
-// the arbiter decommissions far more aggressively than under whole-hour
-// billing, where a worker's remaining paid-for hour is free to keep.
+// instance, $0.09/GB out with free ingress, $0.004 per 10k GETs. The
+// headline difference from DefaultPricing2011 for elastic scale-down is the
+// billing quantum: with per-second billing a drained worker stops costing
+// money immediately, so the arbiter decommissions far more aggressively
+// than under whole-hour billing, where a worker's remaining paid-for hour
+// is free to keep.
 func DefaultPricingCurrent() Pricing {
 	return Pricing{
-		InstancePerHour:   0.17,
-		CoresPerInstance:  2,
-		BillingQuantum:    time.Second,
-		TransferOutPerGB:  0.09,
-		TransferInPerGB:   0,
-		RequestPer10K:     0.004,
-		StoragePerGBMonth: 0.023,
+		InstancePerHour:  0.17,
+		CoresPerInstance: 2,
+		BillingQuantum:   time.Second,
+		TransferOutPerGB: 0.09,
+		TransferInPerGB:  0,
+		RequestPer10K:    0.004,
 	}
 }
 
@@ -76,11 +72,25 @@ func (p Pricing) Validate() error {
 	if p.CoresPerInstance <= 0 {
 		return fmt.Errorf("costmodel: CoresPerInstance must be positive, got %d", p.CoresPerInstance)
 	}
-	if p.InstancePerHour < 0 || p.TransferOutPerGB < 0 || p.TransferInPerGB < 0 ||
-		p.RequestPer10K < 0 || p.StoragePerGBMonth < 0 {
+	if p.InstancePerHour < 0 || p.TransferOutPerGB < 0 || p.TransferInPerGB < 0 || p.RequestPer10K < 0 {
 		return fmt.Errorf("costmodel: negative rates")
 	}
 	return nil
+}
+
+// InstanceCost bills cores of compute held for d: whole instances, each
+// billed for d rounded up to the billing quantum — at least one quantum,
+// since an instance that started bills once. Quantum 0 bills continuously.
+func (p Pricing) InstanceCost(cores int, d time.Duration) float64 {
+	instances := (cores + p.CoresPerInstance - 1) / p.CoresPerInstance
+	if q := p.BillingQuantum; q > 0 {
+		if d <= 0 {
+			d = q
+		} else {
+			d = (d + q - 1) / q * q
+		}
+	}
+	return float64(instances) * d.Hours() * p.InstancePerHour
 }
 
 // Usage is the billable footprint of one run's cloud side.
@@ -94,58 +104,61 @@ type Usage struct {
 	// BytesIn counts data that entered the cloud: chunks the cloud stole
 	// from the local cluster's storage.
 	BytesIn int64
-	// Requests counts object-store GETs (≈ jobs retrieved from S3).
+	// Requests counts object-store GETs and PUTs.
 	Requests int64
-	// StoredBytes is the dataset fraction resident in the object store.
-	StoredBytes int64
-	// StorageDuration is how long it stays there (defaults to the run).
-	StorageDuration time.Duration
 }
 
-// UsageFromSim derives Usage from a simulated run. cloudSite is the storage
-// site that lives inside the cloud boundary; cloudClusters lists the
-// cluster indices that run on cloud instances. robjBytes is the reduction
-// object the cloud ships to the head (0 if the head is in the cloud).
-func UsageFromSim(res *hybridsim.Result, cfg hybridsim.Config, cloudSite int, cloudClusters ...int) Usage {
-	inCloud := make(map[int]bool, len(cloudClusters))
-	for _, ci := range cloudClusters {
-		inCloud[ci] = true
+// Meter derives the Usage of a finished simulated run. A cluster is in the
+// cloud when it is a burst worker or sits at cloudSite. Static in-cloud
+// clusters hold CloudCores for the whole makespan; burst workers are billed
+// per launch episode by the arbiter that launched them, so they add no
+// cores here. Bytes outside clusters pull from cloudSite leave the cloud;
+// bytes in-cloud clusters pull from any other site enter it. Every chunk
+// fetched from cloudSite or from the burst-side replica is one request
+// (bytes ÷ the dataset's mean chunk), and every pre-staged chunk is one PUT.
+// An in-cloud cluster's reduction object crosses out to the head unless it
+// is the head's own cluster.
+func Meter(cfg hybridsim.Config, res *hybridsim.MultiResult, cloudSite int) Usage {
+	u := Usage{Makespan: res.Total}
+	var meanChunk int64
+	if n := int64(cfg.Index.NumChunks()); n > 0 {
+		meanChunk = cfg.Index.TotalBytes() / n
 	}
-	var u Usage
-	u.Makespan = res.Total
+	gets := func(n int64) int64 {
+		if meanChunk <= 0 {
+			return 0
+		}
+		return (n + meanChunk - 1) / meanChunk
+	}
 	for ci, c := range res.Clusters {
-		if inCloud[ci] {
-			u.CloudCores += c.Cores
-			// Data pulled from outside the cloud into cloud instances.
+		if c.Burst || c.Site == cloudSite {
+			if !c.Burst {
+				u.CloudCores += c.Cores
+			}
 			for site, n := range c.BytesBySite {
-				if site != cloudSite {
+				if site == cloudSite {
+					u.Requests += gets(n)
+				} else {
 					u.BytesIn += n
 				}
 			}
+			u.Requests += gets(c.StageReadBytes)
 			if ci != cfg.Topology.HeadCluster {
-				u.BytesOut += cfg.App.RobjBytes // robj crosses out to the head
+				u.BytesOut += cfg.App.RobjBytes
 			}
-		} else {
-			// Data pulled out of the cloud by outside clusters.
-			if n, ok := c.BytesBySite[cloudSite]; ok {
-				u.BytesOut += n
-				// Requests ≈ stolen chunks fetched from the store.
-				u.Requests += int64(c.Jobs.Stolen)
-			}
-		}
-		if inCloud[ci] {
-			// The cloud cluster's own S3 reads are in-region requests.
-			if _, ok := c.BytesBySite[cloudSite]; ok {
-				u.Requests += int64(c.Jobs.Local)
-			}
+		} else if n, ok := c.BytesBySite[cloudSite]; ok {
+			u.BytesOut += n
+			u.Requests += gets(n)
 		}
 	}
-	for fi, site := range cfg.Placement {
-		if site == cloudSite {
-			u.StoredBytes += cfg.Index.Files[fi].Size
+	if st := res.Stage; st != nil {
+		for site, n := range st.PrestagedBySite {
+			if site != cloudSite {
+				u.BytesIn += n
+			}
 		}
+		u.Requests += int64(st.PrestagedChunks)
 	}
-	u.StorageDuration = res.Total
 	return u
 }
 
@@ -154,16 +167,15 @@ type Cost struct {
 	Instances float64
 	Transfer  float64
 	Requests  float64
-	Storage   float64
 }
 
 // Total sums the items.
-func (c Cost) Total() float64 { return c.Instances + c.Transfer + c.Requests + c.Storage }
+func (c Cost) Total() float64 { return c.Instances + c.Transfer + c.Requests }
 
 // String renders the bill.
 func (c Cost) String() string {
-	return fmt.Sprintf("$%.4f (instances $%.4f, transfer $%.4f, requests $%.4f, storage $%.4f)",
-		c.Total(), c.Instances, c.Transfer, c.Requests, c.Storage)
+	return fmt.Sprintf("$%.4f (instances $%.4f, transfer $%.4f, requests $%.4f)",
+		c.Total(), c.Instances, c.Transfer, c.Requests)
 }
 
 const gb = 1 << 30
@@ -173,18 +185,11 @@ func (p Pricing) Price(u Usage) (Cost, error) {
 	if err := p.Validate(); err != nil {
 		return Cost{}, err
 	}
-	var c Cost
-	instances := (u.CloudCores + p.CoresPerInstance - 1) / p.CoresPerInstance
-	billed := u.Makespan
-	if p.BillingQuantum > 0 && billed > 0 {
-		q := p.BillingQuantum
-		billed = time.Duration(math.Ceil(float64(billed)/float64(q))) * q
-	}
-	c.Instances = float64(instances) * billed.Hours() * p.InstancePerHour
-	c.Transfer = float64(u.BytesOut)/gb*p.TransferOutPerGB + float64(u.BytesIn)/gb*p.TransferInPerGB
-	c.Requests = float64(u.Requests) / 10_000 * p.RequestPer10K
-	c.Storage = float64(u.StoredBytes) / gb * p.StoragePerGBMonth * (u.StorageDuration.Hours() / (30 * 24))
-	return c, nil
+	return Cost{
+		Instances: p.InstanceCost(u.CloudCores, u.Makespan),
+		Transfer:  float64(u.BytesOut)/gb*p.TransferOutPerGB + float64(u.BytesIn)/gb*p.TransferInPerGB,
+		Requests:  float64(u.Requests) / 10_000 * p.RequestPer10K,
+	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -207,42 +212,6 @@ type Plan struct {
 	Candidates []Candidate
 }
 
-// Provision sweeps cloud core counts (the offered instance sizes) and
-// returns the cheapest allocation whose simulated makespan meets the
-// deadline. build must return the experiment configuration for a given
-// cloud core count; cloudSite/cloudClusters identify the cloud boundary as
-// in UsageFromSim.
-func Provision(p Pricing, deadline time.Duration, coreOptions []int,
-	build func(cloudCores int) hybridsim.Config, cloudSite int, cloudClusters ...int) (*Plan, error) {
-	if len(coreOptions) == 0 {
-		return nil, fmt.Errorf("costmodel: no core options")
-	}
-	opts := append([]int(nil), coreOptions...)
-	sort.Ints(opts)
-	plan := &Plan{}
-	for _, cores := range opts {
-		cfg := build(cores)
-		res, err := hybridsim.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("costmodel: simulating %d cores: %w", cores, err)
-		}
-		usage := UsageFromSim(res, cfg, cloudSite, cloudClusters...)
-		cost, err := p.Price(usage)
-		if err != nil {
-			return nil, err
-		}
-		cand := Candidate{CloudCores: cores, Makespan: res.Total, Cost: cost}
-		plan.Candidates = append(plan.Candidates, cand)
-		if res.Total <= deadline {
-			if plan.Chosen == nil || cand.Cost.Total() < plan.Chosen.Cost.Total() {
-				chosen := cand
-				plan.Chosen = &chosen
-			}
-		}
-	}
-	return plan, nil
-}
-
 // Format renders the provisioning table.
 func (pl *Plan) Format(deadline time.Duration) string {
 	var b strings.Builder
@@ -257,8 +226,9 @@ func (pl *Plan) Format(deadline time.Duration) string {
 		if pl.Chosen != nil && c.CloudCores == pl.Chosen.CloudCores {
 			mark = "  ← chosen"
 		}
-		fmt.Fprintf(&b, "%-12d %12s %12.4f %8s%s\n",
+		line := fmt.Sprintf("%-12d %12s %12.4f %8s%s",
 			c.CloudCores, c.Makespan.Round(time.Millisecond), c.Cost.Total(), meets, mark)
+		fmt.Fprintln(&b, strings.TrimRight(line, " "))
 	}
 	if pl.Chosen == nil {
 		fmt.Fprintln(&b, "no candidate meets the deadline")

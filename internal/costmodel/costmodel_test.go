@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -28,13 +29,12 @@ func TestPricingValidate(t *testing.T) {
 
 func TestPriceArithmetic(t *testing.T) {
 	p := Pricing{
-		InstancePerHour:   1.0,
-		CoresPerInstance:  2,
-		BillingQuantum:    time.Hour,
-		TransferOutPerGB:  0.10,
-		TransferInPerGB:   0.05,
-		RequestPer10K:     0.01,
-		StoragePerGBMonth: 0.0, // isolate the other items
+		InstancePerHour:  1.0,
+		CoresPerInstance: 2,
+		BillingQuantum:   time.Hour,
+		TransferOutPerGB: 0.10,
+		TransferInPerGB:  0.05,
+		RequestPer10K:    0.01,
 	}
 	u := Usage{
 		CloudCores: 5, // ⇒ 3 instances
@@ -115,13 +115,41 @@ func simSetup(t *testing.T, cloudCores int) hybridsim.Config {
 	}
 }
 
-func TestUsageFromSim(t *testing.T) {
+// TestInstanceCost: whole instances, each billed for the duration rounded
+// up to the quantum, and at least one quantum.
+func TestInstanceCost(t *testing.T) {
+	p := Pricing{InstancePerHour: 1.0, CoresPerInstance: 2, BillingQuantum: time.Hour}
+	continuous := p
+	continuous.BillingQuantum = 0
+	for _, tc := range []struct {
+		name  string
+		p     Pricing
+		cores int
+		d     time.Duration
+		want  float64
+	}{
+		{"zero duration bills one quantum", p, 2, 0, 1},
+		{"negative duration bills one quantum", p, 2, -time.Minute, 1},
+		{"partial quantum rounds up", p, 2, time.Minute, 1},
+		{"exact multiple is not rounded", p, 2, 2 * time.Hour, 2},
+		{"just past a multiple bills the next", p, 2, 2*time.Hour + time.Nanosecond, 3},
+		{"quantum 0 bills continuously", continuous, 2, 90 * time.Minute, 1.5},
+		{"3 cores on 2-core instances are 2 instances", p, 3, 90 * time.Minute, 4},
+		{"no cores bill nothing", p, 0, time.Hour, 0},
+	} {
+		if got := tc.p.InstanceCost(tc.cores, tc.d); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: InstanceCost(%d, %v) = %v, want %v", tc.name, tc.cores, tc.d, got, tc.want)
+		}
+	}
+}
+
+func TestMeter(t *testing.T) {
 	cfg := simSetup(t, 2)
-	res, err := hybridsim.Run(cfg)
+	res, err := hybridsim.RunMulti(cfg.Multi())
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := UsageFromSim(res, cfg, 1, 1)
+	u := Meter(cfg, res, 1)
 	if u.CloudCores != 2 {
 		t.Errorf("CloudCores = %d", u.CloudCores)
 	}
@@ -132,65 +160,21 @@ func TestUsageFromSim(t *testing.T) {
 	if u.BytesOut < cfg.App.RobjBytes {
 		t.Errorf("BytesOut = %d, want ≥ robj %d", u.BytesOut, cfg.App.RobjBytes)
 	}
-	// Half the dataset is stored in the cloud.
-	if u.StoredBytes != cfg.Index.TotalBytes()/2 {
-		t.Errorf("StoredBytes = %d, want %d", u.StoredBytes, cfg.Index.TotalBytes()/2)
+	// Every chunk read from the cloud site is one GET: the 16 chunks of the
+	// cloud-hosted half, whoever read them.
+	if want := int64(cfg.Index.NumChunks() / 2); u.Requests != want {
+		t.Errorf("Requests = %d, want %d", u.Requests, want)
 	}
-}
-
-func TestProvisionPicksCheapestFeasible(t *testing.T) {
-	p := DefaultPricing2011()
-	p.BillingQuantum = 0 // linear cost in time for a clean ordering
-	// Establish per-option makespans first.
-	makespan := func(cores int) time.Duration {
-		res, err := hybridsim.Run(simSetup(t, cores))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Total
-	}
-	m2, m8 := makespan(2), makespan(8)
-	if m8 >= m2 {
-		t.Fatalf("more cores not faster: %v vs %v", m8, m2)
-	}
-	deadline := (m2 + m8) / 2 // only the bigger options qualify
-	plan, err := Provision(p, deadline, []int{2, 4, 8, 16},
-		func(c int) hybridsim.Config { return simSetup(t, c) }, 1, 1)
-	if err != nil {
+	// With the head in the cloud, the cloud cluster's object never leaves.
+	cfg.Topology.HeadCluster = 1
+	if res, err = hybridsim.RunMulti(cfg.Multi()); err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Candidates) != 4 {
-		t.Fatalf("candidates = %d", len(plan.Candidates))
+	var stolenFromCloud int64
+	if n, ok := res.Clusters[0].BytesBySite[1]; ok {
+		stolenFromCloud = n
 	}
-	if plan.Chosen == nil {
-		t.Fatal("no feasible candidate found")
-	}
-	if plan.Chosen.Makespan > deadline {
-		t.Errorf("chosen misses deadline: %v > %v", plan.Chosen.Makespan, deadline)
-	}
-	for _, c := range plan.Candidates {
-		if c.Makespan <= deadline && c.Cost.Total() < plan.Chosen.Cost.Total() {
-			t.Errorf("cheaper feasible candidate skipped: %+v vs chosen %+v", c, plan.Chosen)
-		}
-	}
-	if got := plan.Format(deadline); !strings.Contains(got, "chosen") {
-		t.Errorf("Format = %q", got)
-	}
-}
-
-func TestProvisionInfeasible(t *testing.T) {
-	plan, err := Provision(DefaultPricing2011(), time.Nanosecond, []int{2},
-		func(c int) hybridsim.Config { return simSetup(t, c) }, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Chosen != nil {
-		t.Errorf("impossible deadline produced a plan: %+v", plan.Chosen)
-	}
-	if !strings.Contains(plan.Format(time.Nanosecond), "no candidate") {
-		t.Error("Format missing infeasibility notice")
-	}
-	if _, err := Provision(DefaultPricing2011(), time.Second, nil, nil, 1); err == nil {
-		t.Error("empty options accepted")
+	if u := Meter(cfg, res, 1); u.BytesOut != stolenFromCloud {
+		t.Errorf("head in the cloud: BytesOut = %d, want only the %d stolen bytes", u.BytesOut, stolenFromCloud)
 	}
 }

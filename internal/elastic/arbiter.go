@@ -213,22 +213,34 @@ func (a *Arbiter) CostByQuery() map[int]float64 {
 	return out
 }
 
-func (a *Arbiter) instancesPerWorker() int {
-	cores := 0
-	if a.env != nil {
+// episodeCost bills one worker held for d. A worker of unknown size (no
+// Env) bills as one instance.
+func (a *Arbiter) episodeCost(d time.Duration) float64 {
+	cores := a.cfg.Pricing.CoresPerInstance
+	if a.env != nil && a.env.Worker.Cores > 0 {
 		cores = a.env.Worker.Cores
 	}
-	return instancesForWorker(a.cfg.Pricing, cores)
-}
-
-func (a *Arbiter) episodeCost(d time.Duration) float64 {
-	return episodeCostFor(a.cfg.Pricing, a.instancesPerWorker(), d)
+	return a.cfg.Pricing.InstanceCost(cores, d)
 }
 
 // realizedLocked prices all episodes with running ones billed through
 // horizon (draining ones through now — they are about to stop).
 func (a *Arbiter) realizedLocked(now, horizon time.Duration) float64 {
-	return realizedEpisodes(a.cfg.Pricing, a.instancesPerWorker(), a.episodes, now, horizon)
+	var total float64
+	for _, ep := range a.episodes {
+		end := horizon
+		switch {
+		case ep.stopped:
+			end = ep.stoppedAt
+		case ep.draining:
+			end = now
+		}
+		if end < ep.launched {
+			end = ep.launched
+		}
+		total += a.episodeCost(end - ep.launched)
+	}
+	return total
 }
 
 // projectedLocked is the budget projection: realized episodes plus the

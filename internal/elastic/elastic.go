@@ -139,59 +139,6 @@ type episode struct {
 	stoppedAt time.Duration
 }
 
-// instancesForWorker maps one worker of workerCores cores to billable
-// instances under pricing (≥ 1).
-func instancesForWorker(pricing costmodel.Pricing, workerCores int) int {
-	if workerCores <= 0 {
-		workerCores = pricing.CoresPerInstance
-	}
-	n := (workerCores + pricing.CoresPerInstance - 1) / pricing.CoresPerInstance
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// billedDur rounds a runtime up to the billing quantum (minimum one quantum
-// — an instance that launched bills at least once).
-func billedDur(pricing costmodel.Pricing, d time.Duration) time.Duration {
-	q := pricing.BillingQuantum
-	if q <= 0 {
-		return d
-	}
-	if d <= 0 {
-		return q
-	}
-	n := (d + q - 1) / q
-	return n * q
-}
-
-// episodeCostFor prices one episode of the given runtime for a worker of
-// `instances` billable instances.
-func episodeCostFor(pricing costmodel.Pricing, instances int, d time.Duration) float64 {
-	return float64(instances) * billedDur(pricing, d).Hours() * pricing.InstancePerHour
-}
-
-// realizedEpisodes prices all episodes with running ones billed through
-// horizon (draining ones through now — they are about to stop).
-func realizedEpisodes(pricing costmodel.Pricing, instances int, eps []episode, now, horizon time.Duration) float64 {
-	var total float64
-	for _, ep := range eps {
-		end := horizon
-		switch {
-		case ep.stopped:
-			end = ep.stoppedAt
-		case ep.draining:
-			end = now
-		}
-		if end < ep.launched {
-			end = ep.launched
-		}
-		total += episodeCostFor(pricing, instances, end-ep.launched)
-	}
-	return total
-}
-
 // renewalAt returns when the episode's current paid-for quantum runs out:
 // keeping the worker past that instant costs another quantum.
 func renewalAt(pricing costmodel.Pricing, ep episode, now time.Duration) time.Duration {

@@ -13,17 +13,6 @@ import (
 // configuration of the Figure-3 study, and provision cloud cores for a
 // deadline at minimum cost.
 
-// cloudClusterIndex returns the index of the cloud cluster in a Config's
-// topology (the one whose Site is siteCloud), or -1.
-func cloudClusterIndex(cfg hybridsim.Config) int {
-	for i, c := range cfg.Topology.Clusters {
-		if c.Site == siteCloud {
-			return i
-		}
-	}
-	return -1
-}
-
 // CostRow prices one (app, env) cell.
 type CostRow struct {
 	App      App
@@ -39,16 +28,11 @@ func RunCostTable(app App, pricing costmodel.Pricing) ([]CostRow, error) {
 	var rows []CostRow
 	for _, env := range Envs {
 		cfg := Config(app, env, SimOptions{})
-		res, err := hybridsim.Run(cfg)
+		res, err := hybridsim.RunMulti(cfg.Multi())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: cost %s/%s: %w", app, env, err)
 		}
-		var usage costmodel.Usage
-		if ci := cloudClusterIndex(cfg); ci >= 0 {
-			usage = costmodel.UsageFromSim(res, cfg, siteCloud, ci)
-		} else {
-			usage = costmodel.UsageFromSim(res, cfg, siteCloud)
-		}
+		usage := costmodel.Meter(cfg, res, siteCloud)
 		cost, err := pricing.Price(usage)
 		if err != nil {
 			return nil, err
@@ -78,12 +62,21 @@ func FormatCostTable(rows []CostRow) string {
 }
 
 // RunProvisioning searches for the cheapest cloud allocation that finishes
-// an Env5050 run of app within the deadline, keeping 16 local cores fixed.
+// an Env5050 run of app within the deadline, keeping 16 local cores fixed:
+// the static baseline's nominal pass (runStatic without the slowdown) over
+// a menu of cloud core counts.
 func RunProvisioning(app App, pricing costmodel.Pricing, deadline time.Duration) (*costmodel.Plan, error) {
-	options := []int{4, 8, 16, 22, 32, 44, 64}
-	build := func(cloudCores int) hybridsim.Config {
-		return ConfigWithCores(app, Env5050, 16, cloudCores, SimOptions{})
+	plan := &costmodel.Plan{}
+	for _, cores := range []int{4, 8, 16, 22, 32, 44, 64} {
+		c, err := runStatic(app, pricing, cores, ElasticOptions{}, false)
+		if err != nil {
+			return nil, err
+		}
+		plan.Candidates = append(plan.Candidates, c)
+		if c.Makespan <= deadline && (plan.Chosen == nil || c.Cost.Total() < plan.Chosen.Cost.Total()) {
+			chosen := c
+			plan.Chosen = &chosen
+		}
 	}
-	// The cloud cluster is always index 1 when both clusters exist.
-	return costmodel.Provision(pricing, deadline, options, build, siteCloud, 1)
+	return plan, nil
 }

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/hybridsim"
 )
 
 func TestRunCostTable(t *testing.T) {
@@ -37,6 +39,58 @@ func TestRunCostTable(t *testing.T) {
 	out := FormatCostTable(rows)
 	if !strings.Contains(out, "total $") || !strings.Contains(out, "17/83") {
 		t.Errorf("FormatCostTable = %q", out)
+	}
+}
+
+// TestMeterOverPaperCells runs the one meter over the paper's 15 app × env
+// cells. Its requests (bytes ÷ the mean chunk) must equal the job-count
+// rule the cost table once used: every job a cluster ran off the cloud
+// site — its own local jobs in the cloud, stolen ones outside — is one GET.
+func TestMeterOverPaperCells(t *testing.T) {
+	for _, app := range Apps {
+		for _, env := range Envs {
+			cfg := Config(app, env, SimOptions{})
+			res, err := hybridsim.RunMulti(cfg.Multi())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want int64
+			for _, c := range res.Clusters {
+				if _, ok := c.BytesBySite[siteCloud]; !ok {
+					continue
+				}
+				if c.Site == siteCloud {
+					want += int64(c.Jobs.Local)
+				} else {
+					want += int64(c.Jobs.Stolen)
+				}
+			}
+			if u := costmodel.Meter(cfg, res, siteCloud); u.Requests != want {
+				t.Errorf("%s/%s: Requests = %d, job-count rule says %d", app, env, u.Requests, want)
+			}
+		}
+	}
+}
+
+// TestMeterHeadInCloud: in env-cloud the head sits in the cloud cluster, so
+// its reduction object never crosses the boundary and no byte leaves the
+// cloud. Charging it anyway reads $5.4710 for pagerank instead of $5.4410.
+func TestMeterHeadInCloud(t *testing.T) {
+	cfg := Config(PageRank, EnvCloud, SimOptions{})
+	res, err := hybridsim.RunMulti(cfg.Multi())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := costmodel.Meter(cfg, res, siteCloud)
+	if u.BytesOut != 0 {
+		t.Errorf("BytesOut = %d, want 0 with the head in the cloud", u.BytesOut)
+	}
+	cost, err := costmodel.DefaultPricing2011().Price(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%.4f", cost.Total()); got != "5.4410" {
+		t.Errorf("pagerank/env-cloud bill = $%s, want $5.4410", got)
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 )
 
 // Elastic extension: instead of freezing the cloud allocation at startup
-// (RunProvisioning), run the burst arbiter inside the simulator and let it
-// provision and drain workers mid-run under a deadline × budget sweep. The
-// scenario injects an unanticipated compute slowdown on the local cluster —
-// the perturbation a static, pre-sized plan cannot absorb — and the output
-// is the dynamic cost-vs-makespan frontier next to the realized static
-// baseline (the same pre-committed core counts re-simulated under the same
-// slowdown, priced with the same costmodel).
+// (RunProvisioning, runStatic's nominal pass), run the burst arbiter inside
+// the simulator and let it provision and drain workers mid-run under a
+// deadline × budget sweep. The scenario injects an unanticipated compute
+// slowdown on the local cluster — the perturbation a static, pre-sized plan
+// cannot absorb — and the output is the dynamic cost-vs-makespan frontier
+// next to the realized static baseline (the same pre-committed core counts
+// re-simulated under the same slowdown, priced with the same costmodel).
 
 const (
 	// ElasticWorkerCores is the size of one simulated burst worker.
@@ -184,101 +184,27 @@ func elasticSlowdown(app App) hybridsim.MultiSlowdown {
 	return hybridsim.MultiSlowdown{At: ElasticSlowdownAt, Cluster: 0, Factor: ElasticSlowdownFactor}
 }
 
-// trafficUsage extracts the cross-cloud-boundary traffic of a finished
-// multi-sim run: clusters sitting at the cloud storage site and burst
-// workers are in-cloud, everything else is outside. Bytes pulled out of the
-// store by outside clusters are egress; bytes in-cloud consumers pull from
-// campus storage are ingress; every chunk fetched from the store is a GET;
-// each in-cloud cluster's reduction object crosses out to the head.
-func trafficUsage(cfg hybridsim.Config, res *hybridsim.MultiResult) costmodel.Usage {
-	var u costmodel.Usage
-	avgChunk := avgChunkBytes(cfg)
-	gets := func(n int64) int64 {
-		if avgChunk <= 0 {
-			return 0
-		}
-		return (n + avgChunk - 1) / avgChunk
-	}
-	for _, c := range res.Clusters {
-		if c.Burst || c.Site == siteCloud {
-			for site, n := range c.BytesBySite {
-				if site == siteCloud {
-					u.Requests += gets(n)
-				} else {
-					u.BytesIn += n
-				}
-			}
-			// Replica reads are in-cloud GETs: no boundary transfer.
-			u.Requests += gets(c.StageReadBytes)
-			u.BytesOut += cfg.App.RobjBytes
-		} else if n, ok := c.BytesBySite[siteCloud]; ok {
-			u.BytesOut += n
-			u.Requests += gets(n)
-		}
-	}
-	if st := res.Stage; st != nil {
-		// Pre-staged bytes pulled from outside the cloud are ingress; every
-		// staged chunk is one PUT into the replica store.
-		for site, n := range st.PrestagedBySite {
-			if site != siteCloud {
-				u.BytesIn += n
-			}
-		}
-		u.Requests += int64(st.PrestagedChunks)
-	}
-	return u
-}
-
-// avgChunkBytes is the dataset's mean chunk size, for GET estimation.
-func avgChunkBytes(cfg hybridsim.Config) int64 {
-	n := int64(cfg.Index.NumChunks())
-	if n == 0 {
-		return 0
-	}
-	var total int64
-	for _, f := range cfg.Index.Files {
-		total += f.Size
-	}
-	return total / n
-}
-
-// NominalStaticMakespan simulates a pre-committed allocation WITHOUT the
-// injected slowdown: the makespan a capacity planner trusting the nominal
-// model would predict, and therefore the basis on which a static allocation
-// gets picked before the run. The staged elastic gate compares the realized
-// sweep against this choice — the plan that looked right on paper.
-func NominalStaticMakespan(app App, cloudCores int, opts ElasticOptions) (time.Duration, error) {
+// runStatic runs one pre-committed allocation — 16 local cores plus
+// cloudCores in the cloud, fixed for the whole run and billed for its whole
+// makespan — on RunMulti under opts' extensions, and prices it with the one
+// meter. A staged sweep stages for the static cloud cluster too, so the
+// baseline never fights the frontier with one hand tied. slowed injects the
+// sweep's slowdown; without it the run is the nominal model a capacity
+// planner trusts when it picks an allocation before the run.
+func runStatic(app App, pricing costmodel.Pricing, cloudCores int, opts ElasticOptions, slowed bool) (costmodel.Candidate, error) {
 	cfg := ConfigWithCores(app, Env5050, 16, cloudCores, SimOptions{})
 	if opts.Staged && cloudCores > 0 {
 		cfg.Topology.Stage = stageModelFor(opts)
 	}
 	mc := singleQueryMulti(app, cfg, opts.Iterations)
-	mc.Slowdowns = nil
+	if !slowed {
+		mc.Slowdowns = nil
+	}
 	res, err := hybridsim.RunMulti(mc)
-	if err != nil {
-		return 0, fmt.Errorf("experiments: nominal static %s/%d: %w", app, cloudCores, err)
-	}
-	return res.Total, nil
-}
-
-// RunStaticCandidateWith realizes one pre-committed cloud allocation under
-// the injected slowdown — cloudCores fixed for the whole run, billed for the
-// full realized makespan — and under the same extensions as the elastic
-// points, so the baseline never fights the frontier with one hand tied: a
-// staged sweep stages for the static cloud cluster too.
-func RunStaticCandidateWith(app App, pricing costmodel.Pricing, cloudCores int, opts ElasticOptions) (costmodel.Candidate, error) {
-	cfg := ConfigWithCores(app, Env5050, 16, cloudCores, SimOptions{})
-	if opts.Staged && cloudCores > 0 {
-		cfg.Topology.Stage = stageModelFor(opts)
-	}
-	res, err := hybridsim.RunMulti(singleQueryMulti(app, cfg, opts.Iterations))
 	if err != nil {
 		return costmodel.Candidate{}, fmt.Errorf("experiments: static %s/%d: %w", app, cloudCores, err)
 	}
-	u := trafficUsage(cfg, res)
-	u.CloudCores = cloudCores
-	u.Makespan = res.Total
-	cost, err := pricing.Price(u)
+	cost, err := pricing.Price(costmodel.Meter(cfg, res, siteCloud))
 	if err != nil {
 		return costmodel.Candidate{}, err
 	}
@@ -322,7 +248,7 @@ func RunElasticSweepWith(app App, pricing costmodel.Pricing,
 		}
 	}
 	for _, cores := range ElasticStaticCores {
-		c, err := RunStaticCandidateWith(app, pricing, cores, opts)
+		c, err := runStatic(app, pricing, cores, opts, true)
 		if err != nil {
 			return nil, err
 		}

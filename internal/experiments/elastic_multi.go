@@ -168,13 +168,13 @@ func RunElasticMultiPointWith(app App, acfg elastic.ArbiterConfig, queries []Mul
 			p.PeakWorkers = d.Workers
 		}
 	}
-	// Instances as the arbiter billed them (per launch episode, rounded to
-	// the billing quantum); traffic priced from the realized footprint.
-	cost, err := arb.Config().Pricing.Price(trafficUsage(cfg, res))
+	// Burst instances as the arbiter billed them (per launch episode,
+	// rounded to the billing quantum) on top of the metered footprint.
+	cost, err := arb.Config().Pricing.Price(costmodel.Meter(cfg, res, siteCloud))
 	if err != nil {
 		return ElasticMultiPoint{}, err
 	}
-	cost.Instances = arb.InstanceCost(res.Total)
+	cost.Instances += arb.InstanceCost(res.Total)
 	p.Cost = cost
 	return p, nil
 }

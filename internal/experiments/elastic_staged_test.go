@@ -113,11 +113,11 @@ func TestKNNStagedElasticFrontier(t *testing.T) {
 		if cores == 0 {
 			continue
 		}
-		nominal, err := NominalStaticMakespan(KNN, cores, stagedKNNOpts)
+		nominal, err := runStatic(KNN, sw.Pricing, cores, stagedKNNOpts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nominal <= deadline {
+		if nominal.Makespan <= deadline {
 			planned = cores
 			break
 		}

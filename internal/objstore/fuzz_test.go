@@ -19,6 +19,11 @@ func FuzzObjstoreRequest(f *testing.F) {
 	f.Add(uint8(0), "a/b", int64(0), int64(0), []byte("data"))
 	f.Add(uint8(2), "../k", int64(0), int64(0), []byte(nil))
 	f.Add(uint8(3), "", int64(0), int64(0), []byte(nil))
+	// Keys that name a directory rather than an object.
+	f.Add(uint8(1), "", int64(0), int64(-1), []byte(nil))
+	f.Add(uint8(1), "..", int64(0), int64(-1), []byte(nil))
+	f.Add(uint8(2), ".", int64(0), int64(0), []byte(nil))
+	f.Add(uint8(2), "/", int64(0), int64(0), []byte(nil))
 	f.Fuzz(func(t *testing.T, kind uint8, key string, off, length int64, data []byte) {
 		var req protocol.Message
 		switch kind % 4 {

@@ -112,6 +112,35 @@ func TestBackendRanges(t *testing.T) {
 	}
 }
 
+// TestBackendDirectoryKeys: a key that names a directory — the root, or
+// "a" once "a/b" exists — is not an object. Both backends answer
+// ErrNotFound for it, and the server reports CodeNotFound, so a client
+// gives up at once instead of retrying a read that can never succeed.
+func TestBackendDirectoryKeys(t *testing.T) {
+	for name, b := range testBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := b.Put("a/b", []byte("01234")); err != nil {
+				t.Fatal(err)
+			}
+			c := serveOnPipe(t, b)
+			for _, key := range []string{"", "/", ".", "..", "a", "a/", "/a"} {
+				if got, err := b.Get(key, 0, -1); !errors.Is(err, ErrNotFound) {
+					t.Errorf("Get(%q) = %d bytes, %v; want ErrNotFound", key, len(got), err)
+				}
+				if size, err := b.Stat(key); !errors.Is(err, ErrNotFound) {
+					t.Errorf("Stat(%q) = %d, %v; want ErrNotFound", key, size, err)
+				}
+				if rep, ok := roundTrip(t, c, protocol.GetReq{Key: key, Len: -1}).(protocol.GetResp); !ok || rep.Code != protocol.CodeNotFound {
+					t.Errorf("GetReq %q answered %+v, want CodeNotFound", key, rep)
+				}
+				if rep, ok := roundTrip(t, c, protocol.StatReq{Key: key}).(protocol.StatResp); !ok || rep.Code != protocol.CodeNotFound {
+					t.Errorf("StatReq %q answered %+v, want CodeNotFound", key, rep)
+				}
+			}
+		})
+	}
+}
+
 // serveOnPipe runs a server's request loop over backend on one end of an
 // in-process pipe and returns the other end.
 func serveOnPipe(tb testing.TB, backend Backend) *transport.Conn {

@@ -155,20 +155,18 @@ func bounds(key string, off, length, size int64) (end int64, err error) {
 }
 
 // DirBackend stores each object as a file under a root directory. Keys may
-// not escape the root.
+// not escape the root, and a key that names a directory (the root itself,
+// or "a" once "a/b" exists) is not an object: Get and Stat answer
+// ErrNotFound for it, as MemBackend does.
 type DirBackend struct{ Root string }
 
-func (b DirBackend) path(key string) (string, error) {
-	clean := filepath.Clean("/" + key)
-	return filepath.Join(b.Root, clean), nil
+func (b DirBackend) path(key string) string {
+	return filepath.Join(b.Root, filepath.Clean("/"+key))
 }
 
 // Put implements Backend.
 func (b DirBackend) Put(key string, data []byte) error {
-	p, err := b.path(key)
-	if err != nil {
-		return err
-	}
+	p := b.path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
 	}
@@ -177,11 +175,7 @@ func (b DirBackend) Put(key string, data []byte) error {
 
 // Get implements Backend.
 func (b DirBackend) Get(key string, off, length int64) ([]byte, error) {
-	p, err := b.path(key)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(p)
+	f, err := os.Open(b.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
@@ -192,6 +186,9 @@ func (b DirBackend) Get(key string, off, length int64) ([]byte, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
+	}
+	if fi.IsDir() {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	end, err := bounds(key, off, length, fi.Size())
 	if err != nil {
@@ -213,15 +210,11 @@ func (DirBackend) PooledGet() {}
 
 // Stat implements Backend.
 func (b DirBackend) Stat(key string) (int64, error) {
-	p, err := b.path(key)
-	if err != nil {
-		return 0, err
-	}
-	fi, err := os.Stat(p)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, fmt.Errorf("%w: %q", ErrNotFound, key)
-		}
+	fi, err := os.Stat(b.path(key))
+	switch {
+	case os.IsNotExist(err) || err == nil && fi.IsDir():
+		return 0, fmt.Errorf("%w: %q", ErrNotFound, key)
+	case err != nil:
 		return 0, err
 	}
 	return fi.Size(), nil
