@@ -24,8 +24,12 @@ build:
 test:
 	$(GO) test ./...
 
+# Static checks: go vet, and gofmt over every Go file outside testdata/
+# (a listed file fails the target).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' -not -path '*/testdata/*' | xargs gofmt -l); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

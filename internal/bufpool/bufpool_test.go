@@ -57,9 +57,9 @@ func TestPutGetReuse(t *testing.T) {
 func TestPutRejectsForeignBuffers(t *testing.T) {
 	// Non-class capacities (e.g. subslices or make()'d buffers) must be
 	// dropped, not pooled — pooling them would corrupt the size classes.
-	Put(make([]byte, 1000))            // cap 1000 is not a class size
-	Put(Get(8192)[:100][:100:100])     // re-sliced below class cap
-	Put(nil)                           // no-op
+	Put(make([]byte, 1000))        // cap 1000 is not a class size
+	Put(Get(8192)[:100][:100:100]) // re-sliced below class cap
+	Put(nil)                       // no-op
 	b := Get(1000)
 	if cap(b) != 1<<minClassBits {
 		t.Errorf("after foreign Puts, Get(1000) cap = %d, want %d", cap(b), 1<<minClassBits)

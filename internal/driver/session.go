@@ -66,7 +66,7 @@ func NewSession(d *Deployment) (*Session, error) {
 	}
 	h, err := head.New(head.Config{
 		ExpectClusters: len(d.Clusters),
-		Logf:           logf,
+		Logf:           d.Logf,
 		Obs:            d.Obs,
 		Tuning:         d.Tuning,
 		DynamicSites:   d.Elastic != nil,

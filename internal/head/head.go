@@ -80,6 +80,9 @@ const BurstSiteBase = 1000
 // each Query.
 type Head struct {
 	cfg Config
+	// logging is whether cfg.Logf was given; hot paths skip building a
+	// message nobody reads.
+	logging bool
 
 	mu        sync.Mutex
 	clusters  map[int]string // site -> cluster name (registered)
@@ -133,12 +136,14 @@ func New(cfg Config) (*Head, error) {
 	if cfg.ExpectClusters <= 0 {
 		return nil, fmt.Errorf("head: ExpectClusters must be positive, got %d", cfg.ExpectClusters)
 	}
-	if cfg.Logf == nil {
+	logging := cfg.Logf != nil
+	if !logging {
 		cfg.Logf = func(string, ...any) {}
 	}
 	reg := cfg.Obs.Metrics()
 	h := &Head{
 		cfg:          cfg,
+		logging:      logging,
 		clusters:     make(map[int]string),
 		draining:     make(map[int]chan struct{}),
 		departed:     make(map[int]bool),

@@ -480,36 +480,30 @@ func (h *Head) pollOnce(site, n int, first bool) (protocol.PollReply, <-chan str
 	h.mu.Lock()
 	wake := h.wake
 	_, draining := h.draining[site]
+	queries := len(h.order)
 	h.mu.Unlock()
 	if draining {
 		rep, err := h.pollDraining(site)
 		return rep, wake, err
 	}
 	grantStart := h.clk.Now()
+	traced := h.tr.Enabled()
 	sp := h.tr.Begin(0, 0, "scheduling", "request-jobs")
 	tagged := h.fair.Assign(site, n)
-	sp.End(obs.Args{"site": site, "asked": n, "granted": len(tagged)})
-
-	var rep protocol.PollReply
-	idx := make(map[int]int)
-	for _, tg := range tagged {
-		i, ok := idx[tg.Query]
-		if !ok {
-			i = len(rep.Queries)
-			idx[tg.Query] = i
-			rep.Queries = append(rep.Queries, protocol.QueryJobs{Query: tg.Query})
-		}
-		rep.Queries[i].Jobs = append(rep.Queries[i].Jobs, tg.Job)
+	if traced {
+		sp.End(obs.Args{"site": site, "asked": n, "granted": len(tagged)})
 	}
 
+	var rep protocol.PollReply
+	rep.Queries = groupGrants(tagged, queries)
+
 	now := h.clk.Now()
-	traced := h.tr.Enabled()
 	watch := h.watchdogOn()
 	h.mu.Lock()
 	rep.Shutdown = h.shutdown
 	for _, id := range h.order {
 		q := h.queries[id]
-		if i, ok := idx[id]; ok {
+		if i := grantIndex(rep.Queries, id); i >= 0 {
 			granted := rep.Queries[i].Jobs
 			q.mJobsGranted.Add(int64(len(granted)))
 			if traced {
@@ -561,12 +555,48 @@ func (h *Head) pollOnce(site, n int, first bool) (protocol.PollReply, <-chan str
 	if len(tagged) > 0 {
 		h.mGrants.Inc()
 		h.mJobsGranted.Add(int64(len(tagged)))
-		h.cfg.Logf("head: granted %d jobs to site %d (%d queries)", len(tagged), site, len(rep.Queries))
+		if h.logging {
+			h.cfg.Logf("head: granted %d jobs to site %d (%d queries)", len(tagged), site, len(rep.Queries))
+		}
 	} else if first {
 		h.mExhausted.Inc()
 	}
 	h.checkLatencyStragglers()
 	return rep, wake, nil
+}
+
+// groupGrants groups fair-share grants by query, queries in order of first
+// grant and each query's jobs in grant order, with every job in one backing
+// array. queries sizes the group list: the number of admitted queries.
+func groupGrants(tagged []jobs.Tagged, queries int) []protocol.QueryJobs {
+	if len(tagged) == 0 {
+		return nil
+	}
+	groups := make([]protocol.QueryJobs, 0, min(len(tagged), max(queries, 1)))
+	all := make([]jobs.Job, 0, len(tagged))
+	for i, tg := range tagged {
+		if grantIndex(groups, tg.Query) >= 0 {
+			continue
+		}
+		first := len(all)
+		for _, later := range tagged[i:] {
+			if later.Query == tg.Query {
+				all = append(all, later.Job)
+			}
+		}
+		groups = append(groups, protocol.QueryJobs{Query: tg.Query, Jobs: all[first:len(all):len(all)]})
+	}
+	return groups
+}
+
+// grantIndex returns the position of query's group in groups, or -1.
+func grantIndex(groups []protocol.QueryJobs, query int) int {
+	for i := range groups {
+		if groups[i].Query == query {
+			return i
+		}
+	}
+	return -1
 }
 
 // pollDraining answers a poll from a site being decommissioned. No new jobs

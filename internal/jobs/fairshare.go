@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -25,20 +26,28 @@ const strideScale = 1 << 20
 // sizes or which sites ask.
 type FairShare struct {
 	mu      sync.Mutex
-	entries map[int]*fsEntry
+	entries []*fsEntry
 	grants  map[int]int
+	// one and out are Assign's scratch, reused under mu: the single job a
+	// grant takes from its pool, and the grants of the call in progress.
+	one []Job
+	out []Tagged
 }
 
 type fsEntry struct {
+	query  int
 	pool   *Pool
 	weight int
 	stride int64
 	pass   int64
+	// skip marks a query whose pool had nothing for the site during the
+	// Assign call in progress.
+	skip bool
 }
 
 // NewFairShare returns an empty scheduler; queries join via Add.
 func NewFairShare() *FairShare {
-	return &FairShare{entries: make(map[int]*fsEntry), grants: make(map[int]int)}
+	return &FairShare{grants: make(map[int]int), one: make([]Job, 0, 1)}
 }
 
 // Add registers a query's pool with the given weight (min 1). A query that
@@ -53,21 +62,22 @@ func (f *FairShare) Add(query int, pool *Pool, weight int) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.entries[query]; ok {
-		return fmt.Errorf("jobs: fair share query %d already registered", query)
+	for _, e := range f.entries {
+		if e.query == query {
+			return fmt.Errorf("jobs: fair share query %d already registered", query)
+		}
 	}
-	e := &fsEntry{pool: pool, weight: weight, stride: strideScale / int64(weight)}
+	e := &fsEntry{query: query, pool: pool, weight: weight, stride: strideScale / int64(weight)}
 	e.pass = f.minPassLocked()
-	f.entries[query] = e
+	f.entries = append(f.entries, e)
 	return nil
 }
 
 func (f *FairShare) minPassLocked() int64 {
 	min := int64(0)
-	first := true
-	for _, e := range f.entries {
-		if first || e.pass < min {
-			min, first = e.pass, false
+	for i, e := range f.entries {
+		if i == 0 || e.pass < min {
+			min = e.pass
 		}
 	}
 	return min
@@ -77,48 +87,55 @@ func (f *FairShare) minPassLocked() int64 {
 // queries are ignored.
 func (f *FairShare) Remove(query int) {
 	f.mu.Lock()
-	delete(f.entries, query)
+	f.entries = slices.DeleteFunc(f.entries, func(e *fsEntry) bool { return e.query == query })
 	f.mu.Unlock()
 }
 
 // Assign grants up to n jobs runnable at site, interleaved across queries
 // by stride order. A query whose pool has nothing for the site right now is
-// skipped without advancing its pass, so it keeps its claim for later.
+// skipped without advancing its pass, so it keeps its claim for later. The
+// returned slice is the call's one allocation.
 func (f *FairShare) Assign(site, n int) []Tagged {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var out []Tagged
-	skip := make(map[int]bool)
-	for len(out) < n {
-		q, e := f.minEligibleLocked(skip)
+	for _, e := range f.entries {
+		e.skip = false
+	}
+	f.out = f.out[:0]
+	for len(f.out) < n {
+		e := f.minEligibleLocked()
 		if e == nil {
 			break
 		}
-		js := e.pool.Assign(site, 1)
-		if len(js) == 0 {
-			skip[q] = true
+		// One job per grant: a steal moves its file's reader count by one
+		// per job, so asking for k at once could pick a different file.
+		if f.one = e.pool.assign(f.one[:0], site, 1); len(f.one) == 0 {
+			e.skip = true
 			continue
 		}
 		e.pass += e.stride
-		f.grants[q]++
-		out = append(out, Tagged{Query: q, Job: js[0]})
+		f.grants[e.query]++
+		f.out = append(f.out, Tagged{Query: e.query, Job: f.one[0]})
 	}
-	return out
+	if len(f.out) == 0 {
+		return nil
+	}
+	return slices.Clone(f.out)
 }
 
 // minEligibleLocked picks the non-skipped entry with the smallest pass,
 // breaking ties by query ID for determinism.
-func (f *FairShare) minEligibleLocked(skip map[int]bool) (int, *fsEntry) {
-	bestQ, best := -1, (*fsEntry)(nil)
-	for q, e := range f.entries {
-		if skip[q] {
+func (f *FairShare) minEligibleLocked() *fsEntry {
+	var best *fsEntry
+	for _, e := range f.entries {
+		if e.skip {
 			continue
 		}
-		if best == nil || e.pass < best.pass || (e.pass == best.pass && q < bestQ) {
-			bestQ, best = q, e
+		if best == nil || e.pass < best.pass || (e.pass == best.pass && e.query < best.query) {
+			best = e
 		}
 	}
-	return bestQ, best
+	return best
 }
 
 // Grants returns a copy of the per-query grant counts since construction —

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/chunk"
@@ -127,5 +128,47 @@ func TestFairShareAddValidation(t *testing.T) {
 	f.Remove(1)
 	if err := f.Add(1, p, 1); err != nil {
 		t.Errorf("re-add after remove: %v", err)
+	}
+}
+
+// TestFairShareConcurrentAssign: polls from different sites run Assign at
+// once. Each call's grants are its own — the scratch buffers Assign reuses
+// never leak into a returned slice — so across all callers every job of
+// every query is granted exactly once.
+func TestFairShareConcurrentAssign(t *testing.T) {
+	const queries, njobs, sites = 3, 600, 4
+	f := NewFairShare()
+	for q := 0; q < queries; q++ {
+		if err := f.Add(q, fsPool(t, "cc", njobs), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([][]Tagged, sites)
+	var wg sync.WaitGroup
+	for site := 0; site < sites; site++ {
+		wg.Add(1)
+		go func(site int) {
+			defer wg.Done()
+			for {
+				ts := f.Assign(site, 1+site)
+				if len(ts) == 0 {
+					return
+				}
+				got[site] = append(got[site], ts...)
+			}
+		}(site)
+	}
+	wg.Wait()
+	seen := make(map[Tagged]bool)
+	for _, ts := range got {
+		for _, tg := range ts {
+			if seen[tg] {
+				t.Fatalf("query %d job %d granted twice", tg.Query, tg.Job.ID)
+			}
+			seen[tg] = true
+		}
+	}
+	if len(seen) != queries*njobs {
+		t.Fatalf("granted %d distinct jobs, want %d", len(seen), queries*njobs)
 	}
 }

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/chunk"
@@ -399,5 +400,37 @@ func TestSpeculateSiteTargetsOnlyThatSite(t *testing.T) {
 	}
 	if !p.Drained() {
 		t.Fatalf("pool not drained: remaining=%d outstanding=%d", p.Remaining(), p.Outstanding())
+	}
+}
+
+// TestHostileJobIDs: job IDs arrive off the wire. One outside 0..N-1 is a
+// "not outstanding" commit error and is skipped by Reissue, and a commit
+// carrying a real ID with a garbage Ref is accounted by the pool's own
+// record of the job: nothing indexes out of range.
+func TestHostileJobIDs(t *testing.T) {
+	ix := mustIndex(t, 40, 20, 10) // 2 files × 2 chunks
+	p, err := NewPool(ix, Placement{0, 0}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, 4, 1 << 40} {
+		if dup, err := p.Commit(0, Job{ID: id}); err == nil || dup || !strings.Contains(err.Error(), "not outstanding") {
+			t.Errorf("Commit(job %d) = dup %v, err %v; want a not-outstanding error", id, dup, err)
+		}
+	}
+	js := p.Assign(0, 4)
+	forged := js[0]
+	forged.Ref.File, forged.Ref.Seq = 1<<30, -5
+	if dup, err := p.Commit(0, forged); dup || err != nil {
+		t.Fatalf("Commit(forged ref of job %d) = dup %v, err %v", forged.ID, dup, err)
+	}
+	if n := p.Reissue([]Job{{ID: -7}, forged, {ID: 4}}); n != 1 {
+		t.Errorf("Reissue reissued %d jobs, want 1 (only the real committed one)", n)
+	}
+	if got := p.Assign(1, 4); len(got) != 1 || got[0] != js[0] {
+		t.Errorf("after reissue, a grant = %v, want the pool's own %v", got, js[0])
+	}
+	if out := p.Outstanding(); out != 4 {
+		t.Errorf("outstanding = %d, want 4", out)
 	}
 }

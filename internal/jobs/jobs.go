@@ -23,6 +23,7 @@ package jobs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -116,20 +117,56 @@ type fileState struct {
 	readers int   // clusters/nodes currently holding unfinished jobs of this file
 }
 
-// assignment tracks one outstanding job: which sites currently hold copies
-// of it. Under speculative re-execution a job can be in flight at several
-// sites at once; the first commit wins and the rest are deduplicated.
-type assignment struct {
-	job    Job
-	copies map[int]int // requesting site -> outstanding copies there
+// holders is the set of sites holding a live copy of one job. Under
+// speculative re-execution a job can be in flight at several sites at once;
+// the first commit wins and the rest are deduplicated. Assign never hands a
+// site a job it already holds, so a site holds at most one copy and a set
+// suffices. The first two sites (a grant, plus one speculative or
+// post-failure copy) sit inline; a third and later spill to more.
+type holders struct {
+	inline [2]int
+	n      int // inline[:n] are in use
+	more   map[int]bool
 }
 
-func (a *assignment) total() int {
-	n := 0
-	for _, c := range a.copies {
-		n += c
+func (h *holders) len() int { return h.n + len(h.more) }
+
+func (h *holders) has(site int) bool {
+	for _, s := range h.inline[:h.n] {
+		if s == site {
+			return true
+		}
 	}
-	return n
+	return h.more[site]
+}
+
+// add records site's copy; the caller has checked has(site) is false.
+func (h *holders) add(site int) {
+	if h.n < len(h.inline) {
+		h.inline[h.n] = site
+		h.n++
+		return
+	}
+	if h.more == nil {
+		h.more = make(map[int]bool)
+	}
+	h.more[site] = true
+}
+
+// remove drops site's copy, reporting whether it held one.
+func (h *holders) remove(site int) bool {
+	for i, s := range h.inline[:h.n] {
+		if s == site {
+			h.n--
+			h.inline[i] = h.inline[h.n]
+			return true
+		}
+	}
+	if h.more[site] {
+		delete(h.more, site)
+		return true
+	}
+	return false
 }
 
 // Pool is the head node's global job pool. Safe for concurrent use.
@@ -145,12 +182,16 @@ type Pool struct {
 	rrCursor int
 	// stride[s] is the next position in perSite[s] the scattered ablation
 	// takes from, so successive asks keep striding across files.
-	stride       map[int]int
-	remaining    int
-	assigned     map[int]*assignment // outstanding jobs by ID
-	completed    map[int]bool        // committed job IDs, for duplicate detection
-	inPending    map[int]bool        // job IDs currently sitting in some pending list
-	everAssigned map[int]bool        // job IDs handed out at least once
+	stride    map[int]int
+	remaining int
+
+	// Per-job state, indexed by job ID: NewPool numbers the jobs 0..N-1.
+	byID         []Job     // every job
+	held         []holders // sites holding a live copy of each job
+	outstanding  int       // jobs held by at least one site
+	completed    []bool    // committed, for duplicate detection
+	inPending    []bool    // sitting in its file's pending list
+	everAssigned []bool    // handed out at least once
 
 	// Pre-resolved metric handles (nil no-ops when Options.Metrics is nil).
 	mLocal, mStolen          *obs.Counter
@@ -164,29 +205,32 @@ func NewPool(ix *chunk.Index, placement Placement, opts Options) (*Pool, error) 
 	if err := placement.Validate(ix); err != nil {
 		return nil, err
 	}
+	n := 0
+	for _, f := range ix.Files {
+		n += len(f.Chunks)
+	}
 	p := &Pool{
 		opts:         opts,
 		files:        make([]fileState, len(ix.Files)),
 		perSite:      make(map[int][]int),
 		cursor:       make(map[int]int),
 		stride:       make(map[int]int),
-		assigned:     make(map[int]*assignment),
-		completed:    make(map[int]bool),
-		inPending:    make(map[int]bool),
-		everAssigned: make(map[int]bool),
+		remaining:    n,
+		byID:         make([]Job, 0, n),
+		held:         make([]holders, n),
+		completed:    make([]bool, n),
+		inPending:    make([]bool, n),
+		everAssigned: make([]bool, n),
 	}
-	id := 0
 	for fi, f := range ix.Files {
 		site := placement[fi]
-		fs := fileState{site: site, pending: make([]Job, 0, len(f.Chunks))}
+		first := len(p.byID)
 		for _, ref := range f.Chunks {
-			fs.pending = append(fs.pending, Job{ID: id, Ref: ref, Site: site})
-			p.inPending[id] = true
-			id++
+			p.byID = append(p.byID, Job{ID: len(p.byID), Ref: ref, Site: site})
+			p.inPending[len(p.byID)-1] = true
 		}
-		p.files[fi] = fs
+		p.files[fi] = fileState{site: site, pending: slices.Clone(p.byID[first:])}
 		p.perSite[site] = append(p.perSite[site], fi)
-		p.remaining += len(f.Chunks)
 	}
 	reg := opts.Metrics
 	p.mLocal = reg.Counter("pool_jobs_assigned_local_total")
@@ -201,6 +245,10 @@ func NewPool(ix *chunk.Index, placement Placement, opts Options) (*Pool, error) 
 	return p, nil
 }
 
+// known reports whether id names one of the pool's jobs. IDs arrive off
+// the wire, so every caller-supplied one is checked before it indexes.
+func (p *Pool) known(id int) bool { return id >= 0 && id < len(p.byID) }
+
 // Remaining reports the number of jobs not yet assigned.
 func (p *Pool) Remaining() int {
 	p.mu.Lock()
@@ -212,14 +260,14 @@ func (p *Pool) Remaining() int {
 func (p *Pool) Outstanding() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.assigned)
+	return p.outstanding
 }
 
 // Drained reports whether every job has been assigned and completed.
 func (p *Pool) Drained() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.remaining == 0 && len(p.assigned) == 0
+	return p.remaining == 0 && p.outstanding == 0
 }
 
 // Assign hands out up to n jobs to the requesting site. Site-local jobs are
@@ -230,34 +278,45 @@ func (p *Pool) Drained() bool {
 // straggler a second copy of its own job only slows it further. It
 // returns nil when no jobs remain anywhere.
 func (p *Pool) Assign(site, n int) []Job {
+	if js := p.assign(nil, site, n); len(js) > 0 {
+		return js
+	}
+	return nil
+}
+
+// assign is Assign appending the granted jobs to dst, so a caller that
+// reuses dst allocates nothing; a nil dst gets one slice sized for the
+// grant.
+func (p *Pool) assign(dst []Job, site, n int) []Job {
 	if n <= 0 {
-		return nil
+		return dst
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.remaining == 0 {
-		return nil
+		return dst
 	}
-	var out []Job
+	if dst == nil {
+		dst = make([]Job, 0, min(n, p.remaining))
+	}
+	start := len(dst)
 	if p.opts.ScatterGroups {
-		out = p.assignScattered(site, n)
+		dst = p.assignScattered(dst, site, n)
 	} else {
-		out = p.assignConsecutive(site, n)
+		dst = p.assignConsecutive(dst, site, n)
 	}
-	for !p.opts.DisableStealing && len(out) < n && p.remaining > 0 {
-		stolen := p.steal(site, n-len(out))
-		if len(stolen) == 0 {
+	for !p.opts.DisableStealing && len(dst)-start < n && p.remaining > 0 {
+		before := len(dst)
+		if dst = p.steal(dst, site, n-(len(dst)-start)); len(dst) == before {
 			break
 		}
-		out = append(out, stolen...)
 	}
-	for _, j := range out {
-		a := p.assigned[j.ID]
-		if a == nil {
-			a = &assignment{job: j, copies: make(map[int]int, 1)}
-			p.assigned[j.ID] = a
+	for _, j := range dst[start:] {
+		h := &p.held[j.ID]
+		if h.len() == 0 {
+			p.outstanding++
 		}
-		a.copies[site]++
+		h.add(site)
 		p.everAssigned[j.ID] = true
 		if j.Site == site {
 			p.mLocal.Inc()
@@ -266,16 +325,15 @@ func (p *Pool) Assign(site, n int) []Job {
 		}
 	}
 	p.gRemaining.Set(int64(p.remaining))
-	p.gOutstanding.Set(int64(len(p.assigned)))
-	return out
+	p.gOutstanding.Set(int64(p.outstanding))
+	return dst
 }
 
-// assignConsecutive takes up to n consecutive jobs from the requesting
-// site's files, draining one file at a time.
-func (p *Pool) assignConsecutive(site, n int) []Job {
-	var out []Job
+// assignConsecutive appends up to n consecutive jobs from the requesting
+// site's files to dst, draining one file at a time.
+func (p *Pool) assignConsecutive(dst []Job, site, n int) []Job {
 	local := p.perSite[site]
-	for len(out) < n {
+	for want := len(dst) + n; len(dst) < want; {
 		cur := p.cursor[site]
 		// Advance past drained files.
 		for cur < len(local) && len(p.files[local[cur]].pending) == 0 {
@@ -285,41 +343,38 @@ func (p *Pool) assignConsecutive(site, n int) []Job {
 		if cur >= len(local) {
 			break
 		}
-		fi := local[cur]
-		took := p.takeFrom(site, fi, n-len(out))
-		if len(took) == 0 {
+		before := len(dst)
+		if dst = p.takeFrom(dst, site, local[cur], want-len(dst)); len(dst) == before {
 			// Everything left pending in this file is a copy the site
 			// already holds; step past it so the loop terminates.
 			p.cursor[site] = cur + 1
-			continue
 		}
-		out = append(out, took...)
 	}
-	return out
+	return dst
 }
 
 // assignScattered (ablation) strides across the site's files one job per
 // file, defeating sequential reads. The stride position persists across
 // calls, so a run of one-job asks scatters exactly like one large ask.
-func (p *Pool) assignScattered(site, n int) []Job {
-	var out []Job
+func (p *Pool) assignScattered(dst []Job, site, n int) []Job {
 	local := p.perSite[site]
-	for misses := 0; len(out) < n && misses < len(local); {
+	for want, misses := len(dst)+n, 0; len(dst) < want && misses < len(local); {
 		i := p.stride[site] % len(local)
 		p.stride[site] = i + 1
-		if js := p.takeFrom(site, local[i], 1); len(js) > 0 {
-			out = append(out, js...)
+		before := len(dst)
+		if dst = p.takeFrom(dst, site, local[i], 1); len(dst) > before {
 			misses = 0
 		} else {
 			misses++
 		}
 	}
-	return out
+	return dst
 }
 
-// steal picks remote jobs for the requesting site. Under the paper's policy
-// the source is the pending remote file with the fewest active readers.
-func (p *Pool) steal(site, n int) []Job {
+// steal appends remote jobs for the requesting site to dst. Under the
+// paper's policy the source is the pending remote file with the fewest
+// active readers.
+func (p *Pool) steal(dst []Job, site, n int) []Job {
 	switch p.opts.Steal {
 	case StealRoundRobin:
 		for probes := 0; probes < len(p.files); probes++ {
@@ -327,12 +382,13 @@ func (p *Pool) steal(site, n int) []Job {
 			p.rrCursor++
 			fs := &p.files[fi]
 			if fs.site != site && len(fs.pending) > 0 {
-				if js := p.takeFrom(site, fi, n); len(js) > 0 {
-					return js
+				before := len(dst)
+				if dst = p.takeFrom(dst, site, fi, n); len(dst) > before {
+					return dst
 				}
 			}
 		}
-		return nil
+		return dst
 	default: // StealMinContention
 		best := -1
 		for fi := range p.files {
@@ -345,40 +401,39 @@ func (p *Pool) steal(site, n int) []Job {
 			}
 		}
 		if best == -1 {
-			return nil
+			return dst
 		}
-		return p.takeFrom(site, best, n)
+		return p.takeFrom(dst, site, best, n)
 	}
 }
 
-// takeFrom removes up to n pending jobs from file fi for the requesting
-// site and bumps the file's reader count. Jobs the site already holds a
-// live copy of (speculative re-insertions of its own in-flight work) are
-// skipped — handing a straggler a duplicate of its own job only slows it
-// further; those copies stay pending for some other site to pick up, or
-// are dropped when the original commits. It walks only the jobs it takes
-// or skips, not the whole pending list.
-func (p *Pool) takeFrom(site, fi, n int) []Job {
+// takeFrom moves up to n pending jobs from file fi to dst for the
+// requesting site and bumps the file's reader count. Jobs the site already
+// holds a live copy of (speculative re-insertions of its own in-flight
+// work) are skipped — handing a straggler a duplicate of its own job only
+// slows it further; those copies stay pending for some other site to pick
+// up, or are dropped when the original commits. It walks only the jobs it
+// takes or skips, not the whole pending list.
+func (p *Pool) takeFrom(dst []Job, site, fi, n int) []Job {
 	fs := &p.files[fi]
-	out := make([]Job, 0, min(n, len(fs.pending)))
+	start := len(dst)
 	i, k := 0, 0 // jobs walked; skipped copies, compacted to the front
-	for ; i < len(fs.pending) && len(out) < n; i++ {
+	for ; i < len(fs.pending) && len(dst)-start < n; i++ {
 		j := fs.pending[i]
-		if a := p.assigned[j.ID]; a != nil && a.copies[site] > 0 {
+		if p.held[j.ID].has(site) {
 			fs.pending[k] = j
 			k++
 			continue
 		}
-		out = append(out, j)
+		dst = append(dst, j)
+		p.inPending[j.ID] = false
 	}
 	copy(fs.pending[i-k:i], fs.pending[:k]) // skipped copies stay in order
 	fs.pending = fs.pending[i-k:]
-	fs.readers += len(out)
-	p.remaining -= len(out)
-	for _, j := range out {
-		delete(p.inPending, j.ID)
-	}
-	return out
+	took := len(dst) - start
+	fs.readers += took
+	p.remaining -= took
+	return dst
 }
 
 // Commit records that site finished job j, releasing its contribution to
@@ -386,85 +441,85 @@ func (p *Pool) takeFrom(site, fi, n int) []Job {
 // recovered re-executions: the first commit of a job ID wins (dup=false)
 // and every later one reports dup=true so the caller discards the
 // duplicate's contribution. Committing a job that was never assigned and
-// never completed is an error — the conservation property the tests verify.
+// never completed, or whose ID names no job of this pool, is an error — the
+// conservation property the tests verify. Only j.ID is read: the pool
+// keeps its own record of each job.
 func (p *Pool) Commit(site int, j Job) (dup bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.completed[j.ID] {
+	id := j.ID
+	if !p.known(id) {
+		return false, fmt.Errorf("jobs: completing job %d that is not outstanding", id)
+	}
+	if p.completed[id] {
 		// A duplicate from a speculative or re-assigned copy: release this
 		// site's copy if it holds one.
-		if a := p.assigned[j.ID]; a != nil && a.copies[site] > 0 {
-			p.releaseCopyLocked(a, site, j)
-		}
+		p.releaseCopyLocked(id, site)
 		p.mDupCommits.Inc()
 		return true, nil
 	}
-	a := p.assigned[j.ID]
-	if a == nil && !(p.inPending[j.ID] && p.everAssigned[j.ID]) {
-		return false, fmt.Errorf("jobs: completing job %d that is not outstanding", j.ID)
+	if p.held[id].len() == 0 && !(p.inPending[id] && p.everAssigned[id]) {
+		return false, fmt.Errorf("jobs: completing job %d that is not outstanding", id)
 	}
 	// The work is real even when the committing site no longer holds a copy
 	// (it was declared failed and its copy requeued or reassigned), or when
 	// the job went back to the pool before this late completion arrived
 	// (lease expiry during a partition): accept it, make the other copies
 	// duplicates and withdraw any pending copy.
-	p.completed[j.ID] = true
-	if a != nil && a.copies[site] > 0 {
-		p.releaseCopyLocked(a, site, j)
-	}
-	p.dropPendingLocked(j)
+	p.completed[id] = true
+	p.releaseCopyLocked(id, site)
+	p.dropPendingLocked(id)
 	p.gRemaining.Set(int64(p.remaining))
-	p.gOutstanding.Set(int64(len(p.assigned)))
+	p.gOutstanding.Set(int64(p.outstanding))
 	return false, nil
 }
 
-// releaseCopyLocked decrements site's copy of a and the file reader count,
-// deleting the assignment when no copies remain anywhere.
-func (p *Pool) releaseCopyLocked(a *assignment, site int, j Job) {
-	a.copies[site]--
-	if a.copies[site] <= 0 {
-		delete(a.copies, site)
-	}
-	p.files[j.Ref.File].readers--
-	if a.total() == 0 {
-		delete(p.assigned, j.ID)
-	}
-	p.gOutstanding.Set(int64(len(p.assigned)))
-}
-
-// dropPendingLocked withdraws a pending copy of j (left behind by
-// speculation or requeue) so completed work is never handed out again.
-func (p *Pool) dropPendingLocked(j Job) {
-	if !p.inPending[j.ID] {
+// releaseCopyLocked drops site's copy of job id, if it holds one, and the
+// file reader count that came with it.
+func (p *Pool) releaseCopyLocked(id, site int) {
+	h := &p.held[id]
+	if !h.remove(site) {
 		return
 	}
-	fs := &p.files[j.Ref.File]
+	p.files[p.byID[id].Ref.File].readers--
+	if h.len() == 0 {
+		p.outstanding--
+	}
+	p.gOutstanding.Set(int64(p.outstanding))
+}
+
+// dropPendingLocked withdraws a pending copy of job id (left behind by
+// speculation or requeue) so completed work is never handed out again.
+func (p *Pool) dropPendingLocked(id int) {
+	if !p.inPending[id] {
+		return
+	}
+	fs := &p.files[p.byID[id].Ref.File]
 	for i, pj := range fs.pending {
-		if pj.ID == j.ID {
+		if pj.ID == id {
 			fs.pending = append(fs.pending[:i], fs.pending[i+1:]...)
 			break
 		}
 	}
-	delete(p.inPending, j.ID)
+	p.inPending[id] = false
 	p.remaining--
 	p.gRemaining.Set(int64(p.remaining))
 }
 
-// insertPendingLocked returns j to its file's pending list in offset order
-// and resets the host site's assignment cursor so the revived file is
+// insertPendingLocked returns job id to its file's pending list in offset
+// order and resets the host site's assignment cursor so the revived file is
 // visible to site-local assignment again.
-func (p *Pool) insertPendingLocked(j Job) {
-	if p.inPending[j.ID] {
+func (p *Pool) insertPendingLocked(id int) {
+	if p.inPending[id] {
 		return
 	}
+	j := p.byID[id]
 	fs := &p.files[j.Ref.File]
 	i := sort.Search(len(fs.pending), func(i int) bool {
 		return fs.pending[i].Ref.Seq >= j.Ref.Seq
 	})
-	fs.pending = append(fs.pending, Job{})
-	copy(fs.pending[i+1:], fs.pending[i:])
-	fs.pending[i] = j
-	p.inPending[j.ID] = true
+	fs.pending = slices.Insert(fs.pending, i, j)
+	p.inPending[id] = true
 	p.remaining++
 	p.cursor[fs.site] = 0
 	p.gRemaining.Set(int64(p.remaining))
@@ -479,30 +534,24 @@ func (p *Pool) FailSite(site int) []Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var requeued []Job
-	ids := make([]int, 0, len(p.assigned))
-	for id := range p.assigned {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		a := p.assigned[id]
-		n := a.copies[site]
-		if n == 0 {
+	for id := range p.held {
+		h := &p.held[id]
+		if !h.remove(site) {
 			continue
 		}
-		delete(a.copies, site)
-		p.files[a.job.Ref.File].readers -= n
-		if a.total() == 0 {
-			delete(p.assigned, id)
-			if !p.completed[id] {
-				p.insertPendingLocked(a.job)
-				p.mRequeued.Inc()
-				requeued = append(requeued, a.job)
-			}
+		p.files[p.byID[id].Ref.File].readers--
+		if h.len() > 0 {
+			continue
+		}
+		p.outstanding--
+		if !p.completed[id] {
+			p.insertPendingLocked(id)
+			p.mRequeued.Inc()
+			requeued = append(requeued, p.byID[id])
 		}
 	}
 	p.gRemaining.Set(int64(p.remaining))
-	p.gOutstanding.Set(int64(len(p.assigned)))
+	p.gOutstanding.Set(int64(p.outstanding))
 	return requeued
 }
 
@@ -511,25 +560,30 @@ func (p *Pool) FailSite(site int) []Job {
 // persisted checkpoint, so the lost contributions are recomputed. Jobs
 // currently outstanding elsewhere (a surviving speculative copy) are left
 // outstanding rather than requeued — that copy's commit will supply the
-// contribution. Returns the number of jobs actually reissued to the pool.
+// contribution. IDs that name no job of this pool are skipped. Returns the
+// number of jobs actually reissued to the pool.
 func (p *Pool) Reissue(js []Job) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sorted := make([]Job, len(js))
-	copy(sorted, js)
-	sort.Slice(sorted, func(i, k int) bool { return sorted[i].ID < sorted[k].ID })
+	ids := make([]int, 0, len(js))
+	for _, j := range js {
+		if p.known(j.ID) {
+			ids = append(ids, j.ID)
+		}
+	}
+	slices.Sort(ids)
 	n := 0
-	for _, j := range sorted {
-		if !p.completed[j.ID] {
+	for _, id := range ids {
+		if !p.completed[id] {
 			continue // never committed, or already reissued
 		}
-		delete(p.completed, j.ID)
+		p.completed[id] = false
 		p.mReissued.Inc()
 		n++
-		if p.assigned[j.ID] != nil {
+		if p.held[id].len() > 0 {
 			continue // a live speculative copy will re-commit it
 		}
-		p.insertPendingLocked(j)
+		p.insertPendingLocked(id)
 	}
 	p.gRemaining.Set(int64(p.remaining))
 	return n
@@ -540,25 +594,7 @@ func (p *Pool) Reissue(js []Job) int {
 // work; the pool deduplicates whichever copy commits second. Returns the
 // speculated jobs sorted by ID.
 func (p *Pool) SpeculateOutstanding() []Job {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ids := make([]int, 0, len(p.assigned))
-	for id := range p.assigned {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var out []Job
-	for _, id := range ids {
-		if p.completed[id] || p.inPending[id] {
-			continue
-		}
-		j := p.assigned[id].job
-		p.insertPendingLocked(j)
-		p.mSpeculated.Inc()
-		out = append(out, j)
-	}
-	p.gRemaining.Set(int64(p.remaining))
-	return out
+	return p.speculate(func(h *holders) bool { return h.len() > 0 })
 }
 
 // SpeculateSite re-adds the outstanding jobs held by one site to the pool
@@ -567,24 +603,22 @@ func (p *Pool) SpeculateOutstanding() []Job {
 // healthy sites' in-flight work is not needlessly duplicated. Returns the
 // speculated jobs sorted by ID.
 func (p *Pool) SpeculateSite(site int) []Job {
+	return p.speculate(func(h *holders) bool { return h.has(site) })
+}
+
+// speculate re-adds, in ID order, every uncommitted job whose holders
+// match and that has no pending copy yet.
+func (p *Pool) speculate(match func(*holders) bool) []Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ids := make([]int, 0, len(p.assigned))
-	for id, a := range p.assigned {
-		if a.copies[site] > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
 	var out []Job
-	for _, id := range ids {
-		if p.completed[id] || p.inPending[id] {
+	for id := range p.held {
+		if !match(&p.held[id]) || p.completed[id] || p.inPending[id] {
 			continue
 		}
-		j := p.assigned[id].job
-		p.insertPendingLocked(j)
+		p.insertPendingLocked(id)
 		p.mSpeculated.Inc()
-		out = append(out, j)
+		out = append(out, p.byID[id])
 	}
 	p.gRemaining.Set(int64(p.remaining))
 	return out
@@ -597,8 +631,8 @@ func (p *Pool) OutstandingAt(site int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for _, a := range p.assigned {
-		if a.copies[site] > 0 {
+	for id := range p.held {
+		if p.held[id].has(site) {
 			n++
 		}
 	}
@@ -615,17 +649,11 @@ func (p *Pool) RemainingBytesBySite() map[int]int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make(map[int]int64)
-	for fi := range p.files {
-		fs := &p.files[fi]
-		for _, j := range fs.pending {
-			out[fs.site] += j.Ref.Size
+	for id, j := range p.byID {
+		// A held copy of committed work is a duplicate, not new demand.
+		if p.inPending[id] || (p.held[id].len() > 0 && !p.completed[id]) {
+			out[j.Site] += j.Ref.Size
 		}
-	}
-	for id, a := range p.assigned {
-		if p.completed[id] || p.inPending[id] {
-			continue // a dup copy of committed/speculated work, not new demand
-		}
-		out[a.job.Site] += a.job.Ref.Size
 	}
 	return out
 }

@@ -14,7 +14,7 @@ import (
 func takeFromScan(p *Pool, site, fi, n int) (out, kept []Job, skipped int) {
 	for _, j := range p.files[fi].pending {
 		if len(out) < n {
-			if a := p.assigned[j.ID]; a == nil || a.copies[site] == 0 {
+			if !p.held[j.ID].has(site) {
 				out = append(out, j)
 				continue
 			}
@@ -28,7 +28,8 @@ func takeFromScan(p *Pool, site, fi, n int) (out, kept []Job, skipped int) {
 // TestTakeFromMatchesScan: under random patterns of held copies — grants,
 // commits, and speculation putting a site's own in-flight jobs back in the
 // pool — takeFrom picks the same jobs in the same order as the filtering
-// scan and leaves the same pending list.
+// scan and leaves the same pending list, appending after whatever the
+// caller's slice already holds.
 func TestTakeFromMatchesScan(t *testing.T) {
 	ix := mustIndex(t, 3*4*16, 16, 1) // 3 sites × 4 files × 16 chunks
 	placement := make(Placement, len(ix.Files))
@@ -61,8 +62,10 @@ func TestTakeFromMatchesScan(t *testing.T) {
 				wantOut, wantKept, skipped := takeFromScan(p, site, fi, n)
 				paths[min(skipped, 1)]++
 				readers, remaining := p.files[fi].readers, p.remaining
-				out := p.takeFrom(site, fi, n)
-				if !slices.Equal(out, wantOut) || !slices.Equal(p.files[fi].pending, wantKept) {
+				prefix := held[site][:rng.Intn(len(held[site])+1)]
+				got := p.takeFrom(slices.Clone(prefix), site, fi, n)
+				out := got[len(prefix):]
+				if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(out, wantOut) || !slices.Equal(p.files[fi].pending, wantKept) {
 					t.Fatalf("seed %d step %d: takeFrom(site %d, file %d, %d) took %v leaving %v; scan takes %v leaving %v",
 						seed, step, site, fi, n, out, p.files[fi].pending, wantOut, wantKept)
 				}
@@ -73,7 +76,7 @@ func TestTakeFromMatchesScan(t *testing.T) {
 				// Put them back, so the pool stays consistent for later steps.
 				p.files[fi].readers -= len(out)
 				for _, j := range out {
-					p.insertPendingLocked(j)
+					p.insertPendingLocked(j.ID)
 				}
 			}
 		}

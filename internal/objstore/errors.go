@@ -11,6 +11,11 @@ import (
 // retrying the same request can never succeed.
 var ErrBadRange = errors.New("objstore: range out of bounds")
 
+// ErrBadKey reports a Put to a key that cannot name an object — a
+// permanent error: the root (""), or, on a DirBackend, a key whose path a
+// directory or a stored object's file already takes.
+var ErrBadKey = errors.New("objstore: invalid key")
+
 // OpError is the typed error every Client operation returns on failure. It
 // classifies the failure so retry and fault policies can stop retrying
 // hopeless fetches: dropped connections and short range reads are
@@ -18,7 +23,7 @@ var ErrBadRange = errors.New("objstore: range out of bounds")
 type OpError struct {
 	Op   string // "get", "put", "stat", "list"
 	Key  string // object key (or prefix for list)
-	Code int    // protocol.CodeTransient, CodeNotFound, CodeBadRange
+	Code int    // protocol.CodeTransient, CodeNotFound, CodeBadRange, CodeBadKey
 	Msg  string // server- or transport-supplied detail
 	Err  error  // underlying error, if any (transport failures)
 }
@@ -31,10 +36,10 @@ func (e *OpError) Error() string {
 // Permanent reports whether retrying cannot succeed (the fault package's
 // PermanentError interface).
 func (e *OpError) Permanent() bool {
-	return e.Code == protocol.CodeNotFound || e.Code == protocol.CodeBadRange
+	return e.Code == protocol.CodeNotFound || e.Code == protocol.CodeBadRange || e.Code == protocol.CodeBadKey
 }
 
-// Unwrap exposes the matching sentinel (ErrNotFound, ErrBadRange) or the
+// Unwrap exposes the matching sentinel (ErrNotFound, ErrBadRange, ErrBadKey) or the
 // underlying transport error, so errors.Is keeps working across the wire.
 func (e *OpError) Unwrap() error {
 	switch {
@@ -44,6 +49,8 @@ func (e *OpError) Unwrap() error {
 		return ErrNotFound
 	case e.Code == protocol.CodeBadRange:
 		return ErrBadRange
+	case e.Code == protocol.CodeBadKey:
+		return ErrBadKey
 	}
 	return nil
 }
@@ -57,6 +64,8 @@ func classify(err error) int {
 		return protocol.CodeNotFound
 	case errors.Is(err, ErrBadRange):
 		return protocol.CodeBadRange
+	case errors.Is(err, ErrBadKey):
+		return protocol.CodeBadKey
 	}
 	return protocol.CodeTransient
 }

@@ -24,6 +24,13 @@ func FuzzObjstoreRequest(f *testing.F) {
 	f.Add(uint8(1), "..", int64(0), int64(-1), []byte(nil))
 	f.Add(uint8(2), ".", int64(0), int64(0), []byte(nil))
 	f.Add(uint8(2), "/", int64(0), int64(0), []byte(nil))
+	// Keys that clean to "k", and Puts that can name no object.
+	f.Add(uint8(1), "/k", int64(0), int64(-1), []byte(nil))
+	f.Add(uint8(1), "./k", int64(1), int64(2), []byte(nil))
+	f.Add(uint8(2), "a/../k", int64(0), int64(0), []byte(nil))
+	f.Add(uint8(0), "", int64(0), int64(0), []byte("data"))
+	f.Add(uint8(0), "..", int64(0), int64(0), []byte("data"))
+	f.Add(uint8(0), "k/x", int64(0), int64(0), []byte("data"))
 	f.Fuzz(func(t *testing.T, kind uint8, key string, off, length int64, data []byte) {
 		var req protocol.Message
 		switch kind % 4 {

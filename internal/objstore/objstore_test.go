@@ -141,6 +141,79 @@ func TestBackendDirectoryKeys(t *testing.T) {
 	}
 }
 
+// TestBackendKeyRules: both backends clean a key the same way, so "/k",
+// "./k" and "a/../k" address the object "k" in either; a Put to a key that
+// can name no object — the root, or on a DirBackend a directory or a path
+// through a stored object — is refused with the permanent CodeBadKey, not
+// retried as transient.
+func TestBackendKeyRules(t *testing.T) {
+	type step struct {
+		req       protocol.Message
+		mem, dir  int    // wanted reply code per backend
+		wantBytes string // for an answered GetReq
+	}
+	get := func(key string) protocol.Message { return protocol.GetReq{Key: key, Len: -1} }
+	put := func(key string) protocol.Message { return protocol.PutReq{Key: key, Data: []byte("new")} }
+	const ok, notFound, badKey = protocol.CodeOK, protocol.CodeNotFound, protocol.CodeBadKey
+	steps := []step{
+		{get("k"), ok, ok, "01234"},
+		{get("/k"), ok, ok, "01234"},
+		{get("./k"), ok, ok, "01234"},
+		{get("a/../k"), ok, ok, "01234"},
+		{get("//k"), ok, ok, "01234"},
+		{protocol.StatReq{Key: "/k"}, ok, ok, ""},
+		{get("a"), notFound, notFound, ""},
+		{get("a/b/c"), notFound, notFound, ""},
+		{protocol.StatReq{Key: "a/b/c"}, notFound, notFound, ""},
+		{put(""), badKey, badKey, ""},
+		{put("/"), badKey, badKey, ""},
+		{put(".."), badKey, badKey, ""},
+		{put("a"), ok, badKey, ""},     // a directory on a DirBackend
+		{put("a/b/c"), ok, badKey, ""}, // runs through the object "a/b"
+		{put("/k2"), ok, ok, ""},
+		{get("k2"), ok, ok, "new"},
+		{get("../k2"), ok, ok, "new"},
+	}
+	for name, b := range testBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			c := serveOnPipe(t, b)
+			for _, key := range []string{"k", "a/b"} {
+				if rep := roundTrip(t, c, protocol.PutReq{Key: key, Data: []byte("01234")}).(protocol.PutResp); rep.Code != ok {
+					t.Fatalf("Put(%q) = %+v", key, rep)
+				}
+			}
+			for _, st := range steps {
+				want := st.mem
+				if name == "dir" {
+					want = st.dir
+				}
+				var code int
+				var data []byte
+				switch rep := roundTrip(t, c, st.req).(type) {
+				case protocol.GetResp:
+					code, data = rep.Code, rep.Data
+				case protocol.StatResp:
+					code = rep.Code
+				case protocol.PutResp:
+					code = rep.Code
+				default:
+					t.Fatalf("%#v answered %#v", st.req, rep)
+				}
+				if code != want || want == ok && st.wantBytes != "" && string(data) != st.wantBytes {
+					t.Errorf("%#v answered code %d, %q; want code %d, %q", st.req, code, data, want, st.wantBytes)
+				}
+			}
+		})
+	}
+	// The client reads CodeBadKey as a permanent error.
+	c := Dial("tcp", startServer(t, NewMemBackend()), 1)
+	defer c.Close()
+	var oe *OpError
+	if err := c.Put("", []byte("x")); !errors.As(err, &oe) || !oe.Permanent() || !errors.Is(err, ErrBadKey) {
+		t.Errorf("client Put(\"\") = %v, want a permanent ErrBadKey", err)
+	}
+}
+
 // serveOnPipe runs a server's request loop over backend on one end of an
 // in-process pipe and returns the other end.
 func serveOnPipe(tb testing.TB, backend Backend) *transport.Conn {

@@ -11,10 +11,12 @@ import (
 	"log"
 	"net"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 
 	"repro/internal/bufpool"
 	"repro/internal/obs"
@@ -26,7 +28,9 @@ import (
 var ErrNotFound = errors.New("objstore: key not found")
 
 // Backend stores object bytes. Implementations must be safe for concurrent
-// use.
+// use. Keys are slash-separated paths, and both backends here clean a key
+// the same way (cleanKey) before they use it, so "/k", "./k", "a/../k" and
+// "k" name one object in either, and "" names none.
 type Backend interface {
 	// Put stores data under key. Implementations must not retain data after
 	// returning: the server recycles the receive buffer.
@@ -53,6 +57,23 @@ type Pooler interface {
 	PooledGet()
 }
 
+// cleanKey maps key to the name of the object it addresses: the slash
+// path cleaned as if rooted, without the leading slash, so no key climbs
+// above the root. The root, "", names no object: Put refuses it with
+// ErrBadKey and Get and Stat answer ErrNotFound.
+func cleanKey(key string) string {
+	if key != "" && key[0] != '/' && key != "." && key != ".." &&
+		!strings.HasPrefix(key, "../") && path.Clean(key) == key {
+		return key // already clean, the common case: no allocation
+	}
+	return path.Clean("/" + key)[1:]
+}
+
+// rootKeyError is Put's answer for a key that cleans to the root.
+func rootKeyError(key string) error {
+	return fmt.Errorf("%w: %q names no object", ErrBadKey, key)
+}
+
 // MemBackend keeps objects in memory.
 type MemBackend struct {
 	mu   sync.RWMutex
@@ -66,10 +87,14 @@ func NewMemBackend() *MemBackend {
 
 // Put implements Backend.
 func (b *MemBackend) Put(key string, data []byte) error {
+	name := cleanKey(key)
+	if name == "" {
+		return rootKeyError(key)
+	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	b.mu.Lock()
-	b.objs[key] = cp
+	b.objs[name] = cp
 	b.mu.Unlock()
 	return nil
 }
@@ -77,7 +102,7 @@ func (b *MemBackend) Put(key string, data []byte) error {
 // Get implements Backend.
 func (b *MemBackend) Get(key string, off, length int64) ([]byte, error) {
 	b.mu.RLock()
-	data, ok := b.objs[key]
+	data, ok := b.objs[cleanKey(key)]
 	b.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
@@ -91,7 +116,7 @@ func (b *MemBackend) Get(key string, off, length int64) ([]byte, error) {
 // alive for any reader still holding it.
 func (b *MemBackend) GetSlice(key string, off, length int64) ([]byte, error) {
 	b.mu.RLock()
-	data, ok := b.objs[key]
+	data, ok := b.objs[cleanKey(key)]
 	b.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
@@ -106,7 +131,7 @@ func (b *MemBackend) GetSlice(key string, off, length int64) ([]byte, error) {
 // Stat implements Backend.
 func (b *MemBackend) Stat(key string) (int64, error) {
 	b.mu.RLock()
-	data, ok := b.objs[key]
+	data, ok := b.objs[cleanKey(key)]
 	b.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNotFound, key)
@@ -156,28 +181,48 @@ func bounds(key string, off, length, size int64) (end int64, err error) {
 
 // DirBackend stores each object as a file under a root directory. Keys may
 // not escape the root, and a key that names a directory (the root itself,
-// or "a" once "a/b" exists) is not an object: Get and Stat answer
-// ErrNotFound for it, as MemBackend does.
+// or "a" once "a/b" exists) or runs through a stored object ("a/b/c" once
+// "a/b" exists) is not an object: Get and Stat answer ErrNotFound for it,
+// as MemBackend does, and Put refuses it with ErrBadKey, since no retry can
+// make room for it.
 type DirBackend struct{ Root string }
 
 func (b DirBackend) path(key string) string {
-	return filepath.Join(b.Root, filepath.Clean("/"+key))
+	return filepath.Join(b.Root, filepath.FromSlash(cleanKey(key)))
+}
+
+// missing reports whether a filesystem error means no object has the key:
+// no such file, or a path component that is a stored object's file.
+func missing(err error) bool {
+	return os.IsNotExist(err) || errors.Is(err, syscall.ENOTDIR)
 }
 
 // Put implements Backend.
 func (b DirBackend) Put(key string, data []byte) error {
+	if cleanKey(key) == "" {
+		return rootKeyError(key)
+	}
 	p := b.path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		if errors.Is(err, syscall.ENOTDIR) {
+			return fmt.Errorf("%w: %q runs through a stored object", ErrBadKey, key)
+		}
 		return err
 	}
-	return os.WriteFile(p, data, 0o644)
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		if fi, serr := os.Stat(p); serr == nil && fi.IsDir() {
+			return fmt.Errorf("%w: %q names a directory", ErrBadKey, key)
+		}
+		return err
+	}
+	return nil
 }
 
 // Get implements Backend.
 func (b DirBackend) Get(key string, off, length int64) ([]byte, error) {
 	f, err := os.Open(b.path(key))
 	if err != nil {
-		if os.IsNotExist(err) {
+		if missing(err) {
 			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
 		return nil, err
@@ -212,7 +257,7 @@ func (DirBackend) PooledGet() {}
 func (b DirBackend) Stat(key string) (int64, error) {
 	fi, err := os.Stat(b.path(key))
 	switch {
-	case os.IsNotExist(err) || err == nil && fi.IsDir():
+	case missing(err) || err == nil && fi.IsDir():
 		return 0, fmt.Errorf("%w: %q", ErrNotFound, key)
 	case err != nil:
 		return 0, err

@@ -293,6 +293,7 @@ const (
 	CodeTransient = 1 // retryable: connection trouble, transient backend error
 	CodeNotFound  = 2 // permanent: no such object
 	CodeBadRange  = 3 // permanent: byte range outside the object
+	CodeBadKey    = 4 // permanent: the key cannot name an object
 )
 
 // Error codes classifying head failures, carried by ErrorReply.Code and
