@@ -109,7 +109,8 @@ sim-bench:
 # The head's grant path: five samples each of the fair-share drain (ns and
 # allocs per granted job) and the single-pool assign/commit cycle; then the
 # head's poll with the last grant's commit riding on it against a poll plus
-# its own commit (ns and allocs per committed job).
+# its own commit, and riding polls over 4 KiB jobs with a 1 MiB byte floor
+# (ns, allocs and polls per committed job).
 control-bench:
 	$(GO) test -run '^$$' -bench 'Benchmark(FairShareAssign|PoolAssignComplete)$$' -benchmem -count=5 ./internal/jobs
 	$(GO) test -run '^$$' -bench 'BenchmarkPollCommit$$' -benchmem -count=5 ./internal/head

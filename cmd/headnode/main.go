@@ -96,15 +96,11 @@ func main() {
 	if err != nil {
 		fail("headnode: %v", err)
 	}
-	gb := tn.GroupBytes
-	if gb == 0 {
-		gb = 256 << 10 // default unit-group (cache) budget per reduction batch
-	}
 	spec := protocol.JobSpec{
 		App:        *app,
 		Params:     params,
 		UnitSize:   unitSize,
-		GroupBytes: gb,
+		GroupBytes: tn.GroupBytes, // 0: each engine's core.DefaultGroupBytes
 	}
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		fail("headnode: %v", err)

@@ -54,7 +54,9 @@ type AgentConfig struct {
 	// Cores is the number of processing threads per query engine. Required.
 	Cores int
 	// RetrievalThreads is the number of concurrent chunk retrievals used
-	// while working one query's grant batch. Defaults to 2.
+	// while working one query's grant batch. Defaults to 2. Chunks smaller
+	// than the unit-group budget run further ahead of the commits: up to
+	// RetrievalThreads groups' worth of bytes are out at once.
 	RetrievalThreads int
 	// Tuning carries the shared knobs (GroupBytes override,
 	// CheckpointEveryJobs); see config.Tuning.
@@ -136,6 +138,11 @@ type agentQuery struct {
 // agentRun carries the per-RunAgent state shared across queries.
 type agentRun struct {
 	cfg *AgentConfig
+	// groupBytes is G, the engine's unit-group budget: Tuning.GroupBytes or
+	// core.DefaultGroupBytes. A poll asks for max(Cores, 4) jobs and at
+	// least that many groups' worth of bytes, and a batch's retrievals run
+	// up to RetrievalThreads × G bytes ahead of its settled jobs.
+	groupBytes int64
 	// core is the agent's protocol state; only the poll loop's goroutine
 	// (which also commits and folds every batch) calls it.
 	core      *AgentCore
@@ -259,18 +266,22 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	}
 	reg := cfg.Obs.Metrics()
 	a := &agentRun{
-		cfg:       &cfg,
-		clk:       cfg.Obs.ClockOrWall(),
-		tr:        cfg.Obs.Trace(),
-		queries:   make(map[int]*agentQuery),
-		mLocal:    reg.Counter("cluster_jobs_local_total"),
-		mStolen:   reg.Counter("cluster_jobs_stolen_total"),
-		mDups:     reg.Counter("cluster_dup_jobs_total"),
-		mCkpts:    reg.Counter("cluster_checkpoints_total"),
-		mRetries:  reg.Counter("cluster_retrieval_retries_total"),
-		gInflight: reg.Gauge("cluster_retrievals_inflight"),
-		bySite:    make(map[int]siteObs),
-		core:      NewAgentCore(cfg.Site, cfg.Name, cfg.Cores, cfg.Tuning.CheckpointEveryJobs),
+		cfg:        &cfg,
+		groupBytes: core.DefaultGroupBytes,
+		clk:        cfg.Obs.ClockOrWall(),
+		tr:         cfg.Obs.Trace(),
+		queries:    make(map[int]*agentQuery),
+		mLocal:     reg.Counter("cluster_jobs_local_total"),
+		mStolen:    reg.Counter("cluster_jobs_stolen_total"),
+		mDups:      reg.Counter("cluster_dup_jobs_total"),
+		mCkpts:     reg.Counter("cluster_checkpoints_total"),
+		mRetries:   reg.Counter("cluster_retrieval_retries_total"),
+		gInflight:  reg.Gauge("cluster_retrievals_inflight"),
+		bySite:     make(map[int]siteObs),
+		core:       NewAgentCore(cfg.Site, cfg.Name, cfg.Cores, cfg.Tuning.CheckpointEveryJobs),
+	}
+	if cfg.Tuning.GroupBytes > 0 {
+		a.groupBytes = int64(cfg.Tuning.GroupBytes)
 	}
 	bufpool.Register(reg)
 
@@ -317,8 +328,11 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		// Nothing is retrieving between batches, so the poll can park: the
 		// head holds an empty answer until it has grants or a notice for this
 		// site, for at most the waitPoll an idle agent would otherwise sleep.
-		// A poll that commits the last batch's kept groups is never held.
-		req := protocol.PollRequest{Site: cfg.Site, N: max(cfg.Cores, 4), ParkNS: int64(waitPoll)}
+		// A poll that commits the last batch's kept groups is never held. The
+		// byte floor makes one round trip fetch a group per core however
+		// small the chunks; chunks of G or more leave it at N jobs.
+		n := max(cfg.Cores, 4)
+		req := protocol.PollRequest{Site: cfg.Site, N: n, Bytes: int64(n) * a.groupBytes, ParkNS: int64(waitPoll)}
 		if len(a.kept) > 0 {
 			req.Commits = a.outgoing()
 		}
@@ -556,20 +570,24 @@ func (a *agentRun) prestage(q *agentQuery, js []jobs.Job) {
 }
 
 // process works one query's grant batch by the rules of Batch:
-// RetrievalThreads lanes retrieve while this goroutine commits and folds.
-// A group takes the first retrieved job plus every other one already
-// waiting; it never waits for more. The lanes get job indices only from this
-// goroutine, so no channel send blocks. It returns once the whole batch is
-// folded, discarded or kept, and the poll loop folds kept groups before it
-// serves the next reply, so a Done notice can never race this batch's folds.
+// RetrievalThreads lanes retrieve, up to RetrievalThreads × G bytes ahead,
+// while this goroutine commits and folds. A group takes the first retrieved
+// job plus every other one already waiting; it never waits for more. The
+// lanes get job indices only from this goroutine, at most Batch.Depth at a
+// time, and both channels hold that many, so no send blocks. It returns
+// once the whole batch is folded, discarded or kept, and the poll loop
+// folds kept groups before it serves the next reply, so a Done notice can
+// never race this batch's folds.
 func (a *agentRun) process(ctx context.Context, q *agentQuery, js []jobs.Job) error {
 	b := &a.batch
-	b.Grant(len(js), a.cfg.RetrievalThreads)
+	threads := a.cfg.RetrievalThreads
+	b.Grant(js, threads, int64(threads)*a.groupBytes)
 	a.slots = slices.Grow(a.slots[:0], len(js))[:len(js)]
-	next := make(chan int, a.cfg.RetrievalThreads)
-	got := make(chan retrieved, a.cfg.RetrievalThreads)
+	depth := b.Depth()
+	next := make(chan int, depth)
+	got := make(chan retrieved, depth)
 	var wg sync.WaitGroup
-	for range min(a.cfg.RetrievalThreads, len(js)) {
+	for range min(threads, len(js)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

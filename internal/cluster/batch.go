@@ -1,14 +1,20 @@
 package cluster
 
-import "slices"
+import (
+	"math"
+	"slices"
+
+	"repro/internal/jobs"
+)
 
 // Batch is the agent's rules for working one grant batch, apart from any
 // clock: RunAgent drives it with retrieval lanes on the wall clock, calling
 // a method where each event happens and acting on what it returns, and a
 // driver on a virtual clock can do the same:
 //
-//   - Start hands out the next job index to retrieve, at most threads beyond
-//     the jobs already settled;
+//   - Start hands out the next job index to retrieve while fewer than
+//     threads retrievals are out beyond the jobs already settled, or while
+//     the bytes out beyond them stay within the batch's window;
 //   - Retrieved records the end of one retrieval;
 //   - Group forms the next group — every retrieval that ended while the
 //     previous commit was on the wire — sorted by index, and says what to do
@@ -21,10 +27,13 @@ import "slices"
 // kept. A Batch is reused from batch to batch and allocates nothing once its
 // slices have grown to the largest batch. It is not safe for concurrent use.
 type Batch struct {
+	js      []jobs.Job // the batch, in grant order
 	threads int
+	window  int64 // bytes that may be out beyond the settled jobs
 	n       int   // jobs in the batch
 	started int   // indices handed out, in order
 	settled int   // jobs in groups answered, failed or kept
+	out     int64 // bytes of the started jobs not yet settled
 	arrived []int // retrieved since the last group, in arrival order
 	failed  bool  // a retrieval in arrived failed
 	group   []int // the group formed last, sorted
@@ -44,19 +53,52 @@ const (
 	Fail
 )
 
-// Grant starts a batch of n jobs worked by threads retrieval lanes.
-func (b *Batch) Grant(n, threads int) {
-	*b = Batch{threads: threads, n: n, arrived: b.arrived[:0], group: b.group[:0]}
+// Grant starts the batch js worked by threads retrieval lanes, with up to
+// window bytes of chunks out beyond the settled jobs. For chunks of at
+// least window/threads bytes the window adds nothing to threads; smaller
+// chunks run further ahead, so a group commit covers more of the batch.
+func (b *Batch) Grant(js []jobs.Job, threads int, window int64) {
+	*b = Batch{js: js, threads: threads, window: window, n: len(js),
+		arrived: b.arrived[:0], group: b.group[:0]}
 }
 
-// Start returns the next job index to retrieve, or false while threads
-// retrievals beyond the settled jobs are out, or every index is.
+// Depth bounds the retrievals Start can have out at once: threads, or as
+// many of the batch's smallest chunks as the window holds, if more. A
+// driver sizes its retrieval queues to it.
+func (b *Batch) Depth() int {
+	smallest := int64(math.MaxInt64)
+	for _, j := range b.js {
+		smallest = min(smallest, j.Ref.Size)
+	}
+	if smallest <= 0 {
+		return b.n
+	}
+	return int(min(int64(b.n), max(int64(b.threads), b.window/smallest)))
+}
+
+// Start returns the next job index to retrieve, or false once every index
+// is out, or while threads retrievals beyond the settled jobs are out and
+// the next chunk would take the bytes out past the window.
 func (b *Batch) Start() (int, bool) {
-	if b.started >= min(b.settled+b.threads, b.n) {
+	i := b.started
+	if i == b.n {
+		return 0, false
+	}
+	size := b.js[i].Ref.Size
+	if i-b.settled >= b.threads && b.out+size > b.window {
 		return 0, false
 	}
 	b.started++
-	return b.started - 1, true
+	b.out += size
+	return i, true
+}
+
+// settle counts the group formed last as settled.
+func (b *Batch) settle() {
+	b.settled += len(b.group)
+	for _, i := range b.group {
+		b.out -= b.js[i].Ref.Size
+	}
 }
 
 // Retrieved records that the retrieval of index i ended, failed unless ok.
@@ -79,10 +121,10 @@ func (b *Batch) Group() ([]int, Action, bool) {
 	switch {
 	case b.failed:
 		b.failed = false
-		b.settled += len(b.group)
+		b.settle()
 		return b.group, Fail, true
 	case b.settled+len(b.group) == b.n:
-		b.settled = b.n
+		b.settle()
 		return b.group, Keep, true
 	}
 	b.wire = true
@@ -93,7 +135,7 @@ func (b *Batch) Group() ([]int, Action, bool) {
 // last and returns that group, whose acknowledged jobs the driver folds.
 func (b *Batch) Acked() []int {
 	b.wire = false
-	b.settled += len(b.group)
+	b.settle()
 	return b.group
 }
 

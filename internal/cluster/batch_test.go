@@ -4,25 +4,64 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/chunk"
+	"repro/internal/jobs"
 )
 
+// batchG is the unit-group budget the Batch tests size chunks against: a
+// batch may have threads × batchG bytes out beyond its settled jobs.
+const batchG = 64
+
+// batchSizes are the chunk-size mixes TestBatchRulesHoldUnderAnyOrder draws
+// from. atLeastG marks a mix whose every chunk is at least batchG, where the
+// byte window adds nothing and at most threads retrievals are ever out.
+var batchSizes = []struct {
+	name     string
+	atLeastG bool
+	size     func(rng *rand.Rand) int64
+}{
+	{"chunks of G", true, func(*rand.Rand) int64 { return batchG }},
+	{"chunks of G to 4G", true, func(rng *rand.Rand) int64 { return batchG + rng.Int63n(3*batchG+1) }},
+	{"tiny chunks", false, func(rng *rand.Rand) int64 { return 1 + rng.Int63n(4) }},
+	{"mixed chunks", false, func(rng *rand.Rand) int64 {
+		return []int64{1, batchG / 8, batchG / 2, batchG, 3 * batchG}[rng.Intn(5)]
+	}},
+	{"empty chunks among small", false, func(rng *rand.Rand) int64 { return []int64{0, 8}[rng.Intn(2)] }},
+}
+
 // TestBatchRulesHoldUnderAnyOrder drives Batch through random retrieval
-// and ack orders, with some retrievals failing, for batch sizes 1–16 and
-// 1–8 retrieval threads, reusing one Batch throughout. Whatever the order:
-// every index starts exactly once; no more than threads retrievals are out
-// beyond the settled jobs; a job folds only after its group's ack; only the
-// final group is kept; and a group with a failed retrieval settles at once
-// and is never kept.
+// and ack orders, with some retrievals failing, for batch sizes 1–16,
+// 1–8 retrieval threads and each mix of chunk sizes, reusing one Batch
+// throughout. Whatever the order: every index starts exactly once; Start
+// refuses only once every index is out, or while threads retrievals are out
+// beyond the settled jobs and the next chunk would take their bytes past
+// threads × G; no more retrievals are out than Depth, and with every chunk
+// at least G no more than threads; a job folds only after its group's ack;
+// only the final group is kept; and a group with a failed retrieval settles
+// at once and is never kept.
 func TestBatchRulesHoldUnderAnyOrder(t *testing.T) {
+	for _, mix := range batchSizes {
+		t.Run(mix.name, func(t *testing.T) { batchRules(t, mix.size, mix.atLeastG) })
+	}
+}
+
+func batchRules(t *testing.T, size func(*rand.Rand) int64, atLeastG bool) {
 	rng := rand.New(rand.NewSource(1))
 	var b Batch
 	for trial := 0; trial < 3000; trial++ {
 		n, threads := 1+rng.Intn(16), 1+rng.Intn(8)
+		window := int64(threads) * batchG
+		js := make([]jobs.Job, n)
+		for i := range js {
+			js[i] = jobs.Job{ID: i, Ref: chunk.Ref{Seq: i, Size: size(rng)}}
+		}
 		failing := -1
 		if rng.Intn(4) == 0 {
 			failing = rng.Intn(n)
 		}
-		b.Grant(n, threads)
+		b.Grant(js, threads, window)
+		depth := b.Depth()
 		starts := make([]int, n)
 		var out []int     // started, not yet retrieved
 		var settled []int // jobs whose group settled
@@ -31,7 +70,8 @@ func TestBatchRulesHoldUnderAnyOrder(t *testing.T) {
 		kept := false
 		fail := func(format string, args ...any) {
 			t.Helper()
-			t.Fatalf("n=%d threads=%d failing=%d: "+format, append([]any{n, threads, failing}, args...)...)
+			t.Fatalf("n=%d threads=%d failing=%d sizes=%v: "+format,
+				append([]any{n, threads, failing, sizesOf(js)}, args...)...)
 		}
 		for step := 0; !b.Done(); step++ {
 			if step > 100*n {
@@ -41,12 +81,25 @@ func TestBatchRulesHoldUnderAnyOrder(t *testing.T) {
 				starts[i]++
 				out = append(out, i)
 			}
-			started := 0
-			for _, c := range starts {
-				started += c
+			started, bytes := 0, int64(0) // out beyond the settled jobs
+			for i, c := range starts {
+				if started += c; c > 0 && !slices.Contains(settled, i) {
+					bytes += js[i].Ref.Size
+				}
 			}
-			if started-len(settled) > threads {
-				fail("%d jobs started beyond the %d settled, threads %d", started-len(settled), len(settled), threads)
+			ahead := started - len(settled)
+			if ahead > depth {
+				fail("%d jobs out beyond the settled, Depth %d", ahead, depth)
+			}
+			if ahead > threads && bytes > window {
+				fail("%d jobs and %d bytes out beyond the settled, threads %d, window %d", ahead, bytes, threads, window)
+			}
+			if atLeastG && ahead > threads {
+				fail("%d jobs out beyond the settled with chunks of at least G, threads %d", ahead, threads)
+			}
+			if started < n && (ahead < threads || bytes+js[started].Ref.Size <= window) {
+				fail("Start refused job %d with %d jobs and %d bytes out, threads %d, window %d",
+					started, ahead, bytes, threads, window)
 			}
 			switch {
 			case len(out) > 0 && (len(wire) == 0 || rng.Intn(2) == 0):
@@ -117,4 +170,54 @@ func TestBatchRulesHoldUnderAnyOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+func sizesOf(js []jobs.Job) []int64 {
+	out := make([]int64, len(js))
+	for i, j := range js {
+		out[i] = j.Ref.Size
+	}
+	return out
+}
+
+// TestBatchDepth: Depth is threads for chunks of at least G, the number of
+// the batch's smallest chunks the window holds when that is more, and never
+// more than the batch.
+func TestBatchDepth(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		sizes   []int64
+		threads int
+		want    int
+	}{
+		{"chunks of G: threads", []int64{64, 64, 64, 64}, 2, 2},
+		{"chunks of G or more: threads", []int64{256, 64, 1024}, 2, 2},
+		{"tiny chunks: the whole batch", fourBytes(10), 2, 10},
+		{"tiny chunks: the window", fourBytes(64), 2, 32},
+		{"one small chunk among large: the batch", []int64{1024, 16, 1024, 1024, 1024}, 2, 5},
+		{"mixed chunks: the smallest fill the window", []int64{32, 64, 32, 64, 32, 64}, 1, 2},
+		{"an empty chunk: the batch", []int64{0, 8, 8}, 2, 3},
+		{"one job", []int64{512}, 4, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			js := make([]jobs.Job, len(tc.sizes))
+			for i, size := range tc.sizes {
+				js[i].Ref.Size = size
+			}
+			var b Batch
+			b.Grant(js, tc.threads, int64(tc.threads)*batchG)
+			if got := b.Depth(); got != tc.want {
+				t.Errorf("Depth = %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// fourBytes returns n chunk sizes of 4 bytes.
+func fourBytes(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = 4
+	}
+	return out
 }

@@ -178,8 +178,24 @@ func containsID(ids []int, id int) bool {
 // commit that takes a moment on the wire groups its commits — fewer JobsDone
 // frames than jobs, and each batch's last group rides the next poll — while
 // every granted job is committed exactly once, by JobsDone or by a poll, and
-// no job is folded before the head acknowledged it.
+// no job is folded before the head acknowledged it. With the default G a
+// batch of these 400-byte jobs (20, the head's cap) may be retrieved whole
+// before its first group forms and then rides the poll in one commit; with
+// G of one chunk a batch is 8 jobs worked 4 ahead, so each batch's first
+// group commits by JobsDone.
 func TestGroupCommitFramesAndFoldOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		groupBytes int
+	}{
+		{"default G", 0},
+		{"G of one chunk", 400},
+	} {
+		t.Run(tc.name, func(t *testing.T) { framesAndFoldOrder(t, tc.groupBytes) })
+	}
+}
+
+func framesAndFoldOrder(t *testing.T, groupBytes int) {
 	ix, src, want := idDataset(t, 4, 40) // 160 jobs
 	resetAcked()
 	h := multiTestHead(t, 1, config.Tuning{}, nil)
@@ -200,6 +216,7 @@ func TestGroupCommitFramesAndFoldOrder(t *testing.T) {
 	go func() {
 		done <- RunAgent(ctx, AgentConfig{
 			Site: 0, Name: "grouped", Cores: 8, RetrievalThreads: 4,
+			Tuning:  config.Tuning{GroupBytes: groupBytes},
 			Sources: map[int]chunk.Source{0: src},
 			Head:    client,
 		})
@@ -220,6 +237,9 @@ func TestGroupCommitFramesAndFoldOrder(t *testing.T) {
 	defer client.mu.Unlock()
 	if client.frames >= ix.NumChunks() {
 		t.Errorf("%d JobsDone frames for %d jobs: commits were not grouped", client.frames, ix.NumChunks())
+	}
+	if groupBytes > 0 && client.frames == 0 {
+		t.Error("no JobsDone frame: batches of 8 worked 4 ahead commit their first group mid-batch")
 	}
 	if client.polled == 0 {
 		t.Error("no commit rode a poll")
@@ -327,7 +347,8 @@ func TestGroupCommitReclaimsBuffers(t *testing.T) {
 			admitSum(t, h, ix, 0)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			// The 11th read falls in the second grant batch of eight.
+			// The 11th read opens the second grant batch of ten: the head caps
+			// the 8 × 256 KiB byte floor at 1/8 of the query's 32 000 bytes.
 			source := &trippingSource{Source: src, n: 11, fail: tc.fail, cancel: cancel}
 			gets0, _, puts0, _ := bufpool.Stats()
 			err := RunAgent(ctx, AgentConfig{
@@ -414,97 +435,190 @@ func (c *gatedClient) CompleteJobs(done protocol.JobsDone) ([]int, error) {
 	return c.QueryClient.CompleteJobs(done)
 }
 
-// TestGroupCommitBoundsHeldChunks: the agent never holds more than the
-// grant batch (max(Cores, 4) = 16 jobs) outside the engine, and a
-// single-query batch never more than RetrievalThreads chunks. While the
-// last query's first JobsDone is stuck on the wire the lanes have retrieved
-// every earlier query's part of the batch plus RetrievalThreads chunks, and
-// no more. When the poll that commits the batch's kept groups is on the
-// wire, the whole batch has been retrieved, it carries one group per query,
-// none larger than RetrievalThreads, and the query's result is exact.
+// TestGroupCommitBoundsHeldChunks: an agent with Cores 16 asks for a batch
+// of 16 jobs and 16 unit groups (G) of bytes, and works each query's part
+// of it with RetrievalThreads 2 lanes at most max(2 chunks, 2 × G) bytes
+// ahead of the settled jobs. While the last query's first JobsDone is stuck
+// on the wire the lanes have retrieved every earlier query's part of the
+// batch plus exactly that many bytes, and no more. When the poll that
+// commits the batch's kept groups is on the wire, the whole batch has been
+// retrieved, it carries one group per query, none larger than the same
+// bound, at most the batch in all, and the query's result is exact. With
+// chunks of G or more the bounds are the job-count ones: a batch of 16
+// jobs, and 2 chunks ahead.
 func TestGroupCommitBoundsHeldChunks(t *testing.T) {
 	for _, queries := range []int{1, 2} {
 		t.Run(fmt.Sprintf("%d-query batch", queries), func(t *testing.T) {
-			const cores, lanes = 16, 2
-			ix, src, want := buildDataset(t, 8000, 1000, 100) // 80 jobs per query
-			h := multiTestHead(t, 1, config.Tuning{}, nil)
-			defer h.Shutdown()
-			qs := make([]*head.Query, queries)
-			for i := range qs {
-				qs[i] = admitSum(t, h, ix, 0)
-			}
-			var read atomic.Int64
-			size := ix.Files[0].Chunks[0].Size
-			client := &gatedClient{QueryClient: InProcAgent{Head: h}, done: newGate(), poll: newGate()}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			done := make(chan error, 1)
-			go func() {
-				done <- RunAgent(ctx, AgentConfig{
-					Site: 0, Name: "gated", Cores: cores, RetrievalThreads: lanes,
-					Sources: map[int]chunk.Source{0: countingSource{Source: src, n: &read}},
-					Head:    client,
-				})
-			}()
-			// settled waits until want bytes were read, then leaves room for a
-			// lane that runs ahead, and reports the bytes read.
-			settled := func(want int64) int64 {
-				for deadline := time.Now().Add(5 * time.Second); read.Load() < want && time.Now().Before(deadline); {
-					time.Sleep(time.Millisecond)
-				}
-				time.Sleep(20 * time.Millisecond)
-				return read.Load()
-			}
-
-			client.done.await(t, "JobsDone")
-			client.mu.Lock()
-			batch := client.batch
-			client.mu.Unlock()
-			if len(batch) != queries {
-				t.Fatalf("first batch serves %d queries, want %d", len(batch), queries)
-			}
-			earlier := 0
-			for _, qj := range batch[:queries-1] {
-				earlier += len(qj.Jobs)
-			}
-			if want := int64(earlier+lanes) * size; settled(want) != want {
-				t.Errorf("%d bytes retrieved while the last query's first commit was on the wire, want "+
-					"%d earlier jobs + RetrievalThreads chunks = %d", read.Load(), earlier, want)
-			}
-			close(client.done.out)
-
-			client.poll.await(t, "poll carrying commits")
-			if want := int64(cores) * size; settled(want) != want {
-				t.Errorf("%d bytes retrieved while the batch's commits rode the poll, want the whole batch = %d", read.Load(), want)
-			}
-			client.mu.Lock()
-			kept := 0
-			for _, c := range client.commits {
-				kept += len(c.Jobs)
-				if len(c.Jobs) == 0 || len(c.Jobs) > lanes {
-					t.Errorf("query %d keeps a group of %d jobs, want 1..RetrievalThreads = %d", c.Query, len(c.Jobs), lanes)
-				}
-			}
-			if len(client.commits) != queries || kept > cores {
-				t.Errorf("the poll carries %d groups of %d jobs in all, want %d groups and at most the batch's %d jobs",
-					len(client.commits), kept, queries, cores)
-			}
-			client.mu.Unlock()
-			close(client.poll.out)
-
-			for _, q := range qs {
-				obj, _, _, err := q.Wait(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := obj.(*sumObj).total; got != want {
-					t.Errorf("query %d: sum = %d, want %d", q.ID(), got, want)
-				}
-			}
-			h.Shutdown()
-			if err := <-done; err != nil {
-				t.Fatalf("agent exit: %v", err)
+			for _, tc := range []struct {
+				name       string
+				groupBytes int // over 400-byte chunks
+			}{
+				{"chunks under G", 1000},
+				{"chunks of G", 400},
+				{"chunks over G", 200},
+			} {
+				t.Run(tc.name, func(t *testing.T) { heldBoundsRun(t, tc.groupBytes, queries) })
 			}
 		})
+	}
+}
+
+// heldBoundsRun is one TestGroupCommitBoundsHeldChunks case: a site of 400
+// 400-byte jobs per query, unit-group budget g. The head's cap on a byte
+// floor (1/8 of the admitted work per site) is 20 KB, above every floor here.
+func heldBoundsRun(t *testing.T, g, queries int) {
+	const cores, lanes, size, perQuery = 16, 2, 400, 400
+	ix, src, want := buildDataset(t, perQuery*size/4, 1000, size/4)
+	h := multiTestHead(t, 1, config.Tuning{}, nil)
+	defer h.Shutdown()
+	qs := make([]*head.Query, queries)
+	for i := range qs {
+		qs[i] = admitSum(t, h, ix, 0)
+	}
+	var read atomic.Int64
+	client := &gatedClient{QueryClient: InProcAgent{Head: h}, done: newGate(), poll: newGate()}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- RunAgent(ctx, AgentConfig{
+			Site: 0, Name: "gated", Cores: cores, RetrievalThreads: lanes,
+			Tuning:  config.Tuning{GroupBytes: g},
+			Sources: map[int]chunk.Source{0: countingSource{Source: src, n: &read}},
+			Head:    client,
+		})
+	}()
+	// settled waits until want bytes were read, then leaves room for a
+	// lane that runs ahead, and reports the bytes read.
+	settled := func(want int64) int64 {
+		for deadline := time.Now().Add(5 * time.Second); read.Load() < want && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		return read.Load()
+	}
+	// ahead is how many chunks a query's lanes may have out beyond its
+	// settled jobs: max(RetrievalThreads chunks, RetrievalThreads × G bytes).
+	ahead := max(lanes, lanes*g/size)
+
+	client.done.await(t, "JobsDone")
+	client.mu.Lock()
+	batch := client.batch
+	client.mu.Unlock()
+	if len(batch) != queries {
+		t.Fatalf("first batch serves %d queries, want %d", len(batch), queries)
+	}
+	granted, earlier := 0, 0
+	for i, qj := range batch {
+		if granted += len(qj.Jobs); i < queries-1 {
+			earlier += len(qj.Jobs)
+		}
+	}
+	if want := min(queries*perQuery, max(cores, cores*g/size)); granted != want {
+		t.Errorf("first batch of %d jobs, want min(all %d, max(Cores %d, Cores × G / chunk %d)) = %d",
+			granted, queries*perQuery, cores, cores*g/size, want)
+	}
+	if want := int64(earlier+ahead) * size; settled(want) != want {
+		t.Errorf("%d bytes retrieved while the last query's first commit was on the wire, want "+
+			"%d earlier jobs + %d chunks ahead = %d", read.Load(), earlier, ahead, want)
+	}
+	close(client.done.out)
+
+	client.poll.await(t, "poll carrying commits")
+	if want := int64(granted) * size; settled(want) != want {
+		t.Errorf("%d bytes retrieved while the batch's commits rode the poll, want the whole batch = %d", read.Load(), want)
+	}
+	client.mu.Lock()
+	kept := 0
+	for _, c := range client.commits {
+		kept += len(c.Jobs)
+		if len(c.Jobs) == 0 || len(c.Jobs) > ahead {
+			t.Errorf("query %d keeps a group of %d jobs, want 1..%d", c.Query, len(c.Jobs), ahead)
+		}
+	}
+	if len(client.commits) != queries || kept > granted {
+		t.Errorf("the poll carries %d groups of %d jobs in all, want %d groups and at most the batch's %d jobs",
+			len(client.commits), kept, queries, granted)
+	}
+	client.mu.Unlock()
+	close(client.poll.out)
+
+	for _, q := range qs {
+		obj, _, _, err := q.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := obj.(*sumObj).total; got != want {
+			t.Errorf("query %d: sum = %d, want %d", q.ID(), got, want)
+		}
+	}
+	h.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("agent exit: %v", err)
+	}
+}
+
+// grantCounter counts the polls whose replies carried grants.
+type grantCounter struct {
+	QueryClient
+	granting atomic.Int64
+}
+
+func (c *grantCounter) Poll(req protocol.PollRequest) (protocol.PollReply, error) {
+	rep, err := c.QueryClient.Poll(req)
+	if len(rep.Queries) > 0 {
+		c.granting.Add(1)
+	}
+	return rep, err
+}
+
+// TestByteBatchesAmortisePolls: over 4 KiB jobs each poll round trip
+// fetches at least one unit group (G, 256 KiB by default) per core, not
+// max(Cores, 4) jobs, so the polls that carry grants number at most
+// ⌈jobs × 4 KiB / (max(Cores, 4) × G)⌉ plus one per site and query for the
+// batches a drained pool cuts short — 10 here, where 4-job batches took
+// 512. The admitted work is 8 floors, so the head's cap of 1/8 of it per
+// site leaves the floor whole.
+func TestByteBatchesAmortisePolls(t *testing.T) {
+	const cores, queries, sites, perQuery, chunkBytes = 4, 2, 1, 1024, 4 << 10
+	ix, src, want := buildDataset(t, perQuery*chunkBytes/4, 64<<10, chunkBytes/4)
+	h := multiTestHead(t, sites, config.Tuning{}, nil)
+	defer h.Shutdown()
+	qs := make([]*head.Query, queries)
+	for i := range qs {
+		qs[i] = admitSum(t, h, ix, 0)
+	}
+	client := &grantCounter{QueryClient: InProcAgent{Head: h}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- RunAgent(ctx, AgentConfig{
+			Site: 0, Name: "amortised", Cores: cores,
+			Sources: map[int]chunk.Source{0: src},
+			Head:    client,
+		})
+	}()
+	for _, q := range qs {
+		obj, _, _, err := q.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := obj.(*sumObj).total; got != want {
+			t.Errorf("query %d: sum = %d, want %d", q.ID(), got, want)
+		}
+	}
+	h.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("agent exit: %v", err)
+	}
+	total := int64(queries * perQuery * chunkBytes)
+	floor := int64(max(cores, 4) * core.DefaultGroupBytes)
+	bound := (total+floor-1)/floor + sites*queries
+	got := client.granting.Load()
+	t.Logf("%d polls carried grants, bound %d", got, bound)
+	if got > bound {
+		t.Errorf("%d polls carried grants for %d jobs of %d bytes, want at most ⌈%d / %d⌉ + %d = %d",
+			got, queries*perQuery, chunkBytes, total, floor, sites*queries, bound)
 	}
 }

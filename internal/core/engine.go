@@ -10,6 +10,11 @@ import (
 	"repro/internal/stats"
 )
 
+// DefaultGroupBytes is the unit-group budget an engine uses when its
+// EngineConfig leaves GroupBytes unset: cache-sized, per the paper's data
+// organization.
+const DefaultGroupBytes = 256 << 10
+
 // EngineConfig configures a local-reduction engine.
 type EngineConfig struct {
 	// Reducer is the application contract. Required.
@@ -21,7 +26,7 @@ type EngineConfig struct {
 	UnitSize int
 	// GroupBytes caps the size of a unit group handed to one LocalReduce
 	// batch — the cache-utilization knob from the paper's data organization.
-	// Defaults to 256 KiB.
+	// Defaults to DefaultGroupBytes.
 	GroupBytes int
 	// QueueDepth bounds the number of retrieved chunks waiting for
 	// processing (the memory the slave dedicates to in-flight jobs).
@@ -47,7 +52,7 @@ func (c *EngineConfig) applyDefaults() error {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.GroupBytes <= 0 {
-		c.GroupBytes = 256 << 10
+		c.GroupBytes = DefaultGroupBytes
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.Workers

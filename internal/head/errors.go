@@ -30,6 +30,9 @@ var (
 	ErrAlreadyRegistered = errors.New("head: site already registered")
 	// ErrVersionMismatch reports a Hello whose Proto is not ProtoMulti.
 	ErrVersionMismatch = errors.New("head: protocol version mismatch")
+	// ErrBadRequest reports a request with a field out of range: a poll
+	// asking for a negative number of jobs or bytes.
+	ErrBadRequest = errors.New("head: bad request")
 )
 
 // OpError is the head's structured error, mirroring objstore's *OpError: it
@@ -77,6 +80,8 @@ func ErrCode(err error) int {
 		return protocol.CodeShutdown
 	case errors.Is(err, ErrVersionMismatch):
 		return protocol.CodeVersionMismatch
+	case errors.Is(err, ErrBadRequest):
+		return protocol.CodeBadRequest
 	default:
 		return protocol.CodeOK // unclassified; the message text still travels
 	}
@@ -102,6 +107,8 @@ func CodeError(code int, msg string) error {
 		sentinel = ErrShutdown
 	case protocol.CodeVersionMismatch:
 		sentinel = ErrVersionMismatch
+	case protocol.CodeBadRequest:
+		sentinel = ErrBadRequest
 	default:
 		return errors.New(msg)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chunk"
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/jobs"
 	"repro/internal/protocol"
@@ -188,18 +189,30 @@ func TestPollCommitNeverHeld(t *testing.T) {
 	}
 }
 
-// BenchmarkPollCommit drains a 1024-job pool in 4-job grants from one site,
-// committing each grant on the next poll ("ride") or with its own
-// CompleteQueryJobs before the poll ("separate"), and reports ns and
-// allocs per committed job.
+// BenchmarkPollCommit drains a pool from one site, committing each grant
+// on the next poll ("ride") or with its own CompleteQueryJobs before the
+// poll ("separate"), and reports ns, allocs and polls per committed job.
+// The first two cases drain 1024 4-byte jobs in 4-job grants; "ride-4KiB"
+// drains 8192 4 KiB jobs asking, as an agent with up to 4 cores does, for
+// 4 jobs and a byte floor of 4 unit groups (1 MiB) per poll.
 func BenchmarkPollCommit(b *testing.B) {
-	ix, err := chunk.Layout("ride", 1024, 4, 256, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []string{"ride", "separate"} {
-		b.Run(mode, func(b *testing.B) {
-			var committed, mallocs uint64
+	for _, tc := range []struct {
+		name       string
+		ride       bool
+		jobs       int
+		chunkBytes int
+		floor      int64
+	}{
+		{name: "ride", ride: true, jobs: 1024, chunkBytes: 4},
+		{name: "separate", jobs: 1024, chunkBytes: 4},
+		{name: "ride-4KiB", ride: true, jobs: 8192, chunkBytes: 4 << 10, floor: 4 * core.DefaultGroupBytes},
+	} {
+		ix, err := chunk.Layout("ride", int64(tc.jobs*tc.chunkBytes/4), 4, tc.jobs*tc.chunkBytes/16, tc.chunkBytes/4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			var committed, mallocs, polls uint64
 			var elapsed time.Duration
 			var ms runtime.MemStats
 			for i := 0; i < b.N; i++ {
@@ -229,9 +242,9 @@ func BenchmarkPollCommit(b *testing.B) {
 				var last []jobs.Job
 				commits := make([]protocol.JobsDone, 1) // reused, as the agent reuses its list
 				for {
-					req := protocol.PollRequest{Site: 0, N: 4}
+					req := protocol.PollRequest{Site: 0, N: 4, Bytes: tc.floor}
 					if len(last) > 0 {
-						if mode == "ride" {
+						if tc.ride {
 							commits[0] = done(0, q.ID(), last)
 							req.Commits = commits
 						} else if _, err := h.CompleteQueryJobs(q.ID(), 0, last); err != nil {
@@ -243,6 +256,7 @@ func BenchmarkPollCommit(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					polls++
 					if len(rep.Queries) == 0 {
 						break
 					}
@@ -256,6 +270,7 @@ func BenchmarkPollCommit(b *testing.B) {
 			}
 			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(committed), "ns/job")
 			b.ReportMetric(float64(mallocs)/float64(committed), "allocs/job")
+			b.ReportMetric(float64(polls)/float64(committed), "polls/job")
 		})
 	}
 }

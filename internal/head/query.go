@@ -378,6 +378,10 @@ func (h *Head) Poll(site, n int) (protocol.PollReply, error) {
 // refuses the poll too, and the head reissues what the first ones committed.
 func (h *Head) PollFrom(req protocol.PollRequest) (protocol.PollReply, error) {
 	site := req.Site
+	if req.N < 0 || req.Bytes < 0 {
+		return protocol.PollReply{}, opErr("poll", site, -1,
+			fmt.Errorf("%w: asks for %d jobs and %d bytes", ErrBadRequest, req.N, req.Bytes))
+	}
 	if err := h.fencedCheck(site); err != nil {
 		return protocol.PollReply{}, opErr("poll", site, -1, err)
 	}
@@ -387,7 +391,7 @@ func (h *Head) PollFrom(req protocol.PollRequest) (protocol.PollReply, error) {
 	if err != nil {
 		return protocol.PollReply{}, err
 	}
-	rep, wake, err := h.pollOnce(site, req.N, true)
+	rep, wake, err := h.pollOnce(site, req.N, req.Bytes, true)
 	rep.Acks = acks
 	if err != nil || req.ParkNS <= 0 || len(acks) > 0 || !idleReply(rep) {
 		return rep, err
@@ -451,14 +455,14 @@ func (h *Head) holdPoll(req protocol.PollRequest, rep protocol.PollReply, wake <
 			}
 		case <-h.done:
 			// The head stopped: one last evaluation carries Shutdown.
-			rep, _, err := h.pollOnce(site, req.N, false)
+			rep, _, err := h.pollOnce(site, req.N, req.Bytes, false)
 			return rep, err
 		case <-timer.C:
 			ended = h.hParkExpiry
 			return rep, nil
 		}
 		var err error
-		if rep, wake, err = h.pollOnce(site, req.N, false); err != nil || !idleReply(rep) {
+		if rep, wake, err = h.pollOnce(site, req.N, req.Bytes, false); err != nil || !idleReply(rep) {
 			return rep, err
 		}
 	}
@@ -471,16 +475,20 @@ func idleReply(rep protocol.PollReply) bool {
 		!rep.Shutdown && !rep.Drain
 }
 
-// pollOnce evaluates one poll for site as of now. The wake channel it
+// pollOnce evaluates one poll for site as of now, granting at least n jobs
+// and bytes bytes where the pools have them. The wake channel it
 // returns was captured BEFORE anything was read, so an event that lands
 // after the evaluation looked has already closed it: a caller that waits on
 // it cannot miss a wake-up. first marks a request's first evaluation, the
 // one that counts an empty grant in head_pool_exhausted_total.
-func (h *Head) pollOnce(site, n int, first bool) (protocol.PollReply, <-chan struct{}, error) {
+func (h *Head) pollOnce(site, n int, bytes int64, first bool) (protocol.PollReply, <-chan struct{}, error) {
 	h.mu.Lock()
 	wake := h.wake
 	_, draining := h.draining[site]
 	queries := len(h.order)
+	if bytes > 0 {
+		bytes = min(bytes, h.batchCapLocked())
+	}
 	h.mu.Unlock()
 	if draining {
 		rep, err := h.pollDraining(site)
@@ -489,9 +497,9 @@ func (h *Head) pollOnce(site, n int, first bool) (protocol.PollReply, <-chan str
 	grantStart := h.clk.Now()
 	traced := h.tr.Enabled()
 	sp := h.tr.Begin(0, 0, "scheduling", "request-jobs")
-	tagged := h.fair.Assign(site, n)
+	tagged := h.fair.Assign(site, n, bytes)
 	if traced {
-		sp.End(obs.Args{"site": site, "asked": n, "granted": len(tagged)})
+		sp.End(obs.Args{"site": site, "asked": n, "asked_bytes": bytes, "granted": len(tagged)})
 	}
 
 	var rep protocol.PollReply
@@ -563,6 +571,22 @@ func (h *Head) pollOnce(site, n int, first bool) (protocol.PollReply, <-chan str
 	}
 	h.checkLatencyStragglers()
 	return rep, wake, nil
+}
+
+// batchShares bounds a byte floor: a poll's floor grants at most
+// 1/batchShares of the admitted work per registered site, so every site
+// still pulls its share in several batches, however small the dataset is
+// beside the floor, and a site that registers later finds work left.
+const batchShares = 8
+
+// batchCapLocked is the largest byte floor a poll is granted: the admitted
+// queries' bytes over batchShares × the registered sites.
+func (h *Head) batchCapLocked() int64 {
+	var admitted int64
+	for _, id := range h.order {
+		admitted += h.queries[id].pool.Bytes()
+	}
+	return admitted / int64(batchShares*max(len(h.clusters), 1))
 }
 
 // groupGrants groups fair-share grants by query, queries in order of first

@@ -53,7 +53,7 @@ func TestFairShareAssignAllocs(t *testing.T) {
 	}
 	site := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		if got := f.Assign(site, 4); len(got) != 4 {
+		if got := f.Assign(site, 4, 0); len(got) != 4 {
 			t.Fatalf("granted %d jobs, want 4", len(got))
 		}
 		site = 1 - site

@@ -108,7 +108,7 @@ func BenchmarkFairShareAssign(b *testing.B) {
 		before, start := ms.Mallocs, time.Now()
 		b.StartTimer()
 		for site := 0; ; site = 1 - site {
-			got := f.Assign(site, 4)
+			got := f.Assign(site, 4, 0)
 			if len(got) == 0 {
 				break
 			}

@@ -91,18 +91,20 @@ func (f *FairShare) Remove(query int) {
 	f.mu.Unlock()
 }
 
-// Assign grants up to n jobs runnable at site, interleaved across queries
-// by stride order. A query whose pool has nothing for the site right now is
-// skipped without advancing its pass, so it keeps its claim for later. The
-// returned slice is the call's one allocation.
-func (f *FairShare) Assign(site, n int) []Tagged {
+// Assign grants jobs runnable at site, interleaved across queries by
+// stride order, one at a time while the grants number fewer than n or their
+// chunks sum to fewer than bytes; bytes 0 asks for n jobs whatever their
+// size. A query whose pool has nothing for the site right now is skipped
+// without advancing its pass, so it keeps its claim for later. The returned
+// slice is the call's one allocation.
+func (f *FairShare) Assign(site, n int, bytes int64) []Tagged {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, e := range f.entries {
 		e.skip = false
 	}
 	f.out = f.out[:0]
-	for len(f.out) < n {
+	for granted := int64(0); len(f.out) < n || granted < bytes; {
 		e := f.minEligibleLocked()
 		if e == nil {
 			break
@@ -116,6 +118,7 @@ func (f *FairShare) Assign(site, n int) []Tagged {
 		e.pass += e.stride
 		f.grants[e.query]++
 		f.out = append(f.out, Tagged{Query: e.query, Job: f.one[0]})
+		granted += f.one[0].Ref.Size
 	}
 	if len(f.out) == 0 {
 		return nil

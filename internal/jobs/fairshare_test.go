@@ -38,7 +38,7 @@ func TestFairShareProportions(t *testing.T) {
 	// is not relevant here — everything lives on site 0).
 	total := 0
 	for total < 360 {
-		got := f.Assign(0, 7)
+		got := f.Assign(0, 7, 0)
 		if len(got) == 0 {
 			t.Fatalf("assign returned nothing with work remaining (total=%d)", total)
 		}
@@ -73,7 +73,7 @@ func TestFairShareSkipsDrainedPools(t *testing.T) {
 
 	seen := map[int]int{}
 	for {
-		got := f.Assign(0, 8)
+		got := f.Assign(0, 8, 0)
 		if len(got) == 0 {
 			break
 		}
@@ -95,7 +95,7 @@ func TestFairShareLateJoinNotOwedBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		f.Assign(0, 10) // run up query 1's pass
+		f.Assign(0, 10, 0) // run up query 1's pass
 	}
 	if err := f.Add(2, fsPool(t, "fs-b", 200), 1); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestFairShareLateJoinNotOwedBacklog(t *testing.T) {
 	// query 2 paying down a phantom debt.
 	before := f.Grants()
 	for i := 0; i < 10; i++ {
-		f.Assign(0, 10)
+		f.Assign(0, 10, 0)
 	}
 	after := f.Grants()
 	d1, d2 := after[1]-before[1], after[2]-before[2]
@@ -150,7 +150,7 @@ func TestFairShareConcurrentAssign(t *testing.T) {
 		go func(site int) {
 			defer wg.Done()
 			for {
-				ts := f.Assign(site, 1+site)
+				ts := f.Assign(site, 1+site, 0)
 				if len(ts) == 0 {
 					return
 				}
@@ -170,5 +170,83 @@ func TestFairShareConcurrentAssign(t *testing.T) {
 	}
 	if len(seen) != queries*njobs {
 		t.Fatalf("granted %d distinct jobs, want %d", len(seen), queries*njobs)
+	}
+}
+
+// sizedPool builds a single-site pool of njobs jobs of chunkBytes each.
+func sizedPool(t *testing.T, njobs, chunkBytes int) *Pool {
+	t.Helper()
+	ix, err := chunk.Layout("sized", int64(njobs*chunkBytes/4), 4, chunkBytes/4, chunkBytes/4)
+	if err != nil {
+		t.Fatalf("layout: %v", err)
+	}
+	p, err := NewPool(ix, make(Placement, len(ix.Files)), Options{})
+	if err != nil {
+		t.Fatalf("pool: %v", err)
+	}
+	return p
+}
+
+// TestFairShareByteFloor: Assign keeps granting while its batch has fewer
+// than n jobs or fewer than bytes bytes, and stops at the first grant that
+// meets both. The floor changes only where a batch ends: the grants, laid
+// end to end, are the same sequence a bytes-0 scheduler hands out.
+func TestFairShareByteFloor(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sizes []int // chunk bytes per query (weight 1+query)
+		n     int
+		bytes int64
+	}{
+		{name: "bytes 0 asks n jobs", sizes: []int{20, 20, 20}, n: 4},
+		{name: "floor above n jobs", sizes: []int{20, 20, 20}, n: 4, bytes: 200},
+		{name: "floor below n jobs", sizes: []int{20, 20, 20}, n: 16, bytes: 40},
+		{name: "chunks at the floor", sizes: []int{400, 400}, n: 4, bytes: 400},
+		{name: "mixed chunk sizes", sizes: []int{20, 400, 100}, n: 1, bytes: 500},
+		{name: "mixed sizes, n binds", sizes: []int{20, 400, 100}, n: 8, bytes: 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const njobs = 60
+			floored, plain := NewFairShare(), NewFairShare()
+			for q, size := range tc.sizes {
+				if err := floored.Add(q, sizedPool(t, njobs, size), 1+q); err != nil {
+					t.Fatal(err)
+				}
+				if err := plain.Add(q, sizedPool(t, njobs, size), 1+q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var all []Tagged
+			for {
+				batch := floored.Assign(0, tc.n, tc.bytes)
+				if len(batch) == 0 {
+					break
+				}
+				all = append(all, batch...)
+				var before int64 // bytes granted before the batch's last job
+				for _, tg := range batch[:len(batch)-1] {
+					before += tg.Job.Ref.Size
+				}
+				last := batch[len(batch)-1].Job.Ref.Size
+				if len(batch) > tc.n && before >= tc.bytes {
+					t.Fatalf("batch of %d jobs, %d bytes before its last: past both n=%d and bytes=%d",
+						len(batch), before, tc.n, tc.bytes)
+				}
+				if len(all) < njobs*len(tc.sizes) && (len(batch) < tc.n || before+last < tc.bytes) {
+					t.Fatalf("batch of %d jobs, %d bytes ends short of n=%d or bytes=%d with work left",
+						len(batch), before+last, tc.n, tc.bytes)
+				}
+			}
+			if len(all) != njobs*len(tc.sizes) {
+				t.Fatalf("granted %d jobs, want %d", len(all), njobs*len(tc.sizes))
+			}
+			for i, tg := range all {
+				want := plain.Assign(0, 1, 0)
+				if len(want) != 1 || want[0] != tg {
+					t.Fatalf("grant %d is query %d job %d, a bytes-0 scheduler grants %v",
+						i, tg.Query, tg.Job.ID, want)
+				}
+			}
+		})
 	}
 }

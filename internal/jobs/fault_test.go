@@ -403,6 +403,33 @@ func TestSpeculateSiteTargetsOnlyThatSite(t *testing.T) {
 	}
 }
 
+// TestFailSiteAfterSpeculationReopensOwnFiles: a grant that steps a site's
+// cursor past a file whose pending jobs are all speculative copies the site
+// itself holds must not hide that file once FailSite withdraws the copies:
+// the site is handed its own jobs again, even with stealing disabled.
+func TestFailSiteAfterSpeculationReopensOwnFiles(t *testing.T) {
+	ix := mustIndex(t, 4, 2, 1) // 2 files × 2 chunks
+	p, err := NewPool(ix, Placement{0, 1}, Options{DisableStealing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Assign(0, 2); len(got) != 2 {
+		t.Fatalf("Assign(0, 2) = %v, want site 0's two jobs", got)
+	}
+	if got := p.SpeculateSite(0); len(got) != 2 {
+		t.Fatalf("SpeculateSite(0) = %v, want both held jobs", got)
+	}
+	if got := p.Assign(0, 1); len(got) != 0 {
+		t.Fatalf("Assign(0, 1) = %v, want none: site 0 holds every pending job of its file", got)
+	}
+	p.FailSite(0)
+	got := p.Assign(0, 4)
+	if len(got) != 2 || got[0].Site != 0 || got[1].Site != 0 {
+		t.Fatalf("Assign(0, 4) after FailSite = %v, want site 0's two jobs "+
+			"(remaining %d, outstanding %d)", got, p.Remaining(), p.Outstanding())
+	}
+}
+
 // TestHostileJobIDs: job IDs arrive off the wire. One outside 0..N-1 is a
 // "not outstanding" commit error and is skipped by Reissue, and a commit
 // carrying a real ID with a garbage Ref is accounted by the pool's own

@@ -184,6 +184,7 @@ type Pool struct {
 	// takes from, so successive asks keep striding across files.
 	stride    map[int]int
 	remaining int
+	bytes     int64 // every job's chunk bytes; fixed at NewPool
 
 	// Per-job state, indexed by job ID: NewPool numbers the jobs 0..N-1.
 	byID         []Job     // every job
@@ -228,6 +229,7 @@ func NewPool(ix *chunk.Index, placement Placement, opts Options) (*Pool, error) 
 		for _, ref := range f.Chunks {
 			p.byID = append(p.byID, Job{ID: len(p.byID), Ref: ref, Site: site})
 			p.inPending[len(p.byID)-1] = true
+			p.bytes += ref.Size
 		}
 		p.files[fi] = fileState{site: site, pending: slices.Clone(p.byID[first:])}
 		p.perSite[site] = append(p.perSite[site], fi)
@@ -248,6 +250,10 @@ func NewPool(ix *chunk.Index, placement Placement, opts Options) (*Pool, error) 
 // known reports whether id names one of the pool's jobs. IDs arrive off
 // the wire, so every caller-supplied one is checked before it indexes.
 func (p *Pool) known(id int) bool { return id >= 0 && id < len(p.byID) }
+
+// Bytes returns the chunk bytes of every job in the pool, done or not: the
+// size of the work the pool was built over.
+func (p *Pool) Bytes() int64 { return p.bytes }
 
 // Remaining reports the number of jobs not yet assigned.
 func (p *Pool) Remaining() int {
@@ -508,20 +514,22 @@ func (p *Pool) dropPendingLocked(id int) {
 
 // insertPendingLocked returns job id to its file's pending list in offset
 // order and resets the host site's assignment cursor so the revived file is
-// visible to site-local assignment again.
+// visible to site-local assignment again. A job already pending resets the
+// cursor too: a grant may have stepped the cursor past its file while the
+// site still held every pending job there.
 func (p *Pool) insertPendingLocked(id int) {
+	j := p.byID[id]
+	fs := &p.files[j.Ref.File]
+	p.cursor[fs.site] = 0
 	if p.inPending[id] {
 		return
 	}
-	j := p.byID[id]
-	fs := &p.files[j.Ref.File]
 	i := sort.Search(len(fs.pending), func(i int) bool {
 		return fs.pending[i].Ref.Seq >= j.Ref.Seq
 	})
 	fs.pending = slices.Insert(fs.pending, i, j)
 	p.inPending[id] = true
 	p.remaining++
-	p.cursor[fs.site] = 0
 	p.gRemaining.Set(int64(p.remaining))
 }
 

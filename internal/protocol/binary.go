@@ -409,6 +409,7 @@ func (m *SiteSpec) walk(w *walker) {
 func (m *PollRequest) walk(w *walker) {
 	w.int(&m.Site)
 	w.int(&m.N)
+	w.i64(&m.Bytes)
 	w.i64(&m.NowNS)
 	spans := slice(w, &m.Spans, wireSpanMin)
 	for i := range spans {

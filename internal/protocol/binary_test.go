@@ -72,6 +72,9 @@ func sampleMessages() []Message {
 		SiteSpec{HeartbeatEvery: 25e7},
 		SiteSpec{},
 		PollRequest{Site: 3, N: 9},
+		PollRequest{Site: 3, N: 4, Bytes: 1 << 20},                 // a byte floor above N jobs
+		PollRequest{Site: 3, N: -2, Bytes: -4096},                  // a negative ask: the head refuses it, the codec carries it
+		PollRequest{Site: 3, N: 1 << 40, Bytes: 1 << 62, NowNS: 1}, // extreme asks round-trip
 		PollReply{
 			Queries: []QueryJobs{
 				{Query: 1, Jobs: []jobs.Job{{ID: 1, Site: 0}, {ID: 2, Site: 1}}},
@@ -278,7 +281,7 @@ func TestDecodeFrameMalformed(t *testing.T) {
 		{"commit count exceeding frame",
 			func() []byte {
 				// A bare PollRequest whose commit count claims 1M commits.
-				body := appendInt(appendInt(appendInt([]byte{byte(tagPollRequest)}, 0), 4), 0)
+				body := appendInt(appendInt(appendInt(appendInt([]byte{byte(tagPollRequest)}, 0), 4), 0), 0)
 				body = appendInt(appendU32(body, 0), 0) // no spans, no park
 				body = appendU32(body, 1<<20)
 				return append(frameLen(uint32(len(body))), body...)

@@ -93,15 +93,19 @@ func fixedLayouts() []layoutCase {
 		{"SiteSpec", SiteSpec{HeartbeatEvery: 25e7, Trace: TraceContext{2, 1}},
 			w.u8(21).n(25e7).tc(2, 1), 0},
 		{"SiteSpec zero trace", SiteSpec{}, w.u8(21).n(0).tc(0, 0), 0},
-		{"PollRequest", PollRequest{Site: 2, N: 8, NowNS: 77, Spans: []WireSpan{span}, ParkNS: 20e6},
-			w.u8(22).n(2).n(8).n(77).u32(1).
+		{"PollRequest", PollRequest{Site: 2, N: 8, Bytes: 1 << 20, NowNS: 77, Spans: []WireSpan{span}, ParkNS: 20e6},
+			w.u8(22).n(2).n(8).n(1<<20).n(77).u32(1).
 				tc(1, 2).str("job 9").str("job").u32(1).u32(4).n(9).n(10).n(20).
 				n(20e6).u32(0), 0},
 		{"PollRequest zero clock, spans and park", PollRequest{Site: 2, N: 8},
-			w.u8(22).n(2).n(8).n(0).u32(0).n(0).u32(0), 0},
+			w.u8(22).n(2).n(8).n(0).n(0).u32(0).n(0).u32(0), 0},
+		{"PollRequest byte floor only", PollRequest{Site: 2, Bytes: 4 << 20},
+			w.u8(22).n(2).n(0).n(4 << 20).n(0).u32(0).n(0).u32(0), 0},
+		{"PollRequest negative ask", PollRequest{Site: 2, N: -1, Bytes: -1},
+			w.u8(22).n(2).n(-1).n(-1).n(0).u32(0).n(0).u32(0), 0},
 		{"PollRequest with commits", PollRequest{Site: 1, N: 4, ParkNS: 20e6, Commits: []JobsDone{
 			{Site: 1, Query: 4, Jobs: []jobs.Job{layoutJob}, Trace: TraceContext{5, 6}}, {Site: 1, Query: 7}}},
-			w.u8(22).n(1).n(4).n(0).u32(0).n(20e6).u32(2).
+			w.u8(22).n(1).n(4).n(0).n(0).u32(0).n(20e6).u32(2).
 				n(1).n(4).u32(1).job(9, 1, 2, 3, 4096, 512, 16).tc(5, 6).
 				n(1).n(7).u32(0).tc(0, 0), 0},
 		{"PollReply", PollReply{Queries: []QueryJobs{{Query: 4, Jobs: []jobs.Job{layoutJob}, Trace: TraceContext{4, 11}}},
@@ -274,11 +278,11 @@ var parkSpans = []WireSpan{
 	{Trace: TraceContext{TraceID: 1, SpanID: 2}, Name: "job 3", Cat: "job", TID: 1, Query: 1, Job: 3, Start: 10, Dur: 20},
 }
 
-// pollBody hand-builds the PollRequest body for (site 2, n 9) up to and
-// including its span block: everything but the park word and the commit
-// block that end it.
+// pollBody hand-builds the PollRequest body for (site 2, n 9, bytes 4096)
+// up to and including its span block: everything but the park word and the
+// commit block that end it.
 func pollBody(now int64, spans []WireSpan) wire {
-	w := wire(nil).u8(tagPollRequest).n(2).n(9).u64(uint64(now)).u32(uint32(len(spans)))
+	w := wire(nil).u8(tagPollRequest).n(2).n(9).n(4096).u64(uint64(now)).u32(uint32(len(spans)))
 	for _, s := range spans {
 		w = w.tc(s.Trace.TraceID, s.Trace.SpanID).str(s.Name).str(s.Cat).
 			u32(uint32(s.TID)).u32(uint32(s.Query)).n(s.Job).u64(uint64(s.Start)).u64(uint64(s.Dur))
@@ -298,11 +302,11 @@ var pollCases = []struct {
 	name string
 	msg  PollRequest
 }{
-	{"bare", PollRequest{Site: 2, N: 9}},
-	{"clock sample", PollRequest{Site: 2, N: 9, NowNS: 55}},
-	{"spans", PollRequest{Site: 2, N: 9, NowNS: 55, Spans: parkSpans}},
-	{"commits", PollRequest{Site: 2, N: 9, NowNS: 55, Commits: parkCommits}},
-	{"spans and commits", PollRequest{Site: 2, N: 9, NowNS: 55, Spans: parkSpans, Commits: parkCommits}},
+	{"bare", PollRequest{Site: 2, N: 9, Bytes: 4096}},
+	{"clock sample", PollRequest{Site: 2, N: 9, Bytes: 4096, NowNS: 55}},
+	{"spans", PollRequest{Site: 2, N: 9, Bytes: 4096, NowNS: 55, Spans: parkSpans}},
+	{"commits", PollRequest{Site: 2, N: 9, Bytes: 4096, NowNS: 55, Commits: parkCommits}},
+	{"spans and commits", PollRequest{Site: 2, N: 9, Bytes: 4096, NowNS: 55, Spans: parkSpans, Commits: parkCommits}},
 }
 
 // commitBlock is the hand-built commit block that ends m's frame.
@@ -447,5 +451,15 @@ func TestProto2JobSpecRefused(t *testing.T) {
 	refused(t, map[string][]byte{
 		"JobSpec v2": wire(nil).u8(tagJobSpec).str("knn").str("p").n(32).n(1<<18).str("ix").str("ck").
 			n(5e8).n(4).tc(5, 0).n(90e9).u64(math.Float64bits(0.25)).n(1).n(6).frame(),
+	})
+}
+
+// TestProto5PollRefused: a PollRequest in the version-5 layout, which had
+// no Bytes word after N, is eight bytes short of the current layout and is
+// refused rather than read with shifted fields.
+func TestProto5PollRefused(t *testing.T) {
+	refused(t, map[string][]byte{
+		"bare v5 Poll":   wire(nil).u8(tagPollRequest).n(2).n(9).n(0).u32(0).n(0).u32(0).frame(),
+		"parked v5 Poll": wire(nil).u8(tagPollRequest).n(2).n(9).n(55).u32(0).n(20e6).u32(0).frame(),
 	})
 }

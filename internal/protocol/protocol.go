@@ -83,13 +83,14 @@ type WireSpan struct {
 // ProtoMulti is the session protocol version carried in Hello.Proto: the
 // master registers once and interleaves jobs from every admitted query over
 // the same connection; the head replies with SiteSpec and specs are fetched
-// per query. Version 5 drops PollReply's Wait flag, which no master read;
+// per query. Version 6 adds PollRequest's Bytes word after N, the batch's
+// byte floor; version 5 drops PollReply's Wait flag, which no master read;
 // version 4 added the commit block that ends PollRequest and the ack block
 // that ends PollReply; version 3 named the fixed-layout frames,
 // every field always present (version 2 also carried a heartbeat period in
 // JobSpec). The head answers a Hello of any other version with an
 // ErrorReply coded CodeVersionMismatch.
-const ProtoMulti = 5
+const ProtoMulti = 6
 
 // Hello registers a master with the head node.
 type Hello struct {
@@ -213,11 +214,17 @@ type SiteSpec struct {
 	Trace TraceContext
 }
 
-// PollRequest asks the head for up to N more jobs for the site, drawn from
-// every admitted query by weighted fair share.
+// PollRequest asks the head for more jobs for the site, drawn from every
+// admitted query by weighted fair share: at least N jobs and at least Bytes
+// bytes of chunks, where the pools have them. The head refuses a negative N
+// or Bytes.
 type PollRequest struct {
 	Site int
 	N    int
+	// Bytes is the batch's byte floor: the head keeps granting, one job at
+	// a time, while the batch holds fewer than N jobs or fewer than Bytes
+	// bytes. Zero asks for N jobs whatever their size.
+	Bytes int64
 	// NowNS is the master's clock reading when the request was built,
 	// letting the head compute a per-site clock offset and align shipped
 	// span timestamps onto its own timeline.
@@ -307,6 +314,7 @@ const (
 	CodeStale           = 13 // stale checkpoint sequence or superseded request
 	CodeShutdown        = 14 // head is shutting down
 	CodeVersionMismatch = 15 // Hello.Proto is not this head's ProtoMulti
+	CodeBadRequest      = 16 // a request field out of range (a negative poll ask)
 )
 
 // PutReq stores an object.
