@@ -168,15 +168,16 @@ type agentRun struct {
 	spans    []protocol.WireSpan
 
 	// batch holds the rules of the batch being worked, slots each of its
-	// retrievals by job index, and group the group being settled. kept holds
-	// each query's last group of the batch just served, which the next poll
-	// commits; commits is that poll's outgoing list. All keep their capacity
-	// from batch to batch and poll to poll.
-	batch   Batch
-	slots   []retrieved
-	group   []retrieved
-	kept    []keptGroup
-	commits []protocol.JobsDone
+	// retrievals by job index, group the group being settled and groupJobs
+	// its jobs. kept holds each query's last group of the batch just served,
+	// which the next poll commits; commits is that poll's outgoing list. All
+	// keep their capacity from batch to batch and poll to poll.
+	batch     Batch
+	slots     []retrieved
+	group     []retrieved
+	groupJobs []jobs.Job
+	kept      []keptGroup
+	commits   []protocol.JobsDone
 }
 
 // keptGroup is one query's last group of a grant batch, held for the next
@@ -680,12 +681,13 @@ func (a *agentRun) retrieve(q *agentQuery, i int, j jobs.Job) retrieved {
 	return r
 }
 
-// commit sends one group of retrieved jobs to the head in a single JobsDone
-// and then settles it.
+// commit sends one mid-batch group of retrieved jobs to the head on a
+// commit poll, answered with the group's ack alone, and then settles it.
 func (a *agentRun) commit(q *agentQuery, js []jobs.Job, group []retrieved) error {
 	done := protocol.JobsDone{Site: a.cfg.Site, Query: q.id}
 	var err error
-	done.Jobs, err = groupJobs(make([]jobs.Job, 0, len(group)), js, group)
+	done.Jobs, err = groupJobs(a.groupJobs[:0], js, group)
+	a.groupJobs = done.Jobs // settle below is done with it before the next group
 	var dups []int
 	if err == nil {
 		done.Trace = a.queryTrace(q)

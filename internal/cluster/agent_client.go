@@ -25,7 +25,9 @@ type QueryClient interface {
 	// sample that aligns them) piggyback on the poll.
 	Poll(req protocol.PollRequest) (protocol.PollReply, error)
 	// CompleteJobs commits finished jobs for one query and returns the IDs
-	// the head deduplicated; their contribution must not be folded.
+	// the head deduplicated; their contribution must not be folded. Both
+	// implementations send it on a commit poll, a poll that carries it and
+	// asks for nothing, and read the reply with head.CommitAck.
 	CompleteJobs(done protocol.JobsDone) ([]int, error)
 	// Heartbeat renews the site's liveness lease (fire-and-forget).
 	Heartbeat(site int) error
@@ -58,7 +60,7 @@ func (c InProcAgent) Poll(req protocol.PollRequest) (protocol.PollReply, error) 
 
 // CompleteJobs implements QueryClient.
 func (c InProcAgent) CompleteJobs(done protocol.JobsDone) ([]int, error) {
-	return c.Head.CompleteQueryJobs(done.Query, done.Site, done.Jobs)
+	return head.CommitAck(c.Head.PollFrom(protocol.PollRequest{Site: done.Site, Commits: []protocol.JobsDone{done}}))
 }
 
 // Heartbeat implements QueryClient.
@@ -85,6 +87,7 @@ func (c InProcAgent) SubmitResult(res protocol.ReductionResult) error {
 type RemoteAgent struct {
 	mu   sync.Mutex
 	conn *transport.Conn
+	one  [1]protocol.JobsDone // CompleteJobs' commit list, reused under mu
 }
 
 // NewRemoteAgent wraps an established connection to the head node.
@@ -109,6 +112,11 @@ func (r *RemoteAgent) Close() error { return r.conn.Close() }
 func (r *RemoteAgent) roundTrip(req protocol.Message) (protocol.Message, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.roundTripLocked(req)
+}
+
+// roundTripLocked is roundTrip for a caller that holds r.mu.
+func (r *RemoteAgent) roundTripLocked(req protocol.Message) (protocol.Message, error) {
 	if err := r.conn.Send(req); err != nil {
 		return nil, err
 	}
@@ -177,18 +185,14 @@ func (r *RemoteAgent) Poll(req protocol.PollRequest) (protocol.PollReply, error)
 	return m, nil
 }
 
-// CompleteJobs implements QueryClient. The ack carries the IDs the head
-// deduplicated; their contribution must not be folded.
+// CompleteJobs implements QueryClient, reusing one commit list under r.mu.
 func (r *RemoteAgent) CompleteJobs(done protocol.JobsDone) ([]int, error) {
-	reply, err := r.roundTrip(done)
-	if err != nil {
-		return nil, err
-	}
-	m, ok := reply.(protocol.JobsDoneAck)
-	if !ok {
-		return nil, unexpected(reply, done)
-	}
-	return m.Dup, ackErr(m.Code, m.Err)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.one[0] = done
+	reply, err := r.roundTripLocked(protocol.PollRequest{Site: done.Site, Commits: r.one[:]})
+	rep, _ := reply.(protocol.PollReply) // any other reply reads as no ack
+	return head.CommitAck(rep, err)
 }
 
 // Heartbeat implements QueryClient. No reply is expected.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/head"
 	"repro/internal/jobs"
 	"repro/internal/protocol"
+	"repro/internal/transport"
 )
 
 // ackedJobs holds the job IDs the head has acknowledged as first commits in
@@ -71,18 +72,19 @@ func idDataset(t *testing.T, files, chunks int) (*chunk.Index, *chunk.MemSource,
 }
 
 // countingClient records every grant and every commit passing between an
-// agent and its head — in a JobsDone frame or riding a poll — and marks
-// acknowledged first commits in ackedJobs before the agent sees the ack.
-// Each JobsDone sits on the wire for delay.
+// agent and its head — on a commit poll of its own (a mid-batch group, sent
+// and read as both QueryClients do) or riding a poll for work — and marks acknowledged first commits in ackedJobs before the
+// agent sees the ack. Each mid-batch commit sits on the wire for delay.
 type countingClient struct {
 	QueryClient
 	delay time.Duration
 
-	mu      sync.Mutex
-	frames  int         // JobsDone frames
-	polled  int         // commits carried by polls
-	granted map[int]int // job ID → grants
-	commits map[int]int // job ID → commits naming it, by either path
+	mu          sync.Mutex
+	commitPolls int         // polls that carry commits and ask for nothing
+	loud        int         // commit polls answered with more than acks
+	polled      int         // commits carried by polls for work
+	granted     map[int]int // job ID → grants
+	commits     map[int]int // job ID → commits naming it, by either path
 }
 
 func newCountingClient(inner QueryClient, delay time.Duration) *countingClient {
@@ -93,7 +95,14 @@ func newCountingClient(inner QueryClient, delay time.Duration) *countingClient {
 func (c *countingClient) Poll(req protocol.PollRequest) (protocol.PollReply, error) {
 	rep, err := c.QueryClient.Poll(req)
 	c.mu.Lock()
-	c.polled += len(req.Commits)
+	if req.N == 0 && req.Bytes == 0 && len(req.Commits) > 0 {
+		c.commitPolls++
+		if len(rep.Queries)+len(rep.Done)+len(rep.Dropped) > 0 || rep.Drain || rep.Shutdown {
+			c.loud++
+		}
+	} else {
+		c.polled += len(req.Commits)
+	}
 	for _, d := range req.Commits {
 		for _, j := range d.Jobs {
 			c.commits[j.ID]++
@@ -117,17 +126,7 @@ func (c *countingClient) Poll(req protocol.PollRequest) (protocol.PollReply, err
 
 func (c *countingClient) CompleteJobs(done protocol.JobsDone) ([]int, error) {
 	time.Sleep(c.delay)
-	dups, err := c.QueryClient.CompleteJobs(done)
-	c.mu.Lock()
-	c.frames++
-	for _, j := range done.Jobs {
-		c.commits[j.ID]++
-	}
-	c.mu.Unlock()
-	if err == nil {
-		markAcked(done.Jobs, dups)
-	}
-	return dups, err
+	return head.CommitAck(c.Poll(protocol.PollRequest{Site: done.Site, Commits: []protocol.JobsDone{done}}))
 }
 
 // markAcked records the first commits among js in ackedJobs.
@@ -139,9 +138,9 @@ func markAcked(js []jobs.Job, dups []int) {
 	}
 }
 
-// checkCommits fails t unless every job c saw granted was committed, by
-// JobsDone or by a poll, exactly as often as it was granted, and no unit was
-// folded before its job's commit was acknowledged.
+// checkCommits fails t unless every job c saw granted was committed, on a
+// commit poll or riding a poll for work, exactly as often as it was
+// granted, and no unit was folded before its job's commit was acknowledged.
 func (c *countingClient) checkCommits(t *testing.T, jobs int) {
 	t.Helper()
 	c.mu.Lock()
@@ -175,14 +174,15 @@ func containsID(ids []int, id int) bool {
 }
 
 // TestGroupCommitFramesAndFoldOrder: an agent over an instant source with a
-// commit that takes a moment on the wire groups its commits — fewer JobsDone
-// frames than jobs, and each batch's last group rides the next poll — while
-// every granted job is committed exactly once, by JobsDone or by a poll, and
-// no job is folded before the head acknowledged it. With the default G a
-// batch of these 400-byte jobs (20, the head's cap) may be retrieved whole
-// before its first group forms and then rides the poll in one commit; with
-// G of one chunk a batch is 8 jobs worked 4 ahead, so each batch's first
-// group commits by JobsDone.
+// commit that takes a moment on the wire groups its commits — fewer commit
+// polls than jobs, and each batch's last group rides the next poll for work
+// — while every granted job is committed exactly once, on a commit poll or
+// riding a poll for work, no commit poll is answered with more than its
+// acks, and no job is folded before the head acknowledged it. With the
+// default G a batch of these 400-byte jobs (20, the head's cap) may be
+// retrieved whole before its first group forms and then rides the poll in
+// one commit; with G of one chunk a batch is 8 jobs worked 4 ahead, so each
+// batch's first group commits on a commit poll of its own.
 func TestGroupCommitFramesAndFoldOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -235,23 +235,26 @@ func framesAndFoldOrder(t *testing.T, groupBytes int) {
 	client.checkCommits(t, ix.NumChunks())
 	client.mu.Lock()
 	defer client.mu.Unlock()
-	if client.frames >= ix.NumChunks() {
-		t.Errorf("%d JobsDone frames for %d jobs: commits were not grouped", client.frames, ix.NumChunks())
+	if client.commitPolls >= ix.NumChunks() {
+		t.Errorf("%d commit polls for %d jobs: commits were not grouped", client.commitPolls, ix.NumChunks())
 	}
-	if groupBytes > 0 && client.frames == 0 {
-		t.Error("no JobsDone frame: batches of 8 worked 4 ahead commit their first group mid-batch")
+	if groupBytes > 0 && client.commitPolls == 0 {
+		t.Error("no commit poll: batches of 8 worked 4 ahead commit their first group mid-batch")
 	}
 	if client.polled == 0 {
-		t.Error("no commit rode a poll")
+		t.Error("no commit rode a poll for work")
 	}
-	t.Logf("%d jobs in %d JobsDone frames and %d poll-carried commits", ix.NumChunks(), client.frames, client.polled)
+	if client.loud > 0 {
+		t.Errorf("%d commit polls answered with more than their acks", client.loud)
+	}
+	t.Logf("%d jobs in %d commit polls and %d commits riding polls for work", ix.NumChunks(), client.commitPolls, client.polled)
 }
 
 // TestPollCommitSingleQueryBatches: when every group of a single-query
 // batch is its last — here each batch is one job over a MemSource — the
-// agent sends no JobsDone at all: each job commits on the poll after its
-// batch, which also brings the query's Done, and no unit is folded before
-// its ack.
+// agent sends no commit poll at all: each job commits on the poll for work
+// after its batch, which also brings the query's Done, and no unit is
+// folded before its ack.
 func TestPollCommitSingleQueryBatches(t *testing.T) {
 	ix, src, want := idDataset(t, 1, 1)
 	resetAcked()
@@ -299,9 +302,9 @@ func TestPollCommitSingleQueryBatches(t *testing.T) {
 	client.checkCommits(t, ix.NumChunks())
 	client.mu.Lock()
 	defer client.mu.Unlock()
-	if client.frames != 0 || client.polled != queries {
-		t.Errorf("%d JobsDone frames and %d poll-carried commits for %d one-job batches, want 0 and %d",
-			client.frames, client.polled, queries, queries)
+	if client.commitPolls != 0 || client.polled != queries {
+		t.Errorf("%d commit polls and %d commits riding polls for work for %d one-job batches, want 0 and %d",
+			client.commitPolls, client.polled, queries, queries)
 	}
 }
 
@@ -395,8 +398,9 @@ func (g *gate) await(t *testing.T, what string) {
 	}
 }
 
-// gatedClient holds on the wire the agent's first JobsDone for the last
-// query of its first grant batch, and its first poll that carries commits.
+// gatedClient holds on the wire the agent's first mid-batch commit for the
+// last query of its first grant batch, and its first poll for work that
+// carries commits.
 // It records the first batch's jobs per query and that poll's commits.
 type gatedClient struct {
 	QueryClient
@@ -438,8 +442,8 @@ func (c *gatedClient) CompleteJobs(done protocol.JobsDone) ([]int, error) {
 // TestGroupCommitBoundsHeldChunks: an agent with Cores 16 asks for a batch
 // of 16 jobs and 16 unit groups (G) of bytes, and works each query's part
 // of it with RetrievalThreads 2 lanes at most max(2 chunks, 2 × G) bytes
-// ahead of the settled jobs. While the last query's first JobsDone is stuck
-// on the wire the lanes have retrieved every earlier query's part of the
+// ahead of the settled jobs. While the last query's first mid-batch commit
+// is stuck on the wire the lanes have retrieved every earlier query's part of the
 // batch plus exactly that many bytes, and no more. When the poll that
 // commits the batch's kept groups is on the wire, the whole batch has been
 // retrieved, it carries one group per query, none larger than the same
@@ -501,7 +505,7 @@ func heldBoundsRun(t *testing.T, g, queries int) {
 	// settled jobs: max(RetrievalThreads chunks, RetrievalThreads × G bytes).
 	ahead := max(lanes, lanes*g/size)
 
-	client.done.await(t, "JobsDone")
+	client.done.await(t, "mid-batch commit")
 	client.mu.Lock()
 	batch := client.batch
 	client.mu.Unlock()
@@ -620,5 +624,40 @@ func TestByteBatchesAmortisePolls(t *testing.T) {
 	if got > bound {
 		t.Errorf("%d polls carried grants for %d jobs of %d bytes, want at most ⌈%d / %d⌉ + %d = %d",
 			got, queries*perQuery, chunkBytes, total, floor, sites*queries, bound)
+	}
+}
+
+// TestCommitRoundTripAllocs pins the allocations of one mid-batch commit
+// of one job from a RemoteAgent to a head over transport.Pipe: the commit
+// poll's box and its decoded commit list and jobs at the head, and the
+// reply's box and decoded acks at the agent. The agent's request list and
+// the head's ack list are reused, and neither side's Send boxes its message
+// on the heap.
+func TestCommitRoundTripAllocs(t *testing.T) {
+	ix, _, _ := buildDataset(t, 400*25, 1000, 25) // 400 jobs
+	h := multiTestHead(t, 1, config.Tuning{}, nil)
+	defer h.Shutdown()
+	q := admitSum(t, h, ix, 0)
+	a, b := transport.Pipe()
+	go h.HandleConn(b)
+	r := NewRemoteAgent(a)
+	defer r.Close()
+	if _, err := r.RegisterSite(protocol.Hello{Site: 0, Cluster: "c"}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Poll(protocol.PollRequest{Site: 0, N: ix.NumChunks()})
+	if err != nil || len(rep.Queries) != 1 || len(rep.Queries[0].Jobs) != ix.NumChunks() {
+		t.Fatalf("grant: %d queries, %v", len(rep.Queries), err)
+	}
+	held := rep.Queries[0].Jobs
+	one := make([]jobs.Job, 1) // reused, as the agent reuses its group's jobs
+	allocs := testing.AllocsPerRun(200, func() {
+		one[0], held = held[0], held[1:]
+		if dups, err := r.CompleteJobs(protocol.JobsDone{Site: 0, Query: q.ID(), Jobs: one}); err != nil || len(dups) > 0 {
+			t.Fatalf("commit: dups %v, %v", dups, err)
+		}
+	})
+	if allocs > 5 {
+		t.Errorf("one commit round trip: %.1f allocs, want ≤ 5", allocs)
 	}
 }

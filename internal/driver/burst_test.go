@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/appcfg"
 	"repro/internal/chunk"
+	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/elastic"
 	"repro/internal/head"
@@ -76,15 +77,16 @@ func TestElasticAdvisorAdvisesAndDrains(t *testing.T) {
 	defer h.Shutdown()
 	registerSite(t, h, 0)
 	admitKNN(t, h, &elastic.Policy{Deadline: 20 * time.Second})
-	// commit has site 0 fetch and complete up to n jobs.
+	// commit has site 0 fetch and complete up to n jobs, as an agent does.
+	agent := cluster.InProcAgent{Head: h}
 	commit := func(n int) {
 		t.Helper()
-		rep, err := h.Poll(0, n)
+		rep, err := agent.Poll(protocol.PollRequest{Site: 0, N: n})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, qj := range rep.Queries {
-			if _, err := h.CompleteQueryJobs(qj.Query, 0, qj.Jobs); err != nil {
+			if _, err := agent.CompleteJobs(protocol.JobsDone{Site: 0, Query: qj.Query, Jobs: qj.Jobs}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -123,7 +125,7 @@ func TestElasticAdvisorAdvisesAndDrains(t *testing.T) {
 		t.Fatalf("third tick logged %q, want one drain of site 1000 and no further advisory", logs)
 	}
 	// The drain reached the head: the never-polled burst site is told to leave.
-	rep, err := h.Poll(head.BurstSiteBase, 1)
+	rep, err := agent.Poll(protocol.PollRequest{Site: head.BurstSiteBase, N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

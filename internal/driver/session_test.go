@@ -592,12 +592,19 @@ func TestLiveWatchdogFlagsSlowSite(t *testing.T) {
 	d, src := buildPointDeployment(t, gen, 1500)
 	// The healthy site's reads wait for the tarpit site's first one, so the
 	// tarpit holds jobs however fast the healthy site would otherwise drain
-	// the pool.
-	started := make(chan struct{})
+	// the pool. The wait is bounded: a tarpit site granted no job lets the
+	// healthy one go on alone after 10 s, and the test fails below.
+	started, starved := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	tarpit := hookSource{slowSource{inner: src, delay: 25 * time.Millisecond},
 		func() { once.Do(func() { close(started) }) }}
-	healthy := hookSource{src, func() { <-started }}
+	healthy := hookSource{src, func() {
+		select {
+		case <-started:
+		case <-starved:
+		}
+	}}
+	defer time.AfterFunc(10*time.Second, func() { close(starved) }).Stop()
 	d.Clusters[0].Sources = map[int]chunk.Source{0: healthy, 1: healthy}
 	d.Clusters[1].Sources = map[int]chunk.Source{0: tarpit, 1: tarpit}
 	d.Obs = obs.New(nil)
@@ -634,7 +641,14 @@ func TestLiveWatchdogFlagsSlowSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, reports, err := q.Wait(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	obj, reports, err := q.Wait(ctx)
+	select {
+	case <-started:
+	default:
+		t.Fatal("tarpit site was granted no job")
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

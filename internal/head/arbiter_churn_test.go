@@ -209,7 +209,7 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 			return
 		}
 		batch := held[:n]
-		dups, err := h.CompleteQueryJobs(query, site, batch)
+		dups, err := head.CommitJobs(h, query, site, batch)
 		if err != nil {
 			t.Fatalf("site %d commit for query %d: %v", site, query, err)
 		}
@@ -226,7 +226,7 @@ func runArbiterChurn(t *testing.T, ix *chunk.Index, expect uint64, seed int64) (
 	}
 	poll := func(site int, st *arbChurnSite, n int) {
 		fairCounted := available(poolA) >= n && available(poolB) >= n
-		rep, err := h.Poll(site, n)
+		rep, err := head.Poll(h, site, n)
 		if err != nil {
 			t.Fatalf("site %d poll: %v", site, err)
 		}

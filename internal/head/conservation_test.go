@@ -97,7 +97,7 @@ func runConservation(t *testing.T, ix *chunk.Index, expect uint64, seed int64) {
 			return
 		}
 		batch := st.held[:n]
-		dups, err := h.CompleteQueryJobs(q.ID(), site, batch)
+		dups, err := commitJobs(h, q.ID(), site, batch)
 		if err != nil {
 			t.Fatalf("site %d commit: %v", site, err)
 		}
@@ -113,7 +113,7 @@ func runConservation(t *testing.T, ix *chunk.Index, expect uint64, seed int64) {
 		st.held = append([]jobs.Job(nil), st.held[n:]...)
 	}
 	poll := func(site int, st *churnSite, n int) {
-		rep, err := h.Poll(site, n)
+		rep, err := poll(h, site, n)
 		if err != nil {
 			t.Fatalf("site %d poll: %v", site, err)
 		}

@@ -46,7 +46,7 @@ func TestDrainNoObligationsDepartsImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Never polled, never committed: the first drain poll says leave.
-	rep, err := h.Poll(1000, 4)
+	rep, err := poll(h, 1000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestDrainNoObligationsDepartsImmediately(t *testing.T) {
 
 func TestDrainProtocolCommitSubmitDepart(t *testing.T) {
 	h, q := drainHead(t)
-	rep, err := h.Poll(1000, 3)
+	rep, err := poll(h, 1000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDrainProtocolCommitSubmitDepart(t *testing.T) {
 	}
 
 	// Outstanding copies: no new work, no notice yet.
-	rep, err = h.Poll(1000, 3)
+	rep, err = poll(h, 1000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestDrainProtocolCommitSubmitDepart(t *testing.T) {
 		t.Fatalf("draining poll with held jobs = %+v, want an empty reply", rep)
 	}
 
-	if _, err := h.CompleteQueryJobs(q.ID(), 1000, held); err != nil {
+	if _, err := commitJobs(h, q.ID(), 1000, held); err != nil {
 		t.Fatal(err)
 	}
 	// Commits are in: the site now owes its reduction object.
-	rep, err = h.Poll(1000, 3)
+	rep, err = poll(h, 1000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDrainProtocolCommitSubmitDepart(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = h.Poll(1000, 3)
+	rep, err = poll(h, 1000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDrainProtocolCommitSubmitDepart(t *testing.T) {
 		t.Fatal("drain channel not closed")
 	}
 	// A departed site is gone: its next request is rejected.
-	if _, err := h.Poll(1000, 1); err == nil {
+	if _, err := poll(h, 1000, 1); err == nil {
 		t.Fatal("poll after departure accepted")
 	}
 }

@@ -117,3 +117,15 @@ func CodeError(code int, msg string) error {
 	}
 	return fmt.Errorf("%s: %w", msg, sentinel)
 }
+
+// CommitAck reads the reply to a commit poll (one commit, no ask) as the
+// commit's duplicate IDs and its typed error.
+func CommitAck(rep protocol.PollReply, err error) ([]int, error) {
+	if err != nil {
+		return nil, err
+	}
+	if len(rep.Acks) != 1 {
+		return nil, fmt.Errorf("head: a commit poll answered with %d acks", len(rep.Acks))
+	}
+	return rep.Acks[0].Dup, CodeError(rep.Acks[0].Code, rep.Acks[0].Err)
+}

@@ -5,8 +5,10 @@ import "repro/internal/core"
 // The external head_test package drives a real head with the same
 // conservation helpers the internal tests use.
 var (
-	JobVal    = jobVal
-	EncodeSum = encodeSum
+	JobVal     = jobVal
+	EncodeSum  = encodeSum
+	Poll       = poll
+	CommitJobs = commitJobs
 )
 
 type SumReducer = sumReducer

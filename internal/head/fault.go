@@ -275,7 +275,7 @@ func (h *Head) siteCkptLock(site int) *sync.Mutex {
 // FailSite declares site failed: its lease is revoked, its in-flight jobs
 // return to every query's pool, and completions not covered by each query's
 // last persisted checkpoint are reissued for recomputation. From the
-// MarkDead onwards the site is FENCED: Poll, CompleteQueryJobs,
+// MarkDead onwards the site is FENCED: PollFrom (commits included),
 // CheckpointSave and SubmitQueryResult all refuse its traffic until it
 // re-registers, so a dead-marked-but-alive straggler cannot double-count
 // work handed out for recomputation here. A query the site never actually

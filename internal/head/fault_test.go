@@ -62,7 +62,7 @@ func testFaultHead(t *testing.T, clusters int, fo faultOpts) (*Head, *jobs.Pool)
 
 // complete commits js for testFaultHead's query.
 func complete(h *Head, site int, js []jobs.Job) ([]int, error) {
-	return h.CompleteQueryJobs(0, site, js)
+	return commitJobs(h, 0, site, js)
 }
 
 // waitFor polls cond for up to 2s.
@@ -624,7 +624,7 @@ func TestReportedSiteReportsReissuedWorkAgain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dups, err := h.CompleteQueryJobs(q.ID(), site, js); err != nil || len(dups) > 0 {
+		if dups, err := commitJobs(h, q.ID(), site, js); err != nil || len(dups) > 0 {
 			t.Fatalf("site %d commit: dups %v, err %v", site, dups, err)
 		}
 		for _, j := range js {
@@ -636,7 +636,7 @@ func TestReportedSiteReportsReissuedWorkAgain(t *testing.T) {
 	// doneFor polls site and reports whether its reply asks for q's object.
 	doneFor := func(site int) bool {
 		t.Helper()
-		rep, err := h.Poll(site, 0)
+		rep, err := poll(h, site, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func hostileJobs(n int) []jobs.Job {
 	return []jobs.Job{{ID: -1}, {ID: n}, {ID: 1 << 40}}
 }
 
-// TestCompleteHostileJobIDs: a JobsDone naming a job ID outside the pool is
+// TestCompleteHostileJobIDs: a commit naming a job ID outside the pool is
 // refused with the pool's "not outstanding" error, one ID at a time, and
 // the query carries on: its real jobs still commit and it finishes.
 func TestCompleteHostileJobIDs(t *testing.T) {
@@ -58,7 +58,7 @@ func TestCompleteHostileJobIDs(t *testing.T) {
 	ix := parkIndex(t)
 	q := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
 	for _, j := range hostileJobs(ix.NumChunks()) {
-		dups, err := h.CompleteQueryJobs(q.ID(), 0, []jobs.Job{j})
+		dups, err := commitJobs(h, q.ID(), 0, []jobs.Job{j})
 		if err == nil || !strings.Contains(err.Error(), "not outstanding") || len(dups) != 0 {
 			t.Errorf("commit of job %d: dups=%v err=%v, want a not-outstanding error", j.ID, dups, err)
 		}
@@ -112,7 +112,7 @@ func TestPollRefusesNegativeAsk(t *testing.T) {
 	h, _ := parkHead(t, 1, Config{})
 	ix := parkIndex(t)
 	q := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
-	first, err := h.Poll(0, 2)
+	first, err := poll(h, 0, 2)
 	if err != nil || len(first.Queries) != 1 {
 		t.Fatalf("first poll: %#v, %v", first, err)
 	}
@@ -131,7 +131,7 @@ func TestPollRefusesNegativeAsk(t *testing.T) {
 			t.Errorf("N %d Bytes %d: refused poll answered %#v", req.N, req.Bytes, rep)
 		}
 	}
-	if dups, err := h.CompleteQueryJobs(q.ID(), 0, held); err != nil || len(dups) != 0 {
+	if dups, err := commitJobs(h, q.ID(), 0, held); err != nil || len(dups) != 0 {
 		t.Errorf("commit after the refused polls: dups %v, err %v; want a first commit", dups, err)
 	}
 

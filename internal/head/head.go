@@ -468,15 +468,17 @@ func (h *Head) Close() error {
 }
 
 // HandleConn speaks the master protocol on one connection: Hello →
-// SiteSpec, then PollRequest/QuerySpecRequest/JobsDone/CheckpointSave
-// interleaved across queries, with each ReductionResult acknowledged by a
-// ResultAck so the master keeps serving its remaining queries. Only
+// SiteSpec, then PollRequest (commits included)/QuerySpecRequest/
+// CheckpointSave interleaved across queries, with each ReductionResult
+// acknowledged by a ResultAck so the master keeps serving its remaining
+// queries. Only
 // ProtoMulti sessions are accepted — a Hello of any other Proto is answered
 // with an ErrorReply coded CodeVersionMismatch. Exported so in-process
 // deployments can drive a head over transport.Pipe.
 func (h *Head) HandleConn(c *transport.Conn) {
 	defer c.Close()
 	site := -1
+	var acks []protocol.JobsDoneAck // the session's reused PollReply.Acks
 	for {
 		msg, err := c.Recv()
 		if err != nil {
@@ -505,11 +507,12 @@ func (h *Head) HandleConn(c *transport.Conn) {
 			}
 			h.cfg.Obs.Metrics().Counter("head_sessions_total").Inc()
 		case protocol.PollRequest:
-			rep, err := h.PollFrom(m)
+			rep, err := h.PollInto(m, acks)
 			if err != nil {
 				_ = c.Send(protocol.ErrorReply{Err: err.Error(), Code: ErrCode(err)})
 				continue // query- and fence-scoped; the master decides
 			}
+			acks = rep.Acks // sent below, before the next request reuses it
 			if err := c.Send(rep); err != nil {
 				return
 			}
@@ -520,11 +523,6 @@ func (h *Head) HandleConn(c *transport.Conn) {
 				continue
 			}
 			if err := c.Send(spec); err != nil {
-				return
-			}
-		case protocol.JobsDone:
-			ack, _ := h.commit(m) // the error travels in the ack
-			if err := c.Send(ack); err != nil {
 				return
 			}
 		case protocol.Heartbeat:

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -85,7 +86,7 @@ func register(t *testing.T, h *Head, sites ...int) {
 // reqJobs flattens a Poll reply's grants for the single-query tests, and
 // returns the reply for its notices.
 func reqJobs(h *Head, site, n int) ([]jobs.Job, protocol.PollReply, error) {
-	rep, err := h.Poll(site, n)
+	rep, err := poll(h, site, n)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -185,7 +186,7 @@ func TestRequestAndCompleteJobs(t *testing.T) {
 	if len(rep.Done) != 0 {
 		t.Errorf("Done = %v on a grant from an undrained pool", rep.Done)
 	}
-	dups, err := h.CompleteQueryJobs(q.ID(), 0, js)
+	dups, err := commitJobs(h, q.ID(), 0, js)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestRequestAndCompleteJobs(t *testing.T) {
 	}
 	// A second completion of the same jobs is deduplicated, not an error:
 	// that is how speculative copies are absorbed.
-	dups, err = h.CompleteQueryJobs(q.ID(), 0, js)
+	dups, err = commitJobs(h, q.ID(), 0, js)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +205,9 @@ func TestRequestAndCompleteJobs(t *testing.T) {
 }
 
 // TestHandleConnProtocol drives a full master session over an in-process
-// pipe: Hello → SiteSpec, QuerySpecRequest → JobSpec, PollRequest/JobsDone
-// until the query appears in Done, then ReductionResult → ResultAck; the
-// final object is read at the head.
+// pipe: Hello → SiteSpec, QuerySpecRequest → JobSpec, polls for work and
+// polls that commit it and ask for nothing until the query appears in Done,
+// then ReductionResult → ResultAck; the final object is read at the head.
 func TestHandleConnProtocol(t *testing.T) {
 	h, q := testHead(t, 1)
 	a, b := transport.Pipe()
@@ -258,19 +259,20 @@ func TestHandleConnProtocol(t *testing.T) {
 		}
 		for _, qj := range rep.Queries {
 			granted += len(qj.Jobs)
-			if err := a.Send(protocol.JobsDone{Site: 0, Query: qj.Query, Jobs: qj.Jobs}); err != nil {
+			commit := protocol.PollRequest{Site: 0, Commits: []protocol.JobsDone{{Site: 0, Query: qj.Query, Jobs: qj.Jobs}}}
+			if err := a.Send(commit); err != nil {
 				t.Fatal(err)
 			}
 			reply, err = a.Recv()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ack, ok := reply.(protocol.JobsDoneAck)
+			ack, ok := reply.(protocol.PollReply)
 			if !ok {
-				t.Fatalf("JobsDone reply = %T", reply)
+				t.Fatalf("commit reply = %T", reply)
 			}
-			if ack.Err != "" || len(ack.Dup) != 0 {
-				t.Fatalf("ack = %+v", ack)
+			if want := []protocol.JobsDoneAck{{}}; !reflect.DeepEqual(ack, protocol.PollReply{Acks: want}) {
+				t.Fatalf("commit reply = %+v, want the one clean ack alone", ack)
 			}
 		}
 	}
@@ -364,14 +366,15 @@ func TestHandleConnGobOptIn(t *testing.T) {
 
 // TestHandleConnRefusesOtherVersions: a Hello of any Proto but ProtoMulti
 // — 0 is the retired single-query dialect, 3 the layout before commits
-// rode the poll, 5 the one before the poll's byte floor — is answered with
+// rode the poll, 5 the one before the poll's byte floor, 6 the one with a
+// commit frame of its own — is answered with
 // an ErrorReply coded CodeVersionMismatch, which a remote master rebuilds
 // (CodeError, as RemoteAgent does) into ErrVersionMismatch; the session
 // ends without registering the site.
 func TestHandleConnRefusesOtherVersions(t *testing.T) {
 	h, _ := testHead(t, 1)
 	defer h.Shutdown()
-	for _, proto := range []int{0, 1, 3, 4, 5, protocol.ProtoMulti + 1} {
+	for _, proto := range []int{0, 1, 3, 4, 5, 6, protocol.ProtoMulti + 1} {
 		a, b := transport.Pipe()
 		done := make(chan struct{})
 		go func() { h.HandleConn(b); close(done) }()
@@ -395,6 +398,37 @@ func TestHandleConnRefusesOtherVersions(t *testing.T) {
 	// No refused master took the head's single slot.
 	if _, err := h.RegisterSite(protocol.Hello{Site: 0, Cluster: "new", Proto: protocol.ProtoMulti}); err != nil {
 		t.Errorf("registration after refused Hellos: %v", err)
+	}
+}
+
+// TestHandleConnRefusesRetiredCommitFrame: a registered master that sends
+// a frame under the retired JobsDone tag 5 ends its session: the head's
+// decoder answers it with ErrUnknownType, no panic, and the fail-fast head
+// fails the run with that typed error as the lost master's cause.
+func TestHandleConnRefusesRetiredCommitFrame(t *testing.T) {
+	h, q := testHead(t, 1)
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan struct{})
+	go func() { h.HandleConn(transport.New(server)); close(done) }()
+	a := transport.New(client)
+	if err := a.Send(protocol.Hello{Site: 0, Cluster: "v6", Proto: protocol.ProtoMulti}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	// A v6 JobsDone: tag 5, Site, Query, no jobs, a zero trace.
+	body := append([]byte{5}, make([]byte, 8+8+4+16)...)
+	frame := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+	go client.Write(frame)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("HandleConn kept the session open after a tag-5 frame")
+	}
+	if _, _, _, err := q.Wait(context.Background()); !errors.Is(err, protocol.ErrUnknownType) {
+		t.Errorf("run error %v, want the lost master's ErrUnknownType", err)
 	}
 }
 
@@ -476,15 +510,16 @@ func TestServeOverTCP(t *testing.T) {
 				}
 			}
 			for _, qj := range rep.Queries {
-				if err := c.Send(protocol.JobsDone{Site: site, Query: qj.Query, Jobs: qj.Jobs}); err != nil {
+				commit := protocol.PollRequest{Site: site, Commits: []protocol.JobsDone{{Site: site, Query: qj.Query, Jobs: qj.Jobs}}}
+				if err := c.Send(commit); err != nil {
 					return err
 				}
 				reply, err = c.Recv()
 				if err != nil {
 					return err
 				}
-				if ack, ok := reply.(protocol.JobsDoneAck); !ok || ack.Err != "" {
-					return fmt.Errorf("JobsDone reply = %#v", reply)
+				if ack, ok := reply.(protocol.PollReply); !ok || len(ack.Acks) != 1 || ack.Acks[0].Err != "" {
+					return fmt.Errorf("commit reply = %#v", reply)
 				}
 			}
 			if len(rep.Queries) == 0 && !done {

@@ -96,7 +96,7 @@ func awaitReply(t *testing.T, ch <-chan pollResult) pollResult {
 // takeAll grants every remaining job to site in one poll.
 func takeAll(t *testing.T, h *Head, site int) []protocol.QueryJobs {
 	t.Helper()
-	rep, err := h.Poll(site, 1000)
+	rep, err := poll(h, site, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func takeAll(t *testing.T, h *Head, site int) []protocol.QueryJobs {
 func commitAll(t *testing.T, h *Head, site int, qjs []protocol.QueryJobs) {
 	t.Helper()
 	for _, qj := range qjs {
-		if dups, err := h.CompleteQueryJobs(qj.Query, site, qj.Jobs); err != nil || len(dups) != 0 {
+		if dups, err := commitJobs(h, qj.Query, site, qj.Jobs); err != nil || len(dups) != 0 {
 			t.Fatalf("commit query %d at site %d: dups=%v err=%v", qj.Query, site, dups, err)
 		}
 	}
@@ -132,7 +132,7 @@ func TestParkedPollWakesOnEvent(t *testing.T) {
 	t.Run("pool drained by another site", func(t *testing.T) {
 		h, o := parkHead(t, 2, Config{})
 		q := admitSumQuery(t, h, ix, both, 1)
-		first, err := h.Poll(0, 2)
+		first, err := poll(h, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestParkExpiryMatchesUnparkedReply(t *testing.T) {
 			if r.err != nil {
 				t.Fatal(r.err)
 			}
-			want, err := h.Poll(0, 4)
+			want, err := poll(h, 0, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +339,7 @@ func TestParkNoLostWakeup(t *testing.T) {
 					return
 				}
 				for _, qj := range rep.Queries {
-					if _, err := h.CompleteQueryJobs(qj.Query, site, qj.Jobs); err != nil {
+					if _, err := commitJobs(h, qj.Query, site, qj.Jobs); err != nil {
 						t.Errorf("site %d commit: %v", site, err)
 						return
 					}

@@ -3,6 +3,7 @@ package head
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,6 +23,24 @@ func ride(site int, commits ...protocol.JobsDone) protocol.PollRequest {
 // done is one query's commit of js from site.
 func done(site, query int, js []jobs.Job) protocol.JobsDone {
 	return protocol.JobsDone{Site: site, Query: query, Jobs: js}
+}
+
+// commitPoll is a master's mid-batch commit: a poll for site that carries
+// commits and asks for nothing.
+func commitPoll(site int, commits ...protocol.JobsDone) protocol.PollRequest {
+	return protocol.PollRequest{Site: site, Commits: commits}
+}
+
+// poll is a bare poll for n jobs at site.
+func poll(h *Head, site, n int) (protocol.PollReply, error) {
+	return h.PollFrom(protocol.PollRequest{Site: site, N: n})
+}
+
+// commitJobs commits js for query from site as a master commits a
+// mid-batch group — a poll that asks for nothing — and returns the ack's
+// duplicates and its error.
+func commitJobs(h *Head, query, site int, js []jobs.Job) ([]int, error) {
+	return CommitAck(h.PollFrom(commitPoll(site, done(site, query, js))))
 }
 
 // TestPollCommitDrainGetsDoneInSameReply: the commits a poll carries are
@@ -144,7 +163,7 @@ func TestPollCommitFencedRefusedWhole(t *testing.T) {
 	})
 	ix := parkIndex(t)
 	q := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
-	rep, err := h.Poll(0, 4)
+	rep, err := poll(h, 0, 4)
 	if err != nil || len(rep.Queries) != 1 {
 		t.Fatalf("grant: %#v, %v", rep, err)
 	}
@@ -171,7 +190,7 @@ func TestPollCommitNeverHeld(t *testing.T) {
 	h, o := parkHead(t, 1, Config{})
 	ix := parkIndex(t)
 	q := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
-	rep, err := h.Poll(0, 2)
+	rep, err := poll(h, 0, 2)
 	if err != nil || len(rep.Queries) != 1 {
 		t.Fatalf("grant: %#v, %v", rep, err)
 	}
@@ -189,9 +208,148 @@ func TestPollCommitNeverHeld(t *testing.T) {
 	}
 }
 
+// TestCommitPollKeepsNotices: a poll that carries a commit and asks for
+// nothing is answered with the ack alone. Query A is canceled while site 0
+// holds jobs of query B: the commit poll of one B group carries no Dropped
+// notice — a master that reads only the acks would lose it and keep A's
+// engine forever — and the site's next poll that asks for work brings
+// Dropped=[A].
+func TestCommitPollKeepsNotices(t *testing.T) {
+	h, _ := parkHead(t, 1, Config{})
+	ix := parkIndex(t)
+	qa := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
+	qb := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
+	var held []jobs.Job
+	for _, qj := range takeAll(t, h, 0) {
+		if qj.Query == qb.ID() {
+			held = qj.Jobs
+		}
+	}
+	if len(held) == 0 {
+		t.Fatal("site 0 holds no job of query B")
+	}
+	qa.Cancel()
+	rep, err := h.PollFrom(commitPoll(0, done(0, qb.ID(), held[:1])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (protocol.PollReply{Acks: []protocol.JobsDoneAck{{}}}); !reflect.DeepEqual(rep, want) {
+		t.Errorf("commit poll reply = %#v, want the one ack alone", rep)
+	}
+	rep, err = poll(h, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Dropped, []int{qa.ID()}) {
+		t.Errorf("next poll's Dropped = %v, want [%d]", rep.Dropped, qa.ID())
+	}
+}
+
+// TestCommitPollFromDrainingSite: a draining site's commit poll is answered
+// with its ack alone — no Dropped notice and no Drain — and does not depart
+// the site, though it leaves the site nothing held and nothing owed; the
+// site's next poll that asks for work carries both and departs it.
+func TestCommitPollFromDrainingSite(t *testing.T) {
+	h, q := drainHead(t)
+	rep, err := poll(h, 1000, 3)
+	if err != nil || len(rep.Queries) != 1 {
+		t.Fatalf("grant: %#v, %v", rep, err)
+	}
+	held := rep.Queries[0].Jobs
+	left, err := h.DrainSite(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Cancel()
+	rep, err = h.PollFrom(commitPoll(1000, done(1000, q.ID(), held)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Acks) != 1 || len(rep.Acks[0].Dup) != len(held) || !idleReply(rep) {
+		t.Errorf("draining site's commit poll = %#v, want one ack, every job a duplicate, alone", rep)
+	}
+	select {
+	case <-left:
+		t.Fatal("a commit poll departed the draining site")
+	default:
+	}
+	if !slices.Contains(h.Sites(), 1000) {
+		t.Errorf("Sites() = %v after the commit poll, want 1000 still in it", h.Sites())
+	}
+	rep, err = poll(h, 1000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Drain || !reflect.DeepEqual(rep.Dropped, []int{q.ID()}) {
+		t.Errorf("next poll = %#v, want Dropped=[%d] and Drain", rep, q.ID())
+	}
+	select {
+	case <-left:
+	default:
+		t.Error("the poll that carried Drain did not depart the site")
+	}
+}
+
+// TestCommitPollAttributedToPollingSite: a commit is the polling site's,
+// whatever its own Site field says. Site 1 commits every job it holds on a
+// poll whose commit names site 0: the jobs leave site 1's hands, the pool
+// drains, and Done is due at site 1, which folded them, not at site 0.
+func TestCommitPollAttributedToPollingSite(t *testing.T) {
+	h, _ := parkHead(t, 2, Config{})
+	ix := parkIndex(t)
+	q := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
+	var held []jobs.Job
+	for len(held) < ix.NumChunks() {
+		for _, qj := range takeAll(t, h, 1) {
+			held = append(held, qj.Jobs...)
+		}
+	}
+	if _, err := h.PollFrom(commitPoll(1, done(0, q.ID(), held))); err != nil {
+		t.Fatal(err)
+	}
+	for site, want := range map[int][]int{1: {q.ID()}, 0: nil} {
+		rep, err := poll(h, site, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Done, want) {
+			t.Errorf("site %d: Done = %v, want %v", site, rep.Done, want)
+		}
+	}
+}
+
+// TestCommitPollRenewsLeaseOnce: a poll renews its site's lease once
+// however many commits it carries — a commit poll once, as a commit frame
+// of its own did, not once for the poll and again per commit.
+func TestCommitPollRenewsLeaseOnce(t *testing.T) {
+	h, o := parkHead(t, 1, Config{
+		Tuning: config.Tuning{LeaseTTL: time.Hour},
+		Fault:  FaultConfig{Store: fault.NewMemStore()},
+	})
+	ix := parkIndex(t)
+	q := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
+	held := takeAll(t, h, 0)[0].Jobs
+	beats := o.Metrics().Counter("head_heartbeats_total")
+	before := beats.Value()
+	if _, err := commitJobs(h, q.ID(), 0, held[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if n := beats.Value() - before; n != 1 {
+		t.Errorf("a commit poll renewed the lease %d times, want 1", n)
+	}
+	before = beats.Value()
+	if _, err := h.PollFrom(ride(0, done(0, q.ID(), held[2:4]), done(0, q.ID(), held[4:]))); err != nil {
+		t.Fatal(err)
+	}
+	if n := beats.Value() - before; n != 1 {
+		t.Errorf("a poll carrying two commits renewed the lease %d times, want 1", n)
+	}
+}
+
 // BenchmarkPollCommit drains a pool from one site, committing each grant
-// on the next poll ("ride") or with its own CompleteQueryJobs before the
-// poll ("separate"), and reports ns, allocs and polls per committed job.
+// on the next poll ("ride") or with a commit poll of its own, which asks
+// for nothing, before that poll ("mid-batch"), and reports ns, allocs and
+// polls per committed job (a commit poll counts as a poll).
 // The first two cases drain 1024 4-byte jobs in 4-job grants; "ride-4KiB"
 // drains 8192 4 KiB jobs asking, as an agent with up to 4 cores does, for
 // 4 jobs and a byte floor of 4 unit groups (1 MiB) per poll.
@@ -204,7 +362,7 @@ func BenchmarkPollCommit(b *testing.B) {
 		floor      int64
 	}{
 		{name: "ride", ride: true, jobs: 1024, chunkBytes: 4},
-		{name: "separate", jobs: 1024, chunkBytes: 4},
+		{name: "mid-batch", jobs: 1024, chunkBytes: 4},
 		{name: "ride-4KiB", ride: true, jobs: 8192, chunkBytes: 4 << 10, floor: 4 * core.DefaultGroupBytes},
 	} {
 		ix, err := chunk.Layout("ride", int64(tc.jobs*tc.chunkBytes/4), 4, tc.jobs*tc.chunkBytes/16, tc.chunkBytes/4)
@@ -244,11 +402,13 @@ func BenchmarkPollCommit(b *testing.B) {
 				for {
 					req := protocol.PollRequest{Site: 0, N: 4, Bytes: tc.floor}
 					if len(last) > 0 {
+						commits[0] = done(0, q.ID(), last)
 						if tc.ride {
-							commits[0] = done(0, q.ID(), last)
 							req.Commits = commits
-						} else if _, err := h.CompleteQueryJobs(q.ID(), 0, last); err != nil {
+						} else if _, err := h.PollFrom(commitPoll(0, commits...)); err != nil {
 							b.Fatal(err)
+						} else {
+							polls++
 						}
 						committed += uint64(len(last))
 					}

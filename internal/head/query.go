@@ -347,21 +347,17 @@ func (q *Query) completeLocked() bool {
 // ---------------------------------------------------------------------------
 // Site-facing scheduling surface.
 
-// Poll assigns up to n jobs runnable at site, drawn from every admitted
-// query by weighted fair share, and reports the per-query lifecycle
-// transitions the site must act on — queries now expecting its reduction
-// result (Done), canceled queries to discard (Dropped), and head shutdown.
-// A fenced site gets an *OpError wrapping fault.ErrFenced and must
-// re-register.
-func (h *Head) Poll(site, n int) (protocol.PollReply, error) {
-	return h.PollFrom(protocol.PollRequest{Site: site, N: n})
-}
-
-// PollFrom is Poll taking the full wire request: shipped master-side spans
-// are merged into the head's trace (aligned by the clock offset NowNS
-// implies), each grant is stamped with its query's TraceContext and recorded
-// as a head-side grant span, and the latency watchdog runs once per
-// evaluation so an emerging straggler is flagged within one poll round.
+// PollFrom answers one master's poll: it assigns at least req.N jobs and
+// req.Bytes bytes runnable at the site, drawn from every admitted query by
+// weighted fair share, and reports the per-query lifecycle transitions the
+// site must act on — queries now expecting its reduction result (Done),
+// canceled queries to discard (Dropped), a drain order and head shutdown.
+// Shipped master-side spans are merged into the head's trace (aligned by
+// the clock offset NowNS implies), each grant is stamped with its query's
+// TraceContext and recorded as a head-side grant span, and the latency
+// watchdog runs once per evaluation so an emerging straggler is flagged
+// within one poll round. A fenced site gets an *OpError wrapping
+// fault.ErrFenced and must re-register.
 //
 // A request with ParkNS set is HELD while its answer would be idle — no
 // grants, no Done or Dropped notice, no Shutdown or Drain — and answered the
@@ -370,13 +366,23 @@ func (h *Head) Poll(site, n int) (protocol.PollReply, error) {
 // passed. Spans are absorbed and head_pool_exhausted_total counted once per
 // request, however often it is re-evaluated.
 //
-// The request's Commits are applied first, in order, each exactly as
-// CompleteQueryJobs applies a JobsDone, so a commit that drains a pool gets
-// its Done in this very reply; Acks answers them one for one. A poll that
-// carries commits is never held. A fenced site's poll is refused whole,
-// none of its commits applied; a fence that lands between two of them
-// refuses the poll too, and the head reissues what the first ones committed.
+// The request's Commits are applied first, in order, so a commit that
+// drains a pool gets its Done in this very reply; Acks answers them one for
+// one. A poll that carries commits is never held, and one that carries
+// commits and asks for nothing (N and Bytes 0) — a master's mid-batch
+// commit — is answered with the acks alone: no grants, no notices, no
+// drain and no watchdog pass; they wait for the site's next poll that asks
+// for work. A fenced site's poll is refused whole, none of its commits
+// applied; a fence that lands between two of them refuses the poll too,
+// and the head reissues what the first ones committed.
 func (h *Head) PollFrom(req protocol.PollRequest) (protocol.PollReply, error) {
+	return h.PollInto(req, nil)
+}
+
+// PollInto is PollFrom appending the reply's acks to acks[:0]: a caller
+// that is done with each reply before it polls again — a session, or the
+// simulator's master — reuses one slice.
+func (h *Head) PollInto(req protocol.PollRequest, acks []protocol.JobsDoneAck) (protocol.PollReply, error) {
 	site := req.Site
 	if req.N < 0 || req.Bytes < 0 {
 		return protocol.PollReply{}, opErr("poll", site, -1,
@@ -387,9 +393,16 @@ func (h *Head) PollFrom(req protocol.PollRequest) (protocol.PollReply, error) {
 	}
 	h.Heartbeat(site)
 	h.absorbSpans(req)
-	acks, err := h.applyCommits(req.Commits)
-	if err != nil {
-		return protocol.PollReply{}, err
+	acks = acks[:0]
+	for _, c := range req.Commits {
+		ack, err := h.commit(site, c)
+		if fault.IsFenced(err) {
+			return protocol.PollReply{}, err
+		}
+		acks = append(acks, ack)
+	}
+	if len(acks) > 0 && req.N == 0 && req.Bytes == 0 {
+		return protocol.PollReply{Acks: acks}, nil
 	}
 	rep, wake, err := h.pollOnce(site, req.N, req.Bytes, true)
 	rep.Acks = acks
@@ -399,32 +412,11 @@ func (h *Head) PollFrom(req protocol.PollRequest) (protocol.PollReply, error) {
 	return h.holdPoll(req, rep, wake)
 }
 
-// applyCommits commits each JobsDone riding a poll and returns its ack. A
-// query-scoped failure travels in the commit's ack; a fence fails them all.
-func (h *Head) applyCommits(commits []protocol.JobsDone) ([]protocol.JobsDoneAck, error) {
-	if len(commits) == 0 {
-		return nil, nil
-	}
-	acks := make([]protocol.JobsDoneAck, len(commits))
-	for i, c := range commits {
-		var err error
-		if acks[i], err = h.commit(c); fault.IsFenced(err) {
-			return nil, err
-		}
-	}
-	return acks, nil
-}
-
-// commit applies one JobsDone, from its own frame or riding a poll, and
-// returns its ack; a failure is both in the ack and returned.
-func (h *Head) commit(done protocol.JobsDone) (protocol.JobsDoneAck, error) {
-	dups, err := h.CompleteQueryJobs(done.Query, done.Site, done.Jobs)
-	ack := protocol.JobsDoneAck{Dup: dups}
-	if err != nil {
-		h.cfg.Logf("head: completion error from site %d: %v", done.Site, err)
-		ack.Err, ack.Code = err.Error(), ErrCode(err)
-	}
-	return ack, err
+// CompleteQueryJobs commits js for query from site on a commit poll and
+// returns the ack's duplicates. Only the benchmark's control probe uses it.
+func (h *Head) CompleteQueryJobs(query, site int, js []jobs.Job) ([]int, error) {
+	return CommitAck(h.PollFrom(protocol.PollRequest{Site: site,
+		Commits: []protocol.JobsDone{{Site: site, Query: query, Jobs: js}}}))
 }
 
 // holdPoll parks a request whose first evaluation came back idle: it waits
@@ -712,37 +704,41 @@ func (h *Head) QuerySpec(site, query int) (protocol.JobSpec, error) {
 	return spec, nil
 }
 
-// CompleteQueryJobs commits finished jobs for one query, returning the IDs
-// whose contribution another copy already supplied (the caller must not
-// fold those chunks). Commits for a canceled or finished query are answered
-// with every ID marked duplicate — the master discards the folds and moves
-// on. Commits from a fenced incarnation are refused wholesale.
-func (h *Head) CompleteQueryJobs(query, site int, js []jobs.Job) ([]int, error) {
-	if err := h.fencedCheck(site); err != nil {
-		return nil, opErr("complete", site, query, err)
-	}
-	h.Heartbeat(site)
+// commit applies one commit riding site's poll, whatever done.Site says
+// (PollInto has checked site's fence and renewed its lease), and returns
+// its ack: Dup lists the IDs whose contribution another copy already
+// supplied (the master must not fold those chunks). A commit for a canceled
+// or finished query is acked with every ID a duplicate — the master
+// discards the folds and moves on. A failure is both in the ack and
+// returned; a fence that lands mid-commit fails the whole poll.
+func (h *Head) commit(site int, done protocol.JobsDone) (ack protocol.JobsDoneAck, err error) {
+	query := done.Query
+	defer func() {
+		if err != nil {
+			h.cfg.Logf("head: completion error from site %d: %v", site, err)
+			ack.Err, ack.Code = err.Error(), ErrCode(err)
+		}
+	}()
 	h.mu.Lock()
 	q := h.queries[query]
 	if q == nil && !h.retiredLocked(query) {
 		h.mu.Unlock()
-		return nil, opErr("complete", site, query, ErrUnknownQuery)
+		return ack, opErr("complete", site, query, ErrUnknownQuery)
 	}
 	if q == nil || q.canceled {
 		h.mu.Unlock()
-		dups := make([]int, len(js))
-		for i, j := range js {
-			dups[i] = j.ID
+		ack.Dup = make([]int, len(done.Jobs))
+		for i, j := range done.Jobs {
+			ack.Dup[i] = j.ID
 		}
-		return dups, nil
+		return ack, nil
 	}
 	h.mu.Unlock()
 	now := h.clk.Now()
-	var dups []int
-	for _, j := range js {
-		dup, err := q.pool.Commit(site, j)
-		if err != nil {
-			return dups, opErr("complete", site, query, err)
+	for _, j := range done.Jobs {
+		dup, cerr := q.pool.Commit(site, j)
+		if cerr != nil {
+			return ack, opErr("complete", site, query, cerr)
 		}
 		h.mu.Lock()
 		if at := q.grantAt[site]; at != nil {
@@ -755,17 +751,17 @@ func (h *Head) CompleteQueryJobs(query, site int, js []jobs.Job) ([]int, error) 
 		}
 		if dup {
 			h.mu.Unlock()
-			dups = append(dups, j.ID)
+			ack.Dup = append(ack.Dup, j.ID)
 			continue
 		}
 		if h.fs != nil && h.fs.leases.Dead(site) {
-			// FailSite fenced the site between the check above and this
+			// FailSite fenced the site between the poll's fence check and this
 			// commit. If it has already collected sinceCkpt the job would stay
 			// completed on behalf of an incarnation whose folds are gone, so
 			// hand it back here (Reissue is idempotent if FailSite also does).
 			h.mu.Unlock()
 			q.pool.Reissue([]jobs.Job{j})
-			return dups, opErr("complete", site, query, errFenced(site))
+			return ack, opErr("complete", site, query, errFenced(site))
 		}
 		q.contrib[site] = true
 		// A site that already reported and now folds reissued work owes a
@@ -784,7 +780,7 @@ func (h *Head) CompleteQueryJobs(query, site int, js []jobs.Job) ([]int, error) 
 		h.notifyLocked()
 		h.mu.Unlock()
 	}
-	return dups, nil
+	return ack, nil
 }
 
 // observeLatencyLocked records one grant→commit latency into the query's

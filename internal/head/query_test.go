@@ -61,7 +61,7 @@ func TestFairShareGrantShares(t *testing.T) {
 	counts := map[int]int{}
 	total := 0
 	for total < 320 {
-		rep, err := h.Poll(0, 8)
+		rep, err := poll(h, 0, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,14 +96,14 @@ func TestLateJoinerSharesFromNow(t *testing.T) {
 	}
 	qa := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
 	for i := 0; i < 10; i++ { // let the incumbent run up its pass
-		if _, err := h.Poll(0, 8); err != nil {
+		if _, err := poll(h, 0, 8); err != nil {
 			t.Fatal(err)
 		}
 	}
 	qb := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
 	counts := map[int]int{}
 	for i := 0; i < 20; i++ {
-		rep, err := h.Poll(0, 8)
+		rep, err := poll(h, 0, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,14 +133,14 @@ func TestQueryCancelDropsJobsAndNotifiesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := admitSumQuery(t, h, ix, jobs.Placement{0, 0}, 1)
-	if _, err := h.Poll(0, 4); err != nil {
+	if _, err := poll(h, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	q.Cancel()
 	if _, _, _, err := q.Wait(context.Background()); !errors.Is(err, ErrQueryCanceled) {
 		t.Fatalf("Wait after cancel = %v, want ErrQueryCanceled", err)
 	}
-	rep, err := h.Poll(0, 4)
+	rep, err := poll(h, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestQueryCancelDropsJobsAndNotifiesOnce(t *testing.T) {
 	if len(rep.Dropped) != 1 || rep.Dropped[0] != q.ID() {
 		t.Errorf("Dropped = %v, want [%d]", rep.Dropped, q.ID())
 	}
-	rep, err = h.Poll(0, 4)
+	rep, err = poll(h, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestQueryCancelDropsJobsAndNotifiesOnce(t *testing.T) {
 		t.Errorf("Dropped notice repeated: %v", rep.Dropped)
 	}
 	// Commits racing the cancel are answered as duplicates, not folds.
-	dup, err := h.CompleteQueryJobs(q.ID(), 0, []jobs.Job{{ID: 0}})
+	dup, err := commitJobs(h, q.ID(), 0, []jobs.Job{{ID: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestFinalObjectNeverEncodedAtHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		rep, err := h.Poll(0, 8)
+		rep, err := poll(h, 0, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestFinalObjectNeverEncodedAtHead(t *testing.T) {
 			break
 		}
 		for _, qj := range rep.Queries {
-			if _, err := h.CompleteQueryJobs(qj.Query, 0, qj.Jobs); err != nil {
+			if _, err := commitJobs(h, qj.Query, 0, qj.Jobs); err != nil {
 				t.Fatal(err)
 			}
 		}

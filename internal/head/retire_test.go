@@ -154,7 +154,7 @@ func TestRetiredQueryAnswers(t *testing.T) {
 	}
 	h := retireHead(t, 0)
 	q := admitRetire(t, h, ix)
-	rep, err := h.Poll(0, 100) // site 0 steals site 1's file too
+	rep, err := head.Poll(h, 0, 100) // site 0 steals site 1's file too
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRetiredQueryAnswers(t *testing.T) {
 	if len(granted) != ix.NumChunks() {
 		t.Fatalf("granted %d jobs, want %d", len(granted), ix.NumChunks())
 	}
-	if dups, err := h.CompleteQueryJobs(q.ID(), 0, granted); err != nil || len(dups) > 0 {
+	if dups, err := head.CommitJobs(h, q.ID(), 0, granted); err != nil || len(dups) > 0 {
 		t.Fatalf("first commit: dups %v, err %v", dups, err)
 	}
 	res := protocol.ReductionResult{Site: 0, Query: q.ID(), Object: head.EncodeSum(7)}
@@ -174,7 +174,7 @@ func TestRetiredQueryAnswers(t *testing.T) {
 	}
 	retained(t, h, 0)
 
-	dups, err := h.CompleteQueryJobs(q.ID(), 0, granted[:3])
+	dups, err := head.CommitJobs(h, q.ID(), 0, granted[:3])
 	if err != nil || !slices.Equal(dups, []int{granted[0].ID, granted[1].ID, granted[2].ID}) {
 		t.Errorf("late commit: dups %v, err %v; want every ID a duplicate", dups, err)
 	}
@@ -188,7 +188,7 @@ func TestRetiredQueryAnswers(t *testing.T) {
 	if err := h.CheckpointSave(save); !errors.Is(err, head.ErrUnknownQuery) {
 		t.Errorf("late checkpoint: %v, want ErrUnknownQuery", err)
 	}
-	if _, err := h.CompleteQueryJobs(q.ID()+1, 0, granted[:1]); !errors.Is(err, head.ErrUnknownQuery) {
+	if _, err := head.CommitJobs(h, q.ID()+1, 0, granted[:1]); !errors.Is(err, head.ErrUnknownQuery) {
 		t.Errorf("commit for a never-admitted ID: %v, want ErrUnknownQuery", err)
 	}
 	if obj, _, _, err := q.Wait(context.Background()); err != nil || head.SumTotal(obj) != 7 {
@@ -208,7 +208,7 @@ func TestCanceledQueryRetiresAfterDroppedNotices(t *testing.T) {
 	q.Cancel()
 	retained(t, h, 1)
 	for i, site := range []int{0, 1} {
-		rep, err := h.Poll(site, 4)
+		rep, err := head.Poll(h, site, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -219,6 +219,9 @@ type mqCluster struct {
 	deferred []mqJob // commits a partition or a wait holds back
 	// specs lists the head query IDs whose spec the incarnation fetched.
 	specs []int
+	// commit's request and its reply's acks, reused: the head keeps neither.
+	commits [1]protocol.JobsDone
+	acks    []protocol.JobsDoneAck
 }
 
 // clusterQuery is one cluster's physics and result for one query.
@@ -930,18 +933,22 @@ func (c *mqCluster) process(core int, mj mqJob) {
 	})
 }
 
-// commit reports one fold to the head. A duplicate — another copy already
-// committed, or the pass is over — is discarded; a first commit joins the
-// cluster's reduction object, and checkpoints it when the core says one is
-// due. The commit that drains a pool is followed at the same instant by an
-// empty poll from every reachable cluster not waiting on the head: the live
+// commit reports one fold to the head on a commit poll, as the live agent
+// commits a mid-batch group. A duplicate — another copy already committed,
+// or the pass is over — is discarded; a first commit joins the cluster's
+// reduction object, and checkpoints it when the core says one is due. The
+// commit that drains a pool is followed at the same instant by an empty
+// poll from every reachable cluster not waiting on the head: the live
 // agents' parked polls, woken by the drain, which deliver the head's Done.
 func (c *mqCluster) commit(mj mqJob) {
 	s := c.s
 	if s.err != nil {
 		return
 	}
-	dups, err := s.head.CompleteQueryJobs(mj.id, c.model.Site, []jobs.Job{mj.job})
+	c.commits[0] = protocol.JobsDone{Site: c.model.Site, Query: mj.id, Jobs: append(c.commits[0].Jobs[:0], mj.job)}
+	rep, err := s.head.PollInto(protocol.PollRequest{Site: c.model.Site, Commits: c.commits[:]}, c.acks)
+	c.acks = rep.Acks
+	dups, err := head.CommitAck(rep, err)
 	if err != nil {
 		c.failed(err)
 		return

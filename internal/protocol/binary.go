@@ -45,8 +45,8 @@ const (
 	tagJobSpec
 	_ // 3: retired JobRequest (single-query dialect)
 	_ // 4: retired JobGrant
-	tagJobsDone
-	tagJobsDoneAck
+	_ // 5: retired JobsDone (a commit is now a poll that asks for nothing)
+	_ // 6: retired JobsDoneAck
 	tagHeartbeat
 	tagCheckpointSave
 	tagCheckpointAck
@@ -81,8 +81,8 @@ const (
 	wireSpanMin = traceWire + 4 + 4 + 4 + 4 + 8 + 8 + 8
 )
 
-// commitMin is the minimum encoded size of one JobsDone (no jobs); ackMin
-// that of one JobsDoneAck (empty Err, no duplicates).
+// commitMin is the minimum encoded size of one commit (a JobsDone, no
+// jobs); ackMin that of one ack (a JobsDoneAck: empty Err, no duplicates).
 const (
 	commitMin = 8 + 8 + 4 + traceWire
 	ackMin    = 4 + 4 + 4
@@ -508,10 +508,6 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		m.walk(tag(tagHello))
 	case JobSpec:
 		m.walk(tag(tagJobSpec))
-	case JobsDone:
-		m.walk(tag(tagJobsDone))
-	case JobsDoneAck:
-		m.walk(tag(tagJobsDoneAck))
 	case Heartbeat:
 		m.walk(tag(tagHeartbeat))
 	case CheckpointSave:
@@ -549,31 +545,27 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 	case ListResp:
 		m.walk(tag(tagListResp))
 	default:
-		return dst, nil, fmt.Errorf("%w: %T", ErrUnknownType, m)
+		// Only a nil Message, or a type embedding one, gets here. Naming its
+		// type would hand m to fmt and move every caller's message to the heap.
+		return dst, nil, ErrUnknownType
 	}
 	return w.buf, w.payload, nil
 }
 
-// DecodeBinaryBody decodes one frame body (everything after the length word
-// and tag) from r. bodyLen is the body's byte count; alloc, when non-nil,
-// supplies the buffer for a trailing bulk payload (the transport passes
-// bufpool.Get). The returned error is or wraps one of the typed errors
-// above; the decoder never panics on malformed input.
-func DecodeBinaryBody(tag byte, bodyLen int, r io.Reader, alloc func(int) []byte) (Message, error) {
-	var d BodyDecoder
-	return d.Decode(tag, bodyLen, r, alloc)
-}
-
-// BodyDecoder is a reusable DecodeBinaryBody: its read buffer escapes into
-// io.Reader calls, so a caller decoding many frames (one transport
-// connection) holds one BodyDecoder and avoids re-allocating the state per
-// frame. Not goroutine-safe; zero value is ready to use.
+// BodyDecoder decodes frame bodies. Its read buffer escapes into io.Reader
+// calls, so a caller decoding many frames (one transport connection) holds
+// one BodyDecoder and avoids re-allocating the state per frame. Not
+// goroutine-safe; zero value is ready to use.
 type BodyDecoder struct {
 	w       walker
 	scratch [8]byte
 }
 
-// Decode decodes one frame body exactly like DecodeBinaryBody.
+// Decode decodes one frame body (everything after the length word and tag)
+// from r. bodyLen is the body's byte count; alloc, when non-nil, supplies
+// the buffer for a trailing bulk payload (the transport passes
+// bufpool.Get). The returned error is or wraps one of the typed errors
+// above; the decoder never panics on malformed input.
 func (d *BodyDecoder) Decode(tag byte, bodyLen int, r io.Reader, alloc func(int) []byte) (Message, error) {
 	if bodyLen < 0 {
 		return nil, ErrCorruptFrame
@@ -588,14 +580,6 @@ func (d *BodyDecoder) Decode(tag byte, bodyLen int, r io.Reader, alloc func(int)
 		m = v
 	case tagJobSpec:
 		var v JobSpec
-		v.walk(w)
-		m = v
-	case tagJobsDone:
-		var v JobsDone
-		v.walk(w)
-		m = v
-	case tagJobsDoneAck:
-		var v JobsDoneAck
 		v.walk(w)
 		m = v
 	case tagHeartbeat:
@@ -718,8 +702,8 @@ func DecodeFrame(data []byte) (Message, int, error) {
 	if uint32(len(data)-4) < n {
 		return nil, 0, ErrTruncatedFrame
 	}
-	body := data[5 : 4+n]
-	m, err := DecodeBinaryBody(data[4], int(n)-1, bytes.NewReader(body), nil)
+	var d BodyDecoder
+	m, err := d.Decode(data[4], int(n)-1, bytes.NewReader(data[5:4+n]), nil)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -39,10 +39,11 @@ func sampleMessages() []Message {
 			Index:      bytes.Repeat([]byte{0xAB}, 100),
 			Checkpoint: []byte("ckpt")},
 		JobSpec{App: "kmeans"},
-		JobsDone{Site: 2, Jobs: sampleJobs(3)},
-		JobsDoneAck{Dup: []int{4, 9, 11}, Err: "partial"},
-		JobsDoneAck{},
-		JobsDoneAck{Err: "fenced", Code: CodeFenced},
+		// A commit poll (it asks for nothing) and acks-only replies.
+		PollRequest{Site: 2, Commits: []JobsDone{{Site: 2, Jobs: sampleJobs(3)}}},
+		PollReply{Acks: []JobsDoneAck{{Dup: []int{4, 9, 11}, Err: "partial"}}},
+		PollReply{Acks: []JobsDoneAck{{}}},
+		PollReply{Acks: []JobsDoneAck{{Err: "fenced", Code: CodeFenced}}},
 		Heartbeat{Site: 7},
 		CheckpointSave{Site: 1, Seq: 42, Data: []byte("checkpoint-bytes")},
 		CheckpointSave{Site: 0, Seq: 1},
@@ -65,7 +66,7 @@ func sampleMessages() []Message {
 		ListResp{},
 		Hello{Site: 2, Cluster: "shared", Cores: 8, Proto: -1},
 		JobSpec{App: "histogram", Query: 7},
-		JobsDone{Site: 1, Query: 3, Jobs: []jobs.Job{{ID: 12, Site: 1}}},
+		PollRequest{Site: 1, Commits: []JobsDone{{Site: 1, Query: 3, Jobs: []jobs.Job{{ID: 12, Site: 1}}}}},
 		CheckpointSave{Site: 0, Seq: 2, Query: 5, Data: []byte("q5")},
 		ReductionResult{Site: 1, Query: 4, Object: []byte{1}, Processing: 2, Retrieval: 3, Sync: 4, LocalJobs: 5, StolenJobs: 6},
 		ErrorReply{Err: "fenced", Code: CodeFenced},
@@ -92,7 +93,7 @@ func sampleMessages() []Message {
 		// Traced messages, span piggybacking, policies and parking polls.
 		Hello{Site: 4, Cluster: "edge", Cores: 2, Proto: ProtoMulti, Trace: TraceContext{SpanID: 5}},
 		JobSpec{App: "knn", Query: 2, Trace: TraceContext{TraceID: 3}},
-		JobsDone{Site: 1, Query: 3, Jobs: sampleJobs(2), Trace: TraceContext{TraceID: 4, SpanID: 9}},
+		PollRequest{Site: 1, Commits: []JobsDone{{Site: 1, Query: 3, Jobs: sampleJobs(2), Trace: TraceContext{TraceID: 4, SpanID: 9}}}},
 		CheckpointSave{Site: 1, Seq: 7, Query: 5, Data: []byte("q5-traced"), Trace: TraceContext{TraceID: 6, SpanID: 2}},
 		ReductionResult{Site: 0, Query: 1, Object: []byte{1, 2}, Processing: 3,
 			Trace: TraceContext{TraceID: 2, SpanID: 8}},
@@ -130,7 +131,7 @@ func sampleMessages() []Message {
 	}
 }
 
-// retiredFrames hand-builds well-formed frames of the six retired message
+// retiredFrames hand-builds well-formed frames of the eight retired message
 // tags, in the layouts their encoders used to write. The tag numbers stay
 // reserved, so each must decode to ErrUnknownType whatever its body says.
 func retiredFrames() []struct {
@@ -148,6 +149,10 @@ func retiredFrames() []struct {
 		{"retired tag 3 (JobRequest)", frame(3, appendInt(appendInt(nil, 1), 32))},
 		{"retired tag 4 (JobGrant)", frame(4, appendJobs([]byte{1}, sampleJobs(5)))},
 		{"retired tag 4 (empty JobGrant)", frame(4, appendJobs([]byte{0}, nil))},
+		{"retired tag 5 (JobsDone)",
+			frame(5, appendTrace(appendJobs(appendInt(appendInt(nil, 1), 3), sampleJobs(2)), TraceContext{4, 9}))},
+		{"retired tag 5 (empty JobsDone)", frame(5, appendTrace(appendJobs(make([]byte, 16), nil), TraceContext{}))},
+		{"retired tag 6 (JobsDoneAck)", frame(6, appendInt(appendU32(appendU32(appendU32(nil, 0), 0), 1), 7))},
 		{"retired tag 11 (Finished)", frame(11, bytes.Repeat([]byte{0xCD}, 50))},
 		{"retired tag 11 (empty Finished)", frame(11, nil)},
 		{"retired tag 26 (traced CheckpointSave)",
@@ -205,7 +210,7 @@ func TestBinaryRoundTripConcatenated(t *testing.T) {
 }
 
 func TestDecodeFrameMalformed(t *testing.T) {
-	valid, err := AppendFrame(nil, JobsDoneAck{Dup: []int{4, 9}})
+	valid, err := AppendFrame(nil, PollReply{Acks: []JobsDoneAck{{Dup: []int{4, 9}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +247,13 @@ func TestDecodeFrameMalformed(t *testing.T) {
 			}(), ErrCorruptFrame},
 		{"job count exceeding frame",
 			func() []byte {
-				// JobsDone with site and query, then a count claiming 1M jobs
-				// in a tiny frame: must be rejected before allocating.
-				body := appendInt(appendInt([]byte{byte(tagJobsDone)}, 0), 0)
-				body = appendU32(body, 1<<20)
+				// A commit poll whose one commit, after site and query,
+				// claims 1M jobs in a tiny frame: must be rejected before
+				// allocating.
+				body := appendInt(appendInt(appendInt(appendInt([]byte{byte(tagPollRequest)}, 0), 0), 0), 0)
+				body = appendInt(appendU32(body, 0), 0) // no spans, no park
+				body = appendU32(body, 1)               // one commit
+				body = appendU32(appendInt(appendInt(body, 0), 0), 1<<20)
 				return append(frameLen(uint32(len(body))), body...)
 			}(), ErrCorruptFrame},
 		{"string length exceeding frame",
@@ -256,10 +264,12 @@ func TestDecodeFrameMalformed(t *testing.T) {
 			}(), ErrCorruptFrame},
 		{"dup count exceeding frame",
 			func() []byte {
-				body := []byte{byte(tagJobsDoneAck)}
-				body = appendU32(body, 0)     // empty Err
-				body = appendU32(body, 0)     // Code OK
-				body = appendU32(body, 1<<28) // absurd dup count
+				body := []byte{byte(tagPollReply), 0}
+				body = appendU32(appendU32(appendU32(body, 0), 0), 0) // no grants, Done or Dropped
+				body = appendU32(body, 1)                             // one ack
+				body = appendU32(body, 0)                             // empty Err
+				body = appendU32(body, 0)                             // Code OK
+				body = appendU32(body, 1<<28)                         // absurd dup count
 				return append(frameLen(uint32(len(body))), body...)
 			}(), ErrCorruptFrame},
 		{"payload frame truncated mid-meta", validPayload[:6], ErrTruncatedFrame},
@@ -313,7 +323,7 @@ func TestDecodeFrameMalformed(t *testing.T) {
 
 func TestEncodeAllocs(t *testing.T) {
 	grant := PollReply{Queries: []QueryJobs{{Query: 1, Jobs: sampleJobs(64)}}}
-	done := JobsDone{Site: 1, Jobs: sampleJobs(64)}
+	commit := PollRequest{Site: 1, Commits: []JobsDone{{Site: 1, Jobs: sampleJobs(64)}}}
 	chunkMsg := GetResp{Data: bytes.Repeat([]byte{3}, 64<<10)}
 	buf := make([]byte, 0, 1<<20)
 	cases := []struct {
@@ -321,7 +331,7 @@ func TestEncodeAllocs(t *testing.T) {
 		m    Message
 	}{
 		{"PollReply", grant},
-		{"JobsDone", done},
+		{"commit poll", commit},
 		{"GetResp chunk", chunkMsg},
 	}
 	for _, tc := range cases {
@@ -347,7 +357,7 @@ func TestDecodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := AppendFrame(nil, JobsDone{Site: 1, Jobs: sampleJobs(64)})
+	commit, err := AppendFrame(nil, PollRequest{Site: 1, Commits: []JobsDone{{Site: 1, Jobs: sampleJobs(64)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,9 +376,9 @@ func TestDecodeAllocs(t *testing.T) {
 	}{
 		// One allocation for the job slice, plus the bytes.Reader, the
 		// BodyDecoder, and boxing the result into the Message interface; a
-		// poll grant adds its per-query slice.
+		// poll grant adds its per-query slice, a commit poll its commit list.
 		{"PollReply", grant, nil, 5},
-		{"JobsDone", done, nil, 4},
+		{"commit poll", commit, nil, 5},
 		// The chunk payload lands in the pooled buffer: reader + BodyDecoder
 		// + interface boxing only.
 		{"GetResp chunk pooled", chunkFrame, alloc, 3},
@@ -377,7 +387,8 @@ func TestDecodeAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(100, func() {
 				body := tc.frame[5:]
-				if _, err := DecodeBinaryBody(tc.frame[4], len(body), bytes.NewReader(body), tc.alloc); err != nil {
+				var d BodyDecoder
+				if _, err := d.Decode(tc.frame[4], len(body), bytes.NewReader(body), tc.alloc); err != nil {
 					t.Fatal(err)
 				}
 			})

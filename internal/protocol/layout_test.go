@@ -62,12 +62,6 @@ func fixedLayouts() []layoutCase {
 				n(90e9).u64(math.Float64bits(0.25)).n(1).n(6), 0},
 		{"JobSpec zero trace and policy", JobSpec{App: "knn"},
 			w.u8(2).str("knn").str("").n(0).n(0).str("").str("").n(0).tc(0, 0).n(0).u64(0).n(0).n(0), 0},
-		{"JobsDone", JobsDone{Site: 1, Query: 4, Jobs: []jobs.Job{layoutJob}, Trace: TraceContext{5, 6}},
-			w.u8(5).n(1).n(4).u32(1).job(9, 1, 2, 3, 4096, 512, 16).tc(5, 6), 0},
-		{"JobsDone zero trace", JobsDone{Site: 1},
-			w.u8(5).n(1).n(0).u32(0).tc(0, 0), 0},
-		{"JobsDoneAck", JobsDoneAck{Dup: []int{4}, Err: "dup", Code: CodeFenced},
-			w.u8(6).str("dup").u32(CodeFenced).u32(1).n(4), 0},
 		{"Heartbeat", Heartbeat{Site: 7}, w.u8(7).n(7), 0},
 		{"CheckpointSave", CheckpointSave{Site: 1, Seq: 2, Query: 3, Trace: TraceContext{4, 5}, Data: []byte("ck")},
 			w.u8(8).n(1).n(2).n(3).tc(4, 5).raw("ck"), 2},
@@ -103,6 +97,12 @@ func fixedLayouts() []layoutCase {
 			w.u8(22).n(2).n(0).n(4 << 20).n(0).u32(0).n(0).u32(0), 0},
 		{"PollRequest negative ask", PollRequest{Site: 2, N: -1, Bytes: -1},
 			w.u8(22).n(2).n(-1).n(-1).n(0).u32(0).n(0).u32(0), 0},
+		{"PollRequest commit poll", PollRequest{Site: 1, Commits: []JobsDone{
+			{Site: 1, Query: 4, Jobs: []jobs.Job{layoutJob}, Trace: TraceContext{5, 6}}}},
+			w.u8(22).n(1).n(0).n(0).n(0).u32(0).n(0).u32(1).
+				n(1).n(4).u32(1).job(9, 1, 2, 3, 4096, 512, 16).tc(5, 6), 0},
+		{"PollRequest commit poll zero trace", PollRequest{Site: 1, Commits: []JobsDone{{Site: 1}}},
+			w.u8(22).n(1).n(0).n(0).n(0).u32(0).n(0).u32(1).n(1).n(0).u32(0).tc(0, 0), 0},
 		{"PollRequest with commits", PollRequest{Site: 1, N: 4, ParkNS: 20e6, Commits: []JobsDone{
 			{Site: 1, Query: 4, Jobs: []jobs.Job{layoutJob}, Trace: TraceContext{5, 6}}, {Site: 1, Query: 7}}},
 			w.u8(22).n(1).n(4).n(0).n(0).u32(0).n(20e6).u32(2).
@@ -119,6 +119,8 @@ func fixedLayouts() []layoutCase {
 			w.u8(23).u8(0).u32(0).u32(1).n(4).u32(0).u32(2).
 				str("").u32(0).u32(1).n(9).
 				str("gone").u32(CodeUnknownQuery).u32(0), 0},
+		{"PollReply acks only", PollReply{Acks: []JobsDoneAck{{Dup: []int{4}, Err: "dup", Code: CodeFenced}}},
+			w.u8(23).u8(0).u32(0).u32(0).u32(0).u32(1).str("dup").u32(CodeFenced).u32(1).n(4), 0},
 		{"QuerySpecRequest", QuerySpecRequest{Site: 2, Query: 6}, w.u8(24).n(2).n(6), 0},
 		{"ResultAck", ResultAck{Err: "gone", Code: CodeUnknownQuery},
 			w.u8(25).str("gone").u32(CodeUnknownQuery), 0},
@@ -198,8 +200,8 @@ func TestZeroTraceEncodesBitIdentical(t *testing.T) {
 			Hello{Proto: ProtoMulti, Site: 3, Cluster: "cloud", Cores: 16}},
 		{JobSpec{App: "knn", Query: 2, Trace: traceWord, Policy: ElasticPolicy{Deadline: 5e9}},
 			JobSpec{App: "knn", Query: 2, Policy: ElasticPolicy{Deadline: 5e9}}},
-		{JobsDone{Site: 1, Query: 3, Jobs: []jobs.Job{layoutJob}, Trace: traceWord},
-			JobsDone{Site: 1, Query: 3, Jobs: []jobs.Job{layoutJob}}},
+		{PollRequest{Site: 1, Commits: []JobsDone{{Site: 1, Query: 3, Jobs: []jobs.Job{layoutJob}, Trace: traceWord}}},
+			PollRequest{Site: 1, Commits: []JobsDone{{Site: 1, Query: 3, Jobs: []jobs.Job{layoutJob}}}}},
 		{SiteSpec{HeartbeatEvery: 25e7, Trace: traceWord}, SiteSpec{HeartbeatEvery: 25e7}},
 		{CheckpointSave{Site: 1, Seq: 42, Trace: traceWord, Data: []byte("ck")},
 			CheckpointSave{Site: 1, Seq: 42, Data: []byte("ck")}},
@@ -420,8 +422,9 @@ func TestPreTraceFramesRefused(t *testing.T) {
 	var w wire
 	const oldProto, oldCodec = 1, 1
 	refused(t, map[string][]byte{
-		"Hello":     w.u8(tagHello).n(3).str("cloud").n(16).n(oldCodec).n(oldProto).frame(),
-		"JobsDone":  w.u8(tagJobsDone).n(1).n(3).u32(1).job(9, 1, 2, 3, 4096, 512, 16).frame(),
+		"Hello": w.u8(tagHello).n(3).str("cloud").n(16).n(oldCodec).n(oldProto).frame(),
+		"commit poll": w.u8(tagPollRequest).n(1).n(0).n(0).n(0).u32(0).n(0).u32(1).
+			n(1).n(3).u32(1).job(9, 1, 2, 3, 4096, 512, 16).frame(),
 		"SiteSpec":  w.u8(tagSiteSpec).n(25e7).n(oldCodec).frame(),
 		"bare Poll": w.u8(tagPollRequest).n(2).n(9).frame(),
 		"PollReply": w.u8(tagPollReply).u8(1).u32(1).n(1).u32(1).job(9, 1, 2, 3, 4096, 512, 16).

@@ -83,14 +83,11 @@ type WireSpan struct {
 // ProtoMulti is the session protocol version carried in Hello.Proto: the
 // master registers once and interleaves jobs from every admitted query over
 // the same connection; the head replies with SiteSpec and specs are fetched
-// per query. Version 6 adds PollRequest's Bytes word after N, the batch's
-// byte floor; version 5 drops PollReply's Wait flag, which no master read;
-// version 4 added the commit block that ends PollRequest and the ack block
-// that ends PollReply; version 3 named the fixed-layout frames,
-// every field always present (version 2 also carried a heartbeat period in
-// JobSpec). The head answers a Hello of any other version with an
-// ErrorReply coded CodeVersionMismatch.
-const ProtoMulti = 6
+// per query. Version 7 retired the JobsDone/JobsDoneAck frames (tags 5 and
+// 6): every commit rides a PollRequest. docs/PROTOCOL.md ("Versioning")
+// lists what each earlier version laid out differently. The head answers a
+// Hello of any other version with an ErrorReply coded CodeVersionMismatch.
+const ProtoMulti = 7
 
 // Hello registers a master with the head node.
 type Hello struct {
@@ -132,8 +129,9 @@ type JobSpec struct {
 	Policy ElasticPolicy
 }
 
-// JobsDone reports completed jobs back to the head so it can maintain the
-// per-file contention counters that drive the stealing heuristic.
+// JobsDone is one commit in PollRequest.Commits: one query's completed
+// jobs, reported back to the head so it can maintain the per-file
+// contention counters that drive the stealing heuristic.
 type JobsDone struct {
 	Site  int
 	Query int // owning query
@@ -143,8 +141,8 @@ type JobsDone struct {
 	Trace TraceContext
 }
 
-// JobsDoneAck is the head's commit response: Dup lists the job IDs (from
-// the JobsDone batch) whose contributions were already supplied by another
+// JobsDoneAck answers one commit in PollReply.Acks: Dup lists the job IDs
+// (from the JobsDone) whose contributions were already supplied by another
 // copy — the cluster must NOT fold those chunks.
 type JobsDoneAck struct {
 	Dup  []int
@@ -237,10 +235,10 @@ type PollRequest struct {
 	// this many nanoseconds, answering as soon as it has any of those to
 	// report. Zero is answered at once.
 	ParkNS int64
-	// Commits carries group commits riding the poll, each exactly what a
-	// JobsDone would carry. The head applies them, in order, before it
-	// evaluates the grants, and answers a poll that carries any at once,
-	// whatever ParkNS asks.
+	// Commits carries group commits, applied in order before the grants are
+	// evaluated. A poll that carries any is answered at once, whatever ParkNS
+	// asks; one that also asks for nothing (N and Bytes 0) is a commit poll,
+	// answered with the acks alone — no grants, no notices, no Drain.
 	Commits []JobsDone
 }
 
@@ -368,8 +366,6 @@ type ListResp struct {
 
 func (Hello) protoMsg()            {}
 func (JobSpec) protoMsg()          {}
-func (JobsDone) protoMsg()         {}
-func (JobsDoneAck) protoMsg()      {}
 func (Heartbeat) protoMsg()        {}
 func (CheckpointSave) protoMsg()   {}
 func (CheckpointAck) protoMsg()    {}

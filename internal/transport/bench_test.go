@@ -65,7 +65,7 @@ func BenchmarkSendOnly(b *testing.B) {
 			}
 		}
 	}()
-	msg := protocol.JobsDone{Site: 0}
+	msg := protocol.Heartbeat{Site: 0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,7 +14,7 @@ func codecSampleMessages() []protocol.Message {
 	return []protocol.Message{
 		protocol.Hello{Site: 1, Cluster: "cloud", Cores: 8, Proto: protocol.ProtoMulti},
 		protocol.PollRequest{Site: 1, N: 16},
-		protocol.JobsDoneAck{Dup: []int{1, 2, 3}},
+		protocol.PollReply{Acks: []protocol.JobsDoneAck{{Dup: []int{1, 2, 3}}}},
 		protocol.GetReq{Key: "points0000.dat", Off: 12800, Len: 12800},
 		protocol.GetResp{Data: []byte("chunk-bytes")},
 		protocol.ErrorReply{Err: "nope"},
