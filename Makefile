@@ -85,16 +85,16 @@ loc:
 	@printf 'test Go lines outside bench/:     '; \
 		find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
-# Where the linker put (*KMeansReducer).nearest, which holds the kmeans hot
+# Where the linker put (*KMeansReducer).search, which holds the kmeans hot
 # loop, and runtime.memmove in the bench binary, and each address mod 64:
-# kmeans-compute's speed has followed them (the loop's old home,
-# LocalReduce, was fast at ≡ 0 and slow at ≡ 32; a memmove move alone has
-# coincided with a kmeans-compute shift), so every change reports both
-# until the build is layout-stable.
+# kmeans-compute's speed has followed them (the loop's older homes were
+# nearest, and LocalReduce, which was fast at ≡ 0 and slow at ≡ 32; a
+# memmove move alone has coincided with a kmeans-compute shift), so every
+# change reports both until the build is layout-stable.
 layout:
 	@dir=$$(mktemp -d) && $(GO) build -o $$dir/bench ./bench && \
 		$(GO) tool nm $$dir/bench > $$dir/nm && rm -f $$dir/bench && \
-		for sym in 'repro/internal/apps.(*KMeansReducer).nearest' runtime.memmove; do \
+		for sym in 'repro/internal/apps.(*KMeansReducer).search' runtime.memmove; do \
 			addr=$$(awk -v s="$$sym" '$$3 == s && $$2 == "T" { print $$1 }' $$dir/nm); \
 			test -n "$$addr" || { rm -rf $$dir; echo "layout: $$sym not found"; exit 1; }; \
 			echo "$${sym#repro/internal/} 0x$$addr mod64=$$((0x$$addr % 64))"; \
@@ -118,9 +118,10 @@ control-bench:
 # The application kernels' fold throughput and allocations: five samples
 # each of the kNN, k-means (worst case and clustered), PageRank and
 # histogram local reductions on the real engine (bytes folded per second,
-# allocations per pass).
+# allocations per pass), and of building the k-means search's tables at K
+# 32 and 1024.
 kernel-bench:
-	$(GO) test -run '^$$' -bench 'Benchmark(KNN|KMeans|KMeansClustered|PageRank|Histogram)Kernel$$' -benchmem -count=5 ./internal/apps
+	$(GO) test -run '^$$' -bench 'Benchmark((KNN|KMeans|KMeansClustered|PageRank|Histogram)Kernel|NewKMeansReducer)$$' -benchmem -count=5 ./internal/apps
 
 # Regenerate the exported-API snapshots. Run after an intentional API
 # change and commit the diff alongside it.

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -82,6 +83,29 @@ func BenchmarkKMeansClusteredKernel(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchApp(b, r, ix, src)
+}
+
+// BenchmarkNewKMeansReducer builds the search's tables, which every agent
+// does once per query: K 32 as in kmeans-compute, and maxKMeansK.
+func BenchmarkNewKMeansReducer(b *testing.B) {
+	for _, k := range []int{32, maxKMeansK} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		centers := make([][]float64, k)
+		for j := range centers {
+			centers[j] = make([]float64, 8)
+			for i := range centers[j] {
+				centers[j][i] = rng.Float64()
+			}
+		}
+		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewKMeansReducer(KMeansParams{K: k, Dim: 8, Centers: centers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkPageRankKernel(b *testing.B) {

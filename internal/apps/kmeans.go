@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -20,9 +21,9 @@ type KMeansParams struct {
 	Centers [][]float64
 }
 
-// The reducer keeps a K×K table of center distances (8 MiB at maxKMeansK),
-// and the rounding argument for its pruning margin holds for Dim up to
-// about 2^31 (docs/PERFORMANCE.md, "Fold kernels").
+// The reducer keeps K×K tables of center distances and of their order (10
+// MiB at maxKMeansK), and the rounding argument for its pruning margin
+// holds for Dim up to about 2^31 (docs/PERFORMANCE.md, "Fold kernels").
 const (
 	maxKMeansK   = 1 << 10
 	maxKMeansDim = 1 << 24
@@ -66,10 +67,13 @@ type KMeansObject struct {
 	scratch []float64
 }
 
-// gridSide is the side of the first-guess grid. A point's cell, by its
-// projections on the centers' two principal axes, names the center the
-// search evaluates first.
-const gridSide = 32
+// The first guess comes from a table of at most guessCells cells over the
+// centers' first min(maxAxes, Dim) principal axes: a point's cell, by its
+// projections on those axes, names the center the search evaluates first.
+const (
+	maxAxes    = 4
+	guessCells = 1 << 12
+)
 
 // The search skips center j when cc[best][j] > lim = bestDist·pruneSlack +
 // pruneFloor, i.e. 4·bestDist·(1+2⁻²⁰) plus a floor far above the
@@ -84,77 +88,122 @@ const (
 type KMeansReducer struct {
 	Params KMeansParams
 
-	cc    []float64    // cc[b*K+j]: squared distance of centers b ≠ j, at most MaxFloat64; +Inf when b == j
-	sep   []float64    // sep[b]: the least of row b of cc
-	axes  [2][]float64 // the centers' two principal axes
-	lo    [2]float64   // the centers' least projection on each axis
-	scale [2]float64   // gridSide / the range of those projections
-	first [gridSide * gridSide]uint16
+	cc    []float64        // cc[b*K+j]: squared distance of centers b ≠ j, at most MaxFloat64; +Inf when b == j
+	order []uint16         // order[b*K:][:K]: every center by ascending cc[b*K+·], so b itself last
+	axes  []float64        // axes[i*maxAxes+a]: coordinate i of guess axis a, in cells per unit; zero for an unsplit axis
+	lo    [maxAxes]float64 // the centers' least projection on each axis, in cells
+	side  [maxAxes]int     // cells along each axis
+	first []uint16         // the center nearest each cell's middle; the last axis varies fastest
 }
 
 // NewKMeansReducer validates params and returns a reducer. Its tables take
-// about (K+64)·K·Dim + 1024·K multiply-adds, against K·Dim per point for a
-// plain scan.
+// about K·K·Dim multiply-adds, a sort of each of K rows of K, and 4096·K
+// more for the guess table, against K·Dim per point for a plain scan.
 func NewKMeansReducer(p KMeansParams) (*KMeansReducer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	r := &KMeansReducer{Params: p}
 	k, dim := p.K, p.Dim
-	buf := make([]float64, k*k+3*k+4*dim)
-	r.cc, r.sep, buf = buf[:k*k], buf[k*k:k*k+k], buf[k*k+k:]
-	r.axes[0], r.axes[1], buf = buf[:dim], buf[dim:2*dim], buf[2*dim:]
-	proj := [2][]float64{buf[:k], buf[k : 2*k]} // each center's projections
+	buf := make([]float64, k*k+(2*maxAxes+1)*k+(2*maxAxes+2)*dim)
+	u16 := make([]uint16, k*k+guessCells)
+	r.cc, r.order, buf = buf[:k*k], u16[:k*k], buf[k*k:]
 	for b, cb := range p.Centers {
-		row := r.cc[b*k : b*k+k]
+		row, ord := r.cc[b*k:b*k+k], r.order[b*k:b*k+k]
 		for j, cj := range p.Centers {
-			row[j] = min(sqDist(cb, cj), math.MaxFloat64)
+			row[j], ord[j] = min(sqDist(cb, cj), math.MaxFloat64), uint16(j)
 		}
 		row[b] = math.Inf(1)
-		r.sep[b] = slices.Min(row)
+		slices.SortFunc(ord, func(i, j uint16) int { return cmp.Compare(row[i], row[j]) })
 	}
 
-	principalAxes(p.Centers, r.axes, buf[2*k:2*k+dim], buf[2*k+dim:])
-	var hi [2]float64
-	for a, u := range r.axes {
-		for j, c := range p.Centers {
-			proj[a][j] = dot(c, u)
-		}
-		r.lo[a], hi[a] = slices.Min(proj[a]), slices.Max(proj[a])
-		r.scale[a] = gridSide / (hi[a] - r.lo[a])
+	var ua [maxAxes][]float64
+	u := ua[:min(maxAxes, dim)]
+	for a := range u {
+		u[a], buf = buf[:dim], buf[dim:]
 	}
-	for cell := range r.first {
-		mid := [2]float64{
-			r.lo[0] + (float64(cell/gridSide)+0.5)*(hi[0]-r.lo[0])/gridSide,
-			r.lo[1] + (float64(cell%gridSide)+0.5)*(hi[1]-r.lo[1])/gridSide,
+	principalAxes(p.Centers, u, buf[:dim], buf[dim:2*dim])
+	r.axes, buf = buf[2*dim:2*dim+maxAxes*dim], buf[2*dim+maxAxes*dim:]
+	proj := buf[:maxAxes*k] // proj[a*k+j]: center j's projection on axis a
+	var lo, hi [maxAxes]float64
+	side := [maxAxes]int{1, 1, 1, 1}
+	for a, v := range u {
+		lo[a], hi[a] = math.Inf(1), math.Inf(-1)
+		for j, c := range p.Centers {
+			x := dot(c, v)
+			proj[a*k+j], lo[a], hi[a] = x, min(lo[a], x), max(hi[a], x)
 		}
-		best, bestDist := 0, math.Inf(1)
-		for j := range p.Centers {
-			d0, d1 := proj[0][j]-mid[0], proj[1][j]-mid[1]
-			if d := d0*d0 + d1*d1; d < bestDist {
-				best, bestDist = j, d
+	}
+	// Each doubling goes to the axis of widest cells, so the cells follow the
+	// centers' spread: collinear centers get all of them on one axis.
+	cells := 1
+	for ; cells < guessCells; cells *= 2 {
+		widest, w := -1, 0.0
+		for a := range u {
+			if wa := (hi[a] - lo[a]) / float64(side[a]); wa > w {
+				widest, w = a, wa
 			}
 		}
-		r.first[cell] = uint16(best)
+		if widest < 0 {
+			break
+		}
+		side[widest] *= 2
 	}
+	for a, v := range u {
+		if side[a] > 1 { // an unsplit axis stays zero, in cell 0
+			scale := float64(side[a]) / (hi[a] - lo[a])
+			for i, x := range v {
+				r.axes[i*maxAxes+a] = x * scale
+			}
+			r.lo[a] = lo[a] * scale
+		}
+	}
+	r.side, r.first = side, u16[k*k:k*k+cells]
+	// Fill the table an axis at a time: part holds each center's squared
+	// distance from the cell's middle over the axes before a.
+	parts := buf[maxAxes*k : 2*maxAxes*k]
+	var fill func(a, cell int, part []float64)
+	fill = func(a, cell int, part []float64) {
+		pa, next, part := proj[a*k:a*k+k], parts[a*k:a*k+k], part[:k]
+		w := (hi[a] - lo[a]) / float64(side[a])
+		for i := range side[a] {
+			mid := lo[a] + (float64(i)+0.5)*w
+			if a+1 < len(u) {
+				for j, x := range pa {
+					next[j] = part[j] + (x-mid)*(x-mid)
+				}
+				fill(a+1, cell*side[a]+i, next)
+				continue
+			}
+			best, bestDist := 0, math.Inf(1)
+			for j, x := range pa {
+				if d := part[j] + (x-mid)*(x-mid); d < bestDist {
+					best, bestDist = j, d
+				}
+			}
+			r.first[cell*side[a]+i] = uint16(best)
+		}
+	}
+	fill(0, 0, buf[2*maxAxes*k:(2*maxAxes+1)*k])
 	return r, nil
 }
 
-// principalAxes sets u[0] and u[1] to the centers' first two principal
-// directions, by 16 rounds of power iteration each, the second kept
-// orthogonal to the first; mean and next are scratch. The axes only choose
-// which center the search tries first, so a round that cannot normalise
-// (no spread, overflow) just stops with the direction it has.
-func principalAxes(centers [][]float64, u [2][]float64, mean, next []float64) {
+// principalAxes sets each u[a] to the centers' a-th principal direction, by
+// 16 rounds of power iteration kept orthogonal to every earlier axis; mean
+// and next are scratch. The axes only choose which center the search tries
+// first, so an axis with no spread left, or whose round cannot normalise
+// (overflow), is zero.
+func principalAxes(centers [][]float64, u [][]float64, mean, next []float64) {
 	clear(mean)
 	for _, c := range centers {
 		for i, x := range c {
 			mean[i] += x / float64(len(centers))
 		}
 	}
+	var top float64 // about |C·u[0]| for the centers' scatter matrix C
 	for a, v := range u {
 		for i := range v {
-			v[i] = float64(1 + a*(i%2))
+			v[i] = float64(1 + i%(a+1))
 		}
 		for round := 0; round < 16; round++ {
 			clear(next)
@@ -167,19 +216,21 @@ func principalAxes(centers [][]float64, u [2][]float64, mean, next []float64) {
 					next[i] += (x - mean[i]) * s
 				}
 			}
-			if a == 1 {
-				s := dot(next, u[0])
+			for _, w := range u[:a] {
+				s := dot(next, w)
 				for i := range next {
-					next[i] -= s * u[0][i]
+					next[i] -= s * w[i]
 				}
 			}
 			n := math.Sqrt(dot(next, next))
-			if !(n > 0 && n <= math.MaxFloat64) {
+			if !(n > top*0x1p-30 && n <= math.MaxFloat64) {
+				clear(v)
 				break
 			}
 			for i := range v {
 				v[i] = next[i] / n
 			}
+			top = max(top, n)
 		}
 	}
 }
@@ -217,11 +268,11 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// gridIndex maps a scaled projection to its grid row or column; NaN maps
-// to 0.
-func gridIndex(x float64) int {
-	if x >= gridSide-1 {
-		return gridSide - 1
+// cellIndex maps a projection, in cells from the axis's least center, to
+// its cell along an axis of side cells; NaN maps to 0.
+func cellIndex(x float64, side int) int {
+	if x >= float64(side-1) {
+		return side - 1
 	}
 	if x > 0 {
 		return int(x)
@@ -229,50 +280,72 @@ func gridIndex(x float64) int {
 	return 0
 }
 
+// guess is the guess table's entry for pt's cell: the center the search
+// evaluates first. One pass over pt feeds all four projections.
+func (r *KMeansReducer) guess(pt []float64) int {
+	axes := r.axes[:maxAxes*len(pt)]
+	var x0, x1, x2, x3 float64
+	for i, p := range pt {
+		u := (*[maxAxes]float64)(axes[maxAxes*i:])
+		x0 += p * u[0]
+		x1 += p * u[1]
+		x2 += p * u[2]
+		x3 += p * u[3]
+	}
+	cell := 0
+	for a, x := range [maxAxes]float64{x0, x1, x2, x3} {
+		cell = cell*r.side[a] + cellIndex(x-r.lo[a], r.side[a])
+	}
+	return int(r.first[cell])
+}
+
 // nearest returns the center a plain scan of every center in index order
 // picks for pt — the lowest index of least squared distance, or (0,
 // MaxFloat64) when no distance is below MaxFloat64 — with the same
-// distance bits, while evaluating only the centers that can win. This is
-// the kmeans compute kernel.
+// distance bits, while evaluating only the centers that can win.
+func (r *KMeansReducer) nearest(pt []float64) (int, float64) {
+	best, bestDist, _ := r.search(pt)
+	return best, bestDist
+}
+
+// search is nearest, also returning how many distances it evaluated. This
+// is the kmeans compute kernel.
 //
-// It evaluates the grid's guess first, then every other center in index
-// order, and skips center j when cc[best][j] > lim; when the whole row of
-// the guess is above lim (sep), it skips them all at once. The triangle
-// inequality gives |p−c_j| ≥ |c_best−c_j| − |p−c_best|, so a center more
-// than twice as far from the best as the point is cannot be nearer; the
-// slack of 2⁻²⁰ and the floor cover the rounding and underflow of the
+// It evaluates the guess g first, then walks g's row of order — the other
+// centers by their distance from g — and stops at the first center past
+// g's own limit, glim: every center after it is farther from g still. It
+// skips center j when cc[best][j] > lim for the running best. The triangle
+// inequality gives |p−c_j| ≥ |c_b−c_j| − |p−c_b|, so a center more than
+// twice as far from the best (or from g) as the point is cannot be nearer;
+// the slack of 2⁻²⁰ and the floor cover the rounding and underflow of the
 // computed distances, so every skipped center's computed distance is
 // strictly above bestDist (the argument is in docs/PERFORMANCE.md, "Fold
-// kernels"). Before any center is below MaxFloat64, lim is +Inf and
-// nothing is skipped; the best itself is skipped by its +Inf diagonal.
-func (r *KMeansReducer) nearest(pt []float64) (int, float64) {
+// kernels"). A tie goes to the lower index whatever the walk's order. When
+// g's distance is not below MaxFloat64, lim and glim are +Inf and the walk
+// is a plain scan of g's row until a center wins; the best itself is
+// skipped by its +Inf diagonal.
+func (r *KMeansReducer) search(pt []float64) (best int, bestDist float64, evals int) {
 	centers, cc, k := r.Params.Centers, r.cc, r.Params.K
-	var x, y float64
-	u, v := r.axes[0][:len(pt)], r.axes[1][:len(pt)]
-	for i, p := range pt {
-		x += p * u[i]
-		y += p * v[i]
+	g := r.guess(pt)
+	best, bestDist, lim, evals := 0, math.MaxFloat64, math.Inf(1), 1
+	if d := sqDist(pt, centers[g]); d < bestDist {
+		best, bestDist, lim = g, d, d*pruneSlack+pruneFloor
 	}
-	cell := gridIndex((x-r.lo[0])*r.scale[0])*gridSide + gridIndex((y-r.lo[1])*r.scale[1])
-	best, bestDist, lim := 0, math.MaxFloat64, math.Inf(1)
-	first := int(r.first[cell])
-	if d := sqDist(pt, centers[first]); d < bestDist {
-		best, bestDist, lim = first, d, d*pruneSlack+pruneFloor
-		if r.sep[first] > lim {
-			return best, bestDist
+	grow, glim, row := cc[g*k:g*k+k], lim, cc[best*k:best*k+k]
+	for _, j := range r.order[g*k : g*k+k] {
+		if grow[j] > glim {
+			break
 		}
-	}
-	row := cc[best*k:]
-	for j, c := range centers {
 		if row[j] > lim {
 			continue
 		}
-		if d := sqDist(pt, c); d <= bestDist && (d < bestDist || j < best) {
-			best, bestDist, lim = j, d, d*pruneSlack+pruneFloor
-			row = cc[j*k:]
+		evals++
+		if d := sqDist(pt, centers[j]); d <= bestDist && (d < bestDist || int(j) < best) {
+			best, bestDist, lim = int(j), d, d*pruneSlack+pruneFloor
+			row = cc[int(j)*k : int(j)*k+k]
 		}
 	}
-	return best, bestDist
+	return best, bestDist, evals
 }
 
 // Assign returns the nearest center for a point unit and its squared

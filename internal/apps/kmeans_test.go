@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/chunk"
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // refKMeansAssign is the plain nearest-center scan, kept as the reference
@@ -73,7 +75,7 @@ func sameKMeansObject(a, b *KMeansObject) bool {
 // mirrored-pair data, duplicate centers, points sitting on a center or
 // midway between two, center scales from 1e-310 to 1e160 (underflowing and
 // overflowing squares), ±Inf and NaN point coordinates, and first guesses
-// other than the grid's.
+// other than the table's; then degenerate center sets.
 func TestKMeansAssignIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	scales := []float64{1, 1, 1, 1e-150, 1e-160, 1e-310, 1e30}
@@ -196,6 +198,83 @@ func TestKMeansAssignIsExact(t *testing.T) {
 		}
 	}
 
+	// Degenerate center sets at Dim 8, each its own trial: K 1, all centers
+	// equal, and centers spread along exactly 1 (collinear), 2 or 3 random
+	// directions, so the guess table splits only that many axes.
+	drng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 100; trial++ {
+		const dim = 8
+		spread, k := trial%5-1, 2+drng.Intn(40) // spread -1: K 1; 0: all equal
+		if spread < 0 {
+			k = 1
+		}
+		base, dirs := make([]float64, dim), make([][]float64, max(spread, 0))
+		for i := range base {
+			base[i] = drng.NormFloat64()
+		}
+		for d := range dirs {
+			dirs[d] = make([]float64, dim)
+			for i := range dirs[d] {
+				dirs[d][i] = drng.NormFloat64()
+			}
+		}
+		centers := make([][]float64, k)
+		for j := range centers {
+			centers[j] = append([]float64(nil), base...)
+			for _, dir := range dirs {
+				t := float64(drng.Intn(9)) / 4 // repeated values tie exactly
+				for i, x := range dir {
+					centers[j][i] += t * x
+				}
+			}
+		}
+		r, err := NewKMeansReducer(KMeansParams{K: k, Dim: dim, Centers: centers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		split := 0
+		for _, n := range r.side {
+			if n > 1 {
+				split++
+			}
+		}
+		if split > max(spread, 0) || spread == 1 && k > 1 && r.side[0] != guessCells {
+			t.Fatalf("degenerate trial %d (spread along %d directions, K %d): guess table sides %v",
+				trial, spread, k, r.side)
+		}
+		data := make([]byte, 0, 200*4*dim)
+		pt := make([]float64, dim)
+		for u := 0; u < 200; u++ {
+			center := centers[drng.Intn(k)]
+			for i := range pt {
+				switch c := drng.Intn(100); {
+				case c == 0:
+					pt[i] = math.NaN()
+				case c < 50:
+					pt[i] = float64(float32(center[i] + 0.3*drng.NormFloat64()))
+				default:
+					pt[i] = float64(float32(center[i])) // on the center, or between centers
+				}
+				data = core.AppendFloat32(data, float32(pt[i]))
+			}
+			wantK, wantD := refKMeansAssign(centers, pt)
+			if gotK, gotD := r.nearest(pt); gotK != wantK || math.Float64bits(gotD) != math.Float64bits(wantD) {
+				t.Fatalf("degenerate trial %d (spread along %d directions, K %d): point %v: got center %d at %v, want %d at %v",
+					trial, spread, k, pt, gotK, gotD, wantK, wantD)
+			}
+		}
+		want, got := r.NewObject().(*KMeansObject), r.NewObject()
+		for off := 0; off < len(data); off += 4 * dim {
+			refKMeansFold(want, centers, data[off:off+4*dim])
+		}
+		if err := r.LocalReduceGroup(got, data, 4*dim); err != nil {
+			t.Fatal(err)
+		}
+		if !sameKMeansObject(got.(*KMeansObject), want) {
+			t.Fatalf("degenerate trial %d: fold differs from the plain scan's", trial)
+		}
+	}
+
 	// The cases a bound without the margin gets wrong. A point midway
 	// between two centers ties on both distances, yet the computed center
 	// separation can round above 4× the computed distance; and two centers
@@ -268,5 +347,58 @@ func TestKMeansRejectsBadUnitSize(t *testing.T) {
 	}
 	if o := obj.(*KMeansObject); o.Counts[0]+o.Counts[1] != 0 {
 		t.Errorf("rejected groups folded %d points", o.Counts[0]+o.Counts[1])
+	}
+}
+
+// TestKMeansGuessQuality holds the search's work on
+// BenchmarkKMeansClusteredKernel's data (64 000 8-d points in 32 blobs, K
+// 32, centers after 5 Lloyd rounds): the first guess must be the plain
+// scan's answer for most points, and the search must evaluate few centers
+// per point. The two-axis grid this table replaced read 69 % and 5.2.
+func TestKMeansGuessQuality(t *testing.T) {
+	gen := workload.ClusteredPoints{Seed: 2, Dim: 8, K: 32, Spread: 0.05}
+	const units = 64_000
+	ix, err := chunk.Layout("bp", units, gen.UnitSize(), units/4, units/32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := chunk.NewMemSource(ix)
+	if err := workload.Build(ix, gen, src); err != nil {
+		t.Fatal(err)
+	}
+	seeds, err := SeedCenters(ix, src, 32, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	centers, _, err := KMeansIterate(ix, src, KMeansParams{K: 32, Dim: 8, Centers: seeds}, 1, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewKMeansReducer(KMeansParams{K: 32, Dim: 8, Centers: centers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pts [][]float64
+	for _, f := range ix.Files {
+		for _, ref := range f.Chunks {
+			data, err := src.ReadChunk(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < len(data); off += ix.UnitSize {
+				pt := make([]float64, 8)
+				workload.DecodePoint(data[off:off+ix.UnitSize], pt)
+				pts = append(pts, pt)
+			}
+		}
+	}
+	right, evals := r.searchCounts(pts)
+	hit, perPoint := float64(right)/float64(len(pts)), float64(evals)/float64(len(pts))
+	t.Logf("first guess right for %.1f %% of %d points; %.2f centers evaluated per point", 100*hit, len(pts), perPoint)
+	if hit < 0.78 {
+		t.Errorf("first guess right for %.1f %% of points, want ≥ 78 %%", 100*hit)
+	}
+	if perPoint > 3 {
+		t.Errorf("%.2f centers evaluated per point, want ≤ 3", perPoint)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"strconv"
 	"sync"
@@ -123,7 +124,8 @@ type agentQuery struct {
 	// raw holds the sources as configured, before the cache and the checksum
 	// verifier wrapped them: the pre-stager must not loop through the cache it
 	// feeds. Nil without a cache.
-	raw map[int]chunk.Source
+	raw     map[int]chunk.Source
+	dataset uint64 // the stage cache's identity of the data: a hash of spec.Index
 
 	// resumeObj is the object recovered from the head after a crash-restart;
 	// it is never mutated — each checkpoint and the final merge fold it into
@@ -480,12 +482,15 @@ func (a *agentRun) ensure(id int) (*agentQuery, error) {
 	// outermost, so replica-served bytes are verified exactly like origin
 	// bytes.
 	var raw map[int]chunk.Source
+	var dataset uint64
 	if cfg.Cache != nil {
-		raw = sources
+		h := fnv.New64a()
+		h.Write(spec.Index)
+		raw, dataset = sources, h.Sum64()
 		cached := make(map[int]chunk.Source, len(sources))
 		for site, src := range sources {
 			if site != cfg.Site {
-				src = cfg.Cache.Wrap(site, src)
+				src = cfg.Cache.WrapDataset(dataset, site, src)
 			}
 			cached[site] = src
 		}
@@ -505,7 +510,7 @@ func (a *agentRun) ensure(id int) (*agentQuery, error) {
 	collector := &stats.Collector{}
 	q := &agentQuery{
 		id: id, spec: spec, reducer: reducer,
-		sources: sources, raw: raw, collector: collector,
+		sources: sources, raw: raw, dataset: dataset, collector: collector,
 		mFolded: cfg.Obs.Metrics().Counter("cluster_jobs_folded_total",
 			"query", strconv.Itoa(id), "site", strconv.Itoa(cfg.Site)),
 	}
@@ -566,7 +571,7 @@ func (a *agentRun) prestage(q *agentQuery, js []jobs.Job) {
 		bySite[j.Site] = append(bySite[j.Site], j.Ref)
 	}
 	for site, refs := range bySite {
-		a.cfg.Cache.Prestage(site, q.raw[site], refs)
+		a.cfg.Cache.Prestage(q.dataset, site, q.raw[site], refs)
 	}
 }
 

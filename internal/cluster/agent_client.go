@@ -60,7 +60,9 @@ func (c InProcAgent) Poll(req protocol.PollRequest) (protocol.PollReply, error) 
 
 // CompleteJobs implements QueryClient.
 func (c InProcAgent) CompleteJobs(done protocol.JobsDone) ([]int, error) {
-	return head.CommitAck(c.Head.PollFrom(protocol.PollRequest{Site: done.Site, Commits: []protocol.JobsDone{done}}))
+	var acks [1]protocol.JobsDoneAck // with the request, on the stack: the head keeps neither
+	req := protocol.PollRequest{Site: done.Site, Commits: []protocol.JobsDone{done}}
+	return head.CommitAck(c.Head.PollInto(req, acks[:0]))
 }
 
 // Heartbeat implements QueryClient.

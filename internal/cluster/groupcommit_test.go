@@ -661,3 +661,33 @@ func TestCommitRoundTripAllocs(t *testing.T) {
 		t.Errorf("one commit round trip: %.1f allocs, want ≤ 5", allocs)
 	}
 }
+
+// TestInProcCommitAllocs pins the allocations of one mid-batch commit of
+// one job from an InProcAgent to its head: the commit poll's request and
+// ack lists stay on the agent's stack, so a commit allocates nothing (the
+// parent allocated the head's ack list on every commit).
+func TestInProcCommitAllocs(t *testing.T) {
+	ix, _, _ := buildDataset(t, 400*25, 1000, 25) // 400 jobs
+	h := multiTestHead(t, 1, config.Tuning{}, nil)
+	defer h.Shutdown()
+	q := admitSum(t, h, ix, 0)
+	c := InProcAgent{Head: h}
+	if _, err := c.RegisterSite(protocol.Hello{Site: 0, Cluster: "c", Proto: protocol.ProtoMulti}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Poll(protocol.PollRequest{Site: 0, N: ix.NumChunks()})
+	if err != nil || len(rep.Queries) != 1 || len(rep.Queries[0].Jobs) != ix.NumChunks() {
+		t.Fatalf("grant: %d queries, %v", len(rep.Queries), err)
+	}
+	held := rep.Queries[0].Jobs
+	one := make([]jobs.Job, 1) // reused, as the agent reuses its group's jobs
+	allocs := testing.AllocsPerRun(200, func() {
+		one[0], held = held[0], held[1:]
+		if dups, err := c.CompleteJobs(protocol.JobsDone{Site: 0, Query: q.ID(), Jobs: one}); err != nil || len(dups) > 0 {
+			t.Fatalf("commit: dups %v, %v", dups, err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("one in-process commit: %.1f allocs, want 0", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -143,6 +144,84 @@ func TestClusterStageCacheWarmSecondQuery(t *testing.T) {
 	}
 	if got := cache.Snapshot().Hits - hits; got != 20 {
 		t.Errorf("warm query hit the cache %d times, want 20 (every remote chunk)", got)
+	}
+	h.Shutdown()
+	if err := <-exit; err != nil {
+		t.Errorf("agent exit: %v", err)
+	}
+}
+
+// TestClusterStageCacheKeysByDataset: one agent, one cache, two datasets
+// with the same file layout but different names and contents, queried one
+// after the other. The second query must fold its own bytes, not the
+// first's cached chunks at the same (site, file, seq).
+func TestClusterStageCacheKeysByDataset(t *testing.T) {
+	build := func(name string, value func(unit int64) uint32) (*chunk.Index, chunk.Source, uint64) {
+		ix, err := chunk.Layout(name, 4000, 4, 1000, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := chunk.NewMemSource(ix)
+		var want uint64
+		var unit int64
+		for _, f := range ix.Files {
+			buf := make([]byte, f.Size)
+			for i := range int(f.Size / 4) {
+				v := value(unit)
+				binary.LittleEndian.PutUint32(buf[4*i:], v)
+				want += uint64(v)
+				unit++
+			}
+			if err := src.WriteFile(f.Name, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ix, src, want
+	}
+	ixA, srcA, wantA := build("a", func(u int64) uint32 { return uint32(u % 1009) })
+	ixB, srcB, wantB := build("b", func(u int64) uint32 { return uint32(u*7+3) % 1013 })
+	if wantA == wantB {
+		t.Fatal("the two datasets must differ")
+	}
+	placement := jobs.SplitByFraction(len(ixA.Files), 0.5, 0, 1)
+	cache := stagecache.New(stagecache.Config{
+		CapacityBytes: 1 << 20,
+		Replica:       &flakyReplica{objs: make(map[string][]byte), failAfter: -1},
+		Logf:          t.Logf,
+	}, nil)
+	defer cache.Close()
+	cfg := cacheAgent(nil, cache)
+	cfg.Sources = nil
+	cfg.SourceBuilder = func(ix *chunk.Index) (map[int]chunk.Source, error) {
+		src := srcA
+		if ix.Files[0].Name == ixB.Files[0].Name {
+			src = srcB
+		}
+		return map[int]chunk.Source{0: src, 1: src}, nil
+	}
+	h, qa := newHead(t, ixA, placement, 1)
+	exit := make(chan error, 1)
+	cfg.Head, cfg.Logf = InProcAgent{Head: h}, t.Logf
+	go func() { exit <- RunAgent(context.Background(), cfg) }()
+	for _, c := range []struct {
+		ix   *chunk.Index
+		want uint64
+	}{{ixA, wantA}, {ixB, wantB}, {ixA, wantA}} {
+		q := qa
+		if qa == nil {
+			q = admitAll(t, h, c.ix, placement, jobs.Options{})
+		}
+		qa = nil
+		obj, _, _, err := q.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := obj.(*sumObj).total; got != c.want {
+			t.Errorf("dataset %q: sum = %d, want %d", c.ix.Files[0].Name, got, c.want)
+		}
+	}
+	if s := cache.Snapshot(); s.Hits == 0 {
+		t.Errorf("the repeated dataset hit the cache %d times, want > 0", s.Hits)
 	}
 	h.Shutdown()
 	if err := <-exit; err != nil {

@@ -348,7 +348,8 @@ func TestCommitPollRenewsLeaseOnce(t *testing.T) {
 
 // BenchmarkPollCommit drains a pool from one site, committing each grant
 // on the next poll ("ride") or with a commit poll of its own, which asks
-// for nothing, before that poll ("mid-batch"), and reports ns, allocs and
+// for nothing and reuses its ack list, before that poll ("mid-batch"), and
+// reports ns, allocs and
 // polls per committed job (a commit poll counts as a poll).
 // The first two cases drain 1024 4-byte jobs in 4-job grants; "ride-4KiB"
 // drains 8192 4 KiB jobs asking, as an agent with up to 4 cores does, for
@@ -398,16 +399,18 @@ func BenchmarkPollCommit(b *testing.B) {
 				before, start := ms.Mallocs, time.Now()
 				b.StartTimer()
 				var last []jobs.Job
-				commits := make([]protocol.JobsDone, 1) // reused, as the agent reuses its list
+				// Reused, as both agents reuse a commit poll's lists.
+				commits, acks := make([]protocol.JobsDone, 1), make([]protocol.JobsDoneAck, 0, 1)
 				for {
 					req := protocol.PollRequest{Site: 0, N: 4, Bytes: tc.floor}
 					if len(last) > 0 {
 						commits[0] = done(0, q.ID(), last)
 						if tc.ride {
 							req.Commits = commits
-						} else if _, err := h.PollFrom(commitPoll(0, commits...)); err != nil {
+						} else if rep, err := h.PollInto(commitPoll(0, commits...), acks); err != nil {
 							b.Fatal(err)
 						} else {
+							acks = rep.Acks[:0]
 							polls++
 						}
 						committed += uint64(len(last))

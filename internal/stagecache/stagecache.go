@@ -49,13 +49,16 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Key identifies one cached chunk: the origin site plus the chunk
-// coordinates within the dataset.
+// Key identifies one cached chunk: the dataset, its origin site and the
+// chunk's coordinates in it, so equal-layout datasets never share an entry.
 type Key struct {
+	Dataset         uint64
 	Site, File, Seq int
 }
 
-func (k Key) replicaKey() string { return fmt.Sprintf("stage/%d/%d/%d", k.Site, k.File, k.Seq) }
+func (k Key) replicaKey() string {
+	return fmt.Sprintf("stage/%x/%d/%d/%d", k.Dataset, k.Site, k.File, k.Seq)
+}
 
 type entry struct {
 	key  Key
@@ -69,9 +72,10 @@ type spillReq struct {
 }
 
 type prestageReq struct {
-	site int
-	src  chunk.Source
-	refs []chunk.Ref
+	dataset uint64
+	site    int
+	src     chunk.Source
+	refs    []chunk.Ref
 }
 
 // metrics holds the pre-resolved instruments; all nil-safe, so a Cache
@@ -210,26 +214,31 @@ func (c *Cache) Snapshot() Stats {
 	}
 }
 
-// Wrap returns a read-through view of src for chunks whose origin is the
-// given site. A nil cache returns src unchanged (the disabled fast path).
-func (c *Cache) Wrap(site int, src chunk.Source) chunk.Source {
+// Wrap is WrapDataset for dataset 0, for a cache that holds one dataset.
+func (c *Cache) Wrap(site int, src chunk.Source) chunk.Source { return c.WrapDataset(0, site, src) }
+
+// WrapDataset returns a read-through view of src for the chunks of dataset
+// (an identity of its contents, e.g. a hash of its index) whose origin is
+// site. A nil cache returns src unchanged (the disabled fast path).
+func (c *Cache) WrapDataset(dataset uint64, site int, src chunk.Source) chunk.Source {
 	if c == nil || src == nil {
 		return src
 	}
-	return &cachedSource{c: c, site: site, origin: src}
+	return &cachedSource{c: c, dataset: dataset, site: site, origin: src}
 }
 
 type cachedSource struct {
-	c      *Cache
-	site   int
-	origin chunk.Source
+	c       *Cache
+	dataset uint64
+	site    int
+	origin  chunk.Source
 }
 
 // ReadChunk implements chunk.Source: memory tier, then replica, then the
 // origin (read-through). The returned buffer is caller-owned, like every
 // chunk.Source.
 func (s *cachedSource) ReadChunk(ref chunk.Ref) ([]byte, error) {
-	return s.c.read(Key{Site: s.site, File: ref.File, Seq: ref.Seq}, ref, s.origin)
+	return s.c.read(Key{Dataset: s.dataset, Site: s.site, File: ref.File, Seq: ref.Seq}, ref, s.origin)
 }
 
 func (c *Cache) read(key Key, ref chunk.Ref, origin chunk.Source) ([]byte, error) {
@@ -421,17 +430,17 @@ func (c *Cache) writeReplica(key Key, data []byte) {
 	c.m.bytesStaged.Add(size)
 }
 
-// Prestage asynchronously copies the given chunks (origin order preserved)
-// from src into the replica — the push half of the cache. Call it with the
-// refs in the head's grant order so staged data lands just ahead of its
-// jobs. Returns immediately; a nil cache or a cache without a replica
-// ignores the request.
-func (c *Cache) Prestage(site int, src chunk.Source, refs []chunk.Ref) {
+// Prestage asynchronously copies the given chunks of dataset (origin
+// order preserved) from src into the replica — the push half of the cache.
+// Call it with the refs in the head's grant order so staged data lands just
+// ahead of its jobs. Returns immediately; a nil cache or a cache without a
+// replica ignores the request.
+func (c *Cache) Prestage(dataset uint64, site int, src chunk.Source, refs []chunk.Ref) {
 	if c == nil || c.cfg.Replica == nil || src == nil || len(refs) == 0 {
 		return
 	}
 	select {
-	case c.prestageCh <- prestageReq{site: site, src: src, refs: append([]chunk.Ref(nil), refs...)}:
+	case c.prestageCh <- prestageReq{dataset: dataset, site: site, src: src, refs: append([]chunk.Ref(nil), refs...)}:
 	case <-c.closed:
 	}
 }
@@ -455,7 +464,7 @@ func (c *Cache) prestageRun(req prestageReq) {
 			return
 		default:
 		}
-		key := Key{Site: req.site, File: ref.File, Seq: ref.Seq}
+		key := Key{Dataset: req.dataset, Site: req.site, File: ref.File, Seq: ref.Seq}
 		c.mu.Lock()
 		_, inMem := c.entries[key]
 		skip := inMem || c.inReplica[key]

@@ -133,7 +133,7 @@ func TestNilCacheIsInert(t *testing.T) {
 	if got := c.Wrap(0, src); got != chunk.Source(src) {
 		t.Error("nil cache Wrap changed the source")
 	}
-	c.Prestage(0, src, refs) // must not panic
+	c.Prestage(0, 0, src, refs) // must not panic
 	c.Close()
 	if s := c.Snapshot(); s != (Stats{}) {
 		t.Errorf("nil cache Snapshot = %+v", s)
@@ -342,7 +342,7 @@ func TestPrestagePushesAheadOfReads(t *testing.T) {
 	defer c.Close()
 	src := c.Wrap(0, origin)
 
-	c.Prestage(0, stagerSrc, refs)
+	c.Prestage(0, 0, stagerSrc, refs)
 	waitStaged(t, c, total)
 	if got := stagerSrc.reads.Load(); got != int64(len(refs)) {
 		t.Fatalf("stager reads = %d, want %d", got, len(refs))
@@ -364,7 +364,7 @@ func TestPrestagePushesAheadOfReads(t *testing.T) {
 		t.Errorf("hits = %d, want %d (all replica)", s.Hits, len(refs))
 	}
 	// Re-prestaging the same refs is a no-op: everything is already staged.
-	c.Prestage(0, stagerSrc, refs)
+	c.Prestage(0, 0, stagerSrc, refs)
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) && stagerSrc.reads.Load() == int64(len(refs)) {
 		time.Sleep(time.Millisecond)
@@ -415,7 +415,7 @@ func TestConcurrentReadEvictPrestage(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			c.Prestage(0, mem, refs)
+			c.Prestage(0, 0, mem, refs)
 		}
 	}()
 	wg.Wait()
