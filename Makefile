@@ -102,9 +102,14 @@ layout:
 
 # The simulator's speed and allocations on the paper-scale evaluation:
 # ten samples of BenchmarkPaperScaleRun, for comparing a change against its
-# parent (alternate the two trees; run nothing else meanwhile).
+# parent (alternate the two trees; run nothing else meanwhile); then five
+# samples each of the fleet estimator (BenchmarkMakespanRemaining, two data
+# sites with 0, 16 and 64 burst workers) and of one arbiter tick over eight
+# policied queries (BenchmarkArbiterStep).
 sim-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPaperScaleRun$$' -benchmem -count=10 ./internal/hybridsim
+	$(GO) test -run '^$$' -bench 'BenchmarkMakespanRemaining$$' -benchmem -count=5 ./internal/estimate
+	$(GO) test -run '^$$' -bench 'BenchmarkArbiterStep$$' -benchmem -count=5 ./internal/elastic
 
 # The head's grant path: five samples each of the fair-share drain (ns and
 # allocs per granted job) and the single-pool assign/commit cycle; then the

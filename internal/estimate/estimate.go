@@ -10,9 +10,12 @@
 //   - per-site egress capacity (disk / object-store service rate).
 //
 // The smallest horizon T for which a feasible flow drains every site's
-// data is found by binary search, with feasibility decided by max-flow on
-// the site→cluster bipartite graph. A global-reduction tail (reduction-
-// object transfer + serial merges) is added on top.
+// data is the least cut in closed form: for each set of data sites on the
+// source side of a cut, the least T at which that cut holds the data comes
+// from one walk over the sites' egress bends, and T is the largest of
+// these. With S data sites and C clusters that costs O(2^S·S·C), so more
+// than 16 sites with data are refused with an error. A global-reduction
+// tail (reduction-object transfer + serial merges) is added on top.
 //
 // The estimator is deliberately optimistic — it ignores job granularity,
 // end-game imbalance and control latency — so it is a lower bound that
@@ -22,6 +25,7 @@ package estimate
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/hybridsim"
@@ -91,56 +95,25 @@ func ShareScaledRemaining(remaining map[int]int64, weight, totalWeight int) map[
 	return out
 }
 
-// makespan is the shared core: binary-search the smallest horizon whose
-// max-flow drains demand (bytes per site), then add the reduction tail.
+// makespan is the shared core: the smallest horizon in which a flow drains
+// demand (bytes per site), plus the reduction tail.
 func makespan(cfg hybridsim.Config, demand map[int]float64) (Estimate, error) {
 	if cfg.App.ComputeBytesPerSec <= 0 {
 		return Estimate{}, fmt.Errorf("estimate: App.ComputeBytesPerSec must be positive")
 	}
 	m := buildModel(cfg, demand)
-
-	// Binary search the horizon. Upper bound: serve everything through the
-	// single slowest positive capacity.
-	var total float64
-	for _, d := range demand {
-		total += d
-	}
-	if total == 0 {
+	if len(m.demand) == 0 {
 		return Estimate{GlobalReduction: grTail(cfg)}, nil
 	}
-	slowest := math.Inf(1)
-	for _, e := range m.edges {
-		if e.cap > 0 && e.cap < slowest {
-			slowest = e.cap
-		}
+	if len(m.demand) > maxSites {
+		return Estimate{}, fmt.Errorf("estimate: %d data sites with demand, more than %d", len(m.demand), maxSites)
 	}
-	for _, comp := range m.clusters {
-		if comp > 0 && comp < slowest {
-			slowest = comp
-		}
-	}
-	for _, eg := range m.egress {
-		if eg > 0 && eg < slowest {
-			slowest = eg
-		}
-	}
-	if math.IsInf(slowest, 1) {
-		return Estimate{}, fmt.Errorf("estimate: no constrained path")
-	}
-	lo, hi := 0.0, total/slowest*4+1
-	if !m.feasible(demand, hi) {
+	t := m.horizon()
+	if math.IsInf(t, 1) {
 		return Estimate{}, fmt.Errorf("estimate: no feasible flow drains the dataset (disconnected topology?)")
 	}
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if m.feasible(demand, mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
 	return Estimate{
-		Processing:      time.Duration(hi * float64(time.Second)),
+		Processing:      time.Duration(t * float64(time.Second)),
 		GlobalReduction: grTail(cfg),
 	}, nil
 }
@@ -173,26 +146,45 @@ func grTail(cfg hybridsim.Config) time.Duration {
 }
 
 // ---------------------------------------------------------------------------
-// Transportation feasibility via max-flow.
+// The transportation network and its least cut.
 
-type edge struct {
-	cluster int
-	site    int
-	cap     float64 // bytes/sec; Inf = unconstrained
-}
+// maxSites bounds the data sites with demand. horizon visits every subset
+// of them, and at 16 sites that walk costs about as much as the sixty
+// max-flows of a bisection would.
+const maxSites = 16
 
+// slack is the share of the demand a horizon may leave undrained, so that
+// rounding in the rates never makes a drainable demand look infeasible.
+const slack = 1e-6
+
+// model is the flow network for one demand: source → data site → cluster →
+// sink, with every rate in bytes/sec and +Inf where unconstrained. Over a
+// horizon of T seconds the source→site edge carries min(demand, egress·T),
+// the site→cluster edge link·T and the cluster→sink edge comp·T.
 type model struct {
-	clusters []float64 // compute capacity per cluster (bytes/sec)
-	egress   map[int]float64
-	edges    []edge
+	demand []float64 // bytes per data site, in ascending site order
+	egress []float64 // per data site
+	comp   []float64 // per cluster
+	link   []float64 // per cluster, then per data site: link[c*len(demand)+s]
 }
 
+// buildModel lays out the network for the sites with positive demand: a
+// site without demand never holds up a drain, so it is left out.
 func buildModel(cfg hybridsim.Config, demand map[int]float64) *model {
-	m := &model{egress: map[int]float64{}}
-	for site, cap := range cfg.Topology.SourceEgress {
-		if cap > 0 {
-			m.egress[site] = cap
+	sites := make([]int, 0, len(demand))
+	for site, d := range demand {
+		if d > 0 {
+			sites = append(sites, site)
 		}
+	}
+	sort.Ints(sites)
+	top := cfg.Topology
+	S := len(sites)
+	m := &model{
+		demand: make([]float64, S),
+		egress: make([]float64, S),
+		comp:   make([]float64, len(top.Clusters)),
+		link:   make([]float64, len(top.Clusters)*S),
 	}
 	// A burst-side replica (Topology.Stage) serves the expected HitRate
 	// fraction of remote reads at replica rates instead of origin egress:
@@ -200,74 +192,50 @@ func buildModel(cfg hybridsim.Config, demand map[int]float64) *model {
 	// configurations stop looking egress-capped once staging is on. Capped
 	// at 95% — the estimator stays a finite lower bound even for a claimed
 	// perfect cache.
-	st := cfg.Topology.Stage
+	st := top.Stage
 	hit := 0.0
 	if st != nil {
-		hit = st.HitRate
-		if hit > 0.95 {
-			hit = 0.95
-		}
-		if hit < 0 {
-			hit = 0
-		}
+		hit = max(0, min(st.HitRate, 0.95))
 	}
-	if hit > 0 {
-		for site, eg := range m.egress {
-			if site == st.Site {
-				continue
-			}
+	for i, site := range sites {
+		m.demand[i] = demand[site]
+		m.egress[i] = math.Inf(1)
+		eg := top.SourceEgress[site]
+		if eg <= 0 {
+			continue
+		}
+		if hit > 0 && site != st.Site {
 			// Only (1-h) of the flow draws the origin; the rest comes from
 			// the replica, whose own serve rate bounds the benefit.
 			eff := eg / (1 - hit)
 			if st.ServeRate > 0 && eg+st.ServeRate < eff {
 				eff = eg + st.ServeRate
 			}
-			m.egress[site] = eff
+			eg = eff
 		}
+		m.egress[i] = eg
 	}
-	sites := map[int]bool{}
-	for site := range demand {
-		sites[site] = true
-	}
-	for ci, c := range cfg.Topology.Clusters {
+	for ci, c := range top.Clusters {
 		speed := c.CoreSpeed
 		if speed <= 0 {
 			speed = 1
 		}
-		m.clusters = append(m.clusters, float64(c.Cores)*speed*cfg.App.ComputeBytesPerSec)
+		m.comp[ci] = float64(c.Cores) * speed * cfg.App.ComputeBytesPerSec
 		threads := c.RetrievalThreads
 		if threads <= 0 {
 			threads = 2
 		}
-		for site := range sites {
-			cap := math.Inf(1)
-			if pm, ok := cfg.Topology.Paths[[2]int{ci, site}]; ok {
-				if pm.PerStream > 0 {
-					cap = pm.PerStream * float64(threads)
-				}
-				if pm.Bandwidth > 0 && pm.Bandwidth < cap {
-					cap = pm.Bandwidth
-				}
-			}
+		for i, site := range sites {
+			cap := pathRate(top.Paths, ci, site, threads)
 			if hit > 0 && site != st.Site && c.Site != site && !math.IsInf(cap, 1) {
 				// Cached reads ride the cluster→replica path instead of the
 				// cluster→origin path.
-				serveCap := math.Inf(1)
-				if pm, ok := cfg.Topology.Paths[[2]int{ci, st.Site}]; ok {
-					if pm.PerStream > 0 {
-						serveCap = pm.PerStream * float64(threads)
-					}
-					if pm.Bandwidth > 0 && pm.Bandwidth < serveCap {
-						serveCap = pm.Bandwidth
-					}
-				}
+				serveCap := pathRate(top.Paths, ci, st.Site, threads)
 				if st.ServePerStream > 0 {
-					if sc := st.ServePerStream * float64(threads); sc < serveCap {
-						serveCap = sc
-					}
+					serveCap = min(serveCap, st.ServePerStream*float64(threads))
 				}
-				if st.ServeRate > 0 && st.ServeRate < serveCap {
-					serveCap = st.ServeRate
+				if st.ServeRate > 0 {
+					serveCap = min(serveCap, st.ServeRate)
 				}
 				eff := cap / (1 - hit)
 				if !math.IsInf(serveCap, 1) && cap+serveCap < eff {
@@ -275,139 +243,110 @@ func buildModel(cfg hybridsim.Config, demand map[int]float64) *model {
 				}
 				cap = eff
 			}
-			m.edges = append(m.edges, edge{cluster: ci, site: site, cap: cap})
+			m.link[ci*S+i] = cap
 		}
 	}
 	return m
 }
 
-// feasible reports whether demand (bytes per site) can be drained within
-// horizon seconds: max-flow from sites to clusters must move all bytes.
-// Node layout: 0 = source, 1..S = sites, S+1..S+C = clusters, S+C+1 = sink.
-func (m *model) feasible(demand map[int]float64, horizon float64) bool {
-	if horizon <= 0 {
-		return false
-	}
-	siteIDs := make([]int, 0, len(demand))
-	for s := range demand {
-		siteIDs = append(siteIDs, s)
-	}
-	// Deterministic order.
-	for i := 0; i < len(siteIDs); i++ {
-		for j := i + 1; j < len(siteIDs); j++ {
-			if siteIDs[j] < siteIDs[i] {
-				siteIDs[i], siteIDs[j] = siteIDs[j], siteIDs[i]
-			}
+// pathRate is the rate of cluster's path to site with threads retrieval
+// streams: streams × per-stream bandwidth, capped by the shared pipe, and
+// +Inf for a path with no model.
+func pathRate(paths map[[2]int]hybridsim.PathModel, cluster, site, threads int) float64 {
+	rate := math.Inf(1)
+	if pm, ok := paths[[2]int{cluster, site}]; ok {
+		if pm.PerStream > 0 {
+			rate = pm.PerStream * float64(threads)
+		}
+		if pm.Bandwidth > 0 && pm.Bandwidth < rate {
+			rate = pm.Bandwidth
 		}
 	}
-	siteNode := map[int]int{}
-	for i, s := range siteIDs {
-		siteNode[s] = 1 + i
-	}
-	S, C := len(siteIDs), len(m.clusters)
-	n := S + C + 2
-	sink := n - 1
-	g := newFlowGraph(n)
+	return rate
+}
 
+// horizon returns the smallest T (seconds) in which a flow drains all but
+// slack of the demand, or +Inf when no flow ever does. A flow drains it
+// within T exactly when every cut holds that much. With the sites of a set
+// A on the source side, each cluster takes its cheaper side on its own, so
+// the least cut over A is
+//
+//	cut_A(T) = Σ_{s∉A} min(d_s, eg_s·T) + T·Σ_c min(comp_c, Σ_{s∈A} link_sc),
+//
+// nondecreasing, concave and piecewise linear in T, bending at d_s/eg_s.
+// T is the largest over all A of the least T at which cut_A reaches the
+// target: one walk over the sorted bends per subset, O(2^S·S·C) in all.
+func (m *model) horizon() float64 {
+	S := len(m.demand)
 	var want float64
-	for _, s := range siteIDs {
-		// Source → site: the bytes that must leave the site. Cap the rate
-		// by the site's egress × horizon.
-		amount := demand[s]
-		want += amount
-		cap := amount
-		if eg, ok := m.egress[s]; ok {
-			if lim := eg * horizon; lim < cap {
-				cap = lim
-			}
-		}
-		g.addEdge(0, siteNode[s], cap)
+	for _, d := range m.demand {
+		want += d
 	}
-	for _, e := range m.edges {
-		sn, ok := siteNode[e.site]
-		if !ok {
+	want *= 1 - slack
+	// The sites with an egress cap, in ascending order of their bend.
+	var bends [maxSites]int
+	n := 0
+	for s, eg := range m.egress {
+		if math.IsInf(eg, 1) {
 			continue
 		}
-		cap := math.Inf(1)
-		if !math.IsInf(e.cap, 1) {
-			cap = e.cap * horizon
+		j := n
+		for ; j > 0 && m.demand[bends[j-1]]/m.egress[bends[j-1]] > m.demand[s]/eg; j-- {
+			bends[j] = bends[j-1]
 		}
-		g.addEdge(sn, 1+S+e.cluster, cap)
+		bends[j] = s
+		n++
 	}
-	for ci, comp := range m.clusters {
-		g.addEdge(1+S+ci, sink, comp*horizon)
-	}
-	const slack = 1e-6
-	return g.maxFlow(0, sink) >= want*(1-slack)
-}
-
-// flowGraph is a small capacity-scaling-free Ford-Fulkerson (BFS augmenting
-// paths), ample for the handful of nodes involved.
-type flowGraph struct {
-	n    int
-	head [][]int // adjacency: node → arc indices
-	to   []int
-	cap  []float64
-}
-
-func newFlowGraph(n int) *flowGraph {
-	return &flowGraph{n: n, head: make([][]int, n)}
-}
-
-func (g *flowGraph) addEdge(u, v int, cap float64) {
-	g.head[u] = append(g.head[u], len(g.to))
-	g.to = append(g.to, v)
-	g.cap = append(g.cap, cap)
-	g.head[v] = append(g.head[v], len(g.to))
-	g.to = append(g.to, u)
-	g.cap = append(g.cap, 0)
-}
-
-func (g *flowGraph) maxFlow(s, t int) float64 {
-	var total float64
-	for {
-		// BFS for an augmenting path.
-		parentArc := make([]int, g.n)
-		for i := range parentArc {
-			parentArc[i] = -1
-		}
-		visited := make([]bool, g.n)
-		visited[s] = true
-		queue := []int{s}
-		for len(queue) > 0 && !visited[t] {
-			u := queue[0]
-			queue = queue[1:]
-			for _, ai := range g.head[u] {
-				v := g.to[ai]
-				if !visited[v] && g.cap[ai] > 1e-12 {
-					visited[v] = true
-					parentArc[v] = ai
-					queue = append(queue, v)
+	worst := 0.0
+	for A := 0; A < 1<<S; A++ {
+		in := func(s int) bool { return A&(1<<s) != 0 }
+		// The cut's slope from the clusters, and its level from the
+		// uncapped sites outside A.
+		var slope, level float64
+		for c, comp := range m.comp {
+			var reach float64
+			for s, l := range m.link[c*S : (c+1)*S] {
+				if in(s) {
+					reach += l
 				}
 			}
+			slope += min(comp, reach)
 		}
-		if !visited[t] {
-			return total
-		}
-		// Bottleneck along the path.
-		aug := math.Inf(1)
-		for v := t; v != s; {
-			ai := parentArc[v]
-			if g.cap[ai] < aug {
-				aug = g.cap[ai]
+		for s, eg := range m.egress {
+			if !in(s) && math.IsInf(eg, 1) {
+				level += m.demand[s]
 			}
-			v = g.to[ai^1]
 		}
-		if math.IsInf(aug, 1) {
-			// An unconstrained source→sink path means infinite throughput.
+		// rest[i] is the egress of the capped sites outside A from bend i
+		// on: the slope they add before they saturate.
+		var rest [maxSites + 1]float64
+		for i := n - 1; i >= 0; i-- {
+			rest[i] = rest[i+1]
+			if !in(bends[i]) {
+				rest[i] += m.egress[bends[i]]
+			}
+		}
+		// Walk the bends to the segment on which cut_A reaches want.
+		t, i := 0.0, 0
+		for ; i < n; i++ {
+			s := bends[i]
+			if in(s) {
+				continue
+			}
+			b := m.demand[s] / m.egress[s]
+			if level+(slope+rest[i])*b >= want {
+				break
+			}
+			level += m.demand[s]
+			t = b
+		}
+		switch k := slope + rest[i]; {
+		case k > 0:
+			t = (want - level) / k
+		case level < want:
 			return math.Inf(1)
 		}
-		for v := t; v != s; {
-			ai := parentArc[v]
-			g.cap[ai] -= aug
-			g.cap[ai^1] += aug
-			v = g.to[ai^1]
-		}
-		total += aug
+		worst = max(worst, t)
 	}
+	return worst
 }

@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,12 +75,37 @@ func TestEgressBoundExact(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Makespan(hybridsim.Config{}); err == nil {
-		t.Error("empty config accepted")
+	sites := func(n int) map[int]int64 {
+		rem := make(map[int]int64, n)
+		for s := 0; s < n; s++ {
+			rem[s] = 1 << 20
+		}
+		return rem
 	}
-	cfg := simpleConfig(t, 0, 1, 1)
-	if _, err := Makespan(cfg); err == nil {
-		t.Error("zero compute rate accepted")
+	noCores := simpleConfig(t, 1<<20, 1, 1)
+	noCores.Topology.Clusters[0].Cores = 0
+	for _, tc := range []struct {
+		name string
+		run  func() (Estimate, error)
+		ok   bool
+	}{
+		{"empty config", func() (Estimate, error) { return Makespan(hybridsim.Config{}) }, false},
+		{"zero compute rate", func() (Estimate, error) { return Makespan(simpleConfig(t, 0, 1, 1)) }, false},
+		{"no cores", func() (Estimate, error) { return Makespan(noCores) }, false},
+		{"16 data sites", func() (Estimate, error) {
+			return MakespanRemaining(simpleConfig(t, 1<<20, 1<<20, 1<<20), sites(16))
+		}, true},
+		{"17 data sites", func() (Estimate, error) {
+			return MakespanRemaining(simpleConfig(t, 1<<20, 1<<20, 1<<20), sites(17))
+		}, false},
+	} {
+		_, err := tc.run()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok %v", tc.name, err, tc.ok)
+		}
+		if err != nil && !strings.HasPrefix(err.Error(), "estimate: ") {
+			t.Errorf("%s: error %q lacks the package prefix", tc.name, err)
+		}
 	}
 }
 
@@ -174,46 +200,5 @@ func TestStagedBlendSkipsReplicaSiteAndLocalReads(t *testing.T) {
 	// Bound by the local path 4 × 2 MiB/s = 8 MiB/s: T = 8 s, not 8/(1-h).
 	if got, want := e.Processing.Seconds(), 8.0; math.Abs(got-want) > 0.01 {
 		t.Errorf("local-read T = %.3f s, want %.3f (no blend)", got, want)
-	}
-}
-
-func TestMaxFlowBasics(t *testing.T) {
-	g := newFlowGraph(4)
-	g.addEdge(0, 1, 3)
-	g.addEdge(0, 2, 2)
-	g.addEdge(1, 3, 2)
-	g.addEdge(2, 3, 3)
-	g.addEdge(1, 2, 5)
-	// Source cut is 5 and reachable: 2 via 1→3, 2 via 2→3, 1 via 1→2→3.
-	if got := g.maxFlow(0, 3); math.Abs(got-5) > 1e-9 {
-		t.Errorf("maxflow = %v, want 5", got)
-	}
-	// Tighten the sink side: min cut becomes 4.
-	g2 := newFlowGraph(4)
-	g2.addEdge(0, 1, 3)
-	g2.addEdge(0, 2, 2)
-	g2.addEdge(1, 3, 2)
-	g2.addEdge(2, 3, 2)
-	g2.addEdge(1, 2, 5)
-	if got := g2.maxFlow(0, 3); math.Abs(got-4) > 1e-9 {
-		t.Errorf("maxflow = %v, want 4", got)
-	}
-}
-
-func TestMaxFlowDisconnected(t *testing.T) {
-	g := newFlowGraph(4)
-	g.addEdge(0, 1, 3)
-	g.addEdge(2, 3, 3)
-	if got := g.maxFlow(0, 3); got != 0 {
-		t.Errorf("disconnected maxflow = %v", got)
-	}
-}
-
-func TestMaxFlowInfinitePath(t *testing.T) {
-	g := newFlowGraph(3)
-	g.addEdge(0, 1, math.Inf(1))
-	g.addEdge(1, 2, math.Inf(1))
-	if got := g.maxFlow(0, 2); !math.IsInf(got, 1) {
-		t.Errorf("unconstrained maxflow = %v, want +Inf", got)
 	}
 }
