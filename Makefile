@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race flake fuzz results loc layout sim-bench control-bench kernel-bench check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race flake fuzz examples results loc layout sim-bench control-bench kernel-bench check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -66,6 +66,16 @@ fuzz:
 		echo "fuzz $$name in $$pkg for $(FUZZTIME)"; \
 		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
 	done
+
+# Build and run every program under examples/ once, in turn; one that
+# fails to build or exits non-zero fails the target. They have no tests,
+# so this is what keeps them running against the packages they show.
+EXAMPLES := $(notdir $(patsubst %/,%,$(dir $(wildcard examples/*/main.go))))
+examples:
+	@dir=$$(mktemp -d) && for ex in $(EXAMPLES); do \
+		echo "example $$ex"; \
+		$(GO) build -o $$dir/$$ex ./examples/$$ex && $$dir/$$ex || { rm -rf $$dir; echo "example $$ex failed"; exit 1; }; \
+	done; rm -rf $$dir
 
 # Regenerate the paper-table snapshot that TestPaperTablesMatchResults pins
 # (every section but Figure 1's wall-clock timings) and the fault-sweep

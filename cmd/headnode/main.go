@@ -97,10 +97,9 @@ func main() {
 		fail("headnode: %v", err)
 	}
 	spec := protocol.JobSpec{
-		App:        *app,
-		Params:     params,
-		UnitSize:   unitSize,
-		GroupBytes: tn.GroupBytes, // 0: each engine's core.DefaultGroupBytes
+		App:      *app,
+		Params:   params,
+		UnitSize: unitSize,
 	}
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		fail("headnode: %v", err)
@@ -123,15 +122,16 @@ func main() {
 	// The headnode cannot start worker processes, so its burst loop only
 	// advises: a scale-up is logged (an operator, or an autoscaler tailing
 	// the log, starts more workernodes, which register as dynamic sites);
-	// drains run through the head. It estimates from observed throughput,
-	// as the daemon has no calibrated topology for the analytic model.
+	// drains run through the head. The daemon has no calibrated topology
+	// for the analytic model, so its arbiter has no Env and estimates from
+	// the drain it observes between ticks.
 	var burst *driver.BurstLoop
 	if ef.Elastic {
 		arb, err := elastic.NewArbiter(elastic.ArbiterConfig{MaxWorkers: ef.MaxWorkers}, nil)
 		if err != nil {
 			fail("headnode: %v", err)
 		}
-		burst = driver.StartBurstLoop(h, arb, &elastic.ThroughputEstimator{}, nil, rt.Obs, log.Printf)
+		burst = driver.StartBurstLoop(h, arb, nil, rt.Obs, log.Printf)
 	}
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {

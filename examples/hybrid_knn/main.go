@@ -90,7 +90,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec := protocol.JobSpec{App: apps.KNNReducerName, Params: params, UnitSize: ix.UnitSize, GroupBytes: 256 << 10}
+	spec := protocol.JobSpec{App: apps.KNNReducerName, Params: params, UnitSize: ix.UnitSize}
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		log.Fatal(err)
 	}

@@ -59,7 +59,7 @@ type AgentConfig struct {
 	// than the unit-group budget run further ahead of the commits: up to
 	// RetrievalThreads groups' worth of bytes are out at once.
 	RetrievalThreads int
-	// Tuning carries the shared knobs (GroupBytes override,
+	// Tuning carries the shared knobs (GroupBytes,
 	// CheckpointEveryJobs); see config.Tuning.
 	Tuning config.Tuning
 	// Sources maps site id → Source; used for every query whose index this
@@ -140,7 +140,7 @@ type agentQuery struct {
 // agentRun carries the per-RunAgent state shared across queries.
 type agentRun struct {
 	cfg *AgentConfig
-	// groupBytes is G, the engine's unit-group budget: Tuning.GroupBytes or
+	// groupBytes is G, the engines' unit-group budget: Tuning.GroupBytes or
 	// core.DefaultGroupBytes. A poll asks for max(Cores, 4) jobs and at
 	// least that many groups' worth of bytes, and a batch's retrievals run
 	// up to RetrievalThreads × G bytes ahead of its settled jobs.
@@ -526,10 +526,6 @@ func (a *agentRun) ensure(id int) (*agentQuery, error) {
 		}
 		cfg.Logf("cluster %s: query %d resumes from its checkpoint", cfg.Name, id)
 	}
-	groupBytes := spec.GroupBytes
-	if cfg.Tuning.GroupBytes > 0 {
-		groupBytes = cfg.Tuning.GroupBytes
-	}
 	// RetrievalThreads is the in-flight depth on both sides of the hand-off:
 	// that many lanes fetch, and the engine queue takes that many chunks, so a
 	// burst of completions never blocks the lanes needlessly.
@@ -537,7 +533,7 @@ func (a *agentRun) ensure(id int) (*agentQuery, error) {
 		Reducer:    reducer,
 		Workers:    cfg.Cores,
 		UnitSize:   spec.UnitSize,
-		GroupBytes: groupBytes,
+		GroupBytes: int(a.groupBytes),
 		QueueDepth: cfg.RetrievalThreads,
 		Collector:  collector,
 		// Chunk buffers come from bufpool (sources and the objstore client

@@ -165,7 +165,7 @@ func TestParkedAgentsPickUpAdmission(t *testing.T) {
 	for i := range placement {
 		placement[i] = i % sites
 	}
-	spec := protocol.JobSpec{App: "cluster-test-sum", UnitSize: 4, GroupBytes: 1 << 10}
+	spec := protocol.JobSpec{App: "cluster-test-sum", UnitSize: 4}
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func buildDataset(t *testing.T, units int64, fileUnits, chunkUnits int) (*chunk.
 // sumSpec is the job spec of a sum query over ix.
 func sumSpec(t *testing.T, ix *chunk.Index) protocol.JobSpec {
 	t.Helper()
-	spec := protocol.JobSpec{App: "cluster-test-sum", UnitSize: 4, GroupBytes: 1 << 10}
+	spec := protocol.JobSpec{App: "cluster-test-sum", UnitSize: 4}
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		t.Fatal(err)
 	}

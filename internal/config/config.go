@@ -19,8 +19,9 @@ import (
 // cluster runtimes and the driver. The zero value reproduces the defaults
 // each component applied before the collapse.
 type Tuning struct {
-	// GroupBytes is the cache-sized unit-group budget per reduction batch;
-	// 0 keeps the job spec's value.
+	// GroupBytes is G, the cache-sized unit-group budget per reduction
+	// batch, which also sizes an agent's polls and retrieval window. Only
+	// cluster agents read it; 0 means core.DefaultGroupBytes.
 	GroupBytes int
 	// LeaseTTL is each site's liveness lease at the head: a site silent for
 	// longer is declared failed, its in-flight jobs requeued, and its
@@ -78,7 +79,7 @@ func (t Tuning) HeartbeatInterval() time.Duration { return t.LeaseTTL / 3 }
 // headnode and workernode declare them once and identically.
 func (t *Tuning) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&t.GroupBytes, "group-bytes", 0,
-		"unit-group (cache) budget per reduction batch (0 = job-spec value)")
+		"unit-group (cache) budget per reduction batch; read by workers only (0 = 256 KiB)")
 	fs.DurationVar(&t.LeaseTTL, "lease-ttl", 0,
 		"site liveness lease at the head; silent sites are failed after this (0 = off)")
 	fs.IntVar(&t.CheckpointEveryJobs, "checkpoint-every", 0,

@@ -34,7 +34,6 @@ const finalDrainGrace = 30 * time.Second
 type BurstLoop struct {
 	h    *head.Head
 	arb  *elastic.Arbiter
-	est  *elastic.ThroughputEstimator
 	l    cluster.Launcher
 	logf func(string, ...any)
 	reg  *obs.Registry
@@ -55,14 +54,12 @@ type BurstLoop struct {
 }
 
 // StartBurstLoop starts ticking arb over h on the arbiter's interval. With
-// est nil the arbiter steps on its own model (Arbiter.Step); otherwise each
-// tick feeds est the total remaining bytes and steps on its observed
-// throughput. With l nil the loop only advises: a scale-up is one log line
-// and no site is launched. Close stops it.
-func StartBurstLoop(h *head.Head, arb *elastic.Arbiter, est *elastic.ThroughputEstimator,
-	l cluster.Launcher, o *obs.Obs, logf func(string, ...any)) *BurstLoop {
+// l nil the loop only advises: a scale-up is one log line and no site is
+// launched. Close stops it.
+func StartBurstLoop(h *head.Head, arb *elastic.Arbiter, l cluster.Launcher,
+	o *obs.Obs, logf func(string, ...any)) *BurstLoop {
 	b := &BurstLoop{
-		h: h, arb: arb, est: est, l: l, logf: logf,
+		h: h, arb: arb, l: l, logf: logf,
 		reg: o.Metrics(), tr: o.Trace(), clk: o.ClockOrWall(),
 		stop: make(chan struct{}), done: make(chan struct{}),
 		nextSite: head.BurstSiteBase,
@@ -125,20 +122,7 @@ func (b *BurstLoop) tick(now time.Duration) {
 		}
 	}
 	// 3. Step the arbiter and act on its decision.
-	loads := b.h.QueryLoads()
-	var dec elastic.Decision
-	if b.est == nil {
-		dec = b.arb.Step(now, loads)
-	} else {
-		var total int64
-		for _, l := range loads {
-			for _, n := range l.Remaining {
-				total += n
-			}
-		}
-		b.est.Observe(now, total, len(b.arb.ActiveSites()))
-		dec = b.arb.StepWith(now, loads, b.est.Raw)
-	}
+	dec := b.arb.Step(now, b.h.QueryLoads())
 	switch dec.Action {
 	case elastic.ScaleUp:
 		if b.l == nil {

@@ -55,7 +55,7 @@ func startHandTicked(t *testing.T, h *head.Head, o *obs.Obs, logf func(string, .
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := StartBurstLoop(h, arb, &elastic.ThroughputEstimator{}, nil, o, logf)
+	b := StartBurstLoop(h, arb, nil, o, logf)
 	t.Cleanup(b.Close)
 	return b
 }

@@ -77,7 +77,7 @@ func NewSession(d *Deployment) (*Session, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Session{dep: d, h: h, logf: logf, cancel: cancel, ctx: ctx}
 	if arb != nil {
-		s.burst = StartBurstLoop(h, arb, nil,
+		s.burst = StartBurstLoop(h, arb,
 			&cluster.AgentLauncher{Template: s.agentConfig(d.Elastic.Worker)}, d.Obs, logf)
 	}
 	if d.DebugAddr != "" {
@@ -156,10 +156,9 @@ func (s *Session) Submit(step Step) (*Query, error) {
 		return nil, err
 	}
 	spec := protocol.JobSpec{
-		App:        step.App,
-		Params:     step.Params,
-		UnitSize:   d.Index.UnitSize,
-		GroupBytes: d.Tuning.GroupBytes,
+		App:      step.App,
+		Params:   step.Params,
+		UnitSize: d.Index.UnitSize,
 	}
 	if err := head.EncodeIndexSpec(&spec, d.Index); err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -590,14 +591,42 @@ func TestLiveWatchdogFlagsSlowSite(t *testing.T) {
 	}
 
 	d, src := buildPointDeployment(t, gen, 1500)
+	d.Obs = obs.New(nil)
+	// slowFlagged sums the tarpit site's straggler counters.
+	slowFlagged := func() int64 {
+		var n int64
+		for k, v := range d.Obs.Registry.Snapshot() {
+			if strings.HasPrefix(k, "head_straggler_flagged_total{") && strings.Contains(k, `site="1"`) {
+				n += v
+			}
+		}
+		return n
+	}
 	// The healthy site's reads wait for the tarpit site's first one, so the
 	// tarpit holds jobs however fast the healthy site would otherwise drain
 	// the pool. The wait is bounded: a tarpit site granted no job lets the
 	// healthy one go on alone after 10 s, and the test fails below.
+	//
+	// Only a poll for work runs the watchdog, and it can flag the tarpit
+	// only while two of its commits are in and jobs are still in flight:
+	// after its first wave (one read per retrieval lane, two) commits
+	// mid-batch and before its last group rides its next poll. Left to
+	// timing, that window is one 25 ms read against the healthy site's
+	// 20 ms held poll, and a loaded box can miss it. So every later tarpit
+	// read waits, again at most 10 s, until the site is flagged: the window
+	// stays open until a healthy poll runs the watchdog.
 	started, starved := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	tarpit := hookSource{slowSource{inner: src, delay: 25 * time.Millisecond},
-		func() { once.Do(func() { close(started) }) }}
+	var reads atomic.Int32
+	tarpit := hookSource{slowSource{inner: src, delay: 25 * time.Millisecond}, func() {
+		once.Do(func() { close(started) })
+		if reads.Add(1) <= 2 {
+			return
+		}
+		for deadline := time.Now().Add(10 * time.Second); slowFlagged() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}}
 	healthy := hookSource{src, func() {
 		select {
 		case <-started:
@@ -607,7 +636,6 @@ func TestLiveWatchdogFlagsSlowSite(t *testing.T) {
 	defer time.AfterFunc(10*time.Second, func() { close(starved) }).Stop()
 	d.Clusters[0].Sources = map[int]chunk.Source{0: healthy, 1: healthy}
 	d.Clusters[1].Sources = map[int]chunk.Source{0: tarpit, 1: tarpit}
-	d.Obs = obs.New(nil)
 	d.Obs.Tracer.Enable()
 	defer func() { dumpTraceOnFailure(t, d.Obs) }()
 	d.Tuning = config.Tuning{
@@ -615,9 +643,8 @@ func TestLiveWatchdogFlagsSlowSite(t *testing.T) {
 		// watchdog can flag within this run.
 		SpeculateAfter:  time.Hour,
 		StragglerFactor: 3,
-		// The tarpit site's two cores commit in pairs, so demand two
-		// samples: the flag window is the gap between its first and second
-		// wave, which the healthy site's polls straddle.
+		// Demand the tarpit's whole first wave, two samples, before judging
+		// it: the flag window opens once both have committed.
 		WatchdogMinSamples: 2,
 	}
 	sess, err := NewSession(d)
@@ -668,15 +695,9 @@ func TestLiveWatchdogFlagsSlowSite(t *testing.T) {
 
 	// The tarpit site was flagged (the healthy site may or may not trip the
 	// threshold; the slow one must).
-	snap := d.Obs.Registry.Snapshot()
-	var flagged int64
-	for k, v := range snap {
-		if strings.HasPrefix(k, "head_straggler_flagged_total{") && strings.Contains(k, `site="1"`) {
-			flagged += v
-		}
-	}
-	if flagged == 0 {
-		t.Errorf("slow site never flagged; straggler counters: %v", filterPrefix(snap, "head_straggler_flagged_total"))
+	if slowFlagged() == 0 {
+		t.Errorf("slow site never flagged; straggler counters: %v",
+			filterPrefix(d.Obs.Registry.Snapshot(), "head_straggler_flagged_total"))
 	}
 }
 

@@ -109,12 +109,19 @@ type Arbiter struct {
 	lastAt  time.Duration
 	lastRem int64
 	haveObs bool
+
+	// Model-free drain rate, the estimator of an arbiter without an Env:
+	// an EWMA (weight 0.3 on the newest sample) of the aggregate bytes/s
+	// drained between ticks, observed at rateUnits worker-equivalents (the
+	// static fleet counts as one, each burst worker as one more).
+	rate      float64
+	rateUnits float64
 }
 
 // NewArbiter builds a session arbiter over env's worker model. env supplies
-// the model-based estimator used by Step; it may be nil when the caller only
-// uses StepWith (an observed-throughput estimator, as cmd/headnode's burst
-// loop does).
+// the model-based estimator used by Step; with env nil, Step estimates
+// from the observed drain instead (cmd/headnode has no calibrated
+// topology).
 func NewArbiter(cfg ArbiterConfig, env *Env) (*Arbiter, error) {
 	if cfg.MaxWorkers < 0 {
 		return nil, fmt.Errorf("elastic: negative MaxWorkers")
@@ -334,13 +341,21 @@ func (a *Arbiter) fleetBounds(loads []QueryLoad) (floor, cap int) {
 // (policied or not); the arbiter aggregates them for the fleet estimate and
 // tests each policied query's deadline against its fair-share-scaled
 // remaining work. The caller executes the returned Decision (launch Delta
-// workers / drain Sites).
+// workers / drain Sites). With an Env the estimate is the
+// estimate.MakespanRemaining model; without one it is the drain observed
+// between ticks.
 func (a *Arbiter) Step(now time.Duration, loads []QueryLoad) Decision {
+	if a.env == nil {
+		return a.StepWith(now, loads, a.drainModel(now, loads))
+	}
+	cfgs := make(map[int]hybridsim.Config) // fleet size → config, built once per tick
 	return a.StepWith(now, loads, func(rem map[int]int64, workers int) (time.Duration, bool) {
-		if a.env == nil {
-			return 0, false
+		cfg, ok := cfgs[workers]
+		if !ok {
+			cfg = a.env.ConfigWith(workers)
+			cfgs[workers] = cfg
 		}
-		e, err := estimate.MakespanRemaining(a.env.ConfigWith(workers), rem)
+		e, err := estimate.MakespanRemaining(cfg, rem)
 		if err != nil {
 			return 0, false
 		}
@@ -348,12 +363,47 @@ func (a *Arbiter) Step(now time.Duration, loads []QueryLoad) Decision {
 	})
 }
 
+// drainModel folds the aggregate drain since the previous tick into the
+// model-free rate, before observe overwrites the previous tick's sample,
+// and returns the estimator it implies: throughput scales linearly with
+// the worker-equivalents, and rem takes its total bytes at that rate.
+// ok=false until a positive rate has been observed.
+func (a *Arbiter) drainModel(now time.Duration, loads []QueryLoad) func(map[int]int64, int) (time.Duration, bool) {
+	var total int64
+	for _, l := range loads {
+		for _, b := range l.Remaining {
+			total += b
+		}
+	}
+	a.mu.Lock()
+	if a.haveObs && now > a.lastAt && total <= a.lastRem {
+		sample := float64(a.lastRem-total) / (now - a.lastAt).Seconds()
+		if a.rate == 0 {
+			a.rate = sample
+		} else {
+			a.rate = 0.3*sample + 0.7*a.rate
+		}
+		a.rateUnits = 1 + float64(len(a.activeSitesLocked()))
+	}
+	rate, units := a.rate, a.rateUnits
+	a.mu.Unlock()
+	return func(rem map[int]int64, workers int) (time.Duration, bool) {
+		if rate <= 0 {
+			return 0, false // no drain seen yet
+		}
+		var remaining int64
+		for _, b := range rem {
+			remaining += b
+		}
+		r := rate * (1 + float64(workers)) / units
+		return time.Duration(float64(remaining) / r * float64(time.Second)), true
+	}
+}
+
 // StepWith is Step with the raw model estimator injected: raw answers "how
 // long would THIS remaining map take on a fleet of workers" (ok=false when
-// no estimate is available, which holds the fleet). Step passes the
-// estimate.MakespanRemaining model; the live burst loop passes observed
-// throughput (ThroughputEstimator.Raw) when it is given an estimator, as
-// cmd/headnode does; tests pass synthetic curves.
+// no estimate is available, which holds the fleet). Step passes the Env's
+// model or the observed drain; tests pass synthetic curves.
 func (a *Arbiter) StepWith(now time.Duration, loads []QueryLoad,
 	raw func(rem map[int]int64, workers int) (time.Duration, bool)) Decision {
 	aggregate := make(map[int]int64)

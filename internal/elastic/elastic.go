@@ -28,7 +28,6 @@ package elastic
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/costmodel"
@@ -180,60 +179,4 @@ func FormatDecisions(ds []Decision) string {
 			d.Estimate.Round(time.Millisecond), d.ProjectedCost, d.Reason)...)
 	}
 	return string(b)
-}
-
-// ---------------------------------------------------------------------------
-// Observed-throughput estimation, for deployments that cannot re-run the
-// analytic model (cmd/headnode).
-
-// ThroughputEstimator derives raw(rem, w) from observed progress: it watches the
-// total remaining bytes shrink between ticks, smooths the drain rate with
-// an EWMA (weight 0.3 on the newest sample), and assumes throughput scales
-// linearly with the worker count, the static fleet counting as one
-// worker-equivalent (each burst worker adds the marginal rate of one).
-type ThroughputEstimator struct {
-	mu        sync.Mutex
-	lastAt    time.Duration
-	lastBytes int64
-	haveLast  bool
-	rate      float64 // bytes/sec at the observed fleet
-	rateUnits float64 // worker-equivalents the rate was observed at
-}
-
-// Observe feeds one progress snapshot: total remaining bytes at now, with
-// `workers` burst workers active.
-func (t *ThroughputEstimator) Observe(now time.Duration, remaining int64, workers int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.haveLast && now > t.lastAt && remaining <= t.lastBytes {
-		dt := (now - t.lastAt).Seconds()
-		sample := float64(t.lastBytes-remaining) / dt
-		if t.rate == 0 {
-			t.rate = sample
-		} else {
-			t.rate = 0.3*sample + 0.7*t.rate
-		}
-		t.rateUnits = 1 + float64(workers)
-	}
-	t.lastAt, t.lastBytes, t.haveLast = now, remaining, true
-}
-
-// Raw is the estimator for Arbiter.StepWith: it scales the observed drain
-// rate to a fleet of `workers` and answers how long rem would take at that
-// rate. ok=false until at least one positive rate sample.
-func (t *ThroughputEstimator) Raw(rem map[int]int64, workers int) (time.Duration, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rate <= 0 || t.rateUnits <= 0 {
-		return 0, false
-	}
-	rate := t.rate * (1 + float64(workers)) / t.rateUnits
-	if rate <= 0 {
-		return 0, false
-	}
-	var remaining int64
-	for _, b := range rem {
-		remaining += b
-	}
-	return time.Duration(float64(remaining) / rate * float64(time.Second)), true
 }

@@ -367,14 +367,15 @@ func TestHandleConnGobOptIn(t *testing.T) {
 // TestHandleConnRefusesOtherVersions: a Hello of any Proto but ProtoMulti
 // — 0 is the retired single-query dialect, 3 the layout before commits
 // rode the poll, 5 the one before the poll's byte floor, 6 the one with a
-// commit frame of its own — is answered with
+// commit frame of its own, 7 the one whose JobSpec carried the unit-group
+// budget — is answered with
 // an ErrorReply coded CodeVersionMismatch, which a remote master rebuilds
 // (CodeError, as RemoteAgent does) into ErrVersionMismatch; the session
 // ends without registering the site.
 func TestHandleConnRefusesOtherVersions(t *testing.T) {
 	h, _ := testHead(t, 1)
 	defer h.Shutdown()
-	for _, proto := range []int{0, 1, 3, 4, 5, 6, protocol.ProtoMulti + 1} {
+	for _, proto := range []int{0, 1, 3, 4, 5, 6, 7, protocol.ProtoMulti + 1} {
 		a, b := transport.Pipe()
 		done := make(chan struct{})
 		go func() { h.HandleConn(b); close(done) }()

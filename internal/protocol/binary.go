@@ -355,7 +355,6 @@ func (m *JobSpec) walk(w *walker) {
 	w.str(&m.App)
 	w.bytes(&m.Params)
 	w.int(&m.UnitSize)
-	w.int(&m.GroupBytes)
 	w.bytes(&m.Index)
 	w.bytes(&m.Checkpoint)
 	w.int(&m.Query)

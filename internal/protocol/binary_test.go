@@ -35,7 +35,7 @@ func sampleMessages() []Message {
 	return []Message{
 		Hello{Site: 3, Cluster: "cloud", Cores: 16, Proto: ProtoMulti},
 		Hello{},
-		JobSpec{App: "knn", Params: []byte{1, 2, 3}, UnitSize: 4096, GroupBytes: 256 << 10,
+		JobSpec{App: "knn", Params: []byte{1, 2, 3}, UnitSize: 4096,
 			Index:      bytes.Repeat([]byte{0xAB}, 100),
 			Checkpoint: []byte("ckpt")},
 		JobSpec{App: "kmeans"},

@@ -56,12 +56,12 @@ func fixedLayouts() []layoutCase {
 			w.u8(1).n(ProtoMulti).n(3).str("cloud").n(16).tc(7, 9), 0},
 		{"Hello zero trace", Hello{Proto: ProtoMulti, Cores: 1},
 			w.u8(1).n(ProtoMulti).n(0).str("").n(1).tc(0, 0), 0},
-		{"JobSpec", JobSpec{App: "knn", Params: []byte("p"), UnitSize: 32, GroupBytes: 1 << 18, Index: []byte("ix"),
+		{"JobSpec", JobSpec{App: "knn", Params: []byte("p"), UnitSize: 32, Index: []byte("ix"),
 			Checkpoint: []byte("ck"), Query: 4, Trace: TraceContext{5, 0}, Policy: policy},
-			w.u8(2).str("knn").str("p").n(32).n(1<<18).str("ix").str("ck").n(4).tc(5, 0).
+			w.u8(2).str("knn").str("p").n(32).str("ix").str("ck").n(4).tc(5, 0).
 				n(90e9).u64(math.Float64bits(0.25)).n(1).n(6), 0},
 		{"JobSpec zero trace and policy", JobSpec{App: "knn"},
-			w.u8(2).str("knn").str("").n(0).n(0).str("").str("").n(0).tc(0, 0).n(0).u64(0).n(0).n(0), 0},
+			w.u8(2).str("knn").str("").n(0).str("").str("").n(0).tc(0, 0).n(0).u64(0).n(0).n(0), 0},
 		{"Heartbeat", Heartbeat{Site: 7}, w.u8(7).n(7), 0},
 		{"CheckpointSave", CheckpointSave{Site: 1, Seq: 2, Query: 3, Trace: TraceContext{4, 5}, Data: []byte("ck")},
 			w.u8(8).n(1).n(2).n(3).tc(4, 5).raw("ck"), 2},
@@ -230,8 +230,7 @@ func TestZeroPolicyEncodesBitIdentical(t *testing.T) {
 	pw := wire(nil).n(int(policy.Deadline)).u64(math.Float64bits(policy.Budget)).
 		n(policy.MinWorkers).n(policy.MaxWorkers)
 	for _, trace := range []TraceContext{{}, traceWord} {
-		zero := JobSpec{App: "knn", Params: []byte{1, 2}, UnitSize: 4096, GroupBytes: 256 << 10,
-			Query: 2, Trace: trace}
+		zero := JobSpec{App: "knn", Params: []byte{1, 2}, UnitSize: 4096, Query: 2, Trace: trace}
 		withPolicy := zero
 		withPolicy.Policy = policy
 		got := mustFrame(t, zero)
@@ -448,12 +447,25 @@ func TestPrePolicyFramesRefused(t *testing.T) {
 }
 
 // TestProto2JobSpecRefused: a JobSpec in the version-2 layout, which carried
-// a heartbeat period after Checkpoint, is one word longer than the current
-// layout and is refused rather than read with shifted fields.
+// the unit-group budget after UnitSize and a heartbeat period after
+// Checkpoint, is two words longer than the current layout and is refused
+// rather than read with shifted fields.
 func TestProto2JobSpecRefused(t *testing.T) {
 	refused(t, map[string][]byte{
 		"JobSpec v2": wire(nil).u8(tagJobSpec).str("knn").str("p").n(32).n(1<<18).str("ix").str("ck").
 			n(5e8).n(4).tc(5, 0).n(90e9).u64(math.Float64bits(0.25)).n(1).n(6).frame(),
+	})
+}
+
+// TestProto7JobSpecRefused: a JobSpec in the version-7 layout, which
+// carried the unit-group budget after UnitSize, is one word longer than the
+// current layout and is refused rather than read with shifted fields.
+func TestProto7JobSpecRefused(t *testing.T) {
+	refused(t, map[string][]byte{
+		"JobSpec v7": wire(nil).u8(tagJobSpec).str("knn").str("p").n(32).n(1<<18).str("ix").str("ck").
+			n(4).tc(5, 0).n(90e9).u64(math.Float64bits(0.25)).n(1).n(6).frame(),
+		"JobSpec v7 zero trace and policy": wire(nil).u8(tagJobSpec).str("knn").str("").n(0).n(0).str("").str("").
+			n(0).tc(0, 0).n(0).u64(0).n(0).n(0).frame(),
 	})
 }
 

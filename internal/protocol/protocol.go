@@ -84,10 +84,12 @@ type WireSpan struct {
 // master registers once and interleaves jobs from every admitted query over
 // the same connection; the head replies with SiteSpec and specs are fetched
 // per query. Version 7 retired the JobsDone/JobsDoneAck frames (tags 5 and
-// 6): every commit rides a PollRequest. docs/PROTOCOL.md ("Versioning")
-// lists what each earlier version laid out differently. The head answers a
-// Hello of any other version with an ErrorReply coded CodeVersionMismatch.
-const ProtoMulti = 7
+// 6): every commit rides a PollRequest. Version 8 dropped JobSpec's
+// unit-group budget: each agent folds with its own. docs/PROTOCOL.md
+// ("Versioning") lists what each earlier version laid out differently. The
+// head answers a Hello of any other version with an ErrorReply coded
+// CodeVersionMismatch.
+const ProtoMulti = 8
 
 // Hello registers a master with the head node.
 type Hello struct {
@@ -108,11 +110,10 @@ type Hello struct {
 // JobSpec is the head's response to QuerySpecRequest: everything a cluster
 // needs to start processing one query.
 type JobSpec struct {
-	App        string // registered reducer name
-	Params     []byte // application parameters for the reducer factory
-	UnitSize   int    // dataset unit size in bytes
-	GroupBytes int    // cache-sized unit-group budget
-	Index      []byte // serialized chunk.Index
+	App      string // registered reducer name
+	Params   []byte // application parameters for the reducer factory
+	UnitSize int    // dataset unit size in bytes
+	Index    []byte // serialized chunk.Index
 	// Checkpoint, when non-empty, is the encoded fault.Checkpoint a
 	// re-registering cluster resumes from (its last persisted reduction
 	// object plus the job IDs that object covers).

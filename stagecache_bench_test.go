@@ -97,7 +97,7 @@ func liveCacheRun(t *testing.T, ix *chunk.Index, src *chunk.MemSource, want uint
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := protocol.JobSpec{App: "bench-cache-sum", UnitSize: 4, GroupBytes: 1 << 10}
+	spec := protocol.JobSpec{App: "bench-cache-sum", UnitSize: 4}
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		t.Fatal(err)
 	}
