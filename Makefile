@@ -16,7 +16,9 @@ API_PKGS := \
 	repro/internal/apps \
 	repro/internal/elastic \
 	repro/internal/fault \
-	repro/internal/costmodel
+	repro/internal/costmodel \
+	repro/internal/hybridsim \
+	repro/internal/estimate
 
 build:
 	$(GO) build ./...

@@ -217,8 +217,9 @@ func benchFig3Obs(b *testing.B, trace bool) {
 			o.Tracer.Enable()
 		}
 		for _, env := range experiments.Envs {
-			if _, err := hybridsim.Run(experiments.Config(experiments.KNN, env,
-				experiments.SimOptions{Obs: o})); err != nil {
+			cfg := experiments.Config(experiments.KNN, env, experiments.SimOptions{})
+			cfg.Obs = o
+			if _, err := hybridsim.Run(cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -426,8 +427,9 @@ func TestObsOverheadGate(t *testing.T) {
 	}
 	sweep := func(o *obs.Obs) {
 		for _, env := range experiments.Envs {
-			if _, err := hybridsim.Run(experiments.Config(experiments.KNN, env,
-				experiments.SimOptions{Obs: o})); err != nil {
+			cfg := experiments.Config(experiments.KNN, env, experiments.SimOptions{})
+			cfg.Obs = o
+			if _, err := hybridsim.Run(cfg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -528,18 +530,13 @@ func TestElasticOverheadGate(t *testing.T) {
 	sweep := func(hook bool) {
 		for _, env := range experiments.Envs {
 			cfg := experiments.Config(experiments.KNN, env, experiments.SimOptions{})
-			mc := hybridsim.MultiConfig{
-				Topology: cfg.Topology, Seed: cfg.Seed,
-				Queries: []hybridsim.MultiQuery{{Name: "knn", App: cfg.App,
-					Index: cfg.Index, Placement: cfg.Placement, PoolOpts: cfg.PoolOpts}},
-			}
 			if hook {
-				mc.Elastic = &hybridsim.ElasticSim{Interval: 5 * time.Second,
+				cfg.Elastic = &hybridsim.ElasticSim{Interval: 5 * time.Second,
 					Decide: func(time.Duration, []head.QueryLoad, []int) hybridsim.ElasticDecision {
 						return hybridsim.ElasticDecision{}
 					}}
 			}
-			if _, err := hybridsim.RunMulti(mc); err != nil {
+			if _, err := hybridsim.Run(cfg); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -329,9 +329,7 @@ func runAblations() error {
 }
 
 // runTrace executes one figure's runs for app with per-job event tracing
-// enabled, writing one Chrome-trace JSON and one metrics snapshot per run,
-// and printing a verification line comparing the trace's phase-summary
-// spans against the run's stats.Breakdown.
+// enabled and writes them out (writeTracedRuns).
 func runTrace(figure string, app experiments.App, outPrefix string) error {
 	var (
 		runs []experiments.TracedRun
@@ -348,17 +346,7 @@ func runTrace(figure string, app experiments.App, outPrefix string) error {
 	if err != nil {
 		return err
 	}
-	for _, run := range runs {
-		tracePath, err := writeTraced(outPrefix, run.Label, run.Obs)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-22s total=%8.1fs  events=%6d  phase-drift=%.4f%%  -> %s\n",
-			run.Label, run.Sim.Total.Seconds(), run.Obs.Tracer.Len(),
-			100*run.PhaseDrift(), tracePath)
-	}
-	fmt.Println("load the .trace.json files at https://ui.perfetto.dev (or chrome://tracing)")
-	return nil
+	return writeTracedRuns(outPrefix, runs)
 }
 
 // runTraceMulti runs all three applications as one concurrent multi-query
@@ -366,18 +354,29 @@ func runTrace(figure string, app experiments.App, outPrefix string) error {
 // environment: head grant spans on pid 0, per-cluster job spans on pid i+1,
 // every span tagged with the owning query's trace id.
 func runTraceMulti(outPrefix string) error {
+	var runs []experiments.TracedRun
 	for _, env := range experiments.HybridEnvs {
 		run, err := experiments.RunMultiTraced(env)
 		if err != nil {
 			return err
 		}
+		runs = append(runs, run)
+	}
+	return writeTracedRuns(outPrefix, runs)
+}
+
+// writeTracedRuns writes one Chrome-trace JSON and one metrics snapshot per
+// run, and prints a verification line per run comparing the trace's
+// phase-summary spans against the run's stats.Breakdown.
+func writeTracedRuns(outPrefix string, runs []experiments.TracedRun) error {
+	for _, run := range runs {
 		tracePath, err := writeTraced(outPrefix, run.Label, run.Obs)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-22s total=%8.1fs  queries=%d  events=%6d  -> %s\n",
-			run.Label, run.Sim.Total.Seconds(), len(run.Sim.Queries),
-			run.Obs.Tracer.Len(), tracePath)
+		fmt.Printf("%-22s total=%8.1fs  queries=%d  events=%6d  phase-drift=%.4f%%  -> %s\n",
+			run.Label, run.Sim.Total.Seconds(), len(run.Sim.Queries), run.Obs.Tracer.Len(),
+			100*run.PhaseDrift(), tracePath)
 	}
 	fmt.Println("load the .trace.json files at https://ui.perfetto.dev (or chrome://tracing)")
 	return nil

@@ -43,6 +43,8 @@ func main() {
 	)
 	var tn config.Tuning
 	tn.RegisterFlags(flag.CommandLine)
+	flag.IntVar(&tn.GroupBytes, "group-bytes", 0,
+		"unit-group (cache) budget per reduction batch (0 = 256 KiB)")
 	var df daemon.Flags
 	df.Register(flag.CommandLine)
 	flag.Parse()

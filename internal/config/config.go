@@ -76,10 +76,10 @@ func (t Tuning) EffectiveWatchdogMinSamples() int {
 func (t Tuning) HeartbeatInterval() time.Duration { return t.LeaseTTL / 3 }
 
 // RegisterFlags exposes the shared knobs on a daemon's flag set, so
-// headnode and workernode declare them once and identically.
+// headnode and workernode declare them once and identically. GroupBytes is
+// not among them: only an agent reads it, so workernode declares
+// -group-bytes itself and a headnode refuses the flag.
 func (t *Tuning) RegisterFlags(fs *flag.FlagSet) {
-	fs.IntVar(&t.GroupBytes, "group-bytes", 0,
-		"unit-group (cache) budget per reduction batch; read by workers only (0 = 256 KiB)")
 	fs.DurationVar(&t.LeaseTTL, "lease-ttl", 0,
 		"site liveness lease at the head; silent sites are failed after this (0 = off)")
 	fs.IntVar(&t.CheckpointEveryJobs, "checkpoint-every", 0,

@@ -117,12 +117,14 @@ type Usage struct {
 // fetched from cloudSite or from the burst-side replica is one request
 // (bytes ÷ the dataset's mean chunk), and every pre-staged chunk is one PUT.
 // An in-cloud cluster's reduction object crosses out to the head unless it
-// is the head's own cluster.
-func Meter(cfg hybridsim.Config, res *hybridsim.MultiResult, cloudSite int) Usage {
+// is the head's own cluster. The chunk size and the object size are the
+// first query's, so cfg carries one query.
+func Meter(cfg hybridsim.Config, res *hybridsim.Result, cloudSite int) Usage {
 	u := Usage{Makespan: res.Total}
+	q := cfg.Queries[0]
 	var meanChunk int64
-	if n := int64(cfg.Index.NumChunks()); n > 0 {
-		meanChunk = cfg.Index.TotalBytes() / n
+	if n := int64(q.Index.NumChunks()); n > 0 {
+		meanChunk = q.Index.TotalBytes() / n
 	}
 	gets := func(n int64) int64 {
 		if meanChunk <= 0 {
@@ -144,7 +146,7 @@ func Meter(cfg hybridsim.Config, res *hybridsim.MultiResult, cloudSite int) Usag
 			}
 			u.Requests += gets(c.StageReadBytes)
 			if ci != cfg.Topology.HeadCluster {
-				u.BytesOut += cfg.App.RobjBytes
+				u.BytesOut += q.App.RobjBytes
 			}
 		} else if n, ok := c.BytesBySite[cloudSite]; ok {
 			u.BytesOut += n

@@ -95,14 +95,17 @@ func simSetup(t *testing.T, cloudCores int) hybridsim.Config {
 		t.Fatal(err)
 	}
 	return hybridsim.Config{
-		Index:     ix,
-		Placement: jobs.SplitByFraction(len(ix.Files), 0.5, 0, 1),
-		App: hybridsim.AppModel{
-			Name:               "t",
-			ComputeBytesPerSec: 1 << 20,
-			RobjBytes:          1 << 20,
-			MergeBytesPerSec:   1 << 30,
-		},
+		Queries: []hybridsim.Query{{
+			Name:      "t",
+			Index:     ix,
+			Placement: jobs.SplitByFraction(len(ix.Files), 0.5, 0, 1),
+			App: hybridsim.AppModel{
+				Name:               "t",
+				ComputeBytesPerSec: 1 << 20,
+				RobjBytes:          1 << 20,
+				MergeBytesPerSec:   1 << 30,
+			},
+		}},
 		Topology: hybridsim.Topology{
 			Clusters: []hybridsim.ClusterModel{
 				{Name: "local", Site: 0, Cores: 2, RetrievalThreads: 2},
@@ -145,7 +148,7 @@ func TestInstanceCost(t *testing.T) {
 
 func TestMeter(t *testing.T) {
 	cfg := simSetup(t, 2)
-	res, err := hybridsim.RunMulti(cfg.Multi())
+	res, err := hybridsim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,17 +160,17 @@ func TestMeter(t *testing.T) {
 		t.Errorf("Makespan = %v, want %v", u.Makespan, res.Total)
 	}
 	// The cloud cluster ships its robj out (head is cluster 0).
-	if u.BytesOut < cfg.App.RobjBytes {
-		t.Errorf("BytesOut = %d, want ≥ robj %d", u.BytesOut, cfg.App.RobjBytes)
+	if u.BytesOut < cfg.Queries[0].App.RobjBytes {
+		t.Errorf("BytesOut = %d, want ≥ robj %d", u.BytesOut, cfg.Queries[0].App.RobjBytes)
 	}
 	// Every chunk read from the cloud site is one GET: the 16 chunks of the
 	// cloud-hosted half, whoever read them.
-	if want := int64(cfg.Index.NumChunks() / 2); u.Requests != want {
+	if want := int64(cfg.Queries[0].Index.NumChunks() / 2); u.Requests != want {
 		t.Errorf("Requests = %d, want %d", u.Requests, want)
 	}
 	// With the head in the cloud, the cloud cluster's object never leaves.
 	cfg.Topology.HeadCluster = 1
-	if res, err = hybridsim.RunMulti(cfg.Multi()); err != nil {
+	if res, err = hybridsim.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	var stolenFromCloud int64

@@ -184,8 +184,8 @@ func TestArbiterLiveTwoQueryDeadlines(t *testing.T) {
 	perCore := totalBytes / staticDur.Seconds() / 4
 	env := elastic.Env{
 		Base: hybridsim.Config{
-			App: hybridsim.AppModel{Name: "hist-live", ComputeBytesPerSec: perCore,
-				RobjBytes: 1 << 10, MergeBytesPerSec: 1 << 40},
+			Queries: []hybridsim.Query{{App: hybridsim.AppModel{Name: "hist-live",
+				ComputeBytesPerSec: perCore, RobjBytes: 1 << 10, MergeBytesPerSec: 1 << 40}}},
 			Topology: hybridsim.Topology{Clusters: []hybridsim.ClusterModel{
 				{Name: "local", Site: 0, Cores: 2, RetrievalThreads: 2},
 				{Name: "cloud", Site: 1, Cores: 2, RetrievalThreads: 2},

@@ -737,3 +737,75 @@ func filterPrefix(snap map[string]int64, prefix string) map[string]int64 {
 	}
 	return out
 }
+
+// TestLiveWatchdogFlagsShortBatchSlowSite: a 6 ms retrieval tarpit at one
+// site, with nothing in the test holding the flag window open. Its batch is
+// two reads per retrieval lane, so the window in which the watchdog can flag
+// it — two commits in and jobs still in flight — lies between its mid-batch
+// commit and its next poll, while the healthy site, done with the rest of
+// the pool, sits in a held poll that no commit wakes. The tarpit's own
+// commit poll must run the watchdog.
+func TestLiveWatchdogFlagsShortBatchSlowSite(t *testing.T) {
+	gen := workload.ClusteredPoints{Seed: 13, Dim: 2, K: 3, Spread: 0.05}
+	p := apps.HistogramParams{Bins: 8, Dim: 2}
+	params, err := apps.EncodeHistogramParams(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := apps.NewHistogramReducer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, src := buildPointDeployment(t, gen, 1500)
+	d.Obs = obs.New(nil)
+	tarpit := slowSource{inner: src, delay: 6 * time.Millisecond}
+	d.Clusters[1].Sources = map[int]chunk.Source{0: tarpit, 1: tarpit}
+	d.Tuning = config.Tuning{SpeculateAfter: time.Hour, StragglerFactor: 3, WatchdogMinSamples: 2}
+	sess, err := NewSession(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	// Admit once both masters sit in a held poll, so the admission grants
+	// to both.
+	for _, cs := range d.Clusters {
+		parked := d.Obs.Registry.Counter("head_polls_parked_total", "site", strconv.Itoa(cs.Site))
+		for deadline := time.Now().Add(10 * time.Second); parked.Value() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("site %d never parked a poll", cs.Site)
+			}
+		}
+	}
+	q, err := sess.Submit(Step{App: apps.HistogramReducerName, Params: params, Reducer: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	obj, reports, err := q.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Exactly once despite the speculative copies: every point counted, every
+	// job folded once.
+	if got, want := obj.(*apps.HistogramObject).Total(), d.Index.TotalUnits(); got != want {
+		t.Errorf("histogram total = %d, want %d", got, want)
+	}
+	folded := 0
+	for _, r := range reports {
+		folded += r.Jobs.Total()
+	}
+	if folded != d.Index.NumChunks() {
+		t.Errorf("folded %d jobs, want %d", folded, d.Index.NumChunks())
+	}
+	flags := filterPrefix(d.Obs.Registry.Snapshot(), "head_straggler_flagged_total")
+	var slow int64
+	for k, v := range flags {
+		if strings.Contains(k, `site="1"`) {
+			slow += v
+		}
+	}
+	if slow == 0 {
+		t.Errorf("slow site never flagged; straggler counters: %v", flags)
+	}
+}

@@ -68,7 +68,7 @@ func (c ArbiterConfig) EffectiveInterval() time.Duration {
 // The arbiter is pure policy: no goroutines, clocks or I/O. Step is a pure
 // function of its input stream — (now, loads) ticks plus
 // WorkerLaunched/WorkerStopped events — so the same code drives
-// hybridsim.RunMulti (via SimElastic, virtual clock) and the live driver,
+// hybridsim.Run (via SimElastic, virtual clock) and the live driver,
 // and a replayed input stream reproduces the decision log byte for byte.
 //
 // Budget semantics: the realized instance spend is attributed to queries by

@@ -53,7 +53,8 @@ type Policy = protocol.ElasticPolicy
 // model-based estimator evaluates est(w) by appending w copies of Worker to
 // Base and re-running the remaining-work makespan estimate.
 type Env struct {
-	// Base is the static configuration (topology + app shape). Index and
+	// Base is the static configuration: the topology and one query, whose
+	// App is the cost shape the estimator uses. The query's Index and
 	// Placement may be nil — only the topology and App feed the estimator.
 	Base hybridsim.Config
 	// Worker is the cluster model of one burst worker.

@@ -42,28 +42,31 @@ type Estimate struct {
 // Total returns the predicted makespan.
 func (e Estimate) Total() time.Duration { return e.Processing + e.GlobalReduction }
 
-// Makespan predicts the makespan of cfg.
+// Makespan predicts the makespan of cfg. The model is single-app: it reads
+// the first query's dataset and cost shape, so cfg carries one query.
 func Makespan(cfg hybridsim.Config) (Estimate, error) {
-	if cfg.Index == nil || len(cfg.Topology.Clusters) == 0 {
+	if len(cfg.Queries) == 0 || cfg.Queries[0].Index == nil || len(cfg.Topology.Clusters) == 0 {
 		return Estimate{}, fmt.Errorf("estimate: incomplete config")
 	}
 	// Bytes hosted per site.
+	q := cfg.Queries[0]
 	demand := map[int]float64{}
-	for fi, site := range cfg.Placement {
-		demand[site] += float64(cfg.Index.Files[fi].Size)
+	for fi, site := range q.Placement {
+		demand[site] += float64(q.Index.Files[fi].Size)
 	}
 	return makespan(cfg, demand)
 }
 
 // MakespanRemaining predicts the makespan of draining only the given
 // remaining work (bytes left to process, keyed by hosting site) on cfg's
-// topology — the elastic arbiter's re-estimation entry point, fed from
-// jobs.Pool.RemainingBytesBySite mid-run. Like Makespan it is a deliberate
-// lower bound: it assumes the remaining bytes flow as a fluid from a cold
-// start, ignoring in-flight partial jobs and end-game imbalance. Sites with
-// zero (or negative) remaining bytes are dropped from the demand.
+// topology at the first query's cost shape — the elastic arbiter's
+// re-estimation entry point, fed from jobs.Pool.RemainingBytesBySite
+// mid-run. Like Makespan it is a deliberate lower bound: it assumes the
+// remaining bytes flow as a fluid from a cold start, ignoring in-flight
+// partial jobs and end-game imbalance. Sites with zero (or negative)
+// remaining bytes are dropped from the demand.
 func MakespanRemaining(cfg hybridsim.Config, remaining map[int]int64) (Estimate, error) {
-	if len(cfg.Topology.Clusters) == 0 {
+	if len(cfg.Queries) == 0 || len(cfg.Topology.Clusters) == 0 {
 		return Estimate{}, fmt.Errorf("estimate: incomplete config")
 	}
 	demand := map[int]float64{}
@@ -98,7 +101,7 @@ func ShareScaledRemaining(remaining map[int]int64, weight, totalWeight int) map[
 // makespan is the shared core: the smallest horizon in which a flow drains
 // demand (bytes per site), plus the reduction tail.
 func makespan(cfg hybridsim.Config, demand map[int]float64) (Estimate, error) {
-	if cfg.App.ComputeBytesPerSec <= 0 {
+	if cfg.Queries[0].App.ComputeBytesPerSec <= 0 {
 		return Estimate{}, fmt.Errorf("estimate: App.ComputeBytesPerSec must be positive")
 	}
 	m := buildModel(cfg, demand)
@@ -122,7 +125,7 @@ func makespan(cfg hybridsim.Config, demand map[int]float64) (Estimate, error) {
 // objects cross the shared inter-cluster pipe (concurrently, so the pipe is
 // split), then the head merges all objects serially.
 func grTail(cfg hybridsim.Config) time.Duration {
-	t := cfg.Topology
+	t, app := cfg.Topology, cfg.Queries[0].App
 	payers := 0
 	for i := range t.Clusters {
 		if i != t.HeadCluster {
@@ -133,12 +136,12 @@ func grTail(cfg hybridsim.Config) time.Duration {
 	if payers > 0 {
 		tail += t.InterClusterLatency
 		if t.InterClusterBandwidth > 0 {
-			totalBytes := float64(cfg.App.RobjBytes) * float64(payers)
+			totalBytes := float64(app.RobjBytes) * float64(payers)
 			tail += time.Duration(totalBytes / t.InterClusterBandwidth * float64(time.Second))
 		}
 	}
-	if cfg.App.MergeBytesPerSec > 0 {
-		merge := float64(cfg.App.RobjBytes) / cfg.App.MergeBytesPerSec
+	if app.MergeBytesPerSec > 0 {
+		merge := float64(app.RobjBytes) / app.MergeBytesPerSec
 		tail += time.Duration(merge * float64(len(t.Clusters)) * float64(time.Second))
 	}
 	tail += t.ControlLatency
@@ -220,7 +223,7 @@ func buildModel(cfg hybridsim.Config, demand map[int]float64) *model {
 		if speed <= 0 {
 			speed = 1
 		}
-		m.comp[ci] = float64(c.Cores) * speed * cfg.App.ComputeBytesPerSec
+		m.comp[ci] = float64(c.Cores) * speed * cfg.Queries[0].App.ComputeBytesPerSec
 		threads := c.RetrievalThreads
 		if threads <= 0 {
 			threads = 2

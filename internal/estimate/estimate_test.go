@@ -19,13 +19,16 @@ func simpleConfig(t *testing.T, computeBps, perStream, egress float64) hybridsim
 		t.Fatal(err)
 	}
 	return hybridsim.Config{
-		Index:     ix,
-		Placement: jobs.SplitByFraction(len(ix.Files), 1, 0, 1),
-		App: hybridsim.AppModel{
-			Name:               "t",
-			ComputeBytesPerSec: computeBps,
-			MergeBytesPerSec:   1 << 40,
-		},
+		Queries: []hybridsim.Query{{
+			Name:      "t",
+			Index:     ix,
+			Placement: jobs.SplitByFraction(len(ix.Files), 1, 0, 1),
+			App: hybridsim.AppModel{
+				Name:               "t",
+				ComputeBytesPerSec: computeBps,
+				MergeBytesPerSec:   1 << 40,
+			},
+		}},
 		Topology: hybridsim.Topology{
 			Clusters: []hybridsim.ClusterModel{
 				{Name: "c", Site: 0, Cores: 4, RetrievalThreads: 4},
@@ -115,8 +118,8 @@ func TestGlobalReductionTail(t *testing.T) {
 		Name: "cloud", Site: 1, Cores: 4, RetrievalThreads: 4,
 	})
 	cfg.Topology.Paths[[2]int{1, 0}] = hybridsim.PathModel{PerStream: 100 << 20}
-	cfg.App.RobjBytes = 100 << 20
-	cfg.App.MergeBytesPerSec = 1 << 30
+	cfg.Queries[0].App.RobjBytes = 100 << 20
+	cfg.Queries[0].App.MergeBytesPerSec = 1 << 30
 	cfg.Topology.InterClusterBandwidth = 10 << 20
 	cfg.Topology.InterClusterLatency = 100 * time.Millisecond
 
@@ -178,7 +181,7 @@ func TestStagedBlendSkipsReplicaSiteAndLocalReads(t *testing.T) {
 	// Data hosted AT the replica site is never cached: the blend must not
 	// inflate its egress. Same egress-bound config, data moved to site 1.
 	cfg := stagedConfig(t, 0.9)
-	cfg.Placement = jobs.SplitByFraction(len(cfg.Index.Files), 1, 1, 0)
+	cfg.Queries[0].Placement = jobs.SplitByFraction(len(cfg.Queries[0].Index.Files), 1, 1, 0)
 	cfg.Topology.SourceEgress = map[int]float64{1: 4 << 20}
 	cfg.Topology.Paths = map[[2]int]hybridsim.PathModel{{0, 1}: {PerStream: 100 << 20}}
 	e, err := Makespan(cfg)

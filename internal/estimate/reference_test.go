@@ -280,7 +280,7 @@ func randomStagedConfig(rng *rand.Rand) (hybridsim.Config, map[int]float64) {
 		}
 	}
 	cfg := hybridsim.Config{
-		App:      hybridsim.AppModel{ComputeBytesPerSec: rate(rng) / 4},
+		Queries:  []hybridsim.Query{{App: hybridsim.AppModel{ComputeBytesPerSec: rate(rng) / 4}}},
 		Topology: top,
 	}
 	return cfg, demand

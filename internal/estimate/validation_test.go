@@ -115,14 +115,17 @@ func randomConfig(t *testing.T, seed uint64, compute, perStream, wan, frac float
 		t.Fatal(err)
 	}
 	return hybridsim.Config{
-		Index:     ix,
-		Placement: jobs.SplitByFraction(len(ix.Files), frac, 0, 1),
-		App: hybridsim.AppModel{
-			Name:               "rand",
-			ComputeBytesPerSec: compute,
-			RobjBytes:          1 << 20,
-			MergeBytesPerSec:   1 << 30,
-		},
+		Queries: []hybridsim.Query{{
+			Name:      "rand",
+			Index:     ix,
+			Placement: jobs.SplitByFraction(len(ix.Files), frac, 0, 1),
+			App: hybridsim.AppModel{
+				Name:               "rand",
+				ComputeBytesPerSec: compute,
+				RobjBytes:          1 << 20,
+				MergeBytesPerSec:   1 << 30,
+			},
+		}},
 		Topology: hybridsim.Topology{
 			Clusters: []hybridsim.ClusterModel{
 				{Name: "local", Site: 0, Cores: 4, RetrievalThreads: 4},
@@ -157,35 +160,28 @@ func TestMakespanRemainingLowerBoundMidRun(t *testing.T) {
 			remaining map[int]int64
 		}
 		var snaps []snap
-		mc := hybridsim.MultiConfig{
-			Topology: cfg.Topology,
-			Seed:     cfg.Seed,
-			Queries: []hybridsim.MultiQuery{{
-				Name: string(app), App: cfg.App,
-				Index: cfg.Index, Placement: cfg.Placement, PoolOpts: cfg.PoolOpts,
-			}},
+		mc := cfg
+		mc.Elastic = &hybridsim.ElasticSim{
 			// A passive elasticity hook: never scales, only snapshots the
 			// arbiter's exact input (the one query's remaining work) every tick.
-			Elastic: &hybridsim.ElasticSim{
-				Interval: 5 * time.Second,
-				Decide: func(now time.Duration, loads []head.QueryLoad, workers []int) hybridsim.ElasticDecision {
-					cp := make(map[int]int64)
-					for _, l := range loads {
-						for s, b := range l.Remaining {
-							cp[s] = b
-						}
+			Interval: 5 * time.Second,
+			Decide: func(now time.Duration, loads []head.QueryLoad, workers []int) hybridsim.ElasticDecision {
+				cp := make(map[int]int64)
+				for _, l := range loads {
+					for s, b := range l.Remaining {
+						cp[s] = b
 					}
-					snaps = append(snaps, snap{at: now, remaining: cp})
-					return hybridsim.ElasticDecision{}
-				},
+				}
+				snaps = append(snaps, snap{at: now, remaining: cp})
+				return hybridsim.ElasticDecision{}
 			},
 		}
-		res, err := hybridsim.RunMulti(mc)
+		res, err := hybridsim.Run(mc)
 		if err != nil {
 			t.Fatalf("%s: sim: %v", app, err)
 		}
 		var totalBytes int64
-		for _, f := range cfg.Index.Files {
+		for _, f := range cfg.Queries[0].Index.Files {
 			totalBytes += f.Size
 		}
 		checked := 0

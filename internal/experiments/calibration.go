@@ -21,7 +21,6 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/hybridsim"
 	"repro/internal/jobs"
-	"repro/internal/obs"
 )
 
 // App identifies one of the paper's evaluation applications.
@@ -203,9 +202,6 @@ type SimOptions struct {
 	// RetrievalThreadsPerCore overrides the one-stream-per-core default
 	// (0 keeps the default; the multi-threaded-retrieval ablation sets it).
 	RetrievalThreadsPerCore float64
-	// Obs attaches an observability bundle to the simulated run: metrics
-	// always, per-job trace events when its tracer is enabled.
-	Obs *obs.Obs
 }
 
 // Config builds the simulator configuration for an (app, env) cell of the
@@ -261,11 +257,8 @@ func ConfigWithCores(app App, env Env, localCores, cloudCores int, opts SimOptio
 		control = controlLatencyHybrid
 	}
 	return hybridsim.Config{
-		Index:     ix,
-		Placement: placement,
-		PoolOpts:  opts.Pool,
-		Obs:       opts.Obs,
-		App:       appModel(app),
+		Queries: []hybridsim.Query{{Name: string(app), App: appModel(app),
+			Index: ix, Placement: placement, PoolOpts: opts.Pool}},
 		Topology: hybridsim.Topology{
 			Clusters: clusters,
 			SourceEgress: map[int]float64{
@@ -290,7 +283,7 @@ func ConfigWithCores(app App, env Env, localCores, cloudCores int, opts SimOptio
 // dataset in S3, m local + m cloud cores.
 func ScaleConfig(app App, m int, opts SimOptions) hybridsim.Config {
 	cfg := Config(app, Env5050, opts) // hybrid topology scaffold
-	cfg.Placement = jobs.SplitByFraction(numFiles, 0, siteLocal, siteCloud)
+	cfg.Queries[0].Placement = jobs.SplitByFraction(numFiles, 0, siteLocal, siteCloud)
 	for i := range cfg.Topology.Clusters {
 		cfg.Topology.Clusters[i].Cores = m
 		cfg.Topology.Clusters[i].RetrievalThreads = opts.retrievalThreads(m)

@@ -28,7 +28,7 @@ func RunCostTable(app App, pricing costmodel.Pricing) ([]CostRow, error) {
 	var rows []CostRow
 	for _, env := range Envs {
 		cfg := Config(app, env, SimOptions{})
-		res, err := hybridsim.RunMulti(cfg.Multi())
+		res, err := hybridsim.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: cost %s/%s: %w", app, env, err)
 		}

@@ -50,7 +50,7 @@ func TestMeterOverPaperCells(t *testing.T) {
 	for _, app := range Apps {
 		for _, env := range Envs {
 			cfg := Config(app, env, SimOptions{})
-			res, err := hybridsim.RunMulti(cfg.Multi())
+			res, err := hybridsim.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestMeterOverPaperCells(t *testing.T) {
 // cloud. Charging it anyway reads $5.4710 for pagerank instead of $5.4410.
 func TestMeterHeadInCloud(t *testing.T) {
 	cfg := Config(PageRank, EnvCloud, SimOptions{})
-	res, err := hybridsim.RunMulti(cfg.Multi())
+	res, err := hybridsim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

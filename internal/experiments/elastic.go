@@ -160,47 +160,36 @@ func RunElasticPointWith(app App, cfg elastic.ArbiterConfig, policy elastic.Poli
 	}, nil
 }
 
-// singleQueryMulti wraps cfg as a one-query multi-sim run of `iterations`
-// passes (≤ 1 is the ordinary single pass) with the standard slowdown
-// injected on the local cluster (index 0) — the static baseline's run.
-func singleQueryMulti(app App, cfg hybridsim.Config, iterations int) hybridsim.MultiConfig {
-	mc := cfg.Multi()
-	mc.Queries[0].Name = string(app)
-	mc.Queries[0].Iterations = iterations
-	mc.Slowdowns = []hybridsim.MultiSlowdown{elasticSlowdown(app)}
-	return mc
-}
-
 // elasticSlowdown picks the degradation that actually bites each app: knn
 // is retrieval-bound (its compute rate far exceeds the local disk), so its
 // perturbation is a degraded local storage array; the compute-bound apps
 // get a compute slowdown on the local cluster.
-func elasticSlowdown(app App) hybridsim.MultiSlowdown {
+func elasticSlowdown(app App) hybridsim.Slowdown {
 	if app == KNN {
-		return hybridsim.MultiSlowdown{
+		return hybridsim.Slowdown{
 			At: ElasticSlowdownAt, Source: true, Site: siteLocal, Factor: ElasticSlowdownFactor,
 		}
 	}
-	return hybridsim.MultiSlowdown{At: ElasticSlowdownAt, Cluster: 0, Factor: ElasticSlowdownFactor}
+	return hybridsim.Slowdown{At: ElasticSlowdownAt, Cluster: 0, Factor: ElasticSlowdownFactor}
 }
 
 // runStatic runs one pre-committed allocation — 16 local cores plus
 // cloudCores in the cloud, fixed for the whole run and billed for its whole
-// makespan — on RunMulti under opts' extensions, and prices it with the one
+// makespan — under opts' extensions, and prices it with the one
 // meter. A staged sweep stages for the static cloud cluster too, so the
 // baseline never fights the frontier with one hand tied. slowed injects the
 // sweep's slowdown; without it the run is the nominal model a capacity
 // planner trusts when it picks an allocation before the run.
 func runStatic(app App, pricing costmodel.Pricing, cloudCores int, opts ElasticOptions, slowed bool) (costmodel.Candidate, error) {
 	cfg := ConfigWithCores(app, Env5050, 16, cloudCores, SimOptions{})
+	cfg.Queries[0].Iterations = opts.Iterations
 	if opts.Staged && cloudCores > 0 {
 		cfg.Topology.Stage = stageModelFor(opts)
 	}
-	mc := singleQueryMulti(app, cfg, opts.Iterations)
-	if !slowed {
-		mc.Slowdowns = nil
+	if slowed {
+		cfg.Slowdowns = []hybridsim.Slowdown{elasticSlowdown(app)}
 	}
-	res, err := hybridsim.RunMulti(mc)
+	res, err := hybridsim.Run(cfg)
 	if err != nil {
 		return costmodel.Candidate{}, fmt.Errorf("experiments: static %s/%d: %w", app, cloudCores, err)
 	}

@@ -60,7 +60,7 @@ type ElasticMultiPoint struct {
 	// accounting, Transfer/Requests priced from the realized traffic.
 	Cost costmodel.Cost
 	// Clusters is the simulator's realized per-cluster footprint.
-	Clusters []hybridsim.MultiClusterResult
+	Clusters []hybridsim.ClusterResult
 	// Stage is the realized cache activity of a staged run; nil otherwise.
 	Stage *hybridsim.StageStats
 }
@@ -97,10 +97,11 @@ func RunElasticMultiPoint(app App, pricing costmodel.Pricing, queries []MultiPol
 
 // arbiterSim builds the arbiter-in-simulator run every elastic experiment
 // goes through: an arbiter configured with acfg over app's calibrated
-// deployment (plus opts' extensions), bound into a multi-sim of queries with
-// the standard slowdown injected. base is the deployment's static config.
+// deployment (plus opts' extensions), bound into a simulation of queries
+// with the standard slowdown injected. base is the deployment's static
+// config.
 func arbiterSim(app App, acfg elastic.ArbiterConfig, queries []MultiPolicyQuery,
-	opts ElasticOptions) (arb *elastic.Arbiter, base hybridsim.Config, mc hybridsim.MultiConfig, err error) {
+	opts ElasticOptions) (arb *elastic.Arbiter, base hybridsim.Config, mc hybridsim.Config, err error) {
 	if len(queries) == 0 {
 		return nil, base, mc, fmt.Errorf("experiments: at least one query is required")
 	}
@@ -109,7 +110,8 @@ func arbiterSim(app App, acfg elastic.ArbiterConfig, queries []MultiPolicyQuery,
 		return nil, base, mc, err
 	}
 	base = env.Base
-	mc = singleQueryMulti(app, base, opts.Iterations)
+	mc = base
+	mc.Slowdowns = []hybridsim.Slowdown{elasticSlowdown(app)}
 	mc.Queries = nil
 	for _, q := range queries {
 		// A query may run a different application over the shared deployment
@@ -119,7 +121,7 @@ func arbiterSim(app App, acfg elastic.ArbiterConfig, queries []MultiPolicyQuery,
 		if q.App != "" && q.App != app {
 			qcfg = elasticEnv(q.App).Base
 		}
-		mq := qcfg.Multi().Queries[0]
+		mq := qcfg.Queries[0]
 		mq.Name, mq.Weight, mq.Iterations, mq.Policy = q.Name, q.Weight, opts.Iterations, q.Policy
 		mc.Queries = append(mc.Queries, mq)
 	}
@@ -137,7 +139,7 @@ func RunElasticMultiPointWith(app App, acfg elastic.ArbiterConfig, queries []Mul
 	if err != nil {
 		return ElasticMultiPoint{}, err
 	}
-	res, err := hybridsim.RunMulti(mc)
+	res, err := hybridsim.Run(mc)
 	if err != nil {
 		return ElasticMultiPoint{}, fmt.Errorf("experiments: elastic %s: %w", app, err)
 	}
@@ -182,7 +184,7 @@ func RunElasticMultiPointWith(app App, acfg elastic.ArbiterConfig, queries []Mul
 // RealizedInstanceCost independently reprices burst-worker instance time from
 // the SIMULATOR's realized cluster lifetimes — the second bookkeeper the
 // cost-agreement gate checks the arbiter's own episode accounting against.
-func RealizedInstanceCost(pricing costmodel.Pricing, clusters []hybridsim.MultiClusterResult, makespan time.Duration) float64 {
+func RealizedInstanceCost(pricing costmodel.Pricing, clusters []hybridsim.ClusterResult, makespan time.Duration) float64 {
 	var total float64
 	for _, c := range clusters {
 		if !c.Burst {

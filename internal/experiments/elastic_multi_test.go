@@ -133,7 +133,7 @@ func replayParity(t *testing.T, app App, acfg elastic.ArbiterConfig, queries []M
 		events = append(events, event{kind: 2, now: now, site: site})
 		drained(now, site)
 	}
-	if _, err := hybridsim.RunMulti(mc); err != nil {
+	if _, err := hybridsim.Run(mc); err != nil {
 		t.Fatal(err)
 	}
 

@@ -94,7 +94,7 @@ func TestElasticCostMatchesRealizedUsage(t *testing.T) {
 				p.Deadline, p.Budget, p.Cost.Instances, instances)
 		}
 		// Transfer and requests: price the realized footprint afresh.
-		want, err := pr.Price(costmodel.Meter(cfg, &hybridsim.MultiResult{Clusters: p.Clusters}, siteCloud))
+		want, err := pr.Price(costmodel.Meter(cfg, &hybridsim.Result{Clusters: p.Clusters}, siteCloud))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -321,7 +321,8 @@ func TestFormatters(t *testing.T) {
 
 func TestScaleConfigPlacement(t *testing.T) {
 	cfg := ScaleConfig(KNN, 8, SimOptions{})
-	for fi, site := range cfg.Placement {
+	q := cfg.Queries[0]
+	for fi, site := range q.Placement {
 		if site != siteCloud {
 			t.Errorf("file %d placed at site %d, want all in S3", fi, site)
 		}
@@ -331,7 +332,7 @@ func TestScaleConfigPlacement(t *testing.T) {
 			t.Errorf("cluster %s cores = %d, want 8", c.Name, c.Cores)
 		}
 	}
-	if _, err := jobs.NewPool(cfg.Index, cfg.Placement, jobs.Options{}); err != nil {
+	if _, err := jobs.NewPool(q.Index, q.Placement, jobs.Options{}); err != nil {
 		t.Errorf("placement invalid: %v", err)
 	}
 }

@@ -8,14 +8,16 @@ import (
 
 	"repro/internal/hybridsim"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // TracedRun is one simulator execution captured with tracing enabled: the
 // run's result plus the Obs bundle holding its trace events and metrics.
-// Each traced run gets a FRESH Obs, so the trace file for one environment
-// never mixes events from another.
+// Each traced run gets a FRESH Obs, so the trace file for one run never
+// mixes events from another; a run of several queries shares its one Obs,
+// so its file is the merged multi-site, multi-query view.
 type TracedRun struct {
-	Label string // filesystem-safe run label, e.g. "knn-local" or "knn-scale-8x8"
+	Label string // filesystem-safe run label, e.g. "knn-local", "knn-scale-8x8" or "multi-50-50"
 	Sim   *hybridsim.Result
 	Obs   *obs.Obs
 }
@@ -29,23 +31,14 @@ func envLabel(app App, env Env) string {
 }
 
 // runTraced executes one simulator configuration with a fresh enabled Obs.
-func runTraced(label string, cfg func(*obs.Obs) hybridsim.Config) (TracedRun, error) {
-	o := obs.New(nil)
-	o.Tracer.Enable()
-	sim, err := hybridsim.Run(cfg(o))
+func runTraced(label string, cfg hybridsim.Config) (TracedRun, error) {
+	cfg.Obs = obs.New(nil)
+	cfg.Obs.Tracer.Enable()
+	sim, err := hybridsim.Run(cfg)
 	if err != nil {
 		return TracedRun{}, fmt.Errorf("experiments: traced run %s: %w", label, err)
 	}
-	return TracedRun{Label: label, Sim: sim, Obs: o}, nil
-}
-
-// TracedMultiRun is one multi-query simulator execution captured with
-// tracing enabled: all queries share one deployment and one Obs, so the
-// trace file is the merged multi-site, multi-query view.
-type TracedMultiRun struct {
-	Label string
-	Sim   *hybridsim.MultiResult
-	Obs   *obs.Obs
+	return TracedRun{Label: label, Sim: sim, Obs: cfg.Obs}, nil
 }
 
 // RunMultiTraced runs every evaluation application as one concurrent
@@ -54,23 +47,16 @@ type TracedMultiRun struct {
 // head-side grant spans (pid 0) and cluster-side retrieval/processing spans
 // carry the owning query's trace id — the simulated twin of the live head's
 // merged multi-site trace, rendered on the simulator's clock.
-func RunMultiTraced(env Env) (TracedMultiRun, error) {
-	o := obs.New(nil)
-	o.Tracer.Enable()
+func RunMultiTraced(env Env) (TracedRun, error) {
 	// One shared deployment for all queries: the first app's calibrated core
 	// counts (a multi-query head serves every query from the same clusters,
 	// unlike the per-app single-query runs).
-	mc := Config(Apps[0], env, SimOptions{}).Multi()
-	mc.Seed, mc.Obs = 1, o
+	cfg := Config(Apps[0], env, SimOptions{})
+	cfg.Seed = 1
 	for _, app := range Apps[1:] {
-		mc.Queries = append(mc.Queries, Config(app, env, SimOptions{}).Multi().Queries[0])
+		cfg.Queries = append(cfg.Queries, Config(app, env, SimOptions{}).Queries[0])
 	}
-	label := "multi-" + strings.ReplaceAll(strings.TrimPrefix(string(env), "env-"), "/", "-")
-	sim, err := hybridsim.RunMulti(mc)
-	if err != nil {
-		return TracedMultiRun{}, fmt.Errorf("experiments: traced multi run %s: %w", label, err)
-	}
-	return TracedMultiRun{Label: label, Sim: sim, Obs: o}, nil
+	return runTraced(envLabel("multi", env), cfg)
 }
 
 // RunFig3Traced runs every Figure-3 environment for app with per-job event
@@ -79,9 +65,7 @@ func RunFig3Traced(app App) ([]TracedRun, error) {
 	var out []TracedRun
 	for _, env := range Envs {
 		env := env
-		run, err := runTraced(envLabel(app, env), func(o *obs.Obs) hybridsim.Config {
-			return Config(app, env, SimOptions{Obs: o})
-		})
+		run, err := runTraced(envLabel(app, env), Config(app, env, SimOptions{}))
 		if err != nil {
 			return nil, err
 		}
@@ -97,9 +81,7 @@ func RunFig4Traced(app App) ([]TracedRun, error) {
 	for _, m := range ScalePoints {
 		m := m
 		label := fmt.Sprintf("%s-scale-%dx%d", app, m, m)
-		run, err := runTraced(label, func(o *obs.Obs) hybridsim.Config {
-			return ScaleConfig(app, m, SimOptions{Obs: o})
-		})
+		run, err := runTraced(label, ScaleConfig(app, m, SimOptions{}))
 		if err != nil {
 			return nil, err
 		}
@@ -109,18 +91,23 @@ func RunFig4Traced(app App) ([]TracedRun, error) {
 }
 
 // PhaseDrift compares the trace's per-cluster phase-summary spans against
-// the run's stats.Breakdown and returns the worst relative error across all
-// clusters and phases. A correct trace stays well under 0.01 (1%) — the
-// acceptance bound for `cloudburst trace`.
+// the run's stats.Breakdown — summed over the queries, as the trace lays
+// each query's out on its own track — and returns the worst relative error
+// across all clusters and phases. A correct trace stays well under 0.01
+// (1%) — the acceptance bound for `cloudburst trace`.
 func (r TracedRun) PhaseDrift() float64 {
 	totals := r.Obs.Tracer.PhaseTotals()
 	worst := 0.0
-	for i, c := range r.Sim.Clusters {
+	for i := range r.Sim.Clusters {
 		got := totals[i+1]
+		var b stats.Breakdown
+		for _, q := range r.Sim.Queries {
+			b = b.Add(q.Breakdown[i])
+		}
 		for name, want := range map[string]time.Duration{
-			"processing": c.Breakdown.Processing,
-			"retrieval":  c.Breakdown.Retrieval,
-			"sync":       c.Breakdown.Sync,
+			"processing": b.Processing,
+			"retrieval":  b.Retrieval,
+			"sync":       b.Sync,
 		} {
 			d := got[name]
 			if want == 0 {

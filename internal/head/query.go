@@ -370,9 +370,10 @@ func (q *Query) completeLocked() bool {
 // drains a pool gets its Done in this very reply; Acks answers them one for
 // one. A poll that carries commits is never held, and one that carries
 // commits and asks for nothing (N and Bytes 0) — a master's mid-batch
-// commit — is answered with the acks alone: no grants, no notices, no
-// drain and no watchdog pass; they wait for the site's next poll that asks
-// for work. A fenced site's poll is refused whole, none of its commits
+// commit — is answered with the acks alone: no grants, no notices and no
+// drain; they wait for the site's next poll that asks for work. It does run
+// the watchdog: the commits are new latency samples, and while the other
+// sites sit in held polls no poll for work would judge them. A fenced site's poll is refused whole, none of its commits
 // applied; a fence that lands between two of them refuses the poll too,
 // and the head reissues what the first ones committed.
 func (h *Head) PollFrom(req protocol.PollRequest) (protocol.PollReply, error) {
@@ -402,6 +403,7 @@ func (h *Head) PollInto(req protocol.PollRequest, acks []protocol.JobsDoneAck) (
 		acks = append(acks, ack)
 	}
 	if len(acks) > 0 && req.N == 0 && req.Bytes == 0 {
+		h.checkLatencyStragglers()
 		return protocol.PollReply{Acks: acks}, nil
 	}
 	rep, wake, err := h.pollOnce(site, req.N, req.Bytes, true)

@@ -42,14 +42,17 @@ func benchCfg(b *testing.B, files, chunksPerFile int) Config {
 		b.Fatal(err)
 	}
 	cfg := Config{
-		Index:     ix,
-		Placement: jobs.SplitByFraction(files, 0.5, 0, 1),
-		App: AppModel{
-			Name:               "bench",
-			ComputeBytesPerSec: 50 << 20,
-			RobjBytes:          1 << 20,
-			MergeBytesPerSec:   1 << 30,
-		},
+		Queries: []Query{{
+			Name:      "bench",
+			Index:     ix,
+			Placement: jobs.SplitByFraction(files, 0.5, 0, 1),
+			App: AppModel{
+				Name:               "bench",
+				ComputeBytesPerSec: 50 << 20,
+				RobjBytes:          1 << 20,
+				MergeBytesPerSec:   1 << 30,
+			},
+		}},
 		Topology: Topology{
 			Clusters: []ClusterModel{
 				{Name: "local", Site: 0, Cores: 16, RetrievalThreads: 8},

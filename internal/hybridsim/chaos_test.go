@@ -17,9 +17,9 @@ import (
 // first iterative), a burst-side stage replica, an elastic hook that
 // launches two burst workers, and a fault plan with leases and checkpoints
 // that crashes the first burst worker mid-run.
-func chaosConfig(t *testing.T) MultiConfig {
+func chaosConfig(t *testing.T) Config {
 	t.Helper()
-	cfg := MultiConfig{Topology: multiTopology(), Seed: 11}
+	cfg := Config{Topology: multiTopology(), Seed: 11}
 	cfg.Topology.Clusters[1].Jitter = 0.1
 	cfg.Topology.Stage = &StageModel{
 		Site:         1,
@@ -37,7 +37,7 @@ func chaosConfig(t *testing.T) MultiConfig {
 		{"kmeans", 8, 4 << 20, 2},
 		{"knn", 6, 16 << 20, 1},
 	} {
-		cfg.Queries = append(cfg.Queries, MultiQuery{
+		cfg.Queries = append(cfg.Queries, Query{
 			Name:       sp.name,
 			App:        multiApp(sp.name, sp.rate),
 			Index:      multiIndex(t, sp.name, sp.files, 4),
@@ -60,7 +60,7 @@ func chaosConfig(t *testing.T) MultiConfig {
 			1: {Bandwidth: 400 << 20, Latency: 2 * time.Millisecond},
 		},
 	}
-	cfg.faults = fault.Plan{
+	cfg.Faults = fault.Plan{
 		Events:       []fault.Event{{At: 700 * time.Millisecond, Site: 1000, Kind: fault.Crash}},
 		RestartAfter: 300 * time.Millisecond,
 		Tuning:       config.Tuning{CheckpointEveryJobs: 4, LeaseTTL: 200 * time.Millisecond},
@@ -73,12 +73,12 @@ func chaosConfig(t *testing.T) MultiConfig {
 // query. Every query still credits each chunk exactly once per pass, the
 // run does not stall, and a replay is byte-identical down to the trace.
 func TestSimBurstWorkerCrashWithWarmCache(t *testing.T) {
-	run := func() (*MultiResult, []byte) {
+	run := func() (*Result, []byte) {
 		cfg := chaosConfig(t)
 		o := obs.New(nil)
 		o.Tracer.Enable()
 		cfg.Obs = o
-		res, err := RunMulti(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,15 +17,15 @@ type ElasticDecision struct {
 	Drain []int
 }
 
-// ElasticSim adds mid-run cluster add/remove to a multi-query simulation.
-// The hooks are deliberately generic — plain funcs over (now, the head's
-// per-query loads, worker sites) — so the policy lives outside this package
-// (the elastic.Arbiter binds itself via Arbiter.SimElastic) and hybridsim
-// stays free of a dependency cycle through the estimator.
+// ElasticSim adds mid-run cluster add/remove to a simulation. The hooks
+// are deliberately generic — plain funcs over (now, the head's per-query
+// loads, worker sites) — so the policy lives outside this package (the
+// elastic.Arbiter binds itself via Arbiter.SimElastic) and hybridsim stays
+// free of a dependency cycle through the estimator.
 //
 // Every Interval of virtual time, the simulator takes its head's QueryLoads
 // (each query's remaining work keyed by hosting site, with its fair-share
-// weight and policy, numbered by its index in MultiConfig.Queries), and the
+// weight and policy, numbered by its index in Config.Queries), and the
 // active burst-worker sites, and calls Decide. Added workers are fresh
 // clusters built from the Worker template with unique monotonically
 // increasing site IDs (head.BurstSiteBase + launch sequence — never reused, the

@@ -50,7 +50,7 @@ type FaultStats struct {
 // also keeps its watchdog's latency histograms there.
 func (s *multiSim) faultStats() FaultStats {
 	f := s.fstats
-	if !s.cfg.faults.Active() {
+	if !s.cfg.Faults.Active() {
 		return f
 	}
 	seen := make(map[*obs.Registry]bool)
@@ -75,7 +75,7 @@ func (s *multiSim) faultStats() FaultStats {
 // resolves its target clusters when it fires, so a burst worker launched at
 // the event's site before then is hit too.
 func (s *multiSim) scheduleFaults() error {
-	plan := s.cfg.faults
+	plan := s.cfg.Faults
 	if !plan.Active() {
 		return nil
 	}
@@ -152,8 +152,8 @@ func (s *multiSim) crash(c *mqCluster) {
 	}
 	c.reset()
 	c.down = true
-	s.clock.After(s.cfg.faults.Restart(), func() { c.start("restart") })
-	if s.cfg.faults.Tuning.LeaseTTL <= 0 {
+	s.clock.After(s.cfg.Faults.Restart(), func() { c.start("restart") })
+	if s.cfg.Faults.Tuning.LeaseTTL <= 0 {
 		s.head.SiteLost(c.model.Site, errCrashed)
 		s.afterFailure()
 	}

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/fault"
+	"repro/internal/head"
+	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
@@ -45,7 +47,7 @@ func TestSimCrashRecoveryMatchesFailureFree(t *testing.T) {
 	}
 	res := mustRun(t, cfg)
 
-	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
+	if got, want := creditTotal(res), cfg.Queries[0].Index.NumChunks(); got != want {
 		t.Errorf("faulty run credited %d jobs, dataset has %d", got, want)
 	}
 	if res.Faults.Crashes != 1 || res.Faults.Recoveries != 1 {
@@ -105,7 +107,7 @@ func TestSimPartitionHealsAndFlushes(t *testing.T) {
 		Tuning: config.Tuning{LeaseTTL: 2 * time.Second},
 	}
 	res := mustRun(t, cfg)
-	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
+	if got, want := creditTotal(res), cfg.Queries[0].Index.NumChunks(); got != want {
 		t.Errorf("credited %d jobs, want %d", got, want)
 	}
 	if res.Faults.Partitions != 1 {
@@ -130,7 +132,7 @@ func TestSimPartitionFencedRestarts(t *testing.T) {
 		Tuning:       config.Tuning{CheckpointEveryJobs: 4, LeaseTTL: 400 * time.Millisecond},
 	}
 	res := mustRun(t, cfg)
-	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
+	if got, want := creditTotal(res), cfg.Queries[0].Index.NumChunks(); got != want {
 		t.Errorf("credited %d jobs, want %d", got, want)
 	}
 	if res.Faults.Partitions != 1 || res.Faults.Recoveries != 1 {
@@ -148,7 +150,7 @@ func TestSimSpeculationDuplicatesStraggler(t *testing.T) {
 		Tuning: config.Tuning{SpeculateAfter: 200 * time.Millisecond},
 	}
 	res := mustRun(t, cfg)
-	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
+	if got, want := creditTotal(res), cfg.Queries[0].Index.NumChunks(); got != want {
 		t.Errorf("credited %d jobs, want %d", got, want)
 	}
 	if res.Faults.Slowdowns != 1 {
@@ -174,30 +176,79 @@ func TestSimCheckpointOnlyOverheadSmall(t *testing.T) {
 	if limit := base.Total + base.Total/20; res.Total > limit {
 		t.Errorf("checkpointed makespan %v exceeds failure-free %v by more than 5%%", res.Total, base.Total)
 	}
-	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
+	if got, want := creditTotal(res), cfg.Queries[0].Index.NumChunks(); got != want {
 		t.Errorf("credited %d jobs, want %d", got, want)
 	}
 }
 
 // TestSimRandomCrashesCreditEveryChunkOnce runs 200 seeded crash plans —
-// one to four crashes, with and without leases and checkpoints — at two
-// reduction-object sizes. Seed 152 crashes a cluster after the other one has
-// reported, so the lost work is reissued to a site the head no longer waits
-// for: the head must ask it for a second object holding those folds instead
-// of sealing the pass without them. With 64 MiB objects (seeds 42, 144, 176)
-// the reissued work reaches a cluster whose first object is still on the
-// wire, and its commits must wait until the head has merged that object.
-// RunMulti itself fails a pass whose merged credit is off.
+// one to four crashes, with and without leases and checkpoints — on three
+// workloads: one query at two reduction-object sizes, and three queries of
+// mixed weights, one of them iterative, which on odd seeds share the run
+// with two burst workers the plan may crash too. Seed 152 crashes a cluster
+// after the other one has reported, so the lost work is reissued to a site
+// the head no longer waits for: the head must ask it for a second object
+// holding those folds instead of sealing the pass without them. With 64 MiB
+// objects (seeds 42, 144, 176) the reissued work reaches a cluster whose
+// first object is still on the wire, and its commits must wait until the
+// head has merged that object. Run itself fails a pass whose merged credit
+// is off.
 func TestSimRandomCrashesCreditEveryChunkOnce(t *testing.T) {
-	for _, robj := range []int64{0, 64 << 20} {
+	single := func(robj int64) Config {
 		cfg := testConfig(t, 12, 6, 0.5)
 		cfg.Topology.Clusters[1].Jitter = 0.1
 		if robj > 0 {
-			cfg.App.RobjBytes = robj
+			cfg.Queries[0].App.RobjBytes = robj
 		}
-		base := mustRun(t, cfg).Total
+		return cfg
+	}
+	multi := Config{Topology: multiTopology(), Seed: 5}
+	multi.Topology.Clusters[1].Jitter = 0.1
+	for _, sp := range []struct {
+		name          string
+		files         int
+		rate          float64
+		weight, iters int
+	}{
+		{"kmeans", 6, 4 << 20, 2, 2},
+		{"knn", 6, 16 << 20, 1, 1},
+		{"pagerank", 4, 8 << 20, 3, 1},
+	} {
+		multi.Queries = append(multi.Queries, Query{
+			Name:       sp.name,
+			App:        multiApp(sp.name, sp.rate),
+			Index:      multiIndex(t, sp.name, sp.files, 4),
+			Placement:  jobs.SplitByFraction(sp.files, 0.5, 0, 1),
+			Weight:     sp.weight,
+			Iterations: sp.iters,
+		})
+	}
+	burst := &ElasticSim{
+		Interval: 200 * time.Millisecond,
+		Decide: func(_ time.Duration, _ []head.QueryLoad, workers []int) ElasticDecision {
+			if len(workers) < 2 {
+				return ElasticDecision{Add: 1}
+			}
+			return ElasticDecision{}
+		},
+		Worker: ClusterModel{Cores: 4, RetrievalThreads: 4},
+		WorkerPaths: map[int]PathModel{
+			0: {Bandwidth: 50 << 20, Latency: 20 * time.Millisecond},
+			1: {Bandwidth: 400 << 20, Latency: 2 * time.Millisecond},
+		},
+	}
+	for _, w := range []struct {
+		name string
+		cfg  Config
+	}{{"robj 0", single(0)}, {"robj 64 MiB", single(64 << 20)}, {"three queries", multi}} {
+		base := mustRun(t, w.cfg).Total
 		for seed := uint64(0); seed < 200; seed++ {
-			cfg.Faults = fault.RandomPlan(seed, 1+int(seed%4), base, []int{0, 1})
+			cfg, sites := w.cfg, []int{0, 1}
+			if len(cfg.Queries) > 1 && seed%2 == 1 {
+				cfg.Elastic = burst
+				sites = append(sites, head.BurstSiteBase, head.BurstSiteBase+1)
+			}
+			cfg.Faults = fault.RandomPlan(seed, 1+int(seed%4), base, sites)
 			cfg.Faults.RestartAfter = base / 8
 			cfg.Faults.Tuning = config.Tuning{CheckpointEveryJobs: int(seed%3) * 6}
 			if seed%2 == 0 {
@@ -205,11 +256,17 @@ func TestSimRandomCrashesCreditEveryChunkOnce(t *testing.T) {
 			}
 			res, err := Run(cfg)
 			if err != nil {
-				t.Errorf("robj %d, seed %d: %v", cfg.App.RobjBytes, seed, err)
+				t.Errorf("%s, seed %d: %v", w.name, seed, err)
 				continue
 			}
-			if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
-				t.Errorf("robj %d, seed %d: credited %d jobs, want %d", cfg.App.RobjBytes, seed, got, want)
+			for qi, q := range cfg.Queries {
+				credited := 0
+				for _, acct := range res.Queries[qi].Jobs {
+					credited += acct.Total()
+				}
+				if want := q.Index.NumChunks() * max(q.Iterations, 1); credited != want {
+					t.Errorf("%s, seed %d: query %s credited %d jobs, want %d", w.name, seed, q.Name, credited, want)
+				}
 			}
 		}
 	}
@@ -272,7 +329,7 @@ func TestSimLatencyWatchdogFlagsSlowdown(t *testing.T) {
 		Tuning: config.Tuning{SpeculateAfter: time.Hour, StragglerFactor: 5, WatchdogMinSamples: 2},
 	}
 	res := mustRun(t, cfg)
-	if got, want := creditTotal(res), cfg.Index.NumChunks(); got != want {
+	if got, want := creditTotal(res), cfg.Queries[0].Index.NumChunks(); got != want {
 		t.Errorf("credited %d jobs, want %d", got, want)
 	}
 	if res.Faults.LatencyFlags != 1 {
@@ -303,7 +360,7 @@ func TestSimLatencyWatchdogFlagsSlowdown(t *testing.T) {
 	if off.Faults.LatencyFlags != 0 || off.Faults.Speculated != 0 {
 		t.Errorf("disabled watchdog still acted: %+v", off.Faults)
 	}
-	if got, want := creditTotal(off), cfg.Index.NumChunks(); got != want {
+	if got, want := creditTotal(off), cfg.Queries[0].Index.NumChunks(); got != want {
 		t.Errorf("disabled-watchdog run credited %d jobs, want %d", got, want)
 	}
 	if off.Clusters[0].Jobs.Stolen != 0 {

@@ -141,14 +141,17 @@ func testConfig(t *testing.T, files, chunksPerFile int, localFrac float64) Confi
 		t.Fatalf("layout built %d files, want %d", len(ix.Files), files)
 	}
 	return Config{
-		Index:     ix,
-		Placement: jobs.SplitByFraction(files, localFrac, 0, 1),
-		App: AppModel{
-			Name:               "synthetic",
-			ComputeBytesPerSec: 8 << 20, // 8 MiB/s per core
-			RobjBytes:          1 << 20,
-			MergeBytesPerSec:   1 << 30,
-		},
+		Queries: []Query{{
+			Name:      "synthetic",
+			Index:     ix,
+			Placement: jobs.SplitByFraction(files, localFrac, 0, 1),
+			App: AppModel{
+				Name:               "synthetic",
+				ComputeBytesPerSec: 8 << 20, // 8 MiB/s per core
+				RobjBytes:          1 << 20,
+				MergeBytesPerSec:   1 << 30,
+			},
+		}},
 		Topology: Topology{
 			Clusters: []ClusterModel{
 				{Name: "local", Site: 0, Cores: 4, RetrievalThreads: 4},
@@ -171,6 +174,17 @@ func testConfig(t *testing.T, files, chunksPerFile int, localFrac float64) Confi
 	}
 }
 
+// tableII is Table II's split of a one-query run's tail: idle is how long
+// the earliest-finishing cluster waited for the last one, and globalRed the
+// tail after the last cluster's final fold.
+func tableII(res *Result) (idle, globalRed time.Duration) {
+	first, last := res.Total, time.Duration(0)
+	for _, done := range res.Queries[0].LocalDone {
+		first, last = min(first, done), max(last, done)
+	}
+	return last - first, res.Total - last
+}
+
 func TestSimProcessesEveryJobExactlyOnce(t *testing.T) {
 	cfg := testConfig(t, 8, 4, 0.5)
 	res, err := Run(cfg)
@@ -181,8 +195,8 @@ func TestSimProcessesEveryJobExactlyOnce(t *testing.T) {
 	for _, c := range res.Clusters {
 		total += c.Jobs.Total()
 	}
-	if total != cfg.Index.NumChunks() {
-		t.Errorf("processed %d jobs, dataset has %d", total, cfg.Index.NumChunks())
+	if total != cfg.Queries[0].Index.NumChunks() {
+		t.Errorf("processed %d jobs, dataset has %d", total, cfg.Queries[0].Index.NumChunks())
 	}
 	var bytes int64
 	for _, c := range res.Clusters {
@@ -190,8 +204,8 @@ func TestSimProcessesEveryJobExactlyOnce(t *testing.T) {
 			bytes += n
 		}
 	}
-	if bytes != cfg.Index.TotalBytes() {
-		t.Errorf("retrieved %d bytes, dataset is %d", bytes, cfg.Index.TotalBytes())
+	if bytes != cfg.Queries[0].Index.TotalBytes() {
+		t.Errorf("retrieved %d bytes, dataset is %d", bytes, cfg.Queries[0].Index.TotalBytes())
 	}
 	if res.Total <= 0 {
 		t.Errorf("Total = %v", res.Total)
@@ -209,7 +223,9 @@ func TestSimDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Total != b.Total || a.IdleTime != b.IdleTime || a.GlobalReduction != b.GlobalReduction {
+	aIdle, aGR := tableII(a)
+	bIdle, bGR := tableII(b)
+	if a.Total != b.Total || aIdle != bIdle || aGR != bGR {
 		t.Errorf("non-deterministic: %+v vs %+v", a, b)
 	}
 	for i := range a.Clusters {
@@ -238,7 +254,7 @@ func TestSimSkewIncreasesRuntime(t *testing.T) {
 	for i, frac := range []float64{0.5, 0.25, 0.125} {
 		cfg := testConfig(t, 16, 4, frac)
 		// Make it I/O-bound so retrieval dominates.
-		cfg.App.ComputeBytesPerSec = 400 << 20
+		cfg.Queries[0].App.ComputeBytesPerSec = 400 << 20
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -253,9 +269,9 @@ func TestSimSkewIncreasesRuntime(t *testing.T) {
 func TestSimMoreCoresFaster(t *testing.T) {
 	// Compute-bound run must speed up when cores double.
 	slow := testConfig(t, 8, 4, 0.5)
-	slow.App.ComputeBytesPerSec = 1 << 20
+	slow.Queries[0].App.ComputeBytesPerSec = 1 << 20
 	fast := testConfig(t, 8, 4, 0.5)
-	fast.App.ComputeBytesPerSec = 1 << 20
+	fast.Queries[0].App.ComputeBytesPerSec = 1 << 20
 	fast.Topology.Clusters[0].Cores = 8
 	fast.Topology.Clusters[1].Cores = 8
 	a, err := Run(slow)
@@ -297,8 +313,8 @@ func TestSimSingleCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.IdleTime != 0 {
-		t.Errorf("single cluster idle time = %v", res.IdleTime)
+	if idle, _ := tableII(res); idle != 0 {
+		t.Errorf("single cluster idle time = %v", idle)
 	}
 	if res.Clusters[0].Jobs.Stolen != 0 {
 		t.Errorf("single cluster stole %d jobs", res.Clusters[0].Jobs.Stolen)
@@ -308,7 +324,7 @@ func TestSimSingleCluster(t *testing.T) {
 func TestSimLargerRobjMoreSync(t *testing.T) {
 	small := testConfig(t, 8, 4, 0.5)
 	big := testConfig(t, 8, 4, 0.5)
-	big.App.RobjBytes = 512 << 20 // pagerank-style object
+	big.Queries[0].App.RobjBytes = 512 << 20 // pagerank-style object
 	a, err := Run(small)
 	if err != nil {
 		t.Fatal(err)
@@ -317,9 +333,10 @@ func TestSimLargerRobjMoreSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.GlobalReduction <= a.GlobalReduction {
-		t.Errorf("512MB robj global reduction %v not longer than 1MB %v",
-			b.GlobalReduction, a.GlobalReduction)
+	_, aGR := tableII(a)
+	_, bGR := tableII(b)
+	if bGR <= aGR {
+		t.Errorf("512MB robj global reduction %v not longer than 1MB %v", bGR, aGR)
 	}
 }
 
@@ -328,7 +345,7 @@ func TestSimValidation(t *testing.T) {
 		t.Error("empty config accepted")
 	}
 	cfg := testConfig(t, 4, 4, 0.5)
-	cfg.App.ComputeBytesPerSec = 0
+	cfg.Queries[0].App.ComputeBytesPerSec = 0
 	if _, err := Run(cfg); err == nil {
 		t.Error("zero compute rate accepted")
 	}
@@ -338,7 +355,7 @@ func TestSimValidation(t *testing.T) {
 		t.Error("zero-core cluster accepted")
 	}
 	cfg = testConfig(t, 4, 4, 0.5)
-	cfg.Placement = jobs.Placement{0}
+	cfg.Queries[0].Placement = jobs.Placement{0}
 	if _, err := Run(cfg); err == nil {
 		t.Error("short placement accepted")
 	}

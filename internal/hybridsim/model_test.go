@@ -67,7 +67,7 @@ func seekConfig(t *testing.T, scatter bool) Config {
 	cfg := testConfig(t, 8, 4, 1.0)
 	cfg.Topology.Clusters = cfg.Topology.Clusters[:1]
 	cfg.Topology.SeekPenalty = map[int]time.Duration{0: 50 * time.Millisecond}
-	cfg.PoolOpts = jobs.Options{ScatterGroups: scatter}
+	cfg.Queries[0].PoolOpts = jobs.Options{ScatterGroups: scatter}
 	return cfg
 }
 
@@ -94,7 +94,7 @@ func TestSeekPenaltyCountsSwitches(t *testing.T) {
 
 func TestHeadClusterSkipsRobjTransfer(t *testing.T) {
 	base := testConfig(t, 8, 4, 0.5)
-	base.App.RobjBytes = 512 << 20
+	base.Queries[0].App.RobjBytes = 512 << 20
 	base.Topology.InterClusterBandwidth = 10 << 20 // 51.2s per transfer
 
 	// Head co-located with cluster 0: only cluster 1 pays.
@@ -129,8 +129,8 @@ func TestJitterChangesTimingNotWork(t *testing.T) {
 	noisy.Topology.Clusters[0].Jitter = 0.2
 	noisy.Topology.Clusters[1].Jitter = 0.2
 	// Make it compute-bound so jitter matters.
-	quiet.App.ComputeBytesPerSec = 1 << 20
-	noisy.App.ComputeBytesPerSec = 1 << 20
+	quiet.Queries[0].App.ComputeBytesPerSec = 1 << 20
+	noisy.Queries[0].App.ComputeBytesPerSec = 1 << 20
 	a, err := Run(quiet)
 	if err != nil {
 		t.Fatal(err)
@@ -176,14 +176,14 @@ func TestQueueDepthBackpressure(t *testing.T) {
 	cfg := testConfig(t, 8, 4, 1.0)
 	cfg.Topology.Clusters = cfg.Topology.Clusters[:1]
 	cfg.Topology.Clusters[0].QueueDepth = 1
-	cfg.App.ComputeBytesPerSec = 1 << 20
+	cfg.Queries[0].App.ComputeBytesPerSec = 1 << 20
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// All jobs still processed exactly once.
-	if res.Clusters[0].Jobs.Total() != cfg.Index.NumChunks() {
-		t.Errorf("processed %d, want %d", res.Clusters[0].Jobs.Total(), cfg.Index.NumChunks())
+	if res.Clusters[0].Jobs.Total() != cfg.Queries[0].Index.NumChunks() {
+		t.Errorf("processed %d, want %d", res.Clusters[0].Jobs.Total(), cfg.Queries[0].Index.NumChunks())
 	}
 }
 
@@ -205,14 +205,17 @@ func TestThreeClustersMultiCloud(t *testing.T) {
 		placement[i] = i / 4
 	}
 	cfg := Config{
-		Index:     ix,
-		Placement: placement,
-		App: AppModel{
-			Name:               "mc",
-			ComputeBytesPerSec: 8 << 20,
-			RobjBytes:          1 << 20,
-			MergeBytesPerSec:   1 << 30,
-		},
+		Queries: []Query{{
+			Name:      "mc",
+			Index:     ix,
+			Placement: placement,
+			App: AppModel{
+				Name:               "mc",
+				ComputeBytesPerSec: 8 << 20,
+				RobjBytes:          1 << 20,
+				MergeBytesPerSec:   1 << 30,
+			},
+		}},
 		Topology: Topology{
 			Clusters: []ClusterModel{
 				{Name: "local", Site: 0, Cores: 4, RetrievalThreads: 4},

@@ -53,7 +53,7 @@ func multiApp(name string, rate float64) AppModel {
 // shared deployment — each query's jobs are all processed exactly once with
 // isolated accounting, and the whole experiment is replay-deterministic.
 func TestMultiAccountingAndDeterminism(t *testing.T) {
-	cfg := MultiConfig{
+	cfg := Config{
 		Topology: multiTopology(),
 		Seed:     7,
 	}
@@ -70,14 +70,14 @@ func TestMultiAccountingAndDeterminism(t *testing.T) {
 	}
 	for _, sp := range specs {
 		ix := multiIndex(t, sp.name, sp.files, 4)
-		cfg.Queries = append(cfg.Queries, MultiQuery{
+		cfg.Queries = append(cfg.Queries, Query{
 			Name:      sp.name,
 			App:       multiApp(sp.name, sp.rate),
 			Index:     ix,
 			Placement: jobs.SplitByFraction(sp.files, sp.frac, 0, 1),
 		})
 	}
-	res, err := RunMulti(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMultiAccountingAndDeterminism(t *testing.T) {
 			t.Errorf("query %s finish %v outside (0, %v]", qr.Name, qr.Finish, res.Total)
 		}
 	}
-	again, err := RunMulti(cfg)
+	again, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestMultiWeightedShareFinishOrder(t *testing.T) {
 		SourceEgress:   map[int]float64{0: 1 << 30},
 		ControlLatency: time.Millisecond,
 	}
-	mk := func(wHeavy, wLight int) MultiConfig {
-		cfg := MultiConfig{Topology: topo, Seed: 3}
+	mk := func(wHeavy, wLight int) Config {
+		cfg := Config{Topology: topo, Seed: 3}
 		for i, w := range []int{wHeavy, wLight} {
 			name := []string{"heavy", "light"}[i]
 			ix := multiIndex(t, name, 6, 4)
-			cfg.Queries = append(cfg.Queries, MultiQuery{
+			cfg.Queries = append(cfg.Queries, Query{
 				Name:      name,
 				App:       multiApp(name, 8<<20),
 				Index:     ix,
@@ -130,7 +130,7 @@ func TestMultiWeightedShareFinishOrder(t *testing.T) {
 		}
 		return cfg
 	}
-	weighted, err := RunMulti(mk(3, 1))
+	weighted, err := Run(mk(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestMultiWeightedShareFinishOrder(t *testing.T) {
 	if ratio := float64(h) / float64(l); ratio > 0.85 {
 		t.Errorf("weight-3/weight-1 finish ratio %.2f, want clear separation (< 0.85)", ratio)
 	}
-	equal, err := RunMulti(mk(1, 1))
+	equal, err := Run(mk(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,16 +157,16 @@ func TestMultiWeightedShareFinishOrder(t *testing.T) {
 
 // TestMultiRejectsEmptyAndBadConfigs exercises the validation path.
 func TestMultiRejectsEmptyAndBadConfigs(t *testing.T) {
-	if _, err := RunMulti(MultiConfig{Topology: multiTopology()}); err == nil {
+	if _, err := Run(Config{Topology: multiTopology()}); err == nil {
 		t.Error("no queries: want error")
 	}
 	ix := multiIndex(t, "bad", 2, 2)
-	q := MultiQuery{Name: "bad", Index: ix, Placement: jobs.SplitByFraction(2, 1, 0, 1)}
-	if _, err := RunMulti(MultiConfig{Queries: []MultiQuery{q}, Topology: multiTopology()}); err == nil {
+	q := Query{Name: "bad", Index: ix, Placement: jobs.SplitByFraction(2, 1, 0, 1)}
+	if _, err := Run(Config{Queries: []Query{q}, Topology: multiTopology()}); err == nil {
 		t.Error("zero compute rate: want error")
 	}
 	q.App = multiApp("bad", 1<<20)
-	if _, err := RunMulti(MultiConfig{Queries: []MultiQuery{q}}); err == nil {
+	if _, err := Run(Config{Queries: []Query{q}}); err == nil {
 		t.Error("no clusters: want error")
 	}
 }

@@ -19,10 +19,10 @@ import (
 	"repro/internal/stats"
 )
 
-// MultiQuery is one concurrent query in a multi-query simulation: its own
-// dataset view, placement, pool policy, application cost shape and
-// fair-share weight and elastic policy — mirroring head.QueryConfig.
-type MultiQuery struct {
+// Query is one query of a simulated experiment: its own dataset view,
+// placement, pool policy, application cost shape, fair-share weight and
+// elastic policy — mirroring head.QueryConfig.
+type Query struct {
 	Name      string
 	App       AppModel
 	Index     *chunk.Index
@@ -42,12 +42,11 @@ type MultiQuery struct {
 	Policy *protocol.ElasticPolicy
 }
 
-// MultiConfig is a simulated experiment of N queries admitted at t=0 over
-// one shared deployment, scheduled by a real head.Head on the virtual
-// clock. It is the simulator's one event loop: Run executes the one-query
-// MultiConfig that Config.Multi builds.
-type MultiConfig struct {
-	Queries  []MultiQuery
+// Config is a simulated experiment: N queries admitted at t=0 over one
+// shared deployment, scheduled by a real head.Head on the virtual clock. A
+// single-query experiment is the case N=1.
+type Config struct {
+	Queries  []Query
 	Topology Topology
 	// Seed drives the deterministic jitter stream.
 	Seed uint64
@@ -56,7 +55,9 @@ type MultiConfig struct {
 	// head-side grant spans on pid 0, per-cluster retrieval and processing
 	// spans on pid i+1, every span carrying the owning query's trace id
 	// (query+1) — but on virtual time, so live and simulated runs are
-	// visually comparable side by side.
+	// visually comparable side by side. Instrumentation never alters the
+	// simulated schedule: a traced and an untraced run with the same seed
+	// produce identical Results.
 	Obs *obs.Obs
 	// Elastic, when non-nil, enables mid-run cluster add/remove driven by
 	// the Decide hook on the virtual clock (see ElasticSim).
@@ -64,20 +65,21 @@ type MultiConfig struct {
 	// Slowdowns injects unanticipated mid-run degradation. The elasticity
 	// experiments use these as the perturbation a static, pre-sized
 	// provisioning plan cannot absorb.
-	Slowdowns []MultiSlowdown
-
-	// faults is the fault plan (fault.go); Config.Multi carries
-	// Config.Faults here.
-	faults fault.Plan
+	Slowdowns []Slowdown
+	// Faults is the deterministic fault-injection schedule plus the recovery
+	// machinery it enables (checkpointing, leases, speculation), driven on
+	// the virtual clock (fault.go). The zero plan injects nothing. Runs with
+	// the same plan and seed are byte-identical.
+	Faults fault.Plan
 }
 
-// MultiSlowdown is one injected mid-run degradation. A compute slowdown
+// Slowdown is one injected mid-run degradation. A compute slowdown
 // (Source false) makes cluster Cluster (an index into Topology.Clusters)
 // process at 1/Factor of its modelled rate from At on. A source slowdown
 // (Source true) divides storage site Site's egress capacity by Factor — a
 // degraded disk array or an overloaded store, which is what bites
 // retrieval-bound applications.
-type MultiSlowdown struct {
+type Slowdown struct {
 	At      time.Duration
 	Cluster int
 	Factor  float64
@@ -96,7 +98,7 @@ type QueryResult struct {
 	IterFinish []time.Duration
 	// Granted counts jobs handed to masters for this query.
 	Granted int
-	// Jobs is the per-cluster accounting, indexed like MultiResult.Clusters.
+	// Jobs is the per-cluster accounting, indexed like Result.Clusters.
 	Jobs []stats.JobAccounting
 	// Breakdown is each cluster's Figure-3 decomposition of this query:
 	// processing is the query's core-busy time ÷ cores, retrieval the rest
@@ -108,19 +110,21 @@ type QueryResult struct {
 	LocalDone []time.Duration
 }
 
-// MultiResult reports the whole multi-query experiment.
-type MultiResult struct {
+// Result reports the whole experiment.
+type Result struct {
 	// Total is the virtual makespan: until the last query's final merge
 	// plus the Finished broadcast.
 	Total time.Duration
-	// Queries holds per-query results in MultiConfig order.
+	// Queries holds per-query results in Config order.
 	Queries []QueryResult
-	// Seeks counts non-sequential fetches across all sites.
+	// Seeks counts non-sequential fetches (file switches or sequence
+	// breaks) across all sites — the contention the consecutive-job and
+	// min-contention policies minimize.
 	Seeks int
 	// Clusters describes every cluster that took part — the static ones in
 	// Topology order followed by burst workers in launch order — with the
 	// realized usage cost accounting needs.
-	Clusters []MultiClusterResult
+	Clusters []ClusterResult
 	// Stage reports the burst-side replica's realized behavior; nil when
 	// Topology.Stage is unset.
 	Stage *StageStats
@@ -128,8 +132,8 @@ type MultiResult struct {
 	Faults FaultStats
 }
 
-// MultiClusterResult is one cluster's realized footprint over the run.
-type MultiClusterResult struct {
+// ClusterResult is one cluster's realized footprint over the run.
+type ClusterResult struct {
 	Name  string
 	Site  int
 	Cores int
@@ -141,17 +145,23 @@ type MultiClusterResult struct {
 	Drained  time.Duration
 	// Jobs totals the cluster's work across all queries.
 	Jobs stats.JobAccounting
+	// Breakdown is the cluster's Figure-3 decomposition of the whole run:
+	// processing is its core-busy time over every query ÷ cores, retrieval
+	// the rest up to its last fold of any query, sync the wait from there
+	// to Total. With one query it equals that query's Breakdown entry.
+	Breakdown stats.Breakdown
 	// BytesBySite counts bytes the cluster retrieved from each hosting site.
 	BytesBySite map[int]int64
 	// StageReadBytes counts bytes this cluster read from the burst-side
 	// replica instead of an origin site (excluded from BytesBySite so
 	// transfer-cost accounting never double-charges a cached read).
 	StageReadBytes int64
-	// RetrievalBusy is the total time retrieval lanes spent transferring.
+	// RetrievalBusy is the total time retrieval lanes spent transferring
+	// (diagnostic; the Breakdown's Retrieval is the non-overlapped stall).
 	RetrievalBusy time.Duration
 }
 
-// mqJob is one granted job: the query's index in MultiConfig.Queries, the
+// mqJob is one granted job: the query's index in Config.Queries, the
 // head's ID for the pass it was granted under, and the job itself.
 type mqJob struct {
 	query int
@@ -188,7 +198,7 @@ type mqCluster struct {
 	drainedAt  time.Duration
 
 	// slowFactor divides the compute rate once a slowdown lands (a
-	// MultiSlowdown or a fault.Slowdown event).
+	// Slowdown or a fault.Slowdown event).
 	slowFactor float64
 
 	freeLanes []int
@@ -232,7 +242,7 @@ type clusterQuery struct {
 }
 
 type multiSim struct {
-	cfg      MultiConfig
+	cfg      Config
 	clock    *simtime.Clock
 	net      *Network
 	head     *head.Head
@@ -296,12 +306,12 @@ func (c *mqCluster) coreTid(id int) int {
 // head's convention (query+1; 0 stays "no trace").
 func mqTraceID(query int) uint64 { return uint64(query) + 1 }
 
-// RunMulti executes a simulated experiment: every query is admitted at t=0
-// into an in-process head.Head running on the virtual clock, masters poll it
-// for fair-share grants, commit to it, and ship each query's reduction
-// object when the head's Done asks for it — while the other queries keep
-// running.
-func RunMulti(cfg MultiConfig) (*MultiResult, error) {
+// Run executes a simulated experiment — the simulator's one event loop:
+// every query is admitted at t=0 into an in-process head.Head running on
+// the virtual clock, masters poll it for fair-share grants, commit to it,
+// and ship each query's reduction object when the head's Done asks for it —
+// while the other queries keep running.
+func Run(cfg Config) (*Result, error) {
 	if len(cfg.Queries) == 0 {
 		return nil, fmt.Errorf("hybridsim: at least one query is required")
 	}
@@ -328,10 +338,10 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	// fault plan without one, a private one, because FaultStats reads their
 	// counters. Copy the queries so the caller's config is never mutated.
 	s.reg = cfg.Obs.Metrics()
-	if s.reg == nil && cfg.faults.Active() {
+	if s.reg == nil && cfg.Faults.Active() {
 		s.reg = obs.NewRegistry()
 	}
-	s.cfg.Queries = append([]MultiQuery(nil), cfg.Queries...)
+	s.cfg.Queries = append([]Query(nil), cfg.Queries...)
 	s.net = NewNetwork(s.clock)
 	s.tr = cfg.Obs.Trace()
 	s.tr.SetClock(obs.ClockFunc(s.clock.Now))
@@ -452,7 +462,7 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 // turns a lost master into a recoverable failure), and its failure detector
 // and watchdogs tick every TickInterval of virtual time.
 func (s *multiSim) startHead() error {
-	plan := s.cfg.faults
+	plan := s.cfg.Faults
 	hc := head.Config{
 		ExpectClusters: len(s.cfg.Topology.Clusters),
 		DynamicSites:   true,
@@ -513,7 +523,7 @@ func (s *multiSim) addCluster(cm ClusterModel) *mqCluster {
 		cm.QueueDepth = 2 * cm.Cores
 	}
 	c := &mqCluster{s: s, model: cm, index: len(s.clusters), slowFactor: 1,
-		core:      cluster.NewAgentCore(cm.Site, cm.Name, cm.Cores, s.cfg.faults.Tuning.CheckpointEveryJobs),
+		core:      cluster.NewAgentCore(cm.Site, cm.Name, cm.Cores, s.cfg.Faults.Tuning.CheckpointEveryJobs),
 		freeLanes: make([]int, 0, cm.RetrievalThreads), idleCores: make([]int, 0, cm.Cores),
 		perQuery: make([]clusterQuery, len(s.cfg.Queries)), bytesBySite: make(map[int]int64)}
 	c.freeAll()
@@ -603,7 +613,7 @@ func (c *mqCluster) ensure(qi, id int, ship bool) {
 // the incarnation lives and can reach the head.
 func (c *mqCluster) heartbeat(epoch int) {
 	s := c.s
-	every := s.cfg.faults.Tuning.HeartbeatInterval()
+	every := s.cfg.Faults.Tuning.HeartbeatInterval()
 	if every <= 0 {
 		return
 	}
@@ -1108,8 +1118,8 @@ func (s *multiSim) settle() {
 }
 
 // result assembles the run's outcome from the per-cluster accumulators.
-func (s *multiSim) result() *MultiResult {
-	res := &MultiResult{Seeks: s.seeks, Faults: s.faultStats()}
+func (s *multiSim) result() *Result {
+	res := &Result{Seeks: s.seeks, Faults: s.faultStats()}
 	if s.stage != nil {
 		res.Stage = s.stage.snapshot()
 	}
@@ -1135,18 +1145,24 @@ func (s *multiSim) result() *MultiResult {
 	}
 	for _, c := range s.clusters {
 		var total stats.JobAccounting
+		var busy, lastFold time.Duration
 		for _, st := range c.perQuery {
 			total.Local += st.jobs.Local
 			total.Stolen += st.jobs.Stolen
+			busy += st.coreBusy
+			lastFold = max(lastFold, st.lastFold)
 		}
-		res.Clusters = append(res.Clusters, MultiClusterResult{
-			Name:           c.model.Name,
-			Site:           c.model.Site,
-			Cores:          c.model.Cores,
-			Burst:          c.burst,
-			Launched:       c.launched,
-			Drained:        c.drainedAt,
-			Jobs:           total,
+		proc := busy / time.Duration(c.model.Cores)
+		res.Clusters = append(res.Clusters, ClusterResult{
+			Name:     c.model.Name,
+			Site:     c.model.Site,
+			Cores:    c.model.Cores,
+			Burst:    c.burst,
+			Launched: c.launched,
+			Drained:  c.drainedAt,
+			Jobs:     total,
+			Breakdown: stats.Breakdown{Processing: proc, Retrieval: lastFold - proc,
+				Sync: res.Total - lastFold},
 			BytesBySite:    c.bytesBySite,
 			StageReadBytes: c.stageReadBytes,
 			RetrievalBusy:  c.retrBusy,
@@ -1161,7 +1177,7 @@ func (s *multiSim) result() *MultiResult {
 // Finished instant and lays each (query, cluster) Breakdown out as
 // back-to-back phase spans, so the trace carries the exact Figure-3
 // decomposition.
-func (s *multiSim) report(res *MultiResult) {
+func (s *multiSim) report(res *Result) {
 	if reg := s.cfg.Obs.Metrics(); reg != nil {
 		for _, c := range res.Clusters {
 			reg.Counter("sim_jobs_local_total").Add(int64(c.Jobs.Local))
@@ -1172,7 +1188,7 @@ func (s *multiSim) report(res *MultiResult) {
 		}
 		reg.Counter("sim_seeks_total").Add(int64(s.seeks))
 		reg.Histogram("sim_retrieval_seconds", nil).Merge(s.hRetrieval)
-		if s.cfg.faults.Active() {
+		if s.cfg.Faults.Active() {
 			f := res.Faults
 			// Reissues, speculation, flags and checkpoints are already in the
 			// registry as the pools' and the head's own counters.

@@ -1,14 +1,6 @@
 package hybridsim
 
-import (
-	"time"
-
-	"repro/internal/chunk"
-	"repro/internal/fault"
-	"repro/internal/jobs"
-	"repro/internal/obs"
-	"repro/internal/stats"
-)
+import "time"
 
 // AppModel captures an application's cost shape — the only thing the
 // simulator needs to know about knn, kmeans or pagerank.
@@ -93,78 +85,8 @@ type Topology struct {
 	// cluster, so only the cloud pays the WAN exchange).
 	HeadCluster int
 	// Stage, when non-nil, adds a burst-side partition replica (pre-staging
-	// cache) at Stage.Site; Run and RunMulti both model it.
+	// cache) at Stage.Site.
 	Stage *StageModel
-}
-
-// Config is a full simulated single-query experiment.
-type Config struct {
-	Index     *chunk.Index
-	Placement jobs.Placement
-	PoolOpts  jobs.Options
-	App       AppModel
-	Topology  Topology
-	// Seed drives the deterministic jitter stream.
-	Seed uint64
-	// Faults is the deterministic fault-injection schedule plus the recovery
-	// machinery it enables (checkpointing, leases, speculation), driven on
-	// the virtual clock. The zero plan injects nothing. Runs with the same
-	// plan and seed are byte-identical.
-	Faults fault.Plan
-	// Obs, when non-nil, receives the run's metrics and — if its tracer is
-	// enabled — the full per-job event trace on VIRTUAL time (pid 0 is the
-	// head, pid i+1 is cluster i). Instrumentation never alters the
-	// simulated schedule: a traced run and an untraced run with the same
-	// seed produce identical Results.
-	Obs *obs.Obs
-}
-
-// Multi maps cfg onto the one-query MultiConfig that Run executes, fault
-// plan included.
-func (cfg Config) Multi() MultiConfig {
-	return MultiConfig{
-		Queries: []MultiQuery{{Name: cfg.App.Name, App: cfg.App, Index: cfg.Index,
-			Placement: cfg.Placement, PoolOpts: cfg.PoolOpts}},
-		Topology: cfg.Topology, Seed: cfg.Seed, Obs: cfg.Obs,
-		faults: cfg.Faults,
-	}
-}
-
-// ClusterResult reports one cluster's simulated run.
-type ClusterResult struct {
-	Name      string
-	Site      int
-	Cores     int
-	Breakdown stats.Breakdown
-	Jobs      stats.JobAccounting
-	// BytesBySite counts retrieved bytes per source site.
-	BytesBySite map[int]int64
-	// RetrievalBusy is the total time retrieval threads spent transferring
-	// (diagnostic; the Breakdown's Retrieval is the non-overlapped stall).
-	RetrievalBusy time.Duration
-	// LocalDone is when the cluster finished its last fold.
-	LocalDone time.Duration
-}
-
-// Result reports the whole experiment.
-type Result struct {
-	// Total is the virtual makespan: until the head finishes the final
-	// global reduction.
-	Total time.Duration
-	// Clusters holds per-cluster results in Topology order.
-	Clusters []ClusterResult
-	// GlobalReduction is the tail after the LAST cluster finished
-	// processing: final reduction-object transfer + merge (Table II).
-	GlobalReduction time.Duration
-	// IdleTime is how long the earliest-finishing cluster waited for the
-	// last one (Table II's idle column).
-	IdleTime time.Duration
-	// Seeks counts non-sequential fetches (file switches or sequence
-	// breaks) across all sites — the contention the consecutive-job and
-	// min-contention policies minimize.
-	Seeks int
-	// Faults summarizes fault-plan activity (zero when no plan was active).
-	Faults FaultStats
 }
 
 // splitmix64 is the deterministic jitter stream.
@@ -173,31 +95,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// Run executes a single-query simulated experiment: RunMulti over
-// cfg.Multi(), with the query's per-cluster view mapped back into a Result.
-func Run(cfg Config) (*Result, error) {
-	m, err := RunMulti(cfg.Multi())
-	if err != nil {
-		return nil, err
-	}
-	q := m.Queries[0]
-	res := &Result{Total: m.Total, Seeks: m.Seeks, Faults: m.Faults}
-	first, last := m.Total, time.Duration(0)
-	for i, c := range m.Clusters {
-		done := q.LocalDone[i]
-		res.Clusters = append(res.Clusters, ClusterResult{Name: c.Name, Site: c.Site, Cores: c.Cores,
-			Breakdown: q.Breakdown[i], Jobs: q.Jobs[i], BytesBySite: c.BytesBySite,
-			RetrievalBusy: c.RetrievalBusy, LocalDone: done})
-		if done < first {
-			first = done
-		}
-		if done > last {
-			last = done
-		}
-	}
-	res.IdleTime = last - first
-	res.GlobalReduction = m.Total - last
-	return res, nil
 }

@@ -42,7 +42,7 @@ type StageModel struct {
 	HitRate float64
 }
 
-// StageStats reports the replica's realized behavior over a multi-query run.
+// StageStats reports the replica's realized behavior over a run.
 type StageStats struct {
 	// Hits and Misses count cache-eligible reads (burst or replica-site
 	// clusters reading remote-origin chunks).
@@ -89,8 +89,8 @@ type stageItem struct {
 	size int64
 }
 
-// stageState is the replica's runtime state inside the multi-query
-// simulator. Everything runs on the virtual clock; with the same config and
+// stageState is the replica's runtime state inside the simulator.
+// Everything runs on the virtual clock; with the same config and
 // seed, staging decisions and transfer completions are byte-identical.
 type stageState struct {
 	s     *multiSim

@@ -37,9 +37,9 @@ func stageModel() *StageModel {
 	}
 }
 
-func stageQuery(t *testing.T, name string, files int, iterations int) MultiQuery {
+func stageQuery(t *testing.T, name string, files int, iterations int) Query {
 	t.Helper()
-	return MultiQuery{
+	return Query{
 		Name:       name,
 		App:        multiApp(name, 64<<20),
 		Index:      multiIndex(t, name, files, 4),
@@ -53,12 +53,12 @@ func stageQuery(t *testing.T, name string, files int, iterations int) MultiQuery
 // pre-stage fill it) and hits on every cache-eligible read of pass 1 —
 // the warm pass runs at replica rates, never re-crossing the WAN.
 func TestMultiStageWarmIterationHits(t *testing.T) {
-	cfg := MultiConfig{
+	cfg := Config{
 		Topology: stageTopology(stageModel()),
 		Seed:     11,
-		Queries:  []MultiQuery{stageQuery(t, "pagerank", 8, 2)},
+		Queries:  []Query{stageQuery(t, "pagerank", 8, 2)},
 	}
-	res, err := RunMulti(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMultiStageWarmIterationHits(t *testing.T) {
 	// The cache pays overall: the same run without a replica is slower.
 	cfg2 := cfg
 	cfg2.Topology = stageTopology(nil)
-	bare, err := RunMulti(cfg2)
+	bare, err := Run(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMultiStageWarmIterationHits(t *testing.T) {
 		t.Errorf("staged run %v not faster than unstaged %v", res.Total, bare.Total)
 	}
 	// Determinism: same config, byte-identical results.
-	again, err := RunMulti(cfg)
+	again, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +119,12 @@ func TestMultiStageWarmIterationHits(t *testing.T) {
 // processed, pre-staged bytes are billed per origin site only, and the
 // replica never caches its own site's data.
 func TestMultiStageAccounting(t *testing.T) {
-	cfg := MultiConfig{
+	cfg := Config{
 		Topology: stageTopology(stageModel()),
 		Seed:     5,
-		Queries:  []MultiQuery{stageQuery(t, "knn", 8, 2)},
+		Queries:  []Query{stageQuery(t, "knn", 8, 2)},
 	}
-	res, err := RunMulti(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +161,12 @@ func TestMultiStageAccounting(t *testing.T) {
 func TestMultiStageEviction(t *testing.T) {
 	sm := stageModel()
 	sm.CapacityBytes = 3 << 20 // three 1 MiB chunks; the remote half is 16
-	cfg := MultiConfig{
+	cfg := Config{
 		Topology: stageTopology(sm),
 		Seed:     9,
-		Queries:  []MultiQuery{stageQuery(t, "knn", 8, 2)},
+		Queries:  []Query{stageQuery(t, "knn", 8, 2)},
 	}
-	res, err := RunMulti(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +191,12 @@ func TestMultiStageEviction(t *testing.T) {
 // of the cache — an unstaged 3-pass query processes 3× the jobs with
 // monotone pass finishes.
 func TestMultiIterationsWithoutStage(t *testing.T) {
-	cfg := MultiConfig{
+	cfg := Config{
 		Topology: stageTopology(nil),
 		Seed:     2,
-		Queries:  []MultiQuery{stageQuery(t, "kmeans", 4, 3)},
+		Queries:  []Query{stageQuery(t, "kmeans", 4, 3)},
 	}
-	res, err := RunMulti(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +227,13 @@ func TestMultiIterationsWithoutStage(t *testing.T) {
 // so the run finishes later than with instant boot — while the Decide hook
 // sees the booting worker immediately and never double-provisions.
 func TestElasticLaunchDelay(t *testing.T) {
-	run := func(delay time.Duration) (*MultiResult, []time.Duration, int) {
+	run := func(delay time.Duration) (*Result, []time.Duration, int) {
 		var launches []time.Duration
 		adds := 0
-		cfg := MultiConfig{
+		cfg := Config{
 			Topology: stageTopology(nil),
 			Seed:     4,
-			Queries:  []MultiQuery{stageQuery(t, "knn", 8, 1)},
+			Queries:  []Query{stageQuery(t, "knn", 8, 1)},
 			Elastic: &ElasticSim{
 				Interval: 200 * time.Millisecond,
 				Worker:   ClusterModel{Cores: 4, RetrievalThreads: 4},
@@ -252,7 +252,7 @@ func TestElasticLaunchDelay(t *testing.T) {
 				},
 			},
 		}
-		res, err := RunMulti(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,10 +287,10 @@ func TestElasticLoadsKeepQueryBetweenPasses(t *testing.T) {
 		rem   int64
 	}
 	var ticks []tick
-	cfg := MultiConfig{
+	cfg := Config{
 		Topology: stageTopology(nil),
 		Seed:     2,
-		Queries:  []MultiQuery{q},
+		Queries:  []Query{q},
 		Elastic: &ElasticSim{
 			Interval: 100 * time.Millisecond,
 			Worker:   ClusterModel{Cores: 4, RetrievalThreads: 4},
@@ -316,7 +316,7 @@ func TestElasticLoadsKeepQueryBetweenPasses(t *testing.T) {
 			},
 		},
 	}
-	res, err := RunMulti(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestElasticLoadsKeepQueryBetweenPasses(t *testing.T) {
 	if inBoundary[0] == 0 || inBoundary[1] == 0 {
 		t.Fatalf("no tick landed inside both pass boundaries (%v) — the test no longer exercises them", inBoundary)
 	}
-	var burst *MultiClusterResult
+	var burst *ClusterResult
 	for i := range res.Clusters {
 		if res.Clusters[i].Burst {
 			burst = &res.Clusters[i]

@@ -58,13 +58,6 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestTraceDoesNotPerturbSimulation: attaching a tracer must not change
 // the simulated schedule — same makespan, breakdowns, and job accounting
 // as an untraced run.
@@ -232,9 +225,9 @@ func TestSimMetrics(t *testing.T) {
 
 // multiTracedConfig is a small 2-cluster, 2-query experiment with tracing
 // attached.
-func multiTracedConfig(t *testing.T) MultiConfig {
+func multiTracedConfig(t *testing.T) Config {
 	t.Helper()
-	cfg := MultiConfig{Topology: multiTopology(), Seed: 3}
+	cfg := Config{Topology: multiTopology(), Seed: 3}
 	for _, sp := range []struct {
 		name  string
 		files int
@@ -244,7 +237,7 @@ func multiTracedConfig(t *testing.T) MultiConfig {
 		{"knn", 3, 8 << 20},
 	} {
 		ix := multiIndex(t, sp.name, sp.files, 2)
-		cfg.Queries = append(cfg.Queries, MultiQuery{
+		cfg.Queries = append(cfg.Queries, Query{
 			Name:      sp.name,
 			App:       multiApp(sp.name, sp.rate),
 			Index:     ix,
@@ -259,12 +252,12 @@ func multiTracedConfig(t *testing.T) MultiConfig {
 // processing span's trace id matches a head-side grant span of the same
 // query, and the whole rendering is replay-deterministic.
 func TestMultiTraceMergedView(t *testing.T) {
-	render := func() ([]byte, *MultiResult) {
+	render := func() ([]byte, *Result) {
 		cfg := multiTracedConfig(t)
 		o := obs.New(nil)
 		o.Tracer.Enable()
 		cfg.Obs = o
-		res, err := RunMulti(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

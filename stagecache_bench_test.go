@@ -72,15 +72,8 @@ func simStagedMakespan(t *testing.T, staged bool, iterations int) (time.Duration
 	if staged {
 		cfg.Topology.Stage = experiments.StageModel()
 	}
-	res, err := hybridsim.RunMulti(hybridsim.MultiConfig{
-		Topology: cfg.Topology,
-		Seed:     cfg.Seed,
-		Queries: []hybridsim.MultiQuery{{
-			Name: "knn", App: cfg.App,
-			Index: cfg.Index, Placement: cfg.Placement, PoolOpts: cfg.PoolOpts,
-			Iterations: iterations,
-		}},
-	})
+	cfg.Queries[0].Iterations = iterations
+	res, err := hybridsim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
