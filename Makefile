@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race flake fuzz examples results loc layout sim-bench control-bench kernel-bench check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race flake fuzz examples results loc layout sim-bench control-bench kernel-bench datagen-bench check api-snapshot api-check bench bench-compare bench-smoke bench-obs bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -139,6 +139,13 @@ control-bench:
 # 32 and 1024.
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'Benchmark((KNN|KMeans|KMeansClustered|PageRank|Histogram)Kernel|NewKMeansReducer)$$' -benchmem -count=5 ./internal/apps
+
+# Dataset generation, the bulk of the live benchmark's set-up: five samples
+# each of Build over 32 MiB at the benchmark's uniform, clustered and graph
+# shapes (the graph's init included) and of the 1 M-node graph's init
+# alone, at one and two procs (MB/s, allocations).
+datagen-bench:
+	$(GO) test -run '^$$' -bench 'Benchmark(Build|PowerLawGraphInit)$$' -benchmem -cpu 1,2 -count=5 ./internal/workload
 
 # Regenerate the exported-API snapshots. Run after an intentional API
 # change and commit the diff alongside it.

@@ -216,8 +216,8 @@ func (a *agentRun) tracing(q *agentQuery) bool {
 }
 
 // addSpan records one completed span of q: buffered for shipment on the next
-// poll when the head merges this session's spans into its trace, written to
-// the agent's own tracer otherwise. One sink, so an in-process deployment
+// poll or result when the head merges this session's spans into its trace,
+// written to the agent's own tracer otherwise. One sink, so an in-process deployment
 // sharing one tracer with its head never sees a span twice.
 func (a *agentRun) addSpan(q *agentQuery, name, cat string, tid, job int, start, end time.Duration) {
 	tc := a.queryTrace(q)
@@ -234,13 +234,25 @@ func (a *agentRun) addSpan(q *agentQuery, name, cat string, tid, job int, start,
 	a.spanMu.Unlock()
 }
 
-// takeSpans drains the span buffer for a poll shipment.
+// takeSpans drains the span buffer for a shipment on a poll or a result.
 func (a *agentRun) takeSpans() []protocol.WireSpan {
 	a.spanMu.Lock()
 	defer a.spanMu.Unlock()
 	s := a.spans
 	a.spans = nil
 	return s
+}
+
+// returnSpans puts back the spans of a shipment that failed, for the next
+// one (order within the merged trace comes from timestamps, not shipment
+// order).
+func (a *agentRun) returnSpans(s []protocol.WireSpan) {
+	if len(s) == 0 {
+		return
+	}
+	a.spanMu.Lock()
+	a.spans = append(s, a.spans...)
+	a.spanMu.Unlock()
 }
 
 // queryTrace returns the TraceContext to stamp on messages and spans for q:
@@ -346,13 +358,7 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		}
 		rep, err := cfg.Head.Poll(req)
 		if err != nil {
-			if len(req.Spans) > 0 {
-				// Keep the spans for the next attempt (order within the merged
-				// trace comes from timestamps, not shipment order).
-				a.spanMu.Lock()
-				a.spans = append(req.Spans, a.spans...)
-				a.spanMu.Unlock()
-			}
+			a.returnSpans(req.Spans)
 			err = fmt.Errorf("cluster %s: poll: %w", cfg.Name, err)
 		}
 		// The poll's commits fold before anything in its reply is served, so a
@@ -874,10 +880,17 @@ func (a *agentRun) finalize(id int) error {
 	res := a.core.Ship(id, encoded)
 	res.Trace = a.queryTrace(q)
 	res.Processing, res.Retrieval, res.Sync = int64(b.Processing), int64(b.Retrieval), int64(b.Sync)
+	if a.traceOn {
+		// The folds of the commit the last poll acked, and the local merge,
+		// reach the head's trace before the result seals the query.
+		res.Spans = a.takeSpans()
+		res.NowNS = int64(a.clk.Now())
+	}
 	if err := cfg.Head.SubmitResult(res); err != nil {
 		if errors.Is(err, head.ErrQueryCanceled) || errors.Is(err, head.ErrUnknownQuery) {
 			return nil // canceled while we merged; nothing to keep
 		}
+		a.returnSpans(res.Spans)
 		return fmt.Errorf("cluster %s: query %d submitting result: %w", cfg.Name, id, err)
 	}
 	cfg.Logf("cluster %s: query %d done: %v; jobs %d local + %d stolen; bytes %v",

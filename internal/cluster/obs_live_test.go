@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chunk"
 	"repro/internal/head"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
 // TestLiveObservability runs a two-cluster hybrid job in-process with one
@@ -114,5 +117,72 @@ func TestLiveObservability(t *testing.T) {
 	}
 	if _, ok := doc["traceEvents"]; !ok {
 		t.Error("trace JSON missing traceEvents")
+	}
+}
+
+// heldAfterResult is an in-process head connection that holds every poll
+// made after the agent's first result until release closes, so nothing the
+// agent ships after its result can reach the head's trace while the test
+// reads it.
+type heldAfterResult struct {
+	InProcAgent
+	submitted atomic.Bool
+	release   chan struct{}
+}
+
+func (c *heldAfterResult) Poll(req protocol.PollRequest) (protocol.PollReply, error) {
+	if c.submitted.Load() {
+		<-c.release
+	}
+	return c.InProcAgent.Poll(req)
+}
+
+func (c *heldAfterResult) SubmitResult(res protocol.ReductionResult) error {
+	err := c.InProcAgent.SubmitResult(res)
+	c.submitted.Store(true)
+	return err
+}
+
+// TestLiveLastFoldSpansRideTheResult: the agent folds a batch's last group
+// only once the poll that commits it is answered, and that answer carries
+// the query's Done notice, so those folds' process spans and the local
+// merge's span are recorded after the last poll left. They must reach the
+// head's trace with the result: when Query.Wait returns, every job has its
+// process span although no later poll is let through.
+func TestLiveLastFoldSpansRideTheResult(t *testing.T) {
+	ix, src, want := buildDataset(t, 4000, 1000, 100) // 4 files × 10 chunks
+	o := obs.New(nil)
+	o.Tracer.Enable()
+	h, q := admitHead(t, head.Config{ExpectClusters: 1, Obs: o}, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), jobs.Options{})
+	conn := &heldAfterResult{InProcAgent: InProcAgent{Head: h}, release: make(chan struct{})}
+	exit := make(chan error, 1)
+	go func() {
+		exit <- RunAgent(context.Background(), AgentConfig{
+			Site: 0, Name: "local", Cores: 2, Sources: map[int]chunk.Source{0: src}, Head: conn, Logf: t.Logf})
+	}()
+	obj, _, _, err := q.Wait(context.Background())
+	var process, merges int
+	for _, ev := range o.Tracer.Events() {
+		switch {
+		case ev.Phase == 'X' && ev.Cat == "job" && ev.Name == "process":
+			process++
+		case ev.Phase == 'X' && ev.Cat == "sync" && ev.Name == "local-merge":
+			merges++
+		}
+	}
+	close(conn.release)
+	h.Shutdown()
+	if aerr := <-exit; aerr != nil {
+		t.Errorf("agent: %v", aerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obj.(*sumObj).total; got != want {
+		t.Errorf("sum = %d, want %d", got, want)
+	}
+	if process != ix.NumChunks() || merges != 1 {
+		t.Errorf("when Wait returned the trace held %d process spans and %d local-merge spans, want %d and 1",
+			process, merges, ix.NumChunks())
 	}
 }

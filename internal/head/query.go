@@ -393,7 +393,7 @@ func (h *Head) PollInto(req protocol.PollRequest, acks []protocol.JobsDoneAck) (
 		return protocol.PollReply{}, opErr("poll", site, -1, err)
 	}
 	h.Heartbeat(site)
-	h.absorbSpans(req)
+	h.absorbSpans(site, req.NowNS, req.Spans)
 	acks = acks[:0]
 	for _, c := range req.Commits {
 		ack, err := h.commit(site, c)
@@ -656,25 +656,25 @@ func (h *Head) pollDraining(site int) (protocol.PollReply, error) {
 	return rep, nil
 }
 
-// absorbSpans merges the master-side spans shipped on a poll into the
-// head's trace, shifting their timestamps by the clock offset between the
-// two processes (req.NowNS is the master's clock at send time; the
+// absorbSpans merges the master-side spans shipped on a poll or a result
+// into the head's trace, shifting their timestamps by the clock offset
+// between the two processes (nowNS is the master's clock at send time; the
 // one-way latency left in the estimate is far below span durations). Spans
 // land on pid site+1, named by registerSite.
-func (h *Head) absorbSpans(req protocol.PollRequest) {
-	if !h.tr.Enabled() || len(req.Spans) == 0 {
+func (h *Head) absorbSpans(site int, nowNS int64, spans []protocol.WireSpan) {
+	if !h.tr.Enabled() || len(spans) == 0 {
 		return
 	}
 	var offset time.Duration
-	if req.NowNS != 0 {
-		offset = h.clk.Now() - time.Duration(req.NowNS)
+	if nowNS != 0 {
+		offset = h.clk.Now() - time.Duration(nowNS)
 	}
-	pid := req.Site + 1
-	for _, s := range req.Spans {
+	pid := site + 1
+	for _, s := range spans {
 		start := time.Duration(s.Start) + offset
 		h.tr.Complete(pid, s.TID, s.Cat, s.Name, start, start+time.Duration(s.Dur), obs.Args{
 			"trace": s.Trace.TraceID, "span": s.Trace.SpanID,
-			"query": s.Query, "job": s.Job, "site": req.Site,
+			"query": s.Query, "job": s.Job, "site": site,
 		})
 	}
 }
@@ -818,12 +818,14 @@ func (q *Query) jobsDoneLocked(site int) *obs.Counter {
 // for the rest of the query: the master keeps polling and serving other
 // queries, and the final object is read with Query.Wait. Submissions for canceled or
 // already-finished queries are refused with typed errors the master treats
-// as "discard and move on".
+// as "discard and move on". The spans riding the result are merged into the
+// trace before the result counts, so a Query.Wait that returns sees them.
 func (h *Head) SubmitQueryResult(res protocol.ReductionResult) error {
 	if err := h.fencedCheck(res.Site); err != nil {
 		return opErr("submit", res.Site, res.Query, err)
 	}
 	h.Heartbeat(res.Site)
+	h.absorbSpans(res.Site, res.NowNS, res.Spans)
 	h.mu.Lock()
 	q := h.queries[res.Query]
 	retired := h.retiredLocked(res.Query)

@@ -325,6 +325,22 @@ func (w *walker) ints(v *[]int) {
 	}
 }
 
+// spans walks a u32 count and that many WireSpans.
+func (w *walker) spans(v *[]WireSpan) {
+	s := slice(w, v, wireSpanMin)
+	for i := range s {
+		sp := &s[i]
+		w.trace(&sp.Trace)
+		w.str(&sp.Name)
+		w.str(&sp.Cat)
+		w.i32(&sp.TID)
+		w.i32(&sp.Query)
+		w.int(&sp.Job)
+		w.i64(&sp.Start)
+		w.i64(&sp.Dur)
+	}
+}
+
 // jobs walks a u32 count and that many jobs of jobWire bytes each.
 func (w *walker) jobs(v *[]jobs.Job) {
 	s := slice(w, v, jobWire)
@@ -395,6 +411,8 @@ func (m *ReductionResult) walk(w *walker) {
 	w.int(&m.LocalJobs)
 	w.int(&m.StolenJobs)
 	w.trace(&m.Trace)
+	w.i64(&m.NowNS)
+	w.spans(&m.Spans)
 	w.tail(&m.Object)
 }
 
@@ -410,18 +428,7 @@ func (m *PollRequest) walk(w *walker) {
 	w.int(&m.N)
 	w.i64(&m.Bytes)
 	w.i64(&m.NowNS)
-	spans := slice(w, &m.Spans, wireSpanMin)
-	for i := range spans {
-		s := &spans[i]
-		w.trace(&s.Trace)
-		w.str(&s.Name)
-		w.str(&s.Cat)
-		w.i32(&s.TID)
-		w.i32(&s.Query)
-		w.int(&s.Job)
-		w.i64(&s.Start)
-		w.i64(&s.Dur)
-	}
+	w.spans(&m.Spans)
 	w.i64(&m.ParkNS)
 	commits := slice(w, &m.Commits, commitMin)
 	for i := range commits {

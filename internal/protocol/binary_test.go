@@ -97,6 +97,13 @@ func sampleMessages() []Message {
 		CheckpointSave{Site: 1, Seq: 7, Query: 5, Data: []byte("q5-traced"), Trace: TraceContext{TraceID: 6, SpanID: 2}},
 		ReductionResult{Site: 0, Query: 1, Object: []byte{1, 2}, Processing: 3,
 			Trace: TraceContext{TraceID: 2, SpanID: 8}},
+		// The last folds' spans and the local merge riding a result.
+		ReductionResult{Site: 1, Query: 2, Object: []byte{3, 4}, Sync: 5, Trace: TraceContext{TraceID: 3, SpanID: 9},
+			NowNS: 123456789, Spans: []WireSpan{
+				{Trace: TraceContext{TraceID: 3, SpanID: 4}, Name: "process", Cat: "job", TID: 1, Query: 2, Job: 7, Start: 10, Dur: 20},
+				{Trace: TraceContext{TraceID: 3, SpanID: 5}, Name: "local-merge", Cat: "sync", TID: 1, Query: 2, Job: -1, Start: 30, Dur: 5},
+			}},
+		ReductionResult{Site: 1, Query: 2, NowNS: 42}, // clock sample, no spans, no object
 		SiteSpec{HeartbeatEvery: 1e9, Trace: TraceContext{TraceID: 4, SpanID: 1}},
 		PollRequest{Site: 2, N: 8, NowNS: 123456789, Spans: []WireSpan{
 			{Trace: TraceContext{TraceID: 1, SpanID: 2}, Name: "job 3", Cat: "job", TID: 1, Job: 3, Start: 10, Dur: 20},

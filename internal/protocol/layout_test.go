@@ -70,10 +70,11 @@ func fixedLayouts() []layoutCase {
 		{"CheckpointAck", CheckpointAck{Code: CodeStale, Err: "stale"},
 			w.u8(9).str("stale").u32(CodeStale), 0},
 		{"ReductionResult", ReductionResult{Site: 1, Query: 2, Object: []byte("obj"), Processing: 3, Retrieval: 4,
-			Sync: 5, LocalJobs: 6, StolenJobs: 7, Trace: TraceContext{8, 9}},
-			w.u8(10).n(1).n(2).n(3).n(4).n(5).n(6).n(7).tc(8, 9).raw("obj"), 3},
+			Sync: 5, LocalJobs: 6, StolenJobs: 7, Trace: TraceContext{8, 9}, NowNS: 77, Spans: []WireSpan{span}},
+			w.u8(10).n(1).n(2).n(3).n(4).n(5).n(6).n(7).tc(8, 9).n(77).u32(1).
+				tc(1, 2).str("job 9").str("job").u32(1).u32(4).n(9).n(10).n(20).raw("obj"), 3},
 		{"ReductionResult zero trace", ReductionResult{Site: 1, Object: []byte("obj")},
-			w.u8(10).n(1).n(0).n(0).n(0).n(0).n(0).n(0).tc(0, 0).raw("obj"), 3},
+			w.u8(10).n(1).n(0).n(0).n(0).n(0).n(0).n(0).tc(0, 0).n(0).u32(0).raw("obj"), 3},
 		{"ErrorReply", ErrorReply{Err: "old", Code: CodeVersionMismatch},
 			w.u8(12).str("old").u32(CodeVersionMismatch), 0},
 		{"PutReq", PutReq{Key: "k", Data: []byte("v")}, w.u8(13).str("k").raw("v"), 1},
@@ -466,6 +467,20 @@ func TestProto7JobSpecRefused(t *testing.T) {
 			n(4).tc(5, 0).n(90e9).u64(math.Float64bits(0.25)).n(1).n(6).frame(),
 		"JobSpec v7 zero trace and policy": wire(nil).u8(tagJobSpec).str("knn").str("").n(0).n(0).str("").str("").
 			n(0).tc(0, 0).n(0).u64(0).n(0).n(0).frame(),
+	})
+}
+
+// TestProto8ReductionResultRefused: a ReductionResult in the version-8
+// layout, which ended its fixed fields at Trace, is refused rather than
+// read with shifted fields when its object is shorter than the clock word
+// and span count that now follow Trace. A longer object would be read as
+// that block — which is why a session agrees on Hello.Proto first.
+func TestProto8ReductionResultRefused(t *testing.T) {
+	refused(t, map[string][]byte{
+		"ReductionResult v8": wire(nil).u8(tagReductionResult).n(1).n(2).n(3).n(4).n(5).n(6).n(7).tc(8, 9).
+			raw("obj").frame(),
+		"ReductionResult v8 no object": wire(nil).u8(tagReductionResult).n(1).n(0).n(0).n(0).n(0).n(0).n(0).
+			tc(0, 0).frame(),
 	})
 }
 

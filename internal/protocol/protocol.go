@@ -85,11 +85,12 @@ type WireSpan struct {
 // the same connection; the head replies with SiteSpec and specs are fetched
 // per query. Version 7 retired the JobsDone/JobsDoneAck frames (tags 5 and
 // 6): every commit rides a PollRequest. Version 8 dropped JobSpec's
-// unit-group budget: each agent folds with its own. docs/PROTOCOL.md
-// ("Versioning") lists what each earlier version laid out differently. The
-// head answers a Hello of any other version with an ErrorReply coded
-// CodeVersionMismatch.
-const ProtoMulti = 8
+// unit-group budget: each agent folds with its own. Version 9 added the
+// clock and span block to ReductionResult: the spans of a query's last
+// folds ride its result. docs/PROTOCOL.md ("Versioning") lists what each
+// earlier version laid out differently. The head answers a Hello of any
+// other version with an ErrorReply coded CodeVersionMismatch.
+const ProtoMulti = 9
 
 // Hello registers a master with the head node.
 type Hello struct {
@@ -188,6 +189,12 @@ type ReductionResult struct {
 	StolenJobs int
 	// Trace carries the owning query's trace context.
 	Trace TraceContext
+	// NowNS and Spans are PollRequest's clock reading and span block: the
+	// master-side spans completed since the last poll, among them the
+	// folds of the last commit and the local merge, which land in the
+	// head's trace before the result counts.
+	NowNS int64
+	Spans []WireSpan
 }
 
 // ErrorReply reports a failure for the preceding request. Code classifies

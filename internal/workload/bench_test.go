@@ -1,6 +1,10 @@
 package workload
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/chunk"
+)
 
 // Generator throughput: dataset materialization must not be the bottleneck
 // when building multi-GB inputs for live runs.
@@ -49,5 +53,56 @@ func BenchmarkDecodeEdge(b *testing.B) {
 				_ = e
 			}
 		}
+	}
+}
+
+// discard is a chunk.Sink that keeps nothing.
+type discard struct{}
+
+func (discard) WriteFile(string, []byte) error { return nil }
+
+// benchGraph is the live benchmark's pagerank dataset: 1 M nodes and the
+// 2 M edges of 32 MiB.
+func benchGraph() *PowerLawGraph {
+	return &PowerLawGraph{Seed: 1, Nodes: 1 << 20, Edges: 32 << 20 / EdgeUnitSize}
+}
+
+// BenchmarkPowerLawGraphInit times the one-time CDF, guide table and
+// degree replay of the pagerank benchmark's graph.
+func BenchmarkPowerLawGraphInit(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchGraph().init()
+	}
+}
+
+// BenchmarkBuild times Build over 32 MiB in 16 files at the live
+// benchmark's dataset shapes, the generation its set-up pays; the graph
+// case includes its init. Run at -cpu 1,2 to see the stripes' speed-up.
+func BenchmarkBuild(b *testing.B) {
+	const size = 32 << 20
+	for _, bc := range []struct {
+		name string
+		gen  func() Generator
+	}{
+		{"uniform", func() Generator { return UniformPoints{Seed: 1, Dim: 8} }},
+		{"clustered", func() Generator { return ClusteredPoints{Seed: 1, Dim: 8, K: 32, Spread: 0.05} }},
+		{"graph", func() Generator { return benchGraph() }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			us := bc.gen().UnitSize()
+			units := int64(size / us)
+			ix, err := chunk.Layout(bc.name, units, us, int(units/16), (1<<20)/us)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := Build(ix, bc.gen(), discard{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

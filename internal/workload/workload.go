@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"repro/internal/chunk"
@@ -28,21 +29,47 @@ type Generator interface {
 }
 
 // Build materializes the dataset described by ix using g, delivering each
-// file to sink. It verifies that g's unit size matches the index.
+// file to sink, one call per file in file order. Each file is filled in
+// GOMAXPROCS stripes at once; since every unit is a pure function of (seed,
+// index), the bytes are those of one Fill over the file. It verifies that
+// g's unit size matches the index.
 func Build(ix *chunk.Index, g Generator, sink chunk.Sink) error {
 	if g.UnitSize() != ix.UnitSize {
 		return fmt.Errorf("workload: generator unit size %d != index unit size %d", g.UnitSize(), ix.UnitSize)
 	}
+	procs := runtime.GOMAXPROCS(0)
 	var start int64
 	for _, f := range ix.Files {
 		buf := make([]byte, f.Size)
-		g.Fill(start, buf)
+		fillStriped(g, start, buf, procs)
 		if err := sink.WriteFile(f.Name, buf); err != nil {
 			return fmt.Errorf("workload: writing %s: %w", f.Name, err)
 		}
 		start += f.Size / int64(ix.UnitSize)
 	}
 	return nil
+}
+
+// fillStriped is g.Fill(start, buf) cut at unit boundaries into up to procs
+// stripes, each filled by its own goroutine; it returns once all are done.
+func fillStriped(g Generator, start int64, buf []byte, procs int) {
+	us := g.UnitSize()
+	units := len(buf) / us
+	procs = min(procs, units)
+	if procs <= 1 {
+		g.Fill(start, buf)
+		return
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < procs; p++ {
+		lo, hi := units*p/procs, units*(p+1)/procs
+		wg.Add(1)
+		go func() {
+			g.Fill(start+int64(lo), buf[lo*us:hi*us])
+			wg.Done()
+		}()
+	}
+	wg.Wait()
 }
 
 // ---------------------------------------------------------------------------
@@ -119,22 +146,31 @@ func (g ClusteredPoints) UnitSize() int { return 4 * g.Dim }
 
 // TrueCenter returns the deterministic center of blob k.
 func (g ClusteredPoints) TrueCenter(k int) []float64 {
-	r := rng{seed: g.Seed ^ 0xc105e75}
 	c := make([]float64, g.Dim)
+	g.center(k, c)
+	return c
+}
+
+// center writes blob k's center into c (len(c) == Dim).
+func (g ClusteredPoints) center(k int, c []float64) {
+	r := rng{seed: g.Seed ^ 0xc105e75}
 	for d := range c {
 		c[d] = r.float01(uint64(k)*uint64(g.Dim) + uint64(d))
 	}
-	return c
 }
 
 // Fill implements Generator.
 func (g ClusteredPoints) Fill(startUnit int64, buf []byte) {
 	us := g.UnitSize()
 	r := rng{seed: g.Seed}
+	centers := make([]float64, g.K*g.Dim)
+	for k := 0; k < g.K; k++ {
+		g.center(k, centers[k*g.Dim:(k+1)*g.Dim])
+	}
 	for off := 0; off < len(buf); off += us {
 		unit := uint64(startUnit) + uint64(off/us)
 		k := int(r.u64(unit) % uint64(g.K))
-		center := g.TrueCenter(k)
+		center := centers[k*g.Dim : (k+1)*g.Dim]
 		for d := 0; d < g.Dim; d++ {
 			v := center[d] + g.Spread*r.norm(unit*uint64(g.Dim)+uint64(d))
 			binary.LittleEndian.PutUint32(buf[off+4*d:], math.Float32bits(float32(v)))
@@ -168,9 +204,10 @@ type PowerLawGraph struct {
 	// Alpha is the Zipf exponent for source popularity; 0 defaults to 0.8.
 	Alpha float64
 
-	once sync.Once
-	cum  []float64 // cumulative source-selection weights
-	deg  []uint32  // out-degree per node, implied by the edge stream
+	once  sync.Once
+	cum   []float64 // cumulative source-selection weights
+	guide []int32   // guide[j]: first i whose cum[i] lands in bucket j or later
+	deg   []uint32  // out-degree per node, implied by the edge stream
 }
 
 // UnitSize implements Generator.
@@ -191,6 +228,14 @@ func (g *PowerLawGraph) init() {
 		for i := range g.cum {
 			g.cum[i] /= total
 		}
+		g.guide = make([]int32, g.Nodes)
+		i := 0
+		for j := range g.guide {
+			for g.bucket(g.cum[i]) < j {
+				i++
+			}
+			g.guide[j] = int32(i)
+		}
 		// Derive the exact out-degree sequence by replaying source draws.
 		g.deg = make([]uint32, g.Nodes)
 		r := rng{seed: g.Seed}
@@ -202,17 +247,26 @@ func (g *PowerLawGraph) init() {
 
 // pickSource maps edge counter e to a source node via inverse-CDF sampling.
 func (g *PowerLawGraph) pickSource(r rng, e uint64) int {
-	u := r.float01(e*2 + 1)
-	lo, hi := 0, len(g.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	return g.sample(r.float01(e*2 + 1))
+}
+
+// sample returns the smallest i with cum[i] ≥ u, for u in [0,1]. It starts
+// at u's guide entry and steps forward: bucket is monotone in u, so every
+// node before guide[bucket(u)] has cum < u, and the last cum is exactly 1,
+// so the walk stops by the last node. There are as many buckets as nodes,
+// so a walk takes O(1) steps on average.
+func (g *PowerLawGraph) sample(u float64) int {
+	i := int(g.guide[g.bucket(u)])
+	for g.cum[i] < u {
+		i++
 	}
-	return lo
+	return i
+}
+
+// bucket maps a CDF value in [0,1] to its guide entry, ⌊u·Nodes⌋ clamped to
+// the last one.
+func (g *PowerLawGraph) bucket(u float64) int {
+	return min(int(u*float64(len(g.cum))), len(g.cum)-1)
 }
 
 // OutDegree returns node n's out-degree in the generated graph.

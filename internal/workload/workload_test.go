@@ -2,6 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -156,5 +160,141 @@ func TestRNGUniformish(t *testing.T) {
 	mean := sum / n
 	if mean < 0.45 || mean > 0.55 {
 		t.Errorf("float01 mean = %v, want ≈0.5", mean)
+	}
+}
+
+// fileSink records each file Build delivers, in delivery order.
+type fileSink struct {
+	names []string
+	files [][]byte
+}
+
+func (s *fileSink) WriteFile(name string, data []byte) error {
+	s.names = append(s.names, name)
+	s.files = append(s.files, data)
+	return nil
+}
+
+// TestBuildBytesIndependentOfProcs: Build stripes each file over GOMAXPROCS
+// goroutines, so every core count must deliver the files, in order, with
+// the bytes one serial Fill per file writes. The unit counts divide neither
+// into the files nor into the stripes, and the last layout has fewer units
+// per file than stripes.
+func TestBuildBytesIndependentOfProcs(t *testing.T) {
+	gens := map[string]func() Generator{
+		"uniform":   func() Generator { return UniformPoints{Seed: 5, Dim: 3} },
+		"clustered": func() Generator { return ClusteredPoints{Seed: 5, Dim: 5, K: 7, Spread: 0.05} },
+		"graph":     func() Generator { return &PowerLawGraph{Seed: 5, Nodes: 777, Edges: 10007} },
+	}
+	layouts := []struct{ units, fileUnits, chunkUnits int }{
+		{10007, 1237, 101},
+		{5, 2, 1},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, newGen := range gens {
+		for _, l := range layouts {
+			ix, err := chunk.Layout(name, int64(l.units), newGen().UnitSize(), l.fileUnits, l.chunkUnits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial := newGen()
+			for _, procs := range []int{1, 2, 3, 8} {
+				runtime.GOMAXPROCS(procs)
+				var sink fileSink
+				if err := Build(ix, newGen(), &sink); err != nil {
+					t.Fatal(err)
+				}
+				if len(sink.files) != len(ix.Files) {
+					t.Fatalf("%s/%d units, %d procs: %d files delivered, want %d", name, l.units, procs, len(sink.files), len(ix.Files))
+				}
+				var start int64
+				for i, f := range ix.Files {
+					want := make([]byte, f.Size)
+					serial.Fill(start, want)
+					if sink.names[i] != f.Name || !bytes.Equal(sink.files[i], want) {
+						t.Errorf("%s/%d units, %d procs: file %d (%s) differs from a serial Fill", name, l.units, procs, i, sink.names[i])
+					}
+					start += f.Size / int64(ix.UnitSize)
+				}
+			}
+		}
+	}
+}
+
+// TestGeneratorsPinnedBytes pins the SHA-256 of a small dataset per
+// generator, so a change that alters the generated data fails here before
+// it moves a benchmark or a golden table. The graph cases cover the default
+// and a non-default Zipf exponent.
+func TestGeneratorsPinnedBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		g     Generator
+		units int
+		want  string
+	}{
+		{"uniform", UniformPoints{Seed: 3, Dim: 8}, 4099,
+			"2db7040a45140935afd4932d097221d3ea5d402e8900db30991dd5da23f39188"},
+		{"clustered", ClusteredPoints{Seed: 3, Dim: 8, K: 32, Spread: 0.05}, 4099,
+			"d945b06c2f2eaef9de51e51dfc8b6f315f592b092ef3a95dbc377b22e4c8f566"},
+		{"graph", &PowerLawGraph{Seed: 3, Nodes: 1 << 16, Edges: 20011}, 20011,
+			"2ff210f8343a9840a09a893fe49e1dc31e8bde4ba00e3187791a67b671ca1676"},
+		{"graph alpha 1.5", &PowerLawGraph{Seed: 4, Nodes: 1000, Edges: 4099, Alpha: 1.5}, 4099,
+			"fdf5a40a0038d5b74d97376e85f2463f51d2cd547617b8fdcc426b2fed15b094"},
+	} {
+		buf := make([]byte, tc.units*tc.g.UnitSize())
+		tc.g.Fill(0, buf)
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf)); got != tc.want {
+			t.Errorf("%s: sha256 %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// bisectSource is the reference inverse-CDF lookup: the smallest i with
+// cum[i] ≥ u, by bisection over the whole CDF.
+func bisectSource(cum []float64, u float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cum[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestPickSourceMatchesBisection: the guide-table lookup returns exactly
+// what bisection returns, on random draws and at the edges — u = 0, u at
+// each cum[i] of the small graphs and one float either side of it, the
+// largest value float01 returns, and u = 1, where the bucket clamp acts.
+func TestPickSourceMatchesBisection(t *testing.T) {
+	const draws = 1 << 20
+	largest := float64(1<<53-1) / float64(1<<53)
+	for _, nodes := range []int{1, 2, 3, 1000, 1 << 20} {
+		for _, alpha := range []float64{0, 0.5, 1.5} {
+			g := &PowerLawGraph{Seed: uint64(nodes), Nodes: nodes, Alpha: alpha}
+			g.init()
+			r := rng{seed: g.Seed}
+			for e := uint64(0); e < draws; e++ {
+				if got, want := g.pickSource(r, e), bisectSource(g.cum, r.float01(e*2+1)); got != want {
+					t.Fatalf("nodes %d alpha %v edge %d: pickSource %d, bisection %d", nodes, alpha, e, got, want)
+				}
+			}
+			edges := []float64{0, largest, 1}
+			if nodes <= 1000 {
+				for _, c := range g.cum {
+					edges = append(edges, c, math.Nextafter(c, 0), math.Nextafter(c, 2))
+				}
+			}
+			for _, u := range edges {
+				if u > 1 {
+					continue
+				}
+				if got, want := g.sample(u), bisectSource(g.cum, u); got != want {
+					t.Fatalf("nodes %d alpha %v u %v: sample %d, bisection %d", nodes, alpha, u, got, want)
+				}
+			}
+		}
 	}
 }
